@@ -28,8 +28,8 @@ from .matrices import Matrix, column_vector, conjugate_transpose, multiply, powe
 from .matrix_io import (
     MatrixFormatError,
     OutputFormat,
+    _json_value,
     format_output,
-    matrix_tokens,
     parse_matrix_file,
 )
 from .minors import char_poly_coeffs
@@ -69,7 +69,8 @@ def _build_parser() -> _Parser:
         p.add_argument("--decimal", type=int, metavar="N", help="display N fixed decimals instead of rationals")
         p.add_argument("--json", action="store_true", help="emit the JSON layout (exact strings)")
         p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                       help="worker threads for minor sums (results are identical for any value)")
+                       help="worker threads for the per-entry determinants of --method eq1|eq2 "
+                            "and the full-rank forms (results are identical for any value)")
         return p
 
     add("pinv", method=True)
@@ -128,15 +129,7 @@ def _load_rhs(args, length: int, orientation: str) -> Matrix:
 def _emit(args, value, extra: dict | None = None) -> None:
     fmt = OutputFormat(decimal_digits=args.decimal, json_layout=args.json)
     if args.json:
-        if isinstance(value, Matrix):
-            payload = {"rows": value.rows, "cols": value.cols, "entries": matrix_tokens(value)}
-        elif isinstance(value, (Scalar, int)):
-            payload = {"value": str(value)}
-        else:
-            payload = {"values": [str(s) for s in value]}
-        if extra:
-            payload.update(extra)
-        print(json.dumps(payload))
+        print(json.dumps({**_json_value(value), **(extra or {})}))
     else:
         print(format_output(value, fmt))
 

@@ -1,16 +1,21 @@
 """Matrix index, Drazin and group inverses, and the A^D A projector.
 
 The index of a square matrix is the smallest k >= 0 at which the rank of
-A^(k+1) stops dropping below the rank of A^k.  With r = rank A^k, the Drazin
-inverse has a minor-sum representation over the power A^(k+1): entry (i, j)
-is the sum, over all order-r principal index sets containing i, of minors of
+A^(k+1) stops dropping below the rank of A^k.  With r = rank A^k, the
+paper's representation ("eq11") gives the Drazin inverse entry (i, j) as the
+sum, over all order-r principal index sets containing i, of minors of
 A^(k+1) with column i replaced by the j-th column of A^k, divided by the
-order-r principal-minor sum of A^(k+1).  The numerator matrix is the
-adjugate analogue for this inverse.
+order-r principal-minor sum of A^(k+1).  The whole numerator matrix, the
+adjugate analogue for this inverse, is N_r(A^(k+1)) @ A^k, and it comes from
+the characteristic-adjugate kernel (:func:`adjinv.minors.char_adjugate`) in
+one call; the projector A^D A is N_r(A^(k+1)) @ A^(k+1) over the same
+denominator.  The index search forms A^k and A^(k+1) once, and every caller
+reuses them.
 
 Nonsingular matrices (index 0) fall back to the classical adjugate; nilpotent
 ones (core rank 0) short-circuit to the zero matrix, the unique solution of
-the defining equations in that case.
+the defining equations in that case.  The ``threads`` arguments are accepted
+for a uniform signature and change nothing here.
 """
 
 from __future__ import annotations
@@ -18,10 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import minors
-from ._parallel import parallel_map
-from .index_sets import enumerate_containing
-from .matrices import Matrix, multiply, power, rank, replace_column
-from .scalars import ONE, ZERO, Scalar
+from .matrices import Matrix, multiply, power, rank
+from .scalars import ONE, Scalar
 
 
 class GroupInverseError(ValueError):
@@ -50,100 +53,92 @@ def _require_square(a: Matrix, what: str) -> None:
         raise ValueError(f"{what} needs a square matrix, got {a.rows}x{a.cols}")
 
 
-def index_of(a: Matrix) -> int:
-    """Smallest k >= 0 with rank(a^(k+1)) = rank(a^k); at most n."""
-    _require_square(a, "matrix index")
+def _index_powers(a: Matrix) -> tuple[int, Matrix, Matrix, int]:
+    """(k, A^k, A^(k+1), rank A^k) for the index k of a square matrix."""
     k = 0
-    rank_prev = a.rows  # rank of a^0 = I
-    p = Matrix.identity(a.rows)
+    ak = Matrix.identity(a.rows)
+    rank_k = a.rows
     while True:
-        p = multiply(p, a)
-        rank_next = rank(p)
-        if rank_next == rank_prev:
-            return k
-        rank_prev = rank_next
+        b = multiply(ak, a)
+        rank_b = rank(b)
+        if rank_b == rank_k:
+            return k, ak, b, rank_k
+        ak, rank_k = b, rank_b
         k += 1
 
 
-def _representation(a: Matrix, exponent: int, threads: int = 1) -> DrazinResult:
-    """Minor-sum representation evaluated at a chosen power exponent.
+def index_of(a: Matrix) -> int:
+    """Smallest k >= 0 with rank(a^(k+1)) = rank(a^k); at most n."""
+    _require_square(a, "matrix index")
+    return _index_powers(a)[0]
+
+
+def _core_ledger(b: Matrix, r: int, replacement: Matrix) -> tuple[Matrix, Scalar]:
+    """N_r(b) @ replacement and d_r(b) for b = A^(k+1) of core rank r >= 1."""
+    numerators, denom = minors.char_adjugate(b, r, replacement)
+    if not denom:
+        # Equals the product of the nonzero eigenvalues of A^(k+1), so
+        # reaching this line means the implementation is wrong.
+        raise ArithmeticError("core principal-minor sum vanished; this is a bug")
+    return numerators, denom
+
+
+def _eq11(k: int, ak: Matrix, b: Matrix, r: int) -> DrazinResult:
+    if r == 0:
+        zero = Matrix.zeros(b.rows, b.rows)
+        return DrazinResult(zero, k, 0, ONE, zero)
+    numerators, denom = _core_ledger(b, r, ak)
+    return DrazinResult(numerators * (ONE / denom), k, r, denom, numerators)
+
+
+def _representation(a: Matrix, exponent: int) -> DrazinResult:
+    """The eq11 representation evaluated at a chosen power exponent.
 
     Valid whenever rank(a^(exponent+1)) = rank(a^exponent); the value is the
     Drazin inverse for every exponent >= index_of(a).
     """
-    n = a.rows
     ak = power(a, exponent)
-    r = rank(ak)
-    if r == 0:
-        zero = Matrix.zeros(n, n)
-        return DrazinResult(zero, exponent, 0, ONE, zero)
-    b = power(a, exponent + 1)
-    denom = minors.principal_minor_sum(b, r)
-    if not denom:
-        # Equals the product of the nonzero eigenvalues of a^(exponent+1),
-        # so reaching this line means the implementation is wrong.
-        raise ArithmeticError("core principal-minor sum vanished; this is a bug")
+    return _eq11(exponent, ak, multiply(ak, a), rank(ak))
 
-    def numerator(ij: tuple[int, int]) -> Scalar:
-        i, j = ij
-        replaced = replace_column(b, i, ak.column(j - 1))
-        total = ZERO
-        for beta in enumerate_containing(r, n, i):
-            total = total + minors.minor(replaced, beta, beta)
-        return total
 
-    nums = parallel_map(numerator, [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)], threads)
-    numerators = Matrix(n, n, nums)
-    return DrazinResult(numerators * (ONE / denom), exponent, r, denom, numerators)
+def _drazin(a: Matrix, k: int, ak: Matrix, b: Matrix, r: int) -> DrazinResult:
+    if k == 0:
+        d = minors.det(a)
+        adj = minors.adjugate(a)
+        return DrazinResult(adj * (ONE / d), 0, a.rows, d, adj)
+    return _eq11(k, ak, b, r)
 
 
 def drazin_inverse(a: Matrix, threads: int = 1) -> DrazinResult:
     """The unique X with a^(k+1) X = a^k, X a X = X, a X = X a (k = index)."""
     _require_square(a, "Drazin inverse")
-    k = index_of(a)
-    if k == 0:
-        d = minors.det(a)
-        adj = minors.adjugate(a)
-        return DrazinResult(adj * (ONE / d), 0, a.rows, d, adj)
-    return _representation(a, k, threads)
+    return _drazin(a, *_index_powers(a))
 
 
 def group_inverse(a: Matrix, threads: int = 1) -> DrazinResult:
     """The Drazin inverse restricted to index <= 1.
 
-    Index 0 returns the classical inverse; index 1 the k = 1 minor-sum
-    representation; anything higher has no group inverse and raises
+    Index 0 returns the classical inverse; index 1 the k = 1 representation;
+    anything higher has no group inverse and raises
     :class:`GroupInverseError`.
     """
     _require_square(a, "group inverse")
-    if index_of(a) >= 2:
+    k, ak, b, r = _index_powers(a)
+    if k >= 2:
         raise GroupInverseError("group inverse does not exist: matrix index is 2 or larger")
-    return drazin_inverse(a, threads)
+    return _drazin(a, k, ak, b, r)
 
 
 def drazin_times_a(a: Matrix, threads: int = 1) -> Matrix:
-    """The idempotent projector drazin_inverse(a) @ a, by direct minor sums.
+    """The idempotent projector drazin_inverse(a) @ a: N_r(A^(k+1)) @ A^(k+1) / d_r.
 
-    Same structure as the inverse itself, but the replacement columns come
-    from a^(k+1) rather than a^k; the product route is kept as the oracle in
-    the test suite.
+    Same ledger as the inverse itself, but the replacement columns come from
+    a^(k+1) rather than a^k; the product route is kept as the oracle in the
+    test suite.
     """
     _require_square(a, "Drazin projector")
-    n = a.rows
-    k = index_of(a)
-    r = rank(power(a, k))
+    _, _, b, r = _index_powers(a)
     if r == 0:
-        return Matrix.zeros(n, n)
-    b = power(a, k + 1)
-    denom = minors.principal_minor_sum(b, r)
-
-    def numerator(ij: tuple[int, int]) -> Scalar:
-        i, j = ij
-        replaced = replace_column(b, i, b.column(j - 1))
-        total = ZERO
-        for beta in enumerate_containing(r, n, i):
-            total = total + minors.minor(replaced, beta, beta)
-        return total
-
-    nums = parallel_map(numerator, [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)], threads)
-    return Matrix(n, n, nums) * (ONE / denom)
+        return Matrix.zeros(a.rows, a.rows)
+    numerators, denom = _core_ledger(b, r, b)
+    return numerators * (ONE / denom)

@@ -1,4 +1,4 @@
-"""Fraction-free elimination kernels shared by rank and minor evaluation.
+"""Division-free integer kernels: Bareiss elimination and the characteristic adjugate.
 
 Each row is first cleared to a common denominator so every entry becomes a
 Gaussian integer, held as a plain ``(re, im)`` pair of Python ints.  Bareiss
@@ -6,6 +6,12 @@ cross-multiplication then keeps all intermediate values integral and every
 division exact, which bounds entry growth without ever leaving exact
 arithmetic.  Pivots are the first nonzero entry in column scan order; with
 exact arithmetic the pivot choice is correctness-neutral.
+
+The characteristic-adjugate kernel works on a whole matrix scaled by one
+common denominator.  Berkowitz's algorithm gives the characteristic
+coefficients without any division, and Horner's rule applies the
+Cayley-Hamilton polynomial N_r(g) to a replacement matrix, so a whole
+adjugate-analogue ledger costs O(n^3 r) integer operations.
 """
 
 from __future__ import annotations
@@ -33,6 +39,25 @@ def integerize(rows) -> tuple[list[list[Pair]], int]:
             mult = lcm(mult, s.re.denominator, s.im.denominator)
         out.append([(int(s.re * mult), int(s.im * mult)) for s in row])
         scale *= mult
+    return out, scale
+
+
+def integerize_common(rows) -> tuple[list[list[Pair]], int]:
+    """Scale a matrix of Scalars to Gaussian integers by one common multiplier.
+
+    Returns the integer rows A' and the positive D with A = A' / D.  Unlike
+    :func:`integerize`, every row shares D, so products and characteristic
+    coefficients of A' rescale to those of A by powers of D.
+    """
+    scale = 1
+    for row in rows:
+        for s in row:
+            scale = lcm(scale, s.re.denominator, s.im.denominator)
+    out = [
+        [(s.re.numerator * (scale // s.re.denominator), s.im.numerator * (scale // s.im.denominator))
+         for s in row]
+        for row in rows
+    ]
     return out, scale
 
 
@@ -120,3 +145,82 @@ def rank_pairs(a: list[list[Pair]], m: int, n: int) -> int:
 
 def _sub(x: Pair, y: Pair) -> Pair:
     return (x[0] - y[0], x[1] - y[1])
+
+
+def _add(x: Pair, y: Pair) -> Pair:
+    return (x[0] + y[0], x[1] + y[1])
+
+
+def _neg(x: Pair) -> Pair:
+    return (-x[0], -x[1])
+
+
+def _dot(x, y) -> Pair:
+    re = im = 0
+    for (a, b), (c, d) in zip(x, y):
+        if b or d:
+            re += a * c - b * d
+            im += a * d + b * c
+        else:
+            re += a * c
+    return (re, im)
+
+
+def matmul_pairs(a: list[list[Pair]], b: list[list[Pair]]) -> list[list[Pair]]:
+    """Product of two Gaussian-integer matrices given as lists of rows."""
+    cols = list(zip(*b))
+    return [[_dot(row, col) for col in cols] for row in a]
+
+
+def conjugate_transpose_pairs(a: list[list[Pair]]) -> list[list[Pair]]:
+    return [[(re, -im) for re, im in col] for col in zip(*a)]
+
+
+def char_poly_pairs(g: list[list[Pair]], order: int) -> list[Pair]:
+    """Principal-minor sums d_0 .. d_order of a Gaussian-integer matrix (d_0 = 1).
+
+    Berkowitz's division-free algorithm (Inf. Proc. Letters 18, 1984) on the
+    coefficients c_t = (-1)^t d_t of det(tI - g).  The coefficient vector of
+    the trailing principal submatrix g[k:, k:] is a lower-triangular Toeplitz
+    matrix times that of g[k+1:, k+1:]; the Toeplitz entries are 1, -g[k][k]
+    and -R A^(t-2) C for the bordering row R, column C and block A.  Only the
+    first ``order + 1`` coefficients are kept, so the cost is O(n^3 order)
+    instead of O(n^4).
+    """
+    n = len(g)
+    c = [_ONE, _neg(g[n - 1][n - 1])][: order + 1]
+    for k in range(n - 2, -1, -1):
+        top = min(n - k, order)
+        bordering_row = g[k][k + 1 :]
+        block = [row[k + 1 :] for row in g[k + 1 :]]
+        x = [row[k] for row in g[k + 1 :]]
+        toeplitz = [_ONE, _neg(g[k][k])]
+        for t in range(2, top + 1):
+            toeplitz.append(_neg(_dot(bordering_row, x)))
+            if t < top:
+                x = [_dot(row, x) for row in block]
+        c = [_dot([toeplitz[i - j] for j in range(min(i + 1, len(c)))], c) for i in range(top + 1)]
+    return [_neg(v) if t % 2 else v for t, v in enumerate(c)]
+
+
+def char_adjugate_pairs(
+    g: list[list[Pair]], r: int, b: list[list[Pair]]
+) -> tuple[list[list[Pair]], Pair]:
+    """N_r(g) b and d_r(g) for a Gaussian-integer n x n g and n x p b.
+
+    d_t is the sum of the order-t principal minors of g and
+    N_r(g) = sum_{t<r} (-1)^(r-1-t) d_t g^(r-1-t).  Entry (i, j) of N_r(g) b
+    is the sum, over the order-r principal index sets containing i, of the
+    minors of g with column i replaced by column j of b (Decell, SIAM Review
+    7(4), 1965).  Horner's rule: X = (-1)^(r-1) b, then
+    X <- g X + (-1)^(r-1-t) d_t b for t = 1 .. r-1.
+    """
+    d = char_poly_pairs(g, r)
+    x = b if r % 2 else [[_neg(w) for w in row] for row in b]
+    for t in range(1, r):
+        coeff = _neg(d[t]) if (r - 1 - t) % 2 else d[t]
+        x = [
+            [_add(u, _mul(coeff, w)) for u, w in zip(gx_row, b_row)]
+            for gx_row, b_row in zip(matmul_pairs(g, x), b)
+        ]
+    return x, d[r]

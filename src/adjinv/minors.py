@@ -1,14 +1,26 @@
-"""Minor evaluation, principal-minor sums, and characteristic coefficients.
+"""Minors, principal-minor sums, and the characteristic-adjugate kernel.
 
-This is the computational kernel shared by the generalized-inverse
-representations and the Cramer-style solvers.  A minor is the exact
-determinant of the submatrix selected by two strictly increasing 1-based
-index sequences; sums of principal minors of a fixed order give the
-characteristic-polynomial coefficients.
+Every adjugate analogue in the package is a sum of replaced principal minors:
+entry (i, j) sums, over the order-r principal index sets containing i, the
+minors of a square matrix g with column i replaced by column j of a
+replacement matrix b.  By Cayley-Hamilton (Decell, SIAM Review 7(4), 1965)
+that whole numerator matrix equals N_r(g) @ b, where
 
-Determinants go through fraction-free Bareiss elimination on an extracted
-copy of the submatrix: cubic in the minor order, versus exponential cofactor
-expansion (which the test suite keeps only as a small-case oracle).
+    N_r(g) = sum_{t<r} (-1)^(r-1-t) d_t g^(r-1-t)
+
+and d_t is the sum of the order-t principal minors of g (d_0 = 1).  At r = n,
+N_n(g) is the classical adjugate.  :func:`char_adjugate` returns
+(N_r(g) @ b, d_r(g)) in polynomial time: it scales g and b to Gaussian
+integers once, computes d_1 .. d_r by Berkowitz's division-free algorithm,
+and applies N_r by Horner's rule, all in :mod:`adjinv.elimination`; Scalars
+are built only for the final ledger.  :func:`char_poly_coeffs` is its
+companion and returns every d_k the same way.
+
+The literal forms stay as the reference the kernel is tested against:
+:func:`minor` is the exact determinant of the submatrix selected by two
+strictly increasing 1-based index sequences, evaluated by fraction-free
+Bareiss elimination, and :func:`principal_minor_sum` enumerates the order-k
+principal minors one by one.
 """
 
 from __future__ import annotations
@@ -72,14 +84,73 @@ def principal_minor_sum(a: Matrix, k: int) -> Scalar:
     return total
 
 
+def _scaled(pair: tuple[int, int], scale: int) -> Scalar:
+    return Scalar(Fraction(pair[0], scale), Fraction(pair[1], scale))
+
+
 def char_poly_coeffs(a: Matrix) -> tuple[Scalar, ...]:
     """Coefficients d_1 .. d_n with det(tI - a) = t^n - d_1 t^(n-1) + ... + (-1)^n d_n.
 
-    d_k is the sum of all order-k principal minors.
+    d_k is the sum of all order-k principal minors, computed here by
+    Berkowitz's algorithm on the integer-scaled matrix: with a = a' / D,
+    d_k(a) = d_k(a') / D^k.
     """
     if not a.is_square:
         raise ValueError(f"characteristic polynomial needs a square matrix, got {a.rows}x{a.cols}")
-    return tuple(principal_minor_sum(a, k) for k in range(1, a.rows + 1))
+    pairs, scale = elimination.integerize_common(a.row_lists())
+    coeffs = elimination.char_poly_pairs(pairs, a.rows)
+    return tuple(_scaled(d, scale**k) for k, d in enumerate(coeffs) if k)
+
+
+def char_adjugate(g: Matrix, r: int, b: Matrix) -> tuple[Matrix, Scalar]:
+    """The characteristic-adjugate ledger (N_r(g) @ b, d_r(g)) of the module docstring.
+
+    ``g`` is n x n, ``b`` is n x p and 1 <= r <= n.  With g = g' / s and
+    b = b' / e over Gaussian integers, N_r(g) = N_r(g') / s^(r-1) and
+    d_r(g) = d_r(g') / s^r, so only the returned entries are rationals.
+    """
+    if not g.is_square:
+        raise ValueError(f"characteristic adjugate needs a square matrix, got {g.rows}x{g.cols}")
+    _check_order(r, g.rows)
+    if b.rows != g.rows:
+        raise ValueError(f"replacement matrix has {b.rows} rows, expected {g.rows}")
+    g_int, s = elimination.integerize_common(g.row_lists())
+    b_int, e = elimination.integerize_common(b.row_lists())
+    x, d_r = elimination.char_adjugate_pairs(g_int, r, b_int)
+    return _ledger(x, s ** (r - 1) * e, d_r, s**r)
+
+
+def gram_adjugate(f: Matrix, r: int, tail: Matrix | None = None) -> tuple[Matrix, Scalar]:
+    """:func:`char_adjugate` of the Gram matrix F*F with replacement F* @ tail.
+
+    Returns (N_r(F*F) @ F* @ tail, d_r(F*F)), with ``tail`` the identity when
+    omitted.  F is scaled to Gaussian integers once, F = F' / D, and the Gram
+    product F'* F' is formed on integers too: F*F = F'* F' / D^2.
+    """
+    _check_order(r, f.cols)
+    if tail is not None and tail.rows != f.rows:
+        raise ValueError(f"tail has {tail.rows} rows, expected {f.rows}")
+    f_int, scale = elimination.integerize_common(f.row_lists())
+    f_star = elimination.conjugate_transpose_pairs(f_int)
+    g = elimination.matmul_pairs(f_star, f_int)
+    if tail is None:
+        b, e = f_star, scale
+    else:
+        tail_int, tail_scale = elimination.integerize_common(tail.row_lists())
+        b, e = elimination.matmul_pairs(f_star, tail_int), scale * tail_scale
+    x, d_r = elimination.char_adjugate_pairs(g, r, b)
+    s = scale * scale
+    return _ledger(x, s ** (r - 1) * e, d_r, s**r)
+
+
+def _check_order(r: int, n: int) -> None:
+    if not 1 <= r <= n:
+        raise ValueError(f"order {r} outside 1..{n}")
+
+
+def _ledger(x, num_scale: int, d_r, den_scale: int) -> tuple[Matrix, Scalar]:
+    numerators = Matrix(len(x), len(x[0]), [_scaled(v, num_scale) for row in x for v in row])
+    return numerators, _scaled(d_r, den_scale)
 
 
 def adjugate(a: Matrix) -> Matrix:

@@ -1,18 +1,24 @@
-"""Moore-Penrose inverse by adjugate-analogue minor sums.
+"""Moore-Penrose inverse and its projectors by adjugate-analogue ledgers.
 
-Two equivalent representations are implemented.  The column form ("eq1")
-divides minor sums of the column-replaced Gram matrix A*A by the sum of its
-order-r principal minors; the row form ("eq2") does the dual with AA*.  The
-numerator matrices L and R generalize the classical adjugate: L @ A equals
-the denominator times the projector A+ A, exactly as adjugate(A) @ A equals
-det(A) times the identity.
+The paper gives two equivalent minor-sum representations.  The column form
+("eq1") divides sums of column-replaced principal minors of the Gram matrix
+A*A by d_r(A*A), the sum of its order-r principal minors; the row form
+("eq2") does the dual with AA*.  The numerator matrices generalize the
+classical adjugate: L @ A equals the denominator times the projector A+ A,
+exactly as adjugate(A) @ A equals det(A) times the identity.
+:func:`mp_inverse_columns` and :func:`mp_inverse_rows` evaluate them
+literally, minor by minor, and stay as the reference path.
 
 ``mp_inverse`` dispatches on rank: square nonsingular matrices go through the
 classical adjugate ("classical_inverse"), full-column-rank ones through the
 determinant form of (A*A)^-1 A* ("eq6"), full-row-rank ones through its dual
-("eq7"), and everything else through whichever minor-sum form evaluates fewer
-determinants.  The projector operations compute A+ A and A A+ directly from
-minor sums over replaced Gram matrices, without forming A+ first.
+("eq7").  A matrix deficient both ways gets the same ledger from the
+characteristic-adjugate kernel in its Gram form
+(:func:`adjinv.minors.gram_adjugate`): N_r(A*A) @ A* for "eq1" and
+A* @ N_r(AA*) for "eq2", which are equal.  The tag still names the form
+whose literal evaluation needs fewer minors.  The projectors A+ A and A A+
+are N_r(G) @ G / d_r(G) for G = A*A and AA*, taken from the same kernel
+without forming A+ first.
 """
 
 from __future__ import annotations
@@ -154,46 +160,53 @@ def mp_inverse(a: Matrix, method: str = "auto", threads: int = 1) -> PinvResult:
         nums = parallel_map(entry7, [(i, j) for i in range(1, n + 1) for j in range(1, m + 1)], threads)
         numerators = Matrix(n, m, nums)
         return PinvResult(numerators * (ONE / d), d, numerators, "eq7")
-    # Rank-deficient both ways: pick the form that evaluates fewer minors,
-    # C(n-1, r-1) versus C(m-1, r-1) per entry; ties go to the column form.
+    # Rank-deficient both ways: tag the form whose literal evaluation needs
+    # fewer minors, C(n-1, r-1) versus C(m-1, r-1) per entry; ties go to the
+    # column form.  Both tags carry the same ledger.
     if comb(n - 1, r - 1) <= comb(m - 1, r - 1):
-        return mp_inverse_columns(a, threads)
-    return mp_inverse_rows(a, threads)
+        numerators, d = _gram_ledger(a, r)
+        tag = "eq1"
+    else:
+        # A* N_r(AA*) = (N_r(AA*) A)*, since AA* and so N_r(AA*) are Hermitian.
+        numerators, d = _gram_ledger(astar, r)
+        numerators = conjugate_transpose(numerators)
+        tag = "eq2"
+    return PinvResult(numerators * (ONE / d), d, numerators, tag)
+
+
+def _gram_ledger(f: Matrix, r: int, tail: Matrix | None = None) -> tuple[Matrix, Scalar]:
+    """:func:`adjinv.minors.gram_adjugate` for F of rank r >= 1, denominator checked."""
+    numerators, d = minors.gram_adjugate(f, r, tail)
+    if not d:
+        # d_r(F*F) is the sum of the squared moduli of the order-r minors of
+        # F, positive at the rank order.
+        raise ArithmeticError(
+            "principal-minor sum of the Gram matrix at the rank order vanished; this is a bug"
+        )
+    return numerators, d
 
 
 def projector_p(a: Matrix, threads: int = 1) -> Matrix:
     """The projector A+ A (n x n, Hermitian, idempotent).
 
-    Computed by minor sums over column-replaced A*A whenever the rank is
-    deficient on the column side (r < min(m, n) or r = m < n); otherwise
-    A+ A is the identity-like product and is formed directly.
+    Computed from the kernel ledger of A*A whenever the rank is deficient on
+    the column side (r < min(m, n) or r = m < n); otherwise A+ A is the
+    identity-like product and is formed directly.
     """
     m, n = a.rows, a.cols
     if a.is_zero:
         return Matrix.zeros(n, n)
     r = rank(a)
     if r < min(m, n) or (r == m and m < n):
-        astar = conjugate_transpose(a)
-        gram = multiply(astar, a)
-        denom = minors.principal_minor_sum(gram, r)
-
-        def entry(ij: tuple[int, int]) -> Scalar:
-            i, j = ij
-            replaced = replace_column(gram, i, gram.column(j - 1))
-            total = ZERO
-            for beta in enumerate_containing(r, n, i):
-                total = total + minors.minor(replaced, beta, beta)
-            return total
-
-        nums = parallel_map(entry, [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)], threads)
-        return Matrix(n, n, nums) * (ONE / denom)
+        numerators, d = _gram_ledger(a, r, a)
+        return numerators * (ONE / d)
     return multiply(mp_inverse(a, threads=threads).pseudo_inverse, a)
 
 
 def projector_q(a: Matrix, threads: int = 1) -> Matrix:
     """The projector A A+ (m x m, Hermitian, idempotent).
 
-    Dual of :func:`projector_p`: minor sums over row-replaced AA* whenever
+    Dual of :func:`projector_p`: the kernel ledger of AA* whenever
     r < min(m, n) or r = n < m, else the direct product.
     """
     m, n = a.rows, a.cols
@@ -202,17 +215,6 @@ def projector_q(a: Matrix, threads: int = 1) -> Matrix:
     r = rank(a)
     if r < min(m, n) or (r == n and n < m):
         astar = conjugate_transpose(a)
-        gram = multiply(a, astar)
-        denom = minors.principal_minor_sum(gram, r)
-
-        def entry(ij: tuple[int, int]) -> Scalar:
-            i, j = ij
-            replaced = replace_row(gram, j, gram.row(i - 1))
-            total = ZERO
-            for alpha in enumerate_containing(r, m, j):
-                total = total + minors.minor(replaced, alpha, alpha)
-            return total
-
-        nums = parallel_map(entry, [(i, j) for i in range(1, m + 1) for j in range(1, m + 1)], threads)
-        return Matrix(m, m, nums) * (ONE / denom)
+        numerators, d = _gram_ledger(astar, r, astar)
+        return numerators * (ONE / d)
     return multiply(a, mp_inverse(a, threads=threads).pseudo_inverse)

@@ -1,18 +1,23 @@
-"""Cramer-style solvers built on the minor-sum representations.
+"""Cramer-style solvers built on the adjugate-analogue ledgers.
 
 ``lsq_solve`` returns the minimal-norm least squares solution of A x = y.
 With full column rank it is a determinant ratio over the Gram matrix A*A and
 the transformed right side f = A* y ("eq13", the direct generalization of
-Cramer's rule); otherwise each component is a minor sum over the
-column-replaced Gram matrix divided by the order-r principal-minor sum
-("eq14").  ``lsq_solve_row_system`` solves the row form x A = y the same way
-with AA* and g = y A*.
+Cramer's rule, evaluated determinant by determinant).  Otherwise each
+component is a minor sum over the column-replaced Gram matrix divided by the
+order-r principal-minor sum ("eq14"); the whole numerator vector is
+N_r(A*A) @ f, one call of the characteristic-adjugate kernel in its Gram
+form (:func:`adjinv.minors.gram_adjugate`).  ``lsq_solve_row_system`` solves the
+row form x A = y the same way with AA* and g = y A*: determinant by
+determinant at full row rank ("row_eq_fullrank"), else g @ N_r(AA*)
+("row_eq_general").
 
 ``drazin_solve`` returns the Drazin-inverse solution of a square system:
 the unique solution of the generalized normal equations A^(k+1) x = A^k y
-lying in the range of A^k, computed componentwise from minors of A^(k+1)
-with g = A^k y as the replacement column ("eq16"; for a nonsingular matrix
-this degenerates to the classical Cramer rule).
+lying in the range of A^k.  For index k >= 1 its numerators are
+N_r(A^(k+1)) @ g with g = A^k y ("eq16", from
+:func:`adjinv.minors.char_adjugate`); for a nonsingular matrix it is the
+classical Cramer rule, one determinant per component.
 """
 
 from __future__ import annotations
@@ -21,20 +26,19 @@ from dataclasses import dataclass
 
 from . import minors
 from ._parallel import parallel_map
-from .index_sets import enumerate_containing
 from .matrices import (
     Matrix,
     column_vector,
     conjugate_transpose,
     multiply,
-    power,
     rank,
     replace_column,
     replace_row,
     row_vector,
 )
 from .scalars import ONE, ZERO, Scalar
-from .drazin import index_of
+from .drazin import _core_ledger, _index_powers
+from .pinv import _gram_ledger
 
 
 @dataclass(frozen=True)
@@ -66,25 +70,17 @@ def lsq_solve(a: Matrix, y: Matrix, threads: int = 1) -> SolveReport:
         # general formula degenerates cleanly (empty minor sums over an
         # order-0 family, with the empty principal-minor sum taken as 1).
         return SolveReport(Matrix.zeros(n, 1), "eq14", ONE, (ZERO,) * n, f)
-    gram = multiply(astar, a)
-    fcol = f.column(0)
     if r == n:
+        gram = multiply(astar, a)
+        fcol = f.column(0)
         denom = minors.det(gram)
         nums = parallel_map(
             lambda j: minors.det(replace_column(gram, j, fcol)), range(1, n + 1), threads
         )
         method = "eq13"
     else:
-        denom = minors.principal_minor_sum(gram, r)
-
-        def component(j: int) -> Scalar:
-            replaced = replace_column(gram, j, fcol)
-            total = ZERO
-            for beta in enumerate_containing(r, n, j):
-                total = total + minors.minor(replaced, beta, beta)
-            return total
-
-        nums = parallel_map(component, range(1, n + 1), threads)
+        numerators, denom = _gram_ledger(a, r, y)
+        nums = numerators.column(0)
         method = "eq14"
     solution = column_vector([v / denom for v in nums])
     return SolveReport(solution, method, denom, tuple(nums), f)
@@ -100,25 +96,18 @@ def lsq_solve_row_system(y: Matrix, a: Matrix, threads: int = 1) -> SolveReport:
     r = rank(a)
     if r == 0:
         return SolveReport(Matrix.zeros(1, m), "row_eq_general", ONE, (ZERO,) * m, g)
-    gram = multiply(a, astar)
-    grow = g.row(0)
     if r == m:
+        gram = multiply(a, astar)
+        grow = g.row(0)
         denom = minors.det(gram)
         nums = parallel_map(
             lambda i: minors.det(replace_row(gram, i, grow)), range(1, m + 1), threads
         )
         method = "row_eq_fullrank"
     else:
-        denom = minors.principal_minor_sum(gram, r)
-
-        def component(i: int) -> Scalar:
-            replaced = replace_row(gram, i, grow)
-            total = ZERO
-            for alpha in enumerate_containing(r, m, i):
-                total = total + minors.minor(replaced, alpha, alpha)
-            return total
-
-        nums = parallel_map(component, range(1, m + 1), threads)
+        # g N_r(AA*) = (N_r(AA*) A y*)*, since AA* and so N_r(AA*) are Hermitian.
+        numerators, denom = _gram_ledger(astar, r, conjugate_transpose(y))
+        nums = [v.conjugate() for v in numerators.column(0)]
         method = "row_eq_general"
     solution = row_vector([v / denom for v in nums])
     return SolveReport(solution, method, denom, tuple(nums), g)
@@ -135,24 +124,20 @@ def drazin_solve(a: Matrix, y: Matrix, threads: int = 1) -> SolveReport:
     if not (y.cols == 1 and y.rows == a.rows):
         raise ValueError(f"right side must be {a.rows}x1, got {y.rows}x{y.cols}")
     n = a.rows
-    k = index_of(a)
-    ak = power(a, k)
+    k, ak, b, r = _index_powers(a)
     g = multiply(ak, y)
-    r = rank(ak)
     if r == 0:
         return SolveReport(Matrix.zeros(n, 1), "eq16", ONE, (ZERO,) * n, g)
-    b = power(a, k + 1)
-    denom = minors.principal_minor_sum(b, r)
-    gcol = g.column(0)
-
-    def component(i: int) -> Scalar:
-        replaced = replace_column(b, i, gcol)
-        total = ZERO
-        for beta in enumerate_containing(r, n, i):
-            total = total + minors.minor(replaced, beta, beta)
-        return total
-
-    nums = parallel_map(component, range(1, n + 1), threads)
+    if k == 0:
+        gcol = g.column(0)
+        denom = minors.det(a)
+        nums = parallel_map(
+            lambda i: minors.det(replace_column(a, i, gcol)), range(1, n + 1), threads
+        )
+        method = "classical_cramer"
+    else:
+        numerators, denom = _core_ledger(b, r, g)
+        nums = numerators.column(0)
+        method = "eq16"
     solution = column_vector([v / denom for v in nums])
-    method = "classical_cramer" if k == 0 else "eq16"
     return SolveReport(solution, method, denom, tuple(nums), g)

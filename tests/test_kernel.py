@@ -1,0 +1,344 @@
+"""Differential tests of the characteristic-adjugate kernel.
+
+The kernel (``minors.char_adjugate`` / ``minors.gram_adjugate``) must agree
+exactly with two independent routes: the literal replaced-minor sums of the
+paper (``mp_inverse_columns`` / ``mp_inverse_rows`` and the small helpers
+below), and the rank-factorization oracles of ``adjinv.verify``.  Inputs are
+generated by Hypothesis: real and complex, square, tall and wide, rank 1,
+nilpotent, and Drazin index 2-3.  Every comparison is an exact equality.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from adjinv import (
+    ZERO,
+    Matrix,
+    Scalar,
+    char_poly_coeffs,
+    check_penrose,
+    column_vector,
+    conjugate_transpose,
+    drazin_inverse,
+    drazin_solve,
+    drazin_times_a,
+    enumerate_containing,
+    group_inverse,
+    index_of,
+    lsq_solve,
+    lsq_solve_row_system,
+    minor,
+    mp_inverse,
+    mp_inverse_columns,
+    mp_inverse_rows,
+    multiply,
+    oracle_drazin,
+    oracle_pinv,
+    power,
+    principal_minor_sum,
+    projector_p,
+    projector_q,
+    range_membership,
+    rank,
+    replace_column,
+    replace_row,
+    row_vector,
+)
+from adjinv import minors
+
+LITERAL = settings(max_examples=25, deadline=None)
+ORACLE = settings(max_examples=20, deadline=None)
+
+
+# -- builders -------------------------------------------------------------------
+
+
+def _scalar(rng: random.Random, complex_entries: bool) -> Scalar:
+    def part() -> Fraction:
+        return Fraction(rng.randint(-3, 3), rng.choice((1, 1, 1, 2, 3)))
+
+    return Scalar(part(), part() if complex_entries else 0)
+
+
+def _matrix(rng: random.Random, rows: int, cols: int, complex_entries: bool) -> Matrix:
+    return Matrix(rows, cols, [_scalar(rng, complex_entries) for _ in range(rows * cols)])
+
+
+def _deficient(seed: int, m: int, n: int, r: int, complex_entries: bool) -> Matrix:
+    """A nonzero m x n matrix of rank at most r, as a product of random factors."""
+    rng = random.Random(seed)
+    while True:
+        a = multiply(_matrix(rng, m, r, complex_entries), _matrix(rng, r, n, complex_entries))
+        if not a.is_zero:
+            return a
+
+
+def _conjugate_by_elementary(rows: list[list[Scalar]], rng: random.Random, steps: int) -> Matrix:
+    """S B S^-1 for S a product of elementary matrices I + c e_i e_j^T."""
+    n = len(rows)
+    for _ in range(steps if n > 1 else 0):
+        i, j = rng.sample(range(n), 2)
+        c = Scalar(rng.choice((-2, -1, 1, 2)))
+        rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+        for row in rows:
+            row[j] = row[j] - c * row[i]
+    return Matrix.from_rows(rows)
+
+
+def _indexed(seed: int, core: int, nil_sizes: tuple[int, ...], complex_entries: bool) -> Matrix:
+    """S (C + N) S^-1: C an invertible core, N nilpotent Jordan blocks.
+
+    The Drazin index is the largest block in ``nil_sizes`` (0 if none), and
+    the core rank is ``core``.
+    """
+    rng = random.Random(seed)
+    n = core + sum(nil_sizes)
+    rows = [[ZERO] * n for _ in range(n)]
+    for i in range(core):
+        rows[i][i] = Scalar(rng.choice((-2, -1, 1, 2, 3)), rng.choice((-1, 0, 1)) if complex_entries else 0)
+        for j in range(i + 1, core):
+            rows[i][j] = _scalar(rng, complex_entries)
+    start = core
+    for size in nil_sizes:
+        for t in range(start, start + size - 1):
+            rows[t][t + 1] = Scalar(1)
+        start += size
+    return _conjugate_by_elementary(rows, rng, 3 * n)
+
+
+seeds = st.integers(0, 2**32 - 1)
+
+
+@st.composite
+def deficient_matrices(draw, max_dim: int):
+    """Nonzero matrices with rank below both dimensions, any shape."""
+    m = draw(st.integers(2, max_dim))
+    n = draw(st.integers(2, max_dim))
+    r = draw(st.integers(1, min(m, n) - 1))
+    return _deficient(draw(seeds), m, n, r, draw(st.booleans()))
+
+
+@st.composite
+def square_matrices(draw, max_dim: int):
+    n = draw(st.integers(1, max_dim))
+    return _matrix(random.Random(draw(seeds)), n, n, draw(st.booleans()))
+
+
+@st.composite
+def indexed_matrices(draw, max_dim: int, max_core: int):
+    """Square matrices of Drazin index 1-3, nilpotent ones included."""
+    index = draw(st.integers(1, 3))
+    core = draw(st.integers(0, max_core))
+    nil_sizes = [index]
+    while core + sum(nil_sizes) < max_dim and draw(st.booleans()):
+        nil_sizes.append(draw(st.integers(1, min(index, max_dim - core - sum(nil_sizes)))))
+    return _indexed(draw(seeds), core, tuple(nil_sizes), draw(st.booleans()))
+
+
+# -- literal references ---------------------------------------------------------
+
+
+def literal_ledger(g: Matrix, r: int, b: Matrix) -> tuple[Matrix, Scalar]:
+    """Entry (i, j): the sum over order-r principal sets containing i of the
+    minors of g with column i replaced by column j of b; and d_r(g)."""
+    n = g.rows
+    entries = []
+    for i in range(1, n + 1):
+        for j in range(b.cols):
+            replaced = replace_column(g, i, b.column(j))
+            total = ZERO
+            for beta in enumerate_containing(r, n, i):
+                total = total + minor(replaced, beta, beta)
+            entries.append(total)
+    return Matrix(n, b.cols, entries), principal_minor_sum(g, r)
+
+
+def literal_row_components(g: Matrix, r: int, c: Matrix) -> tuple[Scalar, ...]:
+    """Component i: the sum over order-r principal sets containing i of the
+    minors of g with row i replaced by the row vector c."""
+    n = g.rows
+    out = []
+    for i in range(1, n + 1):
+        replaced = replace_row(g, i, c.row(0))
+        total = ZERO
+        for alpha in enumerate_containing(r, n, i):
+            total = total + minor(replaced, alpha, alpha)
+        out.append(total)
+    return tuple(out)
+
+
+def _rhs(seed: int, length: int, complex_entries: bool = True) -> list[Scalar]:
+    rng = random.Random(seed)
+    return [_scalar(rng, complex_entries) for _ in range(length)]
+
+
+# -- kernel against the literal minor sums (n <= 8) ------------------------------
+
+
+@LITERAL
+@given(st.integers(1, 6).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
+       st.integers(1, 3), seeds, st.booleans())
+def test_char_adjugate_matches_literal_sums(nr, p, seed, complex_entries):
+    n, r = nr
+    rng = random.Random(seed)
+    g = _matrix(rng, n, n, complex_entries)
+    b = _matrix(rng, n, p, complex_entries)
+    assert minors.char_adjugate(g, r, b) == literal_ledger(g, r, b)
+
+
+@LITERAL
+@given(deficient_matrices(8))
+def test_auto_ledger_matches_literal_eq1_and_eq2(a):
+    res = mp_inverse(a)
+    literal = mp_inverse_columns(a) if res.representation_used == "eq1" else mp_inverse_rows(a)
+    assert res.representation_used == literal.representation_used
+    assert (res.numerators, res.denominator) == (literal.numerators, literal.denominator)
+    assert res.pseudo_inverse == literal.pseudo_inverse
+
+
+@LITERAL
+@given(deficient_matrices(7), seeds)
+def test_projectors_and_solvers_match_literal_sums(a, seed):
+    r = rank(a)
+    astar = conjugate_transpose(a)
+    gram_c, gram_r = multiply(astar, a), multiply(a, astar)
+    nums_p, d_p = literal_ledger(gram_c, r, gram_c)
+    assert projector_p(a) == nums_p * (Scalar(1) / d_p)
+    nums_q, d_q = literal_ledger(gram_r, r, gram_r)
+    assert projector_q(a) == nums_q * (Scalar(1) / d_q)
+
+    y = column_vector(_rhs(seed, a.rows))
+    rep = lsq_solve(a, y)
+    nums, d = literal_ledger(gram_c, r, multiply(astar, y))
+    assert (rep.method, rep.numerators, rep.denominator) == ("eq14", nums.column(0), d)
+
+    yr = row_vector(_rhs(seed + 1, a.cols))
+    rep = lsq_solve_row_system(yr, a)
+    g = multiply(yr, astar)
+    assert (rep.method, rep.numerators, rep.denominator) == (
+        "row_eq_general", literal_row_components(gram_r, r, g), d_q)
+
+
+@LITERAL
+@given(indexed_matrices(6, 3), seeds)
+def test_drazin_forms_match_literal_sums(a, seed):
+    k = index_of(a)
+    ak, b = power(a, k), power(a, k + 1)
+    r = rank(ak)
+    res = drazin_inverse(a)
+    y = column_vector(_rhs(seed, a.rows))
+    rep = drazin_solve(a, y)
+    if r == 0:
+        assert res.drazin_inverse.is_zero and drazin_times_a(a).is_zero
+        assert rep.solution.is_zero
+        return
+    nums, d = literal_ledger(b, r, ak)
+    assert (res.index, res.rank_core, res.numerators, res.denominator) == (k, r, nums, d)
+    nums_a, _ = literal_ledger(b, r, b)
+    assert drazin_times_a(a) == nums_a * (Scalar(1) / d)
+    nums_y, _ = literal_ledger(b, r, multiply(ak, y))
+    assert (rep.method, rep.numerators, rep.denominator) == ("eq16", nums_y.column(0), d)
+
+
+@LITERAL
+@given(st.one_of(square_matrices(8), indexed_matrices(8, 5)))
+def test_char_poly_coeffs_match_principal_minor_sums(a):
+    assert char_poly_coeffs(a) == tuple(principal_minor_sum(a, k) for k in range(1, a.rows + 1))
+
+
+# -- kernel against the rank-factorization oracles (n <= 16) -----------------------
+#
+# Ranks stay at 5 or below: the oracles invert r x r matrices by cofactor
+# expansion, whose cost grows as r!.
+
+
+@ORACLE
+@given(st.integers(2, 16), st.integers(2, 16), st.integers(1, 5), seeds, st.booleans())
+def test_mp_inverse_matches_oracle(m, n, r, seed, complex_entries):
+    a = _deficient(seed, m, n, min(r, m - 1, n - 1), complex_entries)
+    res = mp_inverse(a)
+    assert res.representation_used in ("eq1", "eq2")
+    assert res.pseudo_inverse == oracle_pinv(a)
+
+
+@ORACLE
+@given(indexed_matrices(16, 5))
+def test_drazin_inverse_matches_oracle(a):
+    assert drazin_inverse(a).drazin_inverse == oracle_drazin(a)
+
+
+@ORACLE
+@given(st.integers(2, 16), st.integers(2, 16), st.integers(1, 8), seeds, st.booleans())
+def test_eq1_and_eq2_ledgers_are_equal(m, n, r, seed, complex_entries):
+    a = _deficient(seed, m, n, min(r, m - 1, n - 1), complex_entries)
+    r = rank(a)
+    eq1 = minors.gram_adjugate(a, r)
+    nums2, d2 = minors.gram_adjugate(conjugate_transpose(a), r)
+    assert eq1 == (conjugate_transpose(nums2), d2)
+
+
+# -- guards: a vanishing kernel denominator is reported as a bug -------------------
+
+
+def _zero_denominator(real):
+    def fake(*args):
+        return real(*args)[0], ZERO
+
+    return fake
+
+
+DEFICIENT = Matrix.from_rows([[1, 2, 3], [2, 4, 6], [1, 0, 1]])  # rank 2
+INDEX_ONE = Matrix.from_rows([[2, 1, 0], [0, 0, 0], [0, 0, 0]])  # core rank 1, index 1
+INDEX_TWO = Matrix.from_rows([[2, 0, 0], [0, 0, 1], [0, 0, 0]])  # core rank 1, index 2
+RHS = column_vector([1, 2, 3])
+
+GUARDED = {
+    "mp_inverse": lambda: mp_inverse(DEFICIENT),
+    "projector_p": lambda: projector_p(DEFICIENT),
+    "projector_q": lambda: projector_q(DEFICIENT),
+    "lsq_solve": lambda: lsq_solve(DEFICIENT, RHS),
+    "lsq_solve_row_system": lambda: lsq_solve_row_system(row_vector([1, 2, 3]), DEFICIENT),
+    "drazin_inverse": lambda: drazin_inverse(INDEX_TWO),
+    "group_inverse": lambda: group_inverse(INDEX_ONE),
+    "drazin_times_a": lambda: drazin_times_a(INDEX_TWO),
+    "drazin_solve": lambda: drazin_solve(INDEX_TWO, RHS),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GUARDED))
+def test_zero_kernel_denominator_raises(name, monkeypatch):
+    GUARDED[name]()  # runs cleanly with the real kernel
+    monkeypatch.setattr(minors, "char_adjugate", _zero_denominator(minors.char_adjugate))
+    monkeypatch.setattr(minors, "gram_adjugate", _zero_denominator(minors.gram_adjugate))
+    with pytest.raises(ArithmeticError, match="this is a bug"):
+        GUARDED[name]()
+
+
+# -- scale: sizes the per-entry minor enumeration never finished -------------------
+
+
+@pytest.mark.parametrize("complex_entries", [False, True])
+def test_rank_12_of_24(complex_entries):
+    rng = random.Random(2412 + complex_entries)
+    a = multiply(_matrix(rng, 24, 12, complex_entries), _matrix(rng, 12, 24, complex_entries))
+    assert rank(a) == 12
+    res = mp_inverse(a)
+    x = res.pseudo_inverse
+    assert res.representation_used == "eq1"
+    assert check_penrose(a, x).all_passed
+    assert x * res.denominator == res.numerators
+
+    p = projector_p(a)
+    assert p == multiply(x, a)
+    assert multiply(p, p) == p and conjugate_transpose(p) == p
+
+    y = column_vector(_rhs(24, 24, complex_entries))
+    sol = lsq_solve(a, y).solution
+    astar = conjugate_transpose(a)
+    assert multiply(astar, multiply(a, sol) - y).is_zero
+    assert range_membership(astar, sol)
+    assert sol == multiply(x, y)
