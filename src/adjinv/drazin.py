@@ -12,10 +12,12 @@ one call; the projector A^D A is N_r(A^(k+1)) @ A^(k+1) over the same
 denominator.  The index search forms A^k and A^(k+1) once, and every caller
 reuses them.
 
-Nonsingular matrices (index 0) fall back to the classical adjugate; nilpotent
-ones (core rank 0) short-circuit to the zero matrix, the unique solution of
-the defining equations in that case.  The ``threads`` arguments are accepted
-for a uniform signature and change nothing here.
+A nonsingular matrix has index 0, so A^k = I, A^(k+1) = A and r = n; there
+N_n(A) is the classical adjugate, and the same kernel call returns
+adj(A) / det(A), the classical inverse.  Nilpotent matrices (core rank 0)
+short-circuit to the zero matrix, the unique solution of the defining
+equations in that case.  The ``threads`` arguments are accepted for a
+uniform signature and change nothing here.
 """
 
 from __future__ import annotations
@@ -35,8 +37,8 @@ class GroupInverseError(ValueError):
 class DrazinResult:
     """A Drazin inverse with the minor-sum ledger that produced it.
 
-    For index >= 1 with nonzero core rank, every ``drazin_inverse`` entry
-    times ``denominator`` equals the corresponding ``numerators`` entry;
+    For nonzero core rank, every ``drazin_inverse`` entry times
+    ``denominator`` equals the corresponding ``numerators`` entry;
     the denominator is the order-r principal-minor sum of A^(index+1) and
     cannot vanish.
     """
@@ -83,7 +85,8 @@ def _core_ledger(b: Matrix, r: int, replacement: Matrix) -> tuple[Matrix, Scalar
     return numerators, denom
 
 
-def _eq11(k: int, ak: Matrix, b: Matrix, r: int) -> DrazinResult:
+def _drazin(k: int, ak: Matrix, b: Matrix, r: int) -> DrazinResult:
+    """The eq11 result from the index search result (k, A^k, A^(k+1), rank A^k)."""
     if r == 0:
         zero = Matrix.zeros(b.rows, b.rows)
         return DrazinResult(zero, k, 0, ONE, zero)
@@ -98,21 +101,13 @@ def _representation(a: Matrix, exponent: int) -> DrazinResult:
     Drazin inverse for every exponent >= index_of(a).
     """
     ak = power(a, exponent)
-    return _eq11(exponent, ak, multiply(ak, a), rank(ak))
-
-
-def _drazin(a: Matrix, k: int, ak: Matrix, b: Matrix, r: int) -> DrazinResult:
-    if k == 0:
-        d = minors.det(a)
-        adj = minors.adjugate(a)
-        return DrazinResult(adj * (ONE / d), 0, a.rows, d, adj)
-    return _eq11(k, ak, b, r)
+    return _drazin(exponent, ak, multiply(ak, a), rank(ak))
 
 
 def drazin_inverse(a: Matrix, threads: int = 1) -> DrazinResult:
     """The unique X with a^(k+1) X = a^k, X a X = X, a X = X a (k = index)."""
     _require_square(a, "Drazin inverse")
-    return _drazin(a, *_index_powers(a))
+    return _drazin(*_index_powers(a))
 
 
 def group_inverse(a: Matrix, threads: int = 1) -> DrazinResult:
@@ -126,7 +121,7 @@ def group_inverse(a: Matrix, threads: int = 1) -> DrazinResult:
     k, ak, b, r = _index_powers(a)
     if k >= 2:
         raise GroupInverseError("group inverse does not exist: matrix index is 2 or larger")
-    return _drazin(a, k, ak, b, r)
+    return _drazin(k, ak, b, r)
 
 
 def drazin_times_a(a: Matrix, threads: int = 1) -> Matrix:

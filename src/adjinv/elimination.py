@@ -11,7 +11,11 @@ The characteristic-adjugate kernel works on a whole matrix scaled by one
 common denominator.  Berkowitz's algorithm gives the characteristic
 coefficients without any division, and Horner's rule applies the
 Cayley-Hamilton polynomial N_r(g) to a replacement matrix, so a whole
-adjugate-analogue ledger costs O(n^3 r) integer operations.
+adjugate-analogue ledger costs O(n^3 r) integer operations.  At full order
+r = n the polynomial is the classical adjugate; there the kernel runs the
+Bareiss forward sweep of the determinant on [g | b] and back-substitutes,
+O(n^2 (n + p)) operations for an n x p replacement matrix, and keeps
+Berkowitz and Horner for a singular g.
 """
 
 from __future__ import annotations
@@ -86,16 +90,22 @@ def _div_exact(x: Pair, y: Pair) -> Pair:
     return (qr, qi)
 
 
-def det_pairs(a: list[list[Pair]], n: int) -> Pair:
-    """Determinant of an n x n Gaussian-integer matrix (mutates ``a``)."""
-    if n == 1:
-        return a[0][0]
+def _bareiss_forward(a: list[list[Pair]], n: int, width: int) -> int:
+    """Fraction-free forward sweep of the n x width rows ``a`` (mutated).
+
+    Eliminates below the diagonal in the first n - 1 columns, carrying every
+    column up to ``width`` along.  Returns the sign of the row permutation,
+    or 0 when some column k < n - 1 has no pivot, i.e. the leading n x n
+    block is singular.  Otherwise each row is an integer combination of the
+    input rows, the leading block is upper triangular with nonzero pivots
+    a[k][k] for k < n - 1, and a[n-1][n-1] is the sign times its determinant.
+    """
     sign = 1
     prev = _ONE
     for k in range(n - 1):
         pivot_row = next((i for i in range(k, n) if a[i][k] != _ZERO), None)
         if pivot_row is None:
-            return _ZERO
+            return 0
         if pivot_row != k:
             a[k], a[pivot_row] = a[pivot_row], a[k]
             sign = -sign
@@ -104,14 +114,52 @@ def det_pairs(a: list[list[Pair]], n: int) -> Pair:
         for i in range(k + 1, n):
             row = a[i]
             lead = row[k]
-            for j in range(k + 1, n):
+            for j in range(k + 1, width):
                 row[j] = _div_exact(
                     _sub(_mul(pivot, row[j]), _mul(lead, top[j])), prev
                 )
             row[k] = _ZERO
         prev = pivot
+    return sign
+
+
+def det_pairs(a: list[list[Pair]], n: int) -> Pair:
+    """Determinant of an n x n Gaussian-integer matrix (mutates ``a``)."""
+    sign = _bareiss_forward(a, n, n)
+    if not sign:
+        return _ZERO
     d = a[n - 1][n - 1]
-    return d if sign == 1 else (-d[0], -d[1])
+    return d if sign == 1 else _neg(d)
+
+
+def adjoint_solve_pairs(
+    g: list[list[Pair]], b: list[list[Pair]]
+) -> tuple[list[list[Pair]], Pair] | None:
+    """adj(g) b and det g for an n x n Gaussian-integer g and n x p b.
+
+    Returns None when g is singular.  The forward sweep of :func:`det_pairs`
+    runs on [g | b] and leaves an upper-triangular system U x = c with the
+    solution x = g^-1 b.  Back substitution is carried out on
+    X = det(g) x = adj(g) b, which is a Gaussian-integer matrix, so each
+    division by a pivot is exact (Bareiss, Math. Comp. 22(103), 1968).  The
+    cost is O(n^2 (n + p)) integer operations.
+    """
+    n = len(g)
+    p = len(b[0])
+    aug = [g_row + b_row for g_row, b_row in zip(g, b)]
+    sign = _bareiss_forward(aug, n, n + p)
+    if not sign or aug[n - 1][n - 1] == _ZERO:
+        return None
+    det = aug[n - 1][n - 1] if sign == 1 else _neg(aug[n - 1][n - 1])
+    x = [[_ZERO] * p for _ in range(n)]
+    for i in range(n - 1, -1, -1):
+        row = aug[i]
+        for j in range(p):
+            acc = _mul(det, row[n + j])
+            for t in range(i + 1, n):
+                acc = _sub(acc, _mul(row[t], x[t][j]))
+            x[i][j] = _div_exact(acc, row[i])
+    return x, det
 
 
 def rank_pairs(a: list[list[Pair]], m: int, n: int) -> int:
@@ -212,8 +260,24 @@ def char_adjugate_pairs(
     N_r(g) = sum_{t<r} (-1)^(r-1-t) d_t g^(r-1-t).  Entry (i, j) of N_r(g) b
     is the sum, over the order-r principal index sets containing i, of the
     minors of g with column i replaced by column j of b (Decell, SIAM Review
-    7(4), 1965).  Horner's rule: X = (-1)^(r-1) b, then
-    X <- g X + (-1)^(r-1-t) d_t b for t = 1 .. r-1.
+    7(4), 1965).  At r = n, N_n(g) is the classical adjugate and d_n(g) the
+    determinant, so a nonsingular g goes through :func:`adjoint_solve_pairs`;
+    a singular g, or r < n, goes through :func:`horner_adjugate_pairs`.
+    """
+    if r == len(g):
+        solved = adjoint_solve_pairs(g, b)
+        if solved is not None:
+            return solved
+    return horner_adjugate_pairs(g, r, b)
+
+
+def horner_adjugate_pairs(
+    g: list[list[Pair]], r: int, b: list[list[Pair]]
+) -> tuple[list[list[Pair]], Pair]:
+    """:func:`char_adjugate_pairs` by Berkowitz and Horner, for any g and r.
+
+    Horner's rule: X = (-1)^(r-1) b, then X <- g X + (-1)^(r-1-t) d_t b for
+    t = 1 .. r-1, with d_1 .. d_r from :func:`char_poly_pairs`.
     """
     d = char_poly_pairs(g, r)
     x = b if r % 2 else [[_neg(w) for w in row] for row in b]

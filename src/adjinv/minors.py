@@ -9,18 +9,24 @@ that whole numerator matrix equals N_r(g) @ b, where
     N_r(g) = sum_{t<r} (-1)^(r-1-t) d_t g^(r-1-t)
 
 and d_t is the sum of the order-t principal minors of g (d_0 = 1).  At r = n,
-N_n(g) is the classical adjugate.  :func:`char_adjugate` returns
+N_n(g) is the classical adjugate and d_n(g) the determinant, so the
+full-rank forms (classical inverse and Cramer's rule, and their Gram
+versions) are the same ledger.  :func:`char_adjugate` returns
 (N_r(g) @ b, d_r(g)) in polynomial time: it scales g and b to Gaussian
-integers once, computes d_1 .. d_r by Berkowitz's division-free algorithm,
-and applies N_r by Horner's rule, all in :mod:`adjinv.elimination`; Scalars
-are built only for the final ledger.  :func:`char_poly_coeffs` is its
-companion and returns every d_k the same way.
+integers once and hands them to :func:`adjinv.elimination.char_adjugate_pairs`,
+which picks its method from the input.  At r = n with g nonsingular it runs
+one fraction-free Bareiss sweep of [g | b] and a back substitution; otherwise
+it computes d_1 .. d_r by Berkowitz's division-free algorithm and applies
+N_r by Horner's rule.  Scalars are built only for the final ledger.
+:func:`char_poly_coeffs` is its companion and returns every d_k by
+Berkowitz.
 
 The literal forms stay as the reference the kernel is tested against:
 :func:`minor` is the exact determinant of the submatrix selected by two
 strictly increasing 1-based index sequences, evaluated by fraction-free
-Bareiss elimination, and :func:`principal_minor_sum` enumerates the order-k
-principal minors one by one.
+Bareiss elimination, :func:`det` and :func:`adjugate` are the classical
+determinant and the cofactor adjugate, and :func:`principal_minor_sum`
+enumerates the order-k principal minors one by one.
 """
 
 from __future__ import annotations

@@ -9,16 +9,16 @@ exactly as adjugate(A) @ A equals det(A) times the identity.
 :func:`mp_inverse_columns` and :func:`mp_inverse_rows` evaluate them
 literally, minor by minor, and stay as the reference path.
 
-``mp_inverse`` dispatches on rank: square nonsingular matrices go through the
-classical adjugate ("classical_inverse"), full-column-rank ones through the
-determinant form of (A*A)^-1 A* ("eq6"), full-row-rank ones through its dual
-("eq7").  A matrix deficient both ways gets the same ledger from the
-characteristic-adjugate kernel in its Gram form
-(:func:`adjinv.minors.gram_adjugate`): N_r(A*A) @ A* for "eq1" and
-A* @ N_r(AA*) for "eq2", which are equal.  The tag still names the form
-whose literal evaluation needs fewer minors.  The projectors A+ A and A A+
-are N_r(G) @ G / d_r(G) for G = A*A and AA*, taken from the same kernel
-without forming A+ first.
+``mp_inverse`` takes every ledger from the characteristic-adjugate kernel
+(:mod:`adjinv.minors`) and dispatches on rank only to pick the tag.  A square
+nonsingular matrix gets adj(A) / det(A) ("classical_inverse").  Otherwise the
+Gram form :func:`adjinv.minors.gram_adjugate` gives N_r(A*A) @ A* or its dual
+A* @ N_r(AA*), which are equal; at full rank N_r is the classical adjugate,
+so full column rank gives adj(A*A) A* ("eq6", the determinant form of
+(A*A)^-1 A*) and full row rank A* adj(AA*) ("eq7").  A matrix deficient
+both ways is tagged "eq1" or "eq2", whichever form's literal evaluation
+needs fewer minors.  The projectors A+ A and A A+ are N_r(G) @ G / d_r(G)
+for G = A*A and AA*, taken from the same kernel without forming A+ first.
 """
 
 from __future__ import annotations
@@ -134,43 +134,22 @@ def mp_inverse(a: Matrix, method: str = "auto", threads: int = 1) -> PinvResult:
         return mp_inverse_rows(a, threads)
     r = rank(a)
     if r == n == m:
-        d = minors.det(a)
-        adj = minors.adjugate(a)
-        return PinvResult(adj * (ONE / d), d, adj, "classical_inverse")
-    astar = conjugate_transpose(a)
-    if r == n < m:
-        gram = multiply(astar, a)
-        d = minors.det(gram)
-
-        def entry6(ij: tuple[int, int]) -> Scalar:
-            i, j = ij
-            return minors.det(replace_column(gram, i, astar.column(j - 1)))
-
-        nums = parallel_map(entry6, [(i, j) for i in range(1, n + 1) for j in range(1, m + 1)], threads)
-        numerators = Matrix(n, m, nums)
-        return PinvResult(numerators * (ONE / d), d, numerators, "eq6")
-    if r == m < n:
-        gram = multiply(a, astar)
-        d = minors.det(gram)
-
-        def entry7(ij: tuple[int, int]) -> Scalar:
-            i, j = ij
-            return minors.det(replace_row(gram, j, astar.row(i - 1)))
-
-        nums = parallel_map(entry7, [(i, j) for i in range(1, n + 1) for j in range(1, m + 1)], threads)
-        numerators = Matrix(n, m, nums)
-        return PinvResult(numerators * (ONE / d), d, numerators, "eq7")
-    # Rank-deficient both ways: tag the form whose literal evaluation needs
-    # fewer minors, C(n-1, r-1) versus C(m-1, r-1) per entry; ties go to the
-    # column form.  Both tags carry the same ledger.
-    if comb(n - 1, r - 1) <= comb(m - 1, r - 1):
+        numerators, d = minors.char_adjugate(a, n, Matrix.identity(n))
+        if not d:
+            raise ArithmeticError("determinant of a nonsingular matrix vanished; this is a bug")
+        return PinvResult(numerators * (ONE / d), d, numerators, "classical_inverse")
+    # Full column rank takes the column form (eq6), full row rank the row
+    # form (eq7).  Rank-deficient both ways, tag the form whose literal
+    # evaluation needs fewer minors, C(n-1, r-1) versus C(m-1, r-1) per
+    # entry; ties go to the column form.  Both tags carry the same ledger.
+    if r == n or (r < m and comb(n - 1, r - 1) <= comb(m - 1, r - 1)):
         numerators, d = _gram_ledger(a, r)
-        tag = "eq1"
+        tag = "eq6" if r == n else "eq1"
     else:
         # A* N_r(AA*) = (N_r(AA*) A)*, since AA* and so N_r(AA*) are Hermitian.
-        numerators, d = _gram_ledger(astar, r)
+        numerators, d = _gram_ledger(conjugate_transpose(a), r)
         numerators = conjugate_transpose(numerators)
-        tag = "eq2"
+        tag = "eq7" if r == m else "eq2"
     return PinvResult(numerators * (ONE / d), d, numerators, tag)
 
 

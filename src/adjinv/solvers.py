@@ -1,41 +1,30 @@
 """Cramer-style solvers built on the adjugate-analogue ledgers.
 
 ``lsq_solve`` returns the minimal-norm least squares solution of A x = y.
-With full column rank it is a determinant ratio over the Gram matrix A*A and
-the transformed right side f = A* y ("eq13", the direct generalization of
-Cramer's rule, evaluated determinant by determinant).  Otherwise each
-component is a minor sum over the column-replaced Gram matrix divided by the
-order-r principal-minor sum ("eq14"); the whole numerator vector is
-N_r(A*A) @ f, one call of the characteristic-adjugate kernel in its Gram
-form (:func:`adjinv.minors.gram_adjugate`).  ``lsq_solve_row_system`` solves the
-row form x A = y the same way with AA* and g = y A*: determinant by
-determinant at full row rank ("row_eq_fullrank"), else g @ N_r(AA*)
-("row_eq_general").
+Each component is a minor sum over the column-replaced Gram matrix A*A
+divided by its order-r principal-minor sum ("eq14"); the whole numerator
+vector is N_r(A*A) @ f with f = A* y, one call of the characteristic-adjugate
+kernel in its Gram form (:func:`adjinv.minors.gram_adjugate`).  With full
+column rank N_r is the classical adjugate and the components are the
+determinant ratios of Cramer's rule over A*A and f ("eq13").
+``lsq_solve_row_system`` solves the row form x A = y the same way with AA*
+and g = y A*: g @ N_r(AA*), tagged "row_eq_fullrank" at full row rank and
+"row_eq_general" otherwise.
 
 ``drazin_solve`` returns the Drazin-inverse solution of a square system:
 the unique solution of the generalized normal equations A^(k+1) x = A^k y
-lying in the range of A^k.  For index k >= 1 its numerators are
-N_r(A^(k+1)) @ g with g = A^k y ("eq16", from
-:func:`adjinv.minors.char_adjugate`); for a nonsingular matrix it is the
-classical Cramer rule, one determinant per component.
+lying in the range of A^k.  Its numerators are N_r(A^(k+1)) @ g with
+g = A^k y, from :func:`adjinv.minors.char_adjugate` ("eq16"); for a
+nonsingular matrix (index 0) that is adj(A) @ y, the classical Cramer rule
+("classical_cramer").  The ``threads`` arguments are accepted for a uniform
+signature and change nothing here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import minors
-from ._parallel import parallel_map
-from .matrices import (
-    Matrix,
-    column_vector,
-    conjugate_transpose,
-    multiply,
-    rank,
-    replace_column,
-    replace_row,
-    row_vector,
-)
+from .matrices import Matrix, column_vector, conjugate_transpose, multiply, rank, row_vector
 from .scalars import ONE, ZERO, Scalar
 from .drazin import _core_ledger, _index_powers
 from .pinv import _gram_ledger
@@ -70,20 +59,10 @@ def lsq_solve(a: Matrix, y: Matrix, threads: int = 1) -> SolveReport:
         # general formula degenerates cleanly (empty minor sums over an
         # order-0 family, with the empty principal-minor sum taken as 1).
         return SolveReport(Matrix.zeros(n, 1), "eq14", ONE, (ZERO,) * n, f)
-    if r == n:
-        gram = multiply(astar, a)
-        fcol = f.column(0)
-        denom = minors.det(gram)
-        nums = parallel_map(
-            lambda j: minors.det(replace_column(gram, j, fcol)), range(1, n + 1), threads
-        )
-        method = "eq13"
-    else:
-        numerators, denom = _gram_ledger(a, r, y)
-        nums = numerators.column(0)
-        method = "eq14"
+    numerators, denom = _gram_ledger(a, r, y)
+    nums = numerators.column(0)
     solution = column_vector([v / denom for v in nums])
-    return SolveReport(solution, method, denom, tuple(nums), f)
+    return SolveReport(solution, "eq13" if r == n else "eq14", denom, tuple(nums), f)
 
 
 def lsq_solve_row_system(y: Matrix, a: Matrix, threads: int = 1) -> SolveReport:
@@ -96,20 +75,11 @@ def lsq_solve_row_system(y: Matrix, a: Matrix, threads: int = 1) -> SolveReport:
     r = rank(a)
     if r == 0:
         return SolveReport(Matrix.zeros(1, m), "row_eq_general", ONE, (ZERO,) * m, g)
-    if r == m:
-        gram = multiply(a, astar)
-        grow = g.row(0)
-        denom = minors.det(gram)
-        nums = parallel_map(
-            lambda i: minors.det(replace_row(gram, i, grow)), range(1, m + 1), threads
-        )
-        method = "row_eq_fullrank"
-    else:
-        # g N_r(AA*) = (N_r(AA*) A y*)*, since AA* and so N_r(AA*) are Hermitian.
-        numerators, denom = _gram_ledger(astar, r, conjugate_transpose(y))
-        nums = [v.conjugate() for v in numerators.column(0)]
-        method = "row_eq_general"
+    # g N_r(AA*) = (N_r(AA*) A y*)*, since AA* and so N_r(AA*) are Hermitian.
+    numerators, denom = _gram_ledger(astar, r, conjugate_transpose(y))
+    nums = [v.conjugate() for v in numerators.column(0)]
     solution = row_vector([v / denom for v in nums])
+    method = "row_eq_fullrank" if r == m else "row_eq_general"
     return SolveReport(solution, method, denom, tuple(nums), g)
 
 
@@ -123,21 +93,17 @@ def drazin_solve(a: Matrix, y: Matrix, threads: int = 1) -> SolveReport:
         raise ValueError(f"Drazin solution needs a square matrix, got {a.rows}x{a.cols}")
     if not (y.cols == 1 and y.rows == a.rows):
         raise ValueError(f"right side must be {a.rows}x1, got {y.rows}x{y.cols}")
-    n = a.rows
-    k, ak, b, r = _index_powers(a)
+    return _drazin_solution(_index_powers(a), y)
+
+
+def _drazin_solution(powers: tuple[int, Matrix, Matrix, int], y: Matrix) -> SolveReport:
+    """:func:`drazin_solve` from the index search result (k, A^k, A^(k+1), rank A^k)."""
+    k, ak, b, r = powers
     g = multiply(ak, y)
     if r == 0:
-        return SolveReport(Matrix.zeros(n, 1), "eq16", ONE, (ZERO,) * n, g)
-    if k == 0:
-        gcol = g.column(0)
-        denom = minors.det(a)
-        nums = parallel_map(
-            lambda i: minors.det(replace_column(a, i, gcol)), range(1, n + 1), threads
-        )
-        method = "classical_cramer"
-    else:
-        numerators, denom = _core_ledger(b, r, g)
-        nums = numerators.column(0)
-        method = "eq16"
+        return SolveReport(Matrix.zeros(y.rows, 1), "eq16", ONE, (ZERO,) * y.rows, g)
+    # At index 0, b = A and r = n, so the kernel gives adj(A) y and det(A).
+    numerators, denom = _core_ledger(b, r, g)
+    nums = numerators.column(0)
     solution = column_vector([v / denom for v in nums])
-    return SolveReport(solution, method, denom, tuple(nums), g)
+    return SolveReport(solution, "classical_cramer" if k == 0 else "eq16", denom, tuple(nums), g)

@@ -2,10 +2,11 @@
 
 Everything here validates the minor-sum results without sharing their code
 path: the pseudoinverse oracle goes through a rank factorization obtained
-from reduced row echelon form, with the two small inverses computed by
-cofactor-expansion adjugates; the Drazin oracle composes powers with that
-pseudoinverse.  Only the primitive matrix operations are reused.  All checks
-are exact equalities; there is no tolerance anywhere.
+from reduced row echelon form, and the two small inverses come from
+Gauss-Jordan elimination of [M | I] by the same Scalar row reduction; the
+Drazin oracle composes powers with that pseudoinverse.  Only the primitive
+matrix operations are reused.  All checks are exact equalities; there is no
+tolerance anywhere.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .matrices import Matrix, conjugate_transpose, hstack, multiply, power, rank
-from .scalars import ONE, ZERO, Scalar
+from .scalars import ONE, Scalar
 
 
 @dataclass(frozen=True)
@@ -83,46 +84,6 @@ def range_membership(b: Matrix, x: Matrix) -> bool:
     return rank(hstack(b, x)) == rank(b)
 
 
-# -- cofactor-expansion determinant and adjugate inverse ------------------------
-#
-# Deliberately naive: expansion along the first row, no index-set enumeration,
-# no shared code with the elimination kernel.  Fine for the small orders the
-# oracles need.
-
-
-def _det_cofactor(a: Matrix) -> Scalar:
-    n = a.rows
-    if n == 1:
-        return a.at(0, 0)
-    total = ZERO
-    rest_rows = range(1, n)
-    for j in range(n):
-        lead = a.at(0, j)
-        if not lead:
-            continue
-        sub = a.submatrix(rest_rows, [c for c in range(n) if c != j])
-        term = lead * _det_cofactor(sub)
-        total = total + term if j % 2 == 0 else total - term
-    return total
-
-
-def _inverse_adjugate(a: Matrix) -> Matrix:
-    """Inverse of a nonsingular matrix via cofactor adjugate."""
-    n = a.rows
-    d = _det_cofactor(a)
-    if not d:
-        raise ZeroDivisionError("matrix is singular")
-    if n == 1:
-        return Matrix(1, 1, [ONE / d])
-    entries = []
-    for i in range(n):
-        for j in range(n):
-            sub = a.submatrix([r for r in range(n) if r != j], [c for c in range(n) if c != i])
-            cof = _det_cofactor(sub)
-            entries.append(cof / d if (i + j) % 2 == 0 else -cof / d)
-    return Matrix(n, n, entries)
-
-
 def _rref(a: Matrix) -> tuple[list[list[Scalar]], list[int]]:
     """Reduced row echelon form with the pivot column positions (0-based)."""
     rows = a.row_lists()
@@ -146,6 +107,15 @@ def _rref(a: Matrix) -> tuple[list[list[Scalar]], list[int]]:
     return rows, pivots
 
 
+def _inverse(a: Matrix) -> Matrix:
+    """Inverse of a nonsingular matrix by Gauss-Jordan elimination of [a | I]."""
+    n = a.rows
+    rows, pivots = _rref(hstack(a, Matrix.identity(n)))
+    if pivots[:n] != list(range(n)):
+        raise ZeroDivisionError("matrix is singular")
+    return Matrix(n, n, [e for row in rows for e in row[n:]])
+
+
 def oracle_pinv(a: Matrix) -> Matrix:
     """Moore-Penrose inverse by rank factorization, independent of minor sums.
 
@@ -160,7 +130,7 @@ def oracle_pinv(a: Matrix) -> Matrix:
     g = Matrix(r, a.cols, [e for row in rows[:r] for e in row])
     fstar = conjugate_transpose(f)
     gstar = conjugate_transpose(g)
-    middle = multiply(_inverse_adjugate(multiply(g, gstar)), _inverse_adjugate(multiply(fstar, f)))
+    middle = multiply(_inverse(multiply(g, gstar)), _inverse(multiply(fstar, f)))
     return multiply(multiply(gstar, middle), fstar)
 
 

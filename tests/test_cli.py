@@ -190,6 +190,18 @@ def test_verify_subcommand(capsys, example1_path, example2_path):
     assert "drazin:AX=XA: pass" in out
 
 
+def test_verify_searches_the_index_once(capsys, example2_path, monkeypatch):
+    from adjinv import drazin
+
+    calls = []
+    real = drazin._index_powers
+    monkeypatch.setattr(drazin, "_index_powers", lambda a: calls.append(a) or real(a))
+    code, out, _ = run_cli(capsys, "verify", example2_path, "--rhs", "1 2 3 1")
+    assert code == 0 and "FAIL" not in out
+    assert "dsolve:x in R(A^k): pass" in out.splitlines()
+    assert len(calls) == 1
+
+
 def test_verify_json(capsys, example2_path):
     code, out, _ = run_cli(capsys, "verify", example2_path, "--json")
     assert code == 0

@@ -3,9 +3,13 @@
 The kernel (``minors.char_adjugate`` / ``minors.gram_adjugate``) must agree
 exactly with two independent routes: the literal replaced-minor sums of the
 paper (``mp_inverse_columns`` / ``mp_inverse_rows`` and the small helpers
-below), and the rank-factorization oracles of ``adjinv.verify``.  Inputs are
-generated by Hypothesis: real and complex, square, tall and wide, rank 1,
-nilpotent, and Drazin index 2-3.  Every comparison is an exact equality.
+below), and the rank-factorization oracles of ``adjinv.verify``.  At full
+rank the literal forms are the classical adjugate and the per-entry
+determinants of Cramer's rule, and the kernel's fraction-free adjoint solve
+is also checked against its Berkowitz and Horner route.  Inputs are
+generated by Hypothesis: real and complex, square, tall and wide, full
+rank, rank 1, singular, nilpotent, and Drazin index 2-3.  Every comparison
+is an exact equality.
 """
 
 import random
@@ -23,6 +27,7 @@ from adjinv import (
     check_penrose,
     column_vector,
     conjugate_transpose,
+    det,
     drazin_inverse,
     drazin_solve,
     drazin_times_a,
@@ -48,7 +53,7 @@ from adjinv import (
     replace_row,
     row_vector,
 )
-from adjinv import minors
+from adjinv import elimination, minors
 
 LITERAL = settings(max_examples=25, deadline=None)
 ORACLE = settings(max_examples=20, deadline=None)
@@ -74,6 +79,15 @@ def _deficient(seed: int, m: int, n: int, r: int, complex_entries: bool) -> Matr
     while True:
         a = multiply(_matrix(rng, m, r, complex_entries), _matrix(rng, r, n, complex_entries))
         if not a.is_zero:
+            return a
+
+
+def _full_rank(seed: int, m: int, n: int, complex_entries: bool) -> Matrix:
+    """A random m x n matrix of rank min(m, n)."""
+    rng = random.Random(seed)
+    while True:
+        a = _matrix(rng, m, n, complex_entries)
+        if rank(a) == min(m, n):
             return a
 
 
@@ -123,6 +137,14 @@ def deficient_matrices(draw, max_dim: int):
 
 
 @st.composite
+def full_rank_matrices(draw, max_dim: int):
+    """Square nonsingular, full-column-rank tall and full-row-rank wide matrices."""
+    m = draw(st.integers(1, max_dim))
+    n = draw(st.integers(1, max_dim))
+    return _full_rank(draw(seeds), m, n, draw(st.booleans()))
+
+
+@st.composite
 def square_matrices(draw, max_dim: int):
     n = draw(st.integers(1, max_dim))
     return _matrix(random.Random(draw(seeds)), n, n, draw(st.booleans()))
@@ -169,6 +191,18 @@ def literal_row_components(g: Matrix, r: int, c: Matrix) -> tuple[Scalar, ...]:
             total = total + minor(replaced, alpha, alpha)
         out.append(total)
     return tuple(out)
+
+
+def cramer_columns(g: Matrix, b: Matrix) -> Matrix:
+    """Entry (i, j): det of g with column i replaced by column j of b."""
+    return Matrix(g.rows, b.cols, [det(replace_column(g, i, b.column(j)))
+                                   for i in range(1, g.rows + 1) for j in range(b.cols)])
+
+
+def cramer_rows(g: Matrix, c: Matrix) -> Matrix:
+    """Entry (i, j): det of g with row j replaced by row i of c."""
+    return Matrix(c.rows, g.rows, [det(replace_row(g, j, c.row(i)))
+                                   for i in range(c.rows) for j in range(1, g.rows + 1)])
 
 
 def _rhs(seed: int, length: int, complex_entries: bool = True) -> list[Scalar]:
@@ -250,14 +284,78 @@ def test_char_poly_coeffs_match_principal_minor_sums(a):
     assert char_poly_coeffs(a) == tuple(principal_minor_sum(a, k) for k in range(1, a.rows + 1))
 
 
-# -- kernel against the rank-factorization oracles (n <= 16) -----------------------
-#
-# Ranks stay at 5 or below: the oracles invert r x r matrices by cofactor
-# expansion, whose cost grows as r!.
+# -- full rank: the kernel against the adjugate and Cramer determinants (n <= 8) ----
+
+
+@LITERAL
+@given(full_rank_matrices(8), seeds)
+def test_full_rank_ledgers_match_determinant_forms(a, seed):
+    m, n = a.rows, a.cols
+    astar = conjugate_transpose(a)
+    gram_c, gram_r = multiply(astar, a), multiply(a, astar)
+    res = mp_inverse(a)
+    if m == n:
+        expected = ("classical_inverse", minors.adjugate(a), det(a))
+    elif m > n:
+        expected = ("eq6", cramer_columns(gram_c, astar), det(gram_c))
+    else:
+        expected = ("eq7", cramer_rows(gram_r, astar), det(gram_r))
+    assert (res.representation_used, res.numerators, res.denominator) == expected
+
+    y = column_vector(_rhs(seed, m))
+    if m >= n:
+        rep = lsq_solve(a, y)
+        nums = cramer_columns(gram_c, multiply(astar, y)).column(0)
+        assert (rep.method, rep.numerators, rep.denominator) == ("eq13", nums, det(gram_c))
+    if m <= n:
+        yr = row_vector(_rhs(seed + 1, n))
+        rep = lsq_solve_row_system(yr, a)
+        nums = cramer_rows(gram_r, multiply(yr, astar)).row(0)
+        assert (rep.method, rep.numerators, rep.denominator) == ("row_eq_fullrank", nums, det(gram_r))
+    if m == n:
+        rep = drazin_solve(a, y)
+        nums = cramer_columns(a, y).column(0)
+        assert (rep.method, rep.numerators, rep.denominator) == ("classical_cramer", nums, det(a))
+        res = drazin_inverse(a)
+        assert (res.index, res.rank_core, res.numerators, res.denominator) == (
+            0, n, minors.adjugate(a), det(a))
+
+
+@LITERAL
+@given(st.integers(1, 8), st.integers(1, 3), seeds, st.booleans())
+def test_adjoint_solve_matches_berkowitz_horner(n, p, seed, complex_entries):
+    rng = random.Random(seed)
+
+    def entry():
+        return (rng.randint(-3, 3), rng.randint(-3, 3) if complex_entries else 0)
+
+    g = [[entry() for _ in range(n)] for _ in range(n)]
+    b = [[entry() for _ in range(p)] for _ in range(n)]
+    g_before, b_before = [row[:] for row in g], [row[:] for row in b]
+    solved = elimination.adjoint_solve_pairs(g, b)
+    assert (g, b) == (g_before, b_before)  # the fallback reuses both
+    x, d = elimination.horner_adjugate_pairs(g, n, b)
+    assert solved == (None if d == (0, 0) else (x, d))
+
+
+@LITERAL
+@given(st.integers(2, 8).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n - 1))),
+       st.integers(1, 3), seeds, st.booleans())
+def test_char_adjugate_falls_back_on_singular_input(nr, p, seed, complex_entries):
+    n, r = nr
+    g = _deficient(seed, n, n, r, complex_entries)
+    b = _matrix(random.Random(seed + 1), n, p, complex_entries)
+    g_int, _ = elimination.integerize_common(g.row_lists())
+    b_int, _ = elimination.integerize_common(b.row_lists())
+    assert elimination.adjoint_solve_pairs(g_int, b_int) is None
+    assert minors.char_adjugate(g, n, b) == (multiply(minors.adjugate(g), b), ZERO)
+
+
+# -- kernel against the rank-factorization oracles (n <= 16, rank <= 10) -----------
 
 
 @ORACLE
-@given(st.integers(2, 16), st.integers(2, 16), st.integers(1, 5), seeds, st.booleans())
+@given(st.integers(2, 16), st.integers(2, 16), st.integers(1, 10), seeds, st.booleans())
 def test_mp_inverse_matches_oracle(m, n, r, seed, complex_entries):
     a = _deficient(seed, m, n, min(r, m - 1, n - 1), complex_entries)
     res = mp_inverse(a)
@@ -266,7 +364,7 @@ def test_mp_inverse_matches_oracle(m, n, r, seed, complex_entries):
 
 
 @ORACLE
-@given(indexed_matrices(16, 5))
+@given(indexed_matrices(16, 10))
 def test_drazin_inverse_matches_oracle(a):
     assert drazin_inverse(a).drazin_inverse == oracle_drazin(a)
 
@@ -294,18 +392,32 @@ def _zero_denominator(real):
 DEFICIENT = Matrix.from_rows([[1, 2, 3], [2, 4, 6], [1, 0, 1]])  # rank 2
 INDEX_ONE = Matrix.from_rows([[2, 1, 0], [0, 0, 0], [0, 0, 0]])  # core rank 1, index 1
 INDEX_TWO = Matrix.from_rows([[2, 0, 0], [0, 0, 1], [0, 0, 0]])  # core rank 1, index 2
+SQUARE = Matrix.from_rows([[2, 1, 0], [1, 3, 1], [0, 1, 4]])  # nonsingular
+TALL = Matrix.from_rows([[1, 0], [1, 1], [0, 2]])  # full column rank
+WIDE = Matrix.from_rows([[1, 1, 0], [0, 1, 2]])  # full row rank
 RHS = column_vector([1, 2, 3])
+ROW_RHS = row_vector([1, 2, 3])
 
 GUARDED = {
     "mp_inverse": lambda: mp_inverse(DEFICIENT),
     "projector_p": lambda: projector_p(DEFICIENT),
     "projector_q": lambda: projector_q(DEFICIENT),
     "lsq_solve": lambda: lsq_solve(DEFICIENT, RHS),
-    "lsq_solve_row_system": lambda: lsq_solve_row_system(row_vector([1, 2, 3]), DEFICIENT),
+    "lsq_solve_row_system": lambda: lsq_solve_row_system(ROW_RHS, DEFICIENT),
     "drazin_inverse": lambda: drazin_inverse(INDEX_TWO),
     "group_inverse": lambda: group_inverse(INDEX_ONE),
     "drazin_times_a": lambda: drazin_times_a(INDEX_TWO),
     "drazin_solve": lambda: drazin_solve(INDEX_TWO, RHS),
+    "mp_inverse:square": lambda: mp_inverse(SQUARE),
+    "mp_inverse:tall": lambda: mp_inverse(TALL),
+    "mp_inverse:wide": lambda: mp_inverse(WIDE),
+    "drazin_inverse:square": lambda: drazin_inverse(SQUARE),
+    "group_inverse:square": lambda: group_inverse(SQUARE),
+    "lsq_solve:square": lambda: lsq_solve(SQUARE, RHS),
+    "lsq_solve:tall": lambda: lsq_solve(TALL, RHS),
+    "lsq_solve_row_system:square": lambda: lsq_solve_row_system(ROW_RHS, SQUARE),
+    "lsq_solve_row_system:wide": lambda: lsq_solve_row_system(ROW_RHS, WIDE),
+    "drazin_solve:square": lambda: drazin_solve(SQUARE, RHS),
 }
 
 
@@ -342,3 +454,28 @@ def test_rank_12_of_24(complex_entries):
     assert multiply(astar, multiply(a, sol) - y).is_zero
     assert range_membership(astar, sol)
     assert sol == multiply(x, y)
+
+
+@pytest.mark.parametrize("complex_entries", [False, True])
+def test_full_rank_at_scale(complex_entries):
+    rng = random.Random(3236 + complex_entries)
+    sq = _matrix(rng, 32, 32, complex_entries)
+    res = mp_inverse(sq)
+    assert res.representation_used == "classical_inverse"
+    assert multiply(sq, res.pseudo_inverse) == Matrix.identity(32)
+    assert res.pseudo_inverse * res.denominator == res.numerators
+
+    tall = _matrix(rng, 36, 32, complex_entries)
+    res = mp_inverse(tall)
+    assert res.representation_used == "eq6"
+    assert check_penrose(tall, res.pseudo_inverse).all_passed
+
+    wide = _matrix(rng, 32, 36, complex_entries)
+    res = mp_inverse(wide)
+    assert res.representation_used == "eq7"
+    assert check_penrose(wide, res.pseudo_inverse).all_passed
+
+    y = column_vector(_rhs(36, 36, complex_entries))
+    rep = lsq_solve(tall, y)
+    assert rep.method == "eq13"
+    assert multiply(conjugate_transpose(tall), multiply(tall, rep.solution) - y).is_zero
