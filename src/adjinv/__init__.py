@@ -19,7 +19,7 @@ from .matrices import (
     replace_row,
     row_vector,
 )
-from .index_sets import enumerate_containing, enumerate_k_subsets, subset_at_rank
+from .index_sets import enumerate_containing, enumerate_k_subsets
 from .minors import adjugate, char_poly_coeffs, det, minor, principal_minor_sum
 from .pinv import (
     PinvResult,
@@ -77,7 +77,6 @@ __all__ = [
     "row_vector",
     "enumerate_containing",
     "enumerate_k_subsets",
-    "subset_at_rank",
     "adjugate",
     "char_poly_coeffs",
     "det",

@@ -1,7 +1,8 @@
-"""Deterministic fan-out for the per-entry minor-sum loops.
+"""Deterministic fan-out for the literal eq1/eq2 minor sums.
 
-Entries of a minor-sum representation are independent, so they may be
-computed on worker threads.  Results are combined in input order and the
+Only :func:`adjinv.mp_inverse_columns` and :func:`adjinv.mp_inverse_rows`
+call this, through their ``threads`` argument; every other path runs in one
+thread.  Entries are computed in input order or on worker threads, and the
 arithmetic is exact, so the output is identical for every thread count.
 """
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import golden
@@ -68,9 +67,8 @@ def _build_parser() -> _Parser:
             p.add_argument("--method", choices=["eq1", "eq2", "auto"], default="auto")
         p.add_argument("--decimal", type=int, metavar="N", help="display N fixed decimals instead of rationals")
         p.add_argument("--json", action="store_true", help="emit the JSON layout (exact strings)")
-        p.add_argument("--threads", type=int, default=os.cpu_count() or 1,
-                       help="worker threads for the per-entry minor sums of --method eq1|eq2; "
-                            "every other path runs in one thread (results are identical for any value)")
+        p.add_argument("--threads", type=int, default=1,
+                       help="accepted for compatibility; has no effect (every path runs in one thread)")
         return p
 
     add("pinv", method=True)
@@ -144,7 +142,7 @@ def _drazin_method_tag(res: DrazinResult) -> str:
 
 def _cmd_pinv(args) -> int:
     a = parse_matrix_file(args.matrix)
-    res = _pinv.mp_inverse(a, method=args.method, threads=args.threads)
+    res = _pinv.mp_inverse(a, method=args.method)
     _emit(args, res.pseudo_inverse,
           {"denominator": str(res.denominator), "method": res.representation_used})
     return EXIT_OK
@@ -152,7 +150,7 @@ def _cmd_pinv(args) -> int:
 
 def _cmd_drazin(args) -> int:
     a = parse_matrix_file(args.matrix)
-    res = _drazin.drazin_inverse(a, threads=args.threads)
+    res = _drazin.drazin_inverse(a)
     _emit(args, res.drazin_inverse,
           {"denominator": str(res.denominator), "method": _drazin_method_tag(res)})
     return EXIT_OK
@@ -160,7 +158,7 @@ def _cmd_drazin(args) -> int:
 
 def _cmd_group_inverse(args) -> int:
     a = parse_matrix_file(args.matrix)
-    res = _drazin.group_inverse(a, threads=args.threads)
+    res = _drazin.group_inverse(a)
     _emit(args, res.drazin_inverse,
           {"denominator": str(res.denominator), "method": _drazin_method_tag(res)})
     return EXIT_OK
@@ -168,19 +166,19 @@ def _cmd_group_inverse(args) -> int:
 
 def _cmd_proj_p(args) -> int:
     a = parse_matrix_file(args.matrix)
-    _emit(args, _pinv.projector_p(a, threads=args.threads))
+    _emit(args, _pinv.projector_p(a))
     return EXIT_OK
 
 
 def _cmd_proj_q(args) -> int:
     a = parse_matrix_file(args.matrix)
-    _emit(args, _pinv.projector_q(a, threads=args.threads))
+    _emit(args, _pinv.projector_q(a))
     return EXIT_OK
 
 
 def _cmd_drazin_a(args) -> int:
     a = parse_matrix_file(args.matrix)
-    _emit(args, _drazin.drazin_times_a(a, threads=args.threads))
+    _emit(args, _drazin.drazin_times_a(a))
     return EXIT_OK
 
 
@@ -202,7 +200,7 @@ def _cmd_charpoly(args) -> int:
 def _cmd_solve_lsq(args) -> int:
     a = parse_matrix_file(args.matrix)
     y = _load_rhs(args, a.rows, "column")
-    rep = _solvers.lsq_solve(a, y, threads=args.threads)
+    rep = _solvers.lsq_solve(a, y)
     _emit(args, rep.solution, {"denominator": str(rep.denominator), "method": rep.method})
     return EXIT_OK
 
@@ -210,7 +208,7 @@ def _cmd_solve_lsq(args) -> int:
 def _cmd_solve_row(args) -> int:
     a = parse_matrix_file(args.matrix)
     y = _load_rhs(args, a.cols, "row")
-    rep = _solvers.lsq_solve_row_system(y, a, threads=args.threads)
+    rep = _solvers.lsq_solve_row_system(y, a)
     _emit(args, rep.solution, {"denominator": str(rep.denominator), "method": rep.method})
     return EXIT_OK
 
@@ -218,7 +216,7 @@ def _cmd_solve_row(args) -> int:
 def _cmd_solve_drazin(args) -> int:
     a = parse_matrix_file(args.matrix)
     y = _load_rhs(args, a.rows, "column")
-    rep = _solvers.drazin_solve(a, y, threads=args.threads)
+    rep = _solvers.drazin_solve(a, y)
     _emit(args, rep.solution, {"denominator": str(rep.denominator), "method": rep.method})
     return EXIT_OK
 
@@ -226,7 +224,7 @@ def _cmd_solve_drazin(args) -> int:
 def _cmd_verify(args) -> int:
     a = parse_matrix_file(args.matrix)
     checks: list[tuple[str, bool]] = []
-    x = _pinv.mp_inverse(a, threads=args.threads).pseudo_inverse
+    x = _pinv.mp_inverse(a).pseudo_inverse
     checks.extend(
         (f"penrose:{name}", ok) for name, ok in _verify.check_penrose(a, x).checks
     )
@@ -241,7 +239,7 @@ def _cmd_verify(args) -> int:
     has_rhs = getattr(args, "rhs", None) is not None or getattr(args, "rhs_file", None) is not None
     if has_rhs:
         y = _load_rhs(args, a.rows, "column")
-        sol = _solvers.lsq_solve(a, y, threads=args.threads).solution
+        sol = _solvers.lsq_solve(a, y).solution
         astar = conjugate_transpose(a)
         checks.append(
             ("lsq:A*(Ax-y)=0", multiply(astar, multiply(a, sol) - y).is_zero)
@@ -264,7 +262,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_paper_examples(args) -> int:
-    results = golden.run_all(threads=args.threads)
+    results = golden.run_all()
     for label, ok in results:
         print(f"{label}: {'pass' if ok else 'FAIL'}")
     failed = [label for label, ok in results if not ok]

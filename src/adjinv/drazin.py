@@ -16,8 +16,7 @@ A nonsingular matrix has index 0, so A^k = I, A^(k+1) = A and r = n; there
 N_n(A) is the classical adjugate, and the same kernel call returns
 adj(A) / det(A), the classical inverse.  Nilpotent matrices (core rank 0)
 short-circuit to the zero matrix, the unique solution of the defining
-equations in that case.  The ``threads`` arguments are accepted for a
-uniform signature and change nothing here.
+equations in that case.
 """
 
 from __future__ import annotations
@@ -104,13 +103,13 @@ def _representation(a: Matrix, exponent: int) -> DrazinResult:
     return _drazin(exponent, ak, multiply(ak, a), rank(ak))
 
 
-def drazin_inverse(a: Matrix, threads: int = 1) -> DrazinResult:
+def drazin_inverse(a: Matrix) -> DrazinResult:
     """The unique X with a^(k+1) X = a^k, X a X = X, a X = X a (k = index)."""
     _require_square(a, "Drazin inverse")
     return _drazin(*_index_powers(a))
 
 
-def group_inverse(a: Matrix, threads: int = 1) -> DrazinResult:
+def group_inverse(a: Matrix) -> DrazinResult:
     """The Drazin inverse restricted to index <= 1.
 
     Index 0 returns the classical inverse; index 1 the k = 1 representation;
@@ -124,7 +123,7 @@ def group_inverse(a: Matrix, threads: int = 1) -> DrazinResult:
     return _drazin(k, ak, b, r)
 
 
-def drazin_times_a(a: Matrix, threads: int = 1) -> Matrix:
+def drazin_times_a(a: Matrix) -> Matrix:
     """The idempotent projector drazin_inverse(a) @ a: N_r(A^(k+1)) @ A^(k+1) / d_r.
 
     Same ledger as the inverse itself, but the replacement columns come from

@@ -90,43 +90,50 @@ def _div_exact(x: Pair, y: Pair) -> Pair:
     return (qr, qi)
 
 
-def _bareiss_forward(a: list[list[Pair]], n: int, width: int) -> int:
-    """Fraction-free forward sweep of the n x width rows ``a`` (mutated).
+def _bareiss_sweep(a: list[list[Pair]], m: int, pivot_cols: int, width: int) -> tuple[int, int]:
+    """Fraction-free forward sweep of the m x width rows ``a`` (mutated).
 
-    Eliminates below the diagonal in the first n - 1 columns, carrying every
-    column up to ``width`` along.  Returns the sign of the row permutation,
-    or 0 when some column k < n - 1 has no pivot, i.e. the leading n x n
-    block is singular.  Otherwise each row is an integer combination of the
-    input rows, the leading block is upper triangular with nonzero pivots
-    a[k][k] for k < n - 1, and a[n-1][n-1] is the sign times its determinant.
+    Scans the first ``pivot_cols`` columns for pivots, eliminating below each
+    one and carrying every column up to ``width`` along.  Returns the number
+    of pivots found, which is the rank of the leading m x pivot_cols block,
+    and the sign of the row permutation.  Each row stays an integer
+    combination of the input rows; when the leading n x n block of a square
+    sweep has rank n, it is upper triangular with nonzero pivots a[k][k] and
+    a[n-1][n-1] is the sign times its determinant.
     """
     sign = 1
     prev = _ONE
-    for k in range(n - 1):
-        pivot_row = next((i for i in range(k, n) if a[i][k] != _ZERO), None)
+    r = 0
+    for col in range(pivot_cols):
+        if r == m:
+            break
+        pivot_row = next((i for i in range(r, m) if a[i][col] != _ZERO), None)
         if pivot_row is None:
-            return 0
-        if pivot_row != k:
-            a[k], a[pivot_row] = a[pivot_row], a[k]
+            continue
+        if pivot_row != r:
+            a[r], a[pivot_row] = a[pivot_row], a[r]
             sign = -sign
-        pivot = a[k][k]
-        top = a[k]
-        for i in range(k + 1, n):
+        pivot = a[r][col]
+        top = a[r]
+        for i in range(r + 1, m):
             row = a[i]
-            lead = row[k]
-            for j in range(k + 1, width):
+            lead = row[col]
+            # Rows with a zero lead still get the pivot/prev rescale; that is
+            # what keeps every later division exact.
+            for j in range(col + 1, width):
                 row[j] = _div_exact(
                     _sub(_mul(pivot, row[j]), _mul(lead, top[j])), prev
                 )
-            row[k] = _ZERO
+            row[col] = _ZERO
         prev = pivot
-    return sign
+        r += 1
+    return r, sign
 
 
 def det_pairs(a: list[list[Pair]], n: int) -> Pair:
     """Determinant of an n x n Gaussian-integer matrix (mutates ``a``)."""
-    sign = _bareiss_forward(a, n, n)
-    if not sign:
+    r, sign = _bareiss_sweep(a, n, n, n)
+    if r < n:
         return _ZERO
     d = a[n - 1][n - 1]
     return d if sign == 1 else _neg(d)
@@ -147,8 +154,8 @@ def adjoint_solve_pairs(
     n = len(g)
     p = len(b[0])
     aug = [g_row + b_row for g_row, b_row in zip(g, b)]
-    sign = _bareiss_forward(aug, n, n + p)
-    if not sign or aug[n - 1][n - 1] == _ZERO:
+    r, sign = _bareiss_sweep(aug, n, n, n + p)
+    if r < n:
         return None
     det = aug[n - 1][n - 1] if sign == 1 else _neg(aug[n - 1][n - 1])
     x = [[_ZERO] * p for _ in range(n)]
@@ -164,31 +171,7 @@ def adjoint_solve_pairs(
 
 def rank_pairs(a: list[list[Pair]], m: int, n: int) -> int:
     """Rank of an m x n Gaussian-integer matrix (mutates ``a``)."""
-    prev = _ONE
-    r = 0
-    for col in range(n):
-        if r == m:
-            break
-        pivot_row = next((i for i in range(r, m) if a[i][col] != _ZERO), None)
-        if pivot_row is None:
-            continue
-        if pivot_row != r:
-            a[r], a[pivot_row] = a[pivot_row], a[r]
-        pivot = a[r][col]
-        top = a[r]
-        for i in range(r + 1, m):
-            row = a[i]
-            lead = row[col]
-            # Rows with a zero lead still get the pivot/prev rescale; that is
-            # what keeps every later division exact.
-            for j in range(col + 1, n):
-                row[j] = _div_exact(
-                    _sub(_mul(pivot, row[j]), _mul(lead, top[j])), prev
-                )
-            row[col] = _ZERO
-        prev = pivot
-        r += 1
-    return r
+    return _bareiss_sweep(a, m, n, n)[0]
 
 
 def _sub(x: Pair, y: Pair) -> Pair:

@@ -121,7 +121,7 @@ EXAMPLE2_G = column_vector([10, -1, 13, 10])
 EXAMPLE2_SOLUTION = column_vector([Fraction(1, 2), 1, 1, Fraction(1, 2)])
 
 
-def run_example1(threads: int = 1) -> list[tuple[str, bool]]:
+def run_example1() -> list[tuple[str, bool]]:
     a = EXAMPLE1_MATRIX
     results = []
     results.append(("example1: rank(A) = 3", rank(a) == EXAMPLE1_RANK))
@@ -136,13 +136,13 @@ def run_example1(threads: int = 1) -> list[tuple[str, bool]]:
             minors.principal_minor_sum(gram, 3) == EXAMPLE1_DENOMINATOR,
         )
     )
-    res = mp_inverse_columns(a, threads=threads)
+    res = mp_inverse_columns(a)
     results.append(("example1: numerator l11 = 25779", res.numerators.at(0, 0) == EXAMPLE1_L11))
     results.append(("example1: denominator = 102060", res.denominator == EXAMPLE1_DENOMINATOR))
     results.append(("example1: pseudoinverse numerator matrix", res.numerators == EXAMPLE1_PINV_NUMERATORS))
     expected_pinv = EXAMPLE1_PINV_NUMERATORS * (Scalar(1) / EXAMPLE1_DENOMINATOR)
     results.append(("example1: pseudoinverse matrix", res.pseudo_inverse == expected_pinv))
-    rep = lsq_solve(a, EXAMPLE1_RHS, threads=threads)
+    rep = lsq_solve(a, EXAMPLE1_RHS)
     results.append(("example1: transformed right side f = A*y", rep.transformed_rhs == EXAMPLE1_F))
     results.append(("example1: solution by component minor sums", rep.solution == EXAMPLE1_SOLUTION))
     results.append(
@@ -154,7 +154,7 @@ def run_example1(threads: int = 1) -> list[tuple[str, bool]]:
     return results
 
 
-def run_example2(threads: int = 1) -> list[tuple[str, bool]]:
+def run_example2() -> list[tuple[str, bool]]:
     a = EXAMPLE2_MATRIX
     results = []
     results.append(("example2: A^2 display", power(a, 2) == EXAMPLE2_SQUARE))
@@ -168,11 +168,11 @@ def run_example2(threads: int = 1) -> list[tuple[str, bool]]:
             minors.principal_minor_sum(EXAMPLE2_CUBE, 2) == EXAMPLE2_DENOMINATOR,
         )
     )
-    res = drazin_inverse(a, threads=threads)
+    res = drazin_inverse(a)
     results.append(("example2: numerator d11 = 4", res.numerators.at(0, 0) == EXAMPLE2_D11))
     results.append(("example2: denominator = 8", res.denominator == EXAMPLE2_DENOMINATOR))
     results.append(("example2: Drazin inverse matrix", res.drazin_inverse == EXAMPLE2_DRAZIN))
-    rep = drazin_solve(a, EXAMPLE2_RHS, threads=threads)
+    rep = drazin_solve(a, EXAMPLE2_RHS)
     results.append(("example2: transformed right side g = A^2 y", rep.transformed_rhs == EXAMPLE2_G))
     results.append(("example2: solution by component minor sums", rep.solution == EXAMPLE2_SOLUTION))
     results.append(
@@ -184,6 +184,6 @@ def run_example2(threads: int = 1) -> list[tuple[str, bool]]:
     return results
 
 
-def run_all(threads: int = 1) -> list[tuple[str, bool]]:
+def run_all() -> list[tuple[str, bool]]:
     """Recompute every golden value; each entry is (label, exact match)."""
-    return run_example1(threads) + run_example2(threads)
+    return run_example1() + run_example2()

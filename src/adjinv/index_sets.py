@@ -3,15 +3,12 @@
 An index sequence is a strictly increasing tuple of positions drawn from
 1..n.  These drive every minor sum in the package: the full family of size-k
 sequences, and the constrained family of those containing one required
-position.  Enumeration order is always lexicographic, which makes partitioning
-a sum into contiguous rank ranges deterministic; ``subset_at_rank`` unranks a
-lexicographic position directly for that purpose.
+position.  Enumeration order is always lexicographic.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from math import comb
 from typing import Iterator
 
 IndexSeq = tuple[int, ...]
@@ -51,23 +48,3 @@ def enumerate_containing(k: int, n: int, i: int) -> Iterator[IndexSeq]:
 
     return generate()
 
-
-def subset_at_rank(k: int, n: int, position: int) -> IndexSeq:
-    """The sequence at a 0-based lexicographic position in ``enumerate_k_subsets``."""
-    _check_k_n(k, n)
-    total = comb(n, k)
-    if not 0 <= position < total:
-        raise ValueError(f"position {position} outside 0..{total - 1}")
-    out = []
-    x = 1
-    remaining = position
-    for slots_left in range(k, 0, -1):
-        while True:
-            block = comb(n - x, slots_left - 1)
-            if remaining < block:
-                break
-            remaining -= block
-            x += 1
-        out.append(x)
-        x += 1
-    return tuple(out)

@@ -18,7 +18,8 @@ so full column rank gives adj(A*A) A* ("eq6", the determinant form of
 (A*A)^-1 A*) and full row rank A* adj(AA*) ("eq7").  A matrix deficient
 both ways is tagged "eq1" or "eq2", whichever form's literal evaluation
 needs fewer minors.  The projectors A+ A and A A+ are N_r(G) @ G / d_r(G)
-for G = A*A and AA*, taken from the same kernel without forming A+ first.
+for G = A*A and AA*, taken from the same kernel at every rank without
+forming A+ first.
 """
 
 from __future__ import annotations
@@ -115,7 +116,7 @@ def mp_inverse_rows(a: Matrix, threads: int = 1) -> PinvResult:
     return PinvResult(inverse, denom, numerators, "eq2")
 
 
-def mp_inverse(a: Matrix, method: str = "auto", threads: int = 1) -> PinvResult:
+def mp_inverse(a: Matrix, method: str = "auto") -> PinvResult:
     """Moore-Penrose inverse of any matrix, choosing the cheapest representation.
 
     ``method`` forces "eq1" or "eq2"; "auto" dispatches on rank as described
@@ -129,9 +130,9 @@ def mp_inverse(a: Matrix, method: str = "auto", threads: int = 1) -> PinvResult:
         zero = Matrix.zeros(n, m)
         return PinvResult(zero, ONE, zero, "zero")
     if method == "eq1":
-        return mp_inverse_columns(a, threads)
+        return mp_inverse_columns(a)
     if method == "eq2":
-        return mp_inverse_rows(a, threads)
+        return mp_inverse_rows(a)
     r = rank(a)
     if r == n == m:
         numerators, d = minors.char_adjugate(a, n, Matrix.identity(n))
@@ -165,35 +166,25 @@ def _gram_ledger(f: Matrix, r: int, tail: Matrix | None = None) -> tuple[Matrix,
     return numerators, d
 
 
-def projector_p(a: Matrix, threads: int = 1) -> Matrix:
-    """The projector A+ A (n x n, Hermitian, idempotent).
+def projector_p(a: Matrix) -> Matrix:
+    """The projector A+ A (n x n, Hermitian, idempotent): N_r(A*A) @ A*A / d_r(A*A).
 
-    Computed from the kernel ledger of A*A whenever the rank is deficient on
-    the column side (r < min(m, n) or r = m < n); otherwise A+ A is the
-    identity-like product and is formed directly.
+    At full column rank N_n(A*A) is the classical adjugate and the result is
+    the identity.
     """
-    m, n = a.rows, a.cols
     if a.is_zero:
-        return Matrix.zeros(n, n)
-    r = rank(a)
-    if r < min(m, n) or (r == m and m < n):
-        numerators, d = _gram_ledger(a, r, a)
-        return numerators * (ONE / d)
-    return multiply(mp_inverse(a, threads=threads).pseudo_inverse, a)
+        return Matrix.zeros(a.cols, a.cols)
+    numerators, d = _gram_ledger(a, rank(a), a)
+    return numerators * (ONE / d)
 
 
-def projector_q(a: Matrix, threads: int = 1) -> Matrix:
-    """The projector A A+ (m x m, Hermitian, idempotent).
+def projector_q(a: Matrix) -> Matrix:
+    """The projector A A+ (m x m, Hermitian, idempotent): N_r(AA*) @ AA* / d_r(AA*).
 
-    Dual of :func:`projector_p`: the kernel ledger of AA* whenever
-    r < min(m, n) or r = n < m, else the direct product.
+    Dual of :func:`projector_p`.
     """
-    m, n = a.rows, a.cols
     if a.is_zero:
-        return Matrix.zeros(m, m)
-    r = rank(a)
-    if r < min(m, n) or (r == n and n < m):
-        astar = conjugate_transpose(a)
-        numerators, d = _gram_ledger(astar, r, astar)
-        return numerators * (ONE / d)
-    return multiply(a, mp_inverse(a, threads=threads).pseudo_inverse)
+        return Matrix.zeros(a.rows, a.rows)
+    astar = conjugate_transpose(a)
+    numerators, d = _gram_ledger(astar, rank(a), astar)
+    return numerators * (ONE / d)

@@ -16,8 +16,7 @@ the unique solution of the generalized normal equations A^(k+1) x = A^k y
 lying in the range of A^k.  Its numerators are N_r(A^(k+1)) @ g with
 g = A^k y, from :func:`adjinv.minors.char_adjugate` ("eq16"); for a
 nonsingular matrix (index 0) that is adj(A) @ y, the classical Cramer rule
-("classical_cramer").  The ``threads`` arguments are accepted for a uniform
-signature and change nothing here.
+("classical_cramer").
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ class SolveReport:
     transformed_rhs: Matrix
 
 
-def lsq_solve(a: Matrix, y: Matrix, threads: int = 1) -> SolveReport:
+def lsq_solve(a: Matrix, y: Matrix) -> SolveReport:
     """Minimal-norm least squares solution of A x = y (y is m x 1)."""
     if not (y.cols == 1 and y.rows == a.rows):
         raise ValueError(f"right side must be {a.rows}x1, got {y.rows}x{y.cols}")
@@ -65,7 +64,7 @@ def lsq_solve(a: Matrix, y: Matrix, threads: int = 1) -> SolveReport:
     return SolveReport(solution, "eq13" if r == n else "eq14", denom, tuple(nums), f)
 
 
-def lsq_solve_row_system(y: Matrix, a: Matrix, threads: int = 1) -> SolveReport:
+def lsq_solve_row_system(y: Matrix, a: Matrix) -> SolveReport:
     """Minimal-norm least squares solution of the row system x A = y (y is 1 x n)."""
     if not (y.rows == 1 and y.cols == a.cols):
         raise ValueError(f"right side must be 1x{a.cols}, got {y.rows}x{y.cols}")
@@ -83,7 +82,7 @@ def lsq_solve_row_system(y: Matrix, a: Matrix, threads: int = 1) -> SolveReport:
     return SolveReport(solution, method, denom, tuple(nums), g)
 
 
-def drazin_solve(a: Matrix, y: Matrix, threads: int = 1) -> SolveReport:
+def drazin_solve(a: Matrix, y: Matrix) -> SolveReport:
     """Drazin-inverse solution of a square system A x = y.
 
     Satisfies the generalized normal equations A^(k+1) x = A^k y exactly and

@@ -213,7 +213,7 @@ def test_verify_failure_exit_code(capsys, example1_path, monkeypatch):
     from adjinv.pinv import PinvResult
     from adjinv import Matrix as M
 
-    def broken(a, method="auto", threads=1):
+    def broken(a, method="auto"):
         wrong = M.zeros(a.cols, a.rows)
         return PinvResult(wrong, Scalar(1), wrong, "eq1")
 

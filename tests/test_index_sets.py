@@ -1,10 +1,8 @@
 from math import comb
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from adjinv import enumerate_containing, enumerate_k_subsets, subset_at_rank
+from adjinv import enumerate_containing, enumerate_k_subsets
 
 
 def test_exhaustive_small_cases():
@@ -49,17 +47,3 @@ def test_streams_are_restartable():
     assert list(gen) == []  # a single stream is consumed once
     assert list(enumerate_containing(2, 4, 3)) == [(1, 3), (2, 3), (3, 4)]
 
-
-@given(st.integers(1, 8).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))))
-def test_unranking_matches_enumeration(nk):
-    n, k = nk
-    full = list(enumerate_k_subsets(k, n))
-    for position, seq in enumerate(full):
-        assert subset_at_rank(k, n, position) == seq
-
-
-def test_unranking_range_errors():
-    with pytest.raises(ValueError):
-        subset_at_rank(2, 4, -1)
-    with pytest.raises(ValueError):
-        subset_at_rank(2, 4, comb(4, 2))

@@ -418,6 +418,9 @@ GUARDED = {
     "lsq_solve_row_system:square": lambda: lsq_solve_row_system(ROW_RHS, SQUARE),
     "lsq_solve_row_system:wide": lambda: lsq_solve_row_system(ROW_RHS, WIDE),
     "drazin_solve:square": lambda: drazin_solve(SQUARE, RHS),
+    "projector_p:square": lambda: projector_p(SQUARE),
+    "projector_p:tall": lambda: projector_p(TALL),
+    "projector_q:wide": lambda: projector_q(WIDE),
 }
 
 

@@ -1,8 +1,11 @@
+import inspect
 import random
 from fractions import Fraction
 
 import pytest
 
+import adjinv
+from adjinv import golden
 from adjinv import (
     Matrix,
     Scalar,
@@ -173,12 +176,12 @@ def test_projectors_full_rank_and_zero():
 
 def test_projector_corollary_condition_edges():
     rng = random.Random(29)
-    # r = m < n: the column-side corollary applies to P, the product to Q.
+    # r = m < n and r = n < m: each projector's kernel ledger against the
+    # product with the pseudoinverse.
     wide = rank_forced_matrix(rng, 2, 4, 2)
     pinv_matrix = mp_inverse(wide).pseudo_inverse
     assert projector_p(wide) == multiply(pinv_matrix, wide)
     assert projector_q(wide) == multiply(wide, pinv_matrix)
-    # r = n < m, dual situation.
     tall = rank_forced_matrix(rng, 4, 2, 2)
     pinv_matrix = mp_inverse(tall).pseudo_inverse
     assert projector_p(tall) == multiply(pinv_matrix, tall)
@@ -199,3 +202,23 @@ def test_numerator_denominator_invariant(example1):
         for i in range(4):
             for j in range(4):
                 assert res.pseudo_inverse.at(i, j) * res.denominator == res.numerators.at(i, j)
+
+
+def test_reference_forms_are_identical_for_any_thread_count(example1):
+    complex_deficient = rank_forced_matrix(random.Random(31), 4, 3, 2, complex_entries=True)
+    assert rank(complex_deficient) == 2
+    for a in (example1, complex_deficient):
+        assert mp_inverse_columns(a, threads=4) == mp_inverse_columns(a, threads=1)
+        assert mp_inverse_rows(a, threads=4) == mp_inverse_rows(a, threads=1)
+
+
+def test_only_the_reference_forms_take_threads():
+    # The public API plus the golden helpers behind ``paper-examples``.
+    functions = [getattr(adjinv, name) for name in adjinv.__all__]
+    functions += [golden.run_example1, golden.run_example2, golden.run_all]
+    takes_threads = sorted(
+        fn.__name__
+        for fn in functions
+        if inspect.isfunction(fn) and "threads" in inspect.signature(fn).parameters
+    )
+    assert takes_threads == ["mp_inverse_columns", "mp_inverse_rows"]
