@@ -1,23 +1,18 @@
-"""Deterministic fan-out for the literal eq1/eq2 minor sums.
+"""Per-entry map for the literal eq1/eq2 minor sums.
 
 Only :func:`adjinv.mp_inverse_columns` and :func:`adjinv.mp_inverse_rows`
-call this, through their ``threads`` argument; every other path runs in one
-thread.  Entries are computed in input order or on worker threads, and the
-arithmetic is exact, so the output is identical for every thread count.
+call this.  It runs in one thread, in input order.  It stays a named function
+so that a profiler or benchmark tracer can time those per-entry sums as one
+layer (``perfbench`` reports it as ``parallel.*``).
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
 
 
-def parallel_map(fn: Callable[[T], R], items: Iterable[T], threads: int | None) -> list[R]:
-    items = list(items)
-    if threads is None or threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
+def parallel_map(fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
+    return [fn(x) for x in items]

@@ -66,7 +66,7 @@ def _require_nonzero(a: Matrix) -> None:
         raise ZeroMatrixError("zero matrix: minor-sum representation undefined, use mp_inverse")
 
 
-def mp_inverse_columns(a: Matrix, threads: int = 1) -> PinvResult:
+def mp_inverse_columns(a: Matrix) -> PinvResult:
     """Column representation: entries l_ij / d_r(A*A) ("eq1")."""
     _require_nonzero(a)
     r = rank(a)
@@ -85,13 +85,13 @@ def mp_inverse_columns(a: Matrix, threads: int = 1) -> PinvResult:
             total = total + minors.minor(replaced, beta, beta)
         return total
 
-    nums = parallel_map(numerator, [(i, j) for i in range(1, n + 1) for j in range(1, m + 1)], threads)
+    nums = parallel_map(numerator, [(i, j) for i in range(1, n + 1) for j in range(1, m + 1)])
     numerators = Matrix(n, m, nums)
     inverse = numerators * (ONE / denom)
     return PinvResult(inverse, denom, numerators, "eq1")
 
 
-def mp_inverse_rows(a: Matrix, threads: int = 1) -> PinvResult:
+def mp_inverse_rows(a: Matrix) -> PinvResult:
     """Row representation: entries r_ij / d_r(AA*) ("eq2")."""
     _require_nonzero(a)
     r = rank(a)
@@ -110,7 +110,7 @@ def mp_inverse_rows(a: Matrix, threads: int = 1) -> PinvResult:
             total = total + minors.minor(replaced, alpha, alpha)
         return total
 
-    nums = parallel_map(numerator, [(i, j) for i in range(1, n + 1) for j in range(1, m + 1)], threads)
+    nums = parallel_map(numerator, [(i, j) for i in range(1, n + 1) for j in range(1, m + 1)])
     numerators = Matrix(n, m, nums)
     inverse = numerators * (ONE / denom)
     return PinvResult(inverse, denom, numerators, "eq2")

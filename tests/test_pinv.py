@@ -204,21 +204,13 @@ def test_numerator_denominator_invariant(example1):
                 assert res.pseudo_inverse.at(i, j) * res.denominator == res.numerators.at(i, j)
 
 
-def test_reference_forms_are_identical_for_any_thread_count(example1):
-    complex_deficient = rank_forced_matrix(random.Random(31), 4, 3, 2, complex_entries=True)
-    assert rank(complex_deficient) == 2
-    for a in (example1, complex_deficient):
-        assert mp_inverse_columns(a, threads=4) == mp_inverse_columns(a, threads=1)
-        assert mp_inverse_rows(a, threads=4) == mp_inverse_rows(a, threads=1)
-
-
-def test_only_the_reference_forms_take_threads():
+def test_no_public_function_takes_threads():
     # The public API plus the golden helpers behind ``paper-examples``.
     functions = [getattr(adjinv, name) for name in adjinv.__all__]
     functions += [golden.run_example1, golden.run_example2, golden.run_all]
-    takes_threads = sorted(
+    takes_threads = [
         fn.__name__
         for fn in functions
         if inspect.isfunction(fn) and "threads" in inspect.signature(fn).parameters
-    )
-    assert takes_threads == ["mp_inverse_columns", "mp_inverse_rows"]
+    ]
+    assert takes_threads == []
