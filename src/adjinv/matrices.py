@@ -6,6 +6,9 @@ are pure functions: they validate their inputs, never mutate them, and return
 structurally canonical results, so re-running any operation reproduces its
 output bit for bit.
 
+:func:`multiply` is the kernel's integer product ``elimination.matmul_pairs``,
+and :func:`from_pairs` is the package's one way from integer pairs to Scalars.
+
 Index conventions: storage accessors (``at``, ``row``, ``column``,
 ``submatrix``) are 0-based like any Python container, while the replacement
 operations ``replace_column`` / ``replace_row`` take 1-based positions to
@@ -204,20 +207,18 @@ def conjugate_transpose(a: Matrix) -> Matrix:
 
 
 def multiply(a: Matrix, b: Matrix) -> Matrix:
-    """Exact matrix product."""
+    """Exact product a b = a' b' / (s t) of a = a' / s and b = b' / t over Gaussian integers."""
     if a.cols != b.rows:
         raise ValueError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    cols = [b.column(j) for j in range(b.cols)]
-    out = []
-    for i in range(a.rows):
-        arow = a.row(i)
-        for bcol in cols:
-            acc = ZERO
-            for x, y in zip(arow, bcol):
-                if x and y:
-                    acc = acc + x * y
-            out.append(acc)
-    return Matrix(a.rows, b.cols, out)
+    a_int, s = elimination.integerize_common(a.row_lists())
+    b_int, t = elimination.integerize_common(b.row_lists())
+    return from_pairs(elimination.matmul_pairs(a_int, b_int), s * t)
+
+
+def from_pairs(rows, scale: int) -> Matrix:
+    """rows / scale for rows of Gaussian-integer pairs; undoes elimination.integerize_common."""
+    entries = [Scalar(Fraction(re, scale), Fraction(im, scale)) for row in rows for re, im in row]
+    return Matrix(len(rows), len(rows[0]), entries)
 
 
 def power(a: Matrix, k: int) -> Matrix:

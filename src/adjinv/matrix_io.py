@@ -54,14 +54,10 @@ def parse_matrix_text(text: str) -> Matrix:
     except StopIteration:
         raise MatrixFormatError("empty input: expected a dimensions header", 1) from None
     fields = header.split()
-    if len(fields) != 2:
-        raise MatrixFormatError(
-            f"header must be two integers 'm n', got {len(fields)} tokens", lineno
-        )
-    try:
-        m, n = int(fields[0]), int(fields[1])
-    except ValueError:
-        raise MatrixFormatError(f"header must be two integers 'm n', got {header.strip()!r}", lineno) from None
+    # ASCII digits only: int() would also take "1_0", "+2" or other scripts' digits.
+    if len(fields) != 2 or not all(f.isascii() and f.isdigit() for f in fields):
+        raise MatrixFormatError(f"header must be two integers 'm n', got {header.strip()!r}", lineno)
+    m, n = int(fields[0]), int(fields[1])
     if m < 1 or n < 1:
         raise MatrixFormatError(f"dimensions must be positive, got {m} x {n}", lineno)
     entries: list[Scalar] = []

@@ -17,9 +17,9 @@ integers once and hands them to :func:`adjinv.elimination.char_adjugate_pairs`,
 which picks its method from the input.  At r = n with g nonsingular it runs
 one fraction-free Bareiss sweep of [g | b] and a back substitution; otherwise
 it computes d_1 .. d_r by Berkowitz's division-free algorithm and applies
-N_r by Horner's rule.  Scalars are built only for the final ledger.
-:func:`char_poly_coeffs` is its companion and returns every d_k by
-Berkowitz.
+N_r by Horner's rule.  Scalars are built only for the final ledger, by
+:func:`adjinv.matrices.from_pairs`.  :func:`char_poly_coeffs` is its
+companion and returns every d_k by Berkowitz.
 
 The literal forms stay as the reference the kernel is tested against:
 :func:`minor` is the exact determinant of the submatrix selected by two
@@ -31,11 +31,9 @@ enumerates the order-k principal minors one by one.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from . import elimination
 from .index_sets import enumerate_k_subsets
-from .matrices import Matrix
+from .matrices import Matrix, from_pairs
 from .scalars import ZERO, Scalar
 
 
@@ -74,8 +72,7 @@ def det(a: Matrix) -> Scalar:
 
 def _det(a: Matrix) -> Scalar:
     pairs, scale = elimination.integerize(a.row_lists())
-    re, im = elimination.det_pairs(pairs, a.rows)
-    return Scalar(Fraction(re, scale), Fraction(im, scale))
+    return from_pairs([[elimination.det_pairs(pairs, a.rows)]], scale).at(0, 0)
 
 
 def principal_minor_sum(a: Matrix, k: int) -> Scalar:
@@ -90,10 +87,6 @@ def principal_minor_sum(a: Matrix, k: int) -> Scalar:
     return total
 
 
-def _scaled(pair: tuple[int, int], scale: int) -> Scalar:
-    return Scalar(Fraction(pair[0], scale), Fraction(pair[1], scale))
-
-
 def char_poly_coeffs(a: Matrix) -> tuple[Scalar, ...]:
     """Coefficients d_1 .. d_n with det(tI - a) = t^n - d_1 t^(n-1) + ... + (-1)^n d_n.
 
@@ -105,7 +98,7 @@ def char_poly_coeffs(a: Matrix) -> tuple[Scalar, ...]:
         raise ValueError(f"characteristic polynomial needs a square matrix, got {a.rows}x{a.cols}")
     pairs, scale = elimination.integerize_common(a.row_lists())
     coeffs = elimination.char_poly_pairs(pairs, a.rows)
-    return tuple(_scaled(d, scale**k) for k, d in enumerate(coeffs) if k)
+    return tuple(from_pairs([[d]], scale**k).at(0, 0) for k, d in enumerate(coeffs) if k)
 
 
 def char_adjugate(g: Matrix, r: int, b: Matrix) -> tuple[Matrix, Scalar]:
@@ -123,7 +116,7 @@ def char_adjugate(g: Matrix, r: int, b: Matrix) -> tuple[Matrix, Scalar]:
     g_int, s = elimination.integerize_common(g.row_lists())
     b_int, e = elimination.integerize_common(b.row_lists())
     x, d_r = elimination.char_adjugate_pairs(g_int, r, b_int)
-    return _ledger(x, s ** (r - 1) * e, d_r, s**r)
+    return from_pairs(x, s ** (r - 1) * e), from_pairs([[d_r]], s**r).at(0, 0)
 
 
 def gram_adjugate(f: Matrix, r: int, tail: Matrix | None = None) -> tuple[Matrix, Scalar]:
@@ -146,17 +139,12 @@ def gram_adjugate(f: Matrix, r: int, tail: Matrix | None = None) -> tuple[Matrix
         b, e = elimination.matmul_pairs(f_star, tail_int), scale * tail_scale
     x, d_r = elimination.char_adjugate_pairs(g, r, b)
     s = scale * scale
-    return _ledger(x, s ** (r - 1) * e, d_r, s**r)
+    return from_pairs(x, s ** (r - 1) * e), from_pairs([[d_r]], s**r).at(0, 0)
 
 
 def _check_order(r: int, n: int) -> None:
     if not 1 <= r <= n:
         raise ValueError(f"order {r} outside 1..{n}")
-
-
-def _ledger(x, num_scale: int, d_r, den_scale: int) -> tuple[Matrix, Scalar]:
-    numerators = Matrix(len(x), len(x[0]), [_scaled(v, num_scale) for row in x for v in row])
-    return numerators, _scaled(d_r, den_scale)
 
 
 def adjugate(a: Matrix) -> Matrix:

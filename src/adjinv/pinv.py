@@ -61,15 +61,27 @@ class PinvResult:
     representation_used: str  # eq1 | eq2 | eq6 | eq7 | classical_inverse | zero
 
 
-def _require_nonzero(a: Matrix) -> None:
+# Most numerator minors (m n C(n-1, r-1) for eq1, m n C(m-1, r-1) for eq2) the
+# literal forms evaluate.  10 x 10 at rank 5 needs 12,600 minors of order 5,
+# 1.5 s on a 2-vCPU x86 host under Python 3.11, so this is about ten seconds.
+LITERAL_MINOR_BUDGET = 100_000
+
+
+def _literal_rank(a: Matrix, form: str, gram_size: int) -> int:
+    """rank(a), once a is nonzero and its literal form fits the minor budget."""
     if a.is_zero:
         raise ZeroMatrixError("zero matrix: minor-sum representation undefined, use mp_inverse")
+    r = rank(a)
+    minor_count = comb(gram_size - 1, r - 1) * a.rows * a.cols
+    if minor_count > LITERAL_MINOR_BUDGET:
+        raise ValueError(f"{form} needs {minor_count} minors, over the budget of "
+                         f"{LITERAL_MINOR_BUDGET}; use --method auto (mp_inverse) instead")
+    return r
 
 
 def mp_inverse_columns(a: Matrix) -> PinvResult:
     """Column representation: entries l_ij / d_r(A*A) ("eq1")."""
-    _require_nonzero(a)
-    r = rank(a)
+    r = _literal_rank(a, "eq1", a.cols)
     astar = conjugate_transpose(a)
     gram = multiply(astar, a)
     denom = minors.principal_minor_sum(gram, r)
@@ -93,8 +105,7 @@ def mp_inverse_columns(a: Matrix) -> PinvResult:
 
 def mp_inverse_rows(a: Matrix) -> PinvResult:
     """Row representation: entries r_ij / d_r(AA*) ("eq2")."""
-    _require_nonzero(a)
-    r = rank(a)
+    r = _literal_rank(a, "eq2", a.rows)
     astar = conjugate_transpose(a)
     gram = multiply(a, astar)
     denom = minors.principal_minor_sum(gram, r)

@@ -191,7 +191,8 @@ def parse_scalar(text: str) -> Scalar:
 
 def _parse_digits(text: str, pos: int) -> tuple[str, int]:
     start = pos
-    while pos < len(text) and text[pos].isdigit():
+    # ASCII only: str.isdigit() also accepts superscripts and other scripts' digits.
+    while pos < len(text) and "0" <= text[pos] <= "9":
         pos += 1
     if pos == start:
         raise ScalarParseError("expected a digit", start)

@@ -114,6 +114,25 @@ def test_non_square_precondition(capsys, tmp_path):
     assert code == 3
 
 
+def test_literal_forms_refuse_over_budget(capsys, tmp_path, monkeypatch):
+    # 24 x 24 of rank 12: C(23, 11) * 576, about 7.5e8 minors per literal form.
+    from adjinv import format_matrix, minors, multiply
+
+    left = Matrix(24, 12, [(3 * i + 5 * j) % 7 - 3 + (i == j) * 11 for i in range(24) for j in range(12)])
+    right = Matrix(12, 24, [(2 * i + 3 * j) % 5 - 2 + (i == j) * 13 for i in range(12) for j in range(24)])
+    path = tmp_path / "big.mat"
+    path.write_text(format_matrix(multiply(left, right)) + "\n")
+
+    def no_minors(*args):
+        raise AssertionError("a minor was formed")
+
+    monkeypatch.setattr(minors, "minor", no_minors)
+    for method in ("eq1", "eq2"):
+        code, out, err = run_cli(capsys, "pinv", str(path), "--method", method)
+        assert code == 3 and out == ""
+        assert "--method auto" in err and "budget" in err
+
+
 def test_usage_errors(capsys, example1_path):
     code, _, err = run_cli(capsys, "nonsense", example1_path)
     assert code == 1
@@ -134,6 +153,9 @@ def test_input_errors(capsys, tmp_path, example1_path):
     bad.write_text("2 2\n1 2\n3\n")
     code, _, err = run_cli(capsys, "rank", str(bad))
     assert code == 2 and "line 3" in err
+    bad.write_text("1 1\n\u00b2\n")
+    code, _, err = run_cli(capsys, "rank", str(bad))
+    assert code == 2 and "line 2, column 1" in err
     code, _, err = run_cli(capsys, "rank", str(tmp_path / "missing.mat"))
     assert code == 2
     code, _, err = run_cli(capsys, "solve-lsq", example1_path, "--rhs", "1 2 x 1")

@@ -81,6 +81,7 @@ def test_header_errors():
         ("2\n1 2\n", "header"),
         ("a b\n", "header"),
         ("0 2\n", "positive"),
+        ("1_0 1\n", "header"),  # int() accepts digit separators
     ]:
         with pytest.raises(MatrixFormatError) as err:
             parse_matrix_text(text)

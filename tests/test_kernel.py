@@ -16,7 +16,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adjinv import (
@@ -351,11 +351,13 @@ def test_char_adjugate_falls_back_on_singular_input(nr, p, seed, complex_entries
     assert minors.char_adjugate(g, n, b) == (multiply(minors.adjugate(g), b), ZERO)
 
 
-# -- kernel against the rank-factorization oracles (n <= 16, rank <= 10) -----------
+# -- kernel against the rank-factorization oracles (n <= 16, rank <= 10; n = 30) ---
 
 
 @ORACLE
 @given(st.integers(2, 16), st.integers(2, 16), st.integers(1, 10), seeds, st.booleans())
+@example(30, 30, 15, 3030, False)
+@example(30, 30, 15, 3031, True)
 def test_mp_inverse_matches_oracle(m, n, r, seed, complex_entries):
     a = _deficient(seed, m, n, min(r, m - 1, n - 1), complex_entries)
     res = mp_inverse(a)
@@ -365,6 +367,7 @@ def test_mp_inverse_matches_oracle(m, n, r, seed, complex_entries):
 
 @ORACLE
 @given(indexed_matrices(16, 10))
+@example(_indexed(302, 20, (2, 2, 2, 2, 2), True))  # 30 x 30, index 2, core rank 20
 def test_drazin_inverse_matches_oracle(a):
     assert drazin_inverse(a).drazin_inverse == oracle_drazin(a)
 

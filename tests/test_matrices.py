@@ -1,7 +1,8 @@
 import random
+from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adjinv import (
@@ -16,6 +17,8 @@ from adjinv import (
     replace_column,
     replace_row,
 )
+from adjinv.elimination import integerize_common
+from adjinv.matrices import from_pairs
 from conftest import random_matrix
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=6)
@@ -83,6 +86,61 @@ def test_multiply_associative_on_random_triples():
         b = random_matrix(rng, 3, 3)
         c = random_matrix(rng, 3, 3, complex_entries=True)
         assert multiply(multiply(a, b), c) == multiply(a, multiply(b, c))
+
+
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
+
+
+@st.composite
+def operands(draw, rows: int, cols: int):
+    """A rows x cols matrix: real, complex, zero, or each row over its own prime."""
+    kind = draw(st.sampled_from(("real", "complex", "zero", "prime rows")))
+    if kind == "zero":
+        return Matrix.zeros(rows, cols)
+    parts = st.fractions(min_value=-9, max_value=9, max_denominator=12)
+    entries = []
+    for i in range(rows):
+        for _ in range(cols):
+            if kind == "prime rows":
+                p = PRIMES[i % len(PRIMES)]
+                re = Fraction(draw(st.integers(-30, 30)), p)
+                im = Fraction(draw(st.integers(-30, 30)), p) if draw(st.booleans()) else 0
+                entries.append(Scalar(re, im))
+            else:
+                entries.append(Scalar(draw(parts), draw(parts) if kind == "complex" else 0))
+    return Matrix(rows, cols, entries)
+
+
+@st.composite
+def product_pairs(draw):
+    """Conformable (a, b) of any shapes up to 6, tall, wide and 1 x n by n x 1 included."""
+    m, k, n = (draw(st.integers(1, 6)) for _ in range(3))
+    return draw(operands(m, k)), draw(operands(k, n))
+
+
+def literal_product(a: Matrix, b: Matrix) -> Matrix:
+    """Entry (i, j) as the literal Scalar sum of a(i, t) b(t, j)."""
+    return Matrix(a.rows, b.cols, [
+        sum((a.at(i, t) * b.at(t, j) for t in range(a.cols)), Scalar(0))
+        for i in range(a.rows) for j in range(b.cols)
+    ])
+
+
+ROW = Matrix.from_rows([["1/2", "-3+1/7i", "5/11"]])
+
+
+@settings(max_examples=60, deadline=None)
+@given(product_pairs())
+@example((ROW, conjugate_transpose(ROW)))
+@example((conjugate_transpose(ROW), ROW))
+@example((Matrix.zeros(3, 2), Matrix.from_rows([["1/3", "2i"], [4, "-5/7"]])))
+@example((Matrix.from_rows([["1/2"], ["1/3"], ["1/5"], ["1/7"]]), Matrix.from_rows([["1/11", "1/13i"]])))
+def test_multiply_matches_literal_sum(pair):
+    a, b = pair
+    assert multiply(a, b) == literal_product(a, b)
+    # from_pairs is the way back from the integer layer multiply works on.
+    for m in pair:
+        assert from_pairs(*integerize_common(m.row_lists())) == m
 
 
 def test_multiply_dimension_mismatch():

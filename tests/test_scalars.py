@@ -41,6 +41,9 @@ def test_parse_complex_forms():
         ("2+3i4", 4),
         ("--2", 1),
         ("2i3", 2),
+        ("\u00b2", 0),  # superscript two: str.isdigit() is true, int() fails
+        ("1/\u00b2", 2),
+        ("\u0663", 0),  # Arabic-Indic three: int() would read it as 3
     ],
 )
 def test_parse_errors_carry_offsets(token, offset):
