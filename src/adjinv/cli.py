@@ -2,10 +2,15 @@
 
 Subcommands cover every library operation: generalized inverses, projectors,
 rank and index queries, characteristic coefficients, the three Cramer-style
-solvers, a self-verifying mode, and the bundled worked-example check.  Output
-defaults to exact rationals in matrix-file format (so it reparses losslessly);
-``--decimal N`` switches the display to fixed decimals and ``--json`` emits a
-machine-readable layout with exact string entries.
+solvers, a self-verifying mode, and the bundled worked-example check.  One
+table, ``_COMMANDS``, lists them: each entry names the handler and the
+options of one subcommand, and the parser, the dispatch and the output all
+come from it.  Output defaults to exact rationals in matrix-file format (so
+it reparses losslessly); ``--decimal N`` switches the display to fixed
+decimals (at most 10000) and ``--json`` emits a machine-readable layout with
+exact string entries.  Exact values of any length are read and printed in
+full: the interpreter's cap on integer-string conversion is lifted for the
+duration of each call.
 
 Exit codes: 0 success, 1 usage error, 2 input parse error, 3 mathematical
 precondition violated, 4 internal verification failure.
@@ -16,13 +21,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from typing import Callable, NamedTuple
 
 from . import golden
 from . import pinv as _pinv
 from . import drazin as _drazin
 from . import solvers as _solvers
 from . import verify as _verify
-from .drazin import DrazinResult, GroupInverseError
+from .drazin import GroupInverseError
 from .matrices import Matrix, column_vector, conjugate_transpose, multiply, rank, row_vector
 from .matrix_io import (
     MatrixFormatError,
@@ -40,6 +46,10 @@ EXIT_INPUT = 2
 EXIT_PRECONDITION = 3
 EXIT_VERIFY = 4
 
+# The --decimal display cost grows quadratically in N; at this cap it stays
+# under a second for small matrices.
+MAX_DECIMAL = 10_000
+
 
 class _UsageError(Exception):
     pass
@@ -49,43 +59,6 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad flags; route through our own codes.
     def error(self, message):
         raise _UsageError(message)
-
-
-def _build_parser() -> _Parser:
-    parser = _Parser(prog="adjinv", description=__doc__, add_help=True)
-    sub = parser.add_subparsers(dest="command", metavar="subcommand")
-    sub.required = True
-
-    def add(name: str, needs_matrix: bool = True, rhs: bool = False, method: bool = False):
-        p = sub.add_parser(name)
-        if needs_matrix:
-            p.add_argument("matrix", help="matrix file: 'm n' header then m rows of n tokens")
-        if rhs:
-            p.add_argument("--rhs", help="right-side vector as whitespace-separated tokens")
-            p.add_argument("--rhs-file", help="right-side vector as an n x 1 or 1 x n matrix file")
-        if method:
-            p.add_argument("--method", choices=["eq1", "eq2", "auto"], default="auto")
-        p.add_argument("--decimal", type=int, metavar="N", help="display N fixed decimals instead of rationals")
-        p.add_argument("--json", action="store_true", help="emit the JSON layout (exact strings)")
-        p.add_argument("--threads", type=int, default=1,
-                       help="accepted for compatibility; has no effect (every path runs in one thread)")
-        return p
-
-    add("pinv", method=True)
-    add("drazin")
-    add("group-inverse")
-    add("proj-p")
-    add("proj-q")
-    add("drazin-a")
-    add("rank")
-    add("index")
-    add("charpoly")
-    add("solve-lsq", rhs=True)
-    add("solve-row", rhs=True)
-    add("solve-drazin", rhs=True)
-    add("verify", rhs=True)
-    add("paper-examples", needs_matrix=False)
-    return parser
 
 
 def _parse_rhs_tokens(text: str) -> list[Scalar]:
@@ -100,17 +73,20 @@ def _parse_rhs_tokens(text: str) -> list[Scalar]:
     return values
 
 
-def _load_rhs(args, length: int, orientation: str) -> Matrix:
-    inline = getattr(args, "rhs", None)
-    from_file = getattr(args, "rhs_file", None)
-    if inline is not None and from_file is not None:
+def _has_rhs(args) -> bool:
+    return args.rhs is not None or args.rhs_file is not None
+
+
+def _load_rhs(args, a: Matrix, orientation: str) -> Matrix:
+    """The right side of A x = y ("column", length m) or x A = y ("row", length n)."""
+    if args.rhs is not None and args.rhs_file is not None:
         raise _UsageError("give either --rhs or --rhs-file, not both")
-    if inline is None and from_file is None:
+    if not _has_rhs(args):
         raise _UsageError("this subcommand needs --rhs or --rhs-file")
-    if inline is not None:
-        values = _parse_rhs_tokens(inline)
+    if args.rhs is not None:
+        values = _parse_rhs_tokens(args.rhs)
     else:
-        loaded = parse_matrix_file(from_file)
+        loaded = parse_matrix_file(args.rhs_file)
         if loaded.cols == 1:
             values = list(loaded.column(0))
         elif loaded.rows == 1:
@@ -119,106 +95,22 @@ def _load_rhs(args, length: int, orientation: str) -> Matrix:
             raise MatrixFormatError(
                 f"right-side file must be a vector, got {loaded.rows} x {loaded.cols}", 1
             )
+    length = a.cols if orientation == "row" else a.rows
     if len(values) != length:
         raise ValueError(f"right side has {len(values)} entries, expected {length}")
     return row_vector(values) if orientation == "row" else column_vector(values)
 
 
-def _emit(args, value, extra: dict | None = None) -> None:
-    fmt = OutputFormat(decimal_digits=args.decimal, json_layout=args.json)
-    if args.json:
-        print(json.dumps({**_json_value(value), **(extra or {})}))
+def _ledger(res) -> tuple:
+    """A pinv, Drazin or solver result as (value, JSON extras)."""
+    if isinstance(res, _pinv.PinvResult):
+        value, method = res.pseudo_inverse, res.representation_used
+    elif isinstance(res, _solvers.SolveReport):
+        value, method = res.solution, res.method
     else:
-        print(format_output(value, fmt))
-
-
-def _drazin_method_tag(res: DrazinResult) -> str:
-    if res.index == 0:
-        return "classical_inverse"
-    if res.rank_core == 0:
-        return "zero"
-    return "eq11"
-
-
-def _cmd_pinv(args) -> int:
-    a = parse_matrix_file(args.matrix)
-    res = _pinv.mp_inverse(a, method=args.method)
-    _emit(args, res.pseudo_inverse,
-          {"denominator": str(res.denominator), "method": res.representation_used})
-    return EXIT_OK
-
-
-def _cmd_drazin(args) -> int:
-    a = parse_matrix_file(args.matrix)
-    res = _drazin.drazin_inverse(a)
-    _emit(args, res.drazin_inverse,
-          {"denominator": str(res.denominator), "method": _drazin_method_tag(res)})
-    return EXIT_OK
-
-
-def _cmd_group_inverse(args) -> int:
-    a = parse_matrix_file(args.matrix)
-    res = _drazin.group_inverse(a)
-    _emit(args, res.drazin_inverse,
-          {"denominator": str(res.denominator), "method": _drazin_method_tag(res)})
-    return EXIT_OK
-
-
-def _cmd_proj_p(args) -> int:
-    a = parse_matrix_file(args.matrix)
-    _emit(args, _pinv.projector_p(a))
-    return EXIT_OK
-
-
-def _cmd_proj_q(args) -> int:
-    a = parse_matrix_file(args.matrix)
-    _emit(args, _pinv.projector_q(a))
-    return EXIT_OK
-
-
-def _cmd_drazin_a(args) -> int:
-    a = parse_matrix_file(args.matrix)
-    _emit(args, _drazin.drazin_times_a(a))
-    return EXIT_OK
-
-
-def _cmd_rank(args) -> int:
-    _emit(args, rank(parse_matrix_file(args.matrix)))
-    return EXIT_OK
-
-
-def _cmd_index(args) -> int:
-    _emit(args, _drazin.index_of(parse_matrix_file(args.matrix)))
-    return EXIT_OK
-
-
-def _cmd_charpoly(args) -> int:
-    _emit(args, char_poly_coeffs(parse_matrix_file(args.matrix)))
-    return EXIT_OK
-
-
-def _cmd_solve_lsq(args) -> int:
-    a = parse_matrix_file(args.matrix)
-    y = _load_rhs(args, a.rows, "column")
-    rep = _solvers.lsq_solve(a, y)
-    _emit(args, rep.solution, {"denominator": str(rep.denominator), "method": rep.method})
-    return EXIT_OK
-
-
-def _cmd_solve_row(args) -> int:
-    a = parse_matrix_file(args.matrix)
-    y = _load_rhs(args, a.cols, "row")
-    rep = _solvers.lsq_solve_row_system(y, a)
-    _emit(args, rep.solution, {"denominator": str(rep.denominator), "method": rep.method})
-    return EXIT_OK
-
-
-def _cmd_solve_drazin(args) -> int:
-    a = parse_matrix_file(args.matrix)
-    y = _load_rhs(args, a.rows, "column")
-    rep = _solvers.drazin_solve(a, y)
-    _emit(args, rep.solution, {"denominator": str(rep.denominator), "method": rep.method})
-    return EXIT_OK
+        value = res.drazin_inverse
+        method = "classical_inverse" if res.index == 0 else "zero" if res.rank_core == 0 else "eq11"
+    return value, {"denominator": str(res.denominator), "method": method}
 
 
 def _cmd_verify(args) -> int:
@@ -236,9 +128,8 @@ def _cmd_verify(args) -> int:
         checks.extend(
             (f"drazin:{name}", ok) for name, ok in _verify.check_drazin(a, xd, k).checks
         )
-    has_rhs = getattr(args, "rhs", None) is not None or getattr(args, "rhs_file", None) is not None
-    if has_rhs:
-        y = _load_rhs(args, a.rows, "column")
+    if _has_rhs(args):
+        y = _load_rhs(args, a, "column")
         sol = _solvers.lsq_solve(a, y).solution
         astar = conjugate_transpose(a)
         checks.append(
@@ -273,25 +164,61 @@ def _cmd_paper_examples(args) -> int:
     return EXIT_OK
 
 
-_HANDLERS = {
-    "pinv": _cmd_pinv,
-    "drazin": _cmd_drazin,
-    "group-inverse": _cmd_group_inverse,
-    "proj-p": _cmd_proj_p,
-    "proj-q": _cmd_proj_q,
-    "drazin-a": _cmd_drazin_a,
-    "rank": _cmd_rank,
-    "index": _cmd_index,
-    "charpoly": _cmd_charpoly,
-    "solve-lsq": _cmd_solve_lsq,
-    "solve-row": _cmd_solve_row,
-    "solve-drazin": _cmd_solve_drazin,
-    "verify": _cmd_verify,
-    "paper-examples": _cmd_paper_examples,
+class _Command(NamedTuple):
+    # run(args, a, y) returns (value, JSON extras) for main to print; a report's
+    # run(args) prints its own output and returns the exit code.
+    run: Callable
+    rhs: str | None = None  # right-side orientation: None, "column" or "row"
+    method: bool = False  # takes --method eq1|eq2|auto
+    matrix: bool = True  # takes the matrix-file argument
+    report: bool = False
+
+
+# Library functions are looked up through module attributes at call time, so
+# that a patched or traced function is the one that runs.
+_COMMANDS = {
+    "pinv": _Command(lambda args, a, y: _ledger(_pinv.mp_inverse(a, method=args.method)),
+                     method=True),
+    "drazin": _Command(lambda args, a, y: _ledger(_drazin.drazin_inverse(a))),
+    "group-inverse": _Command(lambda args, a, y: _ledger(_drazin.group_inverse(a))),
+    "proj-p": _Command(lambda args, a, y: (_pinv.projector_p(a), {})),
+    "proj-q": _Command(lambda args, a, y: (_pinv.projector_q(a), {})),
+    "drazin-a": _Command(lambda args, a, y: (_drazin.drazin_times_a(a), {})),
+    "rank": _Command(lambda args, a, y: (rank(a), {})),
+    "index": _Command(lambda args, a, y: (_drazin.index_of(a), {})),
+    "charpoly": _Command(lambda args, a, y: (char_poly_coeffs(a), {})),
+    "solve-lsq": _Command(lambda args, a, y: _ledger(_solvers.lsq_solve(a, y)),
+                          rhs="column"),
+    "solve-row": _Command(lambda args, a, y: _ledger(_solvers.lsq_solve_row_system(y, a)),
+                          rhs="row"),
+    "solve-drazin": _Command(lambda args, a, y: _ledger(_solvers.drazin_solve(a, y)),
+                             rhs="column"),
+    "verify": _Command(_cmd_verify, rhs="column", report=True),
+    "paper-examples": _Command(_cmd_paper_examples, matrix=False, report=True),
 }
 
 
-def main(argv=None) -> int:
+def _build_parser() -> _Parser:
+    parser = _Parser(prog="adjinv", description=__doc__, add_help=True)
+    sub = parser.add_subparsers(dest="command", metavar="subcommand")
+    sub.required = True
+    for name, command in _COMMANDS.items():
+        p = sub.add_parser(name)
+        if command.matrix:
+            p.add_argument("matrix", help="matrix file: 'm n' header then m rows of n tokens")
+        if command.rhs:
+            p.add_argument("--rhs", help="right-side vector as whitespace-separated tokens")
+            p.add_argument("--rhs-file", help="right-side vector as an n x 1 or 1 x n matrix file")
+        if command.method:
+            p.add_argument("--method", choices=["eq1", "eq2", "auto"], default="auto")
+        p.add_argument("--decimal", type=int, metavar="N", help="display N fixed decimals instead of rationals")
+        p.add_argument("--json", action="store_true", help="emit the JSON layout (exact strings)")
+        p.add_argument("--threads", type=int, default=1,
+                       help="accepted for compatibility; has no effect (every path runs in one thread)")
+    return parser
+
+
+def _run(argv) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -299,9 +226,21 @@ def main(argv=None) -> int:
             raise _UsageError("--json emits exact strings; it cannot be combined with --decimal")
         if args.decimal is not None and args.decimal < 0:
             raise _UsageError("--decimal needs a nonnegative digit count")
+        if args.decimal is not None and args.decimal > MAX_DECIMAL:
+            raise _UsageError(f"--decimal takes at most {MAX_DECIMAL} digits")
         if args.threads < 1:
             raise _UsageError("--threads needs a positive count")
-        return _HANDLERS[args.command](args)
+        command = _COMMANDS[args.command]
+        if command.report:
+            return command.run(args)
+        a = parse_matrix_file(args.matrix)
+        y = _load_rhs(args, a, command.rhs) if command.rhs else None
+        value, extra = command.run(args, a, y)
+        if args.json:
+            print(json.dumps({**_json_value(value), **extra}))
+        else:
+            print(format_output(value, OutputFormat(decimal_digits=args.decimal)))
+        return EXIT_OK
     except _UsageError as exc:
         print(parser.format_usage(), end="", file=sys.stderr)
         print(f"usage error: {exc}", file=sys.stderr)
@@ -318,6 +257,19 @@ def main(argv=None) -> int:
     except ArithmeticError as exc:
         print(f"internal verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFY
+
+
+def main(argv=None) -> int:
+    # CPython 3.11 and 3.10.7+ refuse int<->str conversions past 4300 digits;
+    # exact entries and results have no such bound, so lift it for this call.
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return _run(argv)
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv)
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 if __name__ == "__main__":

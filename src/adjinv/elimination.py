@@ -41,7 +41,7 @@ def integerize(rows) -> tuple[list[list[Pair]], int]:
         mult = 1
         for s in row:
             mult = lcm(mult, s.re.denominator, s.im.denominator)
-        out.append([(int(s.re * mult), int(s.im * mult)) for s in row])
+        out.append(_scaled_row(row, mult))
         scale *= mult
     return out, scale
 
@@ -57,12 +57,13 @@ def integerize_common(rows) -> tuple[list[list[Pair]], int]:
     for row in rows:
         for s in row:
             scale = lcm(scale, s.re.denominator, s.im.denominator)
-    out = [
-        [(s.re.numerator * (scale // s.re.denominator), s.im.numerator * (scale // s.im.denominator))
-         for s in row]
-        for row in rows
-    ]
-    return out, scale
+    return [_scaled_row(row, scale) for row in rows], scale
+
+
+def _scaled_row(row, mult: int) -> list[Pair]:
+    # mult is a multiple of every denominator in the row, so each product is an integer.
+    return [(s.re.numerator * (mult // s.re.denominator), s.im.numerator * (mult // s.im.denominator))
+            for s in row]
 
 
 def _mul(x: Pair, y: Pair) -> Pair:

@@ -1,4 +1,6 @@
+import contextlib
 import json
+import sys
 from importlib import resources
 
 import pytest
@@ -272,3 +274,112 @@ def test_help_exits_zero():
     with pytest.raises(SystemExit) as exc:
         cli.main(["--help"])
     assert exc.value.code == 0
+
+
+MATRICES = {
+    "nilpotent": "2 2\n0 1\n0 0\n",
+    "nonsingular": "3 3\n2 1 0\n1 3 1\n0 1 4\n",
+    "wide": "2 3\n1 0 2\n0 1 1\n",
+    "column": "2 1\n1\n2\n",
+}
+
+
+@pytest.mark.parametrize(
+    "argv, method, denominator",
+    [
+        (["drazin", "example2"], "eq11", "8"),
+        (["drazin", "nilpotent"], "zero", "1"),
+        (["group-inverse", "nonsingular"], "classical_inverse", "18"),
+        (["solve-drazin", "example2", "--rhs", "1 2 3 1"], "eq16", "8"),
+        (["solve-drazin", "nonsingular", "--rhs", "1 2 3"], "classical_cramer", "18"),
+        (["solve-row", "wide", "--rhs", "1 2 3"], "row_eq_fullrank", "6"),
+        (["solve-row", "column", "--rhs", "5"], "row_eq_general", "5"),
+        (["proj-p", "example1"], None, None),
+        (["proj-q", "example1"], None, None),
+        (["drazin-a", "example2"], None, None),
+        (["rank", "example1"], None, None),
+        (["index", "example2"], None, None),
+        (["charpoly", "example2"], None, None),
+    ],
+)
+def test_json_ledger_fields(capsys, tmp_path, example1_path, example2_path, argv, method, denominator):
+    sub, name, *rest = argv
+    if name in MATRICES:
+        path = tmp_path / f"{name}.mat"
+        path.write_text(MATRICES[name])
+    else:
+        path = {"example1": example1_path, "example2": example2_path}[name]
+    code, out, _ = run_cli(capsys, sub, str(path), *rest, "--json")
+    assert code == 0
+    payload = json.loads(out)
+    if method is None:
+        assert "method" not in payload and "denominator" not in payload
+    else:
+        assert (payload["method"], payload["denominator"]) == (method, denominator)
+
+
+SUBCOMMANDS = [
+    "pinv", "drazin", "group-inverse", "proj-p", "proj-q", "drazin-a", "rank", "index",
+    "charpoly", "solve-lsq", "solve-row", "solve-drazin", "verify", "paper-examples",
+]
+
+
+@pytest.mark.parametrize("sub", SUBCOMMANDS)
+def test_subcommand_help_and_options(capsys, sub):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([sub, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: adjinv {sub} ")
+    takes_rhs = sub.startswith("solve-") or sub == "verify"
+    assert ("--rhs RHS" in out) == takes_rhs
+    assert ("--rhs-file RHS_FILE" in out) == takes_rhs
+    assert ("--method" in out) == (sub == "pinv")
+    assert ("positional arguments:\n  matrix" in out) == (sub != "paper-examples")
+    for option in ("--decimal N", "--json", "--threads THREADS"):
+        assert option in out
+
+
+@contextlib.contextmanager
+def _no_digit_limit():
+    # Reading the long values back needs the same unlimited conversion the CLI uses.
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def test_long_exact_values(capsys, tmp_path):
+    from adjinv import char_poly_coeffs, parse_scalar, pinv
+
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    token = tmp_path / "token.mat"
+    token.write_text("2 2\n" + "1" * 5001 + " 0\n0 1\n")
+    code, out, _ = run_cli(capsys, "rank", str(token))
+    assert (code, out) == (0, "2\n")
+
+    big = 10**2500
+    a = Matrix.from_rows([[big, 1], [1, big]])
+    path = tmp_path / "big.mat"
+    path.write_text(f"2 2\n{big} 1\n1 {big}\n")
+    code, out_poly, _ = run_cli(capsys, "charpoly", str(path))
+    assert code == 0
+    code, out_pinv, _ = run_cli(capsys, "pinv", str(path))
+    assert code == 0
+    if limit is not None:
+        assert sys.get_int_max_str_digits() == limit
+    with _no_digit_limit():
+        assert [parse_scalar(t) for t in out_poly.split()] == list(char_poly_coeffs(a))
+        assert parse_matrix_text(out_pinv) == pinv.mp_inverse(a).pseudo_inverse
+
+
+def test_decimal_digit_cap(capsys, example1_path):
+    code, out, err = run_cli(capsys, "pinv", example1_path, "--decimal", "10001")
+    assert code == 1 and out == "" and "at most 10000" in err
+    code, out, _ = run_cli(capsys, "rank", example1_path, "--decimal", "10000")
+    assert (code, out) == (0, "3\n")
