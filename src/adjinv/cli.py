@@ -8,9 +8,8 @@ options of one subcommand, and the parser, the dispatch and the output all
 come from it.  Output defaults to exact rationals in matrix-file format (so
 it reparses losslessly); ``--decimal N`` switches the display to fixed
 decimals (at most 10000) and ``--json`` emits a machine-readable layout with
-exact string entries.  Exact values of any length are read and printed in
-full: the interpreter's cap on integer-string conversion is lifted for the
-duration of each call.
+exact string entries.  Every value is read and printed through
+:mod:`adjinv.matrix_io`, so exact values of any length come through in full.
 
 Exit codes: 0 success, 1 usage error, 2 input parse error, 3 mathematical
 precondition violated, 4 internal verification failure.
@@ -29,16 +28,18 @@ from . import drazin as _drazin
 from . import solvers as _solvers
 from . import verify as _verify
 from .drazin import GroupInverseError
-from .matrices import Matrix, column_vector, conjugate_transpose, multiply, rank, row_vector
+from .matrices import Matrix, column_vector, conjugate_transpose, from_pairs, multiply, rank, row_vector
 from .matrix_io import (
     MatrixFormatError,
     OutputFormat,
     _json_value,
     format_output,
+    format_scalar,
     parse_matrix_file,
+    parse_vector_text,
 )
 from .minors import char_poly_coeffs
-from .scalars import Scalar, ScalarParseError, parse_scalar
+from .scalars import ScalarParseError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -61,18 +62,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _parse_rhs_tokens(text: str) -> list[Scalar]:
-    values = []
-    for token in text.split():
-        try:
-            values.append(parse_scalar(token))
-        except ScalarParseError as exc:
-            raise MatrixFormatError(f"bad right-side token {token!r}: {exc}", 1) from None
-    if not values:
-        raise MatrixFormatError("right-side vector is empty", 1)
-    return values
-
-
 def _has_rhs(args) -> bool:
     return args.rhs is not None or args.rhs_file is not None
 
@@ -84,7 +73,7 @@ def _load_rhs(args, a: Matrix, orientation: str) -> Matrix:
     if not _has_rhs(args):
         raise _UsageError("this subcommand needs --rhs or --rhs-file")
     if args.rhs is not None:
-        values = _parse_rhs_tokens(args.rhs)
+        values = parse_vector_text(args.rhs)
     else:
         loaded = parse_matrix_file(args.rhs_file)
         if loaded.cols == 1:
@@ -110,7 +99,7 @@ def _ledger(res) -> tuple:
     else:
         value = res.drazin_inverse
         method = "classical_inverse" if res.index == 0 else "zero" if res.rank_core == 0 else "eq11"
-    return value, {"denominator": str(res.denominator), "method": method}
+    return value, {"denominator": format_scalar(res.denominator), "method": method}
 
 
 def _cmd_verify(args) -> int:
@@ -123,8 +112,9 @@ def _cmd_verify(args) -> int:
     if a.is_square:
         # One index search serves the Drazin check and the dsolve checks.
         powers = _drazin._index_powers(a)
-        k, ak, b, _ = powers
-        xd = _drazin._drazin(*powers).drazin_inverse
+        k = powers.index
+        ak, b = from_pairs(powers.ak, powers.ak_scale), from_pairs(powers.b, powers.b_scale)
+        xd = _drazin._drazin(powers).drazin_inverse
         checks.extend(
             (f"drazin:{name}", ok) for name, ok in _verify.check_drazin(a, xd, k).checks
         )
@@ -218,7 +208,7 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _run(argv) -> int:
+def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -257,19 +247,6 @@ def _run(argv) -> int:
     except ArithmeticError as exc:
         print(f"internal verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFY
-
-
-def main(argv=None) -> int:
-    # CPython 3.11 and 3.10.7+ refuse int<->str conversions past 4300 digits;
-    # exact entries and results have no such bound, so lift it for this call.
-    if not hasattr(sys, "set_int_max_str_digits"):
-        return _run(argv)
-    saved = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        return _run(argv)
-    finally:
-        sys.set_int_max_str_digits(saved)
 
 
 if __name__ == "__main__":

@@ -7,10 +7,17 @@ sum, over all order-r principal index sets containing i, of minors of
 A^(k+1) with column i replaced by the j-th column of A^k, divided by the
 order-r principal-minor sum of A^(k+1).  The whole numerator matrix, the
 adjugate analogue for this inverse, is N_r(A^(k+1)) @ A^k, and it comes from
-the characteristic-adjugate kernel (:func:`adjinv.minors.char_adjugate`) in
+the characteristic-adjugate kernel (:func:`adjinv.minors.pair_ledger`) in
 one call; the projector A^D A is N_r(A^(k+1)) @ A^(k+1) over the same
-denominator.  The index search forms A^k and A^(k+1) once, and every caller
-reuses them.
+denominator.
+
+The index search runs on Gaussian-integer pairs from input to output.  A is
+scaled once, A = A' / D; each step forms A^(k+1) = A^k A' / (s_k D) with
+:func:`adjinv.elimination.matmul_pairs`, divides out the common factor of
+the entries and the scale, and takes the rank with
+:func:`adjinv.elimination.rank_pairs`.  The search hands A^k and A^(k+1) to
+every caller as those pairs, which go to the kernel unchanged; Scalars are
+built only for the ledger and its quotient.
 
 A nonsingular matrix has index 0, so A^k = I, A^(k+1) = A and r = n; there
 N_n(A) is the classical adjugate, and the same kernel call returns
@@ -22,8 +29,10 @@ equations in that case.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
-from . import minors
+from . import elimination, minors
+from .elimination import Pair
 from .matrices import Matrix, multiply, power, rank
 from .scalars import ONE, Scalar
 
@@ -49,64 +58,79 @@ class DrazinResult:
     numerators: Matrix
 
 
+class _Powers(NamedTuple):
+    """The index search result on Gaussian-integer pairs.
+
+    A^k = ak / ak_scale and A^(k+1) = b / b_scale for k = ``index``, each in
+    lowest terms (the pairs :func:`adjinv.elimination.integerize_common`
+    gives for the same matrix), and ``rank_core`` = rank A^k.
+    """
+
+    index: int
+    ak: list[list[Pair]]
+    ak_scale: int
+    b: list[list[Pair]]
+    b_scale: int
+    rank_core: int
+
+    def ledger(self, replacement: list[list[Pair]], scale: int) -> minors.Ledger:
+        """N_r(A^(k+1)) @ (replacement / scale) over d_r(A^(k+1)); needs r >= 1."""
+        return minors.pair_ledger(self.b, self.b_scale, self.rank_core, replacement, scale)
+
+
 def _require_square(a: Matrix, what: str) -> None:
     if not a.is_square:
         raise ValueError(f"{what} needs a square matrix, got {a.rows}x{a.cols}")
 
 
-def _index_powers(a: Matrix) -> tuple[int, Matrix, Matrix, int]:
-    """(k, A^k, A^(k+1), rank A^k) for the index k of a square matrix."""
-    k = 0
-    ak = Matrix.identity(a.rows)
-    rank_k = a.rows
+def _index_powers(a: Matrix) -> _Powers:
+    """The index k of a square matrix with A^k, A^(k+1) and rank A^k, as :class:`_Powers`."""
+    n = a.rows
+    a_int, scale = elimination.integerize_common(a.row_lists())
+    k, rank_k = 0, n
+    ak, ak_scale = [[(int(i == j), 0) for j in range(n)] for i in range(n)], 1
+    b, b_scale = a_int, scale
     while True:
-        b = multiply(ak, a)
-        rank_b = rank(b)
+        rank_b = elimination.rank_pairs([row[:] for row in b], n, n)
         if rank_b == rank_k:
-            return k, ak, b, rank_k
-        ak, rank_k = b, rank_b
+            return _Powers(k, ak, ak_scale, b, b_scale, rank_k)
+        ak, ak_scale, rank_k = b, b_scale, rank_b
+        b, b_scale = elimination.lowest_terms(elimination.matmul_pairs(b, a_int), b_scale * scale)
         k += 1
 
 
 def index_of(a: Matrix) -> int:
     """Smallest k >= 0 with rank(a^(k+1)) = rank(a^k); at most n."""
     _require_square(a, "matrix index")
-    return _index_powers(a)[0]
+    return _index_powers(a).index
 
 
-def _core_ledger(b: Matrix, r: int, replacement: Matrix) -> tuple[Matrix, Scalar]:
-    """N_r(b) @ replacement and d_r(b) for b = A^(k+1) of core rank r >= 1."""
-    numerators, denom = minors.char_adjugate(b, r, replacement)
-    if not denom:
-        # Equals the product of the nonzero eigenvalues of A^(k+1), so
-        # reaching this line means the implementation is wrong.
-        raise ArithmeticError("core principal-minor sum vanished; this is a bug")
-    return numerators, denom
-
-
-def _drazin(k: int, ak: Matrix, b: Matrix, r: int) -> DrazinResult:
-    """The eq11 result from the index search result (k, A^k, A^(k+1), rank A^k)."""
-    if r == 0:
-        zero = Matrix.zeros(b.rows, b.rows)
-        return DrazinResult(zero, k, 0, ONE, zero)
-    numerators, denom = _core_ledger(b, r, ak)
-    return DrazinResult(numerators * (ONE / denom), k, r, denom, numerators)
+def _drazin(p: _Powers) -> DrazinResult:
+    """The eq11 result from the index search result."""
+    if p.rank_core == 0:
+        zero = Matrix.zeros(len(p.b), len(p.b))
+        return DrazinResult(zero, p.index, 0, ONE, zero)
+    ledger = p.ledger(p.ak, p.ak_scale)
+    return DrazinResult(ledger.quotient(), p.index, p.rank_core, ledger.denominator(), ledger.numerators())
 
 
 def _representation(a: Matrix, exponent: int) -> DrazinResult:
     """The eq11 representation evaluated at a chosen power exponent.
 
     Valid whenever rank(a^(exponent+1)) = rank(a^exponent); the value is the
-    Drazin inverse for every exponent >= index_of(a).
+    Drazin inverse for every exponent >= index_of(a).  The powers come from
+    :func:`adjinv.matrices.power` and ``multiply``, not from the index search.
     """
     ak = power(a, exponent)
-    return _drazin(exponent, ak, multiply(ak, a), rank(ak))
+    ak_int, ak_scale = elimination.integerize_common(ak.row_lists())
+    b_int, b_scale = elimination.integerize_common(multiply(ak, a).row_lists())
+    return _drazin(_Powers(exponent, ak_int, ak_scale, b_int, b_scale, rank(ak)))
 
 
 def drazin_inverse(a: Matrix) -> DrazinResult:
     """The unique X with a^(k+1) X = a^k, X a X = X, a X = X a (k = index)."""
     _require_square(a, "Drazin inverse")
-    return _drazin(*_index_powers(a))
+    return _drazin(_index_powers(a))
 
 
 def group_inverse(a: Matrix) -> DrazinResult:
@@ -117,10 +141,10 @@ def group_inverse(a: Matrix) -> DrazinResult:
     :class:`GroupInverseError`.
     """
     _require_square(a, "group inverse")
-    k, ak, b, r = _index_powers(a)
-    if k >= 2:
+    powers = _index_powers(a)
+    if powers.index >= 2:
         raise GroupInverseError("group inverse does not exist: matrix index is 2 or larger")
-    return _drazin(k, ak, b, r)
+    return _drazin(powers)
 
 
 def drazin_times_a(a: Matrix) -> Matrix:
@@ -131,8 +155,7 @@ def drazin_times_a(a: Matrix) -> Matrix:
     test suite.
     """
     _require_square(a, "Drazin projector")
-    _, _, b, r = _index_powers(a)
-    if r == 0:
+    p = _index_powers(a)
+    if p.rank_core == 0:
         return Matrix.zeros(a.rows, a.rows)
-    numerators, denom = _core_ledger(b, r, b)
-    return numerators * (ONE / denom)
+    return p.ledger(p.b, p.b_scale).quotient()

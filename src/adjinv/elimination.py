@@ -20,7 +20,7 @@ Berkowitz and Horner for a singular g.
 
 from __future__ import annotations
 
-from math import lcm
+from math import gcd, lcm
 
 Pair = tuple[int, int]
 
@@ -58,6 +58,19 @@ def integerize_common(rows) -> tuple[list[list[Pair]], int]:
         for s in row:
             scale = lcm(scale, s.re.denominator, s.im.denominator)
     return [_scaled_row(row, scale) for row in rows], scale
+
+
+def lowest_terms(rows: list[list[Pair]], scale: int) -> tuple[list[list[Pair]], int]:
+    """rows / scale with the common factor of every part and the scale divided out.
+
+    The result is the pair of :func:`integerize_common` of the same rational
+    matrix: with that gcd 1, the scale is the lcm of the entries' reduced
+    denominators.
+    """
+    g = gcd(scale, *(part for row in rows for pair in row for part in pair))
+    if g == 1:
+        return rows, scale
+    return [[(re // g, im // g) for re, im in row] for row in rows], scale // g
 
 
 def _scaled_row(row, mult: int) -> list[Pair]:

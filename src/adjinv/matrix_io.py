@@ -5,13 +5,21 @@ whitespace-separated scalar tokens.  ``#`` starts a comment to end of line
 and blank lines are ignored.  Decimal tokens are exact base-10 rationals.
 Rational-mode output is itself a valid matrix file, so formatting and parsing
 round-trip exactly.
+
+Exact values of any length are read and printed in full.  CPython 3.11 and
+3.10.7+ refuse int<->str conversions past 4300 digits, so every parse and
+format entry point lifts that cap for the duration of its call and then
+restores the cap in force, also when calls overlap in several threads.
 """
 
 from __future__ import annotations
 
+import functools
 import io
 import json
 import os
+import sys
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -39,6 +47,49 @@ class OutputFormat:
     json_layout: bool = False
 
 
+class _DigitCapLift:
+    """Holds the int<->str digit cap lifted while any entry point runs.
+
+    The cap is one setting for the whole interpreter, so calls running at
+    the same time in several threads share one lift: the first to enter
+    saves the cap in force and the last to leave restores it.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._active = 0
+        self._saved = 0
+
+    def __enter__(self) -> None:
+        with self._lock:
+            if not self._active:
+                self._saved = sys.get_int_max_str_digits()
+                sys.set_int_max_str_digits(0)
+            self._active += 1
+
+    def __exit__(self, *exc) -> None:
+        with self._lock:
+            self._active -= 1
+            if not self._active:
+                sys.set_int_max_str_digits(self._saved)
+
+
+_LIFT = _DigitCapLift()
+
+
+def _any_length(func):
+    """``func`` with the int<->str digit cap lifted while it runs."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return func
+
+    @functools.wraps(func)
+    def lifted(*args, **kwargs):
+        with _LIFT:
+            return func(*args, **kwargs)
+
+    return lifted
+
+
 def _data_lines(text: str):
     for lineno, raw in enumerate(text.splitlines(), start=1):
         body = raw.split("#", 1)[0]
@@ -46,6 +97,7 @@ def _data_lines(text: str):
             yield lineno, body
 
 
+@_any_length
 def parse_matrix_text(text: str) -> Matrix:
     """Parse matrix-file content from a string."""
     lines = _data_lines(text)
@@ -85,6 +137,20 @@ def parse_matrix_text(text: str) -> Matrix:
     return Matrix(m, n, entries)
 
 
+@_any_length
+def parse_vector_text(text: str) -> list[Scalar]:
+    """Whitespace-separated scalar tokens, such as a right-side vector, as Scalars."""
+    values = []
+    for token in text.split():
+        try:
+            values.append(parse_scalar(token))
+        except ScalarParseError as exc:
+            raise MatrixFormatError(f"bad right-side token {token!r}: {exc}", 1) from None
+    if not values:
+        raise MatrixFormatError("right-side vector is empty", 1)
+    return values
+
+
 def _tokens_with_columns(body: str) -> list[tuple[int, str]]:
     tokens = []
     pos = 0
@@ -119,8 +185,7 @@ def _decimal_fraction(q: Fraction, digits: int) -> str:
     return f"{sign}{whole}.{str(frac).zfill(digits)}"
 
 
-def format_scalar(s: Scalar, decimal_digits: int | None = None) -> str:
-    """One scalar token: reduced rational by default, fixed decimals on request."""
+def _token(s: Scalar, decimal_digits: int | None) -> str:
     if decimal_digits is None:
         return str(s)
     if not s:
@@ -133,20 +198,29 @@ def format_scalar(s: Scalar, decimal_digits: int | None = None) -> str:
     return f"{_decimal_fraction(s.re, decimal_digits)}{sign}{_decimal_fraction(abs(s.im), decimal_digits)}i"
 
 
+@_any_length
+def format_scalar(s: Scalar, decimal_digits: int | None = None) -> str:
+    """One scalar token: reduced rational by default, fixed decimals on request."""
+    return _token(s, decimal_digits)
+
+
+@_any_length
 def format_matrix(a: Matrix, decimal_digits: int | None = None) -> str:
     """Matrix-file text: the 'm n' header plus one line of tokens per row."""
     lines = [f"{a.rows} {a.cols}"]
     for i in range(a.rows):
-        lines.append(" ".join(format_scalar(e, decimal_digits) for e in a.row(i)))
+        lines.append(" ".join(_token(e, decimal_digits) for e in a.row(i)))
     return "\n".join(lines)
 
 
+@_any_length
 def matrix_tokens(a: Matrix, decimal_digits: int | None = None) -> list[list[str]]:
     return [
-        [format_scalar(e, decimal_digits) for e in a.row(i)] for i in range(a.rows)
+        [_token(e, decimal_digits) for e in a.row(i)] for i in range(a.rows)
     ]
 
 
+@_any_length
 def format_output(value, fmt: OutputFormat = OutputFormat()) -> str:
     """Render a Matrix, Scalar, int, or sequence of Scalars under ``fmt``."""
     if fmt.json_layout:
@@ -154,12 +228,13 @@ def format_output(value, fmt: OutputFormat = OutputFormat()) -> str:
     if isinstance(value, Matrix):
         return format_matrix(value, fmt.decimal_digits)
     if isinstance(value, Scalar):
-        return format_scalar(value, fmt.decimal_digits)
+        return _token(value, fmt.decimal_digits)
     if isinstance(value, int):
         return str(value)
-    return " ".join(format_scalar(s, fmt.decimal_digits) for s in value)
+    return " ".join(_token(s, fmt.decimal_digits) for s in value)
 
 
+@_any_length
 def _json_value(value):
     if isinstance(value, Matrix):
         return {"rows": value.rows, "cols": value.cols, "entries": matrix_tokens(value)}

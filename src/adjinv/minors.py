@@ -11,15 +11,18 @@ that whole numerator matrix equals N_r(g) @ b, where
 and d_t is the sum of the order-t principal minors of g (d_0 = 1).  At r = n,
 N_n(g) is the classical adjugate and d_n(g) the determinant, so the
 full-rank forms (classical inverse and Cramer's rule, and their Gram
-versions) are the same ledger.  :func:`char_adjugate` returns
-(N_r(g) @ b, d_r(g)) in polynomial time: it scales g and b to Gaussian
-integers once and hands them to :func:`adjinv.elimination.char_adjugate_pairs`,
-which picks its method from the input.  At r = n with g nonsingular it runs
-one fraction-free Bareiss sweep of [g | b] and a back substitution; otherwise
-it computes d_1 .. d_r by Berkowitz's division-free algorithm and applies
-N_r by Horner's rule.  Scalars are built only for the final ledger, by
-:func:`adjinv.matrices.from_pairs`.  :func:`char_poly_coeffs` is its
-companion and returns every d_k by Berkowitz.
+versions) are the same ledger.  :func:`char_adjugate` returns the
+:class:`Ledger` (N_r(g) @ b, d_r(g)) in polynomial time: it scales g and b to
+Gaussian integers once and hands them to
+:func:`adjinv.elimination.char_adjugate_pairs`, which picks its method from
+the input.  At r = n with g nonsingular it runs one fraction-free Bareiss
+sweep of [g | b] and a back substitution; otherwise it computes d_1 .. d_r by
+Berkowitz's division-free algorithm and applies N_r by Horner's rule.  A
+ledger stays on integer pairs until a caller asks for its numerators, its
+denominator or their quotient, the result itself; each is one
+:func:`adjinv.matrices.from_pairs` call, so no Scalar is divided.
+:func:`char_poly_coeffs` is the kernel's companion and returns every d_k by
+Berkowitz.
 
 The literal forms stay as the reference the kernel is tested against:
 :func:`minor` is the exact determinant of the submatrix selected by two
@@ -31,7 +34,10 @@ enumerates the order-k principal minors one by one.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from . import elimination
+from .elimination import Pair
 from .index_sets import enumerate_k_subsets
 from .matrices import Matrix, from_pairs
 from .scalars import ZERO, Scalar
@@ -101,12 +107,56 @@ def char_poly_coeffs(a: Matrix) -> tuple[Scalar, ...]:
     return tuple(from_pairs([[d]], scale**k).at(0, 0) for k, d in enumerate(coeffs) if k)
 
 
-def char_adjugate(g: Matrix, r: int, b: Matrix) -> tuple[Matrix, Scalar]:
+class Ledger(NamedTuple):
+    """An adjugate-analogue ledger on Gaussian-integer pairs.
+
+    The numerator matrix is ``x / scale`` and the denominator ``d / d_scale``,
+    with both scales positive ints.  Callers pick the order r at which the
+    denominator cannot vanish.
+    """
+
+    x: list[list[Pair]]
+    scale: int
+    d: Pair
+    d_scale: int
+
+    @classmethod
+    def of(cls, numerators: Matrix, denominator: Scalar) -> "Ledger":
+        """The ledger of a numerator matrix and denominator given as Scalars."""
+        x, scale = elimination.integerize_common(numerators.row_lists())
+        [[d]], d_scale = elimination.integerize_common([[denominator]])
+        return cls(x, scale, d, d_scale)
+
+    def numerators(self) -> Matrix:
+        return from_pairs(self.x, self.scale)
+
+    def denominator(self) -> Scalar:
+        return from_pairs([[self.d]], self.d_scale).at(0, 0)
+
+    def quotient(self) -> Matrix:
+        """numerators / denominator, the ledger's result: x d_scale conj(d) / (scale |d|^2)."""
+        re, im = self.d
+        norm = re * re + im * im
+        if not norm:
+            # Every caller's order makes d_r(g) nonzero: the determinant of a
+            # nonsingular g, the sum of the squared moduli of the rank-order
+            # minors for a Gram g, or the product of the nonzero eigenvalues
+            # of A^(k+1) at the core rank.
+            raise ArithmeticError("ledger denominator vanished; this is a bug")
+        cr, ci = re * self.d_scale, -im * self.d_scale
+        rows = [[(a * cr - b * ci, a * ci + b * cr) for a, b in row] for row in self.x]
+        return from_pairs(rows, self.scale * norm)
+
+    def adjoint(self) -> "Ledger":
+        """The conjugate-transposed ledger: numerators*, conj(d) and so quotient*."""
+        re, im = self.d
+        return Ledger(elimination.conjugate_transpose_pairs(self.x), self.scale, (re, -im), self.d_scale)
+
+
+def char_adjugate(g: Matrix, r: int, b: Matrix) -> Ledger:
     """The characteristic-adjugate ledger (N_r(g) @ b, d_r(g)) of the module docstring.
 
-    ``g`` is n x n, ``b`` is n x p and 1 <= r <= n.  With g = g' / s and
-    b = b' / e over Gaussian integers, N_r(g) = N_r(g') / s^(r-1) and
-    d_r(g) = d_r(g') / s^r, so only the returned entries are rationals.
+    ``g`` is n x n, ``b`` is n x p and 1 <= r <= n.
     """
     if not g.is_square:
         raise ValueError(f"characteristic adjugate needs a square matrix, got {g.rows}x{g.cols}")
@@ -115,16 +165,24 @@ def char_adjugate(g: Matrix, r: int, b: Matrix) -> tuple[Matrix, Scalar]:
         raise ValueError(f"replacement matrix has {b.rows} rows, expected {g.rows}")
     g_int, s = elimination.integerize_common(g.row_lists())
     b_int, e = elimination.integerize_common(b.row_lists())
-    x, d_r = elimination.char_adjugate_pairs(g_int, r, b_int)
-    return from_pairs(x, s ** (r - 1) * e), from_pairs([[d_r]], s**r).at(0, 0)
+    return pair_ledger(g_int, s, r, b_int, e)
 
 
-def gram_adjugate(f: Matrix, r: int, tail: Matrix | None = None) -> tuple[Matrix, Scalar]:
+def pair_ledger(g: list[list[Pair]], s: int, r: int, b: list[list[Pair]], e: int) -> Ledger:
+    """:func:`char_adjugate` of g / s with replacement b / e, for Gaussian-integer g and b.
+
+    N_r(g / s) = N_r(g) / s^(r-1) and d_r(g / s) = d_r(g) / s^r.
+    """
+    x, d_r = elimination.char_adjugate_pairs(g, r, b)
+    return Ledger(x, s ** (r - 1) * e, d_r, s**r)
+
+
+def gram_adjugate(f: Matrix, r: int, tail: Matrix | None = None) -> Ledger:
     """:func:`char_adjugate` of the Gram matrix F*F with replacement F* @ tail.
 
-    Returns (N_r(F*F) @ F* @ tail, d_r(F*F)), with ``tail`` the identity when
-    omitted.  F is scaled to Gaussian integers once, F = F' / D, and the Gram
-    product F'* F' is formed on integers too: F*F = F'* F' / D^2.
+    Returns the ledger (N_r(F*F) @ F* @ tail, d_r(F*F)), with ``tail`` the
+    identity when omitted.  F is scaled to Gaussian integers once, F = F' / D,
+    and the Gram product F'* F' is formed on integers too: F*F = F'* F' / D^2.
     """
     _check_order(r, f.cols)
     if tail is not None and tail.rows != f.rows:
@@ -137,9 +195,7 @@ def gram_adjugate(f: Matrix, r: int, tail: Matrix | None = None) -> tuple[Matrix
     else:
         tail_int, tail_scale = elimination.integerize_common(tail.row_lists())
         b, e = elimination.matmul_pairs(f_star, tail_int), scale * tail_scale
-    x, d_r = elimination.char_adjugate_pairs(g, r, b)
-    s = scale * scale
-    return from_pairs(x, s ** (r - 1) * e), from_pairs([[d_r]], s**r).at(0, 0)
+    return pair_ledger(g, scale * scale, r, b, e)
 
 
 def _check_order(r: int, n: int) -> None:

@@ -99,8 +99,7 @@ def mp_inverse_columns(a: Matrix) -> PinvResult:
 
     nums = parallel_map(numerator, [(i, j) for i in range(1, n + 1) for j in range(1, m + 1)])
     numerators = Matrix(n, m, nums)
-    inverse = numerators * (ONE / denom)
-    return PinvResult(inverse, denom, numerators, "eq1")
+    return PinvResult(minors.Ledger.of(numerators, denom).quotient(), denom, numerators, "eq1")
 
 
 def mp_inverse_rows(a: Matrix) -> PinvResult:
@@ -123,8 +122,7 @@ def mp_inverse_rows(a: Matrix) -> PinvResult:
 
     nums = parallel_map(numerator, [(i, j) for i in range(1, n + 1) for j in range(1, m + 1)])
     numerators = Matrix(n, m, nums)
-    inverse = numerators * (ONE / denom)
-    return PinvResult(inverse, denom, numerators, "eq2")
+    return PinvResult(minors.Ledger.of(numerators, denom).quotient(), denom, numerators, "eq2")
 
 
 def mp_inverse(a: Matrix, method: str = "auto") -> PinvResult:
@@ -145,36 +143,21 @@ def mp_inverse(a: Matrix, method: str = "auto") -> PinvResult:
     if method == "eq2":
         return mp_inverse_rows(a)
     r = rank(a)
-    if r == n == m:
-        numerators, d = minors.char_adjugate(a, n, Matrix.identity(n))
-        if not d:
-            raise ArithmeticError("determinant of a nonsingular matrix vanished; this is a bug")
-        return PinvResult(numerators * (ONE / d), d, numerators, "classical_inverse")
     # Full column rank takes the column form (eq6), full row rank the row
     # form (eq7).  Rank-deficient both ways, tag the form whose literal
     # evaluation needs fewer minors, C(n-1, r-1) versus C(m-1, r-1) per
     # entry; ties go to the column form.  Both tags carry the same ledger.
-    if r == n or (r < m and comb(n - 1, r - 1) <= comb(m - 1, r - 1)):
-        numerators, d = _gram_ledger(a, r)
+    if r == n == m:
+        ledger = minors.char_adjugate(a, n, Matrix.identity(n))
+        tag = "classical_inverse"
+    elif r == n or (r < m and comb(n - 1, r - 1) <= comb(m - 1, r - 1)):
+        ledger = minors.gram_adjugate(a, r)
         tag = "eq6" if r == n else "eq1"
     else:
         # A* N_r(AA*) = (N_r(AA*) A)*, since AA* and so N_r(AA*) are Hermitian.
-        numerators, d = _gram_ledger(conjugate_transpose(a), r)
-        numerators = conjugate_transpose(numerators)
+        ledger = minors.gram_adjugate(conjugate_transpose(a), r).adjoint()
         tag = "eq7" if r == m else "eq2"
-    return PinvResult(numerators * (ONE / d), d, numerators, tag)
-
-
-def _gram_ledger(f: Matrix, r: int, tail: Matrix | None = None) -> tuple[Matrix, Scalar]:
-    """:func:`adjinv.minors.gram_adjugate` for F of rank r >= 1, denominator checked."""
-    numerators, d = minors.gram_adjugate(f, r, tail)
-    if not d:
-        # d_r(F*F) is the sum of the squared moduli of the order-r minors of
-        # F, positive at the rank order.
-        raise ArithmeticError(
-            "principal-minor sum of the Gram matrix at the rank order vanished; this is a bug"
-        )
-    return numerators, d
+    return PinvResult(ledger.quotient(), ledger.denominator(), ledger.numerators(), tag)
 
 
 def projector_p(a: Matrix) -> Matrix:
@@ -185,8 +168,7 @@ def projector_p(a: Matrix) -> Matrix:
     """
     if a.is_zero:
         return Matrix.zeros(a.cols, a.cols)
-    numerators, d = _gram_ledger(a, rank(a), a)
-    return numerators * (ONE / d)
+    return minors.gram_adjugate(a, rank(a), a).quotient()
 
 
 def projector_q(a: Matrix) -> Matrix:
@@ -197,5 +179,4 @@ def projector_q(a: Matrix) -> Matrix:
     if a.is_zero:
         return Matrix.zeros(a.rows, a.rows)
     astar = conjugate_transpose(a)
-    numerators, d = _gram_ledger(astar, rank(a), astar)
-    return numerators * (ONE / d)
+    return minors.gram_adjugate(astar, rank(a), astar).quotient()

@@ -14,19 +14,25 @@ and g = y A*: g @ N_r(AA*), tagged "row_eq_fullrank" at full row rank and
 ``drazin_solve`` returns the Drazin-inverse solution of a square system:
 the unique solution of the generalized normal equations A^(k+1) x = A^k y
 lying in the range of A^k.  Its numerators are N_r(A^(k+1)) @ g with
-g = A^k y, from :func:`adjinv.minors.char_adjugate` ("eq16"); for a
-nonsingular matrix (index 0) that is adj(A) @ y, the classical Cramer rule
-("classical_cramer").
+g = A^k y ("eq16"); for a nonsingular matrix (index 0) that is adj(A) @ y,
+the classical Cramer rule ("classical_cramer").  The index search hands over
+A^k and A^(k+1) as Gaussian-integer pairs, g is formed on those pairs, and
+all three go to the kernel (:func:`adjinv.minors.pair_ledger`) without a
+round trip through Scalars.
+
+Every solution is the kernel ledger's quotient
+(:meth:`adjinv.minors.Ledger.quotient`), one exact division for the whole
+vector.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .matrices import Matrix, column_vector, conjugate_transpose, multiply, rank, row_vector
+from . import elimination, minors
+from .drazin import _index_powers, _Powers
+from .matrices import Matrix, conjugate_transpose, from_pairs, multiply, rank
 from .scalars import ONE, ZERO, Scalar
-from .drazin import _core_ledger, _index_powers
-from .pinv import _gram_ledger
 
 
 @dataclass(frozen=True)
@@ -58,10 +64,9 @@ def lsq_solve(a: Matrix, y: Matrix) -> SolveReport:
         # general formula degenerates cleanly (empty minor sums over an
         # order-0 family, with the empty principal-minor sum taken as 1).
         return SolveReport(Matrix.zeros(n, 1), "eq14", ONE, (ZERO,) * n, f)
-    numerators, denom = _gram_ledger(a, r, y)
-    nums = numerators.column(0)
-    solution = column_vector([v / denom for v in nums])
-    return SolveReport(solution, "eq13" if r == n else "eq14", denom, tuple(nums), f)
+    ledger = minors.gram_adjugate(a, r, y)
+    method = "eq13" if r == n else "eq14"
+    return SolveReport(ledger.quotient(), method, ledger.denominator(), ledger.numerators().column(0), f)
 
 
 def lsq_solve_row_system(y: Matrix, a: Matrix) -> SolveReport:
@@ -75,11 +80,9 @@ def lsq_solve_row_system(y: Matrix, a: Matrix) -> SolveReport:
     if r == 0:
         return SolveReport(Matrix.zeros(1, m), "row_eq_general", ONE, (ZERO,) * m, g)
     # g N_r(AA*) = (N_r(AA*) A y*)*, since AA* and so N_r(AA*) are Hermitian.
-    numerators, denom = _gram_ledger(astar, r, conjugate_transpose(y))
-    nums = [v.conjugate() for v in numerators.column(0)]
-    solution = row_vector([v / denom for v in nums])
+    ledger = minors.gram_adjugate(astar, r, conjugate_transpose(y)).adjoint()
     method = "row_eq_fullrank" if r == m else "row_eq_general"
-    return SolveReport(solution, method, denom, tuple(nums), g)
+    return SolveReport(ledger.quotient(), method, ledger.denominator(), ledger.numerators().row(0), g)
 
 
 def drazin_solve(a: Matrix, y: Matrix) -> SolveReport:
@@ -95,14 +98,14 @@ def drazin_solve(a: Matrix, y: Matrix) -> SolveReport:
     return _drazin_solution(_index_powers(a), y)
 
 
-def _drazin_solution(powers: tuple[int, Matrix, Matrix, int], y: Matrix) -> SolveReport:
-    """:func:`drazin_solve` from the index search result (k, A^k, A^(k+1), rank A^k)."""
-    k, ak, b, r = powers
-    g = multiply(ak, y)
-    if r == 0:
+def _drazin_solution(p: _Powers, y: Matrix) -> SolveReport:
+    """:func:`drazin_solve` from the index search result."""
+    y_int, e = elimination.integerize_common(y.row_lists())
+    g_int, g_scale = elimination.lowest_terms(elimination.matmul_pairs(p.ak, y_int), p.ak_scale * e)
+    g = from_pairs(g_int, g_scale)
+    if p.rank_core == 0:
         return SolveReport(Matrix.zeros(y.rows, 1), "eq16", ONE, (ZERO,) * y.rows, g)
-    # At index 0, b = A and r = n, so the kernel gives adj(A) y and det(A).
-    numerators, denom = _core_ledger(b, r, g)
-    nums = numerators.column(0)
-    solution = column_vector([v / denom for v in nums])
-    return SolveReport(solution, "classical_cramer" if k == 0 else "eq16", denom, tuple(nums), g)
+    # At index 0, A^(k+1) = A and r = n, so the kernel gives adj(A) y and det(A).
+    ledger = p.ledger(g_int, g_scale)
+    method = "classical_cramer" if p.index == 0 else "eq16"
+    return SolveReport(ledger.quotient(), method, ledger.denominator(), ledger.numerators().column(0), g)

@@ -1,4 +1,3 @@
-import contextlib
 import json
 import sys
 from importlib import resources
@@ -340,22 +339,9 @@ def test_subcommand_help_and_options(capsys, sub):
         assert option in out
 
 
-@contextlib.contextmanager
-def _no_digit_limit():
-    # Reading the long values back needs the same unlimited conversion the CLI uses.
-    if not hasattr(sys, "set_int_max_str_digits"):
-        yield
-        return
-    saved = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(saved)
-
-
 def test_long_exact_values(capsys, tmp_path):
-    from adjinv import char_poly_coeffs, parse_scalar, pinv
+    from adjinv import char_poly_coeffs, column_vector, multiply, pinv
+    from adjinv.matrix_io import parse_vector_text
 
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
     token = tmp_path / "token.mat"
@@ -371,11 +357,17 @@ def test_long_exact_values(capsys, tmp_path):
     assert code == 0
     code, out_pinv, _ = run_cli(capsys, "pinv", str(path))
     assert code == 0
+    code, out_json, _ = run_cli(capsys, "pinv", str(path), "--json")
+    assert code == 0
+    code, out_lsq, _ = run_cli(capsys, "solve-lsq", str(path), "--rhs", "9" * 5001 + " 0")
+    assert code == 0
     if limit is not None:
         assert sys.get_int_max_str_digits() == limit
-    with _no_digit_limit():
-        assert [parse_scalar(t) for t in out_poly.split()] == list(char_poly_coeffs(a))
-        assert parse_matrix_text(out_pinv) == pinv.mp_inverse(a).pseudo_inverse
+    assert parse_vector_text(out_poly) == list(char_poly_coeffs(a))
+    res = pinv.mp_inverse(a)
+    assert parse_matrix_text(out_pinv) == res.pseudo_inverse
+    assert parse_vector_text(json.loads(out_json)["denominator"]) == [res.denominator]
+    assert parse_matrix_text(out_lsq) == multiply(res.pseudo_inverse, column_vector([10**5001 - 1, 0]))
 
 
 def test_decimal_digit_cap(capsys, example1_path):

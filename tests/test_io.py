@@ -1,4 +1,6 @@
 import io
+import sys
+import threading
 from fractions import Fraction
 from importlib import resources
 
@@ -14,6 +16,7 @@ from adjinv import (
     format_matrix,
     format_output,
     format_scalar,
+    mp_inverse,
     parse_matrix_file,
     parse_matrix_text,
     rank,
@@ -136,3 +139,57 @@ def test_format_output_modes(example2):
 def test_complex_tokens_round_trip():
     m = Matrix.from_rows([["2+3i", "-1/3i"], ["1.5-2/3i", 0]])
     assert parse_matrix_text(format_matrix(m)) == m
+
+
+def _digit_cap():
+    return sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+
+
+def test_long_exact_values_in_library_calls():
+    # Past CPython's 4300-digit int<->str cap; each call lifts it and restores it.
+    cap = _digit_cap()
+    nines = parse_matrix_text("1 1\n" + "9" * 5001)
+    assert nines == Matrix(1, 1, [10**5001 - 1])
+    with pytest.raises(MatrixFormatError):
+        parse_matrix_text("1 1\n" + "9" * 5001 + "/0")
+    big = 10**2500
+    x = mp_inverse(Matrix.from_rows([[big, 1], [1, big]])).pseudo_inverse
+    text = format_matrix(x)
+    assert parse_matrix_text(text) == x
+    assert format_output(x) == text
+    assert format_output(x, OutputFormat(json_layout=True)).count('"') > 2
+    assert format_scalar(x.at(0, 0)) == text.split()[2]
+    assert _digit_cap() == cap
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit cap")
+def test_long_values_from_several_threads():
+    # Overlapping calls share one lift of the interpreter-wide cap; with a
+    # save-and-restore per call, one thread's restore breaks another's parse
+    # and can leave the cap lifted for good.
+    cap = sys.get_int_max_str_digits()
+    big = Scalar(10**5000 + 1)
+    text = "1 1\n" + "9" * 5001
+    errors = []
+
+    def work():
+        try:
+            for _ in range(150):
+                format_scalar(big)
+                parse_matrix_text(text)
+        except ValueError as exc:
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert sys.get_int_max_str_digits() == cap

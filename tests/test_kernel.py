@@ -14,12 +14,14 @@ is an exact equality.
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adjinv import (
+    ONE,
     ZERO,
     Matrix,
     Scalar,
@@ -53,7 +55,9 @@ from adjinv import (
     replace_row,
     row_vector,
 )
-from adjinv import elimination, minors
+from adjinv import drazin, elimination, minors
+from adjinv.drazin import _representation
+from adjinv.matrices import from_pairs
 
 LITERAL = settings(max_examples=25, deadline=None)
 ORACLE = settings(max_examples=20, deadline=None)
@@ -91,12 +95,13 @@ def _full_rank(seed: int, m: int, n: int, complex_entries: bool) -> Matrix:
             return a
 
 
-def _conjugate_by_elementary(rows: list[list[Scalar]], rng: random.Random, steps: int) -> Matrix:
+def _conjugate_by_elementary(rows: list[list[Scalar]], rng: random.Random, steps: int,
+                             multipliers=(-2, -1, 1, 2)) -> Matrix:
     """S B S^-1 for S a product of elementary matrices I + c e_i e_j^T."""
     n = len(rows)
     for _ in range(steps if n > 1 else 0):
         i, j = rng.sample(range(n), 2)
-        c = Scalar(rng.choice((-2, -1, 1, 2)))
+        c = Scalar(rng.choice(multipliers))
         rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
         for row in rows:
             row[j] = row[j] - c * row[i]
@@ -161,6 +166,30 @@ def indexed_matrices(draw, max_dim: int, max_core: int):
     return _indexed(draw(seeds), core, tuple(nil_sizes), draw(st.booleans()))
 
 
+RATIONAL_MULTIPLIERS = tuple(Fraction(p, q) for p in (-3, -1, 1, 2) for q in (1, 2, 5))
+
+
+@st.composite
+def rational_indexed(draw, max_dim: int, max_core: int):
+    """(P (C + N) P^-1, index, core rank) with rational P, of index 0-3.
+
+    Nilpotent matrices (core rank 0) are included; index 0 is a nonsingular
+    core alone.
+    """
+    index = draw(st.integers(0, 3))
+    core = draw(st.integers(0 if index else 1, max_core))
+    nil_sizes = [index] if index else []
+    while index and core + sum(nil_sizes) < max_dim and draw(st.booleans()):
+        nil_sizes.append(draw(st.integers(1, min(index, max_dim - core - sum(nil_sizes)))))
+    seed = draw(seeds)
+    return _rationally_similar(_indexed(seed, core, tuple(nil_sizes), draw(st.booleans())), seed), index, core
+
+
+def _rationally_similar(a: Matrix, seed: int) -> Matrix:
+    """P a P^-1 for P a product of elementary matrices with rational multipliers."""
+    return _conjugate_by_elementary(a.row_lists(), random.Random(seed), 2 * a.rows, RATIONAL_MULTIPLIERS)
+
+
 # -- literal references ---------------------------------------------------------
 
 
@@ -205,6 +234,10 @@ def cramer_rows(g: Matrix, c: Matrix) -> Matrix:
                                    for i in range(c.rows) for j in range(1, g.rows + 1)])
 
 
+def _exact(ledger: minors.Ledger) -> tuple[Matrix, Scalar]:
+    return ledger.numerators(), ledger.denominator()
+
+
 def _rhs(seed: int, length: int, complex_entries: bool = True) -> list[Scalar]:
     rng = random.Random(seed)
     return [_scalar(rng, complex_entries) for _ in range(length)]
@@ -221,7 +254,11 @@ def test_char_adjugate_matches_literal_sums(nr, p, seed, complex_entries):
     rng = random.Random(seed)
     g = _matrix(rng, n, n, complex_entries)
     b = _matrix(rng, n, p, complex_entries)
-    assert minors.char_adjugate(g, r, b) == literal_ledger(g, r, b)
+    ledger = minors.char_adjugate(g, r, b)
+    nums, d = literal_ledger(g, r, b)
+    assert _exact(ledger) == (nums, d)
+    if d:  # the quotient against one Scalar division per entry
+        assert ledger.quotient() == nums * (ONE / d)
 
 
 @LITERAL
@@ -348,7 +385,7 @@ def test_char_adjugate_falls_back_on_singular_input(nr, p, seed, complex_entries
     g_int, _ = elimination.integerize_common(g.row_lists())
     b_int, _ = elimination.integerize_common(b.row_lists())
     assert elimination.adjoint_solve_pairs(g_int, b_int) is None
-    assert minors.char_adjugate(g, n, b) == (multiply(minors.adjugate(g), b), ZERO)
+    assert _exact(minors.char_adjugate(g, n, b)) == (multiply(minors.adjugate(g), b), ZERO)
 
 
 # -- kernel against the rank-factorization oracles (n <= 16, rank <= 10; n = 30) ---
@@ -377,9 +414,68 @@ def test_drazin_inverse_matches_oracle(a):
 def test_eq1_and_eq2_ledgers_are_equal(m, n, r, seed, complex_entries):
     a = _deficient(seed, m, n, min(r, m - 1, n - 1), complex_entries)
     r = rank(a)
-    eq1 = minors.gram_adjugate(a, r)
-    nums2, d2 = minors.gram_adjugate(conjugate_transpose(a), r)
-    assert eq1 == (conjugate_transpose(nums2), d2)
+    eq1 = _exact(minors.gram_adjugate(a, r))
+    eq2 = minors.gram_adjugate(conjugate_transpose(a), r)
+    nums2, d2 = _exact(eq2)
+    assert eq1 == (conjugate_transpose(nums2), d2) == _exact(eq2.adjoint())
+
+
+# -- the index search on integer pairs against power/rank and the oracle ------------
+
+
+@ORACLE
+@given(rational_indexed(10, 6), seeds)
+@example((_rationally_similar(_indexed(1410, 10, (3, 1), True), 1410), 3, 10), 1410)  # n = 14
+def test_index_search_matches_representation_and_oracle(case, seed):
+    a, index, core = case
+    p = drazin._index_powers(a)
+    assert (p.index, p.rank_core) == (index, core)
+    ak = power(a, index)
+    # The search's pairs are exactly the common-scale pairs of the Scalar powers.
+    assert (p.ak, p.ak_scale) == elimination.integerize_common(ak.row_lists())
+    assert (p.b, p.b_scale) == elimination.integerize_common(multiply(ak, a).row_lists())
+
+    res = drazin_inverse(a)
+    assert res == _representation(a, index)  # index, core rank, ledger, denominator, inverse
+    assert res.drazin_inverse == _representation(a, index + 1).drazin_inverse
+    xd = oracle_drazin(a)
+    assert res.drazin_inverse == xd
+    assert drazin_times_a(a) == multiply(xd, a)
+
+    y = column_vector(_rhs(seed, a.rows))
+    sol = drazin_solve(a, y)
+    assert sol.transformed_rhs == multiply(ak, y)
+    assert sol.solution == multiply(xd, y)
+    assert sol.numerators == multiply(res.numerators, y).column(0)
+    assert sol.denominator == res.denominator
+    assert sol.method == ("classical_cramer" if index == 0 else "eq16")
+
+
+def test_index_search_divides_out_the_content(monkeypatch):
+    # J = [[1, 1], [1, 1]] + N_2 gives J'^k = 2^(k-1) J' on the core block, a
+    # factor the scale 10^(6k) shares; each step must divide it out.
+    rows = [[Scalar(1), Scalar(1), ZERO, ZERO], [Scalar(1), Scalar(1), ZERO, ZERO],
+            [ZERO, ZERO, ZERO, Scalar(1)], [ZERO, ZERO, ZERO, ZERO]]
+    m = _conjugate_by_elementary(rows, random.Random(7), 8)
+    a = m * Fraction(1, 10**6)
+    steps = []
+    real = elimination.lowest_terms
+
+    def recorded(rows, scale):
+        out = real(rows, scale)
+        steps.append((_content(rows, scale), _content(*out)))
+        return out
+
+    monkeypatch.setattr(elimination, "lowest_terms", recorded)
+    p = drazin._index_powers(a)
+    assert p.index == 2 and len(steps) == 2
+    assert steps[-1][0] > 1 and all(after == 1 for _, after in steps)
+    assert _content(p.ak, p.ak_scale) == _content(p.b, p.b_scale) == 1
+    assert from_pairs(p.b, p.b_scale) == power(a, 3)
+
+
+def _content(rows, scale: int) -> int:
+    return gcd(scale, *(part for row in rows for pair in row for part in pair))
 
 
 # -- guards: a vanishing kernel denominator is reported as a bug -------------------
@@ -387,7 +483,7 @@ def test_eq1_and_eq2_ledgers_are_equal(m, n, r, seed, complex_entries):
 
 def _zero_denominator(real):
     def fake(*args):
-        return real(*args)[0], ZERO
+        return real(*args)[0], (0, 0)
 
     return fake
 
@@ -430,8 +526,9 @@ GUARDED = {
 @pytest.mark.parametrize("name", sorted(GUARDED))
 def test_zero_kernel_denominator_raises(name, monkeypatch):
     GUARDED[name]()  # runs cleanly with the real kernel
-    monkeypatch.setattr(minors, "char_adjugate", _zero_denominator(minors.char_adjugate))
-    monkeypatch.setattr(minors, "gram_adjugate", _zero_denominator(minors.gram_adjugate))
+    # Every ledger, the Drazin forms' included, comes from this one kernel call.
+    monkeypatch.setattr(elimination, "char_adjugate_pairs",
+                        _zero_denominator(elimination.char_adjugate_pairs))
     with pytest.raises(ArithmeticError, match="this is a bug"):
         GUARDED[name]()
 
