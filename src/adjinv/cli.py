@@ -11,8 +11,9 @@ decimals (at most 10000) and ``--json`` emits a machine-readable layout with
 exact string entries.  Every value is read and printed through
 :mod:`adjinv.matrix_io`, so exact values of any length come through in full.
 
-Exit codes: 0 success, 1 usage error, 2 input parse error, 3 mathematical
-precondition violated, 4 internal verification failure.
+Exit codes: 0 success, 1 usage error, 2 input error (an unreadable or
+malformed input), 3 mathematical precondition violated, 4 internal
+verification failure.
 """
 
 from __future__ import annotations
@@ -56,6 +57,10 @@ class _UsageError(Exception):
     pass
 
 
+class _InputError(Exception):
+    pass
+
+
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad flags; route through our own codes.
     def error(self, message):
@@ -64,6 +69,16 @@ class _Parser(argparse.ArgumentParser):
 
 def _has_rhs(args) -> bool:
     return args.rhs is not None or args.rhs_file is not None
+
+
+def _read_matrix(path: str) -> Matrix:
+    """The matrix in the file at ``path``; a file that cannot be read is an input error."""
+    try:
+        return parse_matrix_file(path)
+    except OSError as exc:
+        raise _InputError(exc) from None
+    except UnicodeDecodeError as exc:
+        raise _InputError(f"{path!r} is not UTF-8 text: {exc}") from None
 
 
 def _load_rhs(args, a: Matrix, orientation: str) -> Matrix:
@@ -75,7 +90,7 @@ def _load_rhs(args, a: Matrix, orientation: str) -> Matrix:
     if args.rhs is not None:
         values = parse_vector_text(args.rhs)
     else:
-        loaded = parse_matrix_file(args.rhs_file)
+        loaded = _read_matrix(args.rhs_file)
         if loaded.cols == 1:
             values = list(loaded.column(0))
         elif loaded.rows == 1:
@@ -103,7 +118,7 @@ def _ledger(res) -> tuple:
 
 
 def _cmd_verify(args) -> int:
-    a = parse_matrix_file(args.matrix)
+    a = _read_matrix(args.matrix)
     checks: list[tuple[str, bool]] = []
     x = _pinv.mp_inverse(a).pseudo_inverse
     checks.extend(
@@ -223,7 +238,7 @@ def main(argv=None) -> int:
         command = _COMMANDS[args.command]
         if command.report:
             return command.run(args)
-        a = parse_matrix_file(args.matrix)
+        a = _read_matrix(args.matrix)
         y = _load_rhs(args, a, command.rhs) if command.rhs else None
         value, extra = command.run(args, a, y)
         if args.json:
@@ -235,10 +250,7 @@ def main(argv=None) -> int:
         print(parser.format_usage(), end="", file=sys.stderr)
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (MatrixFormatError, ScalarParseError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except FileNotFoundError as exc:
+    except (MatrixFormatError, ScalarParseError, _InputError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (GroupInverseError, _pinv.ZeroMatrixError, ValueError) as exc:

@@ -6,25 +6,22 @@ and blank lines are ignored.  Decimal tokens are exact base-10 rationals.
 Rational-mode output is itself a valid matrix file, so formatting and parsing
 round-trip exactly.
 
-Exact values of any length are read and printed in full.  CPython 3.11 and
-3.10.7+ refuse int<->str conversions past 4300 digits, so every parse and
-format entry point lifts that cap for the duration of its call and then
-restores the cap in force, also when calls overlap in several threads.
+Exact values of any length are read and printed in full: every integer goes
+to and from decimal text through :func:`adjinv.scalars.int_text` and
+:func:`adjinv.scalars.int_of`, which pass CPython's int<->str digit cap
+without changing it.
 """
 
 from __future__ import annotations
 
-import functools
 import io
 import json
 import os
-import sys
-import threading
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .matrices import Matrix
-from .scalars import Scalar, ScalarParseError, parse_scalar
+from .scalars import Scalar, ScalarParseError, int_of, int_text, parse_scalar
 
 
 class MatrixFormatError(ValueError):
@@ -47,49 +44,6 @@ class OutputFormat:
     json_layout: bool = False
 
 
-class _DigitCapLift:
-    """Holds the int<->str digit cap lifted while any entry point runs.
-
-    The cap is one setting for the whole interpreter, so calls running at
-    the same time in several threads share one lift: the first to enter
-    saves the cap in force and the last to leave restores it.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._active = 0
-        self._saved = 0
-
-    def __enter__(self) -> None:
-        with self._lock:
-            if not self._active:
-                self._saved = sys.get_int_max_str_digits()
-                sys.set_int_max_str_digits(0)
-            self._active += 1
-
-    def __exit__(self, *exc) -> None:
-        with self._lock:
-            self._active -= 1
-            if not self._active:
-                sys.set_int_max_str_digits(self._saved)
-
-
-_LIFT = _DigitCapLift()
-
-
-def _any_length(func):
-    """``func`` with the int<->str digit cap lifted while it runs."""
-    if not hasattr(sys, "set_int_max_str_digits"):
-        return func
-
-    @functools.wraps(func)
-    def lifted(*args, **kwargs):
-        with _LIFT:
-            return func(*args, **kwargs)
-
-    return lifted
-
-
 def _data_lines(text: str):
     for lineno, raw in enumerate(text.splitlines(), start=1):
         body = raw.split("#", 1)[0]
@@ -97,7 +51,6 @@ def _data_lines(text: str):
             yield lineno, body
 
 
-@_any_length
 def parse_matrix_text(text: str) -> Matrix:
     """Parse matrix-file content from a string."""
     lines = _data_lines(text)
@@ -109,20 +62,20 @@ def parse_matrix_text(text: str) -> Matrix:
     # ASCII digits only: int() would also take "1_0", "+2" or other scripts' digits.
     if len(fields) != 2 or not all(f.isascii() and f.isdigit() for f in fields):
         raise MatrixFormatError(f"header must be two integers 'm n', got {header.strip()!r}", lineno)
-    m, n = int(fields[0]), int(fields[1])
+    m, n = int_of(fields[0]), int_of(fields[1])
     if m < 1 or n < 1:
-        raise MatrixFormatError(f"dimensions must be positive, got {m} x {n}", lineno)
+        raise MatrixFormatError(f"dimensions must be positive, got {int_text(m)} x {int_text(n)}", lineno)
     entries: list[Scalar] = []
     rows_seen = 0
     last_line = lineno
     for lineno, body in lines:
         last_line = lineno
         if rows_seen == m:
-            raise MatrixFormatError(f"extra data beyond the declared {m} rows", lineno)
+            raise MatrixFormatError(f"extra data beyond the declared {int_text(m)} rows", lineno)
         tokens = _tokens_with_columns(body)
         if len(tokens) != n:
             raise MatrixFormatError(
-                f"expected {n} entries in this row, got {len(tokens)}", lineno
+                f"expected {int_text(n)} entries in this row, got {len(tokens)}", lineno
             )
         for column, token in tokens:
             try:
@@ -133,11 +86,10 @@ def parse_matrix_text(text: str) -> Matrix:
                 ) from None
         rows_seen += 1
     if rows_seen != m:
-        raise MatrixFormatError(f"expected {m} data rows, found {rows_seen}", last_line + 1)
+        raise MatrixFormatError(f"expected {int_text(m)} data rows, found {rows_seen}", last_line + 1)
     return Matrix(m, n, entries)
 
 
-@_any_length
 def parse_vector_text(text: str) -> list[Scalar]:
     """Whitespace-separated scalar tokens, such as a right-side vector, as Scalars."""
     values = []
@@ -181,13 +133,15 @@ def _decimal_fraction(q: Fraction, digits: int) -> str:
     sign = "-" if scaled < 0 else ""
     whole, frac = divmod(abs(scaled), 10**digits)
     if digits == 0:
-        return f"{sign}{whole}"
-    return f"{sign}{whole}.{str(frac).zfill(digits)}"
+        return f"{sign}{int_text(whole)}"
+    return f"{sign}{int_text(whole)}.{int_text(frac).zfill(digits)}"
 
 
 def _token(s: Scalar, decimal_digits: int | None) -> str:
     if decimal_digits is None:
         return str(s)
+    if not isinstance(decimal_digits, int) or decimal_digits < 0:
+        raise ValueError(f"decimal_digits must be None or an int >= 0, got {decimal_digits!r}")
     if not s:
         return "0"
     if not s.im:
@@ -198,13 +152,11 @@ def _token(s: Scalar, decimal_digits: int | None) -> str:
     return f"{_decimal_fraction(s.re, decimal_digits)}{sign}{_decimal_fraction(abs(s.im), decimal_digits)}i"
 
 
-@_any_length
 def format_scalar(s: Scalar, decimal_digits: int | None = None) -> str:
     """One scalar token: reduced rational by default, fixed decimals on request."""
     return _token(s, decimal_digits)
 
 
-@_any_length
 def format_matrix(a: Matrix, decimal_digits: int | None = None) -> str:
     """Matrix-file text: the 'm n' header plus one line of tokens per row."""
     lines = [f"{a.rows} {a.cols}"]
@@ -213,14 +165,12 @@ def format_matrix(a: Matrix, decimal_digits: int | None = None) -> str:
     return "\n".join(lines)
 
 
-@_any_length
 def matrix_tokens(a: Matrix, decimal_digits: int | None = None) -> list[list[str]]:
     return [
         [_token(e, decimal_digits) for e in a.row(i)] for i in range(a.rows)
     ]
 
 
-@_any_length
 def format_output(value, fmt: OutputFormat = OutputFormat()) -> str:
     """Render a Matrix, Scalar, int, or sequence of Scalars under ``fmt``."""
     if fmt.json_layout:
@@ -230,16 +180,15 @@ def format_output(value, fmt: OutputFormat = OutputFormat()) -> str:
     if isinstance(value, Scalar):
         return _token(value, fmt.decimal_digits)
     if isinstance(value, int):
-        return str(value)
+        return int_text(value)
     return " ".join(_token(s, fmt.decimal_digits) for s in value)
 
 
-@_any_length
 def _json_value(value):
     if isinstance(value, Matrix):
         return {"rows": value.rows, "cols": value.cols, "entries": matrix_tokens(value)}
     if isinstance(value, Scalar):
         return {"value": str(value)}
     if isinstance(value, int):
-        return {"value": str(value)}
+        return {"value": int_text(value)}
     return {"values": [str(s) for s in value]}

@@ -4,10 +4,13 @@ Every matrix entry in this package is a :class:`Scalar`: a complex number
 whose real and imaginary parts are arbitrary-precision rationals.  All
 operations are exact.  Floats are rejected everywhere so binary rounding can
 never sneak in; decimal literals are parsed as exact base-10 rationals.
+Integers of any length go to and from decimal text through :func:`int_text`
+and :func:`int_of`, which never change the interpreter's int<->str digit cap.
 """
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 
 
@@ -147,8 +150,29 @@ def _coerce(value):
 
 def _fraction_token(q: Fraction) -> str:
     if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+        return int_text(q.numerator)
+    return f"{int_text(q.numerator)}/{int_text(q.denominator)}"
+
+
+# CPython 3.11 and 3.10.7+ refuse int<->str conversions past a process-wide
+# digit cap (4300 by default).  When they do, these go through Decimal, which
+# converts exactly and has no such cap.
+
+
+def int_text(n: int) -> str:
+    """Decimal text of the int ``n``, however many digits it has."""
+    try:
+        return str(n)
+    except ValueError:
+        return str(Decimal(n))
+
+
+def int_of(digits: str) -> int:
+    """The int that a run of ASCII digits ``0-9`` spells, however long."""
+    try:
+        return int(digits)
+    except ValueError:
+        return int(Decimal(digits))
 
 
 ZERO = Scalar(0)
@@ -208,12 +232,13 @@ def _parse_rational(text: str, pos: int) -> tuple[Fraction, int]:
     digits, pos = _parse_digits(text, pos)
     if pos < len(text) and text[pos] == "/":
         den_at = pos + 1
-        den, pos = _parse_digits(text, den_at)
-        if int(den) == 0:
+        den_digits, pos = _parse_digits(text, den_at)
+        den = int_of(den_digits)
+        if den == 0:
             raise ScalarParseError("zero denominator", den_at)
-        return Fraction(sign * int(digits), int(den)), pos
+        return Fraction(sign * int_of(digits), den), pos
     if pos < len(text) and text[pos] == ".":
         frac, pos = _parse_digits(text, pos + 1)
-        value = Fraction(int(digits + frac), 10 ** len(frac))
+        value = Fraction(int_of(digits + frac), 10 ** len(frac))
         return sign * value, pos
-    return Fraction(sign * int(digits)), pos
+    return Fraction(sign * int_of(digits)), pos

@@ -159,6 +159,15 @@ def test_input_errors(capsys, tmp_path, example1_path):
     assert code == 2 and "line 2, column 1" in err
     code, _, err = run_cli(capsys, "rank", str(tmp_path / "missing.mat"))
     assert code == 2
+    # A file that is not UTF-8 text, or not a file at all, is an input error too.
+    latin = tmp_path / "latin.mat"
+    latin.write_bytes(b"2 2\n1 \xff\n1 1\n")
+    for path in (latin, tmp_path):
+        code, out, err = run_cli(capsys, "rank", str(path))
+        assert (code, out) == (2, "") and err.startswith("input error:")
+        code, out, err = run_cli(capsys, "solve-lsq", example1_path, "--rhs-file", str(path))
+        assert (code, out) == (2, "") and err.startswith("input error:")
+    assert "not UTF-8" in run_cli(capsys, "verify", str(latin))[2]
     code, _, err = run_cli(capsys, "solve-lsq", example1_path, "--rhs", "1 2 x 1")
     assert code == 2
     code, _, err = run_cli(capsys, "solve-lsq", example1_path, "--rhs", "1 2 3")
@@ -349,7 +358,7 @@ def test_long_exact_values(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "rank", str(token))
     assert (code, out) == (0, "2\n")
 
-    big = 10**2500
+    big = "1" + "0" * 2500  # 10**2500, written without int->str under a low cap
     a = Matrix.from_rows([[big, 1], [1, big]])
     path = tmp_path / "big.mat"
     path.write_text(f"2 2\n{big} 1\n1 {big}\n")

@@ -1,4 +1,5 @@
 import io
+import json
 import sys
 import threading
 from fractions import Fraction
@@ -19,8 +20,10 @@ from adjinv import (
     mp_inverse,
     parse_matrix_file,
     parse_matrix_text,
+    parse_scalar,
     rank,
 )
+from adjinv.matrix_io import matrix_tokens, parse_vector_text
 
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=16)
 scalars = st.builds(Scalar, rationals, rationals)
@@ -120,6 +123,21 @@ def test_decimal_formatting():
     assert format_scalar(Scalar(Fraction(1, 2), Fraction(-1, 4)), 2) == "0.50-0.25i"
 
 
+def test_decimal_digits_must_be_a_nonnegative_int():
+    # Any other count would turn 10**digits into a float and print garbage.
+    for bad in (-1, -5, 1.5, "2"):
+        with pytest.raises(ValueError, match="decimal_digits"):
+            format_scalar(Scalar(Fraction(12345, 7)), bad)
+    with pytest.raises(ValueError, match="decimal_digits"):
+        format_scalar(Scalar(0), -1)
+    with pytest.raises(ValueError, match="decimal_digits"):
+        format_output(Matrix.identity(2), OutputFormat(decimal_digits=-1))
+    with pytest.raises(ValueError, match="decimal_digits"):
+        format_matrix(Matrix.identity(2), -1)
+    assert format_scalar(Scalar(Fraction(12345, 7)), 0) == "1764"
+    assert format_output(Matrix.identity(2), OutputFormat(decimal_digits=0)) == "2 2\n1 0\n0 1"
+
+
 def test_decimal_rounds_half_to_even():
     assert format_scalar(Scalar(Fraction(1, 8)), 2) == "0.12"  # 0.125 -> even
     assert format_scalar(Scalar(Fraction(3, 8)), 2) == "0.38"  # 0.375 -> even
@@ -146,7 +164,7 @@ def _digit_cap():
 
 
 def test_long_exact_values_in_library_calls():
-    # Past CPython's 4300-digit int<->str cap; each call lifts it and restores it.
+    # Past CPython's 4300-digit int<->str cap, which no call may change.
     cap = _digit_cap()
     nines = parse_matrix_text("1 1\n" + "9" * 5001)
     assert nines == Matrix(1, 1, [10**5001 - 1])
@@ -164,9 +182,9 @@ def test_long_exact_values_in_library_calls():
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit cap")
 def test_long_values_from_several_threads():
-    # Overlapping calls share one lift of the interpreter-wide cap; with a
-    # save-and-restore per call, one thread's restore breaks another's parse
-    # and can leave the cap lifted for good.
+    # The cap is one setting for the whole interpreter: a call that changed
+    # it, even briefly, could break another thread's conversion or leave the
+    # cap changed for good.
     cap = sys.get_int_max_str_digits()
     big = Scalar(10**5000 + 1)
     text = "1 1\n" + "9" * 5001
@@ -193,3 +211,65 @@ def test_long_values_from_several_threads():
     assert not any(t.is_alive() for t in threads)
     assert errors == []
     assert sys.get_int_max_str_digits() == cap
+
+
+def _check_long_values():
+    """Every parse and print entry point on values far past 640 and 4300 digits."""
+    nines, ten = "9" * 5001, "1" + "0" * 4999 + "1"  # 10**5001 - 1 and 10**5000 + 1
+    big = Scalar(10**5000 + 1)
+    assert parse_scalar(nines) == Scalar(10**5001 - 1)
+    assert parse_scalar(f"{nines}.{nines}") == Scalar(Fraction(10**10002 - 1, 10**5001))
+    assert str(big) == ten and repr(big) == f"Scalar({ten})"
+    z = Scalar(Fraction(10**5001 - 1, 7), -big.re)
+    assert str(z) == f"{nines}/7-{ten}i" and parse_scalar(str(z)) == z
+    assert Matrix.from_rows([[nines]]) == Matrix(1, 1, [10**5001 - 1])
+    assert repr(Matrix(1, 2, [big, 1])) == f"Matrix(1x2: {ten} 1)"
+    assert str(Matrix(1, 1, [big])) == ten
+    assert parse_vector_text(f"{ten} 1/{nines}") == [big, Scalar(Fraction(1, 10**5001 - 1))]
+    with pytest.raises(MatrixFormatError, match=f"expected {nines} data rows"):
+        parse_matrix_text(f"{nines} 1\n1\n")
+    with pytest.raises(MatrixFormatError, match=f"got 0 x {nines}"):
+        parse_matrix_text(f"0 {nines}\n")
+
+    a = Matrix.from_rows([[10**2500, 1], [1, 10**2500]])
+    res = mp_inverse(a)
+    text = format_matrix(res.pseudo_inverse)
+    assert parse_matrix_text(text) == res.pseudo_inverse
+    assert parse_matrix_file(io.StringIO(text)) == res.pseudo_inverse
+    assert format_output(res.pseudo_inverse) == text
+    assert parse_scalar(format_scalar(res.denominator)) == res.denominator
+    as_json = json.loads(format_output(res.pseudo_inverse, OutputFormat(json_layout=True)))
+    assert Matrix.from_rows(as_json["entries"]) == res.pseudo_inverse
+    assert matrix_tokens(res.pseudo_inverse) == as_json["entries"]
+    assert format_output(10**5000 + 1) == ten
+    assert json.loads(format_output(10**5000 + 1, OutputFormat(json_layout=True))) == {"value": ten}
+    assert format_output([big, Scalar(1)]) == f"{ten} 1"
+    third = Scalar(Fraction(10**5000 + 1, 3))
+    assert format_scalar(third, 2) == "3" * 5000 + ".67"
+    assert format_scalar(Scalar(Fraction(1, 3)), 5001) == "0." + "3" * 5001
+    assert format_output(Matrix(1, 1, [third * Scalar(0, 1)]), OutputFormat(decimal_digits=0)) == f"1 1\n{'3' * 4999}4i"
+
+
+def test_long_values_past_the_default_cap():
+    cap = _digit_cap()
+    _check_long_values()
+    assert _digit_cap() == cap
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit cap")
+def test_long_values_under_the_lowest_cap():
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        _check_long_values()
+        assert sys.get_int_max_str_digits() == 640
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def test_long_values_never_change_the_cap(monkeypatch):
+    def refuse(maxdigits):
+        raise AssertionError("the library changed the interpreter's digit cap")
+
+    monkeypatch.setattr(sys, "set_int_max_str_digits", refuse, raising=False)
+    _check_long_values()
