@@ -29,7 +29,7 @@ from . import drazin as _drazin
 from . import solvers as _solvers
 from . import verify as _verify
 from .drazin import GroupInverseError
-from .matrices import Matrix, column_vector, conjugate_transpose, from_pairs, multiply, rank, row_vector
+from .matrices import Matrix, column_vector, conjugate_transpose, multiply, rank, row_vector
 from .matrix_io import (
     MatrixFormatError,
     OutputFormat,
@@ -127,8 +127,7 @@ def _cmd_verify(args) -> int:
     if a.is_square:
         # One index search serves the Drazin check and the dsolve checks.
         powers = _drazin._index_powers(a)
-        k = powers.index
-        ak, b = from_pairs(powers.ak, powers.ak_scale), from_pairs(powers.b, powers.b_scale)
+        k, ak, b = powers.index, powers.ak, powers.b
         xd = _drazin._drazin(powers).drazin_inverse
         checks.extend(
             (f"drazin:{name}", ok) for name, ok in _verify.check_drazin(a, xd, k).checks

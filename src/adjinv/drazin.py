@@ -7,17 +7,13 @@ sum, over all order-r principal index sets containing i, of minors of
 A^(k+1) with column i replaced by the j-th column of A^k, divided by the
 order-r principal-minor sum of A^(k+1).  The whole numerator matrix, the
 adjugate analogue for this inverse, is N_r(A^(k+1)) @ A^k, and it comes from
-the characteristic-adjugate kernel (:func:`adjinv.minors.pair_ledger`) in
+the characteristic-adjugate kernel (:func:`adjinv.minors.char_adjugate`) in
 one call; the projector A^D A is N_r(A^(k+1)) @ A^(k+1) over the same
 denominator.
 
-The index search runs on Gaussian-integer pairs from input to output.  A is
-scaled once, A = A' / D; each step forms A^(k+1) = A^k A' / (s_k D) with
-:func:`adjinv.elimination.matmul_pairs`, divides out the common factor of
-the entries and the scale, and takes the rank with
-:func:`adjinv.elimination.rank_pairs`.  The search hands A^k and A^(k+1) to
-every caller as those pairs, which go to the kernel unchanged; Scalars are
-built only for the ledger and its quotient.
+The index search is a plain loop of :func:`adjinv.matrices.multiply` and
+:func:`adjinv.matrices.rank`, which work on the matrices' integer pairs, and
+it hands A^k and A^(k+1) to every caller as Matrices.
 
 A nonsingular matrix has index 0, so A^k = I, A^(k+1) = A and r = n; there
 N_n(A) is the classical adjugate, and the same kernel call returns
@@ -31,8 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from . import elimination, minors
-from .elimination import Pair
+from . import minors
 from .matrices import Matrix, multiply, power, rank
 from .scalars import ONE, Scalar
 
@@ -59,23 +54,16 @@ class DrazinResult:
 
 
 class _Powers(NamedTuple):
-    """The index search result on Gaussian-integer pairs.
-
-    A^k = ak / ak_scale and A^(k+1) = b / b_scale for k = ``index``, each in
-    lowest terms (the pairs :func:`adjinv.elimination.integerize_common`
-    gives for the same matrix), and ``rank_core`` = rank A^k.
-    """
+    """The index search result: k = ``index``, A^k, A^(k+1) and ``rank_core`` = rank A^k."""
 
     index: int
-    ak: list[list[Pair]]
-    ak_scale: int
-    b: list[list[Pair]]
-    b_scale: int
+    ak: Matrix
+    b: Matrix
     rank_core: int
 
-    def ledger(self, replacement: list[list[Pair]], scale: int) -> minors.Ledger:
-        """N_r(A^(k+1)) @ (replacement / scale) over d_r(A^(k+1)); needs r >= 1."""
-        return minors.pair_ledger(self.b, self.b_scale, self.rank_core, replacement, scale)
+    def ledger(self, replacement: Matrix) -> minors.Ledger:
+        """N_r(A^(k+1)) @ replacement over d_r(A^(k+1)); needs r >= 1."""
+        return minors.char_adjugate(self.b, self.rank_core, replacement)
 
 
 def _require_square(a: Matrix, what: str) -> None:
@@ -85,17 +73,13 @@ def _require_square(a: Matrix, what: str) -> None:
 
 def _index_powers(a: Matrix) -> _Powers:
     """The index k of a square matrix with A^k, A^(k+1) and rank A^k, as :class:`_Powers`."""
-    n = a.rows
-    a_int, scale = elimination.integerize_common(a.row_lists())
-    k, rank_k = 0, n
-    ak, ak_scale = [[(int(i == j), 0) for j in range(n)] for i in range(n)], 1
-    b, b_scale = a_int, scale
+    k, ak, b, rank_k = 0, Matrix.identity(a.rows), a, a.rows
     while True:
-        rank_b = elimination.rank_pairs([row[:] for row in b], n, n)
+        rank_b = rank(b)
         if rank_b == rank_k:
-            return _Powers(k, ak, ak_scale, b, b_scale, rank_k)
-        ak, ak_scale, rank_k = b, b_scale, rank_b
-        b, b_scale = elimination.lowest_terms(elimination.matmul_pairs(b, a_int), b_scale * scale)
+            return _Powers(k, ak, b, rank_k)
+        ak, rank_k = b, rank_b
+        b = multiply(b, a)
         k += 1
 
 
@@ -108,10 +92,10 @@ def index_of(a: Matrix) -> int:
 def _drazin(p: _Powers) -> DrazinResult:
     """The eq11 result from the index search result."""
     if p.rank_core == 0:
-        zero = Matrix.zeros(len(p.b), len(p.b))
+        zero = Matrix.zeros(p.b.rows, p.b.rows)
         return DrazinResult(zero, p.index, 0, ONE, zero)
-    ledger = p.ledger(p.ak, p.ak_scale)
-    return DrazinResult(ledger.quotient(), p.index, p.rank_core, ledger.denominator(), ledger.numerators())
+    ledger = p.ledger(p.ak)
+    return DrazinResult(ledger.quotient(), p.index, p.rank_core, ledger.denominator, ledger.numerators)
 
 
 def _representation(a: Matrix, exponent: int) -> DrazinResult:
@@ -119,12 +103,10 @@ def _representation(a: Matrix, exponent: int) -> DrazinResult:
 
     Valid whenever rank(a^(exponent+1)) = rank(a^exponent); the value is the
     Drazin inverse for every exponent >= index_of(a).  The powers come from
-    :func:`adjinv.matrices.power` and ``multiply``, not from the index search.
+    :func:`adjinv.matrices.power`, not from the index search.
     """
     ak = power(a, exponent)
-    ak_int, ak_scale = elimination.integerize_common(ak.row_lists())
-    b_int, b_scale = elimination.integerize_common(multiply(ak, a).row_lists())
-    return _drazin(_Powers(exponent, ak_int, ak_scale, b_int, b_scale, rank(ak)))
+    return _drazin(_Powers(exponent, ak, multiply(ak, a), rank(ak)))
 
 
 def drazin_inverse(a: Matrix) -> DrazinResult:
@@ -158,4 +140,4 @@ def drazin_times_a(a: Matrix) -> Matrix:
     p = _index_powers(a)
     if p.rank_core == 0:
         return Matrix.zeros(a.rows, a.rows)
-    return p.ledger(p.b, p.b_scale).quotient()
+    return p.ledger(p.b).quotient()

@@ -1,26 +1,28 @@
 """Division-free integer kernels: Bareiss elimination and the characteristic adjugate.
 
-Each row is first cleared to a common denominator so every entry becomes a
-Gaussian integer, held as a plain ``(re, im)`` pair of Python ints.  Bareiss
-cross-multiplication then keeps all intermediate values integral and every
-division exact, which bounds entry growth without ever leaving exact
-arithmetic.  Pivots are the first nonzero entry in column scan order; with
-exact arithmetic the pivot choice is correctness-neutral.
+The kernels work on the exact-matrix format of :class:`adjinv.matrices.Matrix`:
+rows of Gaussian integers, each a plain ``(re, im)`` pair of Python ints.
+The matrix's common scale stays with the caller, which rescales a kernel's
+result by the right power of it.  :func:`integerize` is the one way from
+Scalars into this format.  Bareiss cross-multiplication keeps all
+intermediate values integral and every division exact, which bounds entry
+growth without ever leaving exact arithmetic.  Pivots are the first nonzero
+entry in column scan order; with exact arithmetic the pivot choice is
+correctness-neutral.  The sweeps mutate the rows they are given, so callers
+pass list copies.
 
-The characteristic-adjugate kernel works on a whole matrix scaled by one
-common denominator.  Berkowitz's algorithm gives the characteristic
-coefficients without any division, and Horner's rule applies the
-Cayley-Hamilton polynomial N_r(g) to a replacement matrix, so a whole
-adjugate-analogue ledger costs O(n^3 r) integer operations.  At full order
-r = n the polynomial is the classical adjugate; there the kernel runs the
-Bareiss forward sweep of the determinant on [g | b] and back-substitutes,
-O(n^2 (n + p)) operations for an n x p replacement matrix, and keeps
-Berkowitz and Horner for a singular g.
+Berkowitz's algorithm gives the characteristic coefficients without any
+division, and Horner's rule applies the Cayley-Hamilton polynomial N_r(g) to
+a replacement matrix, so a whole adjugate-analogue ledger costs O(n^3 r)
+integer operations.  At full order r = n the polynomial is the classical
+adjugate; there the kernel runs the Bareiss forward sweep of the determinant
+on [g | b] and back-substitutes, O(n^2 (n + p)) operations for an n x p
+replacement matrix, and keeps Berkowitz and Horner for a singular g.
 """
 
 from __future__ import annotations
 
-from math import gcd, lcm
+from math import lcm
 
 Pair = tuple[int, int]
 
@@ -28,55 +30,25 @@ _ZERO: Pair = (0, 0)
 _ONE: Pair = (1, 0)
 
 
-def integerize(rows) -> tuple[list[list[Pair]], int]:
-    """Scale each row of Scalars to Gaussian integers.
+def integerize(rows) -> tuple[tuple[tuple[Pair, ...], ...], int]:
+    """Rows of Scalars as Gaussian-integer pairs over one common scale.
 
-    Returns the integer rows and the product of the per-row multipliers;
-    the determinant of the scaled matrix is that product times the original
-    determinant, while the rank is unchanged.
-    """
-    out = []
-    scale = 1
-    for row in rows:
-        mult = 1
-        for s in row:
-            mult = lcm(mult, s.re.denominator, s.im.denominator)
-        out.append(_scaled_row(row, mult))
-        scale *= mult
-    return out, scale
-
-
-def integerize_common(rows) -> tuple[list[list[Pair]], int]:
-    """Scale a matrix of Scalars to Gaussian integers by one common multiplier.
-
-    Returns the integer rows A' and the positive D with A = A' / D.  Unlike
-    :func:`integerize`, every row shares D, so products and characteristic
+    Returns the integer rows A' and the positive D with A = A' / D, where D is
+    the lcm of the entries' reduced denominators.  That is lowest terms: the
+    gcd of D and every part of A' is 1.  This is the format of
+    :class:`adjinv.matrices.Matrix`, and products and characteristic
     coefficients of A' rescale to those of A by powers of D.
     """
     scale = 1
     for row in rows:
         for s in row:
             scale = lcm(scale, s.re.denominator, s.im.denominator)
-    return [_scaled_row(row, scale) for row in rows], scale
-
-
-def lowest_terms(rows: list[list[Pair]], scale: int) -> tuple[list[list[Pair]], int]:
-    """rows / scale with the common factor of every part and the scale divided out.
-
-    The result is the pair of :func:`integerize_common` of the same rational
-    matrix: with that gcd 1, the scale is the lcm of the entries' reduced
-    denominators.
-    """
-    g = gcd(scale, *(part for row in rows for pair in row for part in pair))
-    if g == 1:
-        return rows, scale
-    return [[(re // g, im // g) for re, im in row] for row in rows], scale // g
-
-
-def _scaled_row(row, mult: int) -> list[Pair]:
-    # mult is a multiple of every denominator in the row, so each product is an integer.
-    return [(s.re.numerator * (mult // s.re.denominator), s.im.numerator * (mult // s.im.denominator))
-            for s in row]
+    # scale is a multiple of every denominator, so each product is an integer.
+    return tuple(
+        tuple((s.re.numerator * (scale // s.re.denominator), s.im.numerator * (scale // s.im.denominator))
+              for s in row)
+        for row in rows
+    ), scale
 
 
 def _mul(x: Pair, y: Pair) -> Pair:
@@ -167,7 +139,7 @@ def adjoint_solve_pairs(
     """
     n = len(g)
     p = len(b[0])
-    aug = [g_row + b_row for g_row, b_row in zip(g, b)]
+    aug = [[*g_row, *b_row] for g_row, b_row in zip(g, b)]
     r, sign = _bareiss_sweep(aug, n, n, n + p)
     if r < n:
         return None
@@ -215,10 +187,6 @@ def matmul_pairs(a: list[list[Pair]], b: list[list[Pair]]) -> list[list[Pair]]:
     """Product of two Gaussian-integer matrices given as lists of rows."""
     cols = list(zip(*b))
     return [[_dot(row, col) for col in cols] for row in a]
-
-
-def conjugate_transpose_pairs(a: list[list[Pair]]) -> list[list[Pair]]:
-    return [[(re, -im) for re, im in col] for col in zip(*a)]
 
 
 def char_poly_pairs(g: list[list[Pair]], order: int) -> list[Pair]:

@@ -1,13 +1,22 @@
 """Dense exact matrices and the primitive operations everything else builds on.
 
-Matrices are immutable row-major arrays of :class:`~adjinv.scalars.Scalar`.
-Vectors are ordinary matrices with a single column (or row).  All operations
-are pure functions: they validate their inputs, never mutate them, and return
-structurally canonical results, so re-running any operation reproduces its
-output bit for bit.
+A :class:`Matrix` holds its entries in one exact format: ``pairs``, the rows
+of Gaussian integers as ``(re, im)`` pairs of Python ints, over one positive
+int ``scale``, so entry (i, j) is ``(re + im i) / scale``.  The format is in
+lowest terms: the gcd of the scale and every part is 1, so the scale is the
+lcm of the entries' reduced denominators and equal matrices have equal
+fields.  :func:`from_pairs` is the constructor that reduces to lowest terms.
+Every operation here works on the pairs, and the integer kernels of
+:mod:`adjinv.elimination` take them as they are: :func:`multiply` is
+``matmul_pairs`` and :func:`rank` is ``rank_pairs``.  Scalars appear only at
+the edges: the constructor takes entries as Scalars, ints, Fractions or
+token strings, and ``at``, ``row``, ``column``, ``row_lists`` and printing
+build Scalars when a caller reads entries.
 
-:func:`multiply` is the kernel's integer product ``elimination.matmul_pairs``,
-and :func:`from_pairs` is the package's one way from integer pairs to Scalars.
+Matrices are immutable; vectors are matrices with a single column (or row).
+All operations are pure functions: they validate their inputs, never mutate
+them, and return canonical results, so re-running any operation reproduces
+its output bit for bit.
 
 Index conventions: storage accessors (``at``, ``row``, ``column``,
 ``submatrix``) are 0-based like any Python container, while the replacement
@@ -18,10 +27,12 @@ match the index-sequence language used by the minor-sum formulas.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from . import elimination
-from .scalars import ONE, ZERO, Scalar, parse_scalar
+from .elimination import Pair
+from .scalars import Scalar, parse_scalar
 
 
 def as_scalar(value) -> Scalar:
@@ -38,12 +49,12 @@ def as_scalar(value) -> Scalar:
 
 
 class Matrix:
-    """An m x n matrix of exact Gaussian-rational scalars."""
+    """An m x n matrix of exact Gaussian rationals: ``pairs`` / ``scale`` in lowest terms."""
 
-    __slots__ = ("rows", "cols", "_data")
+    __slots__ = ("rows", "cols", "pairs", "scale")
 
     def __init__(self, rows: int, cols: int, entries: Iterable):
-        data = tuple(as_scalar(e) for e in entries)
+        data = [as_scalar(e) for e in entries]
         if rows < 1 or cols < 1:
             raise ValueError("matrix dimensions must be at least 1x1")
         if len(data) != rows * cols:
@@ -52,7 +63,9 @@ class Matrix:
             )
         self.rows = rows
         self.cols = cols
-        self._data = data
+        self.pairs, self.scale = elimination.integerize(
+            [data[i * cols : (i + 1) * cols] for i in range(rows)]
+        )
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "Matrix":
@@ -67,40 +80,35 @@ class Matrix:
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
-        return cls(n, n, (ONE if i == j else ZERO for i in range(n) for j in range(n)))
+        return from_pairs([[(int(i == j), 0) for j in range(n)] for i in range(n)], 1)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "Matrix":
-        return cls(rows, cols, (ZERO,) * (rows * cols))
+        return from_pairs([[(0, 0)] * cols for _ in range(rows)], 1)
 
     # -- accessors (0-based) --------------------------------------------------
 
     def at(self, i: int, j: int) -> Scalar:
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(f"entry ({i}, {j}) outside {self.rows}x{self.cols} matrix")
-        return self._data[i * self.cols + j]
+        return _scalar(self.pairs[i][j], self.scale)
 
     def row(self, i: int) -> tuple[Scalar, ...]:
         if not 0 <= i < self.rows:
             raise IndexError(f"row {i} outside {self.rows}x{self.cols} matrix")
-        return self._data[i * self.cols : (i + 1) * self.cols]
+        return tuple(_scalar(p, self.scale) for p in self.pairs[i])
 
     def column(self, j: int) -> tuple[Scalar, ...]:
         if not 0 <= j < self.cols:
             raise IndexError(f"column {j} outside {self.rows}x{self.cols} matrix")
-        return self._data[j :: self.cols]
+        return tuple(_scalar(row[j], self.scale) for row in self.pairs)
 
     def row_lists(self) -> list[list[Scalar]]:
         return [list(self.row(i)) for i in range(self.rows)]
 
     def submatrix(self, row_indices: Sequence[int], col_indices: Sequence[int]) -> "Matrix":
         """Copy of the selected rows and columns (0-based indices)."""
-        picked = []
-        for i in row_indices:
-            base = i * self.cols
-            for j in col_indices:
-                picked.append(self._data[base + j])
-        return Matrix(len(row_indices), len(col_indices), picked)
+        return from_pairs([[self.pairs[i][j] for j in col_indices] for i in row_indices], self.scale)
 
     # -- properties -----------------------------------------------------------
 
@@ -114,7 +122,7 @@ class Matrix:
 
     @property
     def is_zero(self) -> bool:
-        return not any(self._data)
+        return not any(re or im for row in self.pairs for re, im in row)
 
     @property
     def H(self) -> "Matrix":
@@ -132,32 +140,34 @@ class Matrix:
         if not isinstance(other, Matrix):
             return NotImplemented
         _require_same_shape(self, other, "add")
-        return Matrix(self.rows, self.cols, (a + b for a, b in zip(self._data, other._data)))
+        return _sum(self, other, 1)
 
     def __sub__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
         _require_same_shape(self, other, "subtract")
-        return Matrix(self.rows, self.cols, (a - b for a, b in zip(self._data, other._data)))
+        return _sum(self, other, -1)
 
     def __mul__(self, other):
-        if isinstance(other, (Scalar, int, Fraction)):
-            s = as_scalar(other)
-            return Matrix(self.rows, self.cols, (e * s for e in self._data))
-        return NotImplemented
+        if not isinstance(other, (Scalar, int, Fraction)):
+            return NotImplemented
+        (((cr, ci),),), cs = elimination.integerize([[as_scalar(other)]])
+        rows = [[(re * cr - im * ci, re * ci + im * cr) for re, im in row] for row in self.pairs]
+        return from_pairs(rows, self.scale * cs)
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return Matrix(self.rows, self.cols, (-e for e in self._data))
+        return _matrix(tuple(tuple((-re, -im) for re, im in row) for row in self.pairs), self.scale)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self.rows == other.rows and self.cols == other.cols and self._data == other._data
+        # Lowest terms make the fields canonical; the pairs carry the shape.
+        return self.scale == other.scale and self.pairs == other.pairs
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self._data))
+        return hash((self.scale, self.pairs))
 
     def __repr__(self):
         body = "; ".join(" ".join(str(e) for e in self.row(i)) for i in range(self.rows))
@@ -165,6 +175,45 @@ class Matrix:
 
     def __str__(self):
         return "\n".join(" ".join(str(e) for e in self.row(i)) for i in range(self.rows))
+
+
+def _matrix(pairs: tuple[tuple[Pair, ...], ...], scale: int) -> Matrix:
+    """The Matrix pairs / scale, for row tuples already in lowest terms."""
+    m = Matrix.__new__(Matrix)
+    m.rows, m.cols, m.pairs, m.scale = len(pairs), len(pairs[0]), pairs, scale
+    return m
+
+
+def from_pairs(rows, scale: int) -> Matrix:
+    """rows / scale for rows of Gaussian-integer pairs and a positive int scale.
+
+    Divides out the gcd of the scale and every part, so the result is in
+    lowest terms.
+    """
+    if not rows or not rows[0]:
+        raise ValueError("matrix dimensions must be at least 1x1")
+    g = gcd(scale, *(part for row in rows for pair in row for part in pair))
+    if g == 1:
+        return _matrix(tuple(map(tuple, rows)), scale)
+    return _matrix(tuple(tuple((re // g, im // g) for re, im in row) for row in rows), scale // g)
+
+
+def _scalar(pair: Pair, scale: int) -> Scalar:
+    re, im = pair
+    return Scalar(Fraction(re, scale), Fraction(im, scale))
+
+
+def _rescaled(row, factor: int) -> list[Pair]:
+    return list(row) if factor == 1 else [(re * factor, im * factor) for re, im in row]
+
+
+def _sum(a: Matrix, b: Matrix, sign: int) -> Matrix:
+    """a + sign b over the common scale lcm(a.scale, b.scale)."""
+    scale = lcm(a.scale, b.scale)
+    u, v = scale // a.scale, sign * (scale // b.scale)
+    rows = [[(p * u + q * v, r * u + t * v) for (p, r), (q, t) in zip(a_row, b_row)]
+            for a_row, b_row in zip(a.pairs, b.pairs)]
+    return from_pairs(rows, scale)
 
 
 def _require_same_shape(a: Matrix, b: Matrix, what: str) -> None:
@@ -189,11 +238,10 @@ def hstack(a: Matrix, b: Matrix) -> Matrix:
     """Concatenate columns: the augmented matrix [a | b]."""
     if a.rows != b.rows:
         raise ValueError(f"cannot augment {a.rows}x{a.cols} with {b.rows}x{b.cols}")
-    entries = []
-    for i in range(a.rows):
-        entries.extend(a.row(i))
-        entries.extend(b.row(i))
-    return Matrix(a.rows, a.cols + b.cols, entries)
+    scale = lcm(a.scale, b.scale)
+    u, v = scale // a.scale, scale // b.scale
+    return from_pairs([_rescaled(a_row, u) + _rescaled(b_row, v)
+                       for a_row, b_row in zip(a.pairs, b.pairs)], scale)
 
 
 # -- core operations --------------------------------------------------------------
@@ -201,24 +249,14 @@ def hstack(a: Matrix, b: Matrix) -> Matrix:
 
 def conjugate_transpose(a: Matrix) -> Matrix:
     """The n x m matrix whose (i, j) entry is the conjugate of a(j, i)."""
-    return Matrix(
-        a.cols, a.rows, (a.at(j, i).conjugate() for i in range(a.cols) for j in range(a.rows))
-    )
+    return _matrix(tuple(tuple((re, -im) for re, im in col) for col in zip(*a.pairs)), a.scale)
 
 
 def multiply(a: Matrix, b: Matrix) -> Matrix:
     """Exact product a b = a' b' / (s t) of a = a' / s and b = b' / t over Gaussian integers."""
     if a.cols != b.rows:
         raise ValueError(f"cannot multiply {a.rows}x{a.cols} by {b.rows}x{b.cols}")
-    a_int, s = elimination.integerize_common(a.row_lists())
-    b_int, t = elimination.integerize_common(b.row_lists())
-    return from_pairs(elimination.matmul_pairs(a_int, b_int), s * t)
-
-
-def from_pairs(rows, scale: int) -> Matrix:
-    """rows / scale for rows of Gaussian-integer pairs; undoes elimination.integerize_common."""
-    entries = [Scalar(Fraction(re, scale), Fraction(im, scale)) for row in rows for re, im in row]
-    return Matrix(len(rows), len(rows[0]), entries)
+    return from_pairs(elimination.matmul_pairs(a.pairs, b.pairs), a.scale * b.scale)
 
 
 def power(a: Matrix, k: int) -> Matrix:
@@ -235,41 +273,44 @@ def power(a: Matrix, k: int) -> Matrix:
 
 def rank(a: Matrix) -> int:
     """Exact rank over the Gaussian rationals by fraction-free elimination."""
-    pairs, _ = elimination.integerize(a.row_lists())
-    return elimination.rank_pairs(pairs, a.rows, a.cols)
+    return elimination.rank_pairs([list(row) for row in a.pairs], a.rows, a.cols)
 
 
-def _vector_entries(v, length: int, what: str) -> tuple[Scalar, ...]:
+def _vector_pairs(v, length: int, what: str) -> tuple[list[Pair], int]:
+    """A vector (a one-row or one-column Matrix, or a sequence of entries) as pairs / scale."""
     if isinstance(v, Matrix):
         if v.cols == 1:
-            entries = v.column(0)
+            entries = [row[0] for row in v.pairs]
         elif v.rows == 1:
-            entries = v.row(0)
+            entries = list(v.pairs[0])
         else:
             raise ValueError(f"{what} must be a vector, got a {v.rows}x{v.cols} matrix")
+        scale = v.scale
     else:
-        entries = tuple(as_scalar(e) for e in v)
+        (entries,), scale = elimination.integerize([[as_scalar(e) for e in v]])
     if len(entries) != length:
         raise ValueError(f"{what} has length {len(entries)}, expected {length}")
-    return entries
+    return entries, scale
 
 
 def replace_column(a: Matrix, j: int, b) -> Matrix:
     """Copy of ``a`` with its j-th column (1-based) replaced by vector ``b``."""
     if not 1 <= j <= a.cols:
         raise ValueError(f"column index {j} outside 1..{a.cols}")
-    entries = _vector_entries(b, a.rows, "replacement column")
-    data = list(a._data)
-    for i in range(a.rows):
-        data[i * a.cols + (j - 1)] = entries[i]
-    return Matrix(a.rows, a.cols, data)
+    entries, e = _vector_pairs(b, a.rows, "replacement column")
+    scale = lcm(a.scale, e)
+    rows = [_rescaled(row, scale // a.scale) for row in a.pairs]
+    for row, value in zip(rows, _rescaled(entries, scale // e)):
+        row[j - 1] = value
+    return from_pairs(rows, scale)
 
 
 def replace_row(a: Matrix, i: int, b) -> Matrix:
     """Copy of ``a`` with its i-th row (1-based) replaced by vector ``b``."""
     if not 1 <= i <= a.rows:
         raise ValueError(f"row index {i} outside 1..{a.rows}")
-    entries = _vector_entries(b, a.cols, "replacement row")
-    data = list(a._data)
-    data[(i - 1) * a.cols : i * a.cols] = entries
-    return Matrix(a.rows, a.cols, data)
+    entries, e = _vector_pairs(b, a.cols, "replacement row")
+    scale = lcm(a.scale, e)
+    rows = [_rescaled(row, scale // a.scale) for row in a.pairs]
+    rows[i - 1] = _rescaled(entries, scale // e)
+    return from_pairs(rows, scale)

@@ -12,17 +12,17 @@ and d_t is the sum of the order-t principal minors of g (d_0 = 1).  At r = n,
 N_n(g) is the classical adjugate and d_n(g) the determinant, so the
 full-rank forms (classical inverse and Cramer's rule, and their Gram
 versions) are the same ledger.  :func:`char_adjugate` returns the
-:class:`Ledger` (N_r(g) @ b, d_r(g)) in polynomial time: it scales g and b to
-Gaussian integers once and hands them to
+:class:`Ledger` (N_r(g) @ b, d_r(g)) in polynomial time: it hands the
+integer pairs of g = g' / s and b = b' / e to
 :func:`adjinv.elimination.char_adjugate_pairs`, which picks its method from
-the input.  At r = n with g nonsingular it runs one fraction-free Bareiss
-sweep of [g | b] and a back substitution; otherwise it computes d_1 .. d_r by
-Berkowitz's division-free algorithm and applies N_r by Horner's rule.  A
-ledger stays on integer pairs until a caller asks for its numerators, its
-denominator or their quotient, the result itself; each is one
-:func:`adjinv.matrices.from_pairs` call, so no Scalar is divided.
-:func:`char_poly_coeffs` is the kernel's companion and returns every d_k by
-Berkowitz.
+the input, and rescales by N_r(g) = N_r(g') / s^(r-1) and
+d_r(g) = d_r(g') / s^r.  At r = n with g nonsingular the kernel runs one
+fraction-free Bareiss sweep of [g' | b'] and a back substitution; otherwise
+it computes d_1 .. d_r by Berkowitz's division-free algorithm and applies
+N_r by Horner's rule.  :func:`gram_adjugate` is the same call on the Gram
+matrix F*F, and :meth:`Ledger.quotient` is the one way a ledger becomes a
+result.  :func:`char_poly_coeffs` is the kernel's companion and returns
+every d_k by Berkowitz.
 
 The literal forms stay as the reference the kernel is tested against:
 :func:`minor` is the exact determinant of the submatrix selected by two
@@ -37,10 +37,9 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from . import elimination
-from .elimination import Pair
 from .index_sets import enumerate_k_subsets
-from .matrices import Matrix, from_pairs
-from .scalars import ZERO, Scalar
+from .matrices import Matrix, conjugate_transpose, from_pairs, multiply
+from .scalars import ONE, ZERO, Scalar
 
 
 def _check_index_seq(seq, limit: int, what: str) -> tuple[int, ...]:
@@ -77,8 +76,8 @@ def det(a: Matrix) -> Scalar:
 
 
 def _det(a: Matrix) -> Scalar:
-    pairs, scale = elimination.integerize(a.row_lists())
-    return from_pairs([[elimination.det_pairs(pairs, a.rows)]], scale).at(0, 0)
+    d = elimination.det_pairs([list(row) for row in a.pairs], a.rows)
+    return from_pairs([[d]], a.scale**a.rows).at(0, 0)
 
 
 def principal_minor_sum(a: Matrix, k: int) -> Scalar:
@@ -97,60 +96,37 @@ def char_poly_coeffs(a: Matrix) -> tuple[Scalar, ...]:
     """Coefficients d_1 .. d_n with det(tI - a) = t^n - d_1 t^(n-1) + ... + (-1)^n d_n.
 
     d_k is the sum of all order-k principal minors, computed here by
-    Berkowitz's algorithm on the integer-scaled matrix: with a = a' / D,
+    Berkowitz's algorithm on the matrix's integer pairs: with a = a' / D,
     d_k(a) = d_k(a') / D^k.
     """
     if not a.is_square:
         raise ValueError(f"characteristic polynomial needs a square matrix, got {a.rows}x{a.cols}")
-    pairs, scale = elimination.integerize_common(a.row_lists())
-    coeffs = elimination.char_poly_pairs(pairs, a.rows)
-    return tuple(from_pairs([[d]], scale**k).at(0, 0) for k, d in enumerate(coeffs) if k)
+    coeffs = elimination.char_poly_pairs(a.pairs, a.rows)
+    return tuple(from_pairs([[d]], a.scale**k).at(0, 0) for k, d in enumerate(coeffs) if k)
 
 
 class Ledger(NamedTuple):
-    """An adjugate-analogue ledger on Gaussian-integer pairs.
+    """An adjugate-analogue ledger: a numerator matrix and its denominator.
 
-    The numerator matrix is ``x / scale`` and the denominator ``d / d_scale``,
-    with both scales positive ints.  Callers pick the order r at which the
-    denominator cannot vanish.
+    Callers pick the order r at which the denominator cannot vanish.
     """
 
-    x: list[list[Pair]]
-    scale: int
-    d: Pair
-    d_scale: int
-
-    @classmethod
-    def of(cls, numerators: Matrix, denominator: Scalar) -> "Ledger":
-        """The ledger of a numerator matrix and denominator given as Scalars."""
-        x, scale = elimination.integerize_common(numerators.row_lists())
-        [[d]], d_scale = elimination.integerize_common([[denominator]])
-        return cls(x, scale, d, d_scale)
-
-    def numerators(self) -> Matrix:
-        return from_pairs(self.x, self.scale)
-
-    def denominator(self) -> Scalar:
-        return from_pairs([[self.d]], self.d_scale).at(0, 0)
+    numerators: Matrix
+    denominator: Scalar
 
     def quotient(self) -> Matrix:
-        """numerators / denominator, the ledger's result: x d_scale conj(d) / (scale |d|^2)."""
-        re, im = self.d
-        norm = re * re + im * im
-        if not norm:
+        """numerators / denominator, the ledger's result: one scaling of the numerator pairs."""
+        if not self.denominator:
             # Every caller's order makes d_r(g) nonzero: the determinant of a
             # nonsingular g, the sum of the squared moduli of the rank-order
             # minors for a Gram g, or the product of the nonzero eigenvalues
             # of A^(k+1) at the core rank.
             raise ArithmeticError("ledger denominator vanished; this is a bug")
-        cr, ci = re * self.d_scale, -im * self.d_scale
-        rows = [[(a * cr - b * ci, a * ci + b * cr) for a, b in row] for row in self.x]
-        return from_pairs(rows, self.scale * norm)
+        return self.numerators * (ONE / self.denominator)
 
     def adjoint(self) -> "Ledger":
         """The conjugate-transposed ledger: numerators*, conj(d) and so quotient*."""
-        re, im = self.d
-        return Ledger(elimination.conjugate_transpose_pairs(self.x), self.scale, (re, -im), self.d_scale)
+        return Ledger(conjugate_transpose(self.numerators), self.denominator.conjugate())
 
 
 def char_adjugate(g: Matrix, r: int, b: Matrix) -> Ledger:
@@ -163,39 +139,18 @@ def char_adjugate(g: Matrix, r: int, b: Matrix) -> Ledger:
     _check_order(r, g.rows)
     if b.rows != g.rows:
         raise ValueError(f"replacement matrix has {b.rows} rows, expected {g.rows}")
-    g_int, s = elimination.integerize_common(g.row_lists())
-    b_int, e = elimination.integerize_common(b.row_lists())
-    return pair_ledger(g_int, s, r, b_int, e)
-
-
-def pair_ledger(g: list[list[Pair]], s: int, r: int, b: list[list[Pair]], e: int) -> Ledger:
-    """:func:`char_adjugate` of g / s with replacement b / e, for Gaussian-integer g and b.
-
-    N_r(g / s) = N_r(g) / s^(r-1) and d_r(g / s) = d_r(g) / s^r.
-    """
-    x, d_r = elimination.char_adjugate_pairs(g, r, b)
-    return Ledger(x, s ** (r - 1) * e, d_r, s**r)
+    x, d_r = elimination.char_adjugate_pairs(g.pairs, r, b.pairs)
+    return Ledger(from_pairs(x, g.scale ** (r - 1) * b.scale), from_pairs([[d_r]], g.scale**r).at(0, 0))
 
 
 def gram_adjugate(f: Matrix, r: int, tail: Matrix | None = None) -> Ledger:
     """:func:`char_adjugate` of the Gram matrix F*F with replacement F* @ tail.
 
     Returns the ledger (N_r(F*F) @ F* @ tail, d_r(F*F)), with ``tail`` the
-    identity when omitted.  F is scaled to Gaussian integers once, F = F' / D,
-    and the Gram product F'* F' is formed on integers too: F*F = F'* F' / D^2.
+    identity when omitted.
     """
-    _check_order(r, f.cols)
-    if tail is not None and tail.rows != f.rows:
-        raise ValueError(f"tail has {tail.rows} rows, expected {f.rows}")
-    f_int, scale = elimination.integerize_common(f.row_lists())
-    f_star = elimination.conjugate_transpose_pairs(f_int)
-    g = elimination.matmul_pairs(f_star, f_int)
-    if tail is None:
-        b, e = f_star, scale
-    else:
-        tail_int, tail_scale = elimination.integerize_common(tail.row_lists())
-        b, e = elimination.matmul_pairs(f_star, tail_int), scale * tail_scale
-    return pair_ledger(g, scale * scale, r, b, e)
+    f_star = conjugate_transpose(f)
+    return char_adjugate(multiply(f_star, f), r, f_star if tail is None else multiply(f_star, tail))
 
 
 def _check_order(r: int, n: int) -> None:

@@ -99,7 +99,7 @@ def mp_inverse_columns(a: Matrix) -> PinvResult:
 
     nums = parallel_map(numerator, [(i, j) for i in range(1, n + 1) for j in range(1, m + 1)])
     numerators = Matrix(n, m, nums)
-    return PinvResult(minors.Ledger.of(numerators, denom).quotient(), denom, numerators, "eq1")
+    return PinvResult(minors.Ledger(numerators, denom).quotient(), denom, numerators, "eq1")
 
 
 def mp_inverse_rows(a: Matrix) -> PinvResult:
@@ -122,7 +122,7 @@ def mp_inverse_rows(a: Matrix) -> PinvResult:
 
     nums = parallel_map(numerator, [(i, j) for i in range(1, n + 1) for j in range(1, m + 1)])
     numerators = Matrix(n, m, nums)
-    return PinvResult(minors.Ledger.of(numerators, denom).quotient(), denom, numerators, "eq2")
+    return PinvResult(minors.Ledger(numerators, denom).quotient(), denom, numerators, "eq2")
 
 
 def mp_inverse(a: Matrix, method: str = "auto") -> PinvResult:
@@ -157,7 +157,7 @@ def mp_inverse(a: Matrix, method: str = "auto") -> PinvResult:
         # A* N_r(AA*) = (N_r(AA*) A)*, since AA* and so N_r(AA*) are Hermitian.
         ledger = minors.gram_adjugate(conjugate_transpose(a), r).adjoint()
         tag = "eq7" if r == m else "eq2"
-    return PinvResult(ledger.quotient(), ledger.denominator(), ledger.numerators(), tag)
+    return PinvResult(ledger.quotient(), ledger.denominator, ledger.numerators, tag)
 
 
 def projector_p(a: Matrix) -> Matrix:

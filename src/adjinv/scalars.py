@@ -1,8 +1,10 @@
 """Exact Gaussian-rational scalar arithmetic.
 
-Every matrix entry in this package is a :class:`Scalar`: a complex number
-whose real and imaginary parts are arbitrary-precision rationals.  All
-operations are exact.  Floats are rejected everywhere so binary rounding can
+Every single value in this package is a :class:`Scalar`: a complex number
+whose real and imaginary parts are arbitrary-precision rationals.  A matrix
+keeps its entries as integer pairs over one scale and hands them out as
+Scalars when they are read.  All operations are exact, and a real Scalar
+equals, and hashes like, the int or Fraction of the same value.  Floats are rejected everywhere so binary rounding can
 never sneak in; decimal literals are parsed as exact base-10 rationals.
 Integers of any length go to and from decimal text through :func:`int_text`
 and :func:`int_of`, which never change the interpreter's int<->str digit cap.
@@ -120,12 +122,14 @@ class Scalar:
         return bool(self.re) or bool(self.im)
 
     def __eq__(self, other):
-        if not isinstance(other, Scalar):
+        o = _coerce(other)
+        if o is None:
             return NotImplemented
-        return self.re == other.re and self.im == other.im
+        return self.re == o.re and self.im == o.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # Equal values hash equal, and a real Scalar equals its int or Fraction.
+        return hash(self.re) if not self.im else hash((self.re, self.im))
 
     def __repr__(self):
         return f"Scalar({self})"

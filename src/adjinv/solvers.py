@@ -16,9 +16,8 @@ the unique solution of the generalized normal equations A^(k+1) x = A^k y
 lying in the range of A^k.  Its numerators are N_r(A^(k+1)) @ g with
 g = A^k y ("eq16"); for a nonsingular matrix (index 0) that is adj(A) @ y,
 the classical Cramer rule ("classical_cramer").  The index search hands over
-A^k and A^(k+1) as Gaussian-integer pairs, g is formed on those pairs, and
-all three go to the kernel (:func:`adjinv.minors.pair_ledger`) without a
-round trip through Scalars.
+A^k and A^(k+1), and both go with g to the kernel
+(:func:`adjinv.minors.char_adjugate`).
 
 Every solution is the kernel ledger's quotient
 (:meth:`adjinv.minors.Ledger.quotient`), one exact division for the whole
@@ -29,9 +28,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import elimination, minors
+from . import minors
 from .drazin import _index_powers, _Powers
-from .matrices import Matrix, conjugate_transpose, from_pairs, multiply, rank
+from .matrices import Matrix, conjugate_transpose, multiply, rank
 from .scalars import ONE, ZERO, Scalar
 
 
@@ -66,7 +65,7 @@ def lsq_solve(a: Matrix, y: Matrix) -> SolveReport:
         return SolveReport(Matrix.zeros(n, 1), "eq14", ONE, (ZERO,) * n, f)
     ledger = minors.gram_adjugate(a, r, y)
     method = "eq13" if r == n else "eq14"
-    return SolveReport(ledger.quotient(), method, ledger.denominator(), ledger.numerators().column(0), f)
+    return SolveReport(ledger.quotient(), method, ledger.denominator, ledger.numerators.column(0), f)
 
 
 def lsq_solve_row_system(y: Matrix, a: Matrix) -> SolveReport:
@@ -82,7 +81,7 @@ def lsq_solve_row_system(y: Matrix, a: Matrix) -> SolveReport:
     # g N_r(AA*) = (N_r(AA*) A y*)*, since AA* and so N_r(AA*) are Hermitian.
     ledger = minors.gram_adjugate(astar, r, conjugate_transpose(y)).adjoint()
     method = "row_eq_fullrank" if r == m else "row_eq_general"
-    return SolveReport(ledger.quotient(), method, ledger.denominator(), ledger.numerators().row(0), g)
+    return SolveReport(ledger.quotient(), method, ledger.denominator, ledger.numerators.row(0), g)
 
 
 def drazin_solve(a: Matrix, y: Matrix) -> SolveReport:
@@ -100,12 +99,10 @@ def drazin_solve(a: Matrix, y: Matrix) -> SolveReport:
 
 def _drazin_solution(p: _Powers, y: Matrix) -> SolveReport:
     """:func:`drazin_solve` from the index search result."""
-    y_int, e = elimination.integerize_common(y.row_lists())
-    g_int, g_scale = elimination.lowest_terms(elimination.matmul_pairs(p.ak, y_int), p.ak_scale * e)
-    g = from_pairs(g_int, g_scale)
+    g = multiply(p.ak, y)
     if p.rank_core == 0:
         return SolveReport(Matrix.zeros(y.rows, 1), "eq16", ONE, (ZERO,) * y.rows, g)
     # At index 0, A^(k+1) = A and r = n, so the kernel gives adj(A) y and det(A).
-    ledger = p.ledger(g_int, g_scale)
+    ledger = p.ledger(g)
     method = "classical_cramer" if p.index == 0 else "eq16"
-    return SolveReport(ledger.quotient(), method, ledger.denominator(), ledger.numerators().column(0), g)
+    return SolveReport(ledger.quotient(), method, ledger.denominator, ledger.numerators.column(0), g)

@@ -5,10 +5,11 @@ path: the pseudoinverse oracle goes through a rank factorization obtained
 from reduced row echelon form, and the two small inverses come from
 Gauss-Jordan elimination of [M | I] by the same Scalar row reduction; the
 Drazin oracle composes powers with that pseudoinverse.  Only the primitive
-matrix operations are reused: ``multiply`` shares the kernel's integer
-product ``matmul_pairs``, while :func:`_rref` and :func:`_inverse` stay
-independent Scalar code.  All checks are exact equalities; there is no
-tolerance anywhere.
+matrix operations of :mod:`adjinv.matrices` are reused, on the matrices'
+integer pairs: products, powers, rank, transposes and equality.
+:func:`_rref` and :func:`_inverse` read the entries as Scalars and reduce
+them with Scalar arithmetic, so they share no code with the kernel.  All
+checks are exact equalities; there is no tolerance anywhere.
 """
 
 from __future__ import annotations

@@ -55,9 +55,8 @@ from adjinv import (
     replace_row,
     row_vector,
 )
-from adjinv import drazin, elimination, minors
+from adjinv import drazin, elimination, matrices, minors
 from adjinv.drazin import _representation
-from adjinv.matrices import from_pairs
 
 LITERAL = settings(max_examples=25, deadline=None)
 ORACLE = settings(max_examples=20, deadline=None)
@@ -235,7 +234,7 @@ def cramer_rows(g: Matrix, c: Matrix) -> Matrix:
 
 
 def _exact(ledger: minors.Ledger) -> tuple[Matrix, Scalar]:
-    return ledger.numerators(), ledger.denominator()
+    return ledger.numerators, ledger.denominator
 
 
 def _rhs(seed: int, length: int, complex_entries: bool = True) -> list[Scalar]:
@@ -382,9 +381,7 @@ def test_char_adjugate_falls_back_on_singular_input(nr, p, seed, complex_entries
     n, r = nr
     g = _deficient(seed, n, n, r, complex_entries)
     b = _matrix(random.Random(seed + 1), n, p, complex_entries)
-    g_int, _ = elimination.integerize_common(g.row_lists())
-    b_int, _ = elimination.integerize_common(b.row_lists())
-    assert elimination.adjoint_solve_pairs(g_int, b_int) is None
+    assert elimination.adjoint_solve_pairs(g.pairs, b.pairs) is None
     assert _exact(minors.char_adjugate(g, n, b)) == (multiply(minors.adjugate(g), b), ZERO)
 
 
@@ -432,8 +429,8 @@ def test_index_search_matches_representation_and_oracle(case, seed):
     assert (p.index, p.rank_core) == (index, core)
     ak = power(a, index)
     # The search's pairs are exactly the common-scale pairs of the Scalar powers.
-    assert (p.ak, p.ak_scale) == elimination.integerize_common(ak.row_lists())
-    assert (p.b, p.b_scale) == elimination.integerize_common(multiply(ak, a).row_lists())
+    assert (p.ak.pairs, p.ak.scale) == elimination.integerize(ak.row_lists())
+    assert (p.b.pairs, p.b.scale) == elimination.integerize(multiply(ak, a).row_lists())
 
     res = drazin_inverse(a)
     assert res == _representation(a, index)  # index, core rank, ledger, denominator, inverse
@@ -459,19 +456,19 @@ def test_index_search_divides_out_the_content(monkeypatch):
     m = _conjugate_by_elementary(rows, random.Random(7), 8)
     a = m * Fraction(1, 10**6)
     steps = []
-    real = elimination.lowest_terms
+    real = matrices.from_pairs
 
     def recorded(rows, scale):
         out = real(rows, scale)
-        steps.append((_content(rows, scale), _content(*out)))
+        steps.append((_content(rows, scale), _content(out.pairs, out.scale)))
         return out
 
-    monkeypatch.setattr(elimination, "lowest_terms", recorded)
+    monkeypatch.setattr(matrices, "from_pairs", recorded)
     p = drazin._index_powers(a)
-    assert p.index == 2 and len(steps) == 2
+    assert p.index == 2 and len(steps) == 3  # the identity A^0, then the products A^2 and A^3
     assert steps[-1][0] > 1 and all(after == 1 for _, after in steps)
-    assert _content(p.ak, p.ak_scale) == _content(p.b, p.b_scale) == 1
-    assert from_pairs(p.b, p.b_scale) == power(a, 3)
+    assert _content(p.ak.pairs, p.ak.scale) == _content(p.b.pairs, p.b.scale) == 1
+    assert p.b == power(a, 3)
 
 
 def _content(rows, scale: int) -> int:

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -17,7 +18,7 @@ from adjinv import (
     replace_column,
     replace_row,
 )
-from adjinv.elimination import integerize_common
+from adjinv.elimination import integerize
 from adjinv.matrices import from_pairs
 from conftest import random_matrix
 
@@ -140,7 +141,92 @@ def test_multiply_matches_literal_sum(pair):
     assert multiply(a, b) == literal_product(a, b)
     # from_pairs is the way back from the integer layer multiply works on.
     for m in pair:
-        assert from_pairs(*integerize_common(m.row_lists())) == m
+        assert from_pairs(*integerize(m.row_lists())) == m
+
+
+def grid(m: Matrix) -> list[list[Scalar]]:
+    return [list(m.row(i)) for i in range(m.rows)]
+
+
+def in_lowest_terms(m: Matrix) -> bool:
+    """The stored format: m rows of n pairs over a positive scale sharing no factor with them."""
+    parts = [part for row in m.pairs for pair in row for part in pair]
+    return (m.scale > 0 and gcd(m.scale, *parts) == 1
+            and len(m.pairs) == m.rows and all(len(row) == m.cols for row in m.pairs))
+
+
+def rewritten(s: Scalar, k: int) -> str:
+    """The token of s with each part's numerator and denominator multiplied by k."""
+    def part(q: Fraction) -> str:
+        return f"{abs(q.numerator) * k}/{q.denominator * k}"
+
+    return f"{'-' if s.re < 0 else ''}{part(s.re)}{'-' if s.im < 0 else '+'}{part(s.im)}i"
+
+
+@st.composite
+def same_shape_pairs(draw):
+    """(a, b) of one shape, 1 x n and n x 1 included; b is a rewritten with other
+    denominators, a with one entry changed, or an independent matrix."""
+    shape = draw(st.sampled_from(("row", "column", "any")))
+    rows = 1 if shape == "row" else draw(st.integers(1, 4))
+    cols = 1 if shape == "column" else draw(st.integers(1, 4))
+    a = draw(operands(rows, cols))
+    entries = [e for row in grid(a) for e in row]
+    how = draw(st.sampled_from(("rewritten", "changed", "independent")))
+    if how == "rewritten":
+        b = Matrix(rows, cols, [rewritten(e, draw(st.integers(2, 6))) for e in entries])
+    elif how == "changed":
+        t = draw(st.integers(0, rows * cols - 1))
+        entries[t] = entries[t] + draw(scalars.filter(bool))
+        b = Matrix(rows, cols, entries)
+    else:
+        b = draw(operands(rows, cols))
+    return a, b
+
+
+@settings(max_examples=80, deadline=None)
+@given(same_shape_pairs(), st.one_of(scalars, st.integers(-3, 3), rationals), st.data())
+@example((Matrix.from_rows([["1/2", "3i"]]), Matrix.from_rows([["2/4", "6/2i"]])), 0, None)
+@example((Matrix.zeros(3, 1), column_vector(["0/5", 0, "0.0"])), Fraction(1, 3), None)
+def test_stored_pairs_match_entrywise_scalars(pair, c, data):
+    a, b = pair
+    ga, gb = grid(a), grid(b)
+    assert in_lowest_terms(a) and in_lowest_terms(b)
+    assert (a == b) == (ga == gb)
+    if a == b:
+        assert hash(a) == hash(b)
+    m, n = a.rows, a.cols
+    if data is None:
+        rows, cols, i, j = list(range(m)), list(range(n)), 1, 1
+    else:
+        rows = data.draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=m + 1))
+        cols = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n + 1))
+        i, j = data.draw(st.integers(1, m)), data.draw(st.integers(1, n))
+    b_column = b.submatrix(range(m), [j - 1])
+    b_row = b.submatrix([i - 1], range(n))
+    replaced_column = [row[:] for row in ga]
+    for r in range(m):
+        replaced_column[r][j - 1] = gb[r][j - 1]
+    replaced_row = [row[:] for row in ga]
+    replaced_row[i - 1] = gb[i - 1]
+    cases = [
+        (a + b, [[x + y for x, y in zip(r, s)] for r, s in zip(ga, gb)]),
+        (a - b, [[x - y for x, y in zip(r, s)] for r, s in zip(ga, gb)]),
+        (-a, [[-x for x in r] for r in ga]),
+        (a * c, [[x * c for x in r] for r in ga]),
+        (c * a, [[c * x for x in r] for r in ga]),
+        (conjugate_transpose(a), [[ga[r][t].conjugate() for r in range(m)] for t in range(n)]),
+        (hstack(a, b), [r + s for r, s in zip(ga, gb)]),
+        (a.submatrix(rows, cols), [[ga[r][t] for t in cols] for r in rows]),
+        (replace_column(a, j, b_column), replaced_column),
+        (replace_column(a, j, b.column(j - 1)), replaced_column),
+        (replace_row(a, i, b_row), replaced_row),
+        (replace_row(a, i, list(b.row(i - 1))), replaced_row),
+    ]
+    for got, expected in cases:
+        assert in_lowest_terms(got)
+        assert got.shape == (len(expected), len(expected[0]))
+        assert grid(got) == expected
 
 
 def test_multiply_dimension_mismatch():

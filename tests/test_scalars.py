@@ -92,3 +92,23 @@ def test_mixed_int_fraction_operands():
     assert Scalar(1, 2) * 2 == Scalar(2, 4)
     assert 1 + Scalar(Fraction(1, 2)) == Scalar(Fraction(3, 2))
     assert 1 / Scalar(0, 1) == Scalar(0, -1)  # 1/i = -i
+
+
+def test_equality_and_hash_with_ints_and_fractions():
+    from adjinv import Matrix, det
+
+    assert Scalar(1) == 1 and 1 == Scalar(1)
+    assert Scalar(1) == Fraction(1) and Fraction(1) == Scalar(1)
+    assert Scalar(Fraction(-3, 4)) == Fraction(-3, 4)
+    assert det(Matrix.zeros(2, 2)) == 0
+    assert Scalar(1, 1) != 1 and Scalar(2) != 1 and Scalar(1) != "1"
+    assert hash(Scalar(1)) == hash(1) == hash(Fraction(1))
+    assert hash(Scalar(Fraction(-3, 4))) == hash(Fraction(-3, 4))
+    assert len({Scalar(2), 2, Fraction(4, 2)}) == 1
+
+
+@given(scalars, rationals)
+def test_equality_agrees_with_hash(a, q):
+    assert (a == q) == (a.re == q and not a.im)
+    if a == q:
+        assert hash(a) == hash(q)
