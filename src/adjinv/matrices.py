@@ -63,7 +63,7 @@ class Matrix:
             )
         self.rows = rows
         self.cols = cols
-        self.pairs, self.scale = elimination.integerize(
+        self.pairs, self.scale = elimination._integerize(
             [data[i * cols : (i + 1) * cols] for i in range(rows)]
         )
 
@@ -91,17 +91,17 @@ class Matrix:
     def at(self, i: int, j: int) -> Scalar:
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(f"entry ({i}, {j}) outside {self.rows}x{self.cols} matrix")
-        return _scalar(self.pairs[i][j], self.scale)
+        return scalar_of(self.pairs[i][j], self.scale)
 
     def row(self, i: int) -> tuple[Scalar, ...]:
         if not 0 <= i < self.rows:
             raise IndexError(f"row {i} outside {self.rows}x{self.cols} matrix")
-        return tuple(_scalar(p, self.scale) for p in self.pairs[i])
+        return tuple(scalar_of(p, self.scale) for p in self.pairs[i])
 
     def column(self, j: int) -> tuple[Scalar, ...]:
         if not 0 <= j < self.cols:
             raise IndexError(f"column {j} outside {self.rows}x{self.cols} matrix")
-        return tuple(_scalar(row[j], self.scale) for row in self.pairs)
+        return tuple(scalar_of(row[j], self.scale) for row in self.pairs)
 
     def row_lists(self) -> list[list[Scalar]]:
         return [list(self.row(i)) for i in range(self.rows)]
@@ -198,21 +198,32 @@ def from_pairs(rows, scale: int) -> Matrix:
     return _matrix(tuple(tuple((re // g, im // g) for re, im in row) for row in rows), scale // g)
 
 
-def _scalar(pair: Pair, scale: int) -> Scalar:
+def scalar_of(pair: Pair, scale: int) -> Scalar:
+    """The Scalar pair / scale, for one Gaussian-integer pair and a positive int scale."""
     re, im = pair
     return Scalar(Fraction(re, scale), Fraction(im, scale))
 
 
-def _rescaled(row, factor: int) -> list[Pair]:
-    return list(row) if factor == 1 else [(re * factor, im * factor) for re, im in row]
+def _rescaled(rows, factor: int) -> list[list[Pair]]:
+    if factor == 1:
+        return [list(row) for row in rows]
+    return [[(re * factor, im * factor) for re, im in row] for row in rows]
+
+
+def _common(a_rows, a_scale: int, b_rows, b_scale: int):
+    """a_rows / a_scale and b_rows / b_scale as list rows over their common scale.
+
+    Returns the two rescaled row lists and the scale lcm(a_scale, b_scale).
+    """
+    scale = lcm(a_scale, b_scale)
+    return _rescaled(a_rows, scale // a_scale), _rescaled(b_rows, scale // b_scale), scale
 
 
 def _sum(a: Matrix, b: Matrix, sign: int) -> Matrix:
-    """a + sign b over the common scale lcm(a.scale, b.scale)."""
-    scale = lcm(a.scale, b.scale)
-    u, v = scale // a.scale, sign * (scale // b.scale)
-    rows = [[(p * u + q * v, r * u + t * v) for (p, r), (q, t) in zip(a_row, b_row)]
-            for a_row, b_row in zip(a.pairs, b.pairs)]
+    """a + sign b over the common scale of a and b."""
+    a_rows, b_rows, scale = _common(a.pairs, a.scale, b.pairs, b.scale)
+    rows = [[(p + sign * q, r + sign * t) for (p, r), (q, t) in zip(a_row, b_row)]
+            for a_row, b_row in zip(a_rows, b_rows)]
     return from_pairs(rows, scale)
 
 
@@ -238,10 +249,8 @@ def hstack(a: Matrix, b: Matrix) -> Matrix:
     """Concatenate columns: the augmented matrix [a | b]."""
     if a.rows != b.rows:
         raise ValueError(f"cannot augment {a.rows}x{a.cols} with {b.rows}x{b.cols}")
-    scale = lcm(a.scale, b.scale)
-    u, v = scale // a.scale, scale // b.scale
-    return from_pairs([_rescaled(a_row, u) + _rescaled(b_row, v)
-                       for a_row, b_row in zip(a.pairs, b.pairs)], scale)
+    a_rows, b_rows, scale = _common(a.pairs, a.scale, b.pairs, b.scale)
+    return from_pairs([a_row + b_row for a_row, b_row in zip(a_rows, b_rows)], scale)
 
 
 # -- core operations --------------------------------------------------------------
@@ -298,9 +307,8 @@ def replace_column(a: Matrix, j: int, b) -> Matrix:
     if not 1 <= j <= a.cols:
         raise ValueError(f"column index {j} outside 1..{a.cols}")
     entries, e = _vector_pairs(b, a.rows, "replacement column")
-    scale = lcm(a.scale, e)
-    rows = [_rescaled(row, scale // a.scale) for row in a.pairs]
-    for row, value in zip(rows, _rescaled(entries, scale // e)):
+    rows, (column,), scale = _common(a.pairs, a.scale, [entries], e)
+    for row, value in zip(rows, column):
         row[j - 1] = value
     return from_pairs(rows, scale)
 
@@ -310,7 +318,6 @@ def replace_row(a: Matrix, i: int, b) -> Matrix:
     if not 1 <= i <= a.rows:
         raise ValueError(f"row index {i} outside 1..{a.rows}")
     entries, e = _vector_pairs(b, a.cols, "replacement row")
-    scale = lcm(a.scale, e)
-    rows = [_rescaled(row, scale // a.scale) for row in a.pairs]
-    rows[i - 1] = _rescaled(entries, scale // e)
+    rows, (row,), scale = _common(a.pairs, a.scale, [entries], e)
+    rows[i - 1] = row
     return from_pairs(rows, scale)

@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 from . import elimination
 from .index_sets import enumerate_k_subsets
-from .matrices import Matrix, conjugate_transpose, from_pairs, multiply
+from .matrices import Matrix, conjugate_transpose, from_pairs, multiply, scalar_of
 from .scalars import ONE, ZERO, Scalar
 
 
@@ -77,7 +77,7 @@ def det(a: Matrix) -> Scalar:
 
 def _det(a: Matrix) -> Scalar:
     d = elimination.det_pairs([list(row) for row in a.pairs], a.rows)
-    return from_pairs([[d]], a.scale**a.rows).at(0, 0)
+    return scalar_of(d, a.scale**a.rows)
 
 
 def principal_minor_sum(a: Matrix, k: int) -> Scalar:
@@ -102,7 +102,7 @@ def char_poly_coeffs(a: Matrix) -> tuple[Scalar, ...]:
     if not a.is_square:
         raise ValueError(f"characteristic polynomial needs a square matrix, got {a.rows}x{a.cols}")
     coeffs = elimination.char_poly_pairs(a.pairs, a.rows)
-    return tuple(from_pairs([[d]], a.scale**k).at(0, 0) for k, d in enumerate(coeffs) if k)
+    return tuple(scalar_of(d, a.scale**k) for k, d in enumerate(coeffs) if k)
 
 
 class Ledger(NamedTuple):
@@ -140,7 +140,7 @@ def char_adjugate(g: Matrix, r: int, b: Matrix) -> Ledger:
     if b.rows != g.rows:
         raise ValueError(f"replacement matrix has {b.rows} rows, expected {g.rows}")
     x, d_r = elimination.char_adjugate_pairs(g.pairs, r, b.pairs)
-    return Ledger(from_pairs(x, g.scale ** (r - 1) * b.scale), from_pairs([[d_r]], g.scale**r).at(0, 0))
+    return Ledger(from_pairs(x, g.scale ** (r - 1) * b.scale), scalar_of(d_r, g.scale**r))
 
 
 def gram_adjugate(f: Matrix, r: int, tail: Matrix | None = None) -> Ledger:
