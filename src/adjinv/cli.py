@@ -119,6 +119,8 @@ def _ledger(res) -> tuple:
 
 def _cmd_verify(args) -> int:
     a = _read_matrix(args.matrix)
+    # A malformed or wrong-length right side fails before any work is done.
+    y = _load_rhs(args, a, "column") if _has_rhs(args) else None
     checks: list[tuple[str, bool]] = []
     x = _pinv.mp_inverse(a).pseudo_inverse
     checks.extend(
@@ -132,8 +134,7 @@ def _cmd_verify(args) -> int:
         checks.extend(
             (f"drazin:{name}", ok) for name, ok in _verify.check_drazin(a, xd, k).checks
         )
-    if _has_rhs(args):
-        y = _load_rhs(args, a, "column")
+    if y is not None:
         sol = _solvers.lsq_solve(a, y).solution
         astar = conjugate_transpose(a)
         checks.append(

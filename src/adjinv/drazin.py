@@ -11,13 +11,15 @@ the characteristic-adjugate kernel (:func:`adjinv.minors.char_adjugate`) in
 one call; the projector A^D A is N_r(A^(k+1)) @ A^(k+1) over the same
 denominator.
 
-The index search is a plain loop of :func:`adjinv.matrices.multiply` and
-:func:`adjinv.matrices.rank`, which work on the matrices' integer pairs, and
-it hands A^k and A^(k+1) to every caller as Matrices.
+The index search is a plain loop of :func:`adjinv.matrices.multiply` and a
+fraction-free elimination of each power for its rank, both on the matrices'
+integer pairs, and it hands A^k and A^(k+1) to every caller as Matrices,
+with the elimination of A^(k+1).
 
 A nonsingular matrix has index 0, so A^k = I, A^(k+1) = A and r = n; there
 N_n(A) is the classical adjugate, and the same kernel call returns
-adj(A) / det(A), the classical inverse.  Nilpotent matrices (core rank 0)
+adj(A) / det(A), the classical inverse, solved from the elimination that
+found the index, so A is eliminated once.  Nilpotent matrices (core rank 0)
 short-circuit to the zero matrix, the unique solution of the defining
 equations in that case.
 """
@@ -27,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from . import minors
+from . import elimination, minors
 from .matrices import Matrix, multiply, power, rank
 from .scalars import ONE, Scalar
 
@@ -54,16 +56,21 @@ class DrazinResult:
 
 
 class _Powers(NamedTuple):
-    """The index search result: k = ``index``, A^k, A^(k+1) and ``rank_core`` = rank A^k."""
+    """The index search result: k = ``index``, A^k, A^(k+1) and ``rank_core`` = rank A^k.
+
+    ``elim`` is the elimination of A^(k+1) that gave its rank, when the
+    search made one; at index 0 the ledger solves from it.
+    """
 
     index: int
     ak: Matrix
     b: Matrix
     rank_core: int
+    elim: elimination.Elimination | None = None
 
     def ledger(self, replacement: Matrix) -> minors.Ledger:
         """N_r(A^(k+1)) @ replacement over d_r(A^(k+1)); needs r >= 1."""
-        return minors.char_adjugate(self.b, self.rank_core, replacement)
+        return minors.char_adjugate(self.b, self.rank_core, replacement, self.elim)
 
 
 def _require_square(a: Matrix, what: str) -> None:
@@ -75,10 +82,10 @@ def _index_powers(a: Matrix) -> _Powers:
     """The index k of a square matrix with A^k, A^(k+1) and rank A^k, as :class:`_Powers`."""
     k, ak, b, rank_k = 0, Matrix.identity(a.rows), a, a.rows
     while True:
-        rank_b = rank(b)
-        if rank_b == rank_k:
-            return _Powers(k, ak, b, rank_k)
-        ak, rank_k = b, rank_b
+        elim = elimination.eliminate(b.pairs)
+        if elim.rank == rank_k:
+            return _Powers(k, ak, b, rank_k, elim)
+        ak, rank_k = b, elim.rank
         b = multiply(b, a)
         k += 1
 

@@ -9,21 +9,32 @@ into this format.  Bareiss cross-multiplication keeps all intermediate values
 integral and every division exact, which bounds entry growth without ever
 leaving exact arithmetic.  Pivots are the first nonzero
 entry in column scan order; with exact arithmetic the pivot choice is
-correctness-neutral.  The sweeps mutate the rows they are given, so callers
-pass list copies.
+correctness-neutral.  The sweep mutates the rows it is given, so callers
+pass list copies (:func:`eliminate` makes them).
+
+The sweep is kept as an :class:`Elimination`, a fraction-free LU (Nakos,
+Turner and Williams, ACM SIGSAM Bulletin 31(3), 1997): below each pivot
+every row keeps its multiplier, the lead it had at that step, and the row
+order and pivot columns are recorded.  Rank and determinant come from it,
+and a right-hand side replays its steps without eliminating g again.  The
+sweep, the replay and the back substitution share one row update,
+(pivot x - lead t) / prev with its exactness check, and the same loop serves
+real and complex entries.
 
 Berkowitz's algorithm gives the characteristic coefficients without any
 division, and Horner's rule applies the Cayley-Hamilton polynomial N_r(g) to
 a replacement matrix, so a whole adjugate-analogue ledger costs O(n^3 r)
 integer operations.  At full order r = n the polynomial is the classical
-adjugate; there the kernel runs the Bareiss forward sweep of the determinant
-on [g | b] and back-substitutes, O(n^2 (n + p)) operations for an n x p
-replacement matrix, and keeps Berkowitz and Horner for a singular g.
+adjugate; there the kernel solves from the elimination of g, the caller's
+when it has one: the replay on b and a back substitution cost O(n^2 p)
+operations for an n x p replacement matrix, on top of the O(n^3) sweep.
+Berkowitz and Horner stay for a singular g.
 """
 
 from __future__ import annotations
 
 from math import lcm
+from typing import NamedTuple
 
 Pair = tuple[int, int]
 
@@ -70,38 +81,81 @@ def _mul(x: Pair, y: Pair) -> Pair:
     return (a * c - b * d, a * d + b * c)
 
 
-def _div_exact(x: Pair, y: Pair) -> Pair:
-    # Exact Gaussian-integer division; Bareiss guarantees divisibility,
-    # and the divmod check turns any violation into a loud failure.
-    a, b = x
-    c, d = y
-    if d == 0:
-        qr, rr = divmod(a, c)
-        qi, ri = divmod(b, c)
-    else:
-        n2 = c * c + d * d
-        qr, rr = divmod(a * c + b * d, n2)
-        qi, ri = divmod(b * c - a * d, n2)
-    if rr or ri:
-        raise ArithmeticError("inexact division in fraction-free elimination")
-    return (qr, qi)
+class Elimination(NamedTuple):
+    """A fraction-free forward sweep, kept so that right-hand sides can replay it.
 
-
-def _bareiss_sweep(a: list[list[Pair]], m: int, pivot_cols: int, width: int) -> tuple[int, int]:
-    """Fraction-free forward sweep of the m x width rows ``a`` (mutated).
-
-    Scans the first ``pivot_cols`` columns for pivots, eliminating below each
-    one and carrying every column up to ``width`` along.  Returns the number
-    of pivots found, which is the rank of the leading m x pivot_cols block,
-    and the sign of the row permutation.  Each row stays an integer
-    combination of the input rows; when the leading n x n block of a square
-    sweep has rank n, it is upper triangular with nonzero pivots a[k][k] and
-    a[n-1][n-1] is the sign times its determinant.
+    ``rows`` are the swept rows in pivot order.  On and to the right of each
+    pivot they hold the echelon form; below pivot k, in its column, each row
+    keeps its lead at step k, the multiplier that step used on it.
+    ``order[i]`` is the input row now at position i, ``pivots`` holds the
+    pivot column of each step, and ``sign`` is the sign of the row
+    permutation.
     """
+
+    rows: list[list[Pair]]
+    order: list[int]
+    pivots: list[int]
+    sign: int
+
+    @property
+    def rank(self) -> int:
+        return len(self.pivots)
+
+
+def _update(row: list[Pair], top: list[Pair], pivot: Pair, lead: Pair, prev: Pair, start: int) -> None:
+    """row[j] <- (pivot row[j] - lead top[j]) / prev for every j >= start, in place.
+
+    The one row update of the sweep, the replay and the back substitution.
+    The imaginary cross terms are added only when the pivot or the lead is
+    non-real, so real entries pay for no complex products.  Every division
+    keeps its remainder check: the callers' quotients are exact, and a
+    nonzero remainder raises ArithmeticError.
+    """
+    pr, pi = pivot
+    lr, li = lead
+    dr, di = prev
+    cross = pi or li
+    norm = dr * dr + di * di
+    for j in range(start, len(row)):
+        xr, xi = row[j]
+        tr, ti = top[j]
+        re = pr * xr - lr * tr
+        im = pr * xi - lr * ti
+        if cross:
+            re += li * ti - pi * xi
+            im += pi * xr - li * tr
+        if di:
+            # Divide by prev through its conjugate and squared modulus.
+            re, im = re * dr + im * di, im * dr - re * di
+            re, rr = divmod(re, norm)
+            im, ri = divmod(im, norm)
+        elif dr != 1:
+            re, rr = divmod(re, dr)
+            im, ri = divmod(im, dr) if im else (0, 0)
+        else:
+            rr = ri = 0
+        if rr or ri:
+            raise ArithmeticError("inexact division in fraction-free elimination")
+        row[j] = (re, im)
+
+
+def _bareiss_sweep(a: list[list[Pair]]) -> Elimination:
+    """Fraction-free forward sweep of the m x n rows ``a``, which become its rows.
+
+    Pivots are the first nonzero entry in column scan order; every row below
+    a pivot, a zero-lead row too, gets the update, which keeps every later
+    division exact.  Each row stays an integer combination of the input
+    rows.  When a square a has full rank, its rows are upper triangular on
+    and above the diagonal with nonzero pivots, and the last pivot is the
+    sign times the determinant.
+    """
+    m = len(a)
+    order = list(range(m))
+    pivots: list[int] = []
     sign = 1
     prev = _ONE
-    r = 0
-    for col in range(pivot_cols):
+    for col in range(len(a[0])):
+        r = len(pivots)
         if r == m:
             break
         pivot_row = next((i for i in range(r, m) if a[i][col] != _ZERO), None)
@@ -109,70 +163,72 @@ def _bareiss_sweep(a: list[list[Pair]], m: int, pivot_cols: int, width: int) -> 
             continue
         if pivot_row != r:
             a[r], a[pivot_row] = a[pivot_row], a[r]
+            order[r], order[pivot_row] = order[pivot_row], order[r]
             sign = -sign
         pivot = a[r][col]
         top = a[r]
         for i in range(r + 1, m):
-            row = a[i]
-            lead = row[col]
-            # Rows with a zero lead still get the pivot/prev rescale; that is
-            # what keeps every later division exact.
-            for j in range(col + 1, width):
-                row[j] = _div_exact(
-                    _sub(_mul(pivot, row[j]), _mul(lead, top[j])), prev
-                )
-            row[col] = _ZERO
+            _update(a[i], top, pivot, a[i][col], prev, col + 1)
         prev = pivot
-        r += 1
-    return r, sign
+        pivots.append(col)
+    return Elimination(a, order, pivots, sign)
+
+
+def eliminate(g: list[list[Pair]]) -> Elimination:
+    """The :class:`Elimination` of a Gaussian-integer matrix; ``g`` is left as it is."""
+    return _bareiss_sweep([list(row) for row in g])
 
 
 def det_pairs(a: list[list[Pair]], n: int) -> Pair:
     """Determinant of an n x n Gaussian-integer matrix (mutates ``a``)."""
-    r, sign = _bareiss_sweep(a, n, n, n)
-    if r < n:
+    e = _bareiss_sweep(a)
+    if e.rank < n:
         return _ZERO
     d = a[n - 1][n - 1]
-    return d if sign == 1 else _neg(d)
+    return d if e.sign == 1 else _neg(d)
 
 
 def adjoint_solve_pairs(
-    g: list[list[Pair]], b: list[list[Pair]]
+    g: list[list[Pair]], b: list[list[Pair]], elim: Elimination | None = None
 ) -> tuple[list[list[Pair]], Pair] | None:
     """adj(g) b and det g for an n x n Gaussian-integer g and n x p b.
 
-    Returns None when g is singular.  The forward sweep of :func:`det_pairs`
-    runs on [g | b] and leaves an upper-triangular system U x = c with the
-    solution x = g^-1 b.  Back substitution is carried out on
-    X = det(g) x = adj(g) b, which is a Gaussian-integer matrix, so each
-    division by a pivot is exact (Bareiss, Math. Comp. 22(103), 1968).  The
-    cost is O(n^2 (n + p)) integer operations.
+    Returns None when g is singular.  ``elim`` is the elimination of g when
+    the caller already has it; otherwise g is eliminated here.  The replay
+    runs the sweep's steps on the rows of b, O(n^2 p) integer operations,
+    exactly what the sweep of [g | b] would do to them.  That leaves an
+    upper-triangular system U x = c with the solution x = g^-1 b.  Back
+    substitution is carried out on X = det(g) x = adj(g) b, which is a
+    Gaussian-integer matrix, so each division by a pivot is exact (Bareiss,
+    Math. Comp. 22(103), 1968).
     """
     n = len(g)
-    p = len(b[0])
-    aug = [[*g_row, *b_row] for g_row, b_row in zip(g, b)]
-    r, sign = _bareiss_sweep(aug, n, n, n + p)
-    if r < n:
+    e = eliminate(g) if elim is None else elim
+    if e.rank < n:
         return None
-    det = aug[n - 1][n - 1] if sign == 1 else _neg(aug[n - 1][n - 1])
-    x = [[_ZERO] * p for _ in range(n)]
+    u = e.rows
+    x = [list(b[i]) for i in e.order]
+    prev = _ONE
+    for k in range(n):
+        pivot, top = u[k][k], x[k]
+        for i in range(k + 1, n):
+            _update(x[i], top, pivot, u[i][k], prev, 0)
+        prev = pivot
+    det = prev if e.sign == 1 else _neg(prev)
+    # Row i of X is (det c_i - sum_{t>i} u[i][t] X_t) / u[i][i]: one update
+    # per term, with the division by the pivot at the last.
     for i in range(n - 1, -1, -1):
-        row = aug[i]
-        for j in range(p):
-            acc = _mul(det, row[n + j])
-            for t in range(i + 1, n):
-                acc = _sub(acc, _mul(row[t], x[t][j]))
-            x[i][j] = _div_exact(acc, row[i])
+        row, scale = x[i], det
+        for t in range(i + 1, n):
+            _update(row, x[t], scale, u[i][t], _ONE, 0)
+            scale = _ONE
+        _update(row, row, scale, _ZERO, u[i][i], 0)
     return x, det
 
 
 def rank_pairs(a: list[list[Pair]], m: int, n: int) -> int:
     """Rank of an m x n Gaussian-integer matrix (mutates ``a``)."""
-    return _bareiss_sweep(a, m, n, n)[0]
-
-
-def _sub(x: Pair, y: Pair) -> Pair:
-    return (x[0] - y[0], x[1] - y[1])
+    return _bareiss_sweep(a).rank
 
 
 def _add(x: Pair, y: Pair) -> Pair:
@@ -228,7 +284,7 @@ def char_poly_pairs(g: list[list[Pair]], order: int) -> list[Pair]:
 
 
 def char_adjugate_pairs(
-    g: list[list[Pair]], r: int, b: list[list[Pair]]
+    g: list[list[Pair]], r: int, b: list[list[Pair]], elim: Elimination | None = None
 ) -> tuple[list[list[Pair]], Pair]:
     """N_r(g) b and d_r(g) for a Gaussian-integer n x n g and n x p b.
 
@@ -237,11 +293,12 @@ def char_adjugate_pairs(
     is the sum, over the order-r principal index sets containing i, of the
     minors of g with column i replaced by column j of b (Decell, SIAM Review
     7(4), 1965).  At r = n, N_n(g) is the classical adjugate and d_n(g) the
-    determinant, so a nonsingular g goes through :func:`adjoint_solve_pairs`;
-    a singular g, or r < n, goes through :func:`horner_adjugate_pairs`.
+    determinant, so a nonsingular g goes through :func:`adjoint_solve_pairs`,
+    which solves from ``elim`` when the caller hands over the elimination of
+    g; a singular g, or r < n, goes through :func:`horner_adjugate_pairs`.
     """
     if r == len(g):
-        solved = adjoint_solve_pairs(g, b)
+        solved = adjoint_solve_pairs(g, b, elim)
         if solved is not None:
             return solved
     return horner_adjugate_pairs(g, r, b)

@@ -16,13 +16,15 @@ versions) are the same ledger.  :func:`char_adjugate` returns the
 integer pairs of g = g' / s and b = b' / e to
 :func:`adjinv.elimination.char_adjugate_pairs`, which picks its method from
 the input, and rescales by N_r(g) = N_r(g') / s^(r-1) and
-d_r(g) = d_r(g') / s^r.  At r = n with g nonsingular the kernel runs one
-fraction-free Bareiss sweep of [g' | b'] and a back substitution; otherwise
-it computes d_1 .. d_r by Berkowitz's division-free algorithm and applies
-N_r by Horner's rule.  :func:`gram_adjugate` is the same call on the Gram
-matrix F*F, and :meth:`Ledger.quotient` is the one way a ledger becomes a
-result.  :func:`char_poly_coeffs` is the kernel's companion and returns
-every d_k by Berkowitz.
+d_r(g) = d_r(g') / s^r.  At r = n with g nonsingular the kernel solves from
+the fraction-free Bareiss elimination of g' (the caller's, when it already
+eliminated g to find its rank): it replays the elimination on b' and
+back-substitutes; otherwise it computes d_1 .. d_r by Berkowitz's
+division-free algorithm and applies N_r by Horner's rule.
+:func:`gram_adjugate` is the same call on the Gram matrix F*F, and
+:meth:`Ledger.quotient` is the one way a ledger becomes a result.
+:func:`char_poly_coeffs` is the kernel's companion and returns every d_k by
+Berkowitz.
 
 The literal forms stay as the reference the kernel is tested against:
 :func:`minor` is the exact determinant of the submatrix selected by two
@@ -129,17 +131,19 @@ class Ledger(NamedTuple):
         return Ledger(conjugate_transpose(self.numerators), self.denominator.conjugate())
 
 
-def char_adjugate(g: Matrix, r: int, b: Matrix) -> Ledger:
+def char_adjugate(g: Matrix, r: int, b: Matrix,
+                  elim: elimination.Elimination | None = None) -> Ledger:
     """The characteristic-adjugate ledger (N_r(g) @ b, d_r(g)) of the module docstring.
 
-    ``g`` is n x n, ``b`` is n x p and 1 <= r <= n.
+    ``g`` is n x n, ``b`` is n x p and 1 <= r <= n.  ``elim``, when given, is
+    the elimination of g's pairs, and a nonsingular g is solved from it.
     """
     if not g.is_square:
         raise ValueError(f"characteristic adjugate needs a square matrix, got {g.rows}x{g.cols}")
     _check_order(r, g.rows)
     if b.rows != g.rows:
         raise ValueError(f"replacement matrix has {b.rows} rows, expected {g.rows}")
-    x, d_r = elimination.char_adjugate_pairs(g.pairs, r, b.pairs)
+    x, d_r = elimination.char_adjugate_pairs(g.pairs, r, b.pairs, elim)
     return Ledger(from_pairs(x, g.scale ** (r - 1) * b.scale), scalar_of(d_r, g.scale**r))
 
 

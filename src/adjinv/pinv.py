@@ -11,7 +11,8 @@ literally, minor by minor, and stay as the reference path.
 
 ``mp_inverse`` takes every ledger from the characteristic-adjugate kernel
 (:mod:`adjinv.minors`) and dispatches on rank only to pick the tag.  A square
-nonsingular matrix gets adj(A) / det(A) ("classical_inverse").  Otherwise the
+nonsingular matrix gets adj(A) / det(A) ("classical_inverse"), solved from
+the elimination that gave its rank, so A is eliminated once.  Otherwise the
 Gram form :func:`adjinv.minors.gram_adjugate` gives N_r(A*A) @ A* or its dual
 A* @ N_r(AA*), which are equal; at full rank N_r is the classical adjugate,
 so full column rank gives adj(A*A) A* ("eq6", the determinant form of
@@ -27,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from . import minors
+from . import elimination, minors
 from ._parallel import parallel_map
 from .index_sets import enumerate_containing
 from .matrices import (
@@ -142,13 +143,16 @@ def mp_inverse(a: Matrix, method: str = "auto") -> PinvResult:
         return mp_inverse_columns(a)
     if method == "eq2":
         return mp_inverse_rows(a)
-    r = rank(a)
+    # A square matrix keeps the elimination that gives its rank; at full rank
+    # the adjoint solve starts from it.
+    elim = elimination.eliminate(a.pairs) if m == n else None
+    r = rank(a) if elim is None else elim.rank
     # Full column rank takes the column form (eq6), full row rank the row
     # form (eq7).  Rank-deficient both ways, tag the form whose literal
     # evaluation needs fewer minors, C(n-1, r-1) versus C(m-1, r-1) per
     # entry; ties go to the column form.  Both tags carry the same ledger.
     if r == n == m:
-        ledger = minors.char_adjugate(a, n, Matrix.identity(n))
+        ledger = minors.char_adjugate(a, n, Matrix.identity(n), elim)
         tag = "classical_inverse"
     elif r == n or (r < m and comb(n - 1, r - 1) <= comb(m - 1, r - 1)):
         ledger = minors.gram_adjugate(a, r)

@@ -17,7 +17,8 @@ lying in the range of A^k.  Its numerators are N_r(A^(k+1)) @ g with
 g = A^k y ("eq16"); for a nonsingular matrix (index 0) that is adj(A) @ y,
 the classical Cramer rule ("classical_cramer").  The index search hands over
 A^k and A^(k+1), and both go with g to the kernel
-(:func:`adjinv.minors.char_adjugate`).
+(:func:`adjinv.minors.char_adjugate`); at index 0 the kernel solves from the
+search's elimination of A, so A is eliminated once.
 
 Every solution is the kernel ledger's quotient
 (:meth:`adjinv.minors.Ledger.quotient`), one exact division for the whole

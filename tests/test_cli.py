@@ -234,6 +234,23 @@ def test_verify_searches_the_index_once(capsys, example2_path, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("rhs, expected_code", [("1 x", 2), ("1 2", 3)])
+def test_verify_reads_the_right_side_first(capsys, tmp_path, monkeypatch, rhs, expected_code):
+    from adjinv import drazin, pinv
+
+    path = tmp_path / "m.mat"
+    path.write_text("3 3\n2 1 0\n1 3 1\n0 1 4\n")
+    calls = []
+    for module, name in ((pinv, "mp_inverse"), (drazin, "_index_powers")):
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name,
+                            lambda *args, name=name, real=real, **kw: calls.append(name) or real(*args, **kw))
+    code, out, err = run_cli(capsys, "verify", str(path), "--rhs", rhs)
+    assert code == expected_code and out == ""
+    assert err.startswith("input error:" if expected_code == 2 else "error: right side has 2 entries")
+    assert calls == []
+
+
 def test_verify_json(capsys, example2_path):
     code, out, _ = run_cli(capsys, "verify", example2_path, "--json")
     assert code == 0

@@ -14,6 +14,7 @@ is an exact equality.
 
 import random
 from fractions import Fraction
+from itertools import permutations
 from math import gcd
 
 import pytest
@@ -55,8 +56,9 @@ from adjinv import (
     replace_row,
     row_vector,
 )
-from adjinv import drazin, elimination, matrices, minors
+from adjinv import drazin, elimination, matrices, minors, pinv
 from adjinv.drazin import _representation
+from adjinv.verify import _inverse, _rref
 
 LITERAL = settings(max_examples=25, deadline=None)
 ORACLE = settings(max_examples=20, deadline=None)
@@ -383,6 +385,145 @@ def test_char_adjugate_falls_back_on_singular_input(nr, p, seed, complex_entries
     b = _matrix(random.Random(seed + 1), n, p, complex_entries)
     assert elimination.adjoint_solve_pairs(g.pairs, b.pairs) is None
     assert _exact(minors.char_adjugate(g, n, b)) == (multiply(minors.adjugate(g), b), ZERO)
+
+
+# -- the elimination against Leibniz sums and Scalar Gauss-Jordan --------------------
+
+
+def _gaussian_rows(rng: random.Random, rows: int, cols: int, complex_entries: bool) -> list[list]:
+    return [[(rng.randint(-4, 4), rng.randint(-4, 4) if complex_entries else 0) for _ in range(cols)]
+            for _ in range(rows)]
+
+
+def _elimination_input(kind: str, n: int, seed: int, complex_entries: bool) -> list[list]:
+    """An n x n Gaussian-integer g of the given kind."""
+    rng = random.Random(seed)
+    g = _gaussian_rows(rng, n, n, complex_entries)
+    if complex_entries:
+        g[0][0] = (rng.choice((-2, -1, 1, 2)), rng.choice((-3, -1, 1, 2)))  # a non-real first pivot
+    k = n // 2
+    if kind == "zero_corner":  # the first step needs a row exchange
+        g[0][0] = (0, 0)
+    elif kind == "singular_leading_block":  # a singular leading (k+1) x (k+1) block: an exchange at step k
+        g[k][: k + 1] = g[0][: k + 1]
+    elif kind == "zero_trailing_column":  # the trailing block g[k:, k:] has a zero leading column
+        for row in g[k:]:
+            row[k] = (0, 0)
+    elif kind == "permuted_triangular":
+        for i, row in enumerate(g):
+            row[:i] = [(0, 0)] * i
+            if row[i] == (0, 0):
+                row[i] = (1, -1 if complex_entries else 0)
+        rng.shuffle(g)
+    elif kind == "singular":
+        g[-1] = [(0, 0)] * n if n < 3 else [(a + c, b + d) for (a, b), (c, d) in zip(g[0], g[1])]
+    return g
+
+
+def _leibniz(g: list[list]) -> Scalar:
+    n = len(g)
+    total = ZERO
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = Scalar(-1 if inversions % 2 else 1)
+        for i, j in enumerate(perm):
+            term = term * Scalar(*g[i][j])
+        total = total + term
+    return total
+
+
+ELIMINATION_CASES = [
+    (kind, n, complex_entries)
+    for kind in ("random", "zero_corner", "singular_leading_block", "zero_trailing_column",
+                 "permuted_triangular", "singular")
+    for n in range(1 if kind in ("random", "permuted_triangular", "singular") else 2, 9)
+    for complex_entries in (False, True)
+]
+
+
+@pytest.mark.parametrize("kind, n, complex_entries", ELIMINATION_CASES)
+def test_adjoint_solve_matches_leibniz_and_gauss_jordan(kind, n, complex_entries):
+    seed = 1000 * n + 10 * len(kind) + complex_entries
+    g = _elimination_input(kind, n, seed, complex_entries)
+    gm = matrices.from_pairs(g, 1)
+    rank_g = len(_rref(gm)[1])  # Scalar row reduction, no Bareiss code
+    singular = rank_g < n
+    if n <= 5:
+        assert (_leibniz(g) == ZERO) == singular
+    for p in (1, n, n + 3):
+        b = _gaussian_rows(random.Random(seed + p), n, p, complex_entries)
+        solved = elimination.adjoint_solve_pairs(g, b)
+        if singular:
+            assert solved is None
+            continue
+        x, d = solved
+        det_g = Scalar(*d)
+        if n <= 5:
+            assert det_g == _leibniz(g)
+        assert matrices.from_pairs(x, 1) == multiply(_inverse(gm), matrices.from_pairs(b, 1)) * det_g
+    e = elimination.eliminate(g)
+    assert sorted(e.order) == list(range(n)) and e.rank == rank_g
+    inversions = sum(e.order[i] > e.order[j] for i in range(n) for j in range(i + 1, n))
+    assert e.sign == (-1) ** inversions
+
+
+def test_row_update_keeps_the_exactness_check():
+    # 2 / (1 + i) = 1 - i is exact; 1 / 2 and 1 / (1 + i) are not.
+    row = [(2, 0)]
+    elimination._update(row, [(0, 0)], (1, 0), (0, 0), (1, 1), 0)
+    assert row == [(1, -1)]
+    for prev in ((2, 0), (1, 1)):
+        with pytest.raises(ArithmeticError, match="inexact division"):
+            elimination._update([(1, 0)], [(0, 0)], (1, 0), (0, 0), prev, 0)
+    # (3 (1 + i) - 2 (1 - 2i)) / 2 = (1 + 7i) / 2, with a non-real pivot and lead.
+    with pytest.raises(ArithmeticError, match="inexact division"):
+        elimination._update([(1, 1)], [(1, -2)], (3, 0), (2, 0), (2, 0), 0)
+    with pytest.raises(ArithmeticError, match="inexact division"):
+        elimination._update([(1, 0)], [(1, 0)], (0, 1), (1, 1), (0, 2), 0)
+
+
+def _count_sweeps(monkeypatch) -> list:
+    calls = []
+    real = elimination._bareiss_sweep
+    monkeypatch.setattr(elimination, "_bareiss_sweep", lambda a, *rest: calls.append(len(a)) or real(a, *rest))
+    return calls
+
+
+SQUARE_OPERATIONS = {
+    "mp_inverse": lambda a, y: mp_inverse(a),
+    "drazin_inverse": lambda a, y: drazin_inverse(a),
+    "group_inverse": lambda a, y: group_inverse(a),
+    "drazin_times_a": lambda a, y: drazin_times_a(a),
+    "drazin_solve": lambda a, y: drazin_solve(a, y),
+}
+
+
+@pytest.mark.parametrize("complex_entries", [False, True])
+@pytest.mark.parametrize("name", sorted(SQUARE_OPERATIONS))
+def test_square_full_rank_operations_eliminate_once(name, complex_entries, monkeypatch):
+    a = _full_rank(606 + complex_entries, 6, 6, complex_entries)
+    y = column_vector(_rhs(6, 6, complex_entries))
+    calls = _count_sweeps(monkeypatch)
+    SQUARE_OPERATIONS[name](a, y)
+    assert calls == [6]
+
+
+@pytest.mark.parametrize("complex_entries", [False, True])
+def test_rank_deficient_square_operations_keep_their_ledgers(complex_entries, monkeypatch):
+    a = _indexed(616 + complex_entries, 3, (2, 1), complex_entries)  # 6 x 6, index 2, core rank 3
+    y = column_vector(_rhs(6, 6, complex_entries))
+    expected_pinv = _exact(minors.gram_adjugate(a, rank(a)))
+    expected_drazin = _representation(a, 2)
+    calls = _count_sweeps(monkeypatch)
+    res = mp_inverse(a)
+    assert (res.numerators, res.denominator) == expected_pinv and len(calls) == 1
+    calls.clear()
+    assert drazin_inverse(a) == expected_drazin and len(calls) == 3  # A, A^2, A^3
+    calls.clear()
+    sol = drazin_solve(a, y)
+    assert (sol.denominator, sol.numerators) == (
+        expected_drazin.denominator, multiply(expected_drazin.numerators, y).column(0))
+    assert len(calls) == 3
 
 
 # -- kernel against the rank-factorization oracles (n <= 16, rank <= 10; n = 30) ---
