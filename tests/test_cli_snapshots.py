@@ -1,9 +1,10 @@
 """Byte-for-byte replay of recorded CLI runs.
 
 ``tests/data/cli_snapshots.json`` holds the stdout, stderr and exit code of
-every subcommand on the two bundled example files and three small inputs
-below (a complex rank-deficient tall matrix, a wide one, and a complex
-matrix of Drazin index 3), each with the default output, ``--json`` and
+every subcommand on the two bundled example files and five small inputs
+below (a complex rank-deficient tall matrix, a wide one, a complex matrix of
+Drazin index 3, and the rank-0 cases: a zero matrix and a complex nilpotent
+one), each with the default output, ``--json`` and
 ``--decimal 6``, and with ``--rhs`` and ``--rhs-file`` where a subcommand
 takes a right side.  A change to the library must reproduce every byte.
 
@@ -48,11 +49,21 @@ INPUTS = {
 9/8+1/4i 3/8+3/4i 0 -1/8-1/4i 1/8+1/4i 0
 -21/8-1/4i -3/2-3/4i 0 1/2+1/4i -1/4-1/4i 0
 """,
+    "zero.mat": """3 2
+0 0
+0 0
+0 0
+""",
+    "nilpotent.mat": """3 3
+0 1 2i
+0 0 -1/3
+0 0 0
+""",
 }
 
 # (rows, cols) of each input; the right sides are built from them.
 SHAPES = {"example1.mat": (4, 4), "example2.mat": (4, 4), "tall.mat": (5, 3),
-          "wide.mat": (4, 5), "index3.mat": (6, 6)}
+          "wide.mat": (4, 5), "index3.mat": (6, 6), "zero.mat": (3, 2), "nilpotent.mat": (3, 3)}
 
 PLAIN = ("pinv", "drazin", "group-inverse", "proj-p", "proj-q", "drazin-a", "rank", "index",
          "charpoly")
@@ -69,7 +80,7 @@ def _rhs(length: int) -> str:
 
 
 def write_inputs(directory: Path) -> None:
-    """The five matrix files and their right-side files, by relative name."""
+    """The seven matrix files and their right-side files, by relative name."""
     for name in ("example1.mat", "example2.mat"):
         text = resources.files("adjinv").joinpath(f"data/{name}").read_text(encoding="utf-8")
         (directory / name).write_text(text, encoding="utf-8")
