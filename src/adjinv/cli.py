@@ -29,7 +29,7 @@ from . import drazin as _drazin
 from . import solvers as _solvers
 from . import verify as _verify
 from .drazin import GroupInverseError
-from .matrices import Matrix, column_vector, conjugate_transpose, multiply, rank, row_vector
+from .matrices import Matrix, column_vector, conjugate_transpose, multiply, power, rank, row_vector
 from .matrix_io import (
     MatrixFormatError,
     OutputFormat,
@@ -127,12 +127,11 @@ def _cmd_verify(args) -> int:
         (f"penrose:{name}", ok) for name, ok in _verify.check_penrose(a, x).checks
     )
     if a.is_square:
-        # One index search serves the Drazin check and the dsolve checks.
-        powers = _drazin._index_powers(a)
-        k, ak, b = powers.index, powers.ak, powers.b
-        xd = _drazin._drazin(powers).drazin_inverse
+        res = _drazin.drazin_inverse(a)
+        k = res.index
         checks.extend(
-            (f"drazin:{name}", ok) for name, ok in _verify.check_drazin(a, xd, k).checks
+            (f"drazin:{name}", ok)
+            for name, ok in _verify.check_drazin(a, res.drazin_inverse, k).checks
         )
     if y is not None:
         sol = _solvers.lsq_solve(a, y).solution
@@ -142,8 +141,11 @@ def _cmd_verify(args) -> int:
         )
         checks.append(("lsq:x in R(A*)", _verify.range_membership(astar, sol)))
         if a.is_square:
-            dsol = _solvers._drazin_solution(powers, y).solution
-            checks.append(("dsolve:A^(k+1)x=A^k y", multiply(b, dsol) == multiply(ak, y)))
+            # The powers come from power(), not from the solver's index search.
+            dsol = _solvers.drazin_solve(a, y).solution
+            ak = power(a, k)
+            checks.append(("dsolve:A^(k+1)x=A^k y",
+                           multiply(ak, multiply(a, dsol)) == multiply(ak, y)))
             checks.append(("dsolve:x in R(A^k)", _verify.range_membership(ak, dsol)))
     if args.json:
         print(json.dumps({"checks": [{"name": n, "passed": ok} for n, ok in checks]}))

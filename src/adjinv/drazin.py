@@ -19,9 +19,9 @@ with the elimination of A^(k+1).
 A nonsingular matrix has index 0, so A^k = I, A^(k+1) = A and r = n; there
 N_n(A) is the classical adjugate, and the same kernel call returns
 adj(A) / det(A), the classical inverse, solved from the elimination that
-found the index, so A is eliminated once.  Nilpotent matrices (core rank 0)
-short-circuit to the zero matrix, the unique solution of the defining
-equations in that case.
+found the index, so A is eliminated once.  A nilpotent matrix has core
+rank 0, and the kernel's order-0 ledger (0, 1) gives the zero matrix, the
+unique solution of the defining equations in that case.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 from . import elimination, minors
 from .matrices import Matrix, multiply, power, rank
-from .scalars import ONE, Scalar
+from .scalars import Scalar
 
 
 class GroupInverseError(ValueError):
@@ -42,10 +42,9 @@ class GroupInverseError(ValueError):
 class DrazinResult:
     """A Drazin inverse with the minor-sum ledger that produced it.
 
-    For nonzero core rank, every ``drazin_inverse`` entry times
-    ``denominator`` equals the corresponding ``numerators`` entry;
-    the denominator is the order-r principal-minor sum of A^(index+1) and
-    cannot vanish.
+    Every ``drazin_inverse`` entry times ``denominator`` equals the
+    corresponding ``numerators`` entry; the denominator is the order-r
+    principal-minor sum of A^(index+1) (1 at core rank 0) and cannot vanish.
     """
 
     drazin_inverse: Matrix
@@ -69,7 +68,7 @@ class _Powers(NamedTuple):
     elim: elimination.Elimination | None = None
 
     def ledger(self, replacement: Matrix) -> minors.Ledger:
-        """N_r(A^(k+1)) @ replacement over d_r(A^(k+1)); needs r >= 1."""
+        """N_r(A^(k+1)) @ replacement over d_r(A^(k+1)), at r = ``rank_core``."""
         return minors.char_adjugate(self.b, self.rank_core, replacement, self.elim)
 
 
@@ -98,9 +97,6 @@ def index_of(a: Matrix) -> int:
 
 def _drazin(p: _Powers) -> DrazinResult:
     """The eq11 result from the index search result."""
-    if p.rank_core == 0:
-        zero = Matrix.zeros(p.b.rows, p.b.rows)
-        return DrazinResult(zero, p.index, 0, ONE, zero)
     ledger = p.ledger(p.ak)
     return DrazinResult(ledger.quotient(), p.index, p.rank_core, ledger.denominator, ledger.numerators)
 
@@ -145,6 +141,4 @@ def drazin_times_a(a: Matrix) -> Matrix:
     """
     _require_square(a, "Drazin projector")
     p = _index_powers(a)
-    if p.rank_core == 0:
-        return Matrix.zeros(a.rows, a.rows)
     return p.ledger(p.b).quotient()

@@ -11,18 +11,20 @@ that whole numerator matrix equals N_r(g) @ b, where
 and d_t is the sum of the order-t principal minors of g (d_0 = 1).  At r = n,
 N_n(g) is the classical adjugate and d_n(g) the determinant, so the
 full-rank forms (classical inverse and Cramer's rule, and their Gram
-versions) are the same ledger.  :func:`char_adjugate` returns the
-:class:`Ledger` (N_r(g) @ b, d_r(g)) in polynomial time: it hands the
-integer pairs of g = g' / s and b = b' / e to
-:func:`adjinv.elimination.char_adjugate_pairs`, which picks its method from
-the input, and rescales by N_r(g) = N_r(g') / s^(r-1) and
-d_r(g) = d_r(g') / s^r.  At r = n with g nonsingular the kernel solves from
-the fraction-free Bareiss elimination of g' (the caller's, when it already
-eliminated g to find its rank): it replays the elimination on b' and
-back-substitutes; otherwise it computes d_1 .. d_r by Berkowitz's
-division-free algorithm and applies N_r by Horner's rule.
-:func:`gram_adjugate` is the same call on the Gram matrix F*F, and
-:meth:`Ledger.quotient` is the one way a ledger becomes a result.
+versions) are the same ledger.  At r = 0 the minor sum is empty, so the
+ledger is (0, 1): a rank-0 input (a zero matrix, a nilpotent matrix's core)
+needs no case of its own.  :func:`char_adjugate` returns the :class:`Ledger`
+(N_r(g) @ b, d_r(g)) in polynomial time: it hands the integer pairs of
+g = g' / s and b = b' / e to :func:`adjinv.elimination.char_adjugate_pairs`,
+which picks its method from the input, and rescales by
+N_r(g) = N_r(g') / s^(r-1) and d_r(g) = d_r(g') / s^r.  At r = n with g
+nonsingular the kernel solves from the fraction-free Bareiss elimination of
+g' (the caller's, when it already eliminated g to find its rank): it replays
+the elimination on b' and back-substitutes; otherwise it computes
+d_1 .. d_r by Berkowitz's division-free algorithm and applies N_r by
+Horner's rule.  Each caller forms its g once (a Gram matrix A*A or AA*, or a
+power A^(k+1)) and makes one kernel call, and :meth:`Ledger.quotient` is the
+one way a ledger becomes a result.
 :func:`char_poly_coeffs` is the kernel's companion and returns every d_k by
 Berkowitz.
 
@@ -40,7 +42,7 @@ from typing import NamedTuple
 
 from . import elimination
 from .index_sets import enumerate_k_subsets
-from .matrices import Matrix, conjugate_transpose, from_pairs, multiply, scalar_of
+from .matrices import Matrix, conjugate_transpose, from_pairs, scalar_of
 from .scalars import ONE, ZERO, Scalar
 
 
@@ -135,31 +137,20 @@ def char_adjugate(g: Matrix, r: int, b: Matrix,
                   elim: elimination.Elimination | None = None) -> Ledger:
     """The characteristic-adjugate ledger (N_r(g) @ b, d_r(g)) of the module docstring.
 
-    ``g`` is n x n, ``b`` is n x p and 1 <= r <= n.  ``elim``, when given, is
-    the elimination of g's pairs, and a nonsingular g is solved from it.
+    ``g`` is n x n, ``b`` is n x p and 0 <= r <= n; order 0 gives the zero
+    n x p matrix over 1.  ``elim``, when given, is the elimination of g's
+    pairs, and a nonsingular g is solved from it.
     """
     if not g.is_square:
         raise ValueError(f"characteristic adjugate needs a square matrix, got {g.rows}x{g.cols}")
-    _check_order(r, g.rows)
+    if not 0 <= r <= g.rows:
+        raise ValueError(f"order {r} outside 0..{g.rows}")
     if b.rows != g.rows:
         raise ValueError(f"replacement matrix has {b.rows} rows, expected {g.rows}")
+    if r == 0:
+        return Ledger(Matrix.zeros(g.rows, b.cols), ONE)
     x, d_r = elimination.char_adjugate_pairs(g.pairs, r, b.pairs, elim)
     return Ledger(from_pairs(x, g.scale ** (r - 1) * b.scale), scalar_of(d_r, g.scale**r))
-
-
-def gram_adjugate(f: Matrix, r: int, tail: Matrix | None = None) -> Ledger:
-    """:func:`char_adjugate` of the Gram matrix F*F with replacement F* @ tail.
-
-    Returns the ledger (N_r(F*F) @ F* @ tail, d_r(F*F)), with ``tail`` the
-    identity when omitted.
-    """
-    f_star = conjugate_transpose(f)
-    return char_adjugate(multiply(f_star, f), r, f_star if tail is None else multiply(f_star, tail))
-
-
-def _check_order(r: int, n: int) -> None:
-    if not 1 <= r <= n:
-        raise ValueError(f"order {r} outside 1..{n}")
 
 
 def adjugate(a: Matrix) -> Matrix:

@@ -12,15 +12,16 @@ literally, minor by minor, and stay as the reference path.
 ``mp_inverse`` takes every ledger from the characteristic-adjugate kernel
 (:mod:`adjinv.minors`) and dispatches on rank only to pick the tag.  A square
 nonsingular matrix gets adj(A) / det(A) ("classical_inverse"), solved from
-the elimination that gave its rank, so A is eliminated once.  Otherwise the
-Gram form :func:`adjinv.minors.gram_adjugate` gives N_r(A*A) @ A* or its dual
+the elimination that gave its rank, so A is eliminated once.  Otherwise one
+kernel call on the Gram matrix gives N_r(A*A) @ A* or its dual
 A* @ N_r(AA*), which are equal; at full rank N_r is the classical adjugate,
 so full column rank gives adj(A*A) A* ("eq6", the determinant form of
 (A*A)^-1 A*) and full row rank A* adj(AA*) ("eq7").  A matrix deficient
 both ways is tagged "eq1" or "eq2", whichever form's literal evaluation
 needs fewer minors.  The projectors A+ A and A A+ are N_r(G) @ G / d_r(G)
-for G = A*A and AA*, taken from the same kernel at every rank without
-forming A+ first.
+for G = A*A and AA*, taken from the same kernel at every rank (rank 0
+included, where the kernel's order-0 ledger is (0, 1)) without forming A+
+first, with G formed once.
 """
 
 from __future__ import annotations
@@ -155,11 +156,12 @@ def mp_inverse(a: Matrix, method: str = "auto") -> PinvResult:
         ledger = minors.char_adjugate(a, n, Matrix.identity(n), elim)
         tag = "classical_inverse"
     elif r == n or (r < m and comb(n - 1, r - 1) <= comb(m - 1, r - 1)):
-        ledger = minors.gram_adjugate(a, r)
+        astar = conjugate_transpose(a)
+        ledger = minors.char_adjugate(multiply(astar, a), r, astar)
         tag = "eq6" if r == n else "eq1"
     else:
         # A* N_r(AA*) = (N_r(AA*) A)*, since AA* and so N_r(AA*) are Hermitian.
-        ledger = minors.gram_adjugate(conjugate_transpose(a), r).adjoint()
+        ledger = minors.char_adjugate(multiply(a, conjugate_transpose(a)), r, a).adjoint()
         tag = "eq7" if r == m else "eq2"
     return PinvResult(ledger.quotient(), ledger.denominator, ledger.numerators, tag)
 
@@ -168,11 +170,10 @@ def projector_p(a: Matrix) -> Matrix:
     """The projector A+ A (n x n, Hermitian, idempotent): N_r(A*A) @ A*A / d_r(A*A).
 
     At full column rank N_n(A*A) is the classical adjugate and the result is
-    the identity.
+    the identity; at rank 0 the kernel's order-0 ledger gives the zero matrix.
     """
-    if a.is_zero:
-        return Matrix.zeros(a.cols, a.cols)
-    return minors.gram_adjugate(a, rank(a), a).quotient()
+    gram = multiply(conjugate_transpose(a), a)
+    return minors.char_adjugate(gram, rank(a), gram).quotient()
 
 
 def projector_q(a: Matrix) -> Matrix:
@@ -180,7 +181,5 @@ def projector_q(a: Matrix) -> Matrix:
 
     Dual of :func:`projector_p`.
     """
-    if a.is_zero:
-        return Matrix.zeros(a.rows, a.rows)
-    astar = conjugate_transpose(a)
-    return minors.gram_adjugate(astar, rank(a), astar).quotient()
+    gram = multiply(a, conjugate_transpose(a))
+    return minors.char_adjugate(gram, rank(a), gram).quotient()

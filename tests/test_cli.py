@@ -222,16 +222,23 @@ def test_verify_subcommand(capsys, example1_path, example2_path):
     assert "drazin:AX=XA: pass" in out
 
 
-def test_verify_searches_the_index_once(capsys, example2_path, monkeypatch):
-    from adjinv import drazin
+def test_verify_checks_the_drazin_solve_independently(capsys, example2_path, monkeypatch):
+    from adjinv import drazin, solvers
 
-    calls = []
+    # A faulty index search that hands over 2 A^(k+1): the inverse and the
+    # solution come out halved, and verify must not check them against the
+    # same faulty powers.
     real = drazin._index_powers
-    monkeypatch.setattr(drazin, "_index_powers", lambda a: calls.append(a) or real(a))
+
+    def faulty(a):
+        p = real(a)
+        return p._replace(b=p.b * 2, elim=None)
+
+    monkeypatch.setattr(drazin, "_index_powers", faulty)
+    monkeypatch.setattr(solvers, "_index_powers", faulty)
     code, out, _ = run_cli(capsys, "verify", example2_path, "--rhs", "1 2 3 1")
-    assert code == 0 and "FAIL" not in out
-    assert "dsolve:x in R(A^k): pass" in out.splitlines()
-    assert len(calls) == 1
+    assert code == 4
+    assert "dsolve:A^(k+1)x=A^k y: FAIL" in out.splitlines()
 
 
 @pytest.mark.parametrize("rhs, expected_code", [("1 x", 2), ("1 2", 3)])

@@ -3,11 +3,15 @@ from fractions import Fraction
 import pytest
 
 from adjinv import (
+    ONE,
+    ZERO,
     GroupInverseError,
     Matrix,
     Scalar,
     check_drazin,
+    column_vector,
     drazin_inverse,
+    drazin_solve,
     drazin_times_a,
     group_inverse,
     index_of,
@@ -51,9 +55,19 @@ def test_drazin_inverse_golden(example2):
 
 
 def test_drazin_nilpotent_is_zero():
+    # Core rank 0: the kernel's order-0 ledger, zero numerators over 1.
     res = drazin_inverse(Matrix.from_rows([[0, 1], [0, 0]]))
     assert res.drazin_inverse == Matrix.zeros(2, 2)
     assert res.rank_core == 0
+    assert (res.index, res.denominator, res.numerators) == (2, ONE, Matrix.zeros(2, 2))
+    nil = Matrix.from_rows([[0, 1, "2i"], [0, 0, "-1/3"], [0, 0, 0]])
+    assert drazin_times_a(nil) == Matrix.zeros(3, 3)
+    sol = drazin_solve(nil, column_vector([1, "-2/3+1i", "5/2"]))
+    assert sol.solution == Matrix.zeros(3, 1)
+    assert sol.denominator == ONE
+    assert sol.method == "eq16"
+    assert sol.numerators == (ZERO,) * 3
+    assert sol.transformed_rhs == Matrix.zeros(3, 1)  # A^3 y, and A^3 = 0
 
 
 def test_drazin_invertible_is_classical_inverse():

@@ -1,6 +1,6 @@
 """Differential tests of the characteristic-adjugate kernel.
 
-The kernel (``minors.char_adjugate`` / ``minors.gram_adjugate``) must agree
+The kernel (``minors.char_adjugate``, on a Gram matrix or a power) must agree
 exactly with two independent routes: the literal replaced-minor sums of the
 paper (``mp_inverse_columns`` / ``mp_inverse_rows`` and the small helpers
 below), and the rank-factorization oracles of ``adjinv.verify``.  At full
@@ -262,6 +262,18 @@ def test_char_adjugate_matches_literal_sums(nr, p, seed, complex_entries):
         assert ledger.quotient() == nums * (ONE / d)
 
 
+@pytest.mark.parametrize("complex_entries", [False, True])
+def test_char_adjugate_order_zero_is_the_empty_sum(complex_entries):
+    # d_0 = 1 and N_0 is the empty sum, so order 0 is (0, 1) for any g.
+    rng = random.Random(400 + complex_entries)
+    g = _matrix(rng, 4, 4, complex_entries)
+    b = _matrix(rng, 4, 3, complex_entries)
+    assert _exact(minors.char_adjugate(g, 0, b)) == (Matrix.zeros(4, 3), ONE)
+    for r in (-1, 5):
+        with pytest.raises(ValueError, match=f"order {r} outside 0..4"):
+            minors.char_adjugate(g, r, b)
+
+
 @LITERAL
 @given(deficient_matrices(8))
 def test_auto_ledger_matches_literal_eq1_and_eq2(a):
@@ -512,7 +524,8 @@ def test_square_full_rank_operations_eliminate_once(name, complex_entries, monke
 def test_rank_deficient_square_operations_keep_their_ledgers(complex_entries, monkeypatch):
     a = _indexed(616 + complex_entries, 3, (2, 1), complex_entries)  # 6 x 6, index 2, core rank 3
     y = column_vector(_rhs(6, 6, complex_entries))
-    expected_pinv = _exact(minors.gram_adjugate(a, rank(a)))
+    astar = conjugate_transpose(a)
+    expected_pinv = _exact(minors.char_adjugate(multiply(astar, a), rank(a), astar))
     expected_drazin = _representation(a, 2)
     calls = _count_sweeps(monkeypatch)
     res = mp_inverse(a)
@@ -552,8 +565,9 @@ def test_drazin_inverse_matches_oracle(a):
 def test_eq1_and_eq2_ledgers_are_equal(m, n, r, seed, complex_entries):
     a = _deficient(seed, m, n, min(r, m - 1, n - 1), complex_entries)
     r = rank(a)
-    eq1 = _exact(minors.gram_adjugate(a, r))
-    eq2 = minors.gram_adjugate(conjugate_transpose(a), r)
+    astar = conjugate_transpose(a)
+    eq1 = _exact(minors.char_adjugate(multiply(astar, a), r, astar))
+    eq2 = minors.char_adjugate(multiply(a, astar), r, a)
     nums2, d2 = _exact(eq2)
     assert eq1 == (conjugate_transpose(nums2), d2) == _exact(eq2.adjoint())
 

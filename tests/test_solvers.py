@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 
 from adjinv import (
+    ONE,
+    ZERO,
     Matrix,
     Scalar,
     column_vector,
@@ -63,10 +65,19 @@ def test_lsq_full_rank_square_equals_classical_cramer():
 
 
 def test_lsq_zero_matrix():
-    rep = lsq_solve(Matrix.zeros(2, 3), column_vector([1, 2]))
+    # Rank 0: the kernel's order-0 ledger, zero numerators over 1.
+    rep = lsq_solve(Matrix.zeros(2, 3), column_vector([1, "2/3+1i"]))
     assert rep.solution == Matrix.zeros(3, 1)
-    assert rep.denominator == Scalar(1)
+    assert rep.denominator == ONE
     assert rep.method == "eq14"
+    assert rep.numerators == (ZERO,) * 3
+    assert rep.transformed_rhs == Matrix.zeros(3, 1)
+    row = lsq_solve_row_system(row_vector([1, "-1/2i", 3]), Matrix.zeros(2, 3))
+    assert row.solution == Matrix.zeros(1, 2)
+    assert row.denominator == ONE
+    assert row.method == "row_eq_general"
+    assert row.numerators == (ZERO,) * 2
+    assert row.transformed_rhs == Matrix.zeros(1, 2)
 
 
 def test_lsq_dimension_mismatch(example1):
