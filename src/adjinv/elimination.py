@@ -1,4 +1,4 @@
-"""Division-free integer kernels: Bareiss elimination and the characteristic adjugate.
+"""Division-free integer kernels: Bareiss elimination, the skeleton and the characteristic adjugate.
 
 The kernels work on the exact-matrix format of :class:`adjinv.matrices.Matrix`:
 rows of Gaussian integers, each a plain ``(re, im)`` pair of Python ints.
@@ -28,7 +28,15 @@ integer operations.  At full order r = n the polynomial is the classical
 adjugate; there the kernel solves from the elimination of g, the caller's
 when it has one: the replay on b and a back substitution cost O(n^2 p)
 operations for an n x p replacement matrix, on top of the O(n^3) sweep.
-Berkowitz and Horner stay for a singular g.
+Berkowitz and Horner stay for a singular g: the Drazin forms' A^(k+1).
+
+No operation hands a singular Gram matrix A*A or AA* to Berkowitz.  The
+sweep of an m x n A
+of rank r also gives its skeleton A = C W^-1 R: the pivot columns C, the
+pivot rows R and their r x r intersection W, whose determinant is +-the
+last pivot.  :func:`skeleton_ledger_pairs` takes the Gram ledger
+d_r(A*A) A+ b and the projectors from two r x r adjoint solves, of C*C
+and RR*, with the same numbers the Gram route gives (Cauchy-Binet).
 """
 
 from __future__ import annotations
@@ -254,6 +262,58 @@ def matmul_pairs(a: list[list[Pair]], b: list[list[Pair]]) -> list[list[Pair]]:
     """Product of two Gaussian-integer matrices given as lists of rows."""
     cols = list(zip(*b))
     return [[_dot(row, col) for col in cols] for row in a]
+
+
+def _conjugate_transpose(a) -> list[list[Pair]]:
+    return [[(re, -im) for re, im in col] for col in zip(*a)]
+
+
+def _gram_through(f, z) -> tuple[list[list[Pair]], Pair]:
+    """F* adj(F F*) z and det(F F*), for an r x n F of full row rank and an r x p z."""
+    f_star = _conjugate_transpose(f)
+    x, d = adjoint_solve_pairs(matmul_pairs(f, f_star), z)
+    return matmul_pairs(f_star, x), d
+
+
+def skeleton_ledger_pairs(
+    a: list[list[Pair]], e: Elimination, b: list[list[Pair]] | None = None,
+    adjoint: bool = False, projector: bool = False,
+) -> tuple[list[list[Pair]], Pair]:
+    """Gram ledgers of an m x n Gaussian-integer A of rank r >= 1 from its elimination ``e``.
+
+    With P = ``e.pivots`` and Q the rows ``e.order[:r]`` in increasing order,
+    C = A[:, P], R = A[Q, :] and W = A[Q, P] give the skeleton
+    A = C W^-1 R (Goreinov, Tyrtyshnikov and Zamarashkin, LAA 261, 1997),
+    and the last pivot of ``e`` is +-det W.  By Cauchy-Binet
+    d_r(A*A) = det(C*C) det(RR*) / |det W|^2, so the Gram ledger is
+
+        d_r(A*A) A+ b = R* adj(RR*) W adj(C*C) C* b / |det W|^2
+
+    over d_r(A*A), with b the m x m identity when it is None.  Both divisions
+    by |det W|^2 are exact, since d_r(A*A) A+ is a Gaussian-integer matrix.
+    ``projector`` returns R* adj(RR*) R over det(RR*), whose quotient is the
+    projector A+ A.  ``adjoint`` runs either on the skeleton (R*, W*, C*) of
+    A*, read from the same ``e``.  Only r x r systems are solved, by two
+    adjoint solves (one for the projector).
+    """
+    r = e.rank
+    pivots, rows = e.pivots, sorted(e.order[:r])
+    c_star = [[(re, -im) for re, im in (a_row[j] for a_row in a)] for j in pivots]
+    w = [[a[i][j] for j in pivots] for i in rows]
+    row = [a[i] for i in rows]
+    if adjoint:
+        c_star, w, row = row, _conjugate_transpose(w), c_star
+    if projector:
+        return _gram_through(row, row)
+    rhs = c_star if b is None else matmul_pairs(c_star, b)
+    x, det_c = adjoint_solve_pairs(matmul_pairs(c_star, _conjugate_transpose(c_star)), rhs)
+    x, det_r = _gram_through(row, matmul_pairs(w, x))
+    pr, pi = e.rows[r - 1][pivots[-1]]
+    norm = (pr * pr + pi * pi, 0)
+    d = [_mul(det_c, det_r)]
+    for out in (*x, d):
+        _update(out, out, _ONE, _ZERO, norm, 0)
+    return x, d[0]
 
 
 def char_poly_pairs(g: list[list[Pair]], order: int) -> list[Pair]:

@@ -1,4 +1,4 @@
-"""Minors, principal-minor sums, and the characteristic-adjugate kernel.
+"""Minors, principal-minor sums, and the two ledger kernels.
 
 Every adjugate analogue in the package is a sum of replaced principal minors:
 entry (i, j) sums, over the order-r principal index sets containing i, the
@@ -22,11 +22,18 @@ nonsingular the kernel solves from the fraction-free Bareiss elimination of
 g' (the caller's, when it already eliminated g to find its rank): it replays
 the elimination on b' and back-substitutes; otherwise it computes
 d_1 .. d_r by Berkowitz's division-free algorithm and applies N_r by
-Horner's rule.  Each caller forms its g once (a Gram matrix A*A or AA*, or a
-power A^(k+1)) and makes one kernel call, and :meth:`Ledger.quotient` is the
-one way a ledger becomes a result.
-:func:`char_poly_coeffs` is the kernel's companion and returns every d_k by
-Berkowitz.
+Horner's rule.  Berkowitz and Horner now serve only the Drazin forms, whose
+A^(k+1) is singular below full rank, and :func:`char_poly_coeffs`.
+
+A singular Gram matrix never reaches them: :func:`skeleton_ledger` takes
+d_r(A*A) A+ b, d_r(A*A) and the projectors from the skeleton A = C W^-1 R
+that the one elimination of A gives (pivot columns C, pivot rows R and
+their intersection W), solving only r x r systems
+(:func:`adjinv.elimination.skeleton_ledger_pairs`).  It returns the same
+ledger as :func:`char_adjugate` on A*A at the rank order and owns order 0
+the same way.  A caller makes one kernel call, and :meth:`Ledger.quotient`
+is the one way a ledger becomes a result.  :func:`char_poly_coeffs` returns
+every d_k by Berkowitz.
 
 The literal forms stay as the reference the kernel is tested against:
 :func:`minor` is the exact determinant of the submatrix selected by two
@@ -151,6 +158,30 @@ def char_adjugate(g: Matrix, r: int, b: Matrix,
         return Ledger(Matrix.zeros(g.rows, b.cols), ONE)
     x, d_r = elimination.char_adjugate_pairs(g.pairs, r, b.pairs, elim)
     return Ledger(from_pairs(x, g.scale ** (r - 1) * b.scale), scalar_of(d_r, g.scale**r))
+
+
+def skeleton_ledger(a: Matrix, e: elimination.Elimination, b: Matrix | None = None,
+                    adjoint: bool = False, projector: bool = False) -> Ledger:
+    """The Gram ledger of a from the skeleton of ``e``, the elimination of a's pairs.
+
+    Returns (d_r(A*A) A+ b, d_r(A*A)) at r = rank A, the ledger
+    ``char_adjugate(A*A, r, A* b)`` gives, with b the identity when None;
+    with ``projector``, a ledger whose quotient is A+ A.  ``adjoint`` gives
+    the same for A*: (A*)+ b and A A+.  Order 0 gives the zero matrix over 1.
+    :func:`adjinv.elimination.skeleton_ledger_pairs` runs on a = a' / s and
+    b = b' / t, and the result rescales by s^(2r-1) t and d_r by s^(2r); the
+    projector's scales cancel.
+    """
+    r = e.rank
+    rows, cols = (a.rows, a.cols) if adjoint else (a.cols, a.rows)
+    if r == 0:
+        width = rows if projector else cols if b is None else b.cols
+        return Ledger(Matrix.zeros(rows, width), ONE)
+    x, d = elimination.skeleton_ledger_pairs(a.pairs, e, None if b is None else b.pairs, adjoint, projector)
+    if projector:
+        return Ledger(from_pairs(x, 1), scalar_of(d, 1))
+    t = 1 if b is None else b.scale
+    return Ledger(from_pairs(x, a.scale ** (2 * r - 1) * t), scalar_of(d, a.scale ** (2 * r)))
 
 
 def adjugate(a: Matrix) -> Matrix:

@@ -9,19 +9,20 @@ exactly as adjugate(A) @ A equals det(A) times the identity.
 :func:`mp_inverse_columns` and :func:`mp_inverse_rows` evaluate them
 literally, minor by minor, and stay as the reference path.
 
-``mp_inverse`` takes every ledger from the characteristic-adjugate kernel
+``mp_inverse`` eliminates A once, takes every ledger from one kernel call
 (:mod:`adjinv.minors`) and dispatches on rank only to pick the tag.  A square
 nonsingular matrix gets adj(A) / det(A) ("classical_inverse"), solved from
-the elimination that gave its rank, so A is eliminated once.  Otherwise one
-kernel call on the Gram matrix gives N_r(A*A) @ A* or its dual
-A* @ N_r(AA*), which are equal; at full rank N_r is the classical adjugate,
-so full column rank gives adj(A*A) A* ("eq6", the determinant form of
-(A*A)^-1 A*) and full row rank A* adj(AA*) ("eq7").  A matrix deficient
-both ways is tagged "eq1" or "eq2", whichever form's literal evaluation
-needs fewer minors.  The projectors A+ A and A A+ are N_r(G) @ G / d_r(G)
-for G = A*A and AA*, taken from the same kernel at every rank (rank 0
-included, where the kernel's order-0 ledger is (0, 1)) without forming A+
-first, with G formed once.
+that elimination.  Full column rank gives adj(A*A) A* ("eq6", the
+determinant form of (A*A)^-1 A*) and full row rank A* adj(AA*) ("eq7"), each
+from one adjoint solve of the nonsingular Gram matrix.  A matrix deficient
+both ways has a singular Gram matrix; its ledger N_r(A*A) @ A* =
+A* @ N_r(AA*) = d_r(A*A) A+ comes from the skeleton A = C W^-1 R of the same
+elimination, as R* adj(RR*) W adj(C*C) C* / |det W|^2 over
+d_r(A*A) = det(C*C) det(RR*) / |det W|^2, and is tagged "eq1" or "eq2",
+whichever form's literal evaluation needs fewer minors.  The projectors
+A+ A and A A+ are the identity at full column (row) rank and otherwise
+R* adj(RR*) R / det(RR*) and C adj(C*C) C* / det(C*C), from the skeleton
+without forming A+ (rank 0 included, where the ledger is (0, 1)).
 """
 
 from __future__ import annotations
@@ -144,42 +145,49 @@ def mp_inverse(a: Matrix, method: str = "auto") -> PinvResult:
         return mp_inverse_columns(a)
     if method == "eq2":
         return mp_inverse_rows(a)
-    # A square matrix keeps the elimination that gives its rank; at full rank
-    # the adjoint solve starts from it.
-    elim = elimination.eliminate(a.pairs) if m == n else None
-    r = rank(a) if elim is None else elim.rank
-    # Full column rank takes the column form (eq6), full row rank the row
-    # form (eq7).  Rank-deficient both ways, tag the form whose literal
-    # evaluation needs fewer minors, C(n-1, r-1) versus C(m-1, r-1) per
-    # entry; ties go to the column form.  Both tags carry the same ledger.
+    # One sweep of A gives its rank, the elimination a square full-rank A
+    # is solved from, and the skeleton of a rank-deficient A.
+    e = elimination.eliminate(a.pairs)
+    r = e.rank
     if r == n == m:
-        ledger = minors.char_adjugate(a, n, Matrix.identity(n), elim)
+        ledger = minors.char_adjugate(a, n, Matrix.identity(n), e)
         tag = "classical_inverse"
-    elif r == n or (r < m and comb(n - 1, r - 1) <= comb(m - 1, r - 1)):
+    elif r == n:
         astar = conjugate_transpose(a)
-        ledger = minors.char_adjugate(multiply(astar, a), r, astar)
-        tag = "eq6" if r == n else "eq1"
+        ledger = minors.char_adjugate(multiply(astar, a), n, astar)
+        tag = "eq6"
+    elif r == m:
+        # A* adj(AA*) = (adj(AA*) A)*, since AA* and so adj(AA*) are Hermitian.
+        ledger = minors.char_adjugate(multiply(a, conjugate_transpose(a)), m, a).adjoint()
+        tag = "eq7"
     else:
-        # A* N_r(AA*) = (N_r(AA*) A)*, since AA* and so N_r(AA*) are Hermitian.
-        ledger = minors.char_adjugate(multiply(a, conjugate_transpose(a)), r, a).adjoint()
-        tag = "eq7" if r == m else "eq2"
+        # Rank-deficient both ways: both tags carry the skeleton's ledger.  Tag
+        # the form whose literal evaluation needs fewer minors, C(n-1, r-1)
+        # versus C(m-1, r-1) per entry; ties go to the column form.
+        ledger = minors.skeleton_ledger(a, e)
+        tag = "eq1" if comb(n - 1, r - 1) <= comb(m - 1, r - 1) else "eq2"
     return PinvResult(ledger.quotient(), ledger.denominator, ledger.numerators, tag)
 
 
 def projector_p(a: Matrix) -> Matrix:
-    """The projector A+ A (n x n, Hermitian, idempotent): N_r(A*A) @ A*A / d_r(A*A).
+    """The projector A+ A (n x n, Hermitian, idempotent).
 
-    At full column rank N_n(A*A) is the classical adjugate and the result is
-    the identity; at rank 0 the kernel's order-0 ledger gives the zero matrix.
+    The identity at full column rank; otherwise R* adj(RR*) R / det(RR*) for
+    the pivot rows R of A's one elimination (the zero matrix at rank 0).
     """
-    gram = multiply(conjugate_transpose(a), a)
-    return minors.char_adjugate(gram, rank(a), gram).quotient()
+    e = elimination.eliminate(a.pairs)
+    if e.rank == a.cols:
+        return Matrix.identity(a.cols)
+    return minors.skeleton_ledger(a, e, projector=True).quotient()
 
 
 def projector_q(a: Matrix) -> Matrix:
-    """The projector A A+ (m x m, Hermitian, idempotent): N_r(AA*) @ AA* / d_r(AA*).
+    """The projector A A+ (m x m, Hermitian, idempotent).
 
-    Dual of :func:`projector_p`.
+    Dual of :func:`projector_p`: the identity at full row rank, otherwise
+    C adj(C*C) C* / det(C*C) for the pivot columns C of A.
     """
-    gram = multiply(a, conjugate_transpose(a))
-    return minors.char_adjugate(gram, rank(a), gram).quotient()
+    e = elimination.eliminate(a.pairs)
+    if e.rank == a.rows:
+        return Matrix.identity(a.rows)
+    return minors.skeleton_ledger(a, e, adjoint=True, projector=True).quotient()

@@ -3,14 +3,17 @@
 ``lsq_solve`` returns the minimal-norm least squares solution of A x = y.
 Each component is a minor sum over the column-replaced Gram matrix A*A
 divided by its order-r principal-minor sum ("eq14"); the whole numerator
-vector is N_r(A*A) @ f with f = A* y, one call of the characteristic-adjugate
-kernel (:func:`adjinv.minors.char_adjugate`) on the Gram matrix A*A.  With
-full column rank N_r is the classical adjugate and the components are the
-determinant ratios of Cramer's rule over A*A and f ("eq13").
-``lsq_solve_row_system`` solves the row form x A = y the same way with AA*
-and g = y A*: g @ N_r(AA*), tagged "row_eq_fullrank" at full row rank and
-"row_eq_general" otherwise.  A zero matrix has rank 0, and the kernel's
-order-0 ledger (0, 1) is its zero solution.
+vector is N_r(A*A) @ f = d_r(A*A) A+ y with f = A* y.  With full column rank
+N_r is the classical adjugate and the components are the determinant ratios
+of Cramer's rule over A*A and f ("eq13"), one adjoint solve of A*A
+(:func:`adjinv.minors.char_adjugate`).  Below full column rank A*A is
+singular, and the skeleton of A's one elimination
+(:func:`adjinv.minors.skeleton_ledger`) applies its factors to y, solving
+r x r systems for one column each.  ``lsq_solve_row_system`` solves the row
+form x A = y the same way with AA* and g = y A*: g @ N_r(AA*), tagged
+"row_eq_fullrank" at full row rank and "row_eq_general" otherwise, where the
+skeleton of A* (read from the same elimination) gives ((A*)+ y*)*.  A zero
+matrix has rank 0, and the order-0 ledger (0, 1) is its zero solution.
 
 ``drazin_solve`` returns the Drazin-inverse solution of a square system:
 the unique solution of the generalized normal equations A^(k+1) x = A^k y
@@ -31,9 +34,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import minors
+from . import elimination, minors
 from .drazin import _index_powers
-from .matrices import Matrix, conjugate_transpose, multiply, rank
+from .matrices import Matrix, conjugate_transpose, multiply
 from .scalars import Scalar
 
 
@@ -59,9 +62,13 @@ def lsq_solve(a: Matrix, y: Matrix) -> SolveReport:
         raise ValueError(f"right side must be {a.rows}x1, got {y.rows}x{y.cols}")
     astar = conjugate_transpose(a)
     f = multiply(astar, y)
-    r = rank(a)
-    ledger = minors.char_adjugate(multiply(astar, a), r, f)
-    method = "eq13" if r == a.cols else "eq14"
+    e = elimination.eliminate(a.pairs)
+    if e.rank == a.cols:
+        ledger = minors.char_adjugate(multiply(astar, a), a.cols, f)
+        method = "eq13"
+    else:
+        ledger = minors.skeleton_ledger(a, e, y)
+        method = "eq14"
     return SolveReport(ledger.quotient(), method, ledger.denominator, ledger.numerators.column(0), f)
 
 
@@ -71,10 +78,15 @@ def lsq_solve_row_system(y: Matrix, a: Matrix) -> SolveReport:
         raise ValueError(f"right side must be 1x{a.cols}, got {y.rows}x{y.cols}")
     astar = conjugate_transpose(a)
     g = multiply(y, astar)
-    r = rank(a)
-    # g N_r(AA*) = (N_r(AA*) g*)*, since AA* and so N_r(AA*) are Hermitian.
-    ledger = minors.char_adjugate(multiply(a, astar), r, conjugate_transpose(g)).adjoint()
-    method = "row_eq_fullrank" if r == a.rows else "row_eq_general"
+    e = elimination.eliminate(a.pairs)
+    if e.rank == a.rows:
+        # g adj(AA*) = (adj(AA*) g*)*, since AA* and so adj(AA*) are Hermitian.
+        ledger = minors.char_adjugate(multiply(a, astar), a.rows, conjugate_transpose(g)).adjoint()
+        method = "row_eq_fullrank"
+    else:
+        # y A+ = ((A*)+ y*)*, from the skeleton of A* that the sweep of A gives.
+        ledger = minors.skeleton_ledger(a, e, conjugate_transpose(y), adjoint=True).adjoint()
+        method = "row_eq_general"
     return SolveReport(ledger.quotient(), method, ledger.denominator, ledger.numerators.row(0), g)
 
 

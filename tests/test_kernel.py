@@ -501,6 +501,13 @@ def _count_sweeps(monkeypatch) -> list:
     return calls
 
 
+def _refuse(name: str):
+    def refused(*args):
+        raise AssertionError(f"{name} was called")
+
+    return refused
+
+
 SQUARE_OPERATIONS = {
     "mp_inverse": lambda a, y: mp_inverse(a),
     "drazin_inverse": lambda a, y: drazin_inverse(a),
@@ -525,11 +532,13 @@ def test_rank_deficient_square_operations_keep_their_ledgers(complex_entries, mo
     a = _indexed(616 + complex_entries, 3, (2, 1), complex_entries)  # 6 x 6, index 2, core rank 3
     y = column_vector(_rhs(6, 6, complex_entries))
     astar = conjugate_transpose(a)
-    expected_pinv = _exact(minors.char_adjugate(multiply(astar, a), rank(a), astar))
+    r = rank(a)
+    expected_pinv = _exact(minors.char_adjugate(multiply(astar, a), r, astar))
     expected_drazin = _representation(a, 2)
     calls = _count_sweeps(monkeypatch)
     res = mp_inverse(a)
-    assert (res.numerators, res.denominator) == expected_pinv and len(calls) == 1
+    assert (res.numerators, res.denominator) == expected_pinv
+    assert calls == [6, r, r]  # A, then the r x r Gram matrices C*C and RR* of its skeleton
     calls.clear()
     assert drazin_inverse(a) == expected_drazin and len(calls) == 3  # A, A^2, A^3
     calls.clear()
@@ -570,6 +579,121 @@ def test_eq1_and_eq2_ledgers_are_equal(m, n, r, seed, complex_entries):
     eq2 = minors.char_adjugate(multiply(a, astar), r, a)
     nums2, d2 = _exact(eq2)
     assert eq1 == (conjugate_transpose(nums2), d2) == _exact(eq2.adjoint())
+
+
+# -- the skeleton against Berkowitz-Horner on the Gram matrix and the oracle --------
+
+
+def _gaussian_product(rng: random.Random, m: int, n: int, r: int, complex_entries: bool,
+                      bits: int) -> list[list]:
+    """An m x n Gaussian-integer matrix of rank at most r, (m x r)(r x n), from ``bits``-bit parts."""
+    def entry():
+        return (rng.randint(-2**bits, 2**bits), rng.randint(-2**bits, 2**bits) if complex_entries else 0)
+
+    return elimination.matmul_pairs([[entry() for _ in range(r)] for _ in range(m)],
+                                    [[entry() for _ in range(n)] for _ in range(r)])
+
+
+def _quotient(x: list[list], d) -> Matrix:
+    return minors.Ledger(matrices.from_pairs(x, 1), Scalar(*d)).quotient()
+
+
+@LITERAL
+@given(st.integers(2, 9), st.integers(2, 9), st.integers(1, 8), st.sampled_from((2, 60)), seeds,
+       st.booleans())
+def test_skeleton_matches_berkowitz_horner(m, n, r, bits, seed, complex_entries):
+    rng = random.Random(seed)
+    a = _gaussian_product(rng, m, n, min(r, m, n), complex_entries, bits)
+    e = elimination.eliminate(a)
+    r = e.rank
+    if r == 0:
+        return
+    # The sweep's last pivot is +-det W for W = A[Q, P], Q the pivot rows in order.
+    w = [[a[i][j] for j in e.pivots] for i in sorted(e.order[:r])]
+    det_w = elimination.det_pairs(w, r)
+    assert e.rows[r - 1][e.pivots[-1]] in (det_w, (-det_w[0], -det_w[1]))
+
+    a_star = [[(re, -im) for re, im in col] for col in zip(*a)]
+    gram_c, gram_r = elimination.matmul_pairs(a_star, a), elimination.matmul_pairs(a, a_star)
+    b = _gaussian_rows(rng, m, 2, complex_entries)
+    c = _gaussian_rows(rng, n, 2, complex_entries)
+    horner = elimination.horner_adjugate_pairs
+    skeleton = elimination.skeleton_ledger_pairs
+    assert skeleton(a, e) == horner(gram_c, r, a_star)
+    assert skeleton(a, e, b) == horner(gram_c, r, elimination.matmul_pairs(a_star, b))
+    assert skeleton(a, e, c, adjoint=True) == horner(gram_r, r, elimination.matmul_pairs(a, c))
+    for adjoint, gram in ((False, gram_c), (True, gram_r)):
+        assert _quotient(*skeleton(a, e, adjoint=adjoint, projector=True)) == _quotient(*horner(gram, r, gram))
+
+
+def _big_deficient(seed: int, m: int, n: int, r: int, complex_entries: bool) -> Matrix:
+    """A nonzero m x n matrix of rank at most r with entries of about 120 bits."""
+    return matrices.from_pairs(_gaussian_product(random.Random(seed), m, n, r, complex_entries, 60), 1)
+
+
+SCALES = (ONE, Scalar(10**18), Scalar(Fraction(1, 10**18)), Scalar(Fraction(3, 7), Fraction(-2, 5)))
+
+
+@ORACLE
+@given(deficient_matrices(10), st.sampled_from(SCALES), seeds)
+@example(_big_deficient(60, 7, 9, 4, False), ONE, 60)
+@example(_big_deficient(61, 9, 6, 3, True), Scalar(Fraction(1, 10**18)), 61)
+def test_skeleton_ledgers_match_gram_kernel_and_oracle(a, scale, seed):
+    a = a * scale
+    r = rank(a)
+    astar = conjugate_transpose(a)
+    gram_c, gram_r = multiply(astar, a), multiply(a, astar)
+    x = oracle_pinv(a)
+    res = mp_inverse(a)
+    assert (res.numerators, res.denominator) == _exact(minors.char_adjugate(gram_c, r, astar))
+    assert res.pseudo_inverse == x
+    assert projector_p(a) == multiply(x, a)
+    assert projector_q(a) == multiply(a, x)
+
+    y = column_vector(_rhs(seed, a.rows))
+    rep = lsq_solve(a, y)
+    ledger = minors.char_adjugate(gram_c, r, rep.transformed_rhs)
+    assert (rep.numerators, rep.denominator) == (ledger.numerators.column(0), ledger.denominator)
+    assert rep.solution == multiply(x, y)
+
+    yr = row_vector(_rhs(seed + 1, a.cols))
+    rep = lsq_solve_row_system(yr, a)
+    ledger = minors.char_adjugate(gram_r, r, conjugate_transpose(rep.transformed_rhs)).adjoint()
+    assert (rep.numerators, rep.denominator) == (ledger.numerators.row(0), ledger.denominator)
+    assert rep.solution == multiply(yr, x)
+
+
+GRAM_OPERATIONS = {
+    "mp_inverse": lambda a, y, yr: mp_inverse(a),
+    "projector_p": lambda a, y, yr: projector_p(a),
+    "projector_q": lambda a, y, yr: projector_q(a),
+    "lsq_solve": lambda a, y, yr: lsq_solve(a, y),
+    "lsq_solve_row_system": lambda a, y, yr: lsq_solve_row_system(yr, a),
+}
+# r x r systems each operation solves when 0 < r < min(m, n): C*C and RR*.
+SKELETON_SOLVES = {"mp_inverse": 2, "projector_p": 1, "projector_q": 1, "lsq_solve": 2,
+                   "lsq_solve_row_system": 2}
+
+
+@pytest.mark.parametrize("complex_entries", [False, True])
+@pytest.mark.parametrize("m, n, r", [(6, 6, 3), (8, 5, 2), (5, 8, 4), (7, 4, 4), (4, 7, 4)])
+@pytest.mark.parametrize("name", sorted(GRAM_OPERATIONS))
+def test_gram_operations_skip_berkowitz_and_sweep_a_once(name, m, n, r, complex_entries, monkeypatch):
+    seed = 700 + 10 * m + n
+    while rank(a := _deficient(seed, m, n, r, complex_entries)) < r:
+        seed += 1000
+    y, yr = column_vector(_rhs(seed, m, complex_entries)), row_vector(_rhs(seed + 1, n, complex_entries))
+    for kernel in ("char_poly_pairs", "horner_adjugate_pairs"):
+        monkeypatch.setattr(elimination, kernel, _refuse(kernel))
+    shapes = []
+    real = elimination._bareiss_sweep
+    monkeypatch.setattr(elimination, "_bareiss_sweep",
+                        lambda rows: shapes.append((len(rows), len(rows[0]))) or real(rows))
+    GRAM_OPERATIONS[name](a, y, yr)
+    # A is swept once; every other sweep is of an r x r Gram matrix.
+    assert shapes[0] == (m, n) and shapes[1:] == [(r, r)] * (len(shapes) - 1)
+    if r < min(m, n):
+        assert len(shapes) == 1 + SKELETON_SOLVES[name]
 
 
 # -- the index search on integer pairs against power/rank and the oracle ------------
@@ -669,20 +793,39 @@ GUARDED = {
     "lsq_solve_row_system:square": lambda: lsq_solve_row_system(ROW_RHS, SQUARE),
     "lsq_solve_row_system:wide": lambda: lsq_solve_row_system(ROW_RHS, WIDE),
     "drazin_solve:square": lambda: drazin_solve(SQUARE, RHS),
-    "projector_p:square": lambda: projector_p(SQUARE),
-    "projector_p:tall": lambda: projector_p(TALL),
-    "projector_q:wide": lambda: projector_q(WIDE),
 }
 
 
 @pytest.mark.parametrize("name", sorted(GUARDED))
 def test_zero_kernel_denominator_raises(name, monkeypatch):
     GUARDED[name]()  # runs cleanly with the real kernel
-    # Every ledger, the Drazin forms' included, comes from this one kernel call.
+    # Every ledger, the Drazin forms' included, comes from one kernel call; the
+    # skeleton's denominators are the determinants its adjoint solves return.
     monkeypatch.setattr(elimination, "char_adjugate_pairs",
                         _zero_denominator(elimination.char_adjugate_pairs))
+    monkeypatch.setattr(elimination, "adjoint_solve_pairs",
+                        _zero_denominator(elimination.adjoint_solve_pairs))
     with pytest.raises(ArithmeticError, match="this is a bug"):
         GUARDED[name]()
+
+
+# Full-rank projectors have no denominator to guard: they are the identity.
+FULL_RANK_PROJECTORS = {
+    "projector_p:square": (projector_p, SQUARE),
+    "projector_p:tall": (projector_p, TALL),
+    "projector_q:wide": (projector_q, WIDE),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FULL_RANK_PROJECTORS))
+def test_full_rank_projectors_are_the_identity(name, monkeypatch):
+    projector, a = FULL_RANK_PROJECTORS[name]
+    size = a.cols if projector is projector_p else a.rows
+    for kernel in ("matmul_pairs", "adjoint_solve_pairs", "char_adjugate_pairs"):
+        monkeypatch.setattr(elimination, kernel, _refuse(kernel))
+    calls = _count_sweeps(monkeypatch)
+    assert projector(a) == Matrix.identity(size)
+    assert calls == [a.rows]
 
 
 # -- scale: sizes the per-entry minor enumeration never finished -------------------
