@@ -1,11 +1,12 @@
 """Byte-for-byte replay of recorded CLI runs.
 
 ``tests/data/cli_snapshots.json`` holds the stdout, stderr and exit code of
-every subcommand on the two bundled example files and five small inputs
+every subcommand on the two bundled example files and eight small inputs
 below (a complex rank-deficient tall matrix, a wide one, a complex matrix of
-Drazin index 3, and the rank-0 cases: a zero matrix and a complex nilpotent
-one), each with the default output, ``--json`` and
-``--decimal 6``, and with ``--rhs`` and ``--rhs-file`` where a subcommand
+Drazin index 3, the rank-0 cases: a zero matrix and a complex nilpotent
+one, and the full-rank cases: a nonsingular matrix, a tall one of full
+column rank and a complex wide one of full row rank), each with the default
+output, ``--json`` and ``--decimal 6``, and with ``--rhs`` and ``--rhs-file`` where a subcommand
 takes a right side.  A change to the library must reproduce every byte.
 
 To record the file again from the current code (only when an output is
@@ -59,11 +60,29 @@ INPUTS = {
 0 0 -1/3
 0 0 0
 """,
+    "nonsingular.mat": """3 3
+2 -1/2 1
+1/3 4 -2
+0 3/2 5/4
+""",
+    "fullcol.mat": """5 3
+1 -2 1/2
+3/4 0 2
+-1 5/3 -1/2
+2 1 0
+0 -1/4 3
+""",
+    "fullrow.mat": """3 5
+1+1i -1/2 2i 3 -1+1/3i
+0 2-1i 1/4 -1i 5/2
+-3/2+1/2i 1 0 1/3 1-2i
+""",
 }
 
 # (rows, cols) of each input; the right sides are built from them.
 SHAPES = {"example1.mat": (4, 4), "example2.mat": (4, 4), "tall.mat": (5, 3),
-          "wide.mat": (4, 5), "index3.mat": (6, 6), "zero.mat": (3, 2), "nilpotent.mat": (3, 3)}
+          "wide.mat": (4, 5), "index3.mat": (6, 6), "zero.mat": (3, 2), "nilpotent.mat": (3, 3),
+          "nonsingular.mat": (3, 3), "fullcol.mat": (5, 3), "fullrow.mat": (3, 5)}
 
 PLAIN = ("pinv", "drazin", "group-inverse", "proj-p", "proj-q", "drazin-a", "rank", "index",
          "charpoly")
@@ -80,7 +99,7 @@ def _rhs(length: int) -> str:
 
 
 def write_inputs(directory: Path) -> None:
-    """The seven matrix files and their right-side files, by relative name."""
+    """The ten matrix files and their right-side files, by relative name."""
     for name in ("example1.mat", "example2.mat"):
         text = resources.files("adjinv").joinpath(f"data/{name}").read_text(encoding="utf-8")
         (directory / name).write_text(text, encoding="utf-8")
