@@ -30,13 +30,14 @@ when it has one: the replay on b and a back substitution cost O(n^2 p)
 operations for an n x p replacement matrix, on top of the O(n^3) sweep.
 Berkowitz and Horner stay for a singular g: the Drazin forms' A^(k+1).
 
-No operation hands a singular Gram matrix A*A or AA* to Berkowitz.  The
-sweep of an m x n A
-of rank r also gives its skeleton A = C W^-1 R: the pivot columns C, the
-pivot rows R and their r x r intersection W, whose determinant is +-the
-last pivot.  :func:`skeleton_ledger_pairs` takes the Gram ledger
-d_r(A*A) A+ b and the projectors from two r x r adjoint solves, of C*C
-and RR*, with the same numbers the Gram route gives (Cauchy-Binet).
+No operation hands a Gram matrix A*A or AA* to
+:func:`char_adjugate_pairs`.  The sweep of an m x n A of rank r also gives
+its skeleton A = C W^-1 R: the pivot columns C, the pivot rows R and their
+r x r intersection W, whose determinant is +-the last pivot.
+:func:`skeleton_ledger_pairs` takes the Gram ledger d_r(A*A) A+ b and the
+projectors from two r x r adjoint solves, of C*C and RR*, with the same
+numbers the Gram route gives (Cauchy-Binet).  At full column or row rank
+one factor is W itself and drops out, which leaves one solve.
 """
 
 from __future__ import annotations
@@ -234,8 +235,8 @@ def adjoint_solve_pairs(
     return x, det
 
 
-def rank_pairs(a: list[list[Pair]], m: int, n: int) -> int:
-    """Rank of an m x n Gaussian-integer matrix (mutates ``a``)."""
+def rank_pairs(a: list[list[Pair]]) -> int:
+    """Rank of a Gaussian-integer matrix (mutates ``a``)."""
     return _bareiss_sweep(a).rank
 
 
@@ -268,6 +269,10 @@ def _conjugate_transpose(a) -> list[list[Pair]]:
     return [[(re, -im) for re, im in col] for col in zip(*a)]
 
 
+def _identity(r: int) -> list[list[Pair]]:
+    return [[_ONE if i == j else _ZERO for j in range(r)] for i in range(r)]
+
+
 def _gram_through(f, z) -> tuple[list[list[Pair]], Pair]:
     """F* adj(F F*) z and det(F F*), for an r x n F of full row rank and an r x p z."""
     f_star = _conjugate_transpose(f)
@@ -294,7 +299,10 @@ def skeleton_ledger_pairs(
     ``projector`` returns R* adj(RR*) R over det(RR*), whose quotient is the
     projector A+ A.  ``adjoint`` runs either on the skeleton (R*, W*, C*) of
     A*, read from the same ``e``.  Only r x r systems are solved, by two
-    adjoint solves (one for the projector).
+    adjoint solves (one for the projector).  A square factor is W itself,
+    and its side is |det W|^2 I: at full column rank (R = W) one solve gives
+    adj(C*C) C* b over det(C*C) ("eq6") and the projector is I over 1; at
+    full row rank (C = W), R* adj(RR*) b over det(RR*) ("eq7").
     """
     r = e.rank
     pivots, rows = e.pivots, sorted(e.order[:r])
@@ -304,9 +312,13 @@ def skeleton_ledger_pairs(
     if adjoint:
         c_star, w, row = row, _conjugate_transpose(w), c_star
     if projector:
-        return _gram_through(row, row)
+        return (_identity(r), _ONE) if len(row[0]) == r else _gram_through(row, row)
+    if len(c_star[0]) == r:
+        return _gram_through(row, _identity(r) if b is None else b)
     rhs = c_star if b is None else matmul_pairs(c_star, b)
     x, det_c = adjoint_solve_pairs(matmul_pairs(c_star, _conjugate_transpose(c_star)), rhs)
+    if len(row[0]) == r:
+        return x, det_c
     x, det_r = _gram_through(row, matmul_pairs(w, x))
     pr, pi = e.rows[r - 1][pivots[-1]]
     norm = (pr * pr + pi * pi, 0)

@@ -22,18 +22,20 @@ nonsingular the kernel solves from the fraction-free Bareiss elimination of
 g' (the caller's, when it already eliminated g to find its rank): it replays
 the elimination on b' and back-substitutes; otherwise it computes
 d_1 .. d_r by Berkowitz's division-free algorithm and applies N_r by
-Horner's rule.  Berkowitz and Horner now serve only the Drazin forms, whose
-A^(k+1) is singular below full rank, and :func:`char_poly_coeffs`.
+Horner's rule.  :func:`char_adjugate` serves only the ledgers of a square
+matrix itself: the classical inverse and the Drazin forms, whose A^(k+1) is
+singular below full rank.  Berkowitz and Horner serve only the latter and
+:func:`char_poly_coeffs`.
 
-A singular Gram matrix never reaches them: :func:`skeleton_ledger` takes
-d_r(A*A) A+ b, d_r(A*A) and the projectors from the skeleton A = C W^-1 R
-that the one elimination of A gives (pivot columns C, pivot rows R and
-their intersection W), solving only r x r systems
-(:func:`adjinv.elimination.skeleton_ledger_pairs`).  It returns the same
-ledger as :func:`char_adjugate` on A*A at the rank order and owns order 0
-the same way.  A caller makes one kernel call, and :meth:`Ledger.quotient`
-is the one way a ledger becomes a result.  :func:`char_poly_coeffs` returns
-every d_k by Berkowitz.
+Every Gram ledger, at every rank, comes from :func:`skeleton_ledger`: it
+takes d_r(A*A) A+ b, d_r(A*A) and the projectors from the skeleton
+A = C W^-1 R that the one elimination of A gives (pivot columns C, pivot
+rows R and their intersection W), solving only r x r systems
+(:func:`adjinv.elimination.skeleton_ledger_pairs`), one at full column or
+row rank.  It returns the same ledger as :func:`char_adjugate` on A*A at
+the rank order and owns order 0 the same way.  A caller makes one kernel
+call, and :meth:`Ledger.quotient` is the one way a ledger becomes a result.
+:func:`char_poly_coeffs` returns every d_k by Berkowitz.
 
 The literal forms stay as the reference the kernel is tested against:
 :func:`minor` is the exact determinant of the submatrix selected by two

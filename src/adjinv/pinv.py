@@ -12,17 +12,17 @@ literally, minor by minor, and stay as the reference path.
 ``mp_inverse`` eliminates A once, takes every ledger from one kernel call
 (:mod:`adjinv.minors`) and dispatches on rank only to pick the tag.  A square
 nonsingular matrix gets adj(A) / det(A) ("classical_inverse"), solved from
-that elimination.  Full column rank gives adj(A*A) A* ("eq6", the
-determinant form of (A*A)^-1 A*) and full row rank A* adj(AA*) ("eq7"), each
-from one adjoint solve of the nonsingular Gram matrix.  A matrix deficient
-both ways has a singular Gram matrix; its ledger N_r(A*A) @ A* =
-A* @ N_r(AA*) = d_r(A*A) A+ comes from the skeleton A = C W^-1 R of the same
-elimination, as R* adj(RR*) W adj(C*C) C* / |det W|^2 over
-d_r(A*A) = det(C*C) det(RR*) / |det W|^2, and is tagged "eq1" or "eq2",
-whichever form's literal evaluation needs fewer minors.  The projectors
-A+ A and A A+ are the identity at full column (row) rank and otherwise
+that elimination.  Every other rank takes the Gram ledger
+N_r(A*A) @ A* = A* @ N_r(AA*) = d_r(A*A) A+ from the skeleton
+A = C W^-1 R of the same elimination, as R* adj(RR*) W adj(C*C) C* /
+|det W|^2 over d_r(A*A) = det(C*C) det(RR*) / |det W|^2.  At full column
+rank R = W drops out, leaving adj(A*A) A* ("eq6", the determinant form of
+(A*A)^-1 A*); at full row rank C = W does, leaving A* adj(AA*) ("eq7").  A
+matrix deficient both ways is tagged "eq1" or "eq2", whichever form's
+literal evaluation needs fewer minors.  The projectors A+ A and A A+ are
 R* adj(RR*) R / det(RR*) and C adj(C*C) C* / det(C*C), from the skeleton
-without forming A+ (rank 0 included, where the ledger is (0, 1)).
+without forming A+: the identity at full column (row) rank, and at rank 0
+the ledger (0, 1).
 """
 
 from __future__ import annotations
@@ -146,48 +146,37 @@ def mp_inverse(a: Matrix, method: str = "auto") -> PinvResult:
     if method == "eq2":
         return mp_inverse_rows(a)
     # One sweep of A gives its rank, the elimination a square full-rank A
-    # is solved from, and the skeleton of a rank-deficient A.
+    # is solved from, and the skeleton every other rank takes its ledger from.
     e = elimination.eliminate(a.pairs)
     r = e.rank
     if r == n == m:
         ledger = minors.char_adjugate(a, n, Matrix.identity(n), e)
         tag = "classical_inverse"
-    elif r == n:
-        astar = conjugate_transpose(a)
-        ledger = minors.char_adjugate(multiply(astar, a), n, astar)
-        tag = "eq6"
-    elif r == m:
-        # A* adj(AA*) = (adj(AA*) A)*, since AA* and so adj(AA*) are Hermitian.
-        ledger = minors.char_adjugate(multiply(a, conjugate_transpose(a)), m, a).adjoint()
-        tag = "eq7"
     else:
-        # Rank-deficient both ways: both tags carry the skeleton's ledger.  Tag
-        # the form whose literal evaluation needs fewer minors, C(n-1, r-1)
-        # versus C(m-1, r-1) per entry; ties go to the column form.
         ledger = minors.skeleton_ledger(a, e)
-        tag = "eq1" if comb(n - 1, r - 1) <= comb(m - 1, r - 1) else "eq2"
+        # Deficient both ways, eq1 and eq2 carry the same ledger.  Tag the form
+        # whose literal evaluation needs fewer minors, C(n-1, r-1) versus
+        # C(m-1, r-1) per entry; ties go to the column form.
+        tag = ("eq6" if r == n else "eq7" if r == m
+               else "eq1" if comb(n - 1, r - 1) <= comb(m - 1, r - 1) else "eq2")
     return PinvResult(ledger.quotient(), ledger.denominator, ledger.numerators, tag)
 
 
 def projector_p(a: Matrix) -> Matrix:
     """The projector A+ A (n x n, Hermitian, idempotent).
 
-    The identity at full column rank; otherwise R* adj(RR*) R / det(RR*) for
-    the pivot rows R of A's one elimination (the zero matrix at rank 0).
+    R* adj(RR*) R / det(RR*) for the pivot rows R of A's one elimination:
+    the identity at full column rank, the zero matrix at rank 0.
     """
     e = elimination.eliminate(a.pairs)
-    if e.rank == a.cols:
-        return Matrix.identity(a.cols)
     return minors.skeleton_ledger(a, e, projector=True).quotient()
 
 
 def projector_q(a: Matrix) -> Matrix:
     """The projector A A+ (m x m, Hermitian, idempotent).
 
-    Dual of :func:`projector_p`: the identity at full row rank, otherwise
-    C adj(C*C) C* / det(C*C) for the pivot columns C of A.
+    Dual of :func:`projector_p`: C adj(C*C) C* / det(C*C) for the pivot
+    columns C of A, the identity at full row rank.
     """
     e = elimination.eliminate(a.pairs)
-    if e.rank == a.rows:
-        return Matrix.identity(a.rows)
     return minors.skeleton_ledger(a, e, adjoint=True, projector=True).quotient()

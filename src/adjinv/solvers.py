@@ -3,17 +3,17 @@
 ``lsq_solve`` returns the minimal-norm least squares solution of A x = y.
 Each component is a minor sum over the column-replaced Gram matrix A*A
 divided by its order-r principal-minor sum ("eq14"); the whole numerator
-vector is N_r(A*A) @ f = d_r(A*A) A+ y with f = A* y.  With full column rank
+vector is N_r(A*A) @ f = d_r(A*A) A+ y with f = A* y.  The skeleton of A's
+one elimination (:func:`adjinv.minors.skeleton_ledger`) applies its factors
+to y, solving r x r systems for one column each.  With full column rank
 N_r is the classical adjugate and the components are the determinant ratios
-of Cramer's rule over A*A and f ("eq13"), one adjoint solve of A*A
-(:func:`adjinv.minors.char_adjugate`).  Below full column rank A*A is
-singular, and the skeleton of A's one elimination
-(:func:`adjinv.minors.skeleton_ledger`) applies its factors to y, solving
-r x r systems for one column each.  ``lsq_solve_row_system`` solves the row
-form x A = y the same way with AA* and g = y A*: g @ N_r(AA*), tagged
-"row_eq_fullrank" at full row rank and "row_eq_general" otherwise, where the
-skeleton of A* (read from the same elimination) gives ((A*)+ y*)*.  A zero
-matrix has rank 0, and the order-0 ledger (0, 1) is its zero solution.
+of Cramer's rule over A*A and f ("eq13"): the skeleton's square factor
+drops out, and one adjoint solve of A*A remains.  ``lsq_solve_row_system``
+solves the row form x A = y the same way with AA* and g = y A*:
+g @ N_r(AA*) = ((A*)+ y*)* from the skeleton of A* (read from the same
+elimination), tagged "row_eq_fullrank" at full row rank and
+"row_eq_general" otherwise.  A zero matrix has rank 0, and the order-0
+ledger (0, 1) is its zero solution.
 
 ``drazin_solve`` returns the Drazin-inverse solution of a square system:
 the unique solution of the generalized normal equations A^(k+1) x = A^k y
@@ -63,12 +63,8 @@ def lsq_solve(a: Matrix, y: Matrix) -> SolveReport:
     astar = conjugate_transpose(a)
     f = multiply(astar, y)
     e = elimination.eliminate(a.pairs)
-    if e.rank == a.cols:
-        ledger = minors.char_adjugate(multiply(astar, a), a.cols, f)
-        method = "eq13"
-    else:
-        ledger = minors.skeleton_ledger(a, e, y)
-        method = "eq14"
+    ledger = minors.skeleton_ledger(a, e, y)
+    method = "eq13" if e.rank == a.cols else "eq14"
     return SolveReport(ledger.quotient(), method, ledger.denominator, ledger.numerators.column(0), f)
 
 
@@ -79,14 +75,9 @@ def lsq_solve_row_system(y: Matrix, a: Matrix) -> SolveReport:
     astar = conjugate_transpose(a)
     g = multiply(y, astar)
     e = elimination.eliminate(a.pairs)
-    if e.rank == a.rows:
-        # g adj(AA*) = (adj(AA*) g*)*, since AA* and so adj(AA*) are Hermitian.
-        ledger = minors.char_adjugate(multiply(a, astar), a.rows, conjugate_transpose(g)).adjoint()
-        method = "row_eq_fullrank"
-    else:
-        # y A+ = ((A*)+ y*)*, from the skeleton of A* that the sweep of A gives.
-        ledger = minors.skeleton_ledger(a, e, conjugate_transpose(y), adjoint=True).adjoint()
-        method = "row_eq_general"
+    # y A+ = ((A*)+ y*)*, from the skeleton of A* that the sweep of A gives.
+    ledger = minors.skeleton_ledger(a, e, conjugate_transpose(y), adjoint=True).adjoint()
+    method = "row_eq_fullrank" if e.rank == a.rows else "row_eq_general"
     return SolveReport(ledger.quotient(), method, ledger.denominator, ledger.numerators.row(0), g)
 
 

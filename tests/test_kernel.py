@@ -626,7 +626,7 @@ def test_skeleton_matches_berkowitz_horner(m, n, r, bits, seed, complex_entries)
         assert _quotient(*skeleton(a, e, adjoint=adjoint, projector=True)) == _quotient(*horner(gram, r, gram))
 
 
-def _big_deficient(seed: int, m: int, n: int, r: int, complex_entries: bool) -> Matrix:
+def _big_product(seed: int, m: int, n: int, r: int, complex_entries: bool) -> Matrix:
     """A nonzero m x n matrix of rank at most r with entries of about 120 bits."""
     return matrices.from_pairs(_gaussian_product(random.Random(seed), m, n, r, complex_entries, 60), 1)
 
@@ -635,17 +635,23 @@ SCALES = (ONE, Scalar(10**18), Scalar(Fraction(1, 10**18)), Scalar(Fraction(3, 7
 
 
 @ORACLE
-@given(deficient_matrices(10), st.sampled_from(SCALES), seeds)
-@example(_big_deficient(60, 7, 9, 4, False), ONE, 60)
-@example(_big_deficient(61, 9, 6, 3, True), Scalar(Fraction(1, 10**18)), 61)
+@given(st.one_of(deficient_matrices(10), full_rank_matrices(8)), st.sampled_from(SCALES), seeds)
+@example(_big_product(60, 7, 9, 4, False), ONE, 60)
+@example(_big_product(61, 9, 6, 3, True), Scalar(Fraction(1, 10**18)), 61)
+@example(_big_product(62, 9, 5, 5, False), ONE, 62)  # full column rank
+@example(_big_product(63, 4, 7, 4, True), Scalar(Fraction(1, 10**18)), 63)  # full row rank
+@example(_big_product(64, 6, 6, 6, True), Scalar(Fraction(3, 7), Fraction(-2, 5)), 64)  # nonsingular
 def test_skeleton_ledgers_match_gram_kernel_and_oracle(a, scale, seed):
+    # At full rank the reference is the Gram matrix's own adjoint solve (eq6,
+    # eq13), below it Berkowitz and Horner on the Gram matrix.
     a = a * scale
     r = rank(a)
     astar = conjugate_transpose(a)
     gram_c, gram_r = multiply(astar, a), multiply(a, astar)
     x = oracle_pinv(a)
     res = mp_inverse(a)
-    assert (res.numerators, res.denominator) == _exact(minors.char_adjugate(gram_c, r, astar))
+    if res.representation_used != "classical_inverse":  # whose denominator is det A
+        assert (res.numerators, res.denominator) == _exact(minors.char_adjugate(gram_c, r, astar))
     assert res.pseudo_inverse == x
     assert projector_p(a) == multiply(x, a)
     assert projector_q(a) == multiply(a, x)
@@ -673,10 +679,20 @@ GRAM_OPERATIONS = {
 # r x r systems each operation solves when 0 < r < min(m, n): C*C and RR*.
 SKELETON_SOLVES = {"mp_inverse": 2, "projector_p": 1, "projector_q": 1, "lsq_solve": 2,
                    "lsq_solve_row_system": 2}
+# r x r systems each operation solves at r = min(m, n), given (m, n): one Gram
+# solve, and none for a square A's classical inverse (solved from its own
+# sweep) or an identity projector.
+FULL_RANK_SOLVES = {
+    "mp_inverse": lambda m, n: int(m != n),
+    "projector_p": lambda m, n: int(m < n),
+    "projector_q": lambda m, n: int(m > n),
+    "lsq_solve": lambda m, n: 1,
+    "lsq_solve_row_system": lambda m, n: 1,
+}
 
 
 @pytest.mark.parametrize("complex_entries", [False, True])
-@pytest.mark.parametrize("m, n, r", [(6, 6, 3), (8, 5, 2), (5, 8, 4), (7, 4, 4), (4, 7, 4)])
+@pytest.mark.parametrize("m, n, r", [(6, 6, 3), (8, 5, 2), (5, 8, 4), (7, 4, 4), (4, 7, 4), (5, 5, 5)])
 @pytest.mark.parametrize("name", sorted(GRAM_OPERATIONS))
 def test_gram_operations_skip_berkowitz_and_sweep_a_once(name, m, n, r, complex_entries, monkeypatch):
     seed = 700 + 10 * m + n
@@ -694,6 +710,8 @@ def test_gram_operations_skip_berkowitz_and_sweep_a_once(name, m, n, r, complex_
     assert shapes[0] == (m, n) and shapes[1:] == [(r, r)] * (len(shapes) - 1)
     if r < min(m, n):
         assert len(shapes) == 1 + SKELETON_SOLVES[name]
+    else:
+        assert len(shapes) == 1 + FULL_RANK_SOLVES[name](m, n)
 
 
 # -- the index search on integer pairs against power/rank and the oracle ------------
