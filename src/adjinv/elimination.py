@@ -302,7 +302,8 @@ def skeleton_ledger_pairs(
     adjoint solves (one for the projector).  A square factor is W itself,
     and its side is |det W|^2 I: at full column rank (R = W) one solve gives
     adj(C*C) C* b over det(C*C) ("eq6") and the projector is I over 1; at
-    full row rank (C = W), R* adj(RR*) b over det(RR*) ("eq7").
+    full row rank (C = W, a square A too), R* adj(RR*) b over det(RR*)
+    ("eq7").
     """
     r = e.rank
     pivots, rows = e.pivots, sorted(e.order[:r])
@@ -313,11 +314,11 @@ def skeleton_ledger_pairs(
         c_star, w, row = row, _conjugate_transpose(w), c_star
     if projector:
         return (_identity(r), _ONE) if len(row[0]) == r else _gram_through(row, row)
-    if len(c_star[0]) == r:
+    if len(c_star[0]) == r:  # C = W, and W adj(C*C) C* = |det W|^2 I
         return _gram_through(row, _identity(r) if b is None else b)
     rhs = c_star if b is None else matmul_pairs(c_star, b)
     x, det_c = adjoint_solve_pairs(matmul_pairs(c_star, _conjugate_transpose(c_star)), rhs)
-    if len(row[0]) == r:
+    if len(row[0]) == r:  # R = W, and R* adj(RR*) W = |det W|^2 I
         return x, det_c
     x, det_r = _gram_through(row, matmul_pairs(w, x))
     pr, pi = e.rows[r - 1][pivots[-1]]

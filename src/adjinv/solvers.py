@@ -8,10 +8,10 @@ one elimination (:func:`adjinv.minors.skeleton_ledger`) applies its factors
 to y, solving r x r systems for one column each.  With full column rank
 N_r is the classical adjugate and the components are the determinant ratios
 of Cramer's rule over A*A and f ("eq13"): the skeleton's square factor
-drops out, and one adjoint solve of A*A remains.  ``lsq_solve_row_system``
-solves the row form x A = y the same way with AA* and g = y A*:
-g @ N_r(AA*) = ((A*)+ y*)* from the skeleton of A* (read from the same
-elimination), tagged "row_eq_fullrank" at full row rank and
+drops out, and one adjoint solve of A*A (of AA* for a square A) remains.
+``lsq_solve_row_system`` solves the row form x A = y the same way with AA*
+and g = y A*: g @ N_r(AA*) = ((A*)+ y*)* from the skeleton of A* (read
+from the same elimination), tagged "row_eq_fullrank" at full row rank and
 "row_eq_general" otherwise.  A zero matrix has rank 0, and the order-0
 ledger (0, 1) is its zero solution.
 
