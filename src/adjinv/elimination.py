@@ -30,10 +30,10 @@ when it has one: the replay on b and a back substitution cost O(n^2 p)
 operations for an n x p replacement matrix, on top of the O(n^3) sweep.
 Berkowitz and Horner stay for a singular g: the Drazin forms' A^(k+1).
 
-No operation hands a Gram matrix A*A or AA* to
-:func:`char_adjugate_pairs`.  The sweep of an m x n A of rank r also gives
-its skeleton A = C W^-1 R: the pivot columns C, the pivot rows R and their
-r x r intersection W, whose determinant is +-the last pivot.
+No operation takes the characteristic adjugate of a Gram matrix A*A or AA*.
+The sweep of an m x n A of rank r also gives its skeleton A = C W^-1 R: the
+pivot columns C, the pivot rows R and their r x r intersection W, whose
+determinant is +-the last pivot.
 :func:`skeleton_ledger_pairs` takes the Gram ledger d_r(A*A) A+ b and the
 projectors from two r x r adjoint solves, of C*C and RR*, with the same
 numbers the Gram route gives (Cauchy-Binet).  At full column or row rank
@@ -356,34 +356,20 @@ def char_poly_pairs(g: list[list[Pair]], order: int) -> list[Pair]:
     return [_neg(v) if t % 2 else v for t, v in enumerate(c)]
 
 
-def char_adjugate_pairs(
-    g: list[list[Pair]], r: int, b: list[list[Pair]], elim: Elimination | None = None
+def horner_adjugate_pairs(
+    g: list[list[Pair]], r: int, b: list[list[Pair]]
 ) -> tuple[list[list[Pair]], Pair]:
-    """N_r(g) b and d_r(g) for a Gaussian-integer n x n g and n x p b.
+    """N_r(g) b and d_r(g) for a Gaussian-integer n x n g and n x p b, any r.
 
     d_t is the sum of the order-t principal minors of g and
     N_r(g) = sum_{t<r} (-1)^(r-1-t) d_t g^(r-1-t).  Entry (i, j) of N_r(g) b
     is the sum, over the order-r principal index sets containing i, of the
     minors of g with column i replaced by column j of b (Decell, SIAM Review
-    7(4), 1965).  At r = n, N_n(g) is the classical adjugate and d_n(g) the
-    determinant, so a nonsingular g goes through :func:`adjoint_solve_pairs`,
-    which solves from ``elim`` when the caller hands over the elimination of
-    g; a singular g, or r < n, goes through :func:`horner_adjugate_pairs`.
-    """
-    if r == len(g):
-        solved = adjoint_solve_pairs(g, b, elim)
-        if solved is not None:
-            return solved
-    return horner_adjugate_pairs(g, r, b)
-
-
-def horner_adjugate_pairs(
-    g: list[list[Pair]], r: int, b: list[list[Pair]]
-) -> tuple[list[list[Pair]], Pair]:
-    """:func:`char_adjugate_pairs` by Berkowitz and Horner, for any g and r.
-
-    Horner's rule: X = (-1)^(r-1) b, then X <- g X + (-1)^(r-1-t) d_t b for
-    t = 1 .. r-1, with d_1 .. d_r from :func:`char_poly_pairs`.
+    7(4), 1965).  Horner's rule: X = (-1)^(r-1) b, then
+    X <- g X + (-1)^(r-1-t) d_t b for t = 1 .. r-1, with d_1 .. d_r from
+    :func:`char_poly_pairs`.  At r = n, N_n(g) is the classical adjugate and
+    d_n(g) the determinant; a nonsingular g is solved faster by
+    :func:`adjoint_solve_pairs`.
     """
     d = char_poly_pairs(g, r)
     x = b if r % 2 else [[_neg(w) for w in row] for row in b]

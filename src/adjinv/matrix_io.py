@@ -14,9 +14,9 @@ without changing it.
 
 from __future__ import annotations
 
-import io
 import json
 import os
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -42,6 +42,9 @@ class OutputFormat:
 
     decimal_digits: int | None = None
     json_layout: bool = False
+
+
+_TOKEN = re.compile(r"\S+")
 
 
 def _data_lines(text: str):
@@ -72,17 +75,18 @@ def parse_matrix_text(text: str) -> Matrix:
         last_line = lineno
         if rows_seen == m:
             raise MatrixFormatError(f"extra data beyond the declared {int_text(m)} rows", lineno)
-        tokens = _tokens_with_columns(body)
+        tokens = list(_TOKEN.finditer(body))
         if len(tokens) != n:
             raise MatrixFormatError(
                 f"expected {int_text(n)} entries in this row, got {len(tokens)}", lineno
             )
-        for column, token in tokens:
+        for match in tokens:
+            token = match.group()
             try:
                 entries.append(parse_scalar(token))
             except ScalarParseError as exc:
                 raise MatrixFormatError(
-                    f"bad scalar token {token!r}: {exc}", lineno, column + exc.offset
+                    f"bad scalar token {token!r}: {exc}", lineno, match.start() + 1 + exc.offset
                 ) from None
         rows_seen += 1
     if rows_seen != m:
@@ -103,25 +107,12 @@ def parse_vector_text(text: str) -> list[Scalar]:
     return values
 
 
-def _tokens_with_columns(body: str) -> list[tuple[int, str]]:
-    tokens = []
-    pos = 0
-    while pos < len(body):
-        if body[pos].isspace():
-            pos += 1
-            continue
-        start = pos
-        while pos < len(body) and not body[pos].isspace():
-            pos += 1
-        tokens.append((start + 1, body[start:pos]))
-    return tokens
-
-
 def parse_matrix_file(source) -> Matrix:
     """Parse a matrix from a path or a readable text stream."""
     if hasattr(source, "read"):
         return parse_matrix_text(source.read())
-    with io.open(os.fspath(source), "r", encoding="utf-8") as handle:
+    # utf-8-sig skips the byte-order mark some editors put before UTF-8 text.
+    with open(os.fspath(source), encoding="utf-8-sig") as handle:
         return parse_matrix_text(handle.read())
 
 
@@ -137,7 +128,8 @@ def _decimal_fraction(q: Fraction, digits: int) -> str:
     return f"{sign}{int_text(whole)}.{int_text(frac).zfill(digits)}"
 
 
-def _token(s: Scalar, decimal_digits: int | None) -> str:
+def format_scalar(s: Scalar, decimal_digits: int | None = None) -> str:
+    """One scalar token: reduced rational by default, fixed decimals on request."""
     if decimal_digits is None:
         return str(s)
     if not isinstance(decimal_digits, int) or decimal_digits < 0:
@@ -152,22 +144,15 @@ def _token(s: Scalar, decimal_digits: int | None) -> str:
     return f"{_decimal_fraction(s.re, decimal_digits)}{sign}{_decimal_fraction(abs(s.im), decimal_digits)}i"
 
 
-def format_scalar(s: Scalar, decimal_digits: int | None = None) -> str:
-    """One scalar token: reduced rational by default, fixed decimals on request."""
-    return _token(s, decimal_digits)
-
-
 def format_matrix(a: Matrix, decimal_digits: int | None = None) -> str:
     """Matrix-file text: the 'm n' header plus one line of tokens per row."""
-    lines = [f"{a.rows} {a.cols}"]
-    for i in range(a.rows):
-        lines.append(" ".join(_token(e, decimal_digits) for e in a.row(i)))
-    return "\n".join(lines)
+    rows = (" ".join(tokens) for tokens in matrix_tokens(a, decimal_digits))
+    return "\n".join([f"{a.rows} {a.cols}", *rows])
 
 
 def matrix_tokens(a: Matrix, decimal_digits: int | None = None) -> list[list[str]]:
     return [
-        [_token(e, decimal_digits) for e in a.row(i)] for i in range(a.rows)
+        [format_scalar(e, decimal_digits) for e in a.row(i)] for i in range(a.rows)
     ]
 
 
@@ -178,10 +163,10 @@ def format_output(value, fmt: OutputFormat = OutputFormat()) -> str:
     if isinstance(value, Matrix):
         return format_matrix(value, fmt.decimal_digits)
     if isinstance(value, Scalar):
-        return _token(value, fmt.decimal_digits)
+        return format_scalar(value, fmt.decimal_digits)
     if isinstance(value, int):
         return int_text(value)
-    return " ".join(_token(s, fmt.decimal_digits) for s in value)
+    return " ".join(format_scalar(s, fmt.decimal_digits) for s in value)
 
 
 def _json_value(value):

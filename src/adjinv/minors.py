@@ -15,8 +15,8 @@ versions) are the same ledger.  At r = 0 the minor sum is empty, so the
 ledger is (0, 1): a rank-0 input (a zero matrix, a nilpotent matrix's core)
 needs no case of its own.  :func:`char_adjugate` returns the :class:`Ledger`
 (N_r(g) @ b, d_r(g)) in polynomial time: it hands the integer pairs of
-g = g' / s and b = b' / e to :func:`adjinv.elimination.char_adjugate_pairs`,
-which picks its method from the input, and rescales by
+g = g' / s and b = b' / e to :func:`adjinv.elimination.adjoint_solve_pairs`
+or :func:`adjinv.elimination.horner_adjugate_pairs` and rescales by
 N_r(g) = N_r(g') / s^(r-1) and d_r(g) = d_r(g') / s^r.  At r = n with g
 nonsingular the kernel solves from the fraction-free Bareiss elimination of
 g' (the caller's, when it already eliminated g to find its rank): it replays
@@ -158,7 +158,8 @@ def char_adjugate(g: Matrix, r: int, b: Matrix,
         raise ValueError(f"replacement matrix has {b.rows} rows, expected {g.rows}")
     if r == 0:
         return Ledger(Matrix.zeros(g.rows, b.cols), ONE)
-    x, d_r = elimination.char_adjugate_pairs(g.pairs, r, b.pairs, elim)
+    solved = elimination.adjoint_solve_pairs(g.pairs, b.pairs, elim) if r == g.rows else None
+    x, d_r = solved or elimination.horner_adjugate_pairs(g.pairs, r, b.pairs)
     return Ledger(from_pairs(x, g.scale ** (r - 1) * b.scale), scalar_of(d_r, g.scale**r))
 
 

@@ -186,6 +186,23 @@ def test_rhs_file_orientations(capsys, example1_path, tmp_path):
     assert out_col == out_row
 
 
+def test_byte_order_mark_files(capsys, tmp_path):
+    # Editors that write a UTF-8 byte-order mark still give a readable file.
+    plain = tmp_path / "plain.mat"
+    plain.write_bytes(resources.files("adjinv").joinpath("data/example1.mat").read_bytes())
+    bom = tmp_path / "bom.mat"
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    expected = run_cli(capsys, "pinv", str(plain))
+    assert expected[0] == 0
+    assert run_cli(capsys, "pinv", str(bom)) == expected
+    rhs, rhs_bom = tmp_path / "rhs.mat", tmp_path / "rhs_bom.mat"
+    rhs.write_text("4 1\n1\n2\n3\n1\n")
+    rhs_bom.write_bytes(b"\xef\xbb\xbf" + rhs.read_bytes())
+    expected = run_cli(capsys, "solve-lsq", str(plain), "--rhs-file", str(rhs))
+    assert expected[0] == 0
+    assert run_cli(capsys, "solve-lsq", str(plain), "--rhs-file", str(rhs_bom)) == expected
+
+
 def test_solve_row_subcommand(capsys, tmp_path):
     path = tmp_path / "column.mat"
     path.write_text("2 1\n1\n2\n")

@@ -42,6 +42,13 @@ def test_bundled_example_files(example1, example2):
         assert parse_matrix_file(handle) == example2
 
 
+def test_byte_order_mark_is_skipped(tmp_path):
+    plain = bundled("example1.mat").read_bytes()
+    path = tmp_path / "bom.mat"
+    path.write_bytes(b"\xef\xbb\xbf" + plain)
+    assert parse_matrix_file(path) == parse_matrix_text(plain.decode("utf-8"))
+
+
 def test_parse_single_entry():
     assert parse_matrix_text("1 1\n5") == Matrix(1, 1, [5])
 
@@ -79,6 +86,26 @@ def test_bad_token_diagnostic_has_line_and_column():
     with pytest.raises(MatrixFormatError) as err:
         parse_matrix_text("2 2\n1 1e5\n3 4\n")
     assert err.value.line == 2
+
+
+# Whitespace inside a row: every str.isspace() character that does not end a
+# line for str.splitlines().
+IN_ROW_SPACES = [
+    ch for ch in map(chr, range(sys.maxunicode + 1))
+    if ch.isspace() and len(f"a{ch}b".splitlines()) == 1
+]
+
+
+@pytest.mark.parametrize("ch", IN_ROW_SPACES, ids=lambda ch: f"U+{ord(ch):04X}")
+def test_in_row_separators(ch):
+    assert parse_matrix_text(f"1 2\n1{ch}2\n") == Matrix.from_rows([[1, 2]])
+    with pytest.raises(MatrixFormatError) as err:
+        parse_matrix_text(f"1 2\n1{ch}x\n")
+    assert (err.value.line, err.value.column) == (2, 3)
+
+
+def test_in_row_separators_cover_tab_and_unicode_spaces():
+    assert {"\t", "\x1f", " ", "\xa0"} | {chr(c) for c in range(0x2000, 0x200B)} <= set(IN_ROW_SPACES)
 
 
 def test_header_errors():

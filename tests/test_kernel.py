@@ -819,8 +819,8 @@ def test_zero_kernel_denominator_raises(name, monkeypatch):
     GUARDED[name]()  # runs cleanly with the real kernel
     # Every ledger, the Drazin forms' included, comes from one kernel call; the
     # skeleton's denominators are the determinants its adjoint solves return.
-    monkeypatch.setattr(elimination, "char_adjugate_pairs",
-                        _zero_denominator(elimination.char_adjugate_pairs))
+    monkeypatch.setattr(elimination, "horner_adjugate_pairs",
+                        _zero_denominator(elimination.horner_adjugate_pairs))
     monkeypatch.setattr(elimination, "adjoint_solve_pairs",
                         _zero_denominator(elimination.adjoint_solve_pairs))
     with pytest.raises(ArithmeticError, match="this is a bug"):
@@ -839,7 +839,7 @@ FULL_RANK_PROJECTORS = {
 def test_full_rank_projectors_are_the_identity(name, monkeypatch):
     projector, a = FULL_RANK_PROJECTORS[name]
     size = a.cols if projector is projector_p else a.rows
-    for kernel in ("matmul_pairs", "adjoint_solve_pairs", "char_adjugate_pairs"):
+    for kernel in ("matmul_pairs", "adjoint_solve_pairs", "horner_adjugate_pairs"):
         monkeypatch.setattr(elimination, kernel, _refuse(kernel))
     calls = _count_sweeps(monkeypatch)
     assert projector(a) == Matrix.identity(size)
