@@ -9,8 +9,8 @@ into this format.  Bareiss cross-multiplication keeps all intermediate values
 integral and every division exact, which bounds entry growth without ever
 leaving exact arithmetic.  Pivots are the first nonzero
 entry in column scan order; with exact arithmetic the pivot choice is
-correctness-neutral.  The sweep mutates the rows it is given, so callers
-pass list copies (:func:`eliminate` makes them).
+correctness-neutral.  :func:`eliminate` is the one sweep, and it sweeps a
+copy: no kernel changes the rows it is given.
 
 The sweep is kept as an :class:`Elimination`, a fraction-free LU (Nakos,
 Turner and Williams, ACM SIGSAM Bulletin 31(3), 1997): below each pivot
@@ -25,9 +25,9 @@ Berkowitz's algorithm gives the characteristic coefficients without any
 division, and Horner's rule applies the Cayley-Hamilton polynomial N_r(g) to
 a replacement matrix, so a whole adjugate-analogue ledger costs O(n^3 r)
 integer operations.  At full order r = n the polynomial is the classical
-adjugate; there the kernel solves from the elimination of g, the caller's
-when it has one: the replay on b and a back substitution cost O(n^2 p)
-operations for an n x p replacement matrix, on top of the O(n^3) sweep.
+adjugate; there the kernel solves from the caller's elimination of g: the
+replay on b and a back substitution cost O(n^2 p) operations for an n x p
+replacement matrix, on top of the O(n^3) sweep.
 Berkowitz and Horner stay for a singular g: the Drazin forms' A^(k+1).
 
 No operation takes the characteristic adjugate of a Gram matrix A*A or AA*.
@@ -110,6 +110,12 @@ class Elimination(NamedTuple):
     def rank(self) -> int:
         return len(self.pivots)
 
+    @property
+    def det(self) -> Pair:
+        """The sign times the last pivot (rank >= 1): det g at full square rank, else +-det W."""
+        last = self.rows[self.rank - 1][self.pivots[-1]]
+        return last if self.sign == 1 else _neg(last)
+
 
 def _update(row: list[Pair], top: list[Pair], pivot: Pair, lead: Pair, prev: Pair, start: int) -> None:
     """row[j] <- (pivot row[j] - lead top[j]) / prev for every j >= start, in place.
@@ -148,16 +154,17 @@ def _update(row: list[Pair], top: list[Pair], pivot: Pair, lead: Pair, prev: Pai
         row[j] = (re, im)
 
 
-def _bareiss_sweep(a: list[list[Pair]]) -> Elimination:
-    """Fraction-free forward sweep of the m x n rows ``a``, which become its rows.
+def eliminate(g: list[list[Pair]]) -> Elimination:
+    """The fraction-free forward sweep of an m x n Gaussian-integer ``g``, as an :class:`Elimination`.
 
-    Pivots are the first nonzero entry in column scan order; every row below
-    a pivot, a zero-lead row too, gets the update, which keeps every later
-    division exact.  Each row stays an integer combination of the input
-    rows.  When a square a has full rank, its rows are upper triangular on
-    and above the diagonal with nonzero pivots, and the last pivot is the
-    sign times the determinant.
+    ``g`` is left as it is: the sweep runs on a copy, which becomes the
+    elimination's rows.  Pivots are the first nonzero entry in column scan
+    order; every row below a pivot, a zero-lead row too, gets the update,
+    which keeps every later division exact.  Each row stays an integer
+    combination of the input rows.  When a square g has full rank, its rows
+    are upper triangular on and above the diagonal with nonzero pivots.
     """
+    a = [list(row) for row in g]
     m = len(a)
     order = list(range(m))
     pivots: list[int] = []
@@ -183,39 +190,26 @@ def _bareiss_sweep(a: list[list[Pair]]) -> Elimination:
     return Elimination(a, order, pivots, sign)
 
 
-def eliminate(g: list[list[Pair]]) -> Elimination:
-    """The :class:`Elimination` of a Gaussian-integer matrix; ``g`` is left as it is."""
-    return _bareiss_sweep([list(row) for row in g])
-
-
 def det_pairs(a: list[list[Pair]], n: int) -> Pair:
-    """Determinant of an n x n Gaussian-integer matrix (mutates ``a``)."""
-    e = _bareiss_sweep(a)
-    if e.rank < n:
-        return _ZERO
-    d = a[n - 1][n - 1]
-    return d if e.sign == 1 else _neg(d)
+    """Determinant of an n x n Gaussian-integer matrix."""
+    e = eliminate(a)
+    return e.det if e.rank == n else _ZERO
 
 
-def adjoint_solve_pairs(
-    g: list[list[Pair]], b: list[list[Pair]], elim: Elimination | None = None
-) -> tuple[list[list[Pair]], Pair] | None:
-    """adj(g) b and det g for an n x n Gaussian-integer g and n x p b.
+def adjoint_solve_pairs(e: Elimination, b: list[list[Pair]]) -> tuple[list[list[Pair]], Pair] | None:
+    """adj(g) b and det g from the elimination ``e`` of an n x n Gaussian-integer g, for an n x p b.
 
-    Returns None when g is singular.  ``elim`` is the elimination of g when
-    the caller already has it; otherwise g is eliminated here.  The replay
-    runs the sweep's steps on the rows of b, O(n^2 p) integer operations,
-    exactly what the sweep of [g | b] would do to them.  That leaves an
-    upper-triangular system U x = c with the solution x = g^-1 b.  Back
-    substitution is carried out on X = det(g) x = adj(g) b, which is a
-    Gaussian-integer matrix, so each division by a pivot is exact (Bareiss,
-    Math. Comp. 22(103), 1968).
+    Returns None when g is singular.  The replay runs the sweep's steps on
+    the rows of b, O(n^2 p) integer operations, exactly what the sweep of
+    [g | b] would do to them.  That leaves an upper-triangular system
+    U x = c with the solution x = g^-1 b.  Back substitution is carried out
+    on X = det(g) x = adj(g) b, which is a Gaussian-integer matrix, so each
+    division by a pivot is exact (Bareiss, Math. Comp. 22(103), 1968).
     """
-    n = len(g)
-    e = eliminate(g) if elim is None else elim
+    u = e.rows
+    n = len(u)
     if e.rank < n:
         return None
-    u = e.rows
     x = [list(b[i]) for i in e.order]
     prev = _ONE
     for k in range(n):
@@ -223,7 +217,7 @@ def adjoint_solve_pairs(
         for i in range(k + 1, n):
             _update(x[i], top, pivot, u[i][k], prev, 0)
         prev = pivot
-    det = prev if e.sign == 1 else _neg(prev)
+    det = e.det
     # Row i of X is (det c_i - sum_{t>i} u[i][t] X_t) / u[i][i]: one update
     # per term, with the division by the pivot at the last.
     for i in range(n - 1, -1, -1):
@@ -236,8 +230,8 @@ def adjoint_solve_pairs(
 
 
 def rank_pairs(a: list[list[Pair]]) -> int:
-    """Rank of a Gaussian-integer matrix (mutates ``a``)."""
-    return _bareiss_sweep(a).rank
+    """Rank of a Gaussian-integer matrix."""
+    return eliminate(a).rank
 
 
 def _add(x: Pair, y: Pair) -> Pair:
@@ -276,7 +270,7 @@ def _identity(r: int) -> list[list[Pair]]:
 def _gram_through(f, z) -> tuple[list[list[Pair]], Pair]:
     """F* adj(F F*) z and det(F F*), for an r x n F of full row rank and an r x p z."""
     f_star = _conjugate_transpose(f)
-    x, d = adjoint_solve_pairs(matmul_pairs(f, f_star), z)
+    x, d = adjoint_solve_pairs(eliminate(matmul_pairs(f, f_star)), z)
     return matmul_pairs(f_star, x), d
 
 
@@ -289,7 +283,7 @@ def skeleton_ledger_pairs(
     With P = ``e.pivots`` and Q the rows ``e.order[:r]`` in increasing order,
     C = A[:, P], R = A[Q, :] and W = A[Q, P] give the skeleton
     A = C W^-1 R (Goreinov, Tyrtyshnikov and Zamarashkin, LAA 261, 1997),
-    and the last pivot of ``e`` is +-det W.  By Cauchy-Binet
+    and ``e.det`` is +-det W.  By Cauchy-Binet
     d_r(A*A) = det(C*C) det(RR*) / |det W|^2, so the Gram ledger is
 
         d_r(A*A) A+ b = R* adj(RR*) W adj(C*C) C* b / |det W|^2
@@ -317,11 +311,11 @@ def skeleton_ledger_pairs(
     if len(c_star[0]) == r:  # C = W, and W adj(C*C) C* = |det W|^2 I
         return _gram_through(row, _identity(r) if b is None else b)
     rhs = c_star if b is None else matmul_pairs(c_star, b)
-    x, det_c = adjoint_solve_pairs(matmul_pairs(c_star, _conjugate_transpose(c_star)), rhs)
+    x, det_c = adjoint_solve_pairs(eliminate(matmul_pairs(c_star, _conjugate_transpose(c_star))), rhs)
     if len(row[0]) == r:  # R = W, and R* adj(RR*) W = |det W|^2 I
         return x, det_c
     x, det_r = _gram_through(row, matmul_pairs(w, x))
-    pr, pi = e.rows[r - 1][pivots[-1]]
+    pr, pi = e.det
     norm = (pr * pr + pi * pi, 0)
     d = [_mul(det_c, det_r)]
     for out in (*x, d):

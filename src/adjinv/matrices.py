@@ -282,7 +282,7 @@ def power(a: Matrix, k: int) -> Matrix:
 
 def rank(a: Matrix) -> int:
     """Exact rank over the Gaussian rationals by fraction-free elimination."""
-    return elimination.rank_pairs([list(row) for row in a.pairs])
+    return elimination.rank_pairs(a.pairs)
 
 
 def _vector_pairs(v, length: int, what: str) -> tuple[list[Pair], int]:

@@ -89,7 +89,7 @@ def det(a: Matrix) -> Scalar:
 
 
 def _det(a: Matrix) -> Scalar:
-    d = elimination.det_pairs([list(row) for row in a.pairs], a.rows)
+    d = elimination.det_pairs(a.pairs, a.rows)
     return scalar_of(d, a.scale**a.rows)
 
 
@@ -158,7 +158,8 @@ def char_adjugate(g: Matrix, r: int, b: Matrix,
         raise ValueError(f"replacement matrix has {b.rows} rows, expected {g.rows}")
     if r == 0:
         return Ledger(Matrix.zeros(g.rows, b.cols), ONE)
-    solved = elimination.adjoint_solve_pairs(g.pairs, b.pairs, elim) if r == g.rows else None
+    solved = (elimination.adjoint_solve_pairs(elim or elimination.eliminate(g.pairs), b.pairs)
+              if r == g.rows else None)
     x, d_r = solved or elimination.horner_adjugate_pairs(g.pairs, r, b.pairs)
     return Ledger(from_pairs(x, g.scale ** (r - 1) * b.scale), scalar_of(d_r, g.scale**r))
 

@@ -145,6 +145,8 @@ def test_usage_errors(capsys, example1_path):
     assert code == 1 and "not both" in err
     code, _, err = run_cli(capsys, "pinv", example1_path, "--json", "--decimal", "3")
     assert code == 1
+    code, _, err = run_cli(capsys, "pinv", example1_path, "--decimal", "-1")
+    assert code == 1 and "nonnegative" in err
     code, _, err = run_cli(capsys, "pinv", example1_path, "--threads", "0")
     assert code == 1
 
@@ -170,6 +172,12 @@ def test_input_errors(capsys, tmp_path, example1_path):
     assert "not UTF-8" in run_cli(capsys, "verify", str(latin))[2]
     code, _, err = run_cli(capsys, "solve-lsq", example1_path, "--rhs", "1 2 x 1")
     assert code == 2
+    code, _, err = run_cli(capsys, "solve-lsq", example1_path, "--rhs", "")
+    assert code == 2 and "right-side vector is empty" in err
+    square = tmp_path / "square.mat"
+    square.write_text("2 2\n1 2\n3 4\n")
+    code, _, err = run_cli(capsys, "solve-lsq", example1_path, "--rhs-file", str(square))
+    assert code == 2 and "right-side file must be a vector, got 2 x 2" in err
     code, _, err = run_cli(capsys, "solve-lsq", example1_path, "--rhs", "1 2 3")
     assert code == 3  # well-formed vector of the wrong length
 
@@ -294,6 +302,13 @@ def test_verify_failure_exit_code(capsys, example1_path, monkeypatch):
     code, out, err = run_cli(capsys, "verify", example1_path)
     assert code == 4
     assert "AXA=A" in err
+
+    def inexact(a, method="auto"):
+        raise ArithmeticError("inexact division in fraction-free elimination")
+
+    monkeypatch.setattr(cli._pinv, "mp_inverse", inexact)
+    code, out, err = run_cli(capsys, "pinv", example1_path)
+    assert (code, out) == (4, "") and err.startswith("internal verification failure:")
 
 
 def test_paper_examples_exit_zero(capsys):

@@ -382,7 +382,7 @@ def test_adjoint_solve_matches_berkowitz_horner(n, p, seed, complex_entries):
     g = [[entry() for _ in range(n)] for _ in range(n)]
     b = [[entry() for _ in range(p)] for _ in range(n)]
     g_before, b_before = [row[:] for row in g], [row[:] for row in b]
-    solved = elimination.adjoint_solve_pairs(g, b)
+    solved = elimination.adjoint_solve_pairs(elimination.eliminate(g), b)
     assert (g, b) == (g_before, b_before)  # the fallback reuses both
     x, d = elimination.horner_adjugate_pairs(g, n, b)
     assert solved == (None if d == (0, 0) else (x, d))
@@ -395,7 +395,7 @@ def test_char_adjugate_falls_back_on_singular_input(nr, p, seed, complex_entries
     n, r = nr
     g = _deficient(seed, n, n, r, complex_entries)
     b = _matrix(random.Random(seed + 1), n, p, complex_entries)
-    assert elimination.adjoint_solve_pairs(g.pairs, b.pairs) is None
+    assert elimination.adjoint_solve_pairs(elimination.eliminate(g.pairs), b.pairs) is None
     assert _exact(minors.char_adjugate(g, n, b)) == (multiply(minors.adjugate(g), b), ZERO)
 
 
@@ -464,7 +464,7 @@ def test_adjoint_solve_matches_leibniz_and_gauss_jordan(kind, n, complex_entries
         assert (_leibniz(g) == ZERO) == singular
     for p in (1, n, n + 3):
         b = _gaussian_rows(random.Random(seed + p), n, p, complex_entries)
-        solved = elimination.adjoint_solve_pairs(g, b)
+        solved = elimination.adjoint_solve_pairs(elimination.eliminate(g), b)
         if singular:
             assert solved is None
             continue
@@ -477,6 +477,23 @@ def test_adjoint_solve_matches_leibniz_and_gauss_jordan(kind, n, complex_entries
     assert sorted(e.order) == list(range(n)) and e.rank == rank_g
     inversions = sum(e.order[i] > e.order[j] for i in range(n) for j in range(i + 1, n))
     assert e.sign == (-1) ** inversions
+
+
+@pytest.mark.parametrize("complex_entries", [False, True])
+@pytest.mark.parametrize("singular", [False, True])
+def test_kernels_leave_their_arguments_as_they_are(singular, complex_entries):
+    g = _elimination_input("zero_corner", 5, 515 + complex_entries, complex_entries)
+    if singular:
+        g[-1] = [(a + c, b + d) for (a, b), (c, d) in zip(g[0], g[1])]
+    b = _gaussian_rows(random.Random(516), 5, 2, complex_entries)
+    saved = [row[:] for row in g], [row[:] for row in b]
+    e = elimination.eliminate(g)
+    assert e.order[0] != 0 and (e.rank < 5) == singular  # the first step exchanges rows
+    swept = [row[:] for row in e.rows]
+    assert (elimination.det_pairs(g, 5) == (0, 0)) == singular
+    assert elimination.rank_pairs(g) == e.rank
+    assert (elimination.adjoint_solve_pairs(e, b) is None) == singular
+    assert (g, b) == saved and e.rows == swept
 
 
 def test_row_update_keeps_the_exactness_check():
@@ -496,8 +513,8 @@ def test_row_update_keeps_the_exactness_check():
 
 def _count_sweeps(monkeypatch) -> list:
     calls = []
-    real = elimination._bareiss_sweep
-    monkeypatch.setattr(elimination, "_bareiss_sweep", lambda a, *rest: calls.append(len(a)) or real(a, *rest))
+    real = elimination.eliminate
+    monkeypatch.setattr(elimination, "eliminate", lambda a: calls.append(len(a)) or real(a))
     return calls
 
 
@@ -608,10 +625,10 @@ def test_skeleton_matches_berkowitz_horner(m, n, r, bits, seed, complex_entries)
     r = e.rank
     if r == 0:
         return
-    # The sweep's last pivot is +-det W for W = A[Q, P], Q the pivot rows in order.
+    # The signed last pivot e.det is +-det W for W = A[Q, P], Q the pivot rows in order.
     w = [[a[i][j] for j in e.pivots] for i in sorted(e.order[:r])]
     det_w = elimination.det_pairs(w, r)
-    assert e.rows[r - 1][e.pivots[-1]] in (det_w, (-det_w[0], -det_w[1]))
+    assert e.det in (det_w, (-det_w[0], -det_w[1]))
 
     a_star = [[(re, -im) for re, im in col] for col in zip(*a)]
     gram_c, gram_r = elimination.matmul_pairs(a_star, a), elimination.matmul_pairs(a, a_star)
@@ -702,8 +719,8 @@ def test_gram_operations_skip_berkowitz_and_sweep_a_once(name, m, n, r, complex_
     for kernel in ("char_poly_pairs", "horner_adjugate_pairs"):
         monkeypatch.setattr(elimination, kernel, _refuse(kernel))
     shapes = []
-    real = elimination._bareiss_sweep
-    monkeypatch.setattr(elimination, "_bareiss_sweep",
+    real = elimination.eliminate
+    monkeypatch.setattr(elimination, "eliminate",
                         lambda rows: shapes.append((len(rows), len(rows[0]))) or real(rows))
     GRAM_OPERATIONS[name](a, y, yr)
     # A is swept once; every other sweep is of an r x r Gram matrix.

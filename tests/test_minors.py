@@ -68,6 +68,10 @@ def test_principal_minor_sum_errors(example1):
     with pytest.raises(ValueError):
         principal_minor_sum(Matrix.zeros(2, 3), 1)
     with pytest.raises(ValueError):
+        det(Matrix.zeros(2, 3))
+    with pytest.raises(ValueError):
+        adjugate(Matrix.zeros(2, 3))
+    with pytest.raises(ValueError):
         principal_minor_sum(Matrix.identity(3), 0)
     with pytest.raises(ValueError):
         principal_minor_sum(Matrix.identity(3), 4)

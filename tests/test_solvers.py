@@ -85,6 +85,8 @@ def test_lsq_dimension_mismatch(example1):
         lsq_solve(example1, column_vector([1, 2]))
     with pytest.raises(ValueError):
         lsq_solve(example1, row_vector([1, 2, 3, 1]))
+    with pytest.raises(ValueError):
+        lsq_solve_row_system(column_vector([1, 2, 3]), example1)
 
 
 def test_lsq_equals_pseudoinverse_product_on_random_systems():
@@ -188,6 +190,8 @@ def test_drazin_solve_characterization(drazin_corpus):
 def test_drazin_solve_requires_square(rhs_1231):
     with pytest.raises(ValueError):
         drazin_solve(Matrix.zeros(2, 3), column_vector([1, 2]))
+    with pytest.raises(ValueError):
+        drazin_solve(Matrix.identity(3), column_vector([1, 2]))
 
 
 def test_solution_ledger_invariant(example1, example2, rhs_1231):
