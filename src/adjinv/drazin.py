@@ -12,16 +12,16 @@ one call; the projector A^D A is N_r(A^(k+1)) @ A^(k+1) over the same
 denominator.
 
 The index search is a plain loop of :func:`adjinv.matrices.multiply` and a
-fraction-free elimination of each power for its rank, both on the matrices'
-integer pairs, and it hands A^k and A^(k+1) to every caller as Matrices,
-with the elimination of A^(k+1).
+fraction-free elimination of each power for its rank.  A matrix keeps its
+result, the index chain, so its operations share one search; at k = 0 the
+rank is read off A's kept sweep, and the sweeps of A^2, A^3, ... are not kept.
 
 A nonsingular matrix has index 0, so A^k = I, A^(k+1) = A and r = n; there
 N_n(A) is the classical adjugate, and the same kernel call returns
-adj(A) / det(A), the classical inverse, solved from the elimination that
-found the index, so A is eliminated once.  A nilpotent matrix has core
-rank 0, and the kernel's order-0 ledger (0, 1) gives the zero matrix, the
-unique solution of the defining equations in that case.
+adj(A) / det(A), the classical inverse, solved from the sweep that found
+the index, so A is eliminated once.  A nilpotent matrix has core rank 0,
+and the kernel's order-0 ledger (0, 1) gives the zero matrix, the unique
+solution of the defining equations in that case.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import elimination, minors
-from .matrices import Matrix, multiply, power, rank
+from .matrices import Matrix, kept, multiply, power, rank, sweep
 from .scalars import Scalar
 
 
@@ -55,21 +55,16 @@ class DrazinResult:
 
 
 class _Powers(NamedTuple):
-    """The index search result: k = ``index``, A^k, A^(k+1) and ``rank_core`` = rank A^k.
-
-    ``elim`` is the elimination of A^(k+1) that gave its rank, when the
-    search made one; at index 0 the ledger solves from it.
-    """
+    """The index chain: k = ``index``, A^k, A^(k+1) and ``rank_core`` = rank A^k."""
 
     index: int
     ak: Matrix
     b: Matrix
     rank_core: int
-    elim: elimination.Elimination | None = None
 
     def ledger(self, replacement: Matrix) -> minors.Ledger:
         """N_r(A^(k+1)) @ replacement over d_r(A^(k+1)), at r = ``rank_core``."""
-        return minors.char_adjugate(self.b, self.rank_core, replacement, self.elim)
+        return minors.char_adjugate(self.b, self.rank_core, replacement)
 
 
 def _require_square(a: Matrix, what: str) -> None:
@@ -78,15 +73,20 @@ def _require_square(a: Matrix, what: str) -> None:
 
 
 def _index_powers(a: Matrix) -> _Powers:
-    """The index k of a square matrix with A^k, A^(k+1) and rank A^k, as :class:`_Powers`."""
-    k, ak, b, rank_k = 0, Matrix.identity(a.rows), a, a.rows
-    while True:
-        elim = elimination.eliminate(b.pairs)
-        if elim.rank == rank_k:
-            return _Powers(k, ak, b, rank_k, elim)
-        ak, rank_k = b, elim.rank
-        b = multiply(b, a)
+    """The index chain of a square matrix, searched once and kept on it."""
+    k, rank_k, ak, b = kept(a, "index chain", _index_search)
+    return _Powers(k, ak or a, b or a, rank_k)
+
+
+def _index_search(a: Matrix) -> tuple:
+    """k, rank A^k, A^k and A^(k+1), with None for A: the chain A keeps holds no reference to A."""
+    k, ak, b, rank_k, rank_b = 0, Matrix.identity(a.rows), None, a.rows, sweep(a).rank
+    while rank_b != rank_k:
+        ak, rank_k = b, rank_b
+        b = multiply(b or a, a)
         k += 1
+        rank_b = elimination.eliminate(b.pairs).rank
+    return k, rank_k, ak, b
 
 
 def index_of(a: Matrix) -> int:

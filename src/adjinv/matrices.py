@@ -16,7 +16,9 @@ build Scalars when a caller reads entries.
 Matrices are immutable; vectors are matrices with a single column (or row).
 All operations are pure functions: they validate their inputs, never mutate
 them, and return canonical results, so re-running any operation reproduces
-its output bit for bit.
+its output bit for bit.  A matrix keeps its one Bareiss sweep and its Drazin
+index chain in one private slot (:func:`kept`), which equality, hashing and
+printing ignore.
 
 Index conventions: storage accessors (``at``, ``row``, ``column``,
 ``submatrix``) are 0-based like any Python container, while the replacement
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import elimination
 from .elimination import Pair
@@ -51,7 +53,7 @@ def as_scalar(value) -> Scalar:
 class Matrix:
     """An m x n matrix of exact Gaussian rationals: ``pairs`` / ``scale`` in lowest terms."""
 
-    __slots__ = ("rows", "cols", "pairs", "scale")
+    __slots__ = ("rows", "cols", "pairs", "scale", "_kept")
 
     def __init__(self, rows: int, cols: int, entries: Iterable):
         data = [as_scalar(e) for e in entries]
@@ -63,6 +65,7 @@ class Matrix:
             )
         self.rows = rows
         self.cols = cols
+        self._kept = {}
         self.pairs, self.scale = elimination._integerize(
             [data[i * cols : (i + 1) * cols] for i in range(rows)]
         )
@@ -180,7 +183,7 @@ class Matrix:
 def _matrix(pairs: tuple[tuple[Pair, ...], ...], scale: int) -> Matrix:
     """The Matrix pairs / scale, for row tuples already in lowest terms."""
     m = Matrix.__new__(Matrix)
-    m.rows, m.cols, m.pairs, m.scale = len(pairs), len(pairs[0]), pairs, scale
+    m.rows, m.cols, m.pairs, m.scale, m._kept = len(pairs), len(pairs[0]), pairs, scale, {}
     return m
 
 
@@ -281,8 +284,18 @@ def power(a: Matrix, k: int) -> Matrix:
 
 
 def rank(a: Matrix) -> int:
-    """Exact rank over the Gaussian rationals by fraction-free elimination."""
+    """Exact rank over the Gaussian rationals by a fresh fraction-free elimination."""
     return elimination.rank_pairs(a.pairs)
+
+
+def kept(a: Matrix, key: str, compute: Callable[[Matrix], object]):
+    """``compute(a)``, computed once for ``key`` and kept on ``a``; racing threads get the first value."""
+    return a._kept[key] if key in a._kept else a._kept.setdefault(key, compute(a))
+
+
+def sweep(a: Matrix) -> elimination.Elimination:
+    """The fraction-free elimination of a's pairs, kept on ``a``; its readers must not change it."""
+    return kept(a, "sweep", lambda a: elimination.eliminate(a.pairs))
 
 
 def _vector_pairs(v, length: int, what: str) -> tuple[list[Pair], int]:

@@ -18,8 +18,8 @@ needs no case of its own.  :func:`char_adjugate` returns the :class:`Ledger`
 g = g' / s and b = b' / e to :func:`adjinv.elimination.adjoint_solve_pairs`
 or :func:`adjinv.elimination.horner_adjugate_pairs` and rescales by
 N_r(g) = N_r(g') / s^(r-1) and d_r(g) = d_r(g') / s^r.  At r = n with g
-nonsingular the kernel solves from the fraction-free Bareiss elimination of
-g' (the caller's, when it already eliminated g to find its rank): it replays
+nonsingular the kernel solves from the Bareiss sweep of g' that g keeps
+(:func:`adjinv.matrices.sweep`), the one its rank came from: it replays
 the elimination on b' and back-substitutes; otherwise it computes
 d_1 .. d_r by Berkowitz's division-free algorithm and applies N_r by
 Horner's rule.  :func:`char_adjugate` serves only the ledgers of a square
@@ -29,8 +29,8 @@ singular below full rank.  Berkowitz and Horner serve only the latter and
 
 Every Gram ledger, at every rank, comes from :func:`skeleton_ledger`: it
 takes d_r(A*A) A+ b, d_r(A*A) and the projectors from the skeleton
-A = C W^-1 R that the one elimination of A gives (pivot columns C, pivot
-rows R and their intersection W), solving only r x r systems
+A = C W^-1 R that A's one kept sweep gives (pivot columns C, pivot rows R
+and their intersection W), solving only r x r systems
 (:func:`adjinv.elimination.skeleton_ledger_pairs`), one at full column or
 row rank.  It returns the same ledger as :func:`char_adjugate` on A*A at
 the rank order and owns order 0 the same way.  A caller makes one kernel
@@ -51,7 +51,7 @@ from typing import NamedTuple
 
 from . import elimination
 from .index_sets import enumerate_k_subsets
-from .matrices import Matrix, conjugate_transpose, from_pairs, scalar_of
+from .matrices import Matrix, conjugate_transpose, from_pairs, scalar_of, sweep
 from .scalars import ONE, ZERO, Scalar
 
 
@@ -142,13 +142,12 @@ class Ledger(NamedTuple):
         return Ledger(conjugate_transpose(self.numerators), self.denominator.conjugate())
 
 
-def char_adjugate(g: Matrix, r: int, b: Matrix,
-                  elim: elimination.Elimination | None = None) -> Ledger:
+def char_adjugate(g: Matrix, r: int, b: Matrix) -> Ledger:
     """The characteristic-adjugate ledger (N_r(g) @ b, d_r(g)) of the module docstring.
 
     ``g`` is n x n, ``b`` is n x p and 0 <= r <= n; order 0 gives the zero
-    n x p matrix over 1.  ``elim``, when given, is the elimination of g's
-    pairs, and a nonsingular g is solved from it.
+    n x p matrix over 1.  At r = n a nonsingular g is solved from its kept
+    sweep (:func:`adjinv.matrices.sweep`).
     """
     if not g.is_square:
         raise ValueError(f"characteristic adjugate needs a square matrix, got {g.rows}x{g.cols}")
@@ -158,15 +157,14 @@ def char_adjugate(g: Matrix, r: int, b: Matrix,
         raise ValueError(f"replacement matrix has {b.rows} rows, expected {g.rows}")
     if r == 0:
         return Ledger(Matrix.zeros(g.rows, b.cols), ONE)
-    solved = (elimination.adjoint_solve_pairs(elim or elimination.eliminate(g.pairs), b.pairs)
-              if r == g.rows else None)
+    solved = elimination.adjoint_solve_pairs(sweep(g), b.pairs) if r == g.rows else None
     x, d_r = solved or elimination.horner_adjugate_pairs(g.pairs, r, b.pairs)
     return Ledger(from_pairs(x, g.scale ** (r - 1) * b.scale), scalar_of(d_r, g.scale**r))
 
 
-def skeleton_ledger(a: Matrix, e: elimination.Elimination, b: Matrix | None = None,
+def skeleton_ledger(a: Matrix, b: Matrix | None = None,
                     adjoint: bool = False, projector: bool = False) -> Ledger:
-    """The Gram ledger of a from the skeleton of ``e``, the elimination of a's pairs.
+    """The Gram ledger of a from the skeleton of its kept sweep (:func:`adjinv.matrices.sweep`).
 
     Returns (d_r(A*A) A+ b, d_r(A*A)) at r = rank A, the ledger
     ``char_adjugate(A*A, r, A* b)`` gives, with b the identity when None;
@@ -176,6 +174,7 @@ def skeleton_ledger(a: Matrix, e: elimination.Elimination, b: Matrix | None = No
     b = b' / t, and the result rescales by s^(2r-1) t and d_r by s^(2r); the
     projector's scales cancel.
     """
+    e = sweep(a)
     r = e.rank
     rows, cols = (a.rows, a.cols) if adjoint else (a.cols, a.rows)
     if r == 0:

@@ -9,12 +9,12 @@ exactly as adjugate(A) @ A equals det(A) times the identity.
 :func:`mp_inverse_columns` and :func:`mp_inverse_rows` evaluate them
 literally, minor by minor, and stay as the reference path.
 
-``mp_inverse`` eliminates A once, takes every ledger from one kernel call
-(:mod:`adjinv.minors`) and dispatches on rank only to pick the tag.  A square
-nonsingular matrix gets adj(A) / det(A) ("classical_inverse"), solved from
-that elimination.  Every other rank takes the Gram ledger
-N_r(A*A) @ A* = A* @ N_r(AA*) = d_r(A*A) A+ from the skeleton
-A = C W^-1 R of the same elimination, as R* adj(RR*) W adj(C*C) C* /
+``mp_inverse`` reads A's rank off the one sweep A keeps (:func:`sweep`),
+takes every ledger from one kernel call (:mod:`adjinv.minors`) and
+dispatches on rank only to pick the tag.  A square nonsingular matrix gets
+adj(A) / det(A) ("classical_inverse"), solved from that sweep.  Every other
+rank takes the Gram ledger N_r(A*A) @ A* = A* @ N_r(AA*) = d_r(A*A) A+ from
+the skeleton A = C W^-1 R of the same sweep, as R* adj(RR*) W adj(C*C) C* /
 |det W|^2 over d_r(A*A) = det(C*C) det(RR*) / |det W|^2.  At full column
 rank R = W drops out, leaving adj(A*A) A* ("eq6", the determinant form of
 (A*A)^-1 A*); at full row rank C = W does, leaving A* adj(AA*) ("eq7").  A
@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from . import elimination, minors
+from . import minors
 from ._parallel import parallel_map
 from .index_sets import enumerate_containing
 from .matrices import (
@@ -40,6 +40,7 @@ from .matrices import (
     rank,
     replace_column,
     replace_row,
+    sweep,
 )
 from .scalars import ONE, ZERO, Scalar
 
@@ -145,15 +146,14 @@ def mp_inverse(a: Matrix, method: str = "auto") -> PinvResult:
         return mp_inverse_columns(a)
     if method == "eq2":
         return mp_inverse_rows(a)
-    # One sweep of A gives its rank, the elimination a square full-rank A
-    # is solved from, and the skeleton every other rank takes its ledger from.
-    e = elimination.eliminate(a.pairs)
-    r = e.rank
+    # A's one sweep gives its rank, the elimination a square full-rank A is
+    # solved from, and the skeleton every other rank takes its ledger from.
+    r = sweep(a).rank
     if r == n == m:
-        ledger = minors.char_adjugate(a, n, Matrix.identity(n), e)
+        ledger = minors.char_adjugate(a, n, Matrix.identity(n))
         tag = "classical_inverse"
     else:
-        ledger = minors.skeleton_ledger(a, e)
+        ledger = minors.skeleton_ledger(a)
         # Deficient both ways, eq1 and eq2 carry the same ledger.  Tag the form
         # whose literal evaluation needs fewer minors, C(n-1, r-1) versus
         # C(m-1, r-1) per entry; ties go to the column form.
@@ -165,11 +165,10 @@ def mp_inverse(a: Matrix, method: str = "auto") -> PinvResult:
 def projector_p(a: Matrix) -> Matrix:
     """The projector A+ A (n x n, Hermitian, idempotent).
 
-    R* adj(RR*) R / det(RR*) for the pivot rows R of A's one elimination:
+    R* adj(RR*) R / det(RR*) for the pivot rows R of A's one sweep:
     the identity at full column rank, the zero matrix at rank 0.
     """
-    e = elimination.eliminate(a.pairs)
-    return minors.skeleton_ledger(a, e, projector=True).quotient()
+    return minors.skeleton_ledger(a, projector=True).quotient()
 
 
 def projector_q(a: Matrix) -> Matrix:
@@ -178,5 +177,4 @@ def projector_q(a: Matrix) -> Matrix:
     Dual of :func:`projector_p`: C adj(C*C) C* / det(C*C) for the pivot
     columns C of A, the identity at full row rank.
     """
-    e = elimination.eliminate(a.pairs)
-    return minors.skeleton_ledger(a, e, adjoint=True, projector=True).quotient()
+    return minors.skeleton_ledger(a, adjoint=True, projector=True).quotient()

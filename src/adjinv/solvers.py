@@ -3,8 +3,8 @@
 ``lsq_solve`` returns the minimal-norm least squares solution of A x = y.
 Each component is a minor sum over the column-replaced Gram matrix A*A
 divided by its order-r principal-minor sum ("eq14"); the whole numerator
-vector is N_r(A*A) @ f = d_r(A*A) A+ y with f = A* y.  The skeleton of A's
-one elimination (:func:`adjinv.minors.skeleton_ledger`) applies its factors
+vector is N_r(A*A) @ f = d_r(A*A) A+ y with f = A* y.  The skeleton of the
+sweep A keeps (:func:`adjinv.minors.skeleton_ledger`) applies its factors
 to y, solving r x r systems for one column each.  With full column rank
 N_r is the classical adjugate and the components are the determinant ratios
 of Cramer's rule over A*A and f ("eq13"): the skeleton's square factor
@@ -21,8 +21,8 @@ lying in the range of A^k.  Its numerators are N_r(A^(k+1)) @ g with
 g = A^k y ("eq16"); for a nonsingular matrix (index 0) that is adj(A) @ y,
 the classical Cramer rule ("classical_cramer"), and for a nilpotent matrix
 (core rank 0) the kernel's order-0 ledger, the zero vector over 1.  The
-index search hands over A^k and A^(k+1), and both go with g to the kernel;
-at index 0 the kernel solves from the search's elimination of A, so A is
+index chain A keeps hands over A^k and A^(k+1), and both go with g to the
+kernel; at index 0 the kernel solves from A's kept sweep, so A is
 eliminated once.
 
 Every solution is the kernel ledger's quotient
@@ -34,9 +34,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import elimination, minors
+from . import minors
 from .drazin import _index_powers
-from .matrices import Matrix, conjugate_transpose, multiply
+from .matrices import Matrix, conjugate_transpose, multiply, sweep
 from .scalars import Scalar
 
 
@@ -62,9 +62,8 @@ def lsq_solve(a: Matrix, y: Matrix) -> SolveReport:
         raise ValueError(f"right side must be {a.rows}x1, got {y.rows}x{y.cols}")
     astar = conjugate_transpose(a)
     f = multiply(astar, y)
-    e = elimination.eliminate(a.pairs)
-    ledger = minors.skeleton_ledger(a, e, y)
-    method = "eq13" if e.rank == a.cols else "eq14"
+    ledger = minors.skeleton_ledger(a, y)
+    method = "eq13" if sweep(a).rank == a.cols else "eq14"
     return SolveReport(ledger.quotient(), method, ledger.denominator, ledger.numerators.column(0), f)
 
 
@@ -74,10 +73,9 @@ def lsq_solve_row_system(y: Matrix, a: Matrix) -> SolveReport:
         raise ValueError(f"right side must be 1x{a.cols}, got {y.rows}x{y.cols}")
     astar = conjugate_transpose(a)
     g = multiply(y, astar)
-    e = elimination.eliminate(a.pairs)
     # y A+ = ((A*)+ y*)*, from the skeleton of A* that the sweep of A gives.
-    ledger = minors.skeleton_ledger(a, e, conjugate_transpose(y), adjoint=True).adjoint()
-    method = "row_eq_fullrank" if e.rank == a.rows else "row_eq_general"
+    ledger = minors.skeleton_ledger(a, conjugate_transpose(y), adjoint=True).adjoint()
+    method = "row_eq_fullrank" if sweep(a).rank == a.rows else "row_eq_general"
     return SolveReport(ledger.quotient(), method, ledger.denominator, ledger.numerators.row(0), g)
 
 

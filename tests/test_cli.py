@@ -257,7 +257,7 @@ def test_verify_checks_the_drazin_solve_independently(capsys, example2_path, mon
 
     def faulty(a):
         p = real(a)
-        return p._replace(b=p.b * 2, elim=None)
+        return p._replace(b=p.b * 2)
 
     monkeypatch.setattr(drazin, "_index_powers", faulty)
     monkeypatch.setattr(solvers, "_index_powers", faulty)

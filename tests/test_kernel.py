@@ -12,7 +12,12 @@ rank, rank 1, singular, nilpotent, and Drazin index 2-3.  Every comparison
 is an exact equality.
 """
 
+import copy
 import random
+import sys
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from itertools import permutations
 from math import gcd
@@ -27,6 +32,7 @@ from adjinv import (
     Matrix,
     Scalar,
     char_poly_coeffs,
+    check_drazin,
     check_penrose,
     column_vector,
     conjugate_transpose,
@@ -553,16 +559,28 @@ def test_rank_deficient_square_operations_keep_their_ledgers(complex_entries, mo
     expected_pinv = _exact(minors.char_adjugate(multiply(astar, a), r, astar))
     expected_drazin = _representation(a, 2)
     calls = _count_sweeps(monkeypatch)
+    searches = []
+    real_search = drazin._index_search
+    monkeypatch.setattr(drazin, "_index_search", lambda a: searches.append(a) or real_search(a))
     res = mp_inverse(a)
     assert (res.numerators, res.denominator) == expected_pinv
     assert calls == [6, r, r]  # A, then the r x r Gram matrices C*C and RR* of its skeleton
     calls.clear()
-    assert drazin_inverse(a) == expected_drazin and len(calls) == 3  # A, A^2, A^3
+    # A keeps its sweep, so the index search sweeps only A^2 and A^3.
+    assert drazin_inverse(a) == expected_drazin and calls == [6, 6]
     calls.clear()
     sol = drazin_solve(a, y)
     assert (sol.denominator, sol.numerators) == (
         expected_drazin.denominator, multiply(expected_drazin.numerators, y).column(0))
-    assert len(calls) == 3
+    assert index_of(a) == 2 and drazin_times_a(a) == multiply(expected_drazin.drazin_inverse, a)
+    with pytest.raises(drazin.GroupInverseError):
+        group_inverse(a)
+    assert calls == [] and searches == [a]  # A keeps its index chain too
+    # The Gram operations read the same sweep of A and solve only r x r systems.
+    for name, run in GRAM_OPERATIONS.items():
+        calls.clear()
+        run(a, y, row_vector(_rhs(7, 6, complex_entries)))
+        assert calls == [r] * SKELETON_SOLVES[name], name
 
 
 # -- kernel against the rank-factorization oracles (n <= 16, rank <= 10; n = 30) ---
@@ -789,6 +807,116 @@ def _content(rows, scale: int) -> int:
     return gcd(scale, *(part for row in rows for pair in row for part in pair))
 
 
+# -- one sweep and one index chain per matrix, shared by its operations ------------
+
+SHARED_OPERATIONS = {
+    **GRAM_OPERATIONS,
+    "index_of": lambda a, y, yr: index_of(a),
+    "drazin_inverse": lambda a, y, yr: drazin_inverse(a),
+    "group_inverse": lambda a, y, yr: group_inverse(a),
+    "drazin_times_a": lambda a, y, yr: drazin_times_a(a),
+    "drazin_solve": lambda a, y, yr: drazin_solve(a, y),
+}
+
+
+def _operation_names(a: Matrix) -> list[str]:
+    return sorted(name for name in SHARED_OPERATIONS if a.is_square or name in GRAM_OPERATIONS)
+
+
+def _outcome(a: Matrix, name: str):
+    """The result of operation ``name`` on ``a``, or the refusal's type."""
+    y, yr = column_vector(_rhs(31, a.rows)), row_vector(_rhs(32, a.cols))
+    try:
+        return SHARED_OPERATIONS[name](a, y, yr)
+    except drazin.GroupInverseError as exc:
+        return type(exc)
+
+
+def _fresh(a: Matrix) -> Matrix:
+    """An equal matrix built from a's entries, with nothing kept on it."""
+    return Matrix.from_rows(a.row_lists())
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(deficient_matrices(7), full_rank_matrices(6), indexed_matrices(7, 3),
+                 st.builds(Matrix.zeros, st.integers(1, 4), st.integers(1, 4))),
+       st.data())
+def test_operations_sharing_one_matrix_match_a_fresh_matrix_in_any_order(a, data):
+    order = data.draw(st.permutations(_operation_names(a)))
+    first, *rest = order
+    shared = {first: _outcome(a, first)}
+    kept = matrices.sweep(a)
+    saved = copy.deepcopy(kept)
+    for name in rest:
+        shared[name] = _outcome(a, name)
+    for name in order:
+        assert shared[name] == _outcome(_fresh(a), name), name
+    # No reader changed the sweep A keeps, and it is the sweep of A.
+    assert matrices.sweep(a) is kept and kept == saved == elimination.eliminate(a.pairs)
+    if a.is_square:
+        assert drazin._index_powers(a) == drazin._index_powers(_fresh(a))
+
+
+THREADED = {
+    "index 2, complex": _indexed(4242, 3, (2, 1), True),
+    "nonsingular": _full_rank(4243, 5, 5, False),
+    "nilpotent": _indexed(4244, 0, (3, 2), False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(THREADED))
+def test_threads_sharing_one_matrix_get_the_single_thread_results(name, monkeypatch):
+    a = THREADED[name]
+    names = _operation_names(a)
+    expected = {op: _outcome(_fresh(a), op) for op in names}
+    # Slow sweeps and a slow index search: every thread asks for what A keeps
+    # while another one is still computing it.
+    for module, attr in ((elimination, "eliminate"), (drazin, "_index_search")):
+        real = getattr(module, attr)
+        monkeypatch.setattr(module, attr, lambda x, real=real: time.sleep(0.002) or real(x))
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(3):
+            shared = _fresh(a)
+            start = threading.Barrier(4, timeout=30)
+
+            def work(t: int) -> dict:
+                start.wait()
+                return {op: _outcome(shared, op) for op in names[t:] + names[:t]}
+
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                assert list(pool.map(work, range(4), timeout=60)) == [expected] * 4
+    finally:
+        sys.setswitchinterval(switch)
+
+
+def test_rank_and_verify_never_read_what_a_matrix_keeps(monkeypatch):
+    a = _indexed(4245, 3, (2, 1), True)  # 6 x 6, index 2, core rank 3
+    x, res = mp_inverse(a).pseudo_inverse, drazin_inverse(a)  # A keeps its sweep and chain now
+    ak, v = power(a, 2), column_vector(_rhs(33, 6))
+    inside, outside = multiply(ak, v), v - multiply(ak, multiply(oracle_pinv(ak), v))
+    assert not outside.is_zero  # v minus its projection on R(A^2)
+    fresh = _fresh(a)
+
+    def refused(*args):
+        raise AssertionError("a check read what a matrix keeps")
+
+    # Every binding of the two readers in the package, as the modules hold them.
+    readers = (matrices.sweep, matrices.kept)
+    for module in list(sys.modules.values()):
+        if getattr(module, "__name__", "").startswith("adjinv"):
+            for attr, value in list(vars(module).items()):
+                if any(value is reader for reader in readers):
+                    monkeypatch.setattr(module, attr, refused)
+    for b in (a, fresh):
+        assert rank(b) == 4
+        assert check_penrose(b, x).all_passed
+        assert check_drazin(b, res.drazin_inverse, 2).all_passed
+        assert range_membership(power(b, 2), inside) and not range_membership(power(b, 2), outside)
+    assert fresh._kept == {}
+
+
 # -- guards: a vanishing kernel denominator is reported as a bug -------------------
 
 
@@ -858,9 +986,12 @@ def test_full_rank_projectors_are_the_identity(name, monkeypatch):
     size = a.cols if projector is projector_p else a.rows
     for kernel in ("matmul_pairs", "adjoint_solve_pairs", "horner_adjugate_pairs"):
         monkeypatch.setattr(elimination, kernel, _refuse(kernel))
+    a = Matrix.from_rows(a.row_lists())  # equal, with no sweep kept by earlier tests
     calls = _count_sweeps(monkeypatch)
     assert projector(a) == Matrix.identity(size)
     assert calls == [a.rows]
+    assert projector(a) == Matrix.identity(size)
+    assert calls == [a.rows]  # the second call reads the sweep A keeps
 
 
 # -- scale: sizes the per-entry minor enumeration never finished -------------------
