@@ -810,12 +810,9 @@ def _content(rows, scale: int) -> int:
 # -- one sweep and one index chain per matrix, shared by its operations ------------
 
 SHARED_OPERATIONS = {
+    **{name: lambda a, y, yr, run=run: run(a, y) for name, run in SQUARE_OPERATIONS.items()},
     **GRAM_OPERATIONS,
     "index_of": lambda a, y, yr: index_of(a),
-    "drazin_inverse": lambda a, y, yr: drazin_inverse(a),
-    "group_inverse": lambda a, y, yr: group_inverse(a),
-    "drazin_times_a": lambda a, y, yr: drazin_times_a(a),
-    "drazin_solve": lambda a, y, yr: drazin_solve(a, y),
 }
 
 
