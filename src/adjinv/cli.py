@@ -28,7 +28,6 @@ from . import pinv as _pinv
 from . import drazin as _drazin
 from . import solvers as _solvers
 from . import verify as _verify
-from .drazin import GroupInverseError
 from .matrices import Matrix, column_vector, conjugate_transpose, multiply, power, rank, row_vector
 from .matrix_io import (
     MatrixFormatError,
@@ -255,7 +254,7 @@ def main(argv=None) -> int:
     except (MatrixFormatError, ScalarParseError, _InputError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (GroupInverseError, _pinv.ZeroMatrixError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except ArithmeticError as exc:

@@ -11,10 +11,11 @@ the characteristic-adjugate kernel (:func:`adjinv.minors.char_adjugate`) in
 one call; the projector A^D A is N_r(A^(k+1)) @ A^(k+1) over the same
 denominator.
 
-The index search is a plain loop of :func:`adjinv.matrices.multiply` and a
-fraction-free elimination of each power for its rank.  A matrix keeps its
-result, the index chain, so its operations share one search; at k = 0 the
-rank is read off A's kept sweep, and the sweeps of A^2, A^3, ... are not kept.
+The index search is a plain loop of :func:`adjinv.matrices.multiply` and
+:func:`adjinv.matrices.rank`, a fresh sweep of each power.  A matrix keeps
+its result, the index chain, so its operations share one search; at k = 0
+the rank is read off A's kept sweep, and the sweeps of A^2, A^3, ... are not
+kept.
 
 A nonsingular matrix has index 0, so A^k = I, A^(k+1) = A and r = n; there
 N_n(A) is the classical adjugate, and the same kernel call returns
@@ -29,8 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from . import elimination, minors
-from .matrices import Matrix, kept, multiply, power, rank, sweep
+from . import minors
+from .matrices import Matrix, kept, multiply, rank, require_square, sweep
 from .scalars import Scalar
 
 
@@ -67,11 +68,6 @@ class _Powers(NamedTuple):
         return minors.char_adjugate(self.b, self.rank_core, replacement)
 
 
-def _require_square(a: Matrix, what: str) -> None:
-    if not a.is_square:
-        raise ValueError(f"{what} needs a square matrix, got {a.rows}x{a.cols}")
-
-
 def _index_powers(a: Matrix) -> _Powers:
     """The index chain of a square matrix, searched once and kept on it."""
     k, rank_k, ak, b = kept(a, "index chain", _index_search)
@@ -85,13 +81,13 @@ def _index_search(a: Matrix) -> tuple:
         ak, rank_k = b, rank_b
         b = multiply(b or a, a)
         k += 1
-        rank_b = elimination.eliminate(b.pairs).rank
+        rank_b = rank(b)
     return k, rank_k, ak, b
 
 
 def index_of(a: Matrix) -> int:
     """Smallest k >= 0 with rank(a^(k+1)) = rank(a^k); at most n."""
-    _require_square(a, "matrix index")
+    require_square(a, "matrix index")
     return _index_powers(a).index
 
 
@@ -101,20 +97,9 @@ def _drazin(p: _Powers) -> DrazinResult:
     return DrazinResult(ledger.quotient(), p.index, p.rank_core, ledger.denominator, ledger.numerators)
 
 
-def _representation(a: Matrix, exponent: int) -> DrazinResult:
-    """The eq11 representation evaluated at a chosen power exponent.
-
-    Valid whenever rank(a^(exponent+1)) = rank(a^exponent); the value is the
-    Drazin inverse for every exponent >= index_of(a).  The powers come from
-    :func:`adjinv.matrices.power`, not from the index search.
-    """
-    ak = power(a, exponent)
-    return _drazin(_Powers(exponent, ak, multiply(ak, a), rank(ak)))
-
-
 def drazin_inverse(a: Matrix) -> DrazinResult:
     """The unique X with a^(k+1) X = a^k, X a X = X, a X = X a (k = index)."""
-    _require_square(a, "Drazin inverse")
+    require_square(a, "Drazin inverse")
     return _drazin(_index_powers(a))
 
 
@@ -125,7 +110,7 @@ def group_inverse(a: Matrix) -> DrazinResult:
     anything higher has no group inverse and raises
     :class:`GroupInverseError`.
     """
-    _require_square(a, "group inverse")
+    require_square(a, "group inverse")
     powers = _index_powers(a)
     if powers.index >= 2:
         raise GroupInverseError("group inverse does not exist: matrix index is 2 or larger")
@@ -139,6 +124,6 @@ def drazin_times_a(a: Matrix) -> Matrix:
     a^(k+1) rather than a^k; the product route is kept as the oracle in the
     test suite.
     """
-    _require_square(a, "Drazin projector")
+    require_square(a, "Drazin projector")
     p = _index_powers(a)
     return p.ledger(p.b).quotient()

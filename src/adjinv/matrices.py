@@ -16,9 +16,10 @@ build Scalars when a caller reads entries.
 Matrices are immutable; vectors are matrices with a single column (or row).
 All operations are pure functions: they validate their inputs, never mutate
 them, and return canonical results, so re-running any operation reproduces
-its output bit for bit.  A matrix keeps its one Bareiss sweep and its Drazin
-index chain in one private slot (:func:`kept`), which equality, hashing and
-printing ignore.
+its output bit for bit.  :func:`require_square` is the package's one check
+that an operation's input is square.  A matrix keeps its one Bareiss sweep
+and its Drazin index chain in one private slot (:func:`kept`), which
+equality, hashing and printing ignore.
 
 Index conventions: storage accessors (``at``, ``row``, ``column``,
 ``submatrix``) are 0-based like any Python container, while the replacement
@@ -38,16 +39,16 @@ from .scalars import Scalar, parse_scalar
 
 
 def as_scalar(value) -> Scalar:
-    """Coerce an int, Fraction, token string, or Scalar to a Scalar."""
+    """A Scalar as it is, a token string parsed, anything else through ``Scalar(value)``.
+
+    So an int or a Fraction becomes a real Scalar, and ``Scalar`` raises the
+    TypeError for a float or any other non-exact value.
+    """
     if isinstance(value, Scalar):
         return value
-    if isinstance(value, (int, Fraction)):
-        return Scalar(value)
     if isinstance(value, str):
         return parse_scalar(value)
-    if isinstance(value, float):
-        raise TypeError("float entries are not exact; use Fraction or a token string")
-    raise TypeError(f"cannot use {type(value).__name__} as a matrix entry")
+    return Scalar(value)
 
 
 class Matrix:
@@ -228,6 +229,12 @@ def _sum(a: Matrix, b: Matrix, sign: int) -> Matrix:
     rows = [[(p + sign * q, r + sign * t) for (p, r), (q, t) in zip(a_row, b_row)]
             for a_row, b_row in zip(a_rows, b_rows)]
     return from_pairs(rows, scale)
+
+
+def require_square(a: Matrix, what: str) -> None:
+    """Raise ValueError unless ``a`` is square: "<what> needs a square matrix, got mxn"."""
+    if not a.is_square:
+        raise ValueError(f"{what} needs a square matrix, got {a.rows}x{a.cols}")
 
 
 def _require_same_shape(a: Matrix, b: Matrix, what: str) -> None:

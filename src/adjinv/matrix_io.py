@@ -2,9 +2,10 @@
 
 File format: the first data line holds ``m n``; the next m data lines hold n
 whitespace-separated scalar tokens.  ``#`` starts a comment to end of line
-and blank lines are ignored.  Decimal tokens are exact base-10 rationals.
-Rational-mode output is itself a valid matrix file, so formatting and parsing
-round-trip exactly.
+and blank lines are ignored.  One leading UTF-8 byte-order mark is skipped,
+whether the text comes from a path, a stream or a string.  Decimal tokens
+are exact base-10 rationals.  Rational-mode output is itself a valid matrix
+file, so formatting and parsing round-trip exactly.
 
 Exact values of any length are read and printed in full: every integer goes
 to and from decimal text through :func:`adjinv.scalars.int_text` and
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .matrices import Matrix
-from .scalars import Scalar, ScalarParseError, int_of, int_text, parse_scalar
+from .scalars import Scalar, ScalarParseError, complex_text, int_of, int_text, parse_scalar
 
 
 class MatrixFormatError(ValueError):
@@ -55,8 +56,9 @@ def _data_lines(text: str):
 
 
 def parse_matrix_text(text: str) -> Matrix:
-    """Parse matrix-file content from a string."""
-    lines = _data_lines(text)
+    """Parse matrix-file content from a string, skipping one leading byte-order mark."""
+    # Some editors put a byte-order mark (U+FEFF) before UTF-8 text.
+    lines = _data_lines(text.removeprefix("\ufeff"))
     try:
         lineno, header = next(lines)
     except StopIteration:
@@ -111,8 +113,7 @@ def parse_matrix_file(source) -> Matrix:
     """Parse a matrix from a path or a readable text stream."""
     if hasattr(source, "read"):
         return parse_matrix_text(source.read())
-    # utf-8-sig skips the byte-order mark some editors put before UTF-8 text.
-    with open(os.fspath(source), encoding="utf-8-sig") as handle:
+    with open(os.fspath(source), encoding="utf-8") as handle:
         return parse_matrix_text(handle.read())
 
 
@@ -136,12 +137,7 @@ def format_scalar(s: Scalar, decimal_digits: int | None = None) -> str:
         raise ValueError(f"decimal_digits must be None or an int >= 0, got {decimal_digits!r}")
     if not s:
         return "0"
-    if not s.im:
-        return _decimal_fraction(s.re, decimal_digits)
-    if not s.re:
-        return _decimal_fraction(s.im, decimal_digits) + "i"
-    sign = "+" if s.im > 0 else "-"
-    return f"{_decimal_fraction(s.re, decimal_digits)}{sign}{_decimal_fraction(abs(s.im), decimal_digits)}i"
+    return complex_text(s.re, s.im, lambda q: _decimal_fraction(q, decimal_digits))
 
 
 def format_matrix(a: Matrix, decimal_digits: int | None = None) -> str:

@@ -51,7 +51,7 @@ from typing import NamedTuple
 
 from . import elimination
 from .index_sets import enumerate_k_subsets
-from .matrices import Matrix, conjugate_transpose, from_pairs, scalar_of, sweep
+from .matrices import Matrix, conjugate_transpose, from_pairs, require_square, scalar_of, sweep
 from .scalars import ONE, ZERO, Scalar
 
 
@@ -83,8 +83,7 @@ def minor(a: Matrix, alpha, beta) -> Scalar:
 
 def det(a: Matrix) -> Scalar:
     """Determinant of a square matrix."""
-    if not a.is_square:
-        raise ValueError(f"determinant needs a square matrix, got {a.rows}x{a.cols}")
+    require_square(a, "determinant")
     return _det(a)
 
 
@@ -112,8 +111,7 @@ def char_poly_coeffs(a: Matrix) -> tuple[Scalar, ...]:
     Berkowitz's algorithm on the matrix's integer pairs: with a = a' / D,
     d_k(a) = d_k(a') / D^k.
     """
-    if not a.is_square:
-        raise ValueError(f"characteristic polynomial needs a square matrix, got {a.rows}x{a.cols}")
+    require_square(a, "characteristic polynomial")
     coeffs = elimination.char_poly_pairs(a.pairs, a.rows)
     return tuple(scalar_of(d, a.scale**k) for k, d in enumerate(coeffs) if k)
 
@@ -149,8 +147,7 @@ def char_adjugate(g: Matrix, r: int, b: Matrix) -> Ledger:
     n x p matrix over 1.  At r = n a nonsingular g is solved from its kept
     sweep (:func:`adjinv.matrices.sweep`).
     """
-    if not g.is_square:
-        raise ValueError(f"characteristic adjugate needs a square matrix, got {g.rows}x{g.cols}")
+    require_square(g, "characteristic adjugate")
     if not 0 <= r <= g.rows:
         raise ValueError(f"order {r} outside 0..{g.rows}")
     if b.rows != g.rows:
@@ -189,8 +186,7 @@ def skeleton_ledger(a: Matrix, b: Matrix | None = None,
 
 def adjugate(a: Matrix) -> Matrix:
     """Classical adjugate: adjugate(a) @ a == det(a) * identity."""
-    if not a.is_square:
-        raise ValueError(f"adjugate needs a square matrix, got {a.rows}x{a.cols}")
+    require_square(a, "adjugate")
     n = a.rows
     if n == 1:
         return Matrix.identity(1)

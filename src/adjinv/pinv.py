@@ -89,8 +89,6 @@ def mp_inverse_columns(a: Matrix) -> PinvResult:
     astar = conjugate_transpose(a)
     gram = multiply(astar, a)
     denom = minors.principal_minor_sum(gram, r)
-    if not denom:
-        raise ArithmeticError("principal-minor sum of A*A at the rank order vanished; this is a bug")
     n, m = a.cols, a.rows
 
     def numerator(ij: tuple[int, int]) -> Scalar:
@@ -112,8 +110,6 @@ def mp_inverse_rows(a: Matrix) -> PinvResult:
     astar = conjugate_transpose(a)
     gram = multiply(a, astar)
     denom = minors.principal_minor_sum(gram, r)
-    if not denom:
-        raise ArithmeticError("principal-minor sum of AA* at the rank order vanished; this is a bug")
     n, m = a.cols, a.rows
 
     def numerator(ij: tuple[int, int]) -> Scalar:

@@ -8,12 +8,15 @@ equals, and hashes like, the int or Fraction of the same value.  Floats are reje
 never sneak in; decimal literals are parsed as exact base-10 rationals.
 Integers of any length go to and from decimal text through :func:`int_text`
 and :func:`int_of`, which never change the interpreter's int<->str digit cap.
+:func:`complex_text` is the one spelling of a complex value from its parts,
+shared by ``str(Scalar)`` and the decimal output of :mod:`adjinv.matrix_io`.
 """
 
 from __future__ import annotations
 
 from decimal import Decimal
 from fractions import Fraction
+from typing import Callable
 
 
 class ScalarParseError(ValueError):
@@ -136,12 +139,7 @@ class Scalar:
 
     def __str__(self):
         # Matches the token grammar, so str() output reparses exactly.
-        if not self.im:
-            return _fraction_token(self.re)
-        if not self.re:
-            return _fraction_token(self.im) + "i"
-        sign = "+" if self.im > 0 else "-"
-        return f"{_fraction_token(self.re)}{sign}{_fraction_token(abs(self.im))}i"
+        return complex_text(self.re, self.im, _fraction_token)
 
 
 def _coerce(value):
@@ -150,6 +148,19 @@ def _coerce(value):
     if isinstance(value, (int, Fraction)):
         return Scalar(value)
     return None
+
+
+def complex_text(re: Fraction, im: Fraction, part: Callable[[Fraction], str]) -> str:
+    """re + im i as "re", "imi", "re+imi" or "re-imi", each part spelled by ``part``.
+
+    A part is left out only when it is exactly zero; after a nonzero re,
+    ``part`` gets the magnitude of im.
+    """
+    if not im:
+        return part(re)
+    if not re:
+        return part(im) + "i"
+    return f"{part(re)}{'+' if im > 0 else '-'}{part(abs(im))}i"
 
 
 def _fraction_token(q: Fraction) -> str:

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 from . import minors
 from .drazin import _index_powers
-from .matrices import Matrix, conjugate_transpose, multiply, sweep
+from .matrices import Matrix, conjugate_transpose, multiply, require_square, sweep
 from .scalars import Scalar
 
 
@@ -85,8 +85,7 @@ def drazin_solve(a: Matrix, y: Matrix) -> SolveReport:
     Satisfies the generalized normal equations A^(k+1) x = A^k y exactly and
     lies in the range of A^k (k = index of A); equals drazin_inverse(a) @ y.
     """
-    if not a.is_square:
-        raise ValueError(f"Drazin solution needs a square matrix, got {a.rows}x{a.cols}")
+    require_square(a, "Drazin solution")
     if not (y.cols == 1 and y.rows == a.rows):
         raise ValueError(f"right side must be {a.rows}x1, got {y.rows}x{y.cols}")
     p = _index_powers(a)

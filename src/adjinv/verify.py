@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .matrices import Matrix, conjugate_transpose, hstack, multiply, power, rank
+from .matrices import Matrix, conjugate_transpose, hstack, multiply, power, rank, require_square
 from .scalars import ONE, Scalar
 
 
@@ -139,8 +139,7 @@ def oracle_pinv(a: Matrix) -> Matrix:
 
 def oracle_drazin(a: Matrix) -> Matrix:
     """Drazin inverse as a^k (a^(2k+1))+ a^k with the oracle pseudoinverse."""
-    if not a.is_square:
-        raise ValueError(f"Drazin oracle needs a square matrix, got {a.rows}x{a.cols}")
+    require_square(a, "Drazin oracle")
     # Index by rank iteration, using only the primitive operations.
     k = 0
     rank_prev = a.rows

@@ -1,5 +1,6 @@
-"""Shared fixtures: golden matrices, random rank-forced corpora, and an
-independent cofactor-expansion determinant used as a small-case oracle."""
+"""Shared fixtures: golden matrices, random rank-forced corpora, an
+independent cofactor-expansion determinant used as a small-case oracle, and
+the eq11 Drazin representation at a chosen exponent."""
 
 from __future__ import annotations
 
@@ -9,14 +10,17 @@ from fractions import Fraction
 import pytest
 
 from adjinv import (
+    DrazinResult,
     Matrix,
     Scalar,
     column_vector,
     adjugate,
     det,
     multiply,
+    power,
     rank,
 )
+from adjinv.minors import char_adjugate
 
 # -- golden data ---------------------------------------------------------------
 
@@ -65,6 +69,20 @@ def det_cofactor(a: Matrix) -> Scalar:
         term = a.at(0, j) * det_cofactor(sub)
         total = total + term if j % 2 == 0 else total - term
     return total
+
+
+def representation(a: Matrix, exponent: int) -> DrazinResult:
+    """The eq11 representation of ``a`` evaluated at a chosen power exponent.
+
+    Valid whenever rank(a^(exponent+1)) = rank(a^exponent); the value is the
+    Drazin inverse for every exponent >= index_of(a).  The powers come from
+    :func:`adjinv.power` and the core rank from :func:`adjinv.rank`, not
+    from the index search.
+    """
+    ak = power(a, exponent)
+    r = rank(ak)
+    ledger = char_adjugate(multiply(ak, a), r, ak)
+    return DrazinResult(ledger.quotient(), exponent, r, ledger.denominator, ledger.numerators)
 
 
 # -- random corpus builders ------------------------------------------------------

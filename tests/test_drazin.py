@@ -21,7 +21,8 @@ from adjinv import (
     rank,
     replace_column,
 )
-from adjinv.drazin import _representation
+from adjinv import drazin
+from conftest import representation
 
 GOLDEN_DRAZIN = Matrix.from_rows(
     [
@@ -110,12 +111,22 @@ def test_drazin_times_a_golden(example2):
     assert drazin_times_a(Matrix.from_rows([[0, 1], [0, 0]])) == Matrix.zeros(2, 2)
 
 
+def test_index_search_ranks_each_power_through_rank(example2, monkeypatch):
+    ranked = []
+    monkeypatch.setattr(drazin, "rank", lambda b: ranked.append(b) or rank(b))
+    a = Matrix.from_rows(example2.row_lists())  # equal, with no chain kept by earlier tests
+    assert drazin_inverse(a).index == 2
+    assert ranked == [power(a, 2), power(a, 3)]  # A's own rank is read off its kept sweep
+    drazin_times_a(a)
+    assert len(ranked) == 2  # the second operation reads the chain A keeps
+
+
 def test_representation_stable_under_larger_exponent(example2):
-    base = _representation(example2, 2)
-    bumped = _representation(example2, 3)
+    base = representation(example2, 2)
+    bumped = representation(example2, 3)
     assert base.drazin_inverse == bumped.drazin_inverse
     nil = Matrix.from_rows([[0, 1], [0, 0]])
-    assert _representation(nil, 2).drazin_inverse == _representation(nil, 3).drazin_inverse
+    assert representation(nil, 2).drazin_inverse == representation(nil, 3).drazin_inverse
 
 
 def test_oracle_equivalence_via_pseudoinverse(drazin_corpus):

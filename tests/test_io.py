@@ -44,9 +44,19 @@ def test_bundled_example_files(example1, example2):
 
 def test_byte_order_mark_is_skipped(tmp_path):
     plain = bundled("example1.mat").read_bytes()
+    expected = parse_matrix_text(plain.decode("utf-8"))
     path = tmp_path / "bom.mat"
     path.write_bytes(b"\xef\xbb\xbf" + plain)
-    assert parse_matrix_file(path) == parse_matrix_text(plain.decode("utf-8"))
+    assert parse_matrix_file(path) == expected
+    # The same text from a stream or a string: the mark is part of the text.
+    with open(path, encoding="utf-8") as handle:
+        assert parse_matrix_file(handle) == expected
+    text = path.read_text(encoding="utf-8")
+    assert text.startswith("\ufeff")
+    assert parse_matrix_text(text) == expected
+    # One mark is skipped, not two.
+    with pytest.raises(MatrixFormatError, match="header must be two integers"):
+        parse_matrix_text("\ufeff" + text)
 
 
 def test_parse_single_entry():
@@ -148,6 +158,23 @@ def test_decimal_formatting():
     assert format_scalar(Scalar(Fraction(-1, 3)), 3) == "-0.333"
     assert format_scalar(Scalar(2), 2) == "2.00"
     assert format_scalar(Scalar(Fraction(1, 2), Fraction(-1, 4)), 2) == "0.50-0.25i"
+
+
+@pytest.mark.parametrize("value, digits, text", [
+    (Scalar(1, Fraction(-1, 1000)), 0, "1-0i"),
+    (Scalar(Fraction(-1, 1000), 1), 0, "0+1i"),
+    (Scalar(0, Fraction(1, 1000)), 0, "0i"),
+    (Scalar(0, Fraction(1, 1000)), 2, "0.00i"),
+    (Scalar(0, -2), 2, "-2.00i"),
+    (Scalar(1, Fraction(-1, 1000)), None, "1-1/1000i"),
+    (Scalar(0, -2), None, "-2i"),
+    (Scalar(Fraction(-1, 2), 3), None, "-1/2+3i"),
+])
+def test_complex_spelling_in_both_modes(value, digits, text):
+    # A part is left out only when it is exactly zero, not when it rounds to zero.
+    assert format_scalar(value, digits) == text
+    if digits is None:
+        assert str(value) == text
 
 
 def test_decimal_digits_must_be_a_nonnegative_int():

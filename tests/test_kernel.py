@@ -63,8 +63,8 @@ from adjinv import (
     row_vector,
 )
 from adjinv import drazin, elimination, matrices, minors, pinv
-from adjinv.drazin import _representation
 from adjinv.verify import _inverse, _rref
+from conftest import representation
 
 LITERAL = settings(max_examples=25, deadline=None)
 ORACLE = settings(max_examples=20, deadline=None)
@@ -557,7 +557,7 @@ def test_rank_deficient_square_operations_keep_their_ledgers(complex_entries, mo
     astar = conjugate_transpose(a)
     r = rank(a)
     expected_pinv = _exact(minors.char_adjugate(multiply(astar, a), r, astar))
-    expected_drazin = _representation(a, 2)
+    expected_drazin = representation(a, 2)
     calls = _count_sweeps(monkeypatch)
     searches = []
     real_search = drazin._index_search
@@ -765,8 +765,8 @@ def test_index_search_matches_representation_and_oracle(case, seed):
     assert (p.b.pairs, p.b.scale) == elimination.integerize(multiply(ak, a).row_lists())
 
     res = drazin_inverse(a)
-    assert res == _representation(a, index)  # index, core rank, ledger, denominator, inverse
-    assert res.drazin_inverse == _representation(a, index + 1).drazin_inverse
+    assert res == representation(a, index)  # index, core rank, ledger, denominator, inverse
+    assert res.drazin_inverse == representation(a, index + 1).drazin_inverse
     xd = oracle_drazin(a)
     assert res.drazin_inverse == xd
     assert drazin_times_a(a) == multiply(xd, a)
@@ -967,6 +967,15 @@ def test_zero_kernel_denominator_raises(name, monkeypatch):
                         _zero_denominator(elimination.adjoint_solve_pairs))
     with pytest.raises(ArithmeticError, match="this is a bug"):
         GUARDED[name]()
+
+
+@pytest.mark.parametrize("literal", [mp_inverse_columns, mp_inverse_rows])
+def test_zero_literal_denominator_raises(literal, monkeypatch):
+    literal(DEFICIENT)  # runs cleanly with the real minor sums
+    # The literal forms' denominator is guarded where every ledger's is, in Ledger.quotient.
+    monkeypatch.setattr(minors, "principal_minor_sum", lambda g, r: ZERO)
+    with pytest.raises(ArithmeticError, match="ledger denominator vanished; this is a bug"):
+        literal(DEFICIENT)
 
 
 # Full-rank projectors have no denominator to guard: they are the identity.

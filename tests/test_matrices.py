@@ -9,10 +9,19 @@ from hypothesis import strategies as st
 from adjinv import (
     Matrix,
     Scalar,
+    adjugate,
+    char_poly_coeffs,
     column_vector,
     conjugate_transpose,
+    det,
+    drazin_inverse,
+    drazin_solve,
+    drazin_times_a,
+    group_inverse,
     hstack,
+    index_of,
     multiply,
+    oracle_drazin,
     power,
     rank,
     replace_column,
@@ -20,6 +29,7 @@ from adjinv import (
 )
 from adjinv.elimination import integerize
 from adjinv.matrices import from_pairs
+from adjinv.minors import char_adjugate
 from conftest import random_matrix
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=6)
@@ -251,6 +261,27 @@ def test_power_requires_square():
         power(Matrix.identity(2), -1)
 
 
+SQUARE_ONLY = {
+    "matrix index": index_of,
+    "Drazin inverse": drazin_inverse,
+    "group inverse": group_inverse,
+    "Drazin projector": drazin_times_a,
+    "Drazin solution": lambda a: drazin_solve(a, column_vector([1, 2])),
+    "determinant": det,
+    "characteristic polynomial": char_poly_coeffs,
+    "adjugate": adjugate,
+    "characteristic adjugate": lambda a: char_adjugate(a, 1, column_vector([1, 2])),
+    "Drazin oracle": oracle_drazin,
+}
+
+
+@pytest.mark.parametrize("what", sorted(SQUARE_ONLY))
+def test_square_only_operations_name_themselves(what):
+    with pytest.raises(ValueError) as err:
+        SQUARE_ONLY[what](Matrix.from_rows([[1, 2, 3], [4, 5, 6]]))
+    assert str(err.value) == f"{what} needs a square matrix, got 2x3"
+
+
 def test_rank_golden(example1, example2):
     assert rank(example1) == 3
     assert rank(example2) == 3
@@ -311,8 +342,10 @@ def test_matrix_construction_errors():
         Matrix.from_rows([[1, 2], [3]])
     with pytest.raises(ValueError):
         Matrix(2, 2, [1, 2, 3])
-    with pytest.raises(TypeError):
+    with pytest.raises(TypeError, match="float values are not exact"):
         Matrix.from_rows([[0.5]])
+    with pytest.raises(TypeError, match="cannot build an exact rational from NoneType"):
+        Matrix.from_rows([[None]])
 
 
 def test_vectors_and_hstack():
