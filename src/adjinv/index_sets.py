@@ -34,17 +34,10 @@ def enumerate_k_subsets(k: int, n: int) -> Iterator[IndexSeq]:
 def enumerate_containing(k: int, n: int, i: int) -> Iterator[IndexSeq]:
     """The C(n-1, k-1) members of ``enumerate_k_subsets(k, n)`` containing i.
 
-    Yields in the same lexicographic order the filtered full enumeration
-    would produce.
+    The full lexicographic enumeration, filtered to the sets that contain i,
+    so the order is the same.  The arguments are checked at the call.
     """
     _check_k_n(k, n)
     if not 1 <= i <= n:
         raise ValueError(f"required index {i} outside 1..{n}")
-    others = tuple(x for x in range(1, n + 1) if x != i)
-
-    def generate() -> Iterator[IndexSeq]:
-        for rest in combinations(others, k - 1):
-            yield tuple(sorted(rest + (i,)))
-
-    return generate()
-
+    return (s for s in combinations(range(1, n + 1), k) if i in s)

@@ -7,7 +7,11 @@ A*A by d_r(A*A), the sum of its order-r principal minors; the row form
 classical adjugate: L @ A equals the denominator times the projector A+ A,
 exactly as adjugate(A) @ A equals det(A) times the identity.
 :func:`mp_inverse_columns` and :func:`mp_inverse_rows` evaluate them
-literally, minor by minor, and stay as the reference path.
+literally, minor by minor, and stay as the reference path.  They share one
+body; each form passes its Gram matrix, the Gram matrix with entry (i, j)'s
+column or row replaced, and the index (i or j) every index set contains.
+The body refuses a zero matrix, and a form of more than
+``LITERAL_MINOR_BUDGET`` minors, before it forms A* or the Gram matrix.
 
 ``mp_inverse`` reads A's rank off the one sweep A keeps (:func:`sweep`),
 takes every ledger from one kernel call (:mod:`adjinv.minors`) and
@@ -19,10 +23,10 @@ the skeleton A = C W^-1 R of the same sweep, as R* adj(RR*) W adj(C*C) C* /
 rank R = W drops out, leaving adj(A*A) A* ("eq6", the determinant form of
 (A*A)^-1 A*); at full row rank C = W does, leaving A* adj(AA*) ("eq7").  A
 matrix deficient both ways is tagged "eq1" or "eq2", whichever form's
-literal evaluation needs fewer minors.  The projectors A+ A and A A+ are
-R* adj(RR*) R / det(RR*) and C adj(C*C) C* / det(C*C), from the skeleton
-without forming A+: the identity at full column (row) rank, and at rank 0
-the ledger (0, 1).
+literal evaluation needs fewer minors by the budget's count.  The
+projectors A+ A and A A+ are R* adj(RR*) R / det(RR*) and
+C adj(C*C) C* / det(C*C), from the skeleton without forming A+: the
+identity at full column (row) rank, and at rank 0 the ledger (0, 1).
 """
 
 from __future__ import annotations
@@ -65,64 +69,55 @@ class PinvResult:
     representation_used: str  # eq1 | eq2 | eq6 | eq7 | classical_inverse | zero
 
 
-# Most numerator minors (m n C(n-1, r-1) for eq1, m n C(m-1, r-1) for eq2) the
-# literal forms evaluate.  10 x 10 at rank 5 needs 12,600 minors of order 5,
-# 1.5 s on a 2-vCPU x86 host under Python 3.11, so this is about ten seconds.
+# Most numerator minors the literal forms evaluate (see _minor_count).  10 x 10
+# at rank 5 needs 12,600 minors of order 5, 1.5 s on a 2-vCPU x86 host under
+# Python 3.11, so this is about ten seconds.
 LITERAL_MINOR_BUDGET = 100_000
 
 
-def _literal_rank(a: Matrix, form: str, gram_size: int) -> int:
-    """rank(a), once a is nonzero and its literal form fits the minor budget."""
+def _minor_count(a: Matrix, size: int, r: int) -> int:
+    """m n C(size - 1, r - 1), the numerator minors of a literal form whose Gram has order size."""
+    return comb(size - 1, r - 1) * a.rows * a.cols
+
+
+def _literal(a: Matrix, form: str, size: int, gram, replaced) -> PinvResult:
+    """Numerator (i, j) sums the order-r principal minors of the matrix that
+    ``replaced(G, A*, i, j)`` returns, over the sets containing the index it
+    returns; G = ``gram(A, A*)`` has order ``size``."""
     if a.is_zero:
         raise ZeroMatrixError("zero matrix: minor-sum representation undefined, use mp_inverse")
     r = rank(a)
-    minor_count = comb(gram_size - 1, r - 1) * a.rows * a.cols
+    minor_count = _minor_count(a, size, r)
     if minor_count > LITERAL_MINOR_BUDGET:
         raise ValueError(f"{form} needs {minor_count} minors, over the budget of "
                          f"{LITERAL_MINOR_BUDGET}; use --method auto (mp_inverse) instead")
-    return r
+    astar = conjugate_transpose(a)
+    g = gram(a, astar)
+    denom = minors.principal_minor_sum(g, r)
+
+    def numerator(ij: tuple[int, int]) -> Scalar:
+        target, required = replaced(g, astar, *ij)
+        total = ZERO
+        for sub in enumerate_containing(r, size, required):
+            total = total + minors.minor(target, sub, sub)
+        return total
+
+    n, m = a.cols, a.rows
+    nums = parallel_map(numerator, [(i, j) for i in range(1, n + 1) for j in range(1, m + 1)])
+    numerators = Matrix(n, m, nums)
+    return PinvResult(minors.Ledger(numerators, denom).quotient(), denom, numerators, form)
 
 
 def mp_inverse_columns(a: Matrix) -> PinvResult:
-    """Column representation: entries l_ij / d_r(A*A) ("eq1")."""
-    r = _literal_rank(a, "eq1", a.cols)
-    astar = conjugate_transpose(a)
-    gram = multiply(astar, a)
-    denom = minors.principal_minor_sum(gram, r)
-    n, m = a.cols, a.rows
-
-    def numerator(ij: tuple[int, int]) -> Scalar:
-        i, j = ij
-        replaced = replace_column(gram, i, astar.column(j - 1))
-        total = ZERO
-        for beta in enumerate_containing(r, n, i):
-            total = total + minors.minor(replaced, beta, beta)
-        return total
-
-    nums = parallel_map(numerator, [(i, j) for i in range(1, n + 1) for j in range(1, m + 1)])
-    numerators = Matrix(n, m, nums)
-    return PinvResult(minors.Ledger(numerators, denom).quotient(), denom, numerators, "eq1")
+    """Column representation ("eq1"): l_ij / d_r(A*A), column i of A*A replaced by column j of A*."""
+    return _literal(a, "eq1", a.cols, lambda a, astar: multiply(astar, a),
+                    lambda gram, astar, i, j: (replace_column(gram, i, astar.column(j - 1)), i))
 
 
 def mp_inverse_rows(a: Matrix) -> PinvResult:
-    """Row representation: entries r_ij / d_r(AA*) ("eq2")."""
-    r = _literal_rank(a, "eq2", a.rows)
-    astar = conjugate_transpose(a)
-    gram = multiply(a, astar)
-    denom = minors.principal_minor_sum(gram, r)
-    n, m = a.cols, a.rows
-
-    def numerator(ij: tuple[int, int]) -> Scalar:
-        i, j = ij
-        replaced = replace_row(gram, j, astar.row(i - 1))
-        total = ZERO
-        for alpha in enumerate_containing(r, m, j):
-            total = total + minors.minor(replaced, alpha, alpha)
-        return total
-
-    nums = parallel_map(numerator, [(i, j) for i in range(1, n + 1) for j in range(1, m + 1)])
-    numerators = Matrix(n, m, nums)
-    return PinvResult(minors.Ledger(numerators, denom).quotient(), denom, numerators, "eq2")
+    """Row representation ("eq2"): r_ij / d_r(AA*), row j of AA* replaced by row i of A*."""
+    return _literal(a, "eq2", a.rows, lambda a, astar: multiply(a, astar),
+                    lambda gram, astar, i, j: (replace_row(gram, j, astar.row(i - 1)), j))
 
 
 def mp_inverse(a: Matrix, method: str = "auto") -> PinvResult:
@@ -151,10 +146,9 @@ def mp_inverse(a: Matrix, method: str = "auto") -> PinvResult:
     else:
         ledger = minors.skeleton_ledger(a)
         # Deficient both ways, eq1 and eq2 carry the same ledger.  Tag the form
-        # whose literal evaluation needs fewer minors, C(n-1, r-1) versus
-        # C(m-1, r-1) per entry; ties go to the column form.
+        # whose literal evaluation needs fewer minors; ties go to the column form.
         tag = ("eq6" if r == n else "eq7" if r == m
-               else "eq1" if comb(n - 1, r - 1) <= comb(m - 1, r - 1) else "eq2")
+               else "eq1" if _minor_count(a, n, r) <= _minor_count(a, m, r) else "eq2")
     return PinvResult(ledger.quotient(), ledger.denominator, ledger.numerators, tag)
 
 

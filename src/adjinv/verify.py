@@ -6,7 +6,8 @@ from reduced row echelon form, and the two small inverses come from
 Gauss-Jordan elimination of [M | I] by the same Scalar row reduction; the
 Drazin oracle composes powers with that pseudoinverse.  Only the primitive
 matrix operations of :mod:`adjinv.matrices` are reused, on the matrices'
-integer pairs: products, powers, rank, transposes and equality.
+integer pairs: products, powers, rank, transposes, equality and
+``from_pairs``.
 :func:`_rref` and :func:`_inverse` read the entries as Scalars and reduce
 them with Scalar arithmetic, so they share no code with the kernel.  All
 checks are exact equalities; there is no tolerance anywhere.
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .matrices import Matrix, conjugate_transpose, hstack, multiply, power, rank, require_square
+from .matrices import Matrix, conjugate_transpose, from_pairs, hstack, multiply, power, rank, require_square
 from .scalars import ONE, Scalar
 
 
@@ -81,10 +82,11 @@ def check_drazin(a: Matrix, x: Matrix, k: int) -> VerifyReport:
 
 
 def range_membership(b: Matrix, x: Matrix) -> bool:
-    """True iff the column vector x lies in the column space of b."""
+    """True iff the column vector x lies in the column space of b: x's pairs beside b's add no rank."""
     if not (x.cols == 1 and x.rows == b.rows):
         raise ValueError(f"vector must be {b.rows}x1, got {x.rows}x{x.cols}")
-    return rank(hstack(b, x)) == rank(b)
+    # Scaling a column keeps the rank, so neither needs the other's scale.
+    return rank(from_pairs([rb + rx for rb, rx in zip(b.pairs, x.pairs)], 1)) == rank(b)
 
 
 def _rref(a: Matrix) -> tuple[list[list[Scalar]], list[int]]:

@@ -3,8 +3,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import adjinv
+import adjinv.pinv
 from adjinv import golden
 from adjinv import (
     Matrix,
@@ -130,6 +133,36 @@ def test_full_rank_shortcuts_equal_minor_sums():
     gram = multiply(wide, conjugate_transpose(wide))
     inv_gram = adjugate(gram) * (Scalar(1) / det(gram))
     assert res7.pseudo_inverse == multiply(conjugate_transpose(wide), inv_gram)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5), st.integers(0, 2**32 - 1), st.booleans())
+def test_row_form_mirrors_the_column_form_of_the_adjoint(m, n, r, seed, complex_entries):
+    """eq2 on A is the conjugate transpose of eq1 on A*, ledger and all."""
+    a = rank_forced_matrix(random.Random(seed), m, n, min(r, m, n), complex_entries)
+    rows = mp_inverse_rows(a)
+    mirror = mp_inverse_columns(conjugate_transpose(a))
+    assert rows.numerators == conjugate_transpose(mirror.numerators)
+    assert rows.denominator == mirror.denominator
+    assert rows.pseudo_inverse == conjugate_transpose(mirror.pseudo_inverse)
+
+
+def test_literal_forms_refuse_before_forming_the_gram(monkeypatch):
+    # The 24 x 24 rank-12 input of test_cli.py::test_literal_forms_refuse_over_budget.
+    left = Matrix(24, 12, [(3 * i + 5 * j) % 7 - 3 + (i == j) * 11 for i in range(24) for j in range(12)])
+    right = Matrix(12, 24, [(2 * i + 3 * j) % 5 - 2 + (i == j) * 13 for i in range(12) for j in range(24)])
+    big = multiply(left, right)
+
+    def refused(*args):
+        raise AssertionError("A* or the Gram matrix was formed")
+
+    monkeypatch.setattr(adjinv.pinv, "multiply", refused)
+    monkeypatch.setattr(adjinv.pinv, "conjugate_transpose", refused)
+    for form in (mp_inverse_columns, mp_inverse_rows):
+        with pytest.raises(ZeroMatrixError):
+            form(Matrix.zeros(3, 2))
+        with pytest.raises(ValueError, match="over the budget"):
+            form(big)
 
 
 def test_penrose_equations_on_random_matrices():

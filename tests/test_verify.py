@@ -2,7 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import adjinv.verify
 from adjinv import (
     Matrix,
     Scalar,
@@ -10,14 +13,16 @@ from adjinv import (
     check_penrose,
     column_vector,
     drazin_inverse,
+    hstack,
     mp_inverse,
     multiply,
     oracle_drazin,
     oracle_pinv,
     power,
     range_membership,
+    rank,
 )
-from conftest import rank_forced_matrix
+from conftest import random_matrix, rank_forced_matrix
 
 GOLDEN_PINV = Matrix.from_rows(
     [
@@ -136,6 +141,36 @@ def test_range_membership_detects_outsiders():
     b = Matrix.from_rows([[1, 0], [0, 0], [0, 0]])
     assert range_membership(b, column_vector([5, 0, 0]))
     assert not range_membership(b, column_vector([0, 1, 0]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 6), st.integers(0, 2**32 - 1),
+       st.booleans(), st.booleans())
+def test_range_membership_matches_the_augmented_rank(m, n, r, seed, complex_entries, inside):
+    """Ranking the pairs side by side answers as rank([b | x]) == rank(b) does."""
+    rng = random.Random(seed)
+    r = min(r, m, n)
+    b = rank_forced_matrix(rng, m, n, r, complex_entries) if r else Matrix.zeros(m, n)
+    if inside:
+        # A combination of b's columns over a scale b does not share.
+        x = multiply(b, random_matrix(rng, n, 1, complex_entries)) * Scalar(Fraction(1, rng.randint(2, 10**9)))
+    else:
+        x = random_matrix(rng, m, 1, complex_entries)
+    answer = range_membership(b, x)
+    assert answer == (rank(hstack(b, x)) == rank(b))
+    assert answer or not inside
+    if r == m or x.is_zero:
+        assert answer
+
+
+def test_range_membership_forms_no_common_scale(monkeypatch, example2):
+    def refused(*args):
+        raise AssertionError("hstack was called")
+
+    monkeypatch.setattr(adjinv.verify, "hstack", refused)
+    square = power(example2, 2)
+    assert range_membership(square, column_vector([Fraction(1, 2), 1, 1, Fraction(1, 2)]))
+    assert not range_membership(square, column_vector([1, 0, 0, Fraction(1, 3)]))
 
 
 def test_determinantal_results_match_oracles(example1, example2):
