@@ -8,14 +8,17 @@ A^(k+1) with column i replaced by the j-th column of A^k, divided by the
 order-r principal-minor sum of A^(k+1).  The whole numerator matrix, the
 adjugate analogue for this inverse, is N_r(A^(k+1)) @ A^k, and it comes from
 the characteristic-adjugate kernel (:func:`adjinv.minors.char_adjugate`) in
-one call; the projector A^D A is N_r(A^(k+1)) @ A^(k+1) over the same
-denominator.
+one call.  A matrix keeps that result (:func:`adjinv.matrices.kept`), so
+:func:`drazin_inverse` and :func:`group_inverse` share the one call, and the
+projector A^D A is the kept inverse times A.
 
 The index search is a plain loop of :func:`adjinv.matrices.multiply` and
 :func:`adjinv.matrices.rank`, a fresh sweep of each power.  A matrix keeps
 its result, the index chain, so its operations share one search; at k = 0
 the rank is read off A's kept sweep, and the sweeps of A^2, A^3, ... are not
-kept.
+kept.  :func:`group_inverse` refuses index 2 or more from the chain alone,
+and :func:`adjinv.solvers.drazin_solve` makes its own one-column ledger from
+it.
 
 A nonsingular matrix has index 0, so A^k = I, A^(k+1) = A and r = n; there
 N_n(A) is the classical adjugate, and the same kernel call returns
@@ -28,7 +31,6 @@ solution of the defining equations in that case.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 from . import minors
 from .matrices import Matrix, kept, multiply, rank, require_square, sweep
@@ -55,23 +57,10 @@ class DrazinResult:
     numerators: Matrix
 
 
-class _Powers(NamedTuple):
-    """The index chain: k = ``index``, A^k, A^(k+1) and ``rank_core`` = rank A^k."""
-
-    index: int
-    ak: Matrix
-    b: Matrix
-    rank_core: int
-
-    def ledger(self, replacement: Matrix) -> minors.Ledger:
-        """N_r(A^(k+1)) @ replacement over d_r(A^(k+1)), at r = ``rank_core``."""
-        return minors.char_adjugate(self.b, self.rank_core, replacement)
-
-
-def _index_powers(a: Matrix) -> _Powers:
-    """The index chain of a square matrix, searched once and kept on it."""
+def _index_powers(a: Matrix) -> tuple:
+    """k, rank A^k, A^k and A^(k+1): the index chain, searched once and kept on a."""
     k, rank_k, ak, b = kept(a, "index chain", _index_search)
-    return _Powers(k, ak or a, b or a, rank_k)
+    return k, rank_k, ak or a, b or a
 
 
 def _index_search(a: Matrix) -> tuple:
@@ -85,22 +74,23 @@ def _index_search(a: Matrix) -> tuple:
     return k, rank_k, ak, b
 
 
+def _eq11(a: Matrix) -> DrazinResult:
+    """N_r(A^(k+1)) @ A^k over d_r(A^(k+1)) at r = rank A^k, from one kernel call."""
+    k, r, ak, b = _index_powers(a)
+    ledger = minors.char_adjugate(b, r, ak)
+    return DrazinResult(ledger.quotient(), k, r, ledger.denominator, ledger.numerators)
+
+
 def index_of(a: Matrix) -> int:
     """Smallest k >= 0 with rank(a^(k+1)) = rank(a^k); at most n."""
     require_square(a, "matrix index")
-    return _index_powers(a).index
-
-
-def _drazin(p: _Powers) -> DrazinResult:
-    """The eq11 result from the index search result."""
-    ledger = p.ledger(p.ak)
-    return DrazinResult(ledger.quotient(), p.index, p.rank_core, ledger.denominator, ledger.numerators)
+    return _index_powers(a)[0]
 
 
 def drazin_inverse(a: Matrix) -> DrazinResult:
     """The unique X with a^(k+1) X = a^k, X a X = X, a X = X a (k = index)."""
     require_square(a, "Drazin inverse")
-    return _drazin(_index_powers(a))
+    return kept(a, "eq11", _eq11)
 
 
 def group_inverse(a: Matrix) -> DrazinResult:
@@ -108,22 +98,20 @@ def group_inverse(a: Matrix) -> DrazinResult:
 
     Index 0 returns the classical inverse; index 1 the k = 1 representation;
     anything higher has no group inverse and raises
-    :class:`GroupInverseError`.
+    :class:`GroupInverseError`, read off the index chain before any ledger
+    is formed.
     """
     require_square(a, "group inverse")
-    powers = _index_powers(a)
-    if powers.index >= 2:
+    if _index_powers(a)[0] >= 2:
         raise GroupInverseError("group inverse does not exist: matrix index is 2 or larger")
-    return _drazin(powers)
+    return kept(a, "eq11", _eq11)
 
 
 def drazin_times_a(a: Matrix) -> Matrix:
-    """The idempotent projector drazin_inverse(a) @ a: N_r(A^(k+1)) @ A^(k+1) / d_r.
+    """The idempotent projector drazin_inverse(a) @ a: the inverse a keeps, times a.
 
-    Same ledger as the inverse itself, but the replacement columns come from
-    a^(k+1) rather than a^k; the product route is kept as the oracle in the
-    test suite.
+    The test suite checks it against the ledger route, N_r(A^(k+1)) @ A^(k+1)
+    over the same denominator d_r(A^(k+1)).
     """
     require_square(a, "Drazin projector")
-    p = _index_powers(a)
-    return p.ledger(p.b).quotient()
+    return multiply(kept(a, "eq11", _eq11).drazin_inverse, a)

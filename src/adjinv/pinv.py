@@ -15,9 +15,12 @@ The body refuses a zero matrix, and a form of more than
 
 ``mp_inverse`` reads A's rank off the one sweep A keeps (:func:`sweep`),
 takes every ledger from one kernel call (:mod:`adjinv.minors`) and
-dispatches on rank only to pick the tag.  A square nonsingular matrix gets
-adj(A) / det(A) ("classical_inverse"), solved from that sweep.  Every other
-rank takes the Gram ledger N_r(A*A) @ A* = A* @ N_r(AA*) = d_r(A*A) A+ from
+dispatches on rank only to pick the tag.  Rank 0 takes the skeleton's
+order-0 ledger (0, 1), tagged "zero", whatever the method; any other rank
+goes to the literal form that ``method`` "eq1" or "eq2" names.  Under
+"auto", a square nonsingular matrix gets adj(A) / det(A)
+("classical_inverse"), solved from that sweep.  Every other rank takes the
+Gram ledger N_r(A*A) @ A* = A* @ N_r(AA*) = d_r(A*A) A+ from
 the skeleton A = C W^-1 R of the same sweep, as R* adj(RR*) W adj(C*C) C* /
 |det W|^2 over d_r(A*A) = det(C*C) det(RR*) / |det W|^2.  At full column
 rank R = W drops out, leaving adj(A*A) A* ("eq6", the determinant form of
@@ -46,7 +49,7 @@ from .matrices import (
     replace_row,
     sweep,
 )
-from .scalars import ONE, ZERO, Scalar
+from .scalars import ZERO, Scalar
 
 
 class ZeroMatrixError(ValueError):
@@ -124,22 +127,18 @@ def mp_inverse(a: Matrix, method: str = "auto") -> PinvResult:
     """Moore-Penrose inverse of any matrix, choosing the cheapest representation.
 
     ``method`` forces "eq1" or "eq2"; "auto" dispatches on rank as described
-    in the module docstring.  The zero matrix short-circuits to the zero
-    inverse, the unique solution of the defining equations.
+    in the module docstring.  A zero matrix, whatever the method, gets the
+    zero inverse, the unique solution of the defining equations, from the
+    skeleton's order-0 ledger (0, 1), tagged "zero".
     """
     if method not in ("auto", "eq1", "eq2"):
         raise ValueError(f"unknown method {method!r}, expected eq1, eq2, or auto")
     m, n = a.rows, a.cols
-    if a.is_zero:
-        zero = Matrix.zeros(n, m)
-        return PinvResult(zero, ONE, zero, "zero")
-    if method == "eq1":
-        return mp_inverse_columns(a)
-    if method == "eq2":
-        return mp_inverse_rows(a)
     # A's one sweep gives its rank, the elimination a square full-rank A is
     # solved from, and the skeleton every other rank takes its ledger from.
     r = sweep(a).rank
+    if r and method != "auto":
+        return (mp_inverse_columns if method == "eq1" else mp_inverse_rows)(a)
     if r == n == m:
         ledger = minors.char_adjugate(a, n, Matrix.identity(n))
         tag = "classical_inverse"
@@ -147,7 +146,7 @@ def mp_inverse(a: Matrix, method: str = "auto") -> PinvResult:
         ledger = minors.skeleton_ledger(a)
         # Deficient both ways, eq1 and eq2 carry the same ledger.  Tag the form
         # whose literal evaluation needs fewer minors; ties go to the column form.
-        tag = ("eq6" if r == n else "eq7" if r == m
+        tag = ("zero" if r == 0 else "eq6" if r == n else "eq7" if r == m
                else "eq1" if _minor_count(a, n, r) <= _minor_count(a, m, r) else "eq2")
     return PinvResult(ledger.quotient(), ledger.denominator, ledger.numerators, tag)
 

@@ -23,7 +23,9 @@ the classical Cramer rule ("classical_cramer"), and for a nilpotent matrix
 (core rank 0) the kernel's order-0 ledger, the zero vector over 1.  The
 index chain A keeps hands over A^k and A^(k+1), and both go with g to the
 kernel; at index 0 the kernel solves from A's kept sweep, so A is
-eliminated once.
+eliminated once.  The solve makes this one-column ledger itself rather than
+reading the Drazin inverse A keeps: at index 0 that would form the whole
+n x n inverse for one classical Cramer solution.
 
 Every solution is the kernel ledger's quotient
 (:meth:`adjinv.minors.Ledger.quotient`), one exact division for the whole
@@ -88,9 +90,9 @@ def drazin_solve(a: Matrix, y: Matrix) -> SolveReport:
     require_square(a, "Drazin solution")
     if not (y.cols == 1 and y.rows == a.rows):
         raise ValueError(f"right side must be {a.rows}x1, got {y.rows}x{y.cols}")
-    p = _index_powers(a)
-    g = multiply(p.ak, y)
+    k, r, ak, b = _index_powers(a)
+    g = multiply(ak, y)
     # At index 0, A^(k+1) = A and r = n, so the kernel gives adj(A) y and det(A).
-    ledger = p.ledger(g)
-    method = "classical_cramer" if p.index == 0 else "eq16"
+    ledger = minors.char_adjugate(b, r, g)
+    method = "classical_cramer" if k == 0 else "eq16"
     return SolveReport(ledger.quotient(), method, ledger.denominator, ledger.numerators.column(0), g)

@@ -142,18 +142,11 @@ def oracle_pinv(a: Matrix) -> Matrix:
 def oracle_drazin(a: Matrix) -> Matrix:
     """Drazin inverse as a^k (a^(2k+1))+ a^k with the oracle pseudoinverse."""
     require_square(a, "Drazin oracle")
-    # Index by rank iteration, using only the primitive operations.
-    k = 0
-    rank_prev = a.rows
-    p = Matrix.identity(a.rows)
-    while True:
-        p = multiply(p, a)
-        rank_next = rank(p)
-        if rank_next == rank_prev:
-            break
-        rank_prev = rank_next
-        k += 1
-    ak = power(a, k)
-    if ak.is_zero:
+    # Index by rank iteration, using only the primitive operations: A^k and
+    # A^(k+1) advance together until their ranks agree.
+    ak, b, rank_k = Matrix.identity(a.rows), a, a.rows
+    while (rank_b := rank(b)) != rank_k:
+        ak, b, rank_k = b, multiply(b, a), rank_b
+    if rank_k == 0:
         return Matrix.zeros(a.rows, a.rows)
-    return multiply(multiply(ak, oracle_pinv(power(a, 2 * k + 1))), ak)
+    return multiply(multiply(ak, oracle_pinv(multiply(ak, b))), ak)

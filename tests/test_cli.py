@@ -248,19 +248,18 @@ def test_verify_subcommand(capsys, example1_path, example2_path):
 
 
 def test_verify_checks_the_drazin_solve_independently(capsys, example2_path, monkeypatch):
-    from adjinv import drazin, solvers
+    from adjinv import drazin
 
     # A faulty index search that hands over 2 A^(k+1): the inverse and the
     # solution come out halved, and verify must not check them against the
     # same faulty powers.
-    real = drazin._index_powers
+    real = drazin._index_search
 
     def faulty(a):
-        p = real(a)
-        return p._replace(b=p.b * 2)
+        k, rank_k, ak, b = real(a)
+        return k, rank_k, ak, b * 2
 
-    monkeypatch.setattr(drazin, "_index_powers", faulty)
-    monkeypatch.setattr(solvers, "_index_powers", faulty)
+    monkeypatch.setattr(drazin, "_index_search", faulty)
     code, out, _ = run_cli(capsys, "verify", example2_path, "--rhs", "1 2 3 1")
     assert code == 4
     assert "dsolve:A^(k+1)x=A^k y: FAIL" in out.splitlines()
@@ -273,7 +272,7 @@ def test_verify_reads_the_right_side_first(capsys, tmp_path, monkeypatch, rhs, e
     path = tmp_path / "m.mat"
     path.write_text("3 3\n2 1 0\n1 3 1\n0 1 4\n")
     calls = []
-    for module, name in ((pinv, "mp_inverse"), (drazin, "_index_powers")):
+    for module, name in ((pinv, "mp_inverse"), (drazin, "_index_search")):
         real = getattr(module, name)
         monkeypatch.setattr(module, name,
                             lambda *args, name=name, real=real, **kw: calls.append(name) or real(*args, **kw))

@@ -757,12 +757,12 @@ def test_gram_operations_skip_berkowitz_and_sweep_a_once(name, m, n, r, complex_
 @example((_rationally_similar(_indexed(1410, 10, (3, 1), True), 1410), 3, 10), 1410)  # n = 14
 def test_index_search_matches_representation_and_oracle(case, seed):
     a, index, core = case
-    p = drazin._index_powers(a)
-    assert (p.index, p.rank_core) == (index, core)
+    k, rank_k, chain_ak, chain_b = drazin._index_powers(a)
+    assert (k, rank_k) == (index, core)
     ak = power(a, index)
     # The search's pairs are exactly the common-scale pairs of the Scalar powers.
-    assert (p.ak.pairs, p.ak.scale) == elimination.integerize(ak.row_lists())
-    assert (p.b.pairs, p.b.scale) == elimination.integerize(multiply(ak, a).row_lists())
+    assert (chain_ak.pairs, chain_ak.scale) == elimination.integerize(ak.row_lists())
+    assert (chain_b.pairs, chain_b.scale) == elimination.integerize(multiply(ak, a).row_lists())
 
     res = drazin_inverse(a)
     assert res == representation(a, index)  # index, core rank, ledger, denominator, inverse
@@ -796,11 +796,11 @@ def test_index_search_divides_out_the_content(monkeypatch):
         return out
 
     monkeypatch.setattr(matrices, "from_pairs", recorded)
-    p = drazin._index_powers(a)
-    assert p.index == 2 and len(steps) == 3  # the identity A^0, then the products A^2 and A^3
+    k, _, ak, b = drazin._index_powers(a)
+    assert k == 2 and len(steps) == 3  # the identity A^0, then the products A^2 and A^3
     assert steps[-1][0] > 1 and all(after == 1 for _, after in steps)
-    assert _content(p.ak.pairs, p.ak.scale) == _content(p.b.pairs, p.b.scale) == 1
-    assert p.b == power(a, 3)
+    assert _content(ak.pairs, ak.scale) == _content(b.pairs, b.scale) == 1
+    assert b == power(a, 3)
 
 
 def _content(rows, scale: int) -> int:
@@ -933,26 +933,28 @@ WIDE = Matrix.from_rows([[1, 1, 0], [0, 1, 2]])  # full row rank
 RHS = column_vector([1, 2, 3])
 ROW_RHS = row_vector([1, 2, 3])
 
+# A matrix keeps its Drazin inverse, so the Drazin cases run on a fresh equal
+# matrix each time: the second run must reach the kernel again.
 GUARDED = {
     "mp_inverse": lambda: mp_inverse(DEFICIENT),
     "projector_p": lambda: projector_p(DEFICIENT),
     "projector_q": lambda: projector_q(DEFICIENT),
     "lsq_solve": lambda: lsq_solve(DEFICIENT, RHS),
     "lsq_solve_row_system": lambda: lsq_solve_row_system(ROW_RHS, DEFICIENT),
-    "drazin_inverse": lambda: drazin_inverse(INDEX_TWO),
-    "group_inverse": lambda: group_inverse(INDEX_ONE),
-    "drazin_times_a": lambda: drazin_times_a(INDEX_TWO),
-    "drazin_solve": lambda: drazin_solve(INDEX_TWO, RHS),
+    "drazin_inverse": lambda: drazin_inverse(_fresh(INDEX_TWO)),
+    "group_inverse": lambda: group_inverse(_fresh(INDEX_ONE)),
+    "drazin_times_a": lambda: drazin_times_a(_fresh(INDEX_TWO)),
+    "drazin_solve": lambda: drazin_solve(_fresh(INDEX_TWO), RHS),
     "mp_inverse:square": lambda: mp_inverse(SQUARE),
     "mp_inverse:tall": lambda: mp_inverse(TALL),
     "mp_inverse:wide": lambda: mp_inverse(WIDE),
-    "drazin_inverse:square": lambda: drazin_inverse(SQUARE),
-    "group_inverse:square": lambda: group_inverse(SQUARE),
+    "drazin_inverse:square": lambda: drazin_inverse(_fresh(SQUARE)),
+    "group_inverse:square": lambda: group_inverse(_fresh(SQUARE)),
     "lsq_solve:square": lambda: lsq_solve(SQUARE, RHS),
     "lsq_solve:tall": lambda: lsq_solve(TALL, RHS),
     "lsq_solve_row_system:square": lambda: lsq_solve_row_system(ROW_RHS, SQUARE),
     "lsq_solve_row_system:wide": lambda: lsq_solve_row_system(ROW_RHS, WIDE),
-    "drazin_solve:square": lambda: drazin_solve(SQUARE, RHS),
+    "drazin_solve:square": lambda: drazin_solve(_fresh(SQUARE), RHS),
 }
 
 
@@ -998,6 +1000,35 @@ def test_full_rank_projectors_are_the_identity(name, monkeypatch):
     assert calls == [a.rows]
     assert projector(a) == Matrix.identity(size)
     assert calls == [a.rows]  # the second call reads the sweep A keeps
+
+
+# -- one Drazin ledger per matrix ---------------------------------------------------
+
+DRAZIN_FORMS = {
+    "drazin_inverse": lambda a: drazin_inverse(a).drazin_inverse,
+    "group_inverse": lambda a: group_inverse(a).drazin_inverse,
+    "drazin_times_a": drazin_times_a,
+}
+
+
+@pytest.mark.parametrize("order", list(permutations(sorted(DRAZIN_FORMS))), ids="-".join)
+def test_drazin_forms_share_one_kernel_call(order, monkeypatch):
+    widths = []
+    real = minors.char_adjugate
+    monkeypatch.setattr(minors, "char_adjugate", lambda g, r, b: widths.append(b.cols) or real(g, r, b))
+    a = _fresh(INDEX_ONE)
+    got = {name: DRAZIN_FORMS[name](a) for name in order}
+    x = drazin_inverse(_fresh(INDEX_ONE)).drazin_inverse
+    assert got["drazin_inverse"] == got["group_inverse"] == x
+    assert got["drazin_times_a"] == multiply(x, a)
+    assert widths == [3, 3]  # one call for the three forms on A, one for the fresh copy
+    # The solve makes its own ledger, with the one column A^k y as replacement.
+    drazin_solve(a, RHS)
+    assert widths == [3, 3, 1]
+    # Index 2 is refused from the chain alone, before any ledger is formed.
+    with pytest.raises(drazin.GroupInverseError):
+        group_inverse(_fresh(INDEX_TWO))
+    assert widths == [3, 3, 1]
 
 
 # -- scale: sizes the per-entry minor enumeration never finished -------------------

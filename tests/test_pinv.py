@@ -72,10 +72,11 @@ def test_identity_and_simple_cases():
 
 
 def test_zero_matrix_short_circuits():
-    res = mp_inverse(Matrix.zeros(2, 3))
-    assert res.representation_used == "zero"
-    assert res.pseudo_inverse == Matrix.zeros(3, 2)
-    assert res.denominator == Scalar(1)
+    for method in ("auto", "eq1", "eq2"):
+        res = mp_inverse(Matrix.zeros(2, 3), method)
+        assert res.representation_used == "zero"
+        assert res.pseudo_inverse == res.numerators == Matrix.zeros(3, 2)
+        assert res.denominator == Scalar(1)
     with pytest.raises(ZeroMatrixError):
         mp_inverse_columns(Matrix.zeros(2, 3))
     with pytest.raises(ZeroMatrixError):
