@@ -3,30 +3,29 @@
 Two small systems exercise every representation end to end: a rank-3
 rectangular-style least squares problem (square coefficient matrix, rank
 deficient) and a singular square system of index 2 solved through the Drazin
-inverse.  ``run_all`` recomputes every displayed quantity and reports an
-exact pass/fail per value; the CLI exposes it as the ``paper-examples``
-subcommand.
+inverse.  Each example reads its coefficient matrix from the file the
+package ships (``data/example1.mat`` and ``data/example2.mat``) when it
+runs; importing this module reads no file.  The expected values are written
+out here, so a wrong shipped file fails its checks.  ``run_all`` recomputes
+every displayed quantity and reports an exact pass/fail per value; the CLI
+exposes it as the ``paper-examples`` subcommand.
 """
 
 from __future__ import annotations
 
+import os
 from fractions import Fraction
 
 from . import minors
 from .drazin import drazin_inverse, index_of
 from .matrices import Matrix, column_vector, conjugate_transpose, multiply, power, rank
+from .matrix_io import parse_matrix_file
 from .pinv import mp_inverse_columns
 from .scalars import Scalar
 from .solvers import drazin_solve, lsq_solve
 
-EXAMPLE1_MATRIX = Matrix.from_rows(
-    [
-        [2, 0, -5, 4],
-        [7, -4, -9, "1.5"],
-        [3, -4, 7, "-6.5"],
-        [1, -4, 12, "-10.5"],
-    ]
-)
+# The shipped example files, read when an example runs, never at import.
+_DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data")
 
 EXAMPLE1_RHS = column_vector([1, 2, 3, 1])
 
@@ -74,15 +73,6 @@ EXAMPLE1_SOLUTION = column_vector(
 )
 
 
-EXAMPLE2_MATRIX = Matrix.from_rows(
-    [
-        [1, -1, 1, 1],
-        [0, 1, -1, 1],
-        [1, -1, 1, 2],
-        [1, -1, 1, 1],
-    ]
-)
-
 EXAMPLE2_RHS = column_vector([1, 2, 3, 1])
 
 EXAMPLE2_SQUARE = Matrix.from_rows(
@@ -122,7 +112,7 @@ EXAMPLE2_SOLUTION = column_vector([Fraction(1, 2), 1, 1, Fraction(1, 2)])
 
 
 def run_example1() -> list[tuple[str, bool]]:
-    a = EXAMPLE1_MATRIX
+    a = parse_matrix_file(os.path.join(_DATA, "example1.mat"))
     results = []
     results.append(("example1: rank(A) = 3", rank(a) == EXAMPLE1_RANK))
     results.append(
@@ -155,11 +145,12 @@ def run_example1() -> list[tuple[str, bool]]:
 
 
 def run_example2() -> list[tuple[str, bool]]:
-    a = EXAMPLE2_MATRIX
+    a = parse_matrix_file(os.path.join(_DATA, "example2.mat"))
+    square, cube = power(a, 2), power(a, 3)
     results = []
-    results.append(("example2: A^2 display", power(a, 2) == EXAMPLE2_SQUARE))
-    results.append(("example2: A^3 display", power(a, 3) == EXAMPLE2_CUBE))
-    got_ranks = (rank(a), rank(power(a, 2)), rank(power(a, 3)))
+    results.append(("example2: A^2 display", square == EXAMPLE2_SQUARE))
+    results.append(("example2: A^3 display", cube == EXAMPLE2_CUBE))
+    got_ranks = (rank(a), rank(square), rank(cube))
     results.append(("example2: ranks of A, A^2, A^3 are 3, 2, 2", got_ranks == EXAMPLE2_RANKS))
     results.append(("example2: index = 2", index_of(a) == EXAMPLE2_INDEX))
     results.append(

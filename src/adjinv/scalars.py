@@ -4,8 +4,13 @@ Every single value in this package is a :class:`Scalar`: a complex number
 whose real and imaginary parts are arbitrary-precision rationals.  A matrix
 keeps its entries as integer pairs over one scale and hands them out as
 Scalars when they are read.  All operations are exact, and a real Scalar
-equals, and hashes like, the int or Fraction of the same value.  Floats are rejected everywhere so binary rounding can
-never sneak in; decimal literals are parsed as exact base-10 rationals.
+equals, and hashes like, the int or Fraction of the same value.  One rule,
+the ``_scalar_operand`` decorator, gives every binary operator and ``==``
+its operand: an int, Fraction or Scalar becomes a Scalar, and anything else
+gets ``NotImplemented``, so Python defers to the other operand (a Scalar
+times a Matrix, say) or raises ``TypeError``.  Floats are rejected everywhere
+so binary rounding can never sneak in; decimal literals are parsed as exact
+base-10 rationals.
 Integers of any length go to and from decimal text through :func:`int_text`
 and :func:`int_of`, which never change the interpreter's int<->str digit cap.
 :func:`complex_text` is the one spelling of a complex value from its parts,
@@ -16,6 +21,7 @@ from __future__ import annotations
 
 from decimal import Decimal
 from fractions import Fraction
+from functools import wraps
 from typing import Callable
 
 
@@ -37,6 +43,24 @@ def _to_fraction(value) -> Fraction:
     raise TypeError(f"cannot build an exact rational from {type(value).__name__}")
 
 
+def _scalar_operand(method):
+    """Give ``method(self, o)`` its operand as a Scalar.
+
+    An int, Fraction or Scalar operand is coerced once; any other operand
+    gets ``NotImplemented``, so Python tries the other operand's method and
+    otherwise raises ``TypeError`` (or, for ``==``, compares identity).
+    """
+
+    @wraps(method)
+    def coerced(self, other):
+        o = _coerce(other)
+        if o is None:
+            return NotImplemented
+        return method(self, o)
+
+    return coerced
+
+
 class Scalar:
     """Exact complex rational ``re + im*i``.
 
@@ -53,30 +77,22 @@ class Scalar:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def __add__(self, other):
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
+    @_scalar_operand
+    def __add__(self, o):
         return Scalar(self.re + o.re, self.im + o.im)
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
+    @_scalar_operand
+    def __sub__(self, o):
         return Scalar(self.re - o.re, self.im - o.im)
 
-    def __rsub__(self, other):
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
+    @_scalar_operand
+    def __rsub__(self, o):
         return Scalar(o.re - self.re, o.im - self.im)
 
-    def __mul__(self, other):
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
+    @_scalar_operand
+    def __mul__(self, o):
         a, b, c, d = self.re, self.im, o.re, o.im
         if not b and not d:
             return Scalar(a * c)
@@ -84,10 +100,8 @@ class Scalar:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
+    @_scalar_operand
+    def __truediv__(self, o):
         c, d = o.re, o.im
         if not c and not d:
             raise ZeroDivisionError("scalar division by zero")
@@ -96,10 +110,8 @@ class Scalar:
         n2 = c * c + d * d
         return Scalar((self.re * c + self.im * d) / n2, (self.im * c - self.re * d) / n2)
 
-    def __rtruediv__(self, other):
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
+    @_scalar_operand
+    def __rtruediv__(self, o):
         return o / self
 
     def __neg__(self):
@@ -124,10 +136,8 @@ class Scalar:
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.im)
 
-    def __eq__(self, other):
-        o = _coerce(other)
-        if o is None:
-            return NotImplemented
+    @_scalar_operand
+    def __eq__(self, o):
         return self.re == o.re and self.im == o.im
 
     def __hash__(self):

@@ -1,3 +1,4 @@
+import importlib
 import json
 import sys
 from importlib import resources
@@ -7,6 +8,7 @@ import pytest
 from adjinv import Matrix, Scalar, parse_matrix_text
 from adjinv import cli
 from adjinv import golden
+from adjinv import matrix_io
 
 
 @pytest.fixture()
@@ -322,6 +324,38 @@ def test_paper_examples_detects_mismatch(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "paper-examples")
     assert code == 4
     assert "FAIL" in out
+
+
+def test_paper_examples_read_the_shipped_files(capsys, monkeypatch, tmp_path):
+    for name in ("example1.mat", "example2.mat"):
+        (tmp_path / name).write_bytes(resources.files("adjinv").joinpath("data/" + name).read_bytes())
+    monkeypatch.setattr(golden, "_DATA", str(tmp_path))
+    code, out, _ = run_cli(capsys, "paper-examples")
+    assert code == 0 and out.endswith("all 22 golden values match\n")
+    # One entry of A changed: 1.5 becomes 2.5 in row 2.
+    tampered = (tmp_path / "example1.mat").read_text().replace("7 -4 -9 1.5", "7 -4 -9 2.5")
+    assert tampered != (tmp_path / "example1.mat").read_text()
+    (tmp_path / "example1.mat").write_text(tampered)
+    code, out, err = run_cli(capsys, "paper-examples")
+    assert code == 4
+    lines = out.splitlines()
+    assert any(line.startswith("example1: ") and line.endswith(": FAIL") for line in lines)
+    assert all(line.endswith(": pass") for line in lines if line.startswith("example2: "))
+    assert "golden value(s) did not match" in err
+
+
+def test_importing_golden_reads_no_file():
+    def refuse(source):
+        raise AssertionError(f"importing adjinv.golden read {source}")
+
+    try:
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(matrix_io, "parse_matrix_file", refuse)
+            importlib.reload(golden)
+            assert golden.parse_matrix_file is refuse
+    finally:
+        importlib.reload(golden)
+    assert golden.parse_matrix_file is matrix_io.parse_matrix_file
 
 
 def test_bundled_data_files_work_via_cli(capsys):

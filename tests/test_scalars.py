@@ -1,10 +1,11 @@
+import operator
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from adjinv import Scalar, ScalarParseError, parse_scalar
+from adjinv import Matrix, Scalar, ScalarParseError, parse_scalar
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=12)
 scalars = st.builds(Scalar, rationals, rationals)
@@ -112,3 +113,51 @@ def test_equality_agrees_with_hash(a, q):
     assert (a == q) == (a.re == q and not a.im)
     if a == q:
         assert hash(a) == hash(q)
+
+
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+_X = Scalar(1, 2)
+_Q = Fraction(-2, 3)
+
+# (left, operator, right, expected): a Scalar written as a token, TypeError, or
+# any other value that the result must equal and share the type of.
+_PROTOCOL = [
+    (_X, "+", 3, "4+2i"),
+    (3, "+", _X, "4+2i"),
+    (_X, "-", 3, "-2+2i"),
+    (3, "-", _X, "2-2i"),
+    (_X, "*", 3, "3+6i"),
+    (3, "*", _X, "3+6i"),
+    (_X, "/", 3, "1/3+2/3i"),
+    (3, "/", _X, "3/5-6/5i"),
+    (_X, "+", _Q, "1/3+2i"),
+    (_Q, "+", _X, "1/3+2i"),
+    (_X, "-", _Q, "5/3+2i"),
+    (_Q, "-", _X, "-5/3-2i"),
+    (_X, "*", _Q, "-2/3-4/3i"),
+    (_Q, "*", _X, "-2/3-4/3i"),
+    (_X, "/", _Q, "-3/2-3i"),
+    (_Q, "/", _X, "-2/15+4/15i"),
+    *[(_X, op, bad, TypeError) for op in _OPS for bad in ("3", 1.5, None)],
+    *[(bad, op, _X, TypeError) for op in _OPS for bad in ("3", 1.5, None)],
+    (Scalar(1), "==", "x", False),
+    ("x", "==", Scalar(1), False),
+    (Scalar(2), "*", Matrix.identity(2), Matrix.from_rows([[2, 0], [0, 2]])),
+]
+
+
+@pytest.mark.parametrize(
+    "left, op, right, expected",
+    [pytest.param(*case, id=f"{case[0]!r}{case[1]}{case[2]!r}".replace(" ", "")) for case in _PROTOCOL],
+)
+def test_operator_protocol(left, op, right, expected):
+    apply = operator.eq if op == "==" else _OPS[op]
+    if expected is TypeError:
+        with pytest.raises(TypeError):
+            apply(left, right)
+        return
+    if isinstance(expected, str):
+        expected = parse_scalar(expected)
+    got = apply(left, right)
+    assert type(got) is type(expected)
+    assert got == expected
