@@ -34,9 +34,9 @@ No operation takes the characteristic adjugate of a Gram matrix A*A or AA*.
 The sweep of an m x n A of rank r also gives its skeleton A = C W^-1 R: the
 pivot columns C, the pivot rows R and their r x r intersection W, whose
 determinant is +-the last pivot.
-:func:`skeleton_ledger_pairs` takes the Gram ledger d_r(A*A) A+ b and the
-projectors from two r x r adjoint solves, of C*C and RR*, with the same
-numbers the Gram route gives (Cauchy-Binet).  At full column or row rank
+:func:`skeleton_ledger_pairs` takes the Gram ledger d_r(A*A) A+ b from two
+r x r adjoint solves, of C*C and RR*, with the same numbers the Gram route
+gives (Cauchy-Binet).  At full column or row rank
 one factor is W itself and drops out, which leaves one solve.
 """
 
@@ -275,8 +275,7 @@ def _gram_through(f, z) -> tuple[list[list[Pair]], Pair]:
 
 
 def skeleton_ledger_pairs(
-    a: list[list[Pair]], e: Elimination, b: list[list[Pair]] | None = None,
-    adjoint: bool = False, projector: bool = False,
+    a: list[list[Pair]], e: Elimination, b: list[list[Pair]] | None = None, adjoint: bool = False,
 ) -> tuple[list[list[Pair]], Pair]:
     """Gram ledgers of an m x n Gaussian-integer A of rank r >= 1 from its elimination ``e``.
 
@@ -290,12 +289,10 @@ def skeleton_ledger_pairs(
 
     over d_r(A*A), with b the m x m identity when it is None.  Both divisions
     by |det W|^2 are exact, since d_r(A*A) A+ is a Gaussian-integer matrix.
-    ``projector`` returns R* adj(RR*) R over det(RR*), whose quotient is the
-    projector A+ A.  ``adjoint`` runs either on the skeleton (R*, W*, C*) of
-    A*, read from the same ``e``.  Only r x r systems are solved, by two
-    adjoint solves (one for the projector).  A square factor is W itself,
-    and its side is |det W|^2 I: at full column rank (R = W) one solve gives
-    adj(C*C) C* b over det(C*C) ("eq6") and the projector is I over 1; at
+    ``adjoint`` runs on the skeleton (R*, W*, C*) of A* instead, read from
+    the same ``e``.  Only r x r systems are solved, by two adjoint solves.
+    A square factor is W itself, and its side is |det W|^2 I: at full column
+    rank (R = W) one solve gives adj(C*C) C* b over det(C*C) ("eq6"); at
     full row rank (C = W, a square A too), R* adj(RR*) b over det(RR*)
     ("eq7").
     """
@@ -306,8 +303,6 @@ def skeleton_ledger_pairs(
     row = [a[i] for i in rows]
     if adjoint:
         c_star, w, row = row, _conjugate_transpose(w), c_star
-    if projector:
-        return (_identity(r), _ONE) if len(row[0]) == r else _gram_through(row, row)
     if len(c_star[0]) == r:  # C = W, and W adj(C*C) C* = |det W|^2 I
         return _gram_through(row, _identity(r) if b is None else b)
     rhs = c_star if b is None else matmul_pairs(c_star, b)

@@ -17,9 +17,9 @@ Matrices are immutable; vectors are matrices with a single column (or row).
 All operations are pure functions: they validate their inputs, never mutate
 them, and return canonical results, so re-running any operation reproduces
 its output bit for bit.  :func:`require_square` is the package's one check
-that an operation's input is square.  A matrix keeps its one Bareiss sweep
-and its Drazin index chain in one private slot (:func:`kept`), which
-equality, hashing and printing ignore.
+that an operation's input is square.  A matrix keeps its one Bareiss sweep,
+its Drazin index chain, its Drazin inverse and its Moore-Penrose inverse in
+one private slot (:func:`kept`), which equality, hashing and printing ignore.
 
 Index conventions: storage accessors (``at``, ``row``, ``column``,
 ``submatrix``) are 0-based like any Python container, while the replacement
@@ -279,13 +279,13 @@ def multiply(a: Matrix, b: Matrix) -> Matrix:
 
 
 def power(a: Matrix, k: int) -> Matrix:
-    """k-th power of a square matrix by repeated exact products; a**0 = I."""
+    """k-th power of a square matrix by k - 1 exact products; a**0 = I."""
     if not a.is_square:
         raise ValueError(f"cannot raise a {a.rows}x{a.cols} matrix to a power")
     if not isinstance(k, int) or k < 0:
         raise ValueError("exponent must be a nonnegative integer")
-    result = Matrix.identity(a.rows)
-    for _ in range(k):
+    result = a if k else Matrix.identity(a.rows)
+    for _ in range(k - 1):
         result = multiply(result, a)
     return result
 

@@ -28,13 +28,15 @@ singular below full rank.  Berkowitz and Horner serve only the latter and
 :func:`char_poly_coeffs`.
 
 Every Gram ledger, at every rank, comes from :func:`skeleton_ledger`: it
-takes d_r(A*A) A+ b, d_r(A*A) and the projectors from the skeleton
-A = C W^-1 R that A's one kept sweep gives (pivot columns C, pivot rows R
-and their intersection W), solving only r x r systems
+takes d_r(A*A) A+ b and d_r(A*A) from the skeleton A = C W^-1 R that A's
+one kept sweep gives (pivot columns C, pivot rows R and their intersection
+W), solving only r x r systems
 (:func:`adjinv.elimination.skeleton_ledger_pairs`), one at full column or
 row rank.  It returns the same ledger as :func:`char_adjugate` on A*A at
 the rank order and owns order 0 the same way.  A caller makes one kernel
 call, and :meth:`Ledger.quotient` is the one way a ledger becomes a result.
+The projectors A+ A and A A+ take no ledger of their own: they are the
+pseudoinverse A keeps, times A (:mod:`adjinv.pinv`).
 :func:`char_poly_coeffs` returns every d_k by Berkowitz.
 
 The literal forms stay as the reference the kernel is tested against:
@@ -159,27 +161,22 @@ def char_adjugate(g: Matrix, r: int, b: Matrix) -> Ledger:
     return Ledger(from_pairs(x, g.scale ** (r - 1) * b.scale), scalar_of(d_r, g.scale**r))
 
 
-def skeleton_ledger(a: Matrix, b: Matrix | None = None,
-                    adjoint: bool = False, projector: bool = False) -> Ledger:
+def skeleton_ledger(a: Matrix, b: Matrix | None = None, adjoint: bool = False) -> Ledger:
     """The Gram ledger of a from the skeleton of its kept sweep (:func:`adjinv.matrices.sweep`).
 
     Returns (d_r(A*A) A+ b, d_r(A*A)) at r = rank A, the ledger
     ``char_adjugate(A*A, r, A* b)`` gives, with b the identity when None;
-    with ``projector``, a ledger whose quotient is A+ A.  ``adjoint`` gives
-    the same for A*: (A*)+ b and A A+.  Order 0 gives the zero matrix over 1.
-    :func:`adjinv.elimination.skeleton_ledger_pairs` runs on a = a' / s and
-    b = b' / t, and the result rescales by s^(2r-1) t and d_r by s^(2r); the
-    projector's scales cancel.
+    ``adjoint`` gives the same for A*: (A*)+ b.  Order 0 gives the zero
+    matrix over 1.  :func:`adjinv.elimination.skeleton_ledger_pairs` runs on
+    a = a' / s and b = b' / t, and the result rescales by s^(2r-1) t and d_r
+    by s^(2r).
     """
     e = sweep(a)
     r = e.rank
     rows, cols = (a.rows, a.cols) if adjoint else (a.cols, a.rows)
     if r == 0:
-        width = rows if projector else cols if b is None else b.cols
-        return Ledger(Matrix.zeros(rows, width), ONE)
-    x, d = elimination.skeleton_ledger_pairs(a.pairs, e, None if b is None else b.pairs, adjoint, projector)
-    if projector:
-        return Ledger(from_pairs(x, 1), scalar_of(d, 1))
+        return Ledger(Matrix.zeros(rows, cols if b is None else b.cols), ONE)
+    x, d = elimination.skeleton_ledger_pairs(a.pairs, e, None if b is None else b.pairs, adjoint)
     t = 1 if b is None else b.scale
     return Ledger(from_pairs(x, a.scale ** (2 * r - 1) * t), scalar_of(d, a.scale ** (2 * r)))
 

@@ -26,10 +26,12 @@ the skeleton A = C W^-1 R of the same sweep, as R* adj(RR*) W adj(C*C) C* /
 rank R = W drops out, leaving adj(A*A) A* ("eq6", the determinant form of
 (A*A)^-1 A*); at full row rank C = W does, leaving A* adj(AA*) ("eq7").  A
 matrix deficient both ways is tagged "eq1" or "eq2", whichever form's
-literal evaluation needs fewer minors by the budget's count.  The
-projectors A+ A and A A+ are R* adj(RR*) R / det(RR*) and
-C adj(C*C) C* / det(C*C), from the skeleton without forming A+: the
-identity at full column (row) rank, and at rank 0 the ledger (0, 1).
+literal evaluation needs fewer minors by the budget's count.  A matrix
+keeps that result (:func:`adjinv.matrices.kept`), so repeated calls and the
+projectors share one kernel call; the literal forms are never kept.  The
+projectors A+ A and A A+ are the identity at full column (row) rank, read
+off the sweep alone, and otherwise the pseudoinverse A keeps, times A:
+A+ A = L A / d_r(A*A) for the numerators L, the paper's projector ledger.
 """
 
 from __future__ import annotations
@@ -43,6 +45,7 @@ from .index_sets import enumerate_containing
 from .matrices import (
     Matrix,
     conjugate_transpose,
+    kept,
     multiply,
     rank,
     replace_column,
@@ -127,18 +130,22 @@ def mp_inverse(a: Matrix, method: str = "auto") -> PinvResult:
     """Moore-Penrose inverse of any matrix, choosing the cheapest representation.
 
     ``method`` forces "eq1" or "eq2"; "auto" dispatches on rank as described
-    in the module docstring.  A zero matrix, whatever the method, gets the
-    zero inverse, the unique solution of the defining equations, from the
-    skeleton's order-0 ledger (0, 1), tagged "zero".
+    in the module docstring, and ``a`` keeps its result.  A zero matrix,
+    whatever the method, gets the zero inverse, the unique solution of the
+    defining equations, from the skeleton's order-0 ledger (0, 1), tagged "zero".
     """
     if method not in ("auto", "eq1", "eq2"):
         raise ValueError(f"unknown method {method!r}, expected eq1, eq2, or auto")
-    m, n = a.rows, a.cols
     # A's one sweep gives its rank, the elimination a square full-rank A is
     # solved from, and the skeleton every other rank takes its ledger from.
-    r = sweep(a).rank
-    if r and method != "auto":
+    if sweep(a).rank and method != "auto":
         return (mp_inverse_columns if method == "eq1" else mp_inverse_rows)(a)
+    return kept(a, "pinv", _auto)
+
+
+def _auto(a: Matrix) -> PinvResult:
+    """The "auto" result of :func:`mp_inverse`, from one kernel call."""
+    m, n, r = a.rows, a.cols, sweep(a).rank
     if r == n == m:
         ledger = minors.char_adjugate(a, n, Matrix.identity(n))
         tag = "classical_inverse"
@@ -154,16 +161,18 @@ def mp_inverse(a: Matrix, method: str = "auto") -> PinvResult:
 def projector_p(a: Matrix) -> Matrix:
     """The projector A+ A (n x n, Hermitian, idempotent).
 
-    R* adj(RR*) R / det(RR*) for the pivot rows R of A's one sweep:
-    the identity at full column rank, the zero matrix at rank 0.
+    The identity at full column rank; otherwise the pseudoinverse ``a``
+    keeps, times ``a``.
     """
-    return minors.skeleton_ledger(a, projector=True).quotient()
+    full = sweep(a).rank == a.cols
+    return Matrix.identity(a.cols) if full else multiply(kept(a, "pinv", _auto).pseudo_inverse, a)
 
 
 def projector_q(a: Matrix) -> Matrix:
     """The projector A A+ (m x m, Hermitian, idempotent).
 
-    Dual of :func:`projector_p`: C adj(C*C) C* / det(C*C) for the pivot
-    columns C of A, the identity at full row rank.
+    Dual of :func:`projector_p`: the identity at full row rank; otherwise
+    ``a`` times the pseudoinverse it keeps.
     """
-    return minors.skeleton_ledger(a, adjoint=True, projector=True).quotient()
+    full = sweep(a).rank == a.rows
+    return Matrix.identity(a.rows) if full else multiply(a, kept(a, "pinv", _auto).pseudo_inverse)

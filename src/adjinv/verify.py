@@ -71,12 +71,12 @@ def check_drazin(a: Matrix, x: Matrix, k: int) -> VerifyReport:
         raise ValueError(
             f"need square matrices of equal size, got {a.rows}x{a.cols} and {x.rows}x{x.cols}"
         )
-    ak = power(a, k)
+    ak, xa = power(a, k), multiply(x, a)
     return _run_checks(
         [
             ("A^(k+1)X=A^k", multiply(multiply(ak, a), x), ak),
-            ("XAX=X", multiply(multiply(x, a), x), x),
-            ("AX=XA", multiply(a, x), multiply(x, a)),
+            ("XAX=X", multiply(xa, x), x),
+            ("AX=XA", multiply(a, x), xa),
         ]
     )
 

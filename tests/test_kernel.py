@@ -576,11 +576,33 @@ def test_rank_deficient_square_operations_keep_their_ledgers(complex_entries, mo
     with pytest.raises(drazin.GroupInverseError):
         group_inverse(a)
     assert calls == [] and searches == [a]  # A keeps its index chain too
-    # The Gram operations read the same sweep of A and solve only r x r systems.
+    # A keeps its pseudoinverse, so mp_inverse and the projectors sweep nothing;
+    # the solvers read the same sweep of A and solve only r x r systems.
     for name, run in GRAM_OPERATIONS.items():
         calls.clear()
         run(a, y, row_vector(_rhs(7, 6, complex_entries)))
-        assert calls == [r] * SKELETON_SOLVES[name], name
+        assert calls == ([r] * SKELETON_SOLVES[name] if name.startswith("lsq") else []), name
+
+
+@pytest.mark.parametrize("complex_entries", [False, True])
+def test_projectors_and_mp_inverse_share_the_pseudoinverse_a_keeps(complex_entries, monkeypatch):
+    a = _deficient(626 + complex_entries, 6, 5, 3, complex_entries)
+    r = rank(a)  # a fresh elimination: A keeps nothing yet
+    assert 0 < r < 5 and a._kept == {}
+    calls = _count_sweeps(monkeypatch)
+    p, q = projector_p(a), projector_q(a)
+    assert calls == [6, r, r]  # A, then C*C and RR* of its skeleton, for both projectors
+    with monkeypatch.context() as refused:
+        for kernel in ("eliminate", "matmul_pairs", "adjoint_solve_pairs", "horner_adjugate_pairs",
+                       "char_poly_pairs"):
+            refused.setattr(elimination, kernel, _refuse(kernel))
+        res = mp_inverse(a)
+        assert mp_inverse(a) is res and a._kept["pinv"] is res
+    assert (p, q) == (multiply(res.pseudo_inverse, a), multiply(a, res.pseudo_inverse))
+    literal = mp_inverse(a, method="eq1")
+    assert literal is not res and literal == mp_inverse_columns(a)
+    assert literal.representation_used == "eq1" and literal.pseudo_inverse == res.pseudo_inverse
+    assert mp_inverse(a) is res  # the literal form left the kept result as it was
 
 
 # -- kernel against the rank-factorization oracles (n <= 16, rank <= 10; n = 30) ---
@@ -657,8 +679,10 @@ def test_skeleton_matches_berkowitz_horner(m, n, r, bits, seed, complex_entries)
     assert skeleton(a, e) == horner(gram_c, r, a_star)
     assert skeleton(a, e, b) == horner(gram_c, r, elimination.matmul_pairs(a_star, b))
     assert skeleton(a, e, c, adjoint=True) == horner(gram_r, r, elimination.matmul_pairs(a, c))
-    for adjoint, gram in ((False, gram_c), (True, gram_r)):
-        assert _quotient(*skeleton(a, e, adjoint=adjoint, projector=True)) == _quotient(*horner(gram, r, gram))
+    # The paper's projector ledgers: N_r(G) G over d_r(G) is A+ A for G = A*A and A A+ for G = AA*.
+    am = matrices.from_pairs(a, 1)
+    assert projector_p(am) == _quotient(*horner(gram_c, r, gram_c))
+    assert projector_q(am) == _quotient(*horner(gram_r, r, gram_r))
 
 
 def _big_product(seed: int, m: int, n: int, r: int, complex_entries: bool) -> Matrix:
@@ -711,8 +735,9 @@ GRAM_OPERATIONS = {
     "lsq_solve": lambda a, y, yr: lsq_solve(a, y),
     "lsq_solve_row_system": lambda a, y, yr: lsq_solve_row_system(yr, a),
 }
-# r x r systems each operation solves when 0 < r < min(m, n): C*C and RR*.
-SKELETON_SOLVES = {"mp_inverse": 2, "projector_p": 1, "projector_q": 1, "lsq_solve": 2,
+# r x r systems each operation solves when 0 < r < min(m, n): C*C and RR*,
+# for a projector those of the pseudoinverse it multiplies by A.
+SKELETON_SOLVES = {"mp_inverse": 2, "projector_p": 2, "projector_q": 2, "lsq_solve": 2,
                    "lsq_solve_row_system": 2}
 # r x r systems each operation solves at r = min(m, n), given (m, n): one Gram
 # solve, and none for a square A's classical inverse (solved from its own
@@ -933,21 +958,22 @@ WIDE = Matrix.from_rows([[1, 1, 0], [0, 1, 2]])  # full row rank
 RHS = column_vector([1, 2, 3])
 ROW_RHS = row_vector([1, 2, 3])
 
-# A matrix keeps its Drazin inverse, so the Drazin cases run on a fresh equal
-# matrix each time: the second run must reach the kernel again.
+# A matrix keeps its Moore-Penrose and Drazin inverses, so the cases that read
+# them run on a fresh equal matrix each time: the second run must reach the
+# kernel again.
 GUARDED = {
-    "mp_inverse": lambda: mp_inverse(DEFICIENT),
-    "projector_p": lambda: projector_p(DEFICIENT),
-    "projector_q": lambda: projector_q(DEFICIENT),
+    "mp_inverse": lambda: mp_inverse(_fresh(DEFICIENT)),
+    "projector_p": lambda: projector_p(_fresh(DEFICIENT)),
+    "projector_q": lambda: projector_q(_fresh(DEFICIENT)),
     "lsq_solve": lambda: lsq_solve(DEFICIENT, RHS),
     "lsq_solve_row_system": lambda: lsq_solve_row_system(ROW_RHS, DEFICIENT),
     "drazin_inverse": lambda: drazin_inverse(_fresh(INDEX_TWO)),
     "group_inverse": lambda: group_inverse(_fresh(INDEX_ONE)),
     "drazin_times_a": lambda: drazin_times_a(_fresh(INDEX_TWO)),
     "drazin_solve": lambda: drazin_solve(_fresh(INDEX_TWO), RHS),
-    "mp_inverse:square": lambda: mp_inverse(SQUARE),
-    "mp_inverse:tall": lambda: mp_inverse(TALL),
-    "mp_inverse:wide": lambda: mp_inverse(WIDE),
+    "mp_inverse:square": lambda: mp_inverse(_fresh(SQUARE)),
+    "mp_inverse:tall": lambda: mp_inverse(_fresh(TALL)),
+    "mp_inverse:wide": lambda: mp_inverse(_fresh(WIDE)),
     "drazin_inverse:square": lambda: drazin_inverse(_fresh(SQUARE)),
     "group_inverse:square": lambda: group_inverse(_fresh(SQUARE)),
     "lsq_solve:square": lambda: lsq_solve(SQUARE, RHS),

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import adjinv.matrices
 from adjinv import (
     Matrix,
     Scalar,
@@ -252,6 +253,17 @@ def test_power_golden(example2):
         [[10, -14, 14, 10], [-1, 2, -2, -1], [13, -18, 18, 13], [10, -14, 14, 10]]
     )
     assert power(example2, 0) == Matrix.identity(4)
+
+
+def test_power_forms_k_minus_one_products(example2, monkeypatch):
+    products = []
+    real = adjinv.matrices.multiply
+    monkeypatch.setattr(adjinv.matrices, "multiply", lambda a, b: products.append(1) or real(a, b))
+    assert power(example2, 3) == multiply(multiply(example2, example2), example2)
+    assert len(products) == 2
+    products.clear()
+    assert power(example2, 0) == Matrix.identity(4) and power(example2, 1) == example2
+    assert products == []
 
 
 def test_power_requires_square():

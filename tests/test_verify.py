@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import adjinv.matrices
 import adjinv.verify
 from adjinv import (
     Matrix,
@@ -71,6 +72,15 @@ def test_check_drazin_golden(example2):
     report = check_drazin(example2, GOLDEN_DRAZIN, 2)
     assert report.all_passed
     assert [name for name, _ in report.checks] == ["A^(k+1)X=A^k", "XAX=X", "AX=XA"]
+
+
+def test_check_drazin_forms_x_a_once(example2, monkeypatch):
+    products = []
+    for module in (adjinv.verify, adjinv.matrices):  # check_drazin's products and power's
+        real = module.multiply
+        monkeypatch.setattr(module, "multiply", lambda a, b, real=real: products.append(1) or real(a, b))
+    assert check_drazin(example2, GOLDEN_DRAZIN, 2).all_passed
+    assert len(products) == 6  # A^2, A^3, A^3 X, X A, X A X and A X
 
 
 def test_check_drazin_identity_inverse():
