@@ -280,8 +280,7 @@ def multiply(a: Matrix, b: Matrix) -> Matrix:
 
 def power(a: Matrix, k: int) -> Matrix:
     """k-th power of a square matrix by k - 1 exact products; a**0 = I."""
-    if not a.is_square:
-        raise ValueError(f"cannot raise a {a.rows}x{a.cols} matrix to a power")
+    require_square(a, "matrix power")
     if not isinstance(k, int) or k < 0:
         raise ValueError("exponent must be a nonnegative integer")
     result = a if k else Matrix.identity(a.rows)

@@ -40,11 +40,13 @@ pseudoinverse A keeps, times A (:mod:`adjinv.pinv`).
 :func:`char_poly_coeffs` returns every d_k by Berkowitz.
 
 The literal forms stay as the reference the kernel is tested against:
-:func:`minor` is the exact determinant of the submatrix selected by two
-strictly increasing 1-based index sequences, evaluated by fraction-free
-Bareiss elimination, :func:`det` and :func:`adjugate` are the classical
-determinant and the cofactor adjugate, and :func:`principal_minor_sum`
-enumerates the order-k principal minors one by one.
+:func:`minor` is the exact determinant of the entries selected by two
+strictly increasing 1-based index sequences, :func:`det` and
+:func:`adjugate` are the classical determinant and the cofactor adjugate,
+and :func:`principal_minor_sum` enumerates the order-k principal minors one
+by one.  Each determinant is one fraction-free Bareiss elimination of the
+selected integer pairs, read straight from the matrix's pairs and divided
+by its scale to the order: no submatrix is built.
 """
 
 from __future__ import annotations
@@ -79,25 +81,23 @@ def minor(a: Matrix, alpha, beta) -> Scalar:
         raise ValueError(f"selection is not square: {len(alpha)} rows, {len(beta)} columns")
     if not alpha:
         raise ValueError("empty index selection")
-    sub = a.submatrix([i - 1 for i in alpha], [j - 1 for j in beta])
-    return _det(sub)
+    return _det([[a.pairs[i - 1][j - 1] for j in beta] for i in alpha], a.scale)
 
 
 def det(a: Matrix) -> Scalar:
     """Determinant of a square matrix."""
     require_square(a, "determinant")
-    return _det(a)
+    return _det(a.pairs, a.scale)
 
 
-def _det(a: Matrix) -> Scalar:
-    d = elimination.det_pairs(a.pairs, a.rows)
-    return scalar_of(d, a.scale**a.rows)
+def _det(rows, scale: int) -> Scalar:
+    """det(rows / scale) for square rows of Gaussian-integer pairs."""
+    return scalar_of(elimination.det_pairs(rows, len(rows)), scale ** len(rows))
 
 
 def principal_minor_sum(a: Matrix, k: int) -> Scalar:
     """Sum of all order-k principal minors of a square matrix."""
-    if not a.is_square:
-        raise ValueError(f"principal minors need a square matrix, got {a.rows}x{a.cols}")
+    require_square(a, "principal minor sum")
     if not 1 <= k <= a.rows:
         raise ValueError(f"minor order {k} outside 1..{a.rows}")
     total = ZERO

@@ -12,18 +12,21 @@ body; each form passes its Gram matrix, the Gram matrix with entry (i, j)'s
 column or row replaced, and the index (i or j) every index set contains.
 The body refuses a zero matrix, and a form of more than
 ``LITERAL_MINOR_BUDGET`` minors, before it forms A* or the Gram matrix.
+It takes A's rank from a fresh sweep of its own and never reads or fills
+the slot A keeps its results in.
 
-``mp_inverse`` reads A's rank off the one sweep A keeps (:func:`sweep`),
-takes every ledger from one kernel call (:mod:`adjinv.minors`) and
-dispatches on rank only to pick the tag.  Rank 0 takes the skeleton's
-order-0 ledger (0, 1), tagged "zero", whatever the method; any other rank
-goes to the literal form that ``method`` "eq1" or "eq2" names.  Under
-"auto", a square nonsingular matrix gets adj(A) / det(A)
-("classical_inverse"), solved from that sweep.  Every other rank takes the
-Gram ledger N_r(A*A) @ A* = A* @ N_r(AA*) = d_r(A*A) A+ from
-the skeleton A = C W^-1 R of the same sweep, as R* adj(RR*) W adj(C*C) C* /
-|det W|^2 over d_r(A*A) = det(C*C) det(RR*) / |det W|^2.  At full column
-rank R = W drops out, leaving adj(A*A) A* ("eq6", the determinant form of
+``mp_inverse`` routes a zero matrix to the skeleton's order-0 ledger
+(0, 1), tagged "zero", whatever the method; any other matrix goes to the
+literal form that ``method`` "eq1" or "eq2" names.  The zero test reads A's
+pairs alone.  Under "auto" it reads A's rank off the one sweep A keeps
+(:func:`sweep`), takes every ledger from one kernel call
+(:mod:`adjinv.minors`) and dispatches on rank only to pick the tag: a
+square nonsingular matrix gets adj(A) / det(A) ("classical_inverse"),
+solved from that sweep.  Every other rank takes the Gram ledger
+N_r(A*A) @ A* = A* @ N_r(AA*) = d_r(A*A) A+ from the skeleton
+A = C W^-1 R of the same sweep, as R* adj(RR*) W adj(C*C) C* / |det W|^2
+over d_r(A*A) = det(C*C) det(RR*) / |det W|^2.  At full column rank R = W
+drops out, leaving adj(A*A) A* ("eq6", the determinant form of
 (A*A)^-1 A*); at full row rank C = W does, leaving A* adj(AA*) ("eq7").  A
 matrix deficient both ways is tagged "eq1" or "eq2", whichever form's
 literal evaluation needs fewer minors by the budget's count.  A matrix
@@ -129,16 +132,16 @@ def mp_inverse_rows(a: Matrix) -> PinvResult:
 def mp_inverse(a: Matrix, method: str = "auto") -> PinvResult:
     """Moore-Penrose inverse of any matrix, choosing the cheapest representation.
 
-    ``method`` forces "eq1" or "eq2"; "auto" dispatches on rank as described
-    in the module docstring, and ``a`` keeps its result.  A zero matrix,
-    whatever the method, gets the zero inverse, the unique solution of the
-    defining equations, from the skeleton's order-0 ledger (0, 1), tagged "zero".
+    ``method`` forces "eq1" or "eq2", whose literal forms never read or fill
+    the slot ``a`` keeps its results in; "auto" dispatches on rank as
+    described in the module docstring, and ``a`` keeps its result.  A zero
+    matrix, whatever the method, gets the zero inverse, the unique solution
+    of the defining equations, from the skeleton's order-0 ledger (0, 1),
+    tagged "zero", and keeps it.
     """
     if method not in ("auto", "eq1", "eq2"):
         raise ValueError(f"unknown method {method!r}, expected eq1, eq2, or auto")
-    # A's one sweep gives its rank, the elimination a square full-rank A is
-    # solved from, and the skeleton every other rank takes its ledger from.
-    if sweep(a).rank and method != "auto":
+    if method != "auto" and not a.is_zero:
         return (mp_inverse_columns if method == "eq1" else mp_inverse_rows)(a)
     return kept(a, "pinv", _auto)
 

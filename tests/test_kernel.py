@@ -791,6 +791,13 @@ def test_index_search_matches_representation_and_oracle(case, seed):
 
     res = drazin_inverse(a)
     assert res == representation(a, index)  # index, core rank, ledger, denominator, inverse
+    # Exactly r = core eigenvalues of A are nonzero, so d_r(A) is their product
+    # and d_r(A^(k+1)), the denominator, is its (k+1)-th power: Berkowitz on A.
+    d_core = ((ONE,) + char_poly_coeffs(a))[core]
+    expected = ONE
+    for _ in range(index + 1):
+        expected = expected * d_core
+    assert res.denominator == expected
     assert res.drazin_inverse == representation(a, index + 1).drazin_inverse
     xd = oracle_drazin(a)
     assert res.drazin_inverse == xd

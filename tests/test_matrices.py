@@ -24,6 +24,7 @@ from adjinv import (
     multiply,
     oracle_drazin,
     power,
+    principal_minor_sum,
     rank,
     replace_column,
     replace_row,
@@ -267,7 +268,7 @@ def test_power_forms_k_minus_one_products(example2, monkeypatch):
 
 
 def test_power_requires_square():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^matrix power needs a square matrix, got 2x3$"):
         power(Matrix.zeros(2, 3), 2)
     with pytest.raises(ValueError):
         power(Matrix.identity(2), -1)
@@ -284,6 +285,8 @@ SQUARE_ONLY = {
     "adjugate": adjugate,
     "characteristic adjugate": lambda a: char_adjugate(a, 1, column_vector([1, 2])),
     "Drazin oracle": oracle_drazin,
+    "matrix power": lambda a: power(a, 2),
+    "principal minor sum": lambda a: principal_minor_sum(a, 1),
 }
 
 

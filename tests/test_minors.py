@@ -11,6 +11,7 @@ from adjinv import (
     det,
     enumerate_containing,
     minor,
+    mp_inverse_columns,
     multiply,
     power,
     principal_minor_sum,
@@ -55,6 +56,26 @@ def test_minor_agrees_with_cofactor_expansion_up_to_order_4():
         beta = tuple(sorted(rng.sample(range(1, cols + 1), size)))
         sub = a.submatrix([i - 1 for i in alpha], [j - 1 for j in beta])
         assert minor(a, alpha, beta) == det_cofactor(sub)
+
+
+def test_minors_read_the_pairs_without_building_a_submatrix(monkeypatch):
+    rng = random.Random(29)
+    a = random_matrix(rng, 4, 4, complex_entries=True)
+    b = rank_forced_matrix(rng, 4, 3, 2, complex_entries=True)
+    forms = {
+        "minor": lambda: minor(a, (1, 3), (2, 4)),
+        "det": lambda: det(a),
+        "adjugate": lambda: adjugate(a),
+        "principal_minor_sum": lambda: principal_minor_sum(a, 2),
+        "mp_inverse_columns": lambda: mp_inverse_columns(b),
+    }
+    before = {name: form() for name, form in forms.items()}
+
+    def refused(*args):
+        raise AssertionError("a submatrix was built")
+
+    monkeypatch.setattr(Matrix, "submatrix", refused)
+    assert {name: form() for name, form in forms.items()} == before
 
 
 def test_principal_minor_sum_golden(example1, example2):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import adjinv
 import adjinv.pinv
-from adjinv import golden
+from adjinv import elimination, golden
 from adjinv import (
     Matrix,
     Scalar,
@@ -81,6 +81,31 @@ def test_zero_matrix_short_circuits():
         mp_inverse_columns(Matrix.zeros(2, 3))
     with pytest.raises(ZeroMatrixError):
         mp_inverse_rows(Matrix.zeros(2, 2))
+
+
+def test_zero_matrix_keeps_the_zero_result_whatever_the_method():
+    z = Matrix.zeros(3, 2)
+    res = mp_inverse(z, method="eq2")
+    assert res.representation_used == "zero"
+    assert mp_inverse(z) is res
+
+
+@pytest.mark.parametrize("complex_entries", [False, True])
+@pytest.mark.parametrize("method", ["eq1", "eq2"])
+def test_literal_forms_sweep_a_once_and_keep_nothing(method, complex_entries, monkeypatch):
+    a = rank_forced_matrix(random.Random(23), 6, 5, 3, complex_entries)
+    shapes = []
+    real = elimination.eliminate
+    monkeypatch.setattr(elimination, "eliminate",
+                        lambda rows: shapes.append((len(rows), len(rows[0]))) or real(rows))
+    literal = mp_inverse(a, method=method)
+    # The literal form's own rank is the one sweep of A; its minors sweep 3 x 3 selections.
+    assert literal.representation_used == method
+    assert shapes.count((6, 5)) == 1 and a._kept == {}
+    shapes.clear()
+    auto = mp_inverse(a)
+    assert shapes.count((6, 5)) == 1 and a._kept["pinv"] is auto
+    assert auto.pseudo_inverse == literal.pseudo_inverse
 
 
 def test_dispatch_representations(example1):
