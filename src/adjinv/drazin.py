@@ -16,9 +16,10 @@ The index search is a plain loop of :func:`adjinv.matrices.multiply` and
 :func:`adjinv.matrices.rank`, a fresh sweep of each power.  A matrix keeps
 its result, the index chain, so its operations share one search; at k = 0
 the rank is read off A's kept sweep, and the sweeps of A^2, A^3, ... are not
-kept.  :func:`group_inverse` refuses index 2 or more from the chain alone,
-and :func:`adjinv.solvers.drazin_solve` makes its own one-column ledger from
-it.
+kept.  :func:`group_inverse` refuses index 2 or more from the chain alone.
+:func:`adjinv.solvers.drazin_solve` multiplies the eq11 numerators A keeps
+by y, one product; on a matrix that keeps no eq11 result it makes its own
+one-column ledger from the chain and keeps nothing.
 
 A nonsingular matrix has index 0, so A^k = I, A^(k+1) = A and r = n; there
 N_n(A) is the classical adjugate, and the same kernel call returns

@@ -19,7 +19,8 @@ them, and return canonical results, so re-running any operation reproduces
 its output bit for bit.  :func:`require_square` is the package's one check
 that an operation's input is square.  A matrix keeps its one Bareiss sweep,
 its Drazin index chain, its Drazin inverse and its Moore-Penrose inverse in
-one private slot (:func:`kept`), which equality, hashing and printing ignore.
+one private slot (:func:`kept`), which equality, hashing and printing ignore;
+:func:`held` reads what the slot holds without computing it.
 
 Index conventions: storage accessors (``at``, ``row``, ``column``,
 ``submatrix``) are 0-based like any Python container, while the replacement
@@ -297,6 +298,11 @@ def rank(a: Matrix) -> int:
 def kept(a: Matrix, key: str, compute: Callable[[Matrix], object]):
     """``compute(a)``, computed once for ``key`` and kept on ``a``; racing threads get the first value."""
     return a._kept[key] if key in a._kept else a._kept.setdefault(key, compute(a))
+
+
+def held(a: Matrix, key: str):
+    """What ``a`` keeps for ``key`` (see :func:`kept`), or None; never computes."""
+    return a._kept.get(key)
 
 
 def sweep(a: Matrix) -> elimination.Elimination:

@@ -31,7 +31,9 @@ drops out, leaving adj(A*A) A* ("eq6", the determinant form of
 matrix deficient both ways is tagged "eq1" or "eq2", whichever form's
 literal evaluation needs fewer minors by the budget's count.  A matrix
 keeps that result (:func:`adjinv.matrices.kept`), so repeated calls and the
-projectors share one kernel call; the literal forms are never kept.  The
+projectors share one kernel call; the literal forms are never kept.  A
+least squares solve on A multiplies the kept numerators by its right side,
+unless they are a classical inverse's (:mod:`adjinv.solvers`).  The
 projectors A+ A and A A+ are the identity at full column (row) rank, read
 off the sweep alone, and otherwise the pseudoinverse A keeps, times A:
 A+ A = L A / d_r(A*A) for the numerators L, the paper's projector ledger.

@@ -576,12 +576,12 @@ def test_rank_deficient_square_operations_keep_their_ledgers(complex_entries, mo
     with pytest.raises(drazin.GroupInverseError):
         group_inverse(a)
     assert calls == [] and searches == [a]  # A keeps its index chain too
-    # A keeps its pseudoinverse, so mp_inverse and the projectors sweep nothing;
-    # the solvers read the same sweep of A and solve only r x r systems.
+    # A keeps its pseudoinverse, so mp_inverse, the projectors and the least
+    # squares solvers sweep nothing: each solve is one product with its numerators.
     for name, run in GRAM_OPERATIONS.items():
         calls.clear()
         run(a, y, row_vector(_rhs(7, 6, complex_entries)))
-        assert calls == ([r] * SKELETON_SOLVES[name] if name.startswith("lsq") else []), name
+        assert calls == [], name
 
 
 @pytest.mark.parametrize("complex_entries", [False, True])
@@ -603,6 +603,88 @@ def test_projectors_and_mp_inverse_share_the_pseudoinverse_a_keeps(complex_entri
     assert literal is not res and literal == mp_inverse_columns(a)
     assert literal.representation_used == "eq1" and literal.pseudo_inverse == res.pseudo_inverse
     assert mp_inverse(a) is res  # the literal form left the kept result as it was
+
+
+# -- a solve on a matrix that keeps its inverse is one product ----------------------
+
+LSQ_REUSE = {  # builder, and the tags mp_inverse may give
+    "deficient": (lambda c: _deficient(640 + c, 6, 5, 3, c), ("eq1", "eq2")),
+    "full column rank": (lambda c: _full_rank(642 + c, 6, 4, c), ("eq6",)),
+    "full row rank": (lambda c: _full_rank(644 + c, 4, 6, c), ("eq7",)),
+}
+# The kernels a solve on a matrix that keeps its ledger must not reach.
+SOLVE_KERNELS = ((minors, "skeleton_ledger"), (minors, "char_adjugate"), (elimination, "eliminate"),
+                 (elimination, "adjoint_solve_pairs"), (elimination, "skeleton_ledger_pairs"),
+                 (elimination, "char_poly_pairs"), (elimination, "horner_adjugate_pairs"))
+
+
+def _counted(monkeypatch, module, attr: str) -> list:
+    calls = []
+    real = getattr(module, attr)
+    monkeypatch.setattr(module, attr, lambda *args, **kw: calls.append(args) or real(*args, **kw))
+    return calls
+
+
+def _refuse_solve_kernels(monkeypatch) -> None:
+    for module, kernel in SOLVE_KERNELS:
+        monkeypatch.setattr(module, kernel, _refuse(kernel))
+
+
+@pytest.mark.parametrize("complex_entries", [False, True])
+@pytest.mark.parametrize("shape", sorted(LSQ_REUSE))
+def test_lsq_solvers_read_the_pseudoinverse_a_keeps(shape, complex_entries, monkeypatch):
+    build, tags = LSQ_REUSE[shape]
+    a = build(complex_entries)
+    y, yr = column_vector(_rhs(646, a.rows, complex_entries)), row_vector(_rhs(647, a.cols, complex_entries))
+    fresh = _fresh(a)
+    with monkeypatch.context() as counting:
+        skeletons = _counted(counting, minors, "skeleton_ledger")
+        expected = lsq_solve(fresh, y), lsq_solve_row_system(yr, fresh)
+    # A lone solve makes one one-column skeleton ledger each and keeps no inverse.
+    assert len(skeletons) == 2 and matrices.held(fresh, "pinv") is None
+    assert mp_inverse(a).representation_used in tags
+    _refuse_solve_kernels(monkeypatch)
+    assert (lsq_solve(a, y), lsq_solve_row_system(yr, a)) == expected
+
+
+@pytest.mark.parametrize("complex_entries", [False, True])
+def test_lsq_solve_on_a_kept_classical_inverse_takes_the_skeleton(complex_entries, monkeypatch):
+    a = _full_rank(648 + complex_entries, 5, 5, complex_entries)
+    y, yr = column_vector(_rhs(649, 5, complex_entries)), row_vector(_rhs(650, 5, complex_entries))
+    expected = lsq_solve(_fresh(a), y), lsq_solve_row_system(yr, _fresh(a))
+    assert mp_inverse(a).representation_used == "classical_inverse"
+    skeletons = _counted(monkeypatch, minors, "skeleton_ledger")
+    got = lsq_solve(a, y), lsq_solve_row_system(yr, a)
+    assert got == expected and len(skeletons) == 2
+    # eq13 is over det(A*A) = |det A|^2, not over the det A the kept inverse has.
+    assert got[0].denominator == det(multiply(conjugate_transpose(a), a)) != mp_inverse(a).denominator
+
+
+DRAZIN_REUSE = {  # core rank, nilpotent block sizes
+    "index 0": (5, ()),
+    "index 1": (3, (1, 1)),
+    "index 2": (3, (2, 1)),
+    "index 3": (2, (3, 1)),
+    "nilpotent": (0, (3, 2)),
+}
+
+
+@pytest.mark.parametrize("complex_entries", [False, True])
+@pytest.mark.parametrize("case", sorted(DRAZIN_REUSE))
+def test_drazin_solve_reads_the_drazin_inverse_a_keeps(case, complex_entries, monkeypatch):
+    core, nil_sizes = DRAZIN_REUSE[case]
+    a = _indexed(652 + core + complex_entries, core, nil_sizes, complex_entries)
+    y = column_vector(_rhs(653, a.rows, complex_entries))
+    fresh = _fresh(a)
+    with monkeypatch.context() as counting:
+        ledgers = _counted(counting, minors, "char_adjugate")
+        expected = drazin_solve(fresh, y)
+    # A lone solve makes its one one-column ledger and keeps no inverse.
+    assert [b.cols for _, _, b in ledgers] == [1] and matrices.held(fresh, "eq11") is None
+    assert expected.method == ("eq16" if nil_sizes else "classical_cramer")
+    assert drazin_inverse(a).index == max(nil_sizes, default=0)
+    _refuse_solve_kernels(monkeypatch)
+    assert drazin_solve(a, y) == expected
 
 
 # -- kernel against the rank-factorization oracles (n <= 16, rank <= 10; n = 30) ---
@@ -886,6 +968,23 @@ def test_operations_sharing_one_matrix_match_a_fresh_matrix_in_any_order(a, data
         assert drazin._index_powers(a) == drazin._index_powers(_fresh(a))
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(deficient_matrices(7), full_rank_matrices(6), indexed_matrices(7, 3),
+                 rational_indexed(6, 3).map(lambda case: case[0]),
+                 st.builds(Matrix.zeros, st.integers(1, 4), st.integers(1, 4))),
+       seeds)
+@example(Matrix.zeros(3, 3), 1)
+@example(_indexed(4244, 0, (3, 2), True), 2)  # nilpotent
+def test_solves_on_a_matrix_that_keeps_its_inverses_match_a_fresh_matrix(a, seed):
+    y, yr = column_vector(_rhs(seed, a.rows)), row_vector(_rhs(seed + 1, a.cols))
+    mp_inverse(a)
+    assert lsq_solve(a, y) == lsq_solve(_fresh(a), y)
+    assert lsq_solve_row_system(yr, a) == lsq_solve_row_system(yr, _fresh(a))
+    if a.is_square:
+        drazin_inverse(a)
+        assert drazin_solve(a, y) == drazin_solve(_fresh(a), y)
+
+
 THREADED = {
     "index 2, complex": _indexed(4242, 3, (2, 1), True),
     "nonsingular": _full_rank(4243, 5, 5, False),
@@ -931,8 +1030,8 @@ def test_rank_and_verify_never_read_what_a_matrix_keeps(monkeypatch):
     def refused(*args):
         raise AssertionError("a check read what a matrix keeps")
 
-    # Every binding of the two readers in the package, as the modules hold them.
-    readers = (matrices.sweep, matrices.kept)
+    # Every binding of the three readers in the package, as the modules hold them.
+    readers = (matrices.sweep, matrices.kept, matrices.held)
     for module in list(sys.modules.values()):
         if getattr(module, "__name__", "").startswith("adjinv"):
             for attr, value in list(vars(module).items()):
@@ -1055,9 +1154,11 @@ def test_drazin_forms_share_one_kernel_call(order, monkeypatch):
     assert got["drazin_inverse"] == got["group_inverse"] == x
     assert got["drazin_times_a"] == multiply(x, a)
     assert widths == [3, 3]  # one call for the three forms on A, one for the fresh copy
-    # The solve makes its own ledger, with the one column A^k y as replacement.
-    drazin_solve(a, RHS)
-    assert widths == [3, 3, 1]
+    # The solve reads the numerators A keeps; on a fresh matrix it makes its own
+    # ledger, with the one column A^k y as replacement.
+    solved = drazin_solve(a, RHS)
+    assert widths == [3, 3]
+    assert drazin_solve(_fresh(INDEX_ONE), RHS) == solved and widths == [3, 3, 1]
     # Index 2 is refused from the chain alone, before any ledger is formed.
     with pytest.raises(drazin.GroupInverseError):
         group_inverse(_fresh(INDEX_TWO))
