@@ -1,4 +1,4 @@
-"""Division-free integer kernels: Bareiss elimination, the skeleton and the characteristic adjugate.
+"""Division-free integer kernels: Bareiss elimination, adjoint solves, the skeleton and Berkowitz.
 
 The kernels work on the exact-matrix format of :class:`adjinv.matrices.Matrix`:
 rows of Gaussian integers, each a plain ``(re, im)`` pair of Python ints.
@@ -21,14 +21,14 @@ sweep, the replay and the back substitution share one row update,
 (pivot x - lead t) / prev with its exactness check, and the same loop serves
 real and complex entries.
 
-Berkowitz's algorithm gives the characteristic coefficients without any
-division, and Horner's rule applies the Cayley-Hamilton polynomial N_r(g) to
-a replacement matrix, so a whole adjugate-analogue ledger costs O(n^3 r)
-integer operations.  At full order r = n the polynomial is the classical
-adjugate; there the kernel solves from the caller's elimination of g: the
-replay on b and a back substitution cost O(n^2 p) operations for an n x p
-replacement matrix, on top of the O(n^3) sweep.
-Berkowitz and Horner stay for a singular g: the Drazin forms' A^(k+1).
+A nonsingular g's adjugate ledger adj(g) b and det g comes from its
+elimination (:func:`adjoint_solve_pairs`): the replay on b and a back
+substitution cost O(n^2 p) operations for an n x p b, on top of the O(n^3)
+sweep.  :func:`row_factor_pairs` reads a rank factorization g = B C off the
+same sweep, with B the pivot columns and C = W^-1 R, where W is the pivot
+block and R the pivot rows; the Drazin index chain is built from it.
+Berkowitz's algorithm (:func:`char_poly_pairs`) gives the characteristic
+coefficients without any division.
 
 No operation takes the characteristic adjugate of a Gram matrix A*A or AA*.
 The sweep of an m x n A of rank r also gives its skeleton A = C W^-1 R: the
@@ -229,13 +229,27 @@ def adjoint_solve_pairs(e: Elimination, b: list[list[Pair]]) -> tuple[list[list[
     return x, det
 
 
+def row_factor_pairs(g: list[list[Pair]], e: Elimination) -> tuple[list[list[Pair]], int]:
+    """C' and a positive int c with C' / c = W^-1 R, from the elimination ``e`` of an m x n g of rank r >= 1.
+
+    R holds g's pivot rows ``e.order[:r]`` in sweep order and W = R[:, P]
+    their pivot columns P = ``e.pivots``, so g = g[:, P] W^-1 R is a rank
+    factorization.  The sweep of W in that row order is the sweep of g read
+    at rows ``e.rows[:r]`` and columns P, with no exchange: so adj(W) R comes
+    from one replay and back substitution, and no new sweep.  Its
+    denominator det W, the last pivot, becomes the positive scale |det W|^2
+    through conj(det W); the caller reduces C' / c to lowest terms.
+    """
+    r = e.rank
+    w = Elimination([[row[j] for j in e.pivots] for row in e.rows[:r]], list(range(r)), list(range(r)), 1)
+    x, _ = adjoint_solve_pairs(w, [g[i] for i in e.order[:r]])
+    dr, di = w.det
+    return [[_mul((dr, -di), v) for v in row] for row in x], dr * dr + di * di
+
+
 def rank_pairs(a: list[list[Pair]]) -> int:
     """Rank of a Gaussian-integer matrix."""
     return eliminate(a).rank
-
-
-def _add(x: Pair, y: Pair) -> Pair:
-    return (x[0] + y[0], x[1] + y[1])
 
 
 def _neg(x: Pair) -> Pair:
@@ -318,21 +332,20 @@ def skeleton_ledger_pairs(
     return x, d[0]
 
 
-def char_poly_pairs(g: list[list[Pair]], order: int) -> list[Pair]:
-    """Principal-minor sums d_0 .. d_order of a Gaussian-integer matrix (d_0 = 1).
+def char_poly_pairs(g: list[list[Pair]]) -> list[Pair]:
+    """Principal-minor sums d_0 .. d_n of an n x n Gaussian-integer matrix (d_0 = 1).
 
     Berkowitz's division-free algorithm (Inf. Proc. Letters 18, 1984) on the
-    coefficients c_t = (-1)^t d_t of det(tI - g).  The coefficient vector of
-    the trailing principal submatrix g[k:, k:] is a lower-triangular Toeplitz
-    matrix times that of g[k+1:, k+1:]; the Toeplitz entries are 1, -g[k][k]
-    and -R A^(t-2) C for the bordering row R, column C and block A.  Only the
-    first ``order + 1`` coefficients are kept, so the cost is O(n^3 order)
-    instead of O(n^4).
+    coefficients c_t = (-1)^t d_t of det(tI - g), in O(n^4) integer
+    operations.  The coefficient vector of the trailing principal submatrix
+    g[k:, k:] is a lower-triangular Toeplitz matrix times that of
+    g[k+1:, k+1:]; the Toeplitz entries are 1, -g[k][k] and -R A^(t-2) C for
+    the bordering row R, column C and block A.
     """
     n = len(g)
-    c = [_ONE, _neg(g[n - 1][n - 1])][: order + 1]
+    c = [_ONE, _neg(g[n - 1][n - 1])]
     for k in range(n - 2, -1, -1):
-        top = min(n - k, order)
+        top = n - k
         bordering_row = g[k][k + 1 :]
         block = [row[k + 1 :] for row in g[k + 1 :]]
         x = [row[k] for row in g[k + 1 :]]
@@ -343,29 +356,3 @@ def char_poly_pairs(g: list[list[Pair]], order: int) -> list[Pair]:
                 x = [_dot(row, x) for row in block]
         c = [_dot([toeplitz[i - j] for j in range(min(i + 1, len(c)))], c) for i in range(top + 1)]
     return [_neg(v) if t % 2 else v for t, v in enumerate(c)]
-
-
-def horner_adjugate_pairs(
-    g: list[list[Pair]], r: int, b: list[list[Pair]]
-) -> tuple[list[list[Pair]], Pair]:
-    """N_r(g) b and d_r(g) for a Gaussian-integer n x n g and n x p b, any r.
-
-    d_t is the sum of the order-t principal minors of g and
-    N_r(g) = sum_{t<r} (-1)^(r-1-t) d_t g^(r-1-t).  Entry (i, j) of N_r(g) b
-    is the sum, over the order-r principal index sets containing i, of the
-    minors of g with column i replaced by column j of b (Decell, SIAM Review
-    7(4), 1965).  Horner's rule: X = (-1)^(r-1) b, then
-    X <- g X + (-1)^(r-1-t) d_t b for t = 1 .. r-1, with d_1 .. d_r from
-    :func:`char_poly_pairs`.  At r = n, N_n(g) is the classical adjugate and
-    d_n(g) the determinant; a nonsingular g is solved faster by
-    :func:`adjoint_solve_pairs`.
-    """
-    d = char_poly_pairs(g, r)
-    x = b if r % 2 else [[_neg(w) for w in row] for row in b]
-    for t in range(1, r):
-        coeff = _neg(d[t]) if (r - 1 - t) % 2 else d[t]
-        x = [
-            [_add(u, _mul(coeff, w)) for u, w in zip(gx_row, b_row)]
-            for gx_row, b_row in zip(matmul_pairs(g, x), b)
-        ]
-    return x, d[r]

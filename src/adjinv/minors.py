@@ -12,32 +12,33 @@ and d_t is the sum of the order-t principal minors of g (d_0 = 1).  At r = n,
 N_n(g) is the classical adjugate and d_n(g) the determinant, so the
 full-rank forms (classical inverse and Cramer's rule, and their Gram
 versions) are the same ledger.  At r = 0 the minor sum is empty, so the
-ledger is (0, 1): a rank-0 input (a zero matrix, a nilpotent matrix's core)
-needs no case of its own.  :func:`char_adjugate` returns the :class:`Ledger`
-(N_r(g) @ b, d_r(g)) in polynomial time: it hands the integer pairs of
-g = g' / s and b = b' / e to :func:`adjinv.elimination.adjoint_solve_pairs`
-or :func:`adjinv.elimination.horner_adjugate_pairs` and rescales by
-N_r(g) = N_r(g') / s^(r-1) and d_r(g) = d_r(g') / s^r.  At r = n with g
-nonsingular the kernel solves from the Bareiss sweep of g' that g keeps
-(:func:`adjinv.matrices.sweep`), the one its rank came from: it replays
-the elimination on b' and back-substitutes; otherwise it computes
-d_1 .. d_r by Berkowitz's division-free algorithm and applies N_r by
-Horner's rule.  :func:`char_adjugate` serves only the ledgers of a square
-matrix itself: the classical inverse and the Drazin forms, whose A^(k+1) is
-singular below full rank.  Berkowitz and Horner serve only the latter and
-:func:`char_poly_coeffs`.
+ledger is (0, 1): a rank-0 input (a zero matrix, a nilpotent matrix)
+needs no case of its own.
+
+No operation evaluates N_r at 0 < r < n: each such ledger factors through a
+nonsingular r x r matrix.  :func:`char_adjugate` returns the :class:`Ledger`
+(N_r(g) @ b, d_r(g)) at the two orders it serves.  Order 0 is (0, 1).  At
+order n, a nonsingular g = g' / s is solved from the Bareiss sweep of g'
+that g keeps (:func:`adjinv.matrices.sweep`), the one its rank came from:
+:func:`adjinv.elimination.adjoint_solve_pairs` replays the elimination on
+b = b' / e and back-substitutes, and the ledger rescales by
+adj(g) = adj(g') / s^(n-1) and det g = det g' / s^n.  It serves the
+classical inverse and the Drazin forms, whose ledger
+d_r(A^(k+1)) A^D = B_1 .. B_k adj(M_k)^(k+1) C_k .. C_1 takes k + 1 calls on
+the nonsingular core M_k of Cline's index chain (:mod:`adjinv.drazin`).
 
 Every Gram ledger, at every rank, comes from :func:`skeleton_ledger`: it
 takes d_r(A*A) A+ b and d_r(A*A) from the skeleton A = C W^-1 R that A's
 one kept sweep gives (pivot columns C, pivot rows R and their intersection
 W), solving only r x r systems
 (:func:`adjinv.elimination.skeleton_ledger_pairs`), one at full column or
-row rank.  It returns the same ledger as :func:`char_adjugate` on A*A at
-the rank order and owns order 0 the same way.  A caller makes one kernel
+row rank.  It returns the characteristic-adjugate ledger of A*A at the
+rank order, (N_r(A*A) A* b, d_r(A*A)), and owns order 0 the same way.  A caller makes one kernel
 call, and :meth:`Ledger.quotient` is the one way a ledger becomes a result.
 The projectors A+ A and A A+ take no ledger of their own: they are the
 pseudoinverse A keeps, times A (:mod:`adjinv.pinv`).
-:func:`char_poly_coeffs` returns every d_k by Berkowitz.
+:func:`char_poly_coeffs` returns every d_k by Berkowitz, on the index
+chain's r x r core when A keeps one.
 
 The literal forms stay as the reference the kernel is tested against:
 :func:`minor` is the exact determinant of the entries selected by two
@@ -46,7 +47,9 @@ strictly increasing 1-based index sequences, :func:`det` and
 and :func:`principal_minor_sum` enumerates the order-k principal minors one
 by one.  Each determinant is one fraction-free Bareiss elimination of the
 selected integer pairs, read straight from the matrix's pairs and divided
-by its scale to the order: no submatrix is built.
+by its scale to the order: no submatrix is built.  Decell's Horner
+evaluation of N_r(g) @ b at any order, and the power route to the Drazin
+ledger, live in the test suite as reference routes.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ from typing import NamedTuple
 
 from . import elimination
 from .index_sets import enumerate_k_subsets
-from .matrices import Matrix, conjugate_transpose, from_pairs, require_square, scalar_of, sweep
+from .matrices import Matrix, conjugate_transpose, from_pairs, held, require_square, scalar_of, sweep
 from .scalars import ONE, ZERO, Scalar
 
 
@@ -110,12 +113,17 @@ def char_poly_coeffs(a: Matrix) -> tuple[Scalar, ...]:
     """Coefficients d_1 .. d_n with det(tI - a) = t^n - d_1 t^(n-1) + ... + (-1)^n d_n.
 
     d_k is the sum of all order-k principal minors, computed here by
-    Berkowitz's algorithm on the matrix's integer pairs: with a = a' / D,
-    d_k(a) = d_k(a') / D^k.
+    Berkowitz's algorithm on the integer pairs of g = g' / D:
+    d_k(g) = d_k(g') / D^k.  g is a itself, or the r x r core M_k of the
+    index chain a keeps at index k >= 1 (:mod:`adjinv.drazin`), or the zero
+    M_(k-1) of a nilpotent a.  Each step of the chain replaces B C by C B,
+    and Sylvester's identity det(tI_n - BC) = t^(n-r) det(tI_r - CB) makes
+    d_1 .. d_r those of the r x r core and the rest 0.
     """
     require_square(a, "characteristic polynomial")
-    coeffs = elimination.char_poly_pairs(a.pairs, a.rows)
-    return tuple(scalar_of(d, a.scale**k) for k, d in enumerate(coeffs) if k)
+    g = (held(a, "index chain") or [a])[-1] or a  # the chain's last M_i, None when that is a
+    coeffs = elimination.char_poly_pairs(g.pairs)
+    return tuple(scalar_of(d, g.scale**k) for k, d in enumerate(coeffs) if k) + (ZERO,) * (a.rows - g.rows)
 
 
 class Ledger(NamedTuple):
@@ -143,29 +151,29 @@ class Ledger(NamedTuple):
 
 
 def char_adjugate(g: Matrix, r: int, b: Matrix) -> Ledger:
-    """The characteristic-adjugate ledger (N_r(g) @ b, d_r(g)) of the module docstring.
+    """The characteristic-adjugate ledger (N_r(g) @ b, d_r(g)) of the module docstring, at r = 0 or n.
 
-    ``g`` is n x n, ``b`` is n x p and 0 <= r <= n; order 0 gives the zero
-    n x p matrix over 1.  At r = n a nonsingular g is solved from its kept
-    sweep (:func:`adjinv.matrices.sweep`).
+    ``g`` is n x n and ``b`` is n x p.  Order 0 gives the zero n x p matrix
+    over 1.  Order n gives (adj(g) b, det g) for a nonsingular g, solved from
+    its kept sweep (:func:`adjinv.matrices.sweep`); any other order, or a
+    singular g, raises ValueError.
     """
     require_square(g, "characteristic adjugate")
-    if not 0 <= r <= g.rows:
-        raise ValueError(f"order {r} outside 0..{g.rows}")
     if b.rows != g.rows:
         raise ValueError(f"replacement matrix has {b.rows} rows, expected {g.rows}")
     if r == 0:
         return Ledger(Matrix.zeros(g.rows, b.cols), ONE)
-    solved = elimination.adjoint_solve_pairs(sweep(g), b.pairs) if r == g.rows else None
-    x, d_r = solved or elimination.horner_adjugate_pairs(g.pairs, r, b.pairs)
-    return Ledger(from_pairs(x, g.scale ** (r - 1) * b.scale), scalar_of(d_r, g.scale**r))
+    if r != g.rows or (solved := elimination.adjoint_solve_pairs(sweep(g), b.pairs)) is None:
+        raise ValueError(f"order {r} needs order 0, or order {g.rows} of a nonsingular matrix")
+    x, d = solved
+    return Ledger(from_pairs(x, g.scale ** (r - 1) * b.scale), scalar_of(d, g.scale**r))
 
 
 def skeleton_ledger(a: Matrix, b: Matrix | None = None, adjoint: bool = False) -> Ledger:
     """The Gram ledger of a from the skeleton of its kept sweep (:func:`adjinv.matrices.sweep`).
 
     Returns (d_r(A*A) A+ b, d_r(A*A)) at r = rank A, the ledger
-    ``char_adjugate(A*A, r, A* b)`` gives, with b the identity when None;
+    (N_r(A*A) A* b, d_r(A*A)), with b the identity when None;
     ``adjoint`` gives the same for A*: (A*)+ b.  Order 0 gives the zero
     matrix over 1.  :func:`adjinv.elimination.skeleton_ledger_pairs` runs on
     a = a' / s and b = b' / t, and the result rescales by s^(2r-1) t and d_r

@@ -31,9 +31,11 @@ the classical Cramer rule ("classical_cramer"), and for a nilpotent matrix
 matrix that keeps its eq11 result (:func:`adjinv.drazin.drazin_inverse`)
 hands over N = N_r(A^(k+1)) @ A^k and d_r(A^(k+1)), and the numerators are
 N @ y, one product; at index 0 N is adj(A) over det(A), the classical
-Cramer ledger exactly.  Otherwise the index chain A keeps hands over A^k
-and A^(k+1), and both go with g to the kernel; at index 0 the kernel solves
-from A's kept sweep, so A is eliminated once.
+Cramer ledger exactly.  Otherwise the factors of the index chain A keeps
+are applied to y, B_1 .. B_k adj(M_k)^(k+1) C_k .. C_1 y over
+det(M_k)^(k+1), with k + 1 one-column adjoint solves on the core
+(:mod:`adjinv.drazin`); at index 0 that is one solve from A's kept sweep,
+so A is eliminated once.  Either way g = A^k y is k matrix-vector products.
 
 No solve fills the slot A keeps its results in: a lone solve makes its
 one-column ledger and forms neither the whole pseudoinverse nor the whole
@@ -50,8 +52,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import minors
-from .drazin import _index_powers
-from .matrices import Matrix, conjugate_transpose, held, multiply, require_square, sweep
+from .drazin import _chain_ledger, _index_search
+from .matrices import Matrix, conjugate_transpose, held, kept, multiply, require_square, sweep
 from .scalars import Scalar
 
 
@@ -113,11 +115,10 @@ def drazin_solve(a: Matrix, y: Matrix) -> SolveReport:
     require_square(a, "Drazin solution")
     if not (y.cols == 1 and y.rows == a.rows):
         raise ValueError(f"right side must be {a.rows}x1, got {y.rows}x{y.cols}")
-    k, r, ak, b = _index_powers(a)
-    g = multiply(ak, y)
+    k, g = kept(a, "index chain", _index_search)[0], y
+    for _ in range(k):
+        g = multiply(a, g)
     res = held(a, "eq11")
-    # At index 0, A^(k+1) = A and r = n, so the kernel gives adj(A) y and det(A).
-    ledger = (minors.Ledger(multiply(res.numerators, y), res.denominator) if res
-              else minors.char_adjugate(b, r, g))
+    ledger = minors.Ledger(multiply(res.numerators, y), res.denominator) if res else _chain_ledger(a, y)
     method = "classical_cramer" if k == 0 else "eq16"
     return SolveReport(ledger.quotient(), method, ledger.denominator, ledger.numerators.column(0), g)

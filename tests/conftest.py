@@ -1,6 +1,8 @@
 """Shared fixtures: golden matrices, random rank-forced corpora, an
 independent cofactor-expansion determinant used as a small-case oracle, and
-the eq11 Drazin representation at a chosen exponent."""
+two reference routes the kernel no longer takes: Decell's Horner evaluation
+of the characteristic adjugate at any order, and the eq11 Drazin
+representation from the powers of A at a chosen exponent."""
 
 from __future__ import annotations
 
@@ -20,7 +22,10 @@ from adjinv import (
     power,
     rank,
 )
-from adjinv.minors import char_adjugate
+from adjinv import elimination
+from adjinv.matrices import from_pairs, scalar_of
+from adjinv.minors import Ledger
+from adjinv.scalars import ONE
 
 # -- golden data ---------------------------------------------------------------
 
@@ -71,17 +76,58 @@ def det_cofactor(a: Matrix) -> Scalar:
     return total
 
 
+# -- reference routes ----------------------------------------------------------------
+
+
+def horner_adjugate_pairs(g: list[list], r: int, b: list[list]) -> tuple[list[list], tuple[int, int]]:
+    """N_r(g) b and d_r(g) for a Gaussian-integer n x n g and n x p b, at 1 <= r <= n.
+
+    d_t is the sum of the order-t principal minors of g and
+    N_r(g) = sum_{t<r} (-1)^(r-1-t) d_t g^(r-1-t).  Entry (i, j) of N_r(g) b
+    is the sum, over the order-r principal index sets containing i, of the
+    minors of g with column i replaced by column j of b (Decell, SIAM Review
+    7(4), 1965).  Horner's rule: X = (-1)^(r-1) b, then
+    X <- g X + (-1)^(r-1-t) d_t b for t = 1 .. r-1, with d_1 .. d_r from
+    Berkowitz (``elimination.char_poly_pairs``).  At r = n, N_n(g) is the
+    classical adjugate and d_n(g) the determinant, a singular g's too.
+    """
+    neg, mul = elimination._neg, elimination._mul
+    d = elimination.char_poly_pairs(g)
+    x = b if r % 2 else [[neg(w) for w in row] for row in b]
+    for t in range(1, r):
+        coeff = neg(d[t]) if (r - 1 - t) % 2 else d[t]
+        x = [
+            [(u[0] + v[0], u[1] + v[1]) for u, v in zip(gx_row, [mul(coeff, w) for w in b_row])]
+            for gx_row, b_row in zip(elimination.matmul_pairs(g, x), b)
+        ]
+    return x, d[r]
+
+
+def horner_ledger(g: Matrix, r: int, b: Matrix) -> Ledger:
+    """The ledger (N_r(g) @ b, d_r(g)) at any order 0 <= r <= n, by Berkowitz and Horner.
+
+    The kernel's ``minors.char_adjugate`` serves orders 0 and n of a
+    nonsingular g only; this reference serves every order, on the pairs of
+    g = g' / s and b = b' / e, rescaled by s^(r-1) e and s^r.
+    """
+    if r == 0:
+        return Ledger(Matrix.zeros(g.rows, b.cols), ONE)
+    x, d = horner_adjugate_pairs(g.pairs, r, b.pairs)
+    return Ledger(from_pairs(x, g.scale ** (r - 1) * b.scale), scalar_of(d, g.scale**r))
+
+
 def representation(a: Matrix, exponent: int) -> DrazinResult:
     """The eq11 representation of ``a`` evaluated at a chosen power exponent.
 
     Valid whenever rank(a^(exponent+1)) = rank(a^exponent); the value is the
     Drazin inverse for every exponent >= index_of(a).  The powers come from
-    :func:`adjinv.power` and the core rank from :func:`adjinv.rank`, not
-    from the index search.
+    :func:`adjinv.power`, the core rank from :func:`adjinv.rank` and the
+    ledger from :func:`horner_ledger` on A^(exponent+1), not from the index
+    chain.
     """
     ak = power(a, exponent)
     r = rank(ak)
-    ledger = char_adjugate(multiply(ak, a), r, ak)
+    ledger = horner_ledger(multiply(ak, a), r, ak)
     return DrazinResult(ledger.quotient(), exponent, r, ledger.denominator, ledger.numerators)
 
 

@@ -252,14 +252,14 @@ def test_verify_subcommand(capsys, example1_path, example2_path):
 def test_verify_checks_the_drazin_solve_independently(capsys, example2_path, monkeypatch):
     from adjinv import drazin
 
-    # A faulty index search that hands over 2 A^(k+1): the inverse and the
-    # solution come out halved, and verify must not check them against the
-    # same faulty powers.
+    # A faulty index search that hands over the core 2 M_k: the inverse and
+    # the solution come out scaled by 2^-(k+1), and verify must not check
+    # them against the same faulty chain.
     real = drazin._index_search
 
     def faulty(a):
-        k, rank_k, ak, b = real(a)
-        return k, rank_k, ak, b * 2
+        k, r, factors, core = real(a)
+        return k, r, factors, core * 2
 
     monkeypatch.setattr(drazin, "_index_search", faulty)
     code, out, _ = run_cli(capsys, "verify", example2_path, "--rhs", "1 2 3 1")

@@ -21,7 +21,7 @@ from adjinv import (
     rank,
     replace_column,
 )
-from adjinv import drazin
+from adjinv import drazin, elimination
 from conftest import representation
 
 GOLDEN_DRAZIN = Matrix.from_rows(
@@ -111,14 +111,19 @@ def test_drazin_times_a_golden(example2):
     assert drazin_times_a(Matrix.from_rows([[0, 1], [0, 0]])) == Matrix.zeros(2, 2)
 
 
-def test_index_search_ranks_each_power_through_rank(example2, monkeypatch):
-    ranked = []
-    monkeypatch.setattr(drazin, "rank", lambda b: ranked.append(b) or rank(b))
+def test_index_search_sweeps_each_core_once(example2, monkeypatch):
     a = Matrix.from_rows(example2.row_lists())  # equal, with no chain kept by earlier tests
+    cores = [rank(a), rank(power(a, 2))]  # M_1 is rank A x rank A, M_2 rank A^2 x rank A^2
+    assert cores == [3, 2]
+    ranked, swept = [], []
+    monkeypatch.setattr(drazin, "rank", lambda b: ranked.append(b) or rank(b))
+    real = elimination.eliminate
+    monkeypatch.setattr(elimination, "eliminate", lambda g: swept.append(len(g)) or real(g))
     assert drazin_inverse(a).index == 2
-    assert ranked == [power(a, 2), power(a, 3)]  # A's own rank is read off its kept sweep
+    # A's own sweep, then one of each core; no power of A is formed or ranked.
+    assert ranked == [] and swept == [4] + cores
     drazin_times_a(a)
-    assert len(ranked) == 2  # the second operation reads the chain A keeps
+    assert len(swept) == 3  # the second operation reads the chain A keeps
 
 
 def test_representation_stable_under_larger_exponent(example2):

@@ -6,7 +6,8 @@ paper (``mp_inverse_columns`` / ``mp_inverse_rows`` and the small helpers
 below), and the rank-factorization oracles of ``adjinv.verify``.  At full
 rank the literal forms are the classical adjugate and the per-entry
 determinants of Cramer's rule, and the kernel's fraction-free adjoint solve
-is also checked against its Berkowitz and Horner route.  Inputs are
+is also checked against the Berkowitz and Horner reference of
+``conftest``, which the kernel no longer takes.  Inputs are
 generated by Hypothesis: real and complex, square, tall and wide, full
 rank, rank 1, singular, nilpotent, and Drazin index 2-3.  Every comparison
 is an exact equality.
@@ -64,7 +65,7 @@ from adjinv import (
 )
 from adjinv import drazin, elimination, matrices, minors, pinv
 from adjinv.verify import _inverse, _rref
-from conftest import representation
+from conftest import horner_adjugate_pairs, horner_ledger, representation
 
 LITERAL = settings(max_examples=25, deadline=None)
 ORACLE = settings(max_examples=20, deadline=None)
@@ -257,13 +258,16 @@ def _rhs(seed: int, length: int, complex_entries: bool = True) -> list[Scalar]:
 @given(st.integers(1, 6).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
        st.integers(1, 3), seeds, st.booleans())
 def test_char_adjugate_matches_literal_sums(nr, p, seed, complex_entries):
+    # The kernel serves order n of a nonsingular g; the Horner reference every order.
     n, r = nr
     rng = random.Random(seed)
     g = _matrix(rng, n, n, complex_entries)
     b = _matrix(rng, n, p, complex_entries)
-    ledger = minors.char_adjugate(g, r, b)
+    ledger = horner_ledger(g, r, b)
     nums, d = literal_ledger(g, r, b)
     assert _exact(ledger) == (nums, d)
+    if r == n and d:
+        assert _exact(minors.char_adjugate(g, r, b)) == (nums, d)
     if d:  # the quotient against one Scalar division per entry
         assert ledger.quotient() == nums * (ONE / d)
 
@@ -276,7 +280,7 @@ def test_char_adjugate_order_zero_is_the_empty_sum(complex_entries):
     b = _matrix(rng, 4, 3, complex_entries)
     assert _exact(minors.char_adjugate(g, 0, b)) == (Matrix.zeros(4, 3), ONE)
     for r in (-1, 5):
-        with pytest.raises(ValueError, match=f"order {r} outside 0..4"):
+        with pytest.raises(ValueError, match=f"order {r} needs order 0, or order 4 of a nonsingular matrix"):
             minors.char_adjugate(g, r, b)
 
 
@@ -390,19 +394,23 @@ def test_adjoint_solve_matches_berkowitz_horner(n, p, seed, complex_entries):
     g_before, b_before = [row[:] for row in g], [row[:] for row in b]
     solved = elimination.adjoint_solve_pairs(elimination.eliminate(g), b)
     assert (g, b) == (g_before, b_before)  # the fallback reuses both
-    x, d = elimination.horner_adjugate_pairs(g, n, b)
+    x, d = horner_adjugate_pairs(g, n, b)
     assert solved == (None if d == (0, 0) else (x, d))
 
 
 @LITERAL
 @given(st.integers(2, 8).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n - 1))),
        st.integers(1, 3), seeds, st.booleans())
-def test_char_adjugate_falls_back_on_singular_input(nr, p, seed, complex_entries):
+def test_char_adjugate_refuses_what_the_horner_reference_takes(nr, p, seed, complex_entries):
+    # A singular g at order n, and any order strictly between 0 and n.
     n, r = nr
     g = _deficient(seed, n, n, r, complex_entries)
     b = _matrix(random.Random(seed + 1), n, p, complex_entries)
     assert elimination.adjoint_solve_pairs(elimination.eliminate(g.pairs), b.pairs) is None
-    assert _exact(minors.char_adjugate(g, n, b)) == (multiply(minors.adjugate(g), b), ZERO)
+    assert _exact(horner_ledger(g, n, b)) == (multiply(minors.adjugate(g), b), ZERO)
+    for order in (n, r):
+        with pytest.raises(ValueError, match=f"order {order} needs order 0, or order {n} of a nonsingular"):
+            minors.char_adjugate(g, order, b)
 
 
 # -- the elimination against Leibniz sums and Scalar Gauss-Jordan --------------------
@@ -556,8 +564,9 @@ def test_rank_deficient_square_operations_keep_their_ledgers(complex_entries, mo
     y = column_vector(_rhs(6, 6, complex_entries))
     astar = conjugate_transpose(a)
     r = rank(a)
-    expected_pinv = _exact(minors.char_adjugate(multiply(astar, a), r, astar))
+    expected_pinv = _exact(horner_ledger(multiply(astar, a), r, astar))
     expected_drazin = representation(a, 2)
+    cores = [r, rank(power(a, 2))]  # M_1 and M_2 of the index chain
     calls = _count_sweeps(monkeypatch)
     searches = []
     real_search = drazin._index_search
@@ -566,8 +575,8 @@ def test_rank_deficient_square_operations_keep_their_ledgers(complex_entries, mo
     assert (res.numerators, res.denominator) == expected_pinv
     assert calls == [6, r, r]  # A, then the r x r Gram matrices C*C and RR* of its skeleton
     calls.clear()
-    # A keeps its sweep, so the index search sweeps only A^2 and A^3.
-    assert drazin_inverse(a) == expected_drazin and calls == [6, 6]
+    # A keeps its sweep, so the index search sweeps only the r_i x r_i cores M_1 and M_2.
+    assert drazin_inverse(a) == expected_drazin and calls == cores == [4, 3]
     calls.clear()
     sol = drazin_solve(a, y)
     assert (sol.denominator, sol.numerators) == (
@@ -593,8 +602,7 @@ def test_projectors_and_mp_inverse_share_the_pseudoinverse_a_keeps(complex_entri
     p, q = projector_p(a), projector_q(a)
     assert calls == [6, r, r]  # A, then C*C and RR* of its skeleton, for both projectors
     with monkeypatch.context() as refused:
-        for kernel in ("eliminate", "matmul_pairs", "adjoint_solve_pairs", "horner_adjugate_pairs",
-                       "char_poly_pairs"):
+        for kernel in ("eliminate", "matmul_pairs", "adjoint_solve_pairs", "char_poly_pairs"):
             refused.setattr(elimination, kernel, _refuse(kernel))
         res = mp_inverse(a)
         assert mp_inverse(a) is res and a._kept["pinv"] is res
@@ -615,7 +623,7 @@ LSQ_REUSE = {  # builder, and the tags mp_inverse may give
 # The kernels a solve on a matrix that keeps its ledger must not reach.
 SOLVE_KERNELS = ((minors, "skeleton_ledger"), (minors, "char_adjugate"), (elimination, "eliminate"),
                  (elimination, "adjoint_solve_pairs"), (elimination, "skeleton_ledger_pairs"),
-                 (elimination, "char_poly_pairs"), (elimination, "horner_adjugate_pairs"))
+                 (elimination, "char_poly_pairs"), (elimination, "row_factor_pairs"))
 
 
 def _counted(monkeypatch, module, attr: str) -> list:
@@ -679,8 +687,10 @@ def test_drazin_solve_reads_the_drazin_inverse_a_keeps(case, complex_entries, mo
     with monkeypatch.context() as counting:
         ledgers = _counted(counting, minors, "char_adjugate")
         expected = drazin_solve(fresh, y)
-    # A lone solve makes its one one-column ledger and keeps no inverse.
-    assert [b.cols for _, _, b in ledgers] == [1] and matrices.held(fresh, "eq11") is None
+    # A lone solve applies the chain to its one column: k + 1 adjoint solves on
+    # the core (order-0 ledgers for a nilpotent A), and keeps no inverse.
+    solves = max(nil_sizes, default=0) + 1
+    assert [b.cols for _, _, b in ledgers] == [1] * solves and matrices.held(fresh, "eq11") is None
     assert expected.method == ("eq16" if nil_sizes else "classical_cramer")
     assert drazin_inverse(a).index == max(nil_sizes, default=0)
     _refuse_solve_kernels(monkeypatch)
@@ -714,8 +724,8 @@ def test_eq1_and_eq2_ledgers_are_equal(m, n, r, seed, complex_entries):
     a = _deficient(seed, m, n, min(r, m - 1, n - 1), complex_entries)
     r = rank(a)
     astar = conjugate_transpose(a)
-    eq1 = _exact(minors.char_adjugate(multiply(astar, a), r, astar))
-    eq2 = minors.char_adjugate(multiply(a, astar), r, a)
+    eq1 = _exact(horner_ledger(multiply(astar, a), r, astar))
+    eq2 = horner_ledger(multiply(a, astar), r, a)
     nums2, d2 = _exact(eq2)
     assert eq1 == (conjugate_transpose(nums2), d2) == _exact(eq2.adjoint())
 
@@ -756,7 +766,7 @@ def test_skeleton_matches_berkowitz_horner(m, n, r, bits, seed, complex_entries)
     gram_c, gram_r = elimination.matmul_pairs(a_star, a), elimination.matmul_pairs(a, a_star)
     b = _gaussian_rows(rng, m, 2, complex_entries)
     c = _gaussian_rows(rng, n, 2, complex_entries)
-    horner = elimination.horner_adjugate_pairs
+    horner = horner_adjugate_pairs
     skeleton = elimination.skeleton_ledger_pairs
     assert skeleton(a, e) == horner(gram_c, r, a_star)
     assert skeleton(a, e, b) == horner(gram_c, r, elimination.matmul_pairs(a_star, b))
@@ -783,8 +793,7 @@ SCALES = (ONE, Scalar(10**18), Scalar(Fraction(1, 10**18)), Scalar(Fraction(3, 7
 @example(_big_product(63, 4, 7, 4, True), Scalar(Fraction(1, 10**18)), 63)  # full row rank
 @example(_big_product(64, 6, 6, 6, True), Scalar(Fraction(3, 7), Fraction(-2, 5)), 64)  # nonsingular
 def test_skeleton_ledgers_match_gram_kernel_and_oracle(a, scale, seed):
-    # At full rank the reference is the Gram matrix's own adjoint solve (eq6,
-    # eq13), below it Berkowitz and Horner on the Gram matrix.
+    # The reference is Berkowitz and Horner on the Gram matrix, at every rank.
     a = a * scale
     r = rank(a)
     astar = conjugate_transpose(a)
@@ -792,20 +801,20 @@ def test_skeleton_ledgers_match_gram_kernel_and_oracle(a, scale, seed):
     x = oracle_pinv(a)
     res = mp_inverse(a)
     if res.representation_used != "classical_inverse":  # whose denominator is det A
-        assert (res.numerators, res.denominator) == _exact(minors.char_adjugate(gram_c, r, astar))
+        assert (res.numerators, res.denominator) == _exact(horner_ledger(gram_c, r, astar))
     assert res.pseudo_inverse == x
     assert projector_p(a) == multiply(x, a)
     assert projector_q(a) == multiply(a, x)
 
     y = column_vector(_rhs(seed, a.rows))
     rep = lsq_solve(a, y)
-    ledger = minors.char_adjugate(gram_c, r, rep.transformed_rhs)
+    ledger = horner_ledger(gram_c, r, rep.transformed_rhs)
     assert (rep.numerators, rep.denominator) == (ledger.numerators.column(0), ledger.denominator)
     assert rep.solution == multiply(x, y)
 
     yr = row_vector(_rhs(seed + 1, a.cols))
     rep = lsq_solve_row_system(yr, a)
-    ledger = minors.char_adjugate(gram_r, r, conjugate_transpose(rep.transformed_rhs)).adjoint()
+    ledger = horner_ledger(gram_r, r, conjugate_transpose(rep.transformed_rhs)).adjoint()
     assert (rep.numerators, rep.denominator) == (ledger.numerators.row(0), ledger.denominator)
     assert rep.solution == multiply(yr, x)
 
@@ -841,8 +850,7 @@ def test_gram_operations_skip_berkowitz_and_sweep_a_once(name, m, n, r, complex_
     while rank(a := _deficient(seed, m, n, r, complex_entries)) < r:
         seed += 1000
     y, yr = column_vector(_rhs(seed, m, complex_entries)), row_vector(_rhs(seed + 1, n, complex_entries))
-    for kernel in ("char_poly_pairs", "horner_adjugate_pairs"):
-        monkeypatch.setattr(elimination, kernel, _refuse(kernel))
+    monkeypatch.setattr(elimination, "char_poly_pairs", _refuse("char_poly_pairs"))
     shapes = []
     real = elimination.eliminate
     monkeypatch.setattr(elimination, "eliminate",
@@ -864,18 +872,26 @@ def test_gram_operations_skip_berkowitz_and_sweep_a_once(name, m, n, r, complex_
 @example((_rationally_similar(_indexed(1410, 10, (3, 1), True), 1410), 3, 10), 1410)  # n = 14
 def test_index_search_matches_representation_and_oracle(case, seed):
     a, index, core = case
-    k, rank_k, chain_ak, chain_b = drazin._index_powers(a)
-    assert (k, rank_k) == (index, core)
+    k, r, factors, last = _chain(a)
+    assert (k, r) == (index, core)
+    # The factors multiply back: M_(i-1) = B_i C_i with r_i = rank A^i columns,
+    # and M_i = C_i B_i, nonsingular at i = k (the core) or 0 for a nilpotent A.
+    m = a
+    for i, (b, c) in enumerate(factors, 1):
+        assert multiply(b, c) == m and b.cols == c.rows == rank(b) == rank(c) == rank(power(a, i))
+        m = multiply(c, b)
+    assert m == (last or a)
+    if core:
+        assert rank(m) == m.rows == core and k == len(factors)
+    else:
+        assert m.is_zero and k == len(factors) + 1
     ak = power(a, index)
-    # The search's pairs are exactly the common-scale pairs of the Scalar powers.
-    assert (chain_ak.pairs, chain_ak.scale) == elimination.integerize(ak.row_lists())
-    assert (chain_b.pairs, chain_b.scale) == elimination.integerize(multiply(ak, a).row_lists())
 
     res = drazin_inverse(a)
     assert res == representation(a, index)  # index, core rank, ledger, denominator, inverse
     # Exactly r = core eigenvalues of A are nonzero, so d_r(A) is their product
     # and d_r(A^(k+1)), the denominator, is its (k+1)-th power: Berkowitz on A.
-    d_core = ((ONE,) + char_poly_coeffs(a))[core]
+    d_core = ((ONE,) + char_poly_coeffs(_fresh(a)))[core]
     expected = ONE
     for _ in range(index + 1):
         expected = expected * d_core
@@ -895,8 +911,8 @@ def test_index_search_matches_representation_and_oracle(case, seed):
 
 
 def test_index_search_divides_out_the_content(monkeypatch):
-    # J = [[1, 1], [1, 1]] + N_2 gives J'^k = 2^(k-1) J' on the core block, a
-    # factor the scale 10^(6k) shares; each step must divide it out.
+    # J = [[1, 1], [1, 1]] + N_2 gives the core J'^k = 2^(k-1) J' in 10^-6
+    # units, a factor the scales share; each factor and M_i must divide it out.
     rows = [[Scalar(1), Scalar(1), ZERO, ZERO], [Scalar(1), Scalar(1), ZERO, ZERO],
             [ZERO, ZERO, ZERO, Scalar(1)], [ZERO, ZERO, ZERO, ZERO]]
     m = _conjugate_by_elementary(rows, random.Random(7), 8)
@@ -909,16 +925,124 @@ def test_index_search_divides_out_the_content(monkeypatch):
         steps.append((_content(rows, scale), _content(out.pairs, out.scale)))
         return out
 
-    monkeypatch.setattr(matrices, "from_pairs", recorded)
-    k, _, ak, b = drazin._index_powers(a)
-    assert k == 2 and len(steps) == 3  # the identity A^0, then the products A^2 and A^3
-    assert steps[-1][0] > 1 and all(after == 1 for _, after in steps)
-    assert _content(ak.pairs, ak.scale) == _content(b.pairs, b.scale) == 1
-    assert b == power(a, 3)
+    for module in (matrices, drazin):
+        monkeypatch.setattr(module, "from_pairs", recorded)
+    k, r, _, core = _chain(a)
+    assert (k, r) == (2, 1) and len(steps) == 6  # B_i, C_i and M_i for i = 1, 2
+    assert max(before for before, _ in steps) > 1 and all(after == 1 for _, after in steps)
+    assert core == Matrix.from_rows([[Fraction(2, 10**6)]])
+    assert drazin_inverse(a).denominator == Scalar(Fraction(2, 10**6) ** 3)
+
+
+def _chain(a: Matrix) -> tuple:
+    """The index chain a keeps: k, r, the factors (B_i, C_i) and the last M_i."""
+    return matrices.kept(a, "index chain", drazin._index_search)
 
 
 def _content(rows, scale: int) -> int:
     return gcd(scale, *(part for row in rows for pair in row for part in pair))
+
+
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _prime_similar(a: Matrix) -> Matrix:
+    """D a D^-1 for D = diag(p_i / q_i), distinct primes: each off-diagonal entry (i, j)
+    gains the factor p_i q_j / (q_i p_j), a denominator of its own (n <= 6)."""
+    d = [Fraction(PRIMES[2 * i], PRIMES[2 * i + 1]) for i in range(a.rows)]
+    return Matrix.from_rows([[a.at(i, j) * (d[i] / d[j]) for j in range(a.cols)] for i in range(a.rows)])
+
+
+@st.composite
+def chain_inputs(draw, max_dim: int):
+    """(A, index, core rank) for n <= max_dim: index 0-3, nilpotent and zero inputs,
+    real and complex entries, and a distinct denominator per entry half the time."""
+    if draw(st.integers(0, 9)) == 0:
+        return Matrix.zeros(*[draw(st.integers(1, max_dim))] * 2), 1, 0
+    index = draw(st.integers(0, 3))
+    core = draw(st.integers(0 if index else 1, max_dim - index))
+    nil_sizes = [index] if index else []
+    while index and core + sum(nil_sizes) < max_dim and draw(st.booleans()):
+        nil_sizes.append(draw(st.integers(1, min(index, max_dim - core - sum(nil_sizes)))))
+    a = _indexed(draw(seeds), core, tuple(nil_sizes), draw(st.booleans()))
+    return (_prime_similar(a) if draw(st.booleans()) else a), index, core
+
+
+@LITERAL
+@given(chain_inputs(6), seeds)
+@example((Matrix.zeros(3, 3), 1, 0), 5150)
+@example((_prime_similar(_indexed(5151, 2, (3, 1), True)), 3, 2), 5151)
+@example((_prime_similar(_indexed(5152, 0, (2, 2, 1), False)), 2, 0), 5152)  # nilpotent
+def test_chain_matches_representation_oracle_and_literal_sums(case, seed):
+    a, index, core = case
+    a, fresh, n = _fresh(a), _fresh(a), a.rows
+    # Before A keeps a chain, Berkowitz runs on A itself.
+    berkowitz = char_poly_coeffs(a)
+    assert berkowitz == tuple(principal_minor_sum(a, t) for t in range(1, n + 1))
+    assert index_of(a) == index and _chain(a)[:2] == (index, core)
+    assert char_poly_coeffs(a) == berkowitz  # now from the chain's core
+
+    res = drazin_inverse(a)
+    assert res == representation(a, index)  # the power route and Horner
+    assert res.drazin_inverse == oracle_drazin(a)
+    ak, b = power(a, index), power(a, index + 1)
+    y = column_vector(_rhs(seed, n))
+    if core:
+        assert (res.numerators, res.denominator) == literal_ledger(b, core, ak)
+        nums_y = literal_ledger(b, core, multiply(ak, y))[0]
+    else:
+        assert (res.numerators, res.denominator) == (Matrix.zeros(n, n), ONE)
+        nums_y = Matrix.zeros(n, 1)
+    assert drazin_times_a(a) == multiply(res.drazin_inverse, a)
+    if index <= 1:
+        assert group_inverse(a) == res
+    else:
+        with pytest.raises(drazin.GroupInverseError):
+            group_inverse(a)
+
+    # A lone solve applies the chain's factors to y and keeps no inverse.
+    lone = drazin_solve(fresh, y)
+    assert matrices.held(fresh, "eq11") is None
+    assert lone.transformed_rhs == multiply(ak, y)
+    assert (lone.numerators, lone.denominator) == (nums_y.column(0), res.denominator)
+    assert lone.solution == multiply(res.drazin_inverse, y)
+    assert drazin_solve(a, y) == lone  # one product with the numerators A keeps
+    assert char_poly_coeffs(fresh) == berkowitz
+
+
+@pytest.mark.parametrize("complex_entries", [False, True])
+@pytest.mark.parametrize("case", sorted(DRAZIN_REUSE))
+def test_index_search_sweeps_only_a_at_full_size(case, complex_entries, monkeypatch):
+    core, nil_sizes = DRAZIN_REUSE[case]
+    a = _indexed(660 + core + complex_entries, core, nil_sizes, complex_entries)
+    n, index = a.rows, max(nil_sizes, default=0)
+    # r_i = rank A^i is the size of M_i; a nilpotent A stops at the M_(k-1) of rank 0.
+    sizes = [r for r in (rank(power(a, i)) for i in range(1, index + 1)) if r]
+    swept, products = [], []
+    sweep, matmul = elimination.eliminate, elimination.matmul_pairs
+    monkeypatch.setattr(elimination, "eliminate", lambda g: swept.append((len(g), len(g[0]))) or sweep(g))
+    monkeypatch.setattr(elimination, "matmul_pairs",
+                        lambda x, y: products.append((len(x), len(y[0]))) or matmul(x, y))
+    assert index_of(a) == index
+    # A's own sweep, then one r_i x r_i sweep and one product M_i = C_i B_i per step.
+    assert swept == [(n, n)] + [(r, r) for r in sizes]
+    assert products == [(r, r) for r in sizes]
+
+
+@pytest.mark.parametrize("case", sorted(DRAZIN_REUSE))
+def test_char_poly_coeffs_run_berkowitz_on_the_core_a_keeps(case, monkeypatch):
+    core, nil_sizes = DRAZIN_REUSE[case]
+    a = _indexed(670 + core, core, nil_sizes, True)
+    orders = []
+    real = elimination.char_poly_pairs
+    monkeypatch.setattr(elimination, "char_poly_pairs", lambda g: orders.append(len(g)) or real(g))
+    before = char_poly_coeffs(a)
+    assert orders == [a.rows]  # A keeps no chain yet: Berkowitz on A
+    index = index_of(a)
+    assert char_poly_coeffs(a) == before
+    # Berkowitz runs on the last M_i of the chain: A itself at index 0, the
+    # r x r core M_k at k >= 1, and the zero M_(k-1) of a nilpotent A.
+    assert orders == [a.rows, rank(power(a, index - 1 if nil_sizes and not core else index))]
 
 
 # -- one sweep and one index chain per matrix, shared by its operations ------------
@@ -965,7 +1089,7 @@ def test_operations_sharing_one_matrix_match_a_fresh_matrix_in_any_order(a, data
     # No reader changed the sweep A keeps, and it is the sweep of A.
     assert matrices.sweep(a) is kept and kept == saved == elimination.eliminate(a.pairs)
     if a.is_square:
-        assert drazin._index_powers(a) == drazin._index_powers(_fresh(a))
+        assert _chain(a) == _chain(_fresh(a))
 
 
 @settings(max_examples=40, deadline=None)
@@ -1093,10 +1217,9 @@ GUARDED = {
 @pytest.mark.parametrize("name", sorted(GUARDED))
 def test_zero_kernel_denominator_raises(name, monkeypatch):
     GUARDED[name]()  # runs cleanly with the real kernel
-    # Every ledger, the Drazin forms' included, comes from one kernel call; the
-    # skeleton's denominators are the determinants its adjoint solves return.
-    monkeypatch.setattr(elimination, "horner_adjugate_pairs",
-                        _zero_denominator(elimination.horner_adjugate_pairs))
+    # Every ledger's denominator is the determinant an adjoint solve returns:
+    # the skeleton's, the classical inverse's, and det(M_k)^(k+1) from the
+    # Drazin chain's core solves.
     monkeypatch.setattr(elimination, "adjoint_solve_pairs",
                         _zero_denominator(elimination.adjoint_solve_pairs))
     with pytest.raises(ArithmeticError, match="this is a bug"):
@@ -1124,7 +1247,7 @@ FULL_RANK_PROJECTORS = {
 def test_full_rank_projectors_are_the_identity(name, monkeypatch):
     projector, a = FULL_RANK_PROJECTORS[name]
     size = a.cols if projector is projector_p else a.rows
-    for kernel in ("matmul_pairs", "adjoint_solve_pairs", "horner_adjugate_pairs"):
+    for kernel in ("matmul_pairs", "adjoint_solve_pairs"):
         monkeypatch.setattr(elimination, kernel, _refuse(kernel))
     a = Matrix.from_rows(a.row_lists())  # equal, with no sweep kept by earlier tests
     calls = _count_sweeps(monkeypatch)
@@ -1153,16 +1276,18 @@ def test_drazin_forms_share_one_kernel_call(order, monkeypatch):
     x = drazin_inverse(_fresh(INDEX_ONE)).drazin_inverse
     assert got["drazin_inverse"] == got["group_inverse"] == x
     assert got["drazin_times_a"] == multiply(x, a)
-    assert widths == [3, 3]  # one call for the three forms on A, one for the fresh copy
-    # The solve reads the numerators A keeps; on a fresh matrix it makes its own
-    # ledger, with the one column A^k y as replacement.
+    # One ledger for the three forms on A, one for the fresh copy: each is
+    # k + 1 = 2 solves on the 1 x 1 core, with C_1 (1 x 3) as right side.
+    assert widths == [3, 3] * 2
+    # The solve reads the numerators A keeps; on a fresh matrix it applies the
+    # chain to its one column, C_1 y.
     solved = drazin_solve(a, RHS)
-    assert widths == [3, 3]
-    assert drazin_solve(_fresh(INDEX_ONE), RHS) == solved and widths == [3, 3, 1]
+    assert widths == [3, 3] * 2
+    assert drazin_solve(_fresh(INDEX_ONE), RHS) == solved and widths == [3, 3] * 2 + [1, 1]
     # Index 2 is refused from the chain alone, before any ledger is formed.
     with pytest.raises(drazin.GroupInverseError):
         group_inverse(_fresh(INDEX_TWO))
-    assert widths == [3, 3, 1]
+    assert widths == [3, 3] * 2 + [1, 1]
 
 
 # -- scale: sizes the per-entry minor enumeration never finished -------------------
