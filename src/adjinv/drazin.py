@@ -35,7 +35,8 @@ it applies the chain's factors to y and keeps nothing.
 
 A nonsingular matrix has index 0, so A^k = I, A^(k+1) = A and r = n; the
 chain is A's kept sweep alone, and one adjoint solve from it gives
-adj(A) / det(A), the classical inverse, so A is eliminated once.  A
+adj(A) / det(A), the classical inverse, so A is eliminated once; A keeps
+that ledger, and :func:`adjinv.pinv.mp_inverse` reads the same one.  A
 nilpotent matrix has core rank 0, and the kernel's order-0 ledger (0, 1)
 gives the zero matrix, the unique solution of the defining equations in
 that case.
@@ -99,13 +100,14 @@ def _chain_ledger(a: Matrix, y: Matrix | None = None) -> minors.Ledger:
 
     d_r(A^(k+1)) A^D y = B_1 .. B_k adj(M_k)^(k+1) C_k .. C_1 y over
     det(M_k)^(k+1) = d_r(A^(k+1)): k + 1 adjoint solves on the core's sweep.
-    At index 0 that is adj(A) y over det A, solved from A's own sweep, and
+    At index 0 that is adj(A) y over det A, solved from A's own sweep (with
+    y None, the ledger A keeps, which its classical inverse reads too), and
     at core rank 0 the order-0 ledger (0, 1).
     """
     k, r, factors, core = kept(a, "index chain", _index_search)
     for _, c in factors:
         y = c if y is None else multiply(c, y)
-    y, d = y or Matrix.identity(a.rows), ONE
+    d = ONE
     for _ in range(k + 1):
         y, step = minors.char_adjugate(core or a, r, y)
         d = d * step

@@ -12,37 +12,47 @@ entry in column scan order; with exact arithmetic the pivot choice is
 correctness-neutral.  :func:`eliminate` is the one sweep, and it sweeps a
 copy: no kernel changes the rows it is given.
 
+The sweep runs on the primitive rows: each row divided by its content, the
+positive gcd of its parts (1 for a zero row).  Over one common scale a row
+whose entries share a factor carries it in every part, and Bareiss would
+carry it into every integer below its pivot; the bit size of those integers
+sets the cost.  Scaling a row by a positive integer changes no zero
+pattern, so rank, pivots, row order and sign are those of the rows as
+given, and the determinant and adjoint solves still answer for them.
+
 The sweep is kept as an :class:`Elimination`, a fraction-free LU (Nakos,
 Turner and Williams, ACM SIGSAM Bulletin 31(3), 1997): below each pivot
 every row keeps its multiplier, the lead it had at that step, and the row
-order and pivot columns are recorded.  Rank and determinant come from it,
-and a right-hand side replays its steps without eliminating g again.  The
+order, pivot columns and row contents are recorded.  Rank and determinant
+come from it, and a right-hand side replays its steps without eliminating g
+again.  The
 sweep, the replay and the back substitution share one row update,
 (pivot x - lead t) / prev with its exactness check, and the same loop serves
 real and complex entries.
 
 A nonsingular g's adjugate ledger adj(g) b and det g comes from its
-elimination (:func:`adjoint_solve_pairs`): the replay on b and a back
-substitution cost O(n^2 p) operations for an n x p b, on top of the O(n^3)
-sweep.  :func:`row_factor_pairs` reads a rank factorization g = B C off the
-same sweep, with B the pivot columns and C = W^-1 R, where W is the pivot
-block and R the pivot rows; the Drazin index chain is built from it.
+elimination (:func:`adjoint_solve_pairs`): the replay on b, rescaled by the
+contents, and a back substitution cost O(n^2 p) operations for an n x p b,
+on top of the O(n^3) sweep.  :func:`row_factor_pairs` reads a rank
+factorization g = B C off the same sweep, with B the pivot columns and
+C = W^-1 R, where W is the pivot block and R the pivot rows, both taken
+primitive; the Drazin index chain is built from it.
 Berkowitz's algorithm (:func:`char_poly_pairs`) gives the characteristic
 coefficients without any division.
 
 No operation takes the characteristic adjugate of a Gram matrix A*A or AA*.
 The sweep of an m x n A of rank r also gives its skeleton A = C W^-1 R: the
-pivot columns C, the pivot rows R and their r x r intersection W, whose
-determinant is +-the last pivot.
+pivot columns C, the pivot rows R and their r x r intersection W.
 :func:`skeleton_ledger_pairs` takes the Gram ledger d_r(A*A) A+ b from two
-r x r adjoint solves, of C*C and RR*, with the same numbers the Gram route
-gives (Cauchy-Binet).  At full column or row rank
-one factor is W itself and drops out, which leaves one solve.
+r x r adjoint solves with the same numbers the Gram route gives
+(Cauchy-Binet), on a content-free skeleton: the primitive pivot rows, and
+the pivot columns each divided by its own content.  At full column or row
+rank one factor is W itself and drops out, which leaves one solve.
 """
 
 from __future__ import annotations
 
-from math import lcm
+from math import gcd, lcm, prod
 from typing import NamedTuple
 
 Pair = tuple[int, int]
@@ -91,30 +101,68 @@ def _mul(x: Pair, y: Pair) -> Pair:
 
 
 class Elimination(NamedTuple):
-    """A fraction-free forward sweep, kept so that right-hand sides can replay it.
+    """A fraction-free forward sweep of the primitive rows, kept so that right-hand sides can replay it.
 
+    ``contents[i]`` is the content of input row i, the positive gcd of its
+    parts (1 for a zero row), and the sweep runs on each row divided by it.
     ``rows`` are the swept rows in pivot order.  On and to the right of each
     pivot they hold the echelon form; below pivot k, in its column, each row
     keeps its lead at step k, the multiplier that step used on it.
     ``order[i]`` is the input row now at position i, ``pivots`` holds the
     pivot column of each step, and ``sign`` is the sign of the row
-    permutation.
+    permutation.  Dividing a row by a positive integer changes no zero
+    pattern, so rank, pivots, order and sign are those of the rows as given.
     """
 
     rows: list[list[Pair]]
     order: list[int]
     pivots: list[int]
     sign: int
+    contents: list[int]
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
     @property
-    def det(self) -> Pair:
-        """The sign times the last pivot (rank >= 1): det g at full square rank, else +-det W."""
+    def swept_det(self) -> Pair:
+        """The sign times the last pivot (rank >= 1): det of the primitive rows, or +-det of their W."""
         last = self.rows[self.rank - 1][self.pivots[-1]]
         return last if self.sign == 1 else _neg(last)
+
+    @property
+    def det(self) -> Pair:
+        """det g at full square rank, else +-det W: swept_det times the pivot rows' contents."""
+        re, im = self.swept_det
+        c = prod(self.contents[i] for i in self.order[: self.rank])
+        return (re * c, im * c)
+
+
+def _content(pairs) -> int:
+    """The positive gcd of the parts of some Gaussian integers, 1 when they are all 0."""
+    c = 0
+    for re, im in pairs:
+        c = gcd(c, re, im)
+        if c == 1:
+            break
+    return c or 1
+
+
+def _divided(row, c: int):
+    """``row`` divided by its content ``c``: ``row`` itself when c is 1, so callers must not change it."""
+    return row if c == 1 else [(re // c, im // c) for re, im in row]
+
+
+def _scaled(rows, factors) -> list[list[Pair]]:
+    """Row i of ``rows`` times the int ``factors[i]``, as new lists."""
+    return [list(row) if f == 1 else [(re * f, im * f) for re, im in row] for row, f in zip(rows, factors)]
+
+
+def _column_scaled(rows: list[list[Pair]], factors: list[int]) -> list[list[Pair]]:
+    """Column j of ``rows`` times the int ``factors[j]``; ``rows`` itself when every factor is 1."""
+    if all(f == 1 for f in factors):
+        return rows
+    return [[(re * f, im * f) for (re, im), f in zip(row, factors)] for row in rows]
 
 
 def _update(row: list[Pair], top: list[Pair], pivot: Pair, lead: Pair, prev: Pair, start: int) -> None:
@@ -155,16 +203,18 @@ def _update(row: list[Pair], top: list[Pair], pivot: Pair, lead: Pair, prev: Pai
 
 
 def eliminate(g: list[list[Pair]]) -> Elimination:
-    """The fraction-free forward sweep of an m x n Gaussian-integer ``g``, as an :class:`Elimination`.
+    """The fraction-free forward sweep of the primitive rows of an m x n Gaussian-integer ``g``.
 
-    ``g`` is left as it is: the sweep runs on a copy, which becomes the
-    elimination's rows.  Pivots are the first nonzero entry in column scan
-    order; every row below a pivot, a zero-lead row too, gets the update,
-    which keeps every later division exact.  Each row stays an integer
-    combination of the input rows.  When a square g has full rank, its rows
-    are upper triangular on and above the diagonal with nonzero pivots.
+    ``g`` is left as it is: the sweep runs on a copy with each row divided by
+    its content, which becomes the elimination's rows.  Pivots are the first
+    nonzero entry in column scan order; every row below a pivot, a zero-lead
+    row too, gets the update, which keeps every later division exact.  Each
+    row stays an integer combination of the primitive rows.  When a square g
+    has full rank, its rows are upper triangular on and above the diagonal
+    with nonzero pivots.
     """
-    a = [list(row) for row in g]
+    contents = [_content(row) for row in g]
+    a = [list(row) if c == 1 else _divided(row, c) for row, c in zip(g, contents)]
     m = len(a)
     order = list(range(m))
     pivots: list[int] = []
@@ -187,7 +237,7 @@ def eliminate(g: list[list[Pair]]) -> Elimination:
             _update(a[i], top, pivot, a[i][col], prev, col + 1)
         prev = pivot
         pivots.append(col)
-    return Elimination(a, order, pivots, sign)
+    return Elimination(a, order, pivots, sign, contents)
 
 
 def det_pairs(a: list[list[Pair]], n: int) -> Pair:
@@ -196,28 +246,40 @@ def det_pairs(a: list[list[Pair]], n: int) -> Pair:
     return e.det if e.rank == n else _ZERO
 
 
-def adjoint_solve_pairs(e: Elimination, b: list[list[Pair]]) -> tuple[list[list[Pair]], Pair] | None:
+def adjoint_solve_pairs(e: Elimination, b: list[list[Pair]] | None = None) -> tuple[list[list[Pair]], Pair] | None:
     """adj(g) b and det g from the elimination ``e`` of an n x n Gaussian-integer g, for an n x p b.
 
-    Returns None when g is singular.  The replay runs the sweep's steps on
-    the rows of b, O(n^2 p) integer operations, exactly what the sweep of
-    [g | b] would do to them.  That leaves an upper-triangular system
-    U x = c with the solution x = g^-1 b.  Back substitution is carried out
-    on X = det(g) x = adj(g) b, which is a Gaussian-integer matrix, so each
-    division by a pivot is exact (Bareiss, Math. Comp. 22(103), 1968).
+    b is the n x n identity when None.  Returns None when g is singular.
+    ``e`` swept the primitive rows P of g = D P, D = diag(contents), so
+    det g = prod(D) det P and adj(g) = adj(P) adj(D) = adj(P) prod(D) D^-1.
+    With L = lcm(contents), adj(g) b = (prod(D) / L) adj(P) (L D^-1 b), and
+    L D^-1 b is a Gaussian-integer matrix.  The replay runs the sweep's
+    steps on its rows, O(n^2 p) integer operations, exactly what the sweep
+    of [P | L D^-1 b] would do to them.  That leaves an upper-triangular
+    system U x = c with the solution x = P^-1 L D^-1 b.  Back substitution
+    is carried out on X = det(P) x, a Gaussian-integer matrix, so each
+    division by a pivot is exact (Bareiss, Math. Comp. 22(103), 1968).  The
+    identity needs no L: the replay runs on it as it is, and column j of
+    adj(P) is scaled by prod(D) / D_j at the end.
     """
     u = e.rows
     n = len(u)
     if e.rank < n:
         return None
-    x = [list(b[i]) for i in e.order]
+    contents = e.contents
+    big = lcm(*contents)
+    if b is None:
+        x = _identity(n)
+        x = [x[i] for i in e.order]
+    else:
+        x = _scaled([b[i] for i in e.order], [big // contents[i] for i in e.order])
     prev = _ONE
     for k in range(n):
         pivot, top = u[k][k], x[k]
         for i in range(k + 1, n):
             _update(x[i], top, pivot, u[i][k], prev, 0)
         prev = pivot
-    det = e.det
+    det = e.swept_det
     # Row i of X is (det c_i - sum_{t>i} u[i][t] X_t) / u[i][i]: one update
     # per term, with the division by the pivot at the last.
     for i in range(n - 1, -1, -1):
@@ -226,7 +288,12 @@ def adjoint_solve_pairs(e: Elimination, b: list[list[Pair]]) -> tuple[list[list[
             _update(row, x[t], scale, u[i][t], _ONE, 0)
             scale = _ONE
         _update(row, row, scale, _ZERO, u[i][i], 0)
-    return x, det
+    if big == 1:
+        return x, det
+    whole = prod(contents)
+    if b is None:
+        return _column_scaled(x, [whole // c for c in contents]), e.det
+    return (x if whole == big else _scaled(x, [whole // big] * n)), e.det
 
 
 def row_factor_pairs(g: list[list[Pair]], e: Elimination) -> tuple[list[list[Pair]], int]:
@@ -234,15 +301,17 @@ def row_factor_pairs(g: list[list[Pair]], e: Elimination) -> tuple[list[list[Pai
 
     R holds g's pivot rows ``e.order[:r]`` in sweep order and W = R[:, P]
     their pivot columns P = ``e.pivots``, so g = g[:, P] W^-1 R is a rank
-    factorization.  The sweep of W in that row order is the sweep of g read
-    at rows ``e.rows[:r]`` and columns P, with no exchange: so adj(W) R comes
-    from one replay and back substitution, and no new sweep.  Its
-    denominator det W, the last pivot, becomes the positive scale |det W|^2
-    through conj(det W); the caller reduces C' / c to lowest terms.
+    factorization.  W^-1 R = W''^-1 R'' for the primitive rows R'' of R and
+    W'' = R''[:, P], whose sweep in that row order is the sweep of g read at
+    rows ``e.rows[:r]`` and columns P, with no exchange: so adj(W'') R''
+    comes from one replay and back substitution, and no new sweep.  Its
+    denominator det W'', the last pivot, becomes the positive scale
+    |det W''|^2 through conj(det W''); the caller reduces C' / c to lowest
+    terms.
     """
     r = e.rank
-    w = Elimination([[row[j] for j in e.pivots] for row in e.rows[:r]], list(range(r)), list(range(r)), 1)
-    x, _ = adjoint_solve_pairs(w, [g[i] for i in e.order[:r]])
+    w = Elimination([[row[j] for j in e.pivots] for row in e.rows[:r]], list(range(r)), list(range(r)), 1, [1] * r)
+    x, _ = adjoint_solve_pairs(w, [_divided(g[i], e.contents[i]) for i in e.order[:r]])
     dr, di = w.det
     return [[_mul((dr, -di), v) for v in row] for row in x], dr * dr + di * di
 
@@ -281,8 +350,8 @@ def _identity(r: int) -> list[list[Pair]]:
     return [[_ONE if i == j else _ZERO for j in range(r)] for i in range(r)]
 
 
-def _gram_through(f, z) -> tuple[list[list[Pair]], Pair]:
-    """F* adj(F F*) z and det(F F*), for an r x n F of full row rank and an r x p z."""
+def _gram_through(f, z=None) -> tuple[list[list[Pair]], Pair]:
+    """F* adj(F F*) z and det(F F*), for an r x n F of full row rank and an r x p z (the identity when None)."""
     f_star = _conjugate_transpose(f)
     x, d = adjoint_solve_pairs(eliminate(matmul_pairs(f, f_star)), z)
     return matmul_pairs(f_star, x), d
@@ -290,46 +359,87 @@ def _gram_through(f, z) -> tuple[list[list[Pair]], Pair]:
 
 def skeleton_ledger_pairs(
     a: list[list[Pair]], e: Elimination, b: list[list[Pair]] | None = None, adjoint: bool = False,
-) -> tuple[list[list[Pair]], Pair]:
+) -> tuple[list[list[Pair]], Pair, int]:
     """Gram ledgers of an m x n Gaussian-integer A of rank r >= 1 from its elimination ``e``.
 
-    With P = ``e.pivots`` and Q the rows ``e.order[:r]`` in increasing order,
-    C = A[:, P], R = A[Q, :] and W = A[Q, P] give the skeleton
+    Returns (X, d, f): the ledger is X f over d f, for a positive int f.
+    With P = ``e.pivots`` and Q the rows ``e.order[:r]`` in increasing
+    order, C = A[:, P], R = A[Q, :] and W = A[Q, P] give the skeleton
     A = C W^-1 R (Goreinov, Tyrtyshnikov and Zamarashkin, LAA 261, 1997),
-    and ``e.det`` is +-det W.  By Cauchy-Binet
-    d_r(A*A) = det(C*C) det(RR*) / |det W|^2, so the Gram ledger is
+    and by Cauchy-Binet d_r(A*A) = det(C*C) det(RR*) / |det W|^2, so the
+    Gram ledger is
 
         d_r(A*A) A+ b = R* adj(RR*) W adj(C*C) C* b / |det W|^2
 
-    over d_r(A*A), with b the m x m identity when it is None.  Both divisions
-    by |det W|^2 are exact, since d_r(A*A) A+ is a Gaussian-integer matrix.
-    ``adjoint`` runs on the skeleton (R*, W*, C*) of A* instead, read from
-    the same ``e``.  Only r x r systems are solved, by two adjoint solves.
-    A square factor is W itself, and its side is |det W|^2 I: at full column
-    rank (R = W) one solve gives adj(C*C) C* b over det(C*C) ("eq6"); at
-    full row rank (C = W, a square A too), R* adj(RR*) b over det(RR*)
-    ("eq7").
+    over d_r(A*A), with b the m x m identity when it is None.  The formula
+    holds on any such skeleton, and the one used is content-free: R'' the
+    primitive pivot rows (R = D R'', D the contents ``e`` keeps), W'' their
+    pivot columns, C'' = C G^-1 the pivot columns each divided by its own
+    content g_j, and A = C'' (W'' G^-1)^-1 R''.  The middle W'' G^-1 is
+    W'' diag(L / g_j) / L for L = lcm(g), so the ledger is
+
+        R''* adj(R''R''*) W'' diag(L / g_j) adj(C''*C'') C''* b
+
+    over L det(C''*C'') det(R''R''*), both times prod(g)^2 / (L |det W''|^2),
+    where |det W''| is the last pivot of ``e``.  The part of |det W''|^2
+    that prod(g)^2 / L does not cancel divides both exactly, and what is
+    left of the factor is f.  ``adjoint`` runs on the skeleton
+    (R''*, G^-1 W''*, C''*) of A* instead, read from the same ``e``, which
+    scales the rows of W''* adj(R''R''*) R'' b by L / g_j.  Only r x r
+    systems are solved, by two adjoint solves.  A square factor drops out:
+    at full row rank (C square) A = D R'' and A+ = R''+ D^-1, so the ledger
+    is R''* adj(R''R''*) L' D^-1 b over L' det(R''R''*), times
+    prod(D)^2 / L' for L' = lcm(D) ("eq7"); at full column rank (R square)
+    it is diag(L / g_j) adj(C''*C'') C''* b over L det(C''*C''), times
+    prod(g)^2 / L ("eq6").  ``adjoint`` takes the roles of (R'', D) and
+    (C''*, G) the other way round.
     """
     r = e.rank
     pivots, rows = e.pivots, sorted(e.order[:r])
     c_star = [[(re, -im) for re, im in (a_row[j] for a_row in a)] for j in pivots]
-    w = [[a[i][j] for j in pivots] for i in rows]
-    row = [a[i] for i in rows]
+    col_contents = [_content(col) for col in c_star]
+    c_star = [_divided(col, g) for col, g in zip(c_star, col_contents)]
+    row_contents = [e.contents[i] for i in rows]
+    r_rows = [_divided(a[i], c) for i, c in zip(rows, row_contents)]
+    sides = [(c_star, col_contents), (r_rows, row_contents)]
     if adjoint:
-        c_star, w, row = row, _conjugate_transpose(w), c_star
-    if len(c_star[0]) == r:  # C = W, and W adj(C*C) C* = |det W|^2 I
-        return _gram_through(row, _identity(r) if b is None else b)
-    rhs = c_star if b is None else matmul_pairs(c_star, b)
-    x, det_c = adjoint_solve_pairs(eliminate(matmul_pairs(c_star, _conjugate_transpose(c_star))), rhs)
-    if len(row[0]) == r:  # R = W, and R* adj(RR*) W = |det W|^2 I
-        return x, det_c
-    x, det_r = _gram_through(row, matmul_pairs(w, x))
-    pr, pi = e.det
-    norm = (pr * pr + pi * pi, 0)
-    d = [_mul(det_c, det_r)]
-    for out in (*x, d):
-        _update(out, out, _ONE, _ZERO, norm, 0)
-    return x, d[0]
+        sides.reverse()
+    (cf, ck), (rf, rk) = sides
+    if len(cf[0]) == r:  # C square: the Gram ledger of the primitive rows rf
+        big, scales, f = _lcm_scales(rk)
+        if b is None:  # the identity's columns are scaled after the solve
+            x, d = _gram_through(rf)
+            x = _column_scaled(x, scales)
+        else:
+            x, d = _gram_through(rf, _scaled(b, scales))
+        return x, _mul((big, 0), d), f
+    rhs = cf if b is None else matmul_pairs(cf, b)
+    x, det_c = adjoint_solve_pairs(eliminate(matmul_pairs(cf, _conjugate_transpose(cf))), rhs)
+    if len(rf[0]) == r:  # R square: it drops out
+        big, scales, f = _lcm_scales(ck)
+        return _scaled(x, scales), _mul((big, 0), det_c), f
+    w = [[row[j] for j in pivots] for row in r_rows]
+    big, scales, f = _lcm_scales(col_contents)
+    if adjoint:
+        x = _scaled(matmul_pairs(_conjugate_transpose(w), x), scales)
+    else:
+        x = matmul_pairs(w, _scaled(x, scales))
+    x, det_r = _gram_through(rf, x)
+    # The part of |det W''|^2 that f does not cancel divides x and d exactly.
+    pr, pi = e.swept_det
+    norm = pr * pr + pi * pi
+    common = gcd(norm, f)
+    d = [_mul((big, 0), _mul(det_c, det_r))]
+    if norm != common:
+        for out in (*x, d):
+            _update(out, out, _ONE, _ZERO, (norm // common, 0), 0)
+    return x, d[0], f // common
+
+
+def _lcm_scales(contents: list[int]) -> tuple[int, list[int], int]:
+    """L = lcm(contents), the scales L / c and prod(contents)^2 / L."""
+    big = lcm(*contents)
+    return big, [big // c for c in contents], prod(contents) ** 2 // big
 
 
 def char_poly_pairs(g: list[list[Pair]]) -> list[Pair]:

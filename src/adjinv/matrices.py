@@ -6,21 +6,25 @@ int ``scale``, so entry (i, j) is ``(re + im i) / scale``.  The format is in
 lowest terms: the gcd of the scale and every part is 1, so the scale is the
 lcm of the entries' reduced denominators and equal matrices have equal
 fields.  :func:`from_pairs` is the constructor that reduces to lowest terms.
-Every operation here works on the pairs, and the integer kernels of
-:mod:`adjinv.elimination` take them as they are: :func:`multiply` is
-``matmul_pairs`` and :func:`rank` is ``rank_pairs``.  Scalars appear only at
-the edges: the constructor takes entries as Scalars, ints, Fractions or
-token strings, and ``at``, ``row``, ``column``, ``row_lists`` and printing
-build Scalars when a caller reads entries.
+Lowest terms is about the scale alone: a row whose entries share a factor
+keeps it in every part (its content), and the kernels divide it out where
+they sweep.  Every operation here works on the pairs, and the integer
+kernels of :mod:`adjinv.elimination` take them as they are:
+:func:`multiply` is ``matmul_pairs`` and :func:`rank` is ``rank_pairs``.
+Scalars appear only at the edges: the constructor takes entries as
+Scalars, ints, Fractions or token strings, and ``at``, ``row``, ``column``,
+``row_lists`` and printing build Scalars when a caller reads entries.
 
 Matrices are immutable; vectors are matrices with a single column (or row).
 All operations are pure functions: they validate their inputs, never mutate
 them, and return canonical results, so re-running any operation reproduces
 its output bit for bit.  :func:`require_square` is the package's one check
-that an operation's input is square.  A matrix keeps its one Bareiss sweep,
-its Drazin index chain, its Drazin inverse and its Moore-Penrose inverse in
-one private slot (:func:`kept`), which equality, hashing and printing ignore;
-:func:`held` reads what the slot holds without computing it.
+that an operation's input is square.  A matrix keeps its one Bareiss sweep
+(of its primitive rows, with their contents), its classical adjugate
+ledger, its Drazin index chain, its Drazin inverse and its Moore-Penrose
+inverse in one private slot (:func:`kept`), which equality, hashing and
+printing ignore; :func:`held` reads what the slot holds without computing
+it.
 
 Index conventions: storage accessors (``at``, ``row``, ``column``,
 ``submatrix``) are 0-based like any Python container, while the replacement
@@ -193,10 +197,13 @@ def from_pairs(rows, scale: int) -> Matrix:
     """rows / scale for rows of Gaussian-integer pairs and a positive int scale.
 
     Divides out the gcd of the scale and every part, so the result is in
-    lowest terms.
+    lowest terms; at scale 1 that gcd is 1 whatever the parts, and no part
+    is read.
     """
     if not rows or not rows[0]:
         raise ValueError("matrix dimensions must be at least 1x1")
+    if scale == 1:
+        return _matrix(tuple(map(tuple, rows)), 1)
     g = gcd(scale, *(part for row in rows for pair in row for part in pair))
     if g == 1:
         return _matrix(tuple(map(tuple, rows)), scale)
@@ -306,7 +313,7 @@ def held(a: Matrix, key: str):
 
 
 def sweep(a: Matrix) -> elimination.Elimination:
-    """The fraction-free elimination of a's pairs, kept on ``a``; its readers must not change it."""
+    """The fraction-free elimination of a's primitive rows, kept on ``a``; its readers must not change it."""
     return kept(a, "sweep", lambda a: elimination.eliminate(a.pairs))
 
 

@@ -18,12 +18,14 @@ needs no case of its own.
 No operation evaluates N_r at 0 < r < n: each such ledger factors through a
 nonsingular r x r matrix.  :func:`char_adjugate` returns the :class:`Ledger`
 (N_r(g) @ b, d_r(g)) at the two orders it serves.  Order 0 is (0, 1).  At
-order n, a nonsingular g = g' / s is solved from the Bareiss sweep of g'
-that g keeps (:func:`adjinv.matrices.sweep`), the one its rank came from:
-:func:`adjinv.elimination.adjoint_solve_pairs` replays the elimination on
-b = b' / e and back-substitutes, and the ledger rescales by
-adj(g) = adj(g') / s^(n-1) and det g = det g' / s^n.  It serves the
-classical inverse and the Drazin forms, whose ledger
+order n, a nonsingular g = g' / s is solved from the Bareiss sweep of the
+primitive rows of g' that g keeps (:func:`adjinv.matrices.sweep`), the one
+its rank came from: :func:`adjinv.elimination.adjoint_solve_pairs` replays
+the elimination on b = b' / e, each row rescaled by the row contents, and
+back-substitutes, and the ledger rescales by adj(g) = adj(g') / s^(n-1) and
+det g = det g' / s^n.  With b the identity, g keeps the ledger (adj(g),
+det g), so its classical inverse and its index-0 Drazin inverse share one
+solve.  It serves the classical inverse and the Drazin forms, whose ledger
 d_r(A^(k+1)) A^D = B_1 .. B_k adj(M_k)^(k+1) C_k .. C_1 takes k + 1 calls on
 the nonsingular core M_k of Cline's index chain (:mod:`adjinv.drazin`).
 
@@ -32,9 +34,14 @@ takes d_r(A*A) A+ b and d_r(A*A) from the skeleton A = C W^-1 R that A's
 one kept sweep gives (pivot columns C, pivot rows R and their intersection
 W), solving only r x r systems
 (:func:`adjinv.elimination.skeleton_ledger_pairs`), one at full column or
-row rank.  It returns the characteristic-adjugate ledger of A*A at the
-rank order, (N_r(A*A) A* b, d_r(A*A)), and owns order 0 the same way.  A caller makes one kernel
-call, and :meth:`Ledger.quotient` is the one way a ledger becomes a result.
+row rank.  The kernel reads a content-free skeleton, the primitive pivot
+rows and the pivot columns each divided by its content, and returns the
+ledger as a pair of integer matrices times a positive integer factor,
+which the scale absorbs before :func:`adjinv.matrices.from_pairs` reduces.  It returns the
+characteristic-adjugate ledger of A*A at the rank order,
+(N_r(A*A) A* b, d_r(A*A)), and owns order 0 the same way.  A caller makes
+one kernel call, and :meth:`Ledger.quotient` is the one way a ledger
+becomes a result.
 The projectors A+ A and A A+ take no ledger of their own: they are the
 pseudoinverse A keeps, times A (:mod:`adjinv.pinv`).
 :func:`char_poly_coeffs` returns every d_k by Berkowitz, on the index
@@ -54,11 +61,12 @@ ledger, live in the test suite as reference routes.
 
 from __future__ import annotations
 
+from math import gcd
 from typing import NamedTuple
 
 from . import elimination
 from .index_sets import enumerate_k_subsets
-from .matrices import Matrix, conjugate_transpose, from_pairs, held, require_square, scalar_of, sweep
+from .matrices import Matrix, conjugate_transpose, from_pairs, held, kept, require_square, scalar_of, sweep
 from .scalars import ONE, ZERO, Scalar
 
 
@@ -150,23 +158,34 @@ class Ledger(NamedTuple):
         return Ledger(conjugate_transpose(self.numerators), self.denominator.conjugate())
 
 
-def char_adjugate(g: Matrix, r: int, b: Matrix) -> Ledger:
+def char_adjugate(g: Matrix, r: int, b: Matrix | None) -> Ledger:
     """The characteristic-adjugate ledger (N_r(g) @ b, d_r(g)) of the module docstring, at r = 0 or n.
 
-    ``g`` is n x n and ``b`` is n x p.  Order 0 gives the zero n x p matrix
-    over 1.  Order n gives (adj(g) b, det g) for a nonsingular g, solved from
-    its kept sweep (:func:`adjinv.matrices.sweep`); any other order, or a
-    singular g, raises ValueError.
+    ``g`` is n x n and ``b`` is n x p, or the n x n identity when None.
+    Order 0 gives the zero n x p matrix over 1.  Order n gives (adj(g) b,
+    det g) for a nonsingular g, solved from its kept sweep
+    (:func:`adjinv.matrices.sweep`); any other order, or a singular g,
+    raises ValueError.  (adj(g), det g) is kept on g under "adjugate", so
+    the classical inverse and the index-0 Drazin inverse of one matrix
+    share one solve.
     """
     require_square(g, "characteristic adjugate")
-    if b.rows != g.rows:
+    if b is not None and b.rows != g.rows:
         raise ValueError(f"replacement matrix has {b.rows} rows, expected {g.rows}")
     if r == 0:
-        return Ledger(Matrix.zeros(g.rows, b.cols), ONE)
-    if r != g.rows or (solved := elimination.adjoint_solve_pairs(sweep(g), b.pairs)) is None:
+        return Ledger(Matrix.zeros(g.rows, g.rows if b is None else b.cols), ONE)
+    if r != g.rows or sweep(g).rank < r:
         raise ValueError(f"order {r} needs order 0, or order {g.rows} of a nonsingular matrix")
-    x, d = solved
-    return Ledger(from_pairs(x, g.scale ** (r - 1) * b.scale), scalar_of(d, g.scale**r))
+    if b is None:
+        return kept(g, "adjugate", lambda g: _adjoint_ledger(g, None))
+    return _adjoint_ledger(g, b)
+
+
+def _adjoint_ledger(g: Matrix, b: Matrix | None) -> Ledger:
+    """(adj(g) b, det g) of a nonsingular g = g' / s and b = b' / t: adj(g') b' / (s^(n-1) t) over det g' / s^n."""
+    n = g.rows
+    x, d = elimination.adjoint_solve_pairs(sweep(g), None if b is None else b.pairs)
+    return Ledger(from_pairs(x, g.scale ** (n - 1) * (1 if b is None else b.scale)), scalar_of(d, g.scale**n))
 
 
 def skeleton_ledger(a: Matrix, b: Matrix | None = None, adjoint: bool = False) -> Ledger:
@@ -176,17 +195,21 @@ def skeleton_ledger(a: Matrix, b: Matrix | None = None, adjoint: bool = False) -
     (N_r(A*A) A* b, d_r(A*A)), with b the identity when None;
     ``adjoint`` gives the same for A*: (A*)+ b.  Order 0 gives the zero
     matrix over 1.  :func:`adjinv.elimination.skeleton_ledger_pairs` runs on
-    a = a' / s and b = b' / t, and the result rescales by s^(2r-1) t and d_r
-    by s^(2r).
+    a = a' / s and b = b' / t and returns (X, d, f) with the ledger of a'
+    and b' equal to (X f, d f); the result is X f / (s^(2r-1) t), with the
+    gcd of f and that scale divided out first, over d f / s^(2r).
     """
     e = sweep(a)
     r = e.rank
     rows, cols = (a.rows, a.cols) if adjoint else (a.cols, a.rows)
     if r == 0:
         return Ledger(Matrix.zeros(rows, cols if b is None else b.cols), ONE)
-    x, d = elimination.skeleton_ledger_pairs(a.pairs, e, None if b is None else b.pairs, adjoint)
-    t = 1 if b is None else b.scale
-    return Ledger(from_pairs(x, a.scale ** (2 * r - 1) * t), scalar_of(d, a.scale ** (2 * r)))
+    x, (dr, di), f = elimination.skeleton_ledger_pairs(a.pairs, e, None if b is None else b.pairs, adjoint)
+    scale = a.scale ** (2 * r - 1) * (1 if b is None else b.scale)
+    common = gcd(f, scale)
+    k = f // common
+    nums = from_pairs(x if k == 1 else [[(re * k, im * k) for re, im in row] for row in x], scale // common)
+    return Ledger(nums, scalar_of((dr * f, di * f), a.scale ** (2 * r)))
 
 
 def adjugate(a: Matrix) -> Matrix:

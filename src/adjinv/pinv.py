@@ -22,7 +22,8 @@ pairs alone.  Under "auto" it reads A's rank off the one sweep A keeps
 (:func:`sweep`), takes every ledger from one kernel call
 (:mod:`adjinv.minors`) and dispatches on rank only to pick the tag: a
 square nonsingular matrix gets adj(A) / det(A) ("classical_inverse"),
-solved from that sweep.  Every other rank takes the Gram ledger
+solved from that sweep; A keeps that ledger, and its index-0 Drazin
+inverse reads the same one.  Every other rank takes the Gram ledger
 N_r(A*A) @ A* = A* @ N_r(AA*) = d_r(A*A) A+ from the skeleton
 A = C W^-1 R of the same sweep, as R* adj(RR*) W adj(C*C) C* / |det W|^2
 over d_r(A*A) = det(C*C) det(RR*) / |det W|^2.  At full column rank R = W
@@ -152,7 +153,7 @@ def _auto(a: Matrix) -> PinvResult:
     """The "auto" result of :func:`mp_inverse`, from one kernel call."""
     m, n, r = a.rows, a.cols, sweep(a).rank
     if r == n == m:
-        ledger = minors.char_adjugate(a, n, Matrix.identity(n))
+        ledger = minors.char_adjugate(a, n, None)
         tag = "classical_inverse"
     else:
         ledger = minors.skeleton_ledger(a)

@@ -7,7 +7,11 @@ Drazin index 3, the rank-0 cases: a zero matrix and a complex nilpotent
 one, and the full-rank cases: a nonsingular matrix, a tall one of full
 column rank and a complex wide one of full row rank), each with the default
 output, ``--json`` and ``--decimal 6``, and with ``--rhs`` and ``--rhs-file`` where a subcommand
-takes a right side.  A change to the library must reproduce every byte.
+takes a right side.  Five runs at the end read a ninth input, a complex
+square matrix of rank 3 whose rows carry contents and whose entries each
+have a denominator of their own (row i scaled by k_i / p_i, column j by
+1 / q_j), so the sweep divides out row contents and the skeleton column
+contents.  A change to the library must reproduce every byte.
 
 To record the file again from the current code (only when an output is
 meant to change), run ``PYTHONPATH=src python tests/test_cli_snapshots.py``
@@ -77,6 +81,12 @@ INPUTS = {
 0 2-1i 1/4 -1i 5/2
 -3/2+1/2i 1 0 1/3 1-2i
 """,
+    "scaled.mat": """4 4
+4/7 -6/35+6/35i 18/133 0
+65/33 26/11 -65/209 65/253i
+10/13 2/13+2/13i 20/247 10/299i
+0 36/85 9/323-18/323i -9/391
+""",
 }
 
 # (rows, cols) of each input; the right sides are built from them.
@@ -99,7 +109,7 @@ def _rhs(length: int) -> str:
 
 
 def write_inputs(directory: Path) -> None:
-    """The ten matrix files and their right-side files, by relative name."""
+    """The eleven matrix files and the right-side files of the first ten, by relative name."""
     for name in ("example1.mat", "example2.mat"):
         text = resources.files("adjinv").joinpath(f"data/{name}").read_text(encoding="utf-8")
         (directory / name).write_text(text, encoding="utf-8")
@@ -128,6 +138,9 @@ def argvs() -> list[list[str]]:
             runs.append(["pinv", name, "--method", method])
     for fmt in FORMATS:
         runs.append(["paper-examples", *fmt])
+    rhs = _rhs(4)
+    runs += [["pinv", "scaled.mat"], ["pinv", "scaled.mat", "--json"], ["solve-lsq", "scaled.mat", "--rhs", rhs],
+             ["drazin", "scaled.mat"], ["verify", "scaled.mat", "--rhs", rhs]]
     return runs
 
 

@@ -21,7 +21,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from itertools import permutations
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -198,6 +198,32 @@ def _rationally_similar(a: Matrix, seed: int) -> Matrix:
     return _conjugate_by_elementary(a.row_lists(), random.Random(seed), 2 * a.rows, RATIONAL_MULTIPLIERS)
 
 
+LINE_PRIMES = tuple(p for p in range(2, 100) if all(p % d for d in range(2, p)))  # 25 primes
+
+
+def _line_scaled(a: Matrix, seed: int, similar: bool = False) -> Matrix:
+    """diag(k_i p_i / q_i) a E, for small contents k_i and distinct primes p_i, q_i (8 rows at most).
+
+    E is diag(1 / e_j), a prime of its own per column, or the inverse of the
+    row diagonal when ``similar``, which keeps the index and the core rank.
+    Every entry then has a denominator of its own, and over the common scale
+    row i's parts share k_i and the primes of the other rows, and column j's
+    those of the other columns: both the row contents the sweep divides out
+    and the column contents of the skeleton are above 1.
+    """
+    rng = random.Random(seed)
+    rows = [Fraction(rng.choice((1, 2, 3, 6, 9, 10)) * LINE_PRIMES[i], LINE_PRIMES[8 + i]) for i in range(a.rows)]
+    cols = ([1 / d for d in rows] if similar else
+            [Fraction(1, LINE_PRIMES[16 + j]) for j in range(a.cols)])
+    return Matrix.from_rows([[a.at(i, j) * (rows[i] * cols[j]) for j in range(a.cols)] for i in range(a.rows)])
+
+
+@st.composite
+def line_scaled(draw, inner, similar: bool = False):
+    """The matrices of the strategy ``inner``, each scaled by :func:`_line_scaled`."""
+    return _line_scaled(draw(inner), draw(seeds), similar)
+
+
 # -- literal references ---------------------------------------------------------
 
 
@@ -287,6 +313,10 @@ def test_char_adjugate_order_zero_is_the_empty_sum(complex_entries):
 @LITERAL
 @given(deficient_matrices(8))
 def test_auto_ledger_matches_literal_eq1_and_eq2(a):
+    _check_auto_against_literal_forms(a)
+
+
+def _check_auto_against_literal_forms(a: Matrix) -> None:
     res = mp_inverse(a)
     literal = mp_inverse_columns(a) if res.representation_used == "eq1" else mp_inverse_rows(a)
     assert res.representation_used == literal.representation_used
@@ -297,6 +327,10 @@ def test_auto_ledger_matches_literal_eq1_and_eq2(a):
 @LITERAL
 @given(deficient_matrices(7), seeds)
 def test_projectors_and_solvers_match_literal_sums(a, seed):
+    _check_gram_forms_against_literal_sums(a, seed)
+
+
+def _check_gram_forms_against_literal_sums(a: Matrix, seed: int) -> None:
     r = rank(a)
     astar = conjugate_transpose(a)
     gram_c, gram_r = multiply(astar, a), multiply(a, astar)
@@ -320,6 +354,10 @@ def test_projectors_and_solvers_match_literal_sums(a, seed):
 @LITERAL
 @given(indexed_matrices(6, 3), seeds)
 def test_drazin_forms_match_literal_sums(a, seed):
+    _check_drazin_forms_against_literal_sums(a, seed)
+
+
+def _check_drazin_forms_against_literal_sums(a: Matrix, seed: int) -> None:
     k = index_of(a)
     ak, b = power(a, k), power(a, k + 1)
     r = rank(ak)
@@ -350,6 +388,10 @@ def test_char_poly_coeffs_match_principal_minor_sums(a):
 @LITERAL
 @given(full_rank_matrices(8), seeds)
 def test_full_rank_ledgers_match_determinant_forms(a, seed):
+    _check_full_rank_forms_against_determinants(a, seed)
+
+
+def _check_full_rank_forms_against_determinants(a: Matrix, seed: int) -> None:
     m, n = a.rows, a.cols
     astar = conjugate_transpose(a)
     gram_c, gram_r = multiply(astar, a), multiply(a, astar)
@@ -767,7 +809,12 @@ def test_skeleton_matches_berkowitz_horner(m, n, r, bits, seed, complex_entries)
     b = _gaussian_rows(rng, m, 2, complex_entries)
     c = _gaussian_rows(rng, n, 2, complex_entries)
     horner = horner_adjugate_pairs
-    skeleton = elimination.skeleton_ledger_pairs
+
+    def skeleton(*args, **kw):
+        # The kernel returns (x, d, f): the ledger is x f over d f.
+        x, (dr, di), f = elimination.skeleton_ledger_pairs(*args, **kw)
+        return [[(re * f, im * f) for re, im in row] for row in x], (dr * f, di * f)
+
     assert skeleton(a, e) == horner(gram_c, r, a_star)
     assert skeleton(a, e, b) == horner(gram_c, r, elimination.matmul_pairs(a_star, b))
     assert skeleton(a, e, c, adjoint=True) == horner(gram_r, r, elimination.matmul_pairs(a, c))
@@ -1043,6 +1090,133 @@ def test_char_poly_coeffs_run_berkowitz_on_the_core_a_keeps(case, monkeypatch):
     # Berkowitz runs on the last M_i of the chain: A itself at index 0, the
     # r x r core M_k at k >= 1, and the zero M_(k-1) of a nilpotent A.
     assert orders == [a.rows, rank(power(a, index - 1 if nil_sizes and not core else index))]
+
+
+# -- row and column contents: the sweep of the primitive rows ----------------------
+
+
+@pytest.mark.parametrize("kind, n, complex_entries", [case for case in ELIMINATION_CASES if case[1] in (1, 3, 6, 8)])
+def test_sweep_of_scaled_rows_keeps_the_contracts_of_the_rows_as_given(kind, n, complex_entries):
+    seed = 2000 * n + 10 * len(kind) + complex_entries
+    g = _elimination_input(kind, n, seed, complex_entries)
+    rng = random.Random(seed)
+    ks = [rng.choice((1, 2, 6, 65, 127, 2**70)) for _ in range(n)]
+    scaled = [[(re * k, im * k) for re, im in row] for row, k in zip(g, ks)]
+    e, es = elimination.eliminate(g), elimination.eliminate(scaled)
+    # Dividing a row by a positive integer changes no zero pattern: the two
+    # sweeps run on the same primitive rows.
+    assert (es.rank, es.pivots, es.order, es.sign) == (e.rank, e.pivots, e.order, e.sign)
+    assert es.rows == e.rows
+    assert es.contents == [gcd(*(part for pair in row for part in pair)) or 1 for row in scaled]
+    assert es.contents == [k * c if any(map(any, row)) else 1 for k, c, row in zip(ks, e.contents, g)]
+    # det and adj(g) b are those of the rows as given.
+    singular = e.rank < n
+    det_g = elimination.det_pairs(scaled, n)
+    whole = prod(ks)
+    assert det_g == ((0, 0) if singular else (whole * e.det[0], whole * e.det[1]))
+    if n <= 5:
+        assert Scalar(*det_g) == _leibniz(scaled)
+    gm = matrices.from_pairs(scaled, 1)
+    for b in (None, _gaussian_rows(random.Random(seed + 1), n, 2, complex_entries)):
+        solved = elimination.adjoint_solve_pairs(es, b)
+        if singular:
+            assert solved is None
+            continue
+        x, d = solved
+        bm = Matrix.identity(n) if b is None else matrices.from_pairs(b, 1)
+        assert d == det_g
+        assert matrices.from_pairs(x, 1) == multiply(_inverse(gm), bm) * Scalar(*d)
+
+
+@pytest.mark.parametrize("complex_entries", [False, True])
+@pytest.mark.parametrize("order", [("mp_inverse", "drazin_inverse"), ("drazin_inverse", "mp_inverse")])
+def test_classical_and_index_zero_drazin_inverses_share_one_solve(order, complex_entries, monkeypatch):
+    a = _line_scaled(_full_rank(609 + complex_entries, 5, 5, complex_entries), 609)
+    solves = _counted(monkeypatch, elimination, "adjoint_solve_pairs")
+    results = {name: SQUARE_OPERATIONS[name](a, None) for name in order}
+    # One n x n solve, of the identity (None) on the sweep of A's 5 rows.
+    assert [(len(e.rows), b) for e, b in solves] == [(5, None)]
+    res, dz = results["mp_inverse"], results["drazin_inverse"]
+    assert (res.representation_used, dz.index, dz.rank_core) == ("classical_inverse", 0, 5)
+    assert (dz.numerators, dz.denominator) == (res.numerators, res.denominator) == (minors.adjugate(a), det(a))
+    assert dz.drazin_inverse == res.pseudo_inverse
+    assert group_inverse(a) == dz and drazin_times_a(a) == Matrix.identity(5) and len(solves) == 1
+
+
+@LITERAL
+@given(line_scaled(deficient_matrices(6)), seeds)
+def test_line_scaled_gram_forms_match_literal_sums(a, seed):
+    _check_auto_against_literal_forms(a)
+    _check_gram_forms_against_literal_sums(a, seed)
+
+
+@LITERAL
+@given(line_scaled(full_rank_matrices(6)), seeds)
+def test_line_scaled_full_rank_forms_match_determinant_forms(a, seed):
+    _check_full_rank_forms_against_determinants(a, seed)
+
+
+@LITERAL
+@given(line_scaled(indexed_matrices(6, 3), similar=True), seeds)
+def test_line_scaled_drazin_forms_match_literal_sums(a, seed):
+    _check_drazin_forms_against_literal_sums(a, seed)
+    assert char_poly_coeffs(a) == tuple(principal_minor_sum(a, k) for k in range(1, a.rows + 1))
+
+
+@ORACLE
+@given(st.one_of(line_scaled(deficient_matrices(8)), line_scaled(full_rank_matrices(8))), seeds)
+def test_line_scaled_gram_forms_match_oracle(a, seed):
+    x = oracle_pinv(a)
+    y, yr = column_vector(_rhs(seed, a.rows)), row_vector(_rhs(seed + 1, a.cols))
+    fresh = _fresh(a)  # its lone solves take the skeleton
+    assert lsq_solve(fresh, y).solution == multiply(x, y)
+    assert lsq_solve_row_system(yr, fresh).solution == multiply(yr, x)
+    assert mp_inverse(a).pseudo_inverse == x
+    assert projector_p(a) == multiply(x, a) and projector_q(a) == multiply(a, x)
+    assert lsq_solve(a, y) == lsq_solve(fresh, y)
+    assert lsq_solve_row_system(yr, a) == lsq_solve_row_system(yr, fresh)
+
+
+@ORACLE
+@given(line_scaled(indexed_matrices(8, 5), similar=True), seeds)
+def test_line_scaled_drazin_forms_match_oracle(a, seed):
+    xd = oracle_drazin(a)
+    y = column_vector(_rhs(seed, a.rows))
+    assert drazin_solve(_fresh(a), y).solution == multiply(xd, y)
+    assert drazin_inverse(a).drazin_inverse == xd
+    assert drazin_times_a(a) == multiply(xd, a)
+
+
+def _distinct_prime_denominators(n: int, seed: int) -> Matrix:
+    """n x n, entry (i, j) = k / p_ij with k in +-1..5 and p_ij distinct among the first n^2 primes;
+    the last two rows are combinations of the first four, so the rank is n - 2."""
+    rng = random.Random(seed)
+    primes = []
+    candidate = 2
+    while len(primes) < n * n:
+        if all(candidate % p for p in primes if p * p <= candidate):
+            primes.append(candidate)
+        candidate += 1
+    rng.shuffle(primes)
+    rows = [[Fraction(rng.choice((-5, -4, -3, -2, -1, 1, 2, 3, 4, 5)), primes[i * n + j]) for j in range(n)]
+            for i in range(n)]
+    for i in (n - 2, n - 1):
+        coeffs = [rng.choice((-2, -1, 1, 2)) for _ in range(4)]
+        rows[i] = [sum(c * rows[t][j] for t, c in enumerate(coeffs)) for j in range(n)]
+    return Matrix.from_rows(rows)
+
+
+def test_distinct_prime_denominators_match_oracle():
+    # The common scale has hundreds of bits; the skeleton's content-free rows
+    # and columns carry only each line's own primes.
+    a = _distinct_prime_denominators(8, 1)
+    assert a.scale.bit_length() > 300 and rank(a) == 6
+    x = oracle_pinv(a)
+    res = mp_inverse(a)
+    assert res.representation_used in ("eq1", "eq2") and res.pseudo_inverse == x
+    y = column_vector(_rhs(8, 8))
+    assert lsq_solve(_fresh(a), y).solution == multiply(x, y)
+    assert drazin_inverse(a).drazin_inverse == oracle_drazin(a)
 
 
 # -- one sweep and one index chain per matrix, shared by its operations ------------

@@ -156,6 +156,16 @@ def test_multiply_matches_literal_sum(pair):
         assert from_pairs(*integerize(m.row_lists())) == m
 
 
+def test_from_pairs_at_scale_one_reads_no_part(monkeypatch):
+    # The gcd of 1 and any parts is 1: at scale 1 the rows are in lowest terms as given.
+    rows = [[(4, -2), (6, 0)], [(0, 0), (8, 10)]]
+    monkeypatch.setattr(adjinv.matrices, "gcd", lambda *parts: pytest.fail("from_pairs took a gcd"))
+    m = from_pairs(rows, 1)
+    assert (m.pairs, m.scale, m.shape) == ((((4, -2), (6, 0)), ((0, 0), (8, 10))), 1, (2, 2))
+    monkeypatch.undo()
+    assert in_lowest_terms(m) and m == from_pairs([[(8, -4), (12, 0)], [(0, 0), (16, 20)]], 2)
+
+
 def grid(m: Matrix) -> list[list[Scalar]]:
     return [list(m.row(i)) for i in range(m.rows)]
 
