@@ -126,11 +126,13 @@ def _cmd_verify(args) -> int:
         (f"penrose:{name}", ok) for name, ok in _verify.check_penrose(a, x).checks
     )
     if a.is_square:
+        # A^k comes from power(), not from the solver's index search, and
+        # serves the Drazin checks and the dsolve checks alike.
         res = _drazin.drazin_inverse(a)
-        k = res.index
+        ak = power(a, res.index)
         checks.extend(
             (f"drazin:{name}", ok)
-            for name, ok in _verify.check_drazin(a, res.drazin_inverse, k).checks
+            for name, ok in _verify._drazin_checks(a, res.drazin_inverse, ak).checks
         )
     if y is not None:
         sol = _solvers.lsq_solve(a, y).solution
@@ -140,9 +142,7 @@ def _cmd_verify(args) -> int:
         )
         checks.append(("lsq:x in R(A*)", _verify.range_membership(astar, sol)))
         if a.is_square:
-            # The powers come from power(), not from the solver's index search.
             dsol = _solvers.drazin_solve(a, y).solution
-            ak = power(a, k)
             checks.append(("dsolve:A^(k+1)x=A^k y",
                            multiply(ak, multiply(a, dsol)) == multiply(ak, y)))
             checks.append(("dsolve:x in R(A^k)", _verify.range_membership(ak, dsol)))

@@ -36,7 +36,8 @@ it applies the chain's factors to y and keeps nothing.
 A nonsingular matrix has index 0, so A^k = I, A^(k+1) = A and r = n; the
 chain is A's kept sweep alone, and one adjoint solve from it gives
 adj(A) / det(A), the classical inverse, so A is eliminated once; A keeps
-that ledger, and :func:`adjinv.pinv.mp_inverse` reads the same one.  A
+that ledger and its quotient, and :func:`adjinv.pinv.mp_inverse` reads the
+same two.  A
 nilpotent matrix has core rank 0, and the kernel's order-0 ledger (0, 1)
 gives the zero matrix, the unique solution of the defining equations in
 that case.
@@ -119,7 +120,8 @@ def _chain_ledger(a: Matrix, y: Matrix | None = None) -> minors.Ledger:
 def _eq11(a: Matrix) -> DrazinResult:
     """N_r(A^(k+1)) @ A^k over d_r(A^(k+1)) at r = rank A^k, through the index chain."""
     (k, r, _, _), ledger = kept(a, "index chain", _index_search), _chain_ledger(a)
-    return DrazinResult(ledger.quotient(), k, r, ledger.denominator, ledger.numerators)
+    inverse = minors.classical_inverse(a) if k == 0 else ledger.quotient()
+    return DrazinResult(inverse, k, r, ledger.denominator, ledger.numerators)
 
 
 def index_of(a: Matrix) -> int:

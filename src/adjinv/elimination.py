@@ -27,8 +27,15 @@ order, pivot columns and row contents are recorded.  Rank and determinant
 come from it, and a right-hand side replays its steps without eliminating g
 again.  The
 sweep, the replay and the back substitution share one row update,
-(pivot x - lead t) / prev with its exactness check, and the same loop serves
-real and complex entries.
+(pivot x - lead t) / prev with its exactness check, in two forms: on pairs
+(:func:`_update`), and on int rows, the real parts alone
+(:func:`_update_int`).  :func:`eliminate`, :func:`adjoint_solve_pairs` and
+:func:`matmul_pairs` (whose int product is ``sum(map(mul, row, col))``)
+each choose once per call: int rows when every imaginary part they read is
+0 and the least dimension of the work (the sweep's, the solved order, the
+product's) reaches ``_INT_MIN``, pairs otherwise.  The int form converts
+on entry and back on exit, so every caller sees pairs, and complex entries
+always take the pair form.
 
 A nonsingular g's adjugate ledger adj(g) b and det g comes from its
 elimination (:func:`adjoint_solve_pairs`): the replay on b, rescaled by the
@@ -52,13 +59,22 @@ rank one factor is W itself and drops out, which leaves one solve.
 
 from __future__ import annotations
 
+from itertools import chain, repeat
 from math import gcd, lcm, prod
+from operator import itemgetter, mul
 from typing import NamedTuple
 
 Pair = tuple[int, int]
 
 _ZERO: Pair = (0, 0)
 _ONE: Pair = (1, 0)
+
+# The least dimension at which a real sweep, replay or product runs on int
+# rows (tools/kernel_times.py measures both forms).  Converting in and out
+# reads every entry twice more, and below this size that costs more than the
+# int loop saves, or saves too little to show; a matrix-vector product never
+# pays.
+_INT_MIN = 10
 
 
 def integerize(rows) -> tuple[tuple[tuple[Pair, ...], ...], int]:
@@ -168,11 +184,12 @@ def _column_scaled(rows: list[list[Pair]], factors: list[int]) -> list[list[Pair
 def _update(row: list[Pair], top: list[Pair], pivot: Pair, lead: Pair, prev: Pair, start: int) -> None:
     """row[j] <- (pivot row[j] - lead top[j]) / prev for every j >= start, in place.
 
-    The one row update of the sweep, the replay and the back substitution.
-    The imaginary cross terms are added only when the pivot or the lead is
-    non-real, so real entries pay for no complex products.  Every division
-    keeps its remainder check: the callers' quotients are exact, and a
-    nonzero remainder raises ArithmeticError.
+    The pair form of the row update of the sweep, the replay and the back
+    substitution, which :func:`_update_int` does on int rows for real
+    entries at sizes from ``_INT_MIN`` up.  The imaginary cross terms are
+    added only when the pivot or the lead is non-real.  Every division keeps
+    its remainder check: the callers' quotients are exact, and a nonzero
+    remainder raises ArithmeticError.
     """
     pr, pi = pivot
     lr, li = lead
@@ -202,6 +219,33 @@ def _update(row: list[Pair], top: list[Pair], pivot: Pair, lead: Pair, prev: Pai
         row[j] = (re, im)
 
 
+def _update_int(row: list[int], top: list[int], pivot: int, lead: int, prev: int, start: int) -> None:
+    """:func:`_update` on int rows, the real parts of real entries: the same update, and the same
+    remainder check on every division (prev 1 divides nothing, so it skips the division)."""
+    if prev == 1:
+        for j in range(start, len(row)):
+            row[j] = pivot * row[j] - lead * top[j]
+        return
+    for j in range(start, len(row)):
+        q, rem = divmod(pivot * row[j] - lead * top[j], prev)
+        if rem:
+            raise ArithmeticError("inexact division in fraction-free elimination")
+        row[j] = q
+
+
+def _int_rows(least: int, *operands) -> bool:
+    """True when ``least`` reaches _INT_MIN and every imaginary part in the row lists ``operands`` is 0."""
+    return least >= _INT_MIN and not any(map(itemgetter(1), chain.from_iterable(chain.from_iterable(operands))))
+
+
+def _ints(rows) -> list[list[int]]:
+    return [list(map(itemgetter(0), row)) for row in rows]
+
+
+def _pairs(rows: list[list[int]]) -> list[list[Pair]]:
+    return [list(zip(row, repeat(0))) for row in rows]
+
+
 def eliminate(g: list[list[Pair]]) -> Elimination:
     """The fraction-free forward sweep of the primitive rows of an m x n Gaussian-integer ``g``.
 
@@ -213,18 +257,25 @@ def eliminate(g: list[list[Pair]]) -> Elimination:
     has full rank, its rows are upper triangular on and above the diagonal
     with nonzero pivots.
     """
-    contents = [_content(row) for row in g]
-    a = [list(row) if c == 1 else _divided(row, c) for row, c in zip(g, contents)]
-    m = len(a)
+    m = len(g)
+    ints = _int_rows(min(m, len(g[0])), g)
+    if ints:
+        a = _ints(g)
+        contents = [gcd(*row) or 1 for row in a]
+        a = [row if c == 1 else [x // c for x in row] for row, c in zip(a, contents)]
+        update, zero, prev = _update_int, 0, 1
+    else:
+        contents = [_content(row) for row in g]
+        a = [list(row) if c == 1 else _divided(row, c) for row, c in zip(g, contents)]
+        update, zero, prev = _update, _ZERO, _ONE
     order = list(range(m))
     pivots: list[int] = []
     sign = 1
-    prev = _ONE
     for col in range(len(a[0])):
         r = len(pivots)
         if r == m:
             break
-        pivot_row = next((i for i in range(r, m) if a[i][col] != _ZERO), None)
+        pivot_row = next((i for i in range(r, m) if a[i][col] != zero), None)
         if pivot_row is None:
             continue
         if pivot_row != r:
@@ -234,10 +285,10 @@ def eliminate(g: list[list[Pair]]) -> Elimination:
         pivot = a[r][col]
         top = a[r]
         for i in range(r + 1, m):
-            _update(a[i], top, pivot, a[i][col], prev, col + 1)
+            update(a[i], top, pivot, a[i][col], prev, col + 1)
         prev = pivot
         pivots.append(col)
-    return Elimination(a, order, pivots, sign, contents)
+    return Elimination(_pairs(a) if ints else a, order, pivots, sign, contents)
 
 
 def det_pairs(a: list[list[Pair]], n: int) -> Pair:
@@ -273,21 +324,28 @@ def adjoint_solve_pairs(e: Elimination, b: list[list[Pair]] | None = None) -> tu
         x = [x[i] for i in e.order]
     else:
         x = _scaled([b[i] for i in e.order], [big // contents[i] for i in e.order])
-    prev = _ONE
+    det = e.swept_det
+    ints = _int_rows(n, u, x)
+    if ints:
+        u, x, update, zero, one, swept = _ints(u), _ints(x), _update_int, 0, 1, det[0]
+    else:
+        update, zero, one, swept = _update, _ZERO, _ONE, det
+    prev = one
     for k in range(n):
         pivot, top = u[k][k], x[k]
         for i in range(k + 1, n):
-            _update(x[i], top, pivot, u[i][k], prev, 0)
+            update(x[i], top, pivot, u[i][k], prev, 0)
         prev = pivot
-    det = e.swept_det
     # Row i of X is (det c_i - sum_{t>i} u[i][t] X_t) / u[i][i]: one update
     # per term, with the division by the pivot at the last.
     for i in range(n - 1, -1, -1):
-        row, scale = x[i], det
+        row, scale = x[i], swept
         for t in range(i + 1, n):
-            _update(row, x[t], scale, u[i][t], _ONE, 0)
-            scale = _ONE
-        _update(row, row, scale, _ZERO, u[i][i], 0)
+            update(row, x[t], scale, u[i][t], one, 0)
+            scale = one
+        update(row, row, scale, zero, u[i][i], 0)
+    if ints:
+        x = _pairs(x)
     if big == 1:
         return x, det
     whole = prod(contents)
@@ -339,6 +397,9 @@ def _dot(x, y) -> Pair:
 def matmul_pairs(a: list[list[Pair]], b: list[list[Pair]]) -> list[list[Pair]]:
     """Product of two Gaussian-integer matrices given as lists of rows."""
     cols = list(zip(*b))
+    if _int_rows(min(len(a), len(b), len(cols)), a, b):
+        cols = _ints(cols)
+        return [[(sum(map(mul, row, col)), 0) for col in cols] for row in _ints(a)]
     return [[_dot(row, col) for col in cols] for row in a]
 
 

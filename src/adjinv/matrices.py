@@ -21,7 +21,7 @@ them, and return canonical results, so re-running any operation reproduces
 its output bit for bit.  :func:`require_square` is the package's one check
 that an operation's input is square.  A matrix keeps its one Bareiss sweep
 (of its primitive rows, with their contents), its classical adjugate
-ledger, its Drazin index chain, its Drazin inverse and its Moore-Penrose
+ledger and inverse, its Drazin index chain, its Drazin inverse and its Moore-Penrose
 inverse in one private slot (:func:`kept`), which equality, hashing and
 printing ignore; :func:`held` reads what the slot holds without computing
 it.

@@ -24,8 +24,9 @@ its rank came from: :func:`adjinv.elimination.adjoint_solve_pairs` replays
 the elimination on b = b' / e, each row rescaled by the row contents, and
 back-substitutes, and the ledger rescales by adj(g) = adj(g') / s^(n-1) and
 det g = det g' / s^n.  With b the identity, g keeps the ledger (adj(g),
-det g), so its classical inverse and its index-0 Drazin inverse share one
-solve.  It serves the classical inverse and the Drazin forms, whose ledger
+det g) and, once formed, its quotient (:func:`classical_inverse`), so its
+classical inverse and its index-0 Drazin inverse share one solve and one
+quotient.  It serves the classical inverse and the Drazin forms, whose ledger
 d_r(A^(k+1)) A^D = B_1 .. B_k adj(M_k)^(k+1) C_k .. C_1 takes k + 1 calls on
 the nonsingular core M_k of Cline's index chain (:mod:`adjinv.drazin`).
 
@@ -179,6 +180,11 @@ def char_adjugate(g: Matrix, r: int, b: Matrix | None) -> Ledger:
     if b is None:
         return kept(g, "adjugate", lambda g: _adjoint_ledger(g, None))
     return _adjoint_ledger(g, b)
+
+
+def classical_inverse(g: Matrix) -> Matrix:
+    """adj(g) / det g of a nonsingular g: the quotient of the ledger g keeps, kept on g under "inverse"."""
+    return kept(g, "inverse", lambda g: char_adjugate(g, g.rows, None).quotient())
 
 
 def _adjoint_ledger(g: Matrix, b: Matrix | None) -> Ledger:

@@ -22,8 +22,8 @@ pairs alone.  Under "auto" it reads A's rank off the one sweep A keeps
 (:func:`sweep`), takes every ledger from one kernel call
 (:mod:`adjinv.minors`) and dispatches on rank only to pick the tag: a
 square nonsingular matrix gets adj(A) / det(A) ("classical_inverse"),
-solved from that sweep; A keeps that ledger, and its index-0 Drazin
-inverse reads the same one.  Every other rank takes the Gram ledger
+solved from that sweep; A keeps that ledger and its quotient, and its
+index-0 Drazin inverse reads the same two.  Every other rank takes the Gram ledger
 N_r(A*A) @ A* = A* @ N_r(AA*) = d_r(A*A) A+ from the skeleton
 A = C W^-1 R of the same sweep, as R* adj(RR*) W adj(C*C) C* / |det W|^2
 over d_r(A*A) = det(C*C) det(RR*) / |det W|^2.  At full column rank R = W
@@ -154,13 +154,12 @@ def _auto(a: Matrix) -> PinvResult:
     m, n, r = a.rows, a.cols, sweep(a).rank
     if r == n == m:
         ledger = minors.char_adjugate(a, n, None)
-        tag = "classical_inverse"
-    else:
-        ledger = minors.skeleton_ledger(a)
-        # Deficient both ways, eq1 and eq2 carry the same ledger.  Tag the form
-        # whose literal evaluation needs fewer minors; ties go to the column form.
-        tag = ("zero" if r == 0 else "eq6" if r == n else "eq7" if r == m
-               else "eq1" if _minor_count(a, n, r) <= _minor_count(a, m, r) else "eq2")
+        return PinvResult(minors.classical_inverse(a), ledger.denominator, ledger.numerators, "classical_inverse")
+    ledger = minors.skeleton_ledger(a)
+    # Deficient both ways, eq1 and eq2 carry the same ledger.  Tag the form
+    # whose literal evaluation needs fewer minors; ties go to the column form.
+    tag = ("zero" if r == 0 else "eq6" if r == n else "eq7" if r == m
+           else "eq1" if _minor_count(a, n, r) <= _minor_count(a, m, r) else "eq2")
     return PinvResult(ledger.quotient(), ledger.denominator, ledger.numerators, tag)
 
 

@@ -71,7 +71,12 @@ def check_drazin(a: Matrix, x: Matrix, k: int) -> VerifyReport:
         raise ValueError(
             f"need square matrices of equal size, got {a.rows}x{a.cols} and {x.rows}x{x.cols}"
         )
-    ak, xa = power(a, k), multiply(x, a)
+    return _drazin_checks(a, x, power(a, k))
+
+
+def _drazin_checks(a: Matrix, x: Matrix, ak: Matrix) -> VerifyReport:
+    """The equations of :func:`check_drazin` on square a and x of equal size, given ak = A^k."""
+    xa = multiply(x, a)
     return _run_checks(
         [
             ("A^(k+1)X=A^k", multiply(multiply(ak, a), x), ak),

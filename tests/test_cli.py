@@ -267,6 +267,19 @@ def test_verify_checks_the_drazin_solve_independently(capsys, example2_path, mon
     assert "dsolve:A^(k+1)x=A^k y: FAIL" in out.splitlines()
 
 
+def test_verify_forms_a_to_the_index_once(capsys, example2_path, monkeypatch):
+    from adjinv import verify
+
+    # example2 has index 2: one A^k serves the Drazin checks and the dsolve checks.
+    powers = []
+    for module in (cli, verify):
+        real = module.power
+        monkeypatch.setattr(module, "power", lambda a, k, real=real: powers.append(k) or real(a, k))
+    code, out, _ = run_cli(capsys, "verify", example2_path, "--rhs", "1 2 3 1")
+    assert code == 0 and "dsolve:x in R(A^k): pass" in out.splitlines()
+    assert powers == [2]
+
+
 @pytest.mark.parametrize("rhs, expected_code", [("1 x", 2), ("1 2", 3)])
 def test_verify_reads_the_right_side_first(capsys, tmp_path, monkeypatch, rhs, expected_code):
     from adjinv import drazin, pinv

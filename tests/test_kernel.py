@@ -567,6 +567,105 @@ def test_row_update_keeps_the_exactness_check():
         elimination._update([(1, 0)], [(1, 0)], (0, 1), (1, 1), (0, 2), 0)
 
 
+def test_int_row_update_keeps_the_exactness_check():
+    # (3 * 4 - 1 * 2) / 5 = 2 is exact, and so is any update with prev 1.
+    row = [4, 7]
+    elimination._update_int(row, [2, 1], 3, 1, 5, 0)
+    assert row == [2, 4]
+    row = [4]
+    elimination._update_int(row, [3], 2, 1, 1, 0)
+    assert row == [5]
+    # (1 * 3 - 0 * 1) / 2 and (2 * 1 - 3 * 5) / -4 are not.
+    with pytest.raises(ArithmeticError, match="inexact division"):
+        elimination._update_int([3], [1], 1, 0, 2, 0)
+    with pytest.raises(ArithmeticError, match="inexact division"):
+        elimination._update_int([8, 1], [0, 5], 2, 3, -4, 0)
+
+
+# -- real entries on int rows ---------------------------------------------------------
+
+# (m, n, r): square, tall and wide, full rank and deficient, up to 24 x 24.
+INT_PATH_SHAPES = [(24, 24, 24), (24, 24, 12), (9, 9, 9), (8, 8, 3), (20, 14, 14), (14, 20, 14),
+                   (18, 12, 6), (12, 18, 5), (16, 16, 15)]
+
+
+def _force_kernel_form(monkeypatch, ints: bool) -> list:
+    """Set the int-row gate so that every real kernel call takes int rows (or pairs); returns the int updates run."""
+    monkeypatch.setattr(elimination, "_INT_MIN", 0 if ints else sys.maxsize)
+    updates = []
+    real = elimination._update_int
+    monkeypatch.setattr(elimination, "_update_int", lambda *args: updates.append(1) or real(*args))
+    return updates
+
+
+def _kernel_results(g: list, b: list, c: list) -> tuple:
+    """Every pair kernel on the m x n g, with an n x p c and an m x p b."""
+    gt = [list(col) for col in zip(*g)]
+    e = elimination.eliminate(g)
+    out = [e, elimination.matmul_pairs(g, gt), elimination.matmul_pairs(gt, g), elimination.matmul_pairs(g, c)]
+    if e.rank == len(g) == len(g[0]):
+        out += [elimination.adjoint_solve_pairs(e), elimination.adjoint_solve_pairs(e, b)]
+    out += [elimination.row_factor_pairs(g, e), elimination.skeleton_ledger_pairs(g, e),
+            elimination.skeleton_ledger_pairs(g, e, b), elimination.skeleton_ledger_pairs(g, e, None, True),
+            elimination.skeleton_ledger_pairs(g, e, c, True)]
+    return tuple(out)
+
+
+@pytest.mark.parametrize("m, n, r", INT_PATH_SHAPES)
+@pytest.mark.parametrize("scaled", [False, True])
+def test_int_rows_and_pairs_give_identical_kernel_results(m, n, r, scaled, monkeypatch):
+    seed = 100 * m + n + r
+    a = _full_rank(seed, m, n, False) if r == min(m, n) else _deficient(seed, m, n, r, False)
+    rng = random.Random(seed)
+    g, b, c = a.pairs, _gaussian_rows(rng, m, 3, False), _gaussian_rows(rng, n, 3, False)
+    if scaled:  # row and column contents above 1
+        ks, ls = [rng.choice((1, 2, 6, 65, 2**70)) for _ in g], [rng.choice((1, 3, 10, 77)) for _ in g[0]]
+        g = [[(re * k * f, 0) for (re, _), f in zip(row, ls)] for row, k in zip(g, ks)]
+    results = {}
+    for ints in (True, False):
+        with monkeypatch.context() as forced:
+            updates = _force_kernel_form(forced, ints)
+            results[ints] = _kernel_results(g, b, c)
+            assert bool(updates) == ints
+    assert results[True] == results[False]
+    assert elimination.eliminate(g).rank == r
+
+
+@pytest.mark.parametrize("shape", [(10, 10), (12, 9), (9, 12)])
+def test_complex_inputs_take_the_pair_path(shape, monkeypatch):
+    m, n = shape
+    a = _full_rank(717, m, n, True)
+    y = _gaussian_rows(random.Random(718), m, 2, True)
+    updates = _force_kernel_form(monkeypatch, True)
+    e = elimination.eliminate(a.pairs)
+    elimination.skeleton_ledger_pairs(a.pairs, e, y)
+    elimination.matmul_pairs(conjugate_transpose(a).pairs, a.pairs)
+    assert updates == []
+
+
+@pytest.mark.parametrize("ints", [False, True])
+def test_real_times_complex_product_matches_the_pair_loop(ints, monkeypatch):
+    rng = random.Random(719)
+    real, cx = _gaussian_rows(rng, 12, 10, False), _gaussian_rows(rng, 10, 9, True)
+    _force_kernel_form(monkeypatch, ints)
+    for a, b in ((real, cx), ([list(col) for col in zip(*cx)], [list(col) for col in zip(*real)])):
+        assert elimination.matmul_pairs(a, b) == [[elimination._dot(row, col) for col in zip(*b)] for row in a]
+
+
+@pytest.mark.parametrize("ints", [False, True])
+@pytest.mark.parametrize("m, n, r", [(10, 10, 10), (10, 10, 6), (12, 9, 5), (9, 12, 9)])
+def test_real_matrix_with_a_complex_right_side_matches_the_oracles(m, n, r, ints, monkeypatch):
+    seed = 720 + m + n + r
+    make = (lambda: _full_rank(seed, m, n, False)) if r == min(m, n) else (lambda: _deficient(seed, m, n, r, False))
+    y = column_vector(_rhs(seed, m, True))
+    _force_kernel_form(monkeypatch, ints)
+    assert lsq_solve(make(), y).solution == multiply(oracle_pinv(make()), y)
+    yr = row_vector(_rhs(seed + 1, n, True))
+    assert lsq_solve_row_system(yr, make()).solution == multiply(yr, oracle_pinv(make()))
+    if m == n:
+        assert drazin_solve(make(), y).solution == multiply(oracle_drazin(make()), y)
+
+
 def _count_sweeps(monkeypatch) -> list:
     calls = []
     real = elimination.eliminate
@@ -1141,6 +1240,19 @@ def test_classical_and_index_zero_drazin_inverses_share_one_solve(order, complex
     assert (dz.numerators, dz.denominator) == (res.numerators, res.denominator) == (minors.adjugate(a), det(a))
     assert dz.drazin_inverse == res.pseudo_inverse
     assert group_inverse(a) == dz and drazin_times_a(a) == Matrix.identity(5) and len(solves) == 1
+
+
+@pytest.mark.parametrize("complex_entries", [False, True])
+@pytest.mark.parametrize("order", [("mp_inverse", "drazin_inverse"), ("drazin_inverse", "mp_inverse")])
+def test_classical_and_index_zero_drazin_inverses_share_one_quotient(order, complex_entries, monkeypatch):
+    a = _full_rank(610 + complex_entries, 9, 9, complex_entries)
+    quotients = _counted(monkeypatch, minors.Ledger, "quotient")
+    first = SQUARE_OPERATIONS[order[0]](a, None)
+    assert len(quotients) == 1
+    second = SQUARE_OPERATIONS[order[1]](a, None)
+    assert len(quotients) == 1  # the second call forms no quotient
+    res, dz = (first, second) if order[0] == "mp_inverse" else (second, first)
+    assert dz.drazin_inverse is res.pseudo_inverse and res.pseudo_inverse == _inverse(a)
 
 
 @LITERAL

@@ -1,0 +1,98 @@
+"""Time the integer kernels of ``adjinv.elimination`` on seeded inputs and print one table.
+
+    python tools/kernel_times.py [--sizes 8 12 20 40]
+
+For each size n it builds one seeded nonsingular n x n matrix of random
+integers of up to ``BITS`` bits, real and complex, and times:
+
+- ``eliminate``: the fraction-free sweep of the matrix;
+- ``solve I`` and ``solve y``: ``adjoint_solve_pairs`` from that sweep, for
+  the identity and for one column;
+- ``A A``: ``matmul_pairs`` of the matrix with itself;
+- ``A y``: ``matmul_pairs`` of the matrix with one column.
+
+Real inputs are timed twice, with ``elimination._INT_MIN`` set so that
+every kernel runs on int rows ("real int") and so that every kernel runs on
+pairs ("real pairs"); the header names the size from which the library
+itself takes int rows.  Each figure is the median of several timed repeats,
+in milliseconds.  Uses only the standard library; a measuring aid, not a
+test.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import random
+import statistics
+import sys
+import time
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
+
+from adjinv import elimination  # noqa: E402
+
+KERNELS = ("eliminate", "solve I", "solve y", "A A", "A y")
+BITS = 8  # bit size of the random entries
+
+
+def _matrix(rng: random.Random, rows: int, cols: int, complex_entries: bool):
+    top = (1 << BITS) - 1
+    return [[(rng.randint(-top, top), rng.randint(-top, top) if complex_entries else 0)
+             for _ in range(cols)] for _ in range(rows)]
+
+
+def _nonsingular(rng: random.Random, n: int, complex_entries: bool):
+    while True:
+        a = _matrix(rng, n, n, complex_entries)
+        if elimination.eliminate(a).rank == n:
+            return a
+
+
+def _median_ms(call, budget_s: float = 0.2, least: int = 3) -> float:
+    """The median time of ``call`` over repeats that fill about ``budget_s``, at least ``least`` of them."""
+    times = []
+    start = time.perf_counter()
+    while len(times) < least or time.perf_counter() - start < budget_s:
+        t = time.perf_counter()
+        call()
+        times.append(time.perf_counter() - t)
+    return statistics.median(times) * 1e3
+
+
+def kernel_times(n: int, complex_entries: bool) -> dict[str, float]:
+    rng = random.Random(f"kernel_times:{n}:{BITS}:{complex_entries}")
+    a = _nonsingular(rng, n, complex_entries)
+    y = _matrix(rng, n, 1, complex_entries)
+    e = elimination.eliminate(a)
+    calls = {
+        "eliminate": lambda: elimination.eliminate(a),
+        "solve I": lambda: elimination.adjoint_solve_pairs(e),
+        "solve y": lambda: elimination.adjoint_solve_pairs(e, y),
+        "A A": lambda: elimination.matmul_pairs(a, a),
+        "A y": lambda: elimination.matmul_pairs(a, y),
+    }
+    return {name: _median_ms(call) for name, call in calls.items()}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--sizes", type=int, nargs="+", default=[8, 12, 20, 40])
+    args = parser.parse_args(argv)
+    gate = elimination._INT_MIN
+    print(f"milliseconds, median of repeats; {BITS}-bit entries; the library takes int rows from n = {gate}")
+    print(f"{'n':>4} {'entries':<11}" + "".join(f"{k:>11}" for k in KERNELS))
+    rows = (("real int", False, 0), ("real pairs", False, sys.maxsize), ("complex", True, gate))
+    try:
+        for n in args.sizes:
+            for kind, complex_entries, int_min in rows:
+                elimination._INT_MIN = int_min
+                times = kernel_times(n, complex_entries)
+                print(f"{n:>4} {kind:<11}" + "".join(f"{times[k]:>11.3f}" for k in KERNELS))
+    finally:
+        elimination._INT_MIN = gate
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
