@@ -12,7 +12,8 @@ Both the index and that ledger come from Cline's shrinking chain (R. E.
 Cline, SIAM J. Numer. Anal. 5(1), 1968; Ben-Israel and Greville,
 *Generalized Inverses*, 2nd ed., 2003, ch. 4), never from a power of A.
 Factor M_0 = A as B_1 C_1 with B_1 the pivot columns of A's kept sweep and
-C_1 = W^-1 R (:func:`adjinv.elimination.row_factor_pairs`); then
+C_1 = W^-1 R, which a back substitution reads off the rows that same sweep
+keeps (:func:`adjinv.elimination.row_factor_pairs`); then
 M_1 = C_1 B_1 is r_1 x r_1 and rank A^2 = rank M_1, and so on.  The index k
 is the first i at which M_i is nonsingular, and r = rank A^k is its size;
 an M_i of rank 0 means A is nilpotent.  So
@@ -77,7 +78,8 @@ def _index_search(a: Matrix) -> tuple:
     """Cline's chain of A: the index k, the core rank r, the factors (B_i, C_i) and the last M_i.
 
     M_0 = A, and each singular M_(i-1) of rank r_i >= 1 is factored as
-    B_i C_i, with B_i its pivot columns and C_i = W^-1 R
+    B_i C_i, with B_i its pivot columns and C_i = W^-1 R read off its kept
+    sweep alone, by back substitution with no replay and no second sweep
     (:func:`adjinv.elimination.row_factor_pairs`); then M_i = C_i B_i is
     r_i x r_i, in lowest terms and kept with its sweep.  rank A^(i+1) =
     rank M_i, so k is the first i at which M_i is nonsingular, and the last
@@ -90,7 +92,7 @@ def _index_search(a: Matrix) -> tuple:
     m, factors = a, []
     while (e := sweep(m)).rank not in (0, m.rows):
         b = m.submatrix(range(m.rows), e.pivots)
-        c = from_pairs(*elimination.row_factor_pairs(m.pairs, e))
+        c = from_pairs(*elimination.row_factor_pairs(e))
         factors.append((b, c))
         m = multiply(c, b)
     return len(factors) + (e.rank == 0), e.rank, tuple(factors), m if factors else None

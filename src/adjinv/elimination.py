@@ -13,7 +13,8 @@ correctness-neutral.  :func:`eliminate` is the one sweep, and it sweeps a
 copy: no kernel changes the rows it is given.
 
 The sweep runs on the primitive rows: each row divided by its content, the
-positive gcd of its parts (1 for a zero row).  Over one common scale a row
+positive gcd of its parts (1 for a zero row, :func:`_content`), divided out
+before the sweep picks int rows or pairs.  Over one common scale a row
 whose entries share a factor carries it in every part, and Bareiss would
 carry it into every integer below its pivot; the bit size of those integers
 sets the cost.  Scaling a row by a positive integer changes no zero
@@ -29,21 +30,24 @@ again.  The
 sweep, the replay and the back substitution share one row update,
 (pivot x - lead t) / prev with its exactness check, in two forms: on pairs
 (:func:`_update`), and on int rows, the real parts alone
-(:func:`_update_int`).  :func:`eliminate`, :func:`adjoint_solve_pairs` and
-:func:`matmul_pairs` (whose int product is ``sum(map(mul, row, col))``)
-each choose once per call: int rows when every imaginary part they read is
-0 and the least dimension of the work (the sweep's, the solved order, the
-product's) reaches ``_INT_MIN``, pairs otherwise.  The int form converts
+(:func:`_update_int`).  :func:`eliminate`, :func:`adjoint_solve_pairs`,
+:func:`row_factor_pairs` and :func:`matmul_pairs` (whose int product is
+``sum(map(mul, row, col))``) each choose once per call: int rows when
+every imaginary part they read is 0 and the least dimension of the work
+(the sweep's, the solved order, the product's) reaches ``_INT_MIN``, pairs
+otherwise.  The int form converts
 on entry and back on exit, so every caller sees pairs, and complex entries
 always take the pair form.
 
 A nonsingular g's adjugate ledger adj(g) b and det g comes from its
 elimination (:func:`adjoint_solve_pairs`): the replay on b, rescaled by the
-contents, and a back substitution cost O(n^2 p) operations for an n x p b,
-on top of the O(n^3) sweep.  :func:`row_factor_pairs` reads a rank
-factorization g = B C off the same sweep, with B the pivot columns and
-C = W^-1 R, where W is the pivot block and R the pivot rows, both taken
-primitive; the Drazin index chain is built from it.
+contents, and a back substitution (:func:`_back_substitute`) cost
+O(n^2 p) operations for an n x p b, on top of the O(n^3) sweep.
+:func:`row_factor_pairs` reads a rank factorization g = B C off the same
+sweep, with B the pivot columns and C = W^-1 R, where W is the pivot block
+and R the pivot rows, both taken primitive: the sweep's first r rows are
+already R's replay, so C costs the back substitution alone.  The Drazin
+index chain is built from it.
 Berkowitz's algorithm (:func:`char_poly_pairs`) gives the characteristic
 coefficients without any division.
 
@@ -258,16 +262,11 @@ def eliminate(g: list[list[Pair]]) -> Elimination:
     with nonzero pivots.
     """
     m = len(g)
-    ints = _int_rows(min(m, len(g[0])), g)
-    if ints:
-        a = _ints(g)
-        contents = [gcd(*row) or 1 for row in a]
-        a = [row if c == 1 else [x // c for x in row] for row, c in zip(a, contents)]
-        update, zero, prev = _update_int, 0, 1
-    else:
-        contents = [_content(row) for row in g]
-        a = [list(row) if c == 1 else _divided(row, c) for row, c in zip(g, contents)]
-        update, zero, prev = _update, _ZERO, _ONE
+    contents = [_content(row) for row in g]
+    a = [list(row) if c == 1 else _divided(row, c) for row, c in zip(g, contents)]
+    if ints := _int_rows(min(m, len(g[0])), a):
+        a = _ints(a)
+    update, zero, prev = (_update_int, 0, 1) if ints else (_update, _ZERO, _ONE)
     order = list(range(m))
     pivots: list[int] = []
     sign = 1
@@ -307,11 +306,10 @@ def adjoint_solve_pairs(e: Elimination, b: list[list[Pair]] | None = None) -> tu
     L D^-1 b is a Gaussian-integer matrix.  The replay runs the sweep's
     steps on its rows, O(n^2 p) integer operations, exactly what the sweep
     of [P | L D^-1 b] would do to them.  That leaves an upper-triangular
-    system U x = c with the solution x = P^-1 L D^-1 b.  Back substitution
-    is carried out on X = det(P) x, a Gaussian-integer matrix, so each
-    division by a pivot is exact (Bareiss, Math. Comp. 22(103), 1968).  The
-    identity needs no L: the replay runs on it as it is, and column j of
-    adj(P) is scaled by prod(D) / D_j at the end.
+    system U x = c, which :func:`_back_substitute` solves for
+    det(P) x = adj(P) L D^-1 b.  The identity needs no L: the replay runs
+    on it as it is, and column j of adj(P) is scaled by prod(D) / D_j at
+    the end.
     """
     u = e.rows
     n = len(u)
@@ -324,53 +322,67 @@ def adjoint_solve_pairs(e: Elimination, b: list[list[Pair]] | None = None) -> tu
         x = [x[i] for i in e.order]
     else:
         x = _scaled([b[i] for i in e.order], [big // contents[i] for i in e.order])
-    det = e.swept_det
-    ints = _int_rows(n, u, x)
-    if ints:
-        u, x, update, zero, one, swept = _ints(u), _ints(x), _update_int, 0, 1, det[0]
-    else:
-        update, zero, one, swept = _update, _ZERO, _ONE, det
-    prev = one
+    if ints := _int_rows(n, u, x):
+        u, x = _ints(u), _ints(x)
+    update, prev = (_update_int, 1) if ints else (_update, _ONE)
     for k in range(n):
         pivot, top = u[k][k], x[k]
         for i in range(k + 1, n):
             update(x[i], top, pivot, u[i][k], prev, 0)
         prev = pivot
-    # Row i of X is (det c_i - sum_{t>i} u[i][t] X_t) / u[i][i]: one update
-    # per term, with the division by the pivot at the last.
-    for i in range(n - 1, -1, -1):
-        row, scale = x[i], swept
-        for t in range(i + 1, n):
-            update(row, x[t], scale, u[i][t], one, 0)
-            scale = one
-        update(row, row, scale, zero, u[i][i], 0)
-    if ints:
-        x = _pairs(x)
+    x = _back_substitute(u, e.pivots, x, e.swept_det, ints)
     if big == 1:
-        return x, det
+        return x, e.swept_det
     whole = prod(contents)
     if b is None:
         return _column_scaled(x, [whole // c for c in contents]), e.det
     return (x if whole == big else _scaled(x, [whole // big] * n)), e.det
 
 
-def row_factor_pairs(g: list[list[Pair]], e: Elimination) -> tuple[list[list[Pair]], int]:
+def _back_substitute(u, pivots: list[int], x, det: Pair, ints: bool) -> list[list[Pair]]:
+    """det U^-1 x, as pairs, for the r x r upper triangle U[i][t] = u[i][pivots[t]] (t >= i) of a sweep's rows.
+
+    ``x`` is r x p and is overwritten; ``u`` and ``x`` are int rows when
+    ``ints``, else pairs.  Row i of X = det U^-1 x is
+    (det x_i - sum_{t>i} U[i][t] X_t) / U[i][i]: one row update per term,
+    with the division by the pivot at the last.  With ``det`` the sweep's
+    last pivot, up to sign, and x a right side the sweep's steps have been
+    run on, every division is exact (Bareiss, Math. Comp. 22(103), 1968).
+    """
+    update, zero, one, det = (_update_int, 0, 1, det[0]) if ints else (_update, _ZERO, _ONE, det)
+    for i in range(len(x) - 1, -1, -1):
+        row, scale, coefficients = x[i], det, u[i]
+        for t in range(i + 1, len(x)):
+            update(row, x[t], scale, coefficients[pivots[t]], one, 0)
+            scale = one
+        update(row, row, scale, zero, coefficients[pivots[i]], 0)
+    return _pairs(x) if ints else x
+
+
+def row_factor_pairs(e: Elimination) -> tuple[list[list[Pair]], int]:
     """C' and a positive int c with C' / c = W^-1 R, from the elimination ``e`` of an m x n g of rank r >= 1.
 
     R holds g's pivot rows ``e.order[:r]`` in sweep order and W = R[:, P]
     their pivot columns P = ``e.pivots``, so g = g[:, P] W^-1 R is a rank
     factorization.  W^-1 R = W''^-1 R'' for the primitive rows R'' of R and
-    W'' = R''[:, P], whose sweep in that row order is the sweep of g read at
-    rows ``e.rows[:r]`` and columns P, with no exchange: so adj(W'') R''
-    comes from one replay and back substitution, and no new sweep.  Its
-    denominator det W'', the last pivot, becomes the positive scale
-    |det W''|^2 through conj(det W''); the caller reduces C' / c to lowest
-    terms.
+    W'' = R''[:, P].  The kept sweep is a fraction-free LU of R'' with no
+    exchange: its first r rows U = ``e.rows[:r]`` are the upper-triangular
+    system whose back substitution gives adj(W'') R'', once the leads that
+    the sweep keeps below each pivot are read as 0 (C's pivot columns are
+    W''^-1 W'' = I).  So no row is replayed.  The denominator det W'', the
+    last pivot, becomes the positive scale |det W''|^2 through
+    conj(det W''); the caller reduces C' / c to lowest terms.
     """
-    r = e.rank
-    w = Elimination([[row[j] for j in e.pivots] for row in e.rows[:r]], list(range(r)), list(range(r)), 1, [1] * r)
-    x, _ = adjoint_solve_pairs(w, [_divided(g[i], e.contents[i]) for i in e.order[:r]])
-    dr, di = w.det
+    r, pivots = e.rank, e.pivots
+    u = e.rows[:r]
+    x = [list(row) for row in u]
+    for i, row in enumerate(x):
+        for j in pivots[:i]:
+            row[j] = _ZERO
+    if ints := _int_rows(r, u):
+        u, x = _ints(u), _ints(x)
+    dr, di = e.rows[r - 1][pivots[-1]]
+    x = _back_substitute(u, pivots, x, (dr, di), ints)
     return [[_mul((dr, -di), v) for v in row] for row in x], dr * dr + di * di
 
 
@@ -456,6 +468,8 @@ def skeleton_ledger_pairs(
     (C''*, G) the other way round.
     """
     r = e.rank
+    # Increasing order, which the square branches need (A = D R'' row for
+    # row); what reads ``e.rows`` needs the sweep's order instead.
     pivots, rows = e.pivots, sorted(e.order[:r])
     c_star = [[(re, -im) for re, im in (a_row[j] for a_row in a)] for j in pivots]
     col_contents = [_content(col) for col in c_star]

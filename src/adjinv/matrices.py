@@ -35,6 +35,7 @@ match the index-sequence language used by the minor-sum formulas.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 from math import gcd, lcm
 from typing import Callable, Iterable, Sequence
 
@@ -216,19 +217,14 @@ def scalar_of(pair: Pair, scale: int) -> Scalar:
     return Scalar(Fraction(re, scale), Fraction(im, scale))
 
 
-def _rescaled(rows, factor: int) -> list[list[Pair]]:
-    if factor == 1:
-        return [list(row) for row in rows]
-    return [[(re * factor, im * factor) for re, im in row] for row in rows]
-
-
 def _common(a_rows, a_scale: int, b_rows, b_scale: int):
     """a_rows / a_scale and b_rows / b_scale as list rows over their common scale.
 
     Returns the two rescaled row lists and the scale lcm(a_scale, b_scale).
     """
     scale = lcm(a_scale, b_scale)
-    return _rescaled(a_rows, scale // a_scale), _rescaled(b_rows, scale // b_scale), scale
+    return (elimination._scaled(a_rows, repeat(scale // a_scale)),
+            elimination._scaled(b_rows, repeat(scale // b_scale)), scale)
 
 
 def _sum(a: Matrix, b: Matrix, sign: int) -> Matrix:

@@ -62,6 +62,7 @@ ledger, live in the test suite as reference routes.
 
 from __future__ import annotations
 
+from itertools import repeat
 from math import gcd
 from typing import NamedTuple
 
@@ -213,8 +214,7 @@ def skeleton_ledger(a: Matrix, b: Matrix | None = None, adjoint: bool = False) -
     x, (dr, di), f = elimination.skeleton_ledger_pairs(a.pairs, e, None if b is None else b.pairs, adjoint)
     scale = a.scale ** (2 * r - 1) * (1 if b is None else b.scale)
     common = gcd(f, scale)
-    k = f // common
-    nums = from_pairs(x if k == 1 else [[(re * k, im * k) for re, im in row] for row in x], scale // common)
+    nums = from_pairs(elimination._scaled(x, repeat(f // common)), scale // common)
     return Ledger(nums, scalar_of((dr * f, di * f), a.scale ** (2 * r)))
 
 

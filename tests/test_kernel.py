@@ -605,7 +605,7 @@ def _kernel_results(g: list, b: list, c: list) -> tuple:
     out = [e, elimination.matmul_pairs(g, gt), elimination.matmul_pairs(gt, g), elimination.matmul_pairs(g, c)]
     if e.rank == len(g) == len(g[0]):
         out += [elimination.adjoint_solve_pairs(e), elimination.adjoint_solve_pairs(e, b)]
-    out += [elimination.row_factor_pairs(g, e), elimination.skeleton_ledger_pairs(g, e),
+    out += [elimination.row_factor_pairs(e), elimination.skeleton_ledger_pairs(g, e),
             elimination.skeleton_ledger_pairs(g, e, b), elimination.skeleton_ledger_pairs(g, e, None, True),
             elimination.skeleton_ledger_pairs(g, e, c, True)]
     return tuple(out)
@@ -711,7 +711,14 @@ def test_rank_deficient_square_operations_keep_their_ledgers(complex_entries, mo
     calls = _count_sweeps(monkeypatch)
     searches = []
     real_search = drazin._index_search
-    monkeypatch.setattr(drazin, "_index_search", lambda a: searches.append(a) or real_search(a))
+
+    def search(a):  # reads each factor off a kept sweep: no replay, so no adjoint solve
+        searches.append(a)
+        with monkeypatch.context() as refused:
+            refused.setattr(elimination, "adjoint_solve_pairs", _refuse("adjoint_solve_pairs"))
+            return real_search(a)
+
+    monkeypatch.setattr(drazin, "_index_search", search)
     res = mp_inverse(a)
     assert (res.numerators, res.denominator) == expected_pinv
     assert calls == [6, r, r]  # A, then the r x r Gram matrices C*C and RR* of its skeleton
@@ -1275,9 +1282,22 @@ def test_line_scaled_drazin_forms_match_literal_sums(a, seed):
     assert char_poly_coeffs(a) == tuple(principal_minor_sum(a, k) for k in range(1, a.rows + 1))
 
 
+def _check_row_factor_against_inverse(a: Matrix) -> None:
+    """row_factor_pairs over its scale is W^-1 R, for R a's pivot rows in sweep order and W = R[:, pivots]."""
+    e = elimination.eliminate(a.pairs)
+    pivot_rows = a.submatrix(e.order[: e.rank], range(a.cols))
+    w = pivot_rows.submatrix(range(e.rank), e.pivots)
+    assert matrices.from_pairs(*elimination.row_factor_pairs(e)) == multiply(_inverse(w), pivot_rows)
+
+
 @ORACLE
 @given(st.one_of(line_scaled(deficient_matrices(8)), line_scaled(full_rank_matrices(8))), seeds)
+@example(_line_scaled(_deficient(1280, 8, 5, 1, True), 1280), 1280)  # tall, rank 1
+@example(_line_scaled(_deficient(1281, 4, 9, 3, False), 1281), 1281)  # wide, rank min - 1
+@example(_line_scaled(_deficient(1282, 7, 7, 4, True), 1282), 1282)  # square
+@example(_deficient(1283, 13, 12, 11, False), 1283)  # real, r >= _INT_MIN: the factor takes int rows
 def test_line_scaled_gram_forms_match_oracle(a, seed):
+    _check_row_factor_against_inverse(a)
     x = oracle_pinv(a)
     y, yr = column_vector(_rhs(seed, a.rows)), row_vector(_rhs(seed + 1, a.cols))
     fresh = _fresh(a)  # its lone solves take the skeleton

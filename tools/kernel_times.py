@@ -9,7 +9,9 @@ integers of up to ``BITS`` bits, real and complex, and times:
 - ``solve I`` and ``solve y``: ``adjoint_solve_pairs`` from that sweep, for
   the identity and for one column;
 - ``A A``: ``matmul_pairs`` of the matrix with itself;
-- ``A y``: ``matmul_pairs`` of the matrix with one column.
+- ``A y``: ``matmul_pairs`` of the matrix with one column;
+- ``factor``: ``row_factor_pairs`` from the sweep of a seeded n x n matrix
+  of rank n/2, the product of random n x n/2 and n/2 x n factors.
 
 Real inputs are timed twice, with ``elimination._INT_MIN`` set so that
 every kernel runs on int rows ("real int") and so that every kernel runs on
@@ -32,7 +34,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."
 
 from adjinv import elimination  # noqa: E402
 
-KERNELS = ("eliminate", "solve I", "solve y", "A A", "A y")
+KERNELS = ("eliminate", "solve I", "solve y", "A A", "A y", "factor")
 BITS = 8  # bit size of the random entries
 
 
@@ -65,12 +67,16 @@ def kernel_times(n: int, complex_entries: bool) -> dict[str, float]:
     a = _nonsingular(rng, n, complex_entries)
     y = _matrix(rng, n, 1, complex_entries)
     e = elimination.eliminate(a)
+    half = max(n // 2, 1)
+    deficient = elimination.eliminate(
+        elimination.matmul_pairs(_matrix(rng, n, half, complex_entries), _matrix(rng, half, n, complex_entries)))
     calls = {
         "eliminate": lambda: elimination.eliminate(a),
         "solve I": lambda: elimination.adjoint_solve_pairs(e),
         "solve y": lambda: elimination.adjoint_solve_pairs(e, y),
         "A A": lambda: elimination.matmul_pairs(a, a),
         "A y": lambda: elimination.matmul_pairs(a, y),
+        "factor": lambda: elimination.row_factor_pairs(deficient),
     }
     return {name: _median_ms(call) for name, call in calls.items()}
 
