@@ -31,8 +31,9 @@ sweep, the replay and the back substitution share one row update,
 (pivot x - lead t) / prev with its exactness check, in two forms: on pairs
 (:func:`_update`), and on int rows, the real parts alone
 (:func:`_update_int`).  :func:`eliminate`, :func:`adjoint_solve_pairs`,
-:func:`row_factor_pairs` and :func:`matmul_pairs` (whose int product is
-``sum(map(mul, row, col))``) each choose once per call: int rows when
+:func:`eliminate_gram`, :func:`row_factor_pairs`, :func:`matmul_pairs`
+(whose int product is ``sum(map(mul, row, col))``) and
+:func:`hermitian_matmul_pairs` each choose once per call: int rows when
 every imaginary part they read is 0 and the least dimension of the work
 (the sweep's, the solved order, the product's) reaches ``_INT_MIN``, pairs
 otherwise.  The int form converts
@@ -58,7 +59,12 @@ pivot columns C, the pivot rows R and their r x r intersection W.
 r x r adjoint solves with the same numbers the Gram route gives
 (Cauchy-Binet), on a content-free skeleton: the primitive pivot rows, and
 the pivot columns each divided by its own content.  At full column or row
-rank one factor is W itself and drops out, which leaves one solve.
+rank one factor is W itself and drops out, which leaves one solve.  Each
+Gram matrix F F* there, of a factor F of full row rank, is Hermitian and
+positive definite: :func:`hermitian_matmul_pairs` forms it on and above the
+diagonal and mirrors the rest, and :func:`eliminate_gram` sweeps its upper
+triangle alone, with the leading principal minors as pivots, so no row
+exchange and no content division.
 """
 
 from __future__ import annotations
@@ -290,6 +296,34 @@ def eliminate(g: list[list[Pair]]) -> Elimination:
     return Elimination(_pairs(a) if ints else a, order, pivots, sign, contents)
 
 
+def eliminate_gram(g: list[list[Pair]]) -> Elimination:
+    """The fraction-free sweep of a positive definite Hermitian r x r ``g``, on its upper triangle.
+
+    ``g`` is left as it is.  Every step of a Hermitian matrix's Bareiss
+    sweep is a matrix of bordered minors, so it stays Hermitian: row i is
+    updated on columns j >= i only, the lead below pivot k is the conjugate
+    of the pivot row's entry at that step, and that is what the elimination
+    keeps there.  The pivots are the leading principal minors, real and
+    positive, so there is no row exchange and no content is divided out.
+    A zero pivot, which a singular g meets, raises ArithmeticError.
+    """
+    r = len(g)
+    a = [list(row) for row in g]
+    if ints := _int_rows(r, a):
+        a = _ints(a)
+    update, zero, prev = (_update_int, 0, 1) if ints else (_update, _ZERO, _ONE)
+    for k in range(r):
+        pivot, top = a[k][k], a[k]
+        if pivot == zero:
+            raise ArithmeticError("zero pivot: the Gram matrix is singular")
+        for i in range(k + 1, r):
+            lead = top[i] if ints else (top[i][0], -top[i][1])
+            a[i][k] = lead
+            update(a[i], top, pivot, lead, prev, i)
+        prev = pivot
+    return Elimination(_pairs(a) if ints else a, list(range(r)), list(range(r)), 1, [1] * r)
+
+
 def det_pairs(a: list[list[Pair]], n: int) -> Pair:
     """Determinant of an n x n Gaussian-integer matrix."""
     e = eliminate(a)
@@ -369,9 +403,11 @@ def row_factor_pairs(e: Elimination) -> tuple[list[list[Pair]], int]:
     exchange: its first r rows U = ``e.rows[:r]`` are the upper-triangular
     system whose back substitution gives adj(W'') R'', once the leads that
     the sweep keeps below each pivot are read as 0 (C's pivot columns are
-    W''^-1 W'' = I).  So no row is replayed.  The denominator det W'', the
-    last pivot, becomes the positive scale |det W''|^2 through
-    conj(det W''); the caller reduces C' / c to lowest terms.
+    W''^-1 W'' = I).  So no row is replayed.  The back substitution takes
+    det W'', the last pivot, up to sign: a real one gives |det W''| W''^-1
+    R'' (adj(W'') R'' with the sign of det W'' in the rows) over |det W''|,
+    and any other gives adj(W'') R'' conj(det W'') over |det W''|^2.  The
+    caller reduces C' / c to lowest terms.
     """
     r, pivots = e.rank, e.pivots
     u = e.rows[:r]
@@ -382,6 +418,8 @@ def row_factor_pairs(e: Elimination) -> tuple[list[list[Pair]], int]:
     if ints := _int_rows(r, u):
         u, x = _ints(u), _ints(x)
     dr, di = e.rows[r - 1][pivots[-1]]
+    if not di:
+        return _back_substitute(u, pivots, x, (abs(dr), 0), ints), abs(dr)
     x = _back_substitute(u, pivots, x, (dr, di), ints)
     return [[_mul((dr, -di), v) for v in row] for row in x], dr * dr + di * di
 
@@ -415,6 +453,18 @@ def matmul_pairs(a: list[list[Pair]], b: list[list[Pair]]) -> list[list[Pair]]:
     return [[_dot(row, col) for col in cols] for row in a]
 
 
+def hermitian_matmul_pairs(a: list[list[Pair]], b: list[list[Pair]]) -> list[list[Pair]]:
+    """:func:`matmul_pairs` for a product known to be Hermitian: it forms the entries on and above
+    the diagonal, and each entry below is the conjugate of its mirror."""
+    cols = list(zip(*b))
+    if _int_rows(min(len(a), len(b)), a, b):
+        cols = _ints(cols)
+        upper = [[(sum(map(mul, row, col)), 0) for col in cols[i:]] for i, row in enumerate(_ints(a))]
+    else:
+        upper = [[_dot(row, col) for col in cols[i:]] for i, row in enumerate(a)]
+    return [[(re, -im) for re, im in (upper[j][i - j] for j in range(i))] + upper[i] for i in range(len(a))]
+
+
 def _conjugate_transpose(a) -> list[list[Pair]]:
     return [[(re, -im) for re, im in col] for col in zip(*a)]
 
@@ -426,7 +476,7 @@ def _identity(r: int) -> list[list[Pair]]:
 def _gram_through(f, z=None) -> tuple[list[list[Pair]], Pair]:
     """F* adj(F F*) z and det(F F*), for an r x n F of full row rank and an r x p z (the identity when None)."""
     f_star = _conjugate_transpose(f)
-    x, d = adjoint_solve_pairs(eliminate(matmul_pairs(f, f_star)), z)
+    x, d = adjoint_solve_pairs(eliminate_gram(hermitian_matmul_pairs(f, f_star)), z)
     return matmul_pairs(f_star, x), d
 
 
@@ -489,7 +539,7 @@ def skeleton_ledger_pairs(
             x, d = _gram_through(rf, _scaled(b, scales))
         return x, _mul((big, 0), d), f
     rhs = cf if b is None else matmul_pairs(cf, b)
-    x, det_c = adjoint_solve_pairs(eliminate(matmul_pairs(cf, _conjugate_transpose(cf))), rhs)
+    x, det_c = adjoint_solve_pairs(eliminate_gram(hermitian_matmul_pairs(cf, _conjugate_transpose(cf))), rhs)
     if len(rf[0]) == r:  # R square: it drops out
         big, scales, f = _lcm_scales(ck)
         return _scaled(x, scales), _mul((big, 0), det_c), f

@@ -38,6 +38,8 @@ unless they are a classical inverse's (:mod:`adjinv.solvers`).  The
 projectors A+ A and A A+ are the identity at full column (row) rank, read
 off the sweep alone, and otherwise the pseudoinverse A keeps, times A:
 A+ A = L A / d_r(A*A) for the numerators L, the paper's projector ledger.
+That product is Hermitian, so it is formed on and above the diagonal and
+mirrored below (:func:`adjinv.elimination.hermitian_matmul_pairs`).
 """
 
 from __future__ import annotations
@@ -45,12 +47,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from . import minors
+from . import elimination, minors
 from ._parallel import parallel_map
 from .index_sets import enumerate_containing
 from .matrices import (
     Matrix,
     conjugate_transpose,
+    from_pairs,
     kept,
     multiply,
     rank,
@@ -167,17 +170,22 @@ def projector_p(a: Matrix) -> Matrix:
     """The projector A+ A (n x n, Hermitian, idempotent).
 
     The identity at full column rank; otherwise the pseudoinverse ``a``
-    keeps, times ``a``.
+    keeps, times ``a``, formed on and above the diagonal and mirrored below.
     """
     full = sweep(a).rank == a.cols
-    return Matrix.identity(a.cols) if full else multiply(kept(a, "pinv", _auto).pseudo_inverse, a)
+    return Matrix.identity(a.cols) if full else _hermitian(kept(a, "pinv", _auto).pseudo_inverse, a)
 
 
 def projector_q(a: Matrix) -> Matrix:
     """The projector A A+ (m x m, Hermitian, idempotent).
 
     Dual of :func:`projector_p`: the identity at full row rank; otherwise
-    ``a`` times the pseudoinverse it keeps.
+    ``a`` times the pseudoinverse it keeps, formed the same way.
     """
     full = sweep(a).rank == a.rows
-    return Matrix.identity(a.rows) if full else multiply(a, kept(a, "pinv", _auto).pseudo_inverse)
+    return Matrix.identity(a.rows) if full else _hermitian(a, kept(a, "pinv", _auto).pseudo_inverse)
+
+
+def _hermitian(x: Matrix, y: Matrix) -> Matrix:
+    """The product x y, known to be Hermitian, over the scale :func:`multiply` gives it."""
+    return from_pairs(elimination.hermitian_matmul_pairs(x.pairs, y.pairs), x.scale * y.scale)

@@ -602,7 +602,10 @@ def _kernel_results(g: list, b: list, c: list) -> tuple:
     """Every pair kernel on the m x n g, with an n x p c and an m x p b."""
     gt = [list(col) for col in zip(*g)]
     e = elimination.eliminate(g)
-    out = [e, elimination.matmul_pairs(g, gt), elimination.matmul_pairs(gt, g), elimination.matmul_pairs(g, c)]
+    out = [e, elimination.matmul_pairs(g, gt), elimination.matmul_pairs(gt, g), elimination.matmul_pairs(g, c),
+           elimination.hermitian_matmul_pairs(g, gt), elimination.hermitian_matmul_pairs(gt, g)]
+    if e.rank == len(g):  # g g* is positive definite
+        out.append(elimination.eliminate_gram(out[-2]))
     if e.rank == len(g) == len(g[0]):
         out += [elimination.adjoint_solve_pairs(e), elimination.adjoint_solve_pairs(e, b)]
     out += [elimination.row_factor_pairs(e), elimination.skeleton_ledger_pairs(g, e),
@@ -666,11 +669,115 @@ def test_real_matrix_with_a_complex_right_side_matches_the_oracles(m, n, r, ints
         assert drazin_solve(make(), y).solution == multiply(oracle_drazin(make()), y)
 
 
+# -- Hermitian products and the Gram sweep -------------------------------------------
+
+
+@pytest.mark.parametrize("ints", [False, True])
+@pytest.mark.parametrize("complex_entries", [False, True])
+@pytest.mark.parametrize("m, n", [(1, 1), (5, 5), (12, 12), (14, 10), (10, 14), (3, 8)])
+def test_hermitian_product_matches_the_full_product(m, n, complex_entries, ints, monkeypatch):
+    seed = 730 + 20 * m + n
+    f = _gaussian_rows(random.Random(seed), m, n, complex_entries)
+    f_star = elimination._conjugate_transpose(f)
+    a = _deficient(seed, m, n, max(min(m, n) - 1, 1), complex_entries)
+    x = mp_inverse(a).pseudo_inverse
+    _force_kernel_form(monkeypatch, ints)
+    # The Gram matrices F F* and F* F, and the projectors' numerators X' A' and A' X'.
+    for left, right in ((f, f_star), (f_star, f), (x.pairs, a.pairs), (a.pairs, x.pairs)):
+        assert elimination.hermitian_matmul_pairs(left, right) == elimination.matmul_pairs(left, right)
+
+
+@pytest.mark.parametrize("scaled", [False, True])
+@pytest.mark.parametrize("ints", [False, True])
+@pytest.mark.parametrize("complex_entries", [False, True])
+@pytest.mark.parametrize("r, n", [(1, 1), (1, 4), (3, 3), (4, 7), (10, 13)])
+def test_gram_sweep_solves_as_the_general_sweep(r, n, complex_entries, ints, scaled, monkeypatch):
+    seed = 740 + 20 * r + n
+    rng = random.Random(seed)
+    f = [list(row) for row in _full_rank(seed, r, n, complex_entries).pairs]
+    if scaled:  # row and column contents above 1
+        ks, ls = [rng.choice((2, 6, 65, 2**70)) for _ in f], [rng.choice((1, 3, 10, 77)) for _ in f[0]]
+        f = [[(re * k * l, im * k * l) for (re, im), l in zip(row, ls)] for row, k in zip(f, ks)]
+    g = elimination.hermitian_matmul_pairs(f, elimination._conjugate_transpose(f))
+    saved = [row[:] for row in g]
+    b = _gaussian_rows(rng, r, 3, complex_entries)
+    _force_kernel_form(monkeypatch, ints)
+    e = elimination.eliminate_gram(g)
+    assert g == saved
+    assert (e.order, e.pivots, e.sign, e.contents) == (list(range(r)), list(range(r)), 1, [1] * r)
+    # The pivots are the leading principal minors of a positive definite g.
+    assert all(e.rows[k][k][0] > 0 == e.rows[k][k][1] for k in range(r))
+    general = elimination.eliminate(g)
+    for rhs in (None, b):
+        assert elimination.adjoint_solve_pairs(e, rhs) == elimination.adjoint_solve_pairs(general, rhs)
+
+
+@pytest.mark.parametrize("ints", [False, True])
+@pytest.mark.parametrize("complex_entries", [False, True])
+@pytest.mark.parametrize("r, n", [(2, 2), (3, 5), (12, 12)])
+def test_gram_sweep_of_a_rank_deficient_factor_raises(r, n, complex_entries, ints, monkeypatch):
+    f = _deficient(760 + 20 * r + n, r, n, r - 1, complex_entries).pairs
+    g = elimination.hermitian_matmul_pairs(f, elimination._conjugate_transpose(f))
+    _force_kernel_form(monkeypatch, ints)
+    with pytest.raises(ArithmeticError, match="zero pivot"):
+        elimination.eliminate_gram(g)
+
+
+@pytest.mark.parametrize("scaled", [False, True])
+@pytest.mark.parametrize("m, n, r", [(6, 6, 3), (8, 5, 2), (5, 8, 4), (7, 7, 6)])
+def test_projectors_equal_the_full_products(m, n, r, scaled):
+    seed = 770 + 20 * m + n
+    a = _deficient(seed, m, n, r, True)
+    if scaled:
+        a = _line_scaled(a, seed)
+    assert 0 < rank(a) < min(m, n)
+    x = mp_inverse(a).pseudo_inverse
+    assert projector_p(a) == multiply(x, a) and projector_q(a) == multiply(a, x)
+
+
+@pytest.mark.parametrize("ints", [False, True])
+@pytest.mark.parametrize("negative", [False, True])
+def test_row_factor_of_a_real_input_is_over_the_absolute_det_w(negative, ints, monkeypatch):
+    seed = 780
+    while True:  # a real input whose sweep ends on a pivot det W'' of the wanted sign
+        a = _line_scaled(_deficient(seed, 7, 8, 4, False), seed)
+        e = elimination.eliminate(a.pairs)
+        last = e.rows[e.rank - 1][e.pivots[-1]]
+        if (last[0] < 0) == negative:
+            break
+        seed += 1
+    _force_kernel_form(monkeypatch, ints)
+    x, scale = elimination.row_factor_pairs(e)
+    assert scale == abs(last[0]) and last[1] == 0
+    pivot_rows = a.submatrix(e.order[: e.rank], range(a.cols))
+    w = pivot_rows.submatrix(range(e.rank), e.pivots)
+    assert matrices.from_pairs(x, scale) == multiply(_inverse(w), pivot_rows)
+
+
 def _count_sweeps(monkeypatch) -> list:
     calls = []
     real = elimination.eliminate
     monkeypatch.setattr(elimination, "eliminate", lambda a: calls.append(len(a)) or real(a))
     return calls
+
+
+def _count_gram_sweeps(monkeypatch) -> list:
+    """The order of each ``eliminate_gram`` sweep, checked to run on a matrix the Hermitian product formed."""
+    formed, orders = [], []
+    product, sweep = elimination.hermitian_matmul_pairs, elimination.eliminate_gram
+
+    def hermitian(a, b):
+        formed.append(product(a, b))
+        return formed[-1]
+
+    def gram_sweep(g):
+        assert any(g is f for f in formed), "a Gram matrix the Hermitian product did not form"
+        orders.append(len(g))
+        return sweep(g)
+
+    monkeypatch.setattr(elimination, "hermitian_matmul_pairs", hermitian)
+    monkeypatch.setattr(elimination, "eliminate_gram", gram_sweep)
+    return orders
 
 
 def _refuse(name: str):
@@ -708,7 +815,7 @@ def test_rank_deficient_square_operations_keep_their_ledgers(complex_entries, mo
     expected_pinv = _exact(horner_ledger(multiply(astar, a), r, astar))
     expected_drazin = representation(a, 2)
     cores = [r, rank(power(a, 2))]  # M_1 and M_2 of the index chain
-    calls = _count_sweeps(monkeypatch)
+    calls, grams = _count_sweeps(monkeypatch), _count_gram_sweeps(monkeypatch)
     searches = []
     real_search = drazin._index_search
 
@@ -721,7 +828,8 @@ def test_rank_deficient_square_operations_keep_their_ledgers(complex_entries, mo
     monkeypatch.setattr(drazin, "_index_search", search)
     res = mp_inverse(a)
     assert (res.numerators, res.denominator) == expected_pinv
-    assert calls == [6, r, r]  # A, then the r x r Gram matrices C*C and RR* of its skeleton
+    # A through eliminate, then the r x r Gram matrices C*C and RR* of its skeleton through eliminate_gram.
+    assert calls == [6] and grams == [r, r]
     calls.clear()
     # A keeps its sweep, so the index search sweeps only the r_i x r_i cores M_1 and M_2.
     assert drazin_inverse(a) == expected_drazin and calls == cores == [4, 3]
@@ -738,7 +846,7 @@ def test_rank_deficient_square_operations_keep_their_ledgers(complex_entries, mo
     for name, run in GRAM_OPERATIONS.items():
         calls.clear()
         run(a, y, row_vector(_rhs(7, 6, complex_entries)))
-        assert calls == [], name
+        assert calls == [] and grams == [r, r], name
 
 
 @pytest.mark.parametrize("complex_entries", [False, True])
@@ -746,11 +854,13 @@ def test_projectors_and_mp_inverse_share_the_pseudoinverse_a_keeps(complex_entri
     a = _deficient(626 + complex_entries, 6, 5, 3, complex_entries)
     r = rank(a)  # a fresh elimination: A keeps nothing yet
     assert 0 < r < 5 and a._kept == {}
-    calls = _count_sweeps(monkeypatch)
+    calls, grams = _count_sweeps(monkeypatch), _count_gram_sweeps(monkeypatch)
     p, q = projector_p(a), projector_q(a)
-    assert calls == [6, r, r]  # A, then C*C and RR* of its skeleton, for both projectors
+    # A through eliminate, then C*C and RR* of its skeleton through eliminate_gram, for both projectors.
+    assert calls == [6] and grams == [r, r]
     with monkeypatch.context() as refused:
-        for kernel in ("eliminate", "matmul_pairs", "adjoint_solve_pairs", "char_poly_pairs"):
+        for kernel in ("eliminate", "eliminate_gram", "matmul_pairs", "hermitian_matmul_pairs",
+                       "adjoint_solve_pairs", "char_poly_pairs"):
             refused.setattr(elimination, kernel, _refuse(kernel))
         res = mp_inverse(a)
         assert mp_inverse(a) is res and a._kept["pinv"] is res
@@ -1008,13 +1118,15 @@ def test_gram_operations_skip_berkowitz_and_sweep_a_once(name, m, n, r, complex_
     real = elimination.eliminate
     monkeypatch.setattr(elimination, "eliminate",
                         lambda rows: shapes.append((len(rows), len(rows[0]))) or real(rows))
+    grams = _count_gram_sweeps(monkeypatch)
     GRAM_OPERATIONS[name](a, y, yr)
-    # A is swept once; every other sweep is of an r x r Gram matrix.
-    assert shapes[0] == (m, n) and shapes[1:] == [(r, r)] * (len(shapes) - 1)
+    # A is swept once through eliminate; every other sweep is of an r x r Gram
+    # matrix, formed by the Hermitian product and swept by eliminate_gram.
+    assert shapes == [(m, n)] and grams == [r] * len(grams)
     if r < min(m, n):
-        assert len(shapes) == 1 + SKELETON_SOLVES[name]
+        assert len(grams) == SKELETON_SOLVES[name]
     else:
-        assert len(shapes) == 1 + FULL_RANK_SOLVES[name](m, n)
+        assert len(grams) == FULL_RANK_SOLVES[name](m, n)
 
 
 # -- the index search on integer pairs against power/rank and the oracle ------------

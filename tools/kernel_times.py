@@ -11,7 +11,9 @@ integers of up to ``BITS`` bits, real and complex, and times:
 - ``A A``: ``matmul_pairs`` of the matrix with itself;
 - ``A y``: ``matmul_pairs`` of the matrix with one column;
 - ``factor``: ``row_factor_pairs`` from the sweep of a seeded n x n matrix
-  of rank n/2, the product of random n x n/2 and n/2 x n factors.
+  of rank n/2, the product of random n x n/2 and n/2 x n factors;
+- ``gram``: the Gram matrix F F* of a seeded n/2 x n F of full row rank,
+  formed by ``hermitian_matmul_pairs`` and swept by ``eliminate_gram``.
 
 Real inputs are timed twice, with ``elimination._INT_MIN`` set so that
 every kernel runs on int rows ("real int") and so that every kernel runs on
@@ -34,7 +36,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."
 
 from adjinv import elimination  # noqa: E402
 
-KERNELS = ("eliminate", "solve I", "solve y", "A A", "A y", "factor")
+KERNELS = ("eliminate", "solve I", "solve y", "A A", "A y", "factor", "gram")
 BITS = 8  # bit size of the random entries
 
 
@@ -44,10 +46,10 @@ def _matrix(rng: random.Random, rows: int, cols: int, complex_entries: bool):
              for _ in range(cols)] for _ in range(rows)]
 
 
-def _nonsingular(rng: random.Random, n: int, complex_entries: bool):
+def _full_rank(rng: random.Random, rows: int, cols: int, complex_entries: bool):
     while True:
-        a = _matrix(rng, n, n, complex_entries)
-        if elimination.eliminate(a).rank == n:
+        a = _matrix(rng, rows, cols, complex_entries)
+        if elimination.eliminate(a).rank == min(rows, cols):
             return a
 
 
@@ -64,12 +66,14 @@ def _median_ms(call, budget_s: float = 0.2, least: int = 3) -> float:
 
 def kernel_times(n: int, complex_entries: bool) -> dict[str, float]:
     rng = random.Random(f"kernel_times:{n}:{BITS}:{complex_entries}")
-    a = _nonsingular(rng, n, complex_entries)
+    a = _full_rank(rng, n, n, complex_entries)
     y = _matrix(rng, n, 1, complex_entries)
     e = elimination.eliminate(a)
     half = max(n // 2, 1)
     deficient = elimination.eliminate(
         elimination.matmul_pairs(_matrix(rng, n, half, complex_entries), _matrix(rng, half, n, complex_entries)))
+    f = _full_rank(rng, half, n, complex_entries)
+    f_star = elimination._conjugate_transpose(f)
     calls = {
         "eliminate": lambda: elimination.eliminate(a),
         "solve I": lambda: elimination.adjoint_solve_pairs(e),
@@ -77,6 +81,7 @@ def kernel_times(n: int, complex_entries: bool) -> dict[str, float]:
         "A A": lambda: elimination.matmul_pairs(a, a),
         "A y": lambda: elimination.matmul_pairs(a, y),
         "factor": lambda: elimination.row_factor_pairs(deficient),
+        "gram": lambda: elimination.eliminate_gram(elimination.hermitian_matmul_pairs(f, f_star)),
     }
     return {name: _median_ms(call) for name, call in calls.items()}
 
