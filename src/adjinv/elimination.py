@@ -30,15 +30,17 @@ again.  The
 sweep, the replay and the back substitution share one row update,
 (pivot x - lead t) / prev with its exactness check, in two forms: on pairs
 (:func:`_update`), and on int rows, the real parts alone
-(:func:`_update_int`).  :func:`eliminate`, :func:`adjoint_solve_pairs`,
-:func:`eliminate_gram`, :func:`row_factor_pairs`, :func:`matmul_pairs`
-(whose int product is ``sum(map(mul, row, col))``) and
-:func:`hermitian_matmul_pairs` each choose once per call: int rows when
-every imaginary part they read is 0 and the least dimension of the work
-(the sweep's, the solved order, the product's) reaches ``_INT_MIN``, pairs
-otherwise.  The int form converts
-on entry and back on exit, so every caller sees pairs, and complex entries
-always take the pair form.
+(:func:`_update_int`).  :func:`eliminate`, :func:`gram_solve_pairs`,
+:func:`matmul_pairs` (whose int product is ``sum(map(mul, row, col))``) and
+:func:`hermitian_matmul_pairs` each choose once per call, from what they
+read (:func:`_int_rows`): int rows when every imaginary part is 0 and every
+operand's least dimension (the sweep's, the Gram order, the product's)
+reaches ``_INT_MIN``, pairs otherwise.  A sweep keeps the form it swept in,
+and :func:`adjoint_solve_pairs` and :func:`row_factor_pairs` read that form
+without choosing again: a real right side replays on int rows, and a
+complex one on an int sweep replays on the sweep's rows as pairs.  Every
+result a caller gets is pairs (``Elimination.swept_det`` turns an int pivot
+into one), and complex entries always take the pair form.
 
 A nonsingular g's adjugate ledger adj(g) b and det g comes from its
 elimination (:func:`adjoint_solve_pairs`): the replay on b, rescaled by the
@@ -56,15 +58,16 @@ No operation takes the characteristic adjugate of a Gram matrix A*A or AA*.
 The sweep of an m x n A of rank r also gives its skeleton A = C W^-1 R: the
 pivot columns C, the pivot rows R and their r x r intersection W.
 :func:`skeleton_ledger_pairs` takes the Gram ledger d_r(A*A) A+ b from two
-r x r adjoint solves with the same numbers the Gram route gives
+r x r Gram solves with the same numbers the Gram route gives
 (Cauchy-Binet), on a content-free skeleton: the primitive pivot rows, and
 the pivot columns each divided by its own content.  At full column or row
 rank one factor is W itself and drops out, which leaves one solve.  Each
 Gram matrix F F* there, of a factor F of full row rank, is Hermitian and
 positive definite: :func:`hermitian_matmul_pairs` forms it on and above the
-diagonal and mirrors the rest, and :func:`eliminate_gram` sweeps its upper
-triangle alone, with the leading principal minors as pivots, so no row
-exchange and no content division.
+diagonal and mirrors the rest, and :func:`gram_solve_pairs` takes adj(F F*) z
+from one sweep of [F F* | z] on its upper triangle, with the leading
+principal minors as pivots, so no row exchange, no content division and no
+kept :class:`Elimination`: the update of z's columns is the replay.
 """
 
 from __future__ import annotations
@@ -79,8 +82,8 @@ Pair = tuple[int, int]
 _ZERO: Pair = (0, 0)
 _ONE: Pair = (1, 0)
 
-# The least dimension at which a real sweep, replay or product runs on int
-# rows (tools/kernel_times.py measures both forms).  Converting in and out
+# The least dimension at which a real sweep, Gram solve or product runs on
+# int rows (tools/kernel_times.py measures both forms).  Converting in and out
 # reads every entry twice more, and below this size that costs more than the
 # int loop saves, or saves too little to show; a matrix-vector product never
 # pays.
@@ -131,7 +134,9 @@ class Elimination(NamedTuple):
 
     ``contents[i]`` is the content of input row i, the positive gcd of its
     parts (1 for a zero row), and the sweep runs on each row divided by it.
-    ``rows`` are the swept rows in pivot order.  On and to the right of each
+    ``rows`` are the swept rows in pivot order, in the form the sweep ran
+    in: lists of ints (the real parts) after a sweep on int rows, else lists
+    of pairs.  On and to the right of each
     pivot they hold the echelon form; below pivot k, in its column, each row
     keeps its lead at step k, the multiplier that step used on it.
     ``order[i]`` is the input row now at position i, ``pivots`` holds the
@@ -152,9 +157,10 @@ class Elimination(NamedTuple):
 
     @property
     def swept_det(self) -> Pair:
-        """The sign times the last pivot (rank >= 1): det of the primitive rows, or +-det of their W."""
+        """The sign times the last pivot (rank >= 1), as a pair: det of the primitive rows, or +-det of their W."""
         last = self.rows[self.rank - 1][self.pivots[-1]]
-        return last if self.sign == 1 else _neg(last)
+        re, im = (last, 0) if type(last) is int else last
+        return (re, im) if self.sign == 1 else (-re, -im)
 
     @property
     def det(self) -> Pair:
@@ -243,17 +249,24 @@ def _update_int(row: list[int], top: list[int], pivot: int, lead: int, prev: int
         row[j] = q
 
 
-def _int_rows(least: int, *operands) -> bool:
-    """True when ``least`` reaches _INT_MIN and every imaginary part in the row lists ``operands`` is 0."""
-    return least >= _INT_MIN and not any(map(itemgetter(1), chain.from_iterable(chain.from_iterable(operands))))
+def _int_rows(*operands) -> bool:
+    """True when every row list in ``operands`` has at least _INT_MIN rows and columns and no imaginary part but 0."""
+    return (all(min(len(rows), len(rows[0])) >= _INT_MIN for rows in operands)
+            and not any(map(itemgetter(1), chain.from_iterable(chain.from_iterable(operands)))))
+
+
+def _holds_ints(rows) -> bool:
+    """True when ``rows`` are int rows, False when they are pairs."""
+    return type(rows[0][0]) is int
 
 
 def _ints(rows) -> list[list[int]]:
     return [list(map(itemgetter(0), row)) for row in rows]
 
 
-def _pairs(rows: list[list[int]]) -> list[list[Pair]]:
-    return [list(zip(row, repeat(0))) for row in rows]
+def _pairs(rows) -> list[list[Pair]]:
+    """``rows`` as pairs: int rows as new lists, pairs as they are."""
+    return [list(zip(row, repeat(0))) for row in rows] if _holds_ints(rows) else rows
 
 
 def eliminate(g: list[list[Pair]]) -> Elimination:
@@ -270,7 +283,7 @@ def eliminate(g: list[list[Pair]]) -> Elimination:
     m = len(g)
     contents = [_content(row) for row in g]
     a = [list(row) if c == 1 else _divided(row, c) for row, c in zip(g, contents)]
-    if ints := _int_rows(min(m, len(g[0])), a):
+    if ints := _int_rows(a):
         a = _ints(a)
     update, zero, prev = (_update_int, 0, 1) if ints else (_update, _ZERO, _ONE)
     order = list(range(m))
@@ -293,35 +306,7 @@ def eliminate(g: list[list[Pair]]) -> Elimination:
             update(a[i], top, pivot, a[i][col], prev, col + 1)
         prev = pivot
         pivots.append(col)
-    return Elimination(_pairs(a) if ints else a, order, pivots, sign, contents)
-
-
-def eliminate_gram(g: list[list[Pair]]) -> Elimination:
-    """The fraction-free sweep of a positive definite Hermitian r x r ``g``, on its upper triangle.
-
-    ``g`` is left as it is.  Every step of a Hermitian matrix's Bareiss
-    sweep is a matrix of bordered minors, so it stays Hermitian: row i is
-    updated on columns j >= i only, the lead below pivot k is the conjugate
-    of the pivot row's entry at that step, and that is what the elimination
-    keeps there.  The pivots are the leading principal minors, real and
-    positive, so there is no row exchange and no content is divided out.
-    A zero pivot, which a singular g meets, raises ArithmeticError.
-    """
-    r = len(g)
-    a = [list(row) for row in g]
-    if ints := _int_rows(r, a):
-        a = _ints(a)
-    update, zero, prev = (_update_int, 0, 1) if ints else (_update, _ZERO, _ONE)
-    for k in range(r):
-        pivot, top = a[k][k], a[k]
-        if pivot == zero:
-            raise ArithmeticError("zero pivot: the Gram matrix is singular")
-        for i in range(k + 1, r):
-            lead = top[i] if ints else (top[i][0], -top[i][1])
-            a[i][k] = lead
-            update(a[i], top, pivot, lead, prev, i)
-        prev = pivot
-    return Elimination(_pairs(a) if ints else a, list(range(r)), list(range(r)), 1, [1] * r)
+    return Elimination(a, order, pivots, sign, contents)
 
 
 def det_pairs(a: list[list[Pair]], n: int) -> Pair:
@@ -343,7 +328,8 @@ def adjoint_solve_pairs(e: Elimination, b: list[list[Pair]] | None = None) -> tu
     system U x = c, which :func:`_back_substitute` solves for
     det(P) x = adj(P) L D^-1 b.  The identity needs no L: the replay runs
     on it as it is, and column j of adj(P) is scaled by prod(D) / D_j at
-    the end.
+    the end.  The replay takes the sweep's form: on int rows a real b is
+    read as ints, and a complex b replays on the sweep's rows as pairs.
     """
     u = e.rows
     n = len(u)
@@ -351,20 +337,17 @@ def adjoint_solve_pairs(e: Elimination, b: list[list[Pair]] | None = None) -> tu
         return None
     contents = e.contents
     big = lcm(*contents)
-    if b is None:
-        x = _identity(n)
-        x = [x[i] for i in e.order]
-    else:
-        x = _scaled([b[i] for i in e.order], [big // contents[i] for i in e.order])
-    if ints := _int_rows(n, u, x):
-        u, x = _ints(u), _ints(x)
+    x = _identity(n) if b is None else _scaled(b, [big // c for c in contents])
+    x = [x[i] for i in e.order]
+    ints = _holds_ints(u) and not any(map(itemgetter(1), chain.from_iterable(x)))
+    u, x = (u, _ints(x)) if ints else (_pairs(u), x)
     update, prev = (_update_int, 1) if ints else (_update, _ONE)
     for k in range(n):
         pivot, top = u[k][k], x[k]
         for i in range(k + 1, n):
             update(x[i], top, pivot, u[i][k], prev, 0)
         prev = pivot
-    x = _back_substitute(u, e.pivots, x, e.swept_det, ints)
+    x = _back_substitute(u, e.pivots, x, e.swept_det)
     if big == 1:
         return x, e.swept_det
     whole = prod(contents)
@@ -373,16 +356,47 @@ def adjoint_solve_pairs(e: Elimination, b: list[list[Pair]] | None = None) -> tu
     return (x if whole == big else _scaled(x, [whole // big] * n)), e.det
 
 
-def _back_substitute(u, pivots: list[int], x, det: Pair, ints: bool) -> list[list[Pair]]:
+def gram_solve_pairs(g: list[list[Pair]], z: list[list[Pair]] | None = None) -> tuple[list[list[Pair]], Pair]:
+    """adj(g) z and det g for a positive definite Hermitian r x r ``g`` and an r x p ``z`` (the identity when None).
+
+    ``g`` and ``z`` are left as they are.  One fraction-free sweep of
+    [g | z] on g's upper triangle: every step of a Hermitian matrix's
+    Bareiss sweep is a matrix of bordered minors, so it stays Hermitian, and
+    row i is updated on columns j >= i only, with the lead below pivot k the
+    conjugate of the pivot row's entry at that step.  The same update runs
+    on z's columns, which is the replay.  The pivots are the leading
+    principal minors, real and positive, so there is no row exchange and
+    no content is divided out; the last is det g, and :func:`_back_substitute`
+    takes z's columns the rest of the way.  A zero pivot, which a singular
+    g meets, raises ArithmeticError.
+    """
+    r = len(g)
+    a = [[*row, *side] for row, side in zip(g, _identity(r) if z is None else z)]
+    if ints := _int_rows(a):
+        a = _ints(a)
+    update, zero, prev = (_update_int, 0, 1) if ints else (_update, _ZERO, _ONE)
+    for k in range(r):
+        pivot, top = a[k][k], a[k]
+        if pivot == zero:
+            raise ArithmeticError("zero pivot: the Gram matrix is singular")
+        for i in range(k + 1, r):
+            update(a[i], top, pivot, top[i] if ints else (top[i][0], -top[i][1]), prev, i)
+        prev = pivot
+    det = (prev, 0) if ints else prev
+    return _back_substitute(a, range(r), [row[r:] for row in a], det), det
+
+
+def _back_substitute(u, pivots, x, det: Pair) -> list[list[Pair]]:
     """det U^-1 x, as pairs, for the r x r upper triangle U[i][t] = u[i][pivots[t]] (t >= i) of a sweep's rows.
 
-    ``x`` is r x p and is overwritten; ``u`` and ``x`` are int rows when
-    ``ints``, else pairs.  Row i of X = det U^-1 x is
+    ``x`` is r x p and is overwritten; ``u`` and ``x`` are both int rows or
+    both pairs.  Row i of X = det U^-1 x is
     (det x_i - sum_{t>i} U[i][t] X_t) / U[i][i]: one row update per term,
     with the division by the pivot at the last.  With ``det`` the sweep's
     last pivot, up to sign, and x a right side the sweep's steps have been
     run on, every division is exact (Bareiss, Math. Comp. 22(103), 1968).
     """
+    ints = _holds_ints(u)
     update, zero, one, det = (_update_int, 0, 1, det[0]) if ints else (_update, _ZERO, _ONE, det)
     for i in range(len(x) - 1, -1, -1):
         row, scale, coefficients = x[i], det, u[i]
@@ -390,7 +404,7 @@ def _back_substitute(u, pivots: list[int], x, det: Pair, ints: bool) -> list[lis
             update(row, x[t], scale, coefficients[pivots[t]], one, 0)
             scale = one
         update(row, row, scale, zero, coefficients[pivots[i]], 0)
-    return _pairs(x) if ints else x
+    return _pairs(x)
 
 
 def row_factor_pairs(e: Elimination) -> tuple[list[list[Pair]], int]:
@@ -403,24 +417,24 @@ def row_factor_pairs(e: Elimination) -> tuple[list[list[Pair]], int]:
     exchange: its first r rows U = ``e.rows[:r]`` are the upper-triangular
     system whose back substitution gives adj(W'') R'', once the leads that
     the sweep keeps below each pivot are read as 0 (C's pivot columns are
-    W''^-1 W'' = I).  So no row is replayed.  The back substitution takes
-    det W'', the last pivot, up to sign: a real one gives |det W''| W''^-1
-    R'' (adj(W'') R'' with the sign of det W'' in the rows) over |det W''|,
-    and any other gives adj(W'') R'' conj(det W'') over |det W''|^2.  The
-    caller reduces C' / c to lowest terms.
+    W''^-1 W'' = I).  So no row is replayed, and the back substitution runs
+    in the sweep's form.  It takes det W'', the swept determinant, up to
+    sign: a real one gives |det W''| W''^-1 R'' (adj(W'') R'' with the sign
+    of det W'' in the rows) over |det W''|, and any other gives
+    adj(W'') R'' conj(det W'') over |det W''|^2.  The caller reduces
+    C' / c to lowest terms.
     """
     r, pivots = e.rank, e.pivots
     u = e.rows[:r]
     x = [list(row) for row in u]
+    zero = 0 if _holds_ints(u) else _ZERO
     for i, row in enumerate(x):
         for j in pivots[:i]:
-            row[j] = _ZERO
-    if ints := _int_rows(r, u):
-        u, x = _ints(u), _ints(x)
-    dr, di = e.rows[r - 1][pivots[-1]]
+            row[j] = zero
+    dr, di = e.swept_det
     if not di:
-        return _back_substitute(u, pivots, x, (abs(dr), 0), ints), abs(dr)
-    x = _back_substitute(u, pivots, x, (dr, di), ints)
+        return _back_substitute(u, pivots, x, (abs(dr), 0)), abs(dr)
+    x = _back_substitute(u, pivots, x, (dr, di))
     return [[_mul((dr, -di), v) for v in row] for row in x], dr * dr + di * di
 
 
@@ -447,7 +461,7 @@ def _dot(x, y) -> Pair:
 def matmul_pairs(a: list[list[Pair]], b: list[list[Pair]]) -> list[list[Pair]]:
     """Product of two Gaussian-integer matrices given as lists of rows."""
     cols = list(zip(*b))
-    if _int_rows(min(len(a), len(b), len(cols)), a, b):
+    if _int_rows(a, b):
         cols = _ints(cols)
         return [[(sum(map(mul, row, col)), 0) for col in cols] for row in _ints(a)]
     return [[_dot(row, col) for col in cols] for row in a]
@@ -457,7 +471,7 @@ def hermitian_matmul_pairs(a: list[list[Pair]], b: list[list[Pair]]) -> list[lis
     """:func:`matmul_pairs` for a product known to be Hermitian: it forms the entries on and above
     the diagonal, and each entry below is the conjugate of its mirror."""
     cols = list(zip(*b))
-    if _int_rows(min(len(a), len(b)), a, b):
+    if _int_rows(a, b):
         cols = _ints(cols)
         upper = [[(sum(map(mul, row, col)), 0) for col in cols[i:]] for i, row in enumerate(_ints(a))]
     else:
@@ -473,10 +487,10 @@ def _identity(r: int) -> list[list[Pair]]:
     return [[_ONE if i == j else _ZERO for j in range(r)] for i in range(r)]
 
 
-def _gram_through(f, z=None) -> tuple[list[list[Pair]], Pair]:
-    """F* adj(F F*) z and det(F F*), for an r x n F of full row rank and an r x p z (the identity when None)."""
+def _gram_through(f, z) -> tuple[list[list[Pair]], Pair]:
+    """F* adj(F F*) z and det(F F*), for an r x n F of full row rank and an r x p z."""
     f_star = _conjugate_transpose(f)
-    x, d = adjoint_solve_pairs(eliminate_gram(hermitian_matmul_pairs(f, f_star)), z)
+    x, d = gram_solve_pairs(hermitian_matmul_pairs(f, f_star), z)
     return matmul_pairs(f_star, x), d
 
 
@@ -509,7 +523,7 @@ def skeleton_ledger_pairs(
     left of the factor is f.  ``adjoint`` runs on the skeleton
     (R''*, G^-1 W''*, C''*) of A* instead, read from the same ``e``, which
     scales the rows of W''* adj(R''R''*) R'' b by L / g_j.  Only r x r
-    systems are solved, by two adjoint solves.  A square factor drops out:
+    systems are solved, by two Gram solves.  A square factor drops out:
     at full row rank (C square) A = D R'' and A+ = R''+ D^-1, so the ledger
     is R''* adj(R''R''*) L' D^-1 b over L' det(R''R''*), times
     prod(D)^2 / L' for L' = lcm(D) ("eq7"); at full column rank (R square)
@@ -532,14 +546,10 @@ def skeleton_ledger_pairs(
     (cf, ck), (rf, rk) = sides
     if len(cf[0]) == r:  # C square: the Gram ledger of the primitive rows rf
         big, scales, f = _lcm_scales(rk)
-        if b is None:  # the identity's columns are scaled after the solve
-            x, d = _gram_through(rf)
-            x = _column_scaled(x, scales)
-        else:
-            x, d = _gram_through(rf, _scaled(b, scales))
+        x, d = _gram_through(rf, _scaled(_identity(r) if b is None else b, scales))
         return x, _mul((big, 0), d), f
     rhs = cf if b is None else matmul_pairs(cf, b)
-    x, det_c = adjoint_solve_pairs(eliminate_gram(hermitian_matmul_pairs(cf, _conjugate_transpose(cf))), rhs)
+    x, det_c = gram_solve_pairs(hermitian_matmul_pairs(cf, _conjugate_transpose(cf)), rhs)
     if len(rf[0]) == r:  # R square: it drops out
         big, scales, f = _lcm_scales(ck)
         return _scaled(x, scales), _mul((big, 0), det_c), f

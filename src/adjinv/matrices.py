@@ -104,13 +104,11 @@ class Matrix:
         return scalar_of(self.pairs[i][j], self.scale)
 
     def row(self, i: int) -> tuple[Scalar, ...]:
-        if not 0 <= i < self.rows:
-            raise IndexError(f"row {i} outside {self.rows}x{self.cols} matrix")
+        self._require_within((i,), ())
         return tuple(scalar_of(p, self.scale) for p in self.pairs[i])
 
     def column(self, j: int) -> tuple[Scalar, ...]:
-        if not 0 <= j < self.cols:
-            raise IndexError(f"column {j} outside {self.rows}x{self.cols} matrix")
+        self._require_within((), (j,))
         return tuple(scalar_of(row[j], self.scale) for row in self.pairs)
 
     def row_lists(self) -> list[list[Scalar]]:
@@ -118,7 +116,15 @@ class Matrix:
 
     def submatrix(self, row_indices: Sequence[int], col_indices: Sequence[int]) -> "Matrix":
         """Copy of the selected rows and columns (0-based indices)."""
+        self._require_within(row_indices, col_indices)
         return from_pairs([[self.pairs[i][j] for j in col_indices] for i in row_indices], self.scale)
+
+    def _require_within(self, row_indices: Iterable[int], col_indices: Iterable[int]) -> None:
+        """Raise IndexError "row i outside mxn matrix" (or "column j") for the first index out of range."""
+        for what, indices, size in (("row", row_indices, self.rows), ("column", col_indices, self.cols)):
+            for k in indices:
+                if not 0 <= k < size:
+                    raise IndexError(f"{what} {k} outside {self.rows}x{self.cols} matrix")
 
     # -- properties -----------------------------------------------------------
 

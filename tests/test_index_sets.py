@@ -19,6 +19,8 @@ def test_errors():
         enumerate_k_subsets(0, 3)
     with pytest.raises(ValueError):
         enumerate_k_subsets(4, 3)
+    with pytest.raises(ValueError, match="universe size must be positive, got 0"):
+        enumerate_k_subsets(1, 0)
     with pytest.raises(ValueError):
         enumerate_containing(2, 3, 0)
     with pytest.raises(ValueError):

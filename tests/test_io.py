@@ -297,6 +297,8 @@ def _check_long_values():
     assert matrix_tokens(res.pseudo_inverse) == as_json["entries"]
     assert format_output(10**5000 + 1) == ten
     assert json.loads(format_output(10**5000 + 1, OutputFormat(json_layout=True))) == {"value": ten}
+    assert json.loads(format_output(res.denominator, OutputFormat(json_layout=True))) == {
+        "value": format_scalar(res.denominator)}
     assert format_output([big, Scalar(1)]) == f"{ten} 1"
     third = Scalar(Fraction(10**5000 + 1, 3))
     assert format_scalar(third, 2) == "3" * 5000 + ".67"

@@ -598,14 +598,20 @@ def _force_kernel_form(monkeypatch, ints: bool) -> list:
     return updates
 
 
+def _swept_pairs(e: elimination.Elimination) -> elimination.Elimination:
+    """``e`` with its rows read as pairs, whichever form it swept them in."""
+    return e._replace(rows=elimination._pairs(e.rows)) if elimination._holds_ints(e.rows) else e
+
+
 def _kernel_results(g: list, b: list, c: list) -> tuple:
     """Every pair kernel on the m x n g, with an n x p c and an m x p b."""
     gt = [list(col) for col in zip(*g)]
     e = elimination.eliminate(g)
-    out = [e, elimination.matmul_pairs(g, gt), elimination.matmul_pairs(gt, g), elimination.matmul_pairs(g, c),
-           elimination.hermitian_matmul_pairs(g, gt), elimination.hermitian_matmul_pairs(gt, g)]
+    out = [_swept_pairs(e), e.det, elimination.matmul_pairs(g, gt), elimination.matmul_pairs(gt, g),
+           elimination.matmul_pairs(g, c), elimination.hermitian_matmul_pairs(g, gt),
+           elimination.hermitian_matmul_pairs(gt, g)]
     if e.rank == len(g):  # g g* is positive definite
-        out.append(elimination.eliminate_gram(out[-2]))
+        out += [elimination.gram_solve_pairs(out[-2]), elimination.gram_solve_pairs(out[-2], b)]
     if e.rank == len(g) == len(g[0]):
         out += [elimination.adjoint_solve_pairs(e), elimination.adjoint_solve_pairs(e, b)]
     out += [elimination.row_factor_pairs(e), elimination.skeleton_ledger_pairs(g, e),
@@ -644,6 +650,32 @@ def test_complex_inputs_take_the_pair_path(shape, monkeypatch):
     elimination.skeleton_ledger_pairs(a.pairs, e, y)
     elimination.matmul_pairs(conjugate_transpose(a).pairs, a.pairs)
     assert updates == []
+
+
+@pytest.mark.parametrize("m, n, r, complex_entries", [
+    (10, 10, 10, False), (10, 10, 6, False), (10, 13, 10, False), (9, 9, 9, False), (12, 9, 7, False),
+    (10, 10, 10, True), (10, 12, 4, True)])
+def test_a_sweep_keeps_the_form_it_swept_in(m, n, r, complex_entries, monkeypatch):
+    a = _full_rank(790 + m + n, m, n, complex_entries) if r == min(m, n) else (
+        _deficient(790 + m + n, m, n, r, complex_entries))
+    rng = random.Random(791 + m + n)
+    g, sides = a.pairs, [None, _gaussian_rows(rng, m, 2, False), _gaussian_rows(rng, m, 2, True)]
+    natural = elimination.eliminate(g)
+    # Int rows from a real sweep whose least dimension reaches the gate, pairs below it or for complex entries.
+    ints = min(m, n) >= elimination._INT_MIN and not complex_entries
+    assert elimination._holds_ints(natural.rows) == ints and natural.rank == r
+
+    def results(e):
+        out = [_swept_pairs(e), e.rank, e.det, e.swept_det, elimination.row_factor_pairs(e)]
+        if e.rank == m == n:
+            out += [elimination.adjoint_solve_pairs(e, z) for z in sides]
+        return out
+
+    with monkeypatch.context() as forced:  # the same sweep in the other form
+        _force_kernel_form(forced, not ints)
+        other = elimination.eliminate(g)
+    assert elimination._holds_ints(other.rows) == (not ints and not complex_entries)
+    assert results(natural) == results(other)
 
 
 @pytest.mark.parametrize("ints", [False, True])
@@ -691,7 +723,7 @@ def test_hermitian_product_matches_the_full_product(m, n, complex_entries, ints,
 @pytest.mark.parametrize("ints", [False, True])
 @pytest.mark.parametrize("complex_entries", [False, True])
 @pytest.mark.parametrize("r, n", [(1, 1), (1, 4), (3, 3), (4, 7), (10, 13)])
-def test_gram_sweep_solves_as_the_general_sweep(r, n, complex_entries, ints, scaled, monkeypatch):
+def test_gram_solve_equals_the_general_solve(r, n, complex_entries, ints, scaled, monkeypatch):
     seed = 740 + 20 * r + n
     rng = random.Random(seed)
     f = [list(row) for row in _full_rank(seed, r, n, complex_entries).pairs]
@@ -699,28 +731,28 @@ def test_gram_sweep_solves_as_the_general_sweep(r, n, complex_entries, ints, sca
         ks, ls = [rng.choice((2, 6, 65, 2**70)) for _ in f], [rng.choice((1, 3, 10, 77)) for _ in f[0]]
         f = [[(re * k * l, im * k * l) for (re, im), l in zip(row, ls)] for row, k in zip(f, ks)]
     g = elimination.hermitian_matmul_pairs(f, elimination._conjugate_transpose(f))
-    saved = [row[:] for row in g]
-    b = _gaussian_rows(rng, r, 3, complex_entries)
-    _force_kernel_form(monkeypatch, ints)
-    e = elimination.eliminate_gram(g)
-    assert g == saved
-    assert (e.order, e.pivots, e.sign, e.contents) == (list(range(r)), list(range(r)), 1, [1] * r)
-    # The pivots are the leading principal minors of a positive definite g.
-    assert all(e.rows[k][k][0] > 0 == e.rows[k][k][1] for k in range(r))
-    general = elimination.eliminate(g)
-    for rhs in (None, b):
-        assert elimination.adjoint_solve_pairs(e, rhs) == elimination.adjoint_solve_pairs(general, rhs)
+    sides = [None, _gaussian_rows(rng, r, 3, False), _gaussian_rows(rng, r, 2, True)]
+    saved = copy.deepcopy((g, sides))
+    updates = _force_kernel_form(monkeypatch, ints)
+    for z in sides:
+        x, d = elimination.gram_solve_pairs(g, z)
+        # det g is the last leading principal minor of a positive definite g.
+        assert d[0] > 0 == d[1]
+        assert (x, d) == elimination.adjoint_solve_pairs(elimination.eliminate(g), z)
+    assert (g, sides) == saved
+    assert bool(updates) == (ints and not any(im for row in g for _, im in row))  # a 1 x 1 g is real
 
 
 @pytest.mark.parametrize("ints", [False, True])
 @pytest.mark.parametrize("complex_entries", [False, True])
 @pytest.mark.parametrize("r, n", [(2, 2), (3, 5), (12, 12)])
-def test_gram_sweep_of_a_rank_deficient_factor_raises(r, n, complex_entries, ints, monkeypatch):
+def test_gram_solve_of_a_rank_deficient_factor_raises(r, n, complex_entries, ints, monkeypatch):
     f = _deficient(760 + 20 * r + n, r, n, r - 1, complex_entries).pairs
     g = elimination.hermitian_matmul_pairs(f, elimination._conjugate_transpose(f))
     _force_kernel_form(monkeypatch, ints)
-    with pytest.raises(ArithmeticError, match="zero pivot"):
-        elimination.eliminate_gram(g)
+    for z in (None, _gaussian_rows(random.Random(761), r, 2, complex_entries)):
+        with pytest.raises(ArithmeticError, match="zero pivot"):
+            elimination.gram_solve_pairs(g, z)
 
 
 @pytest.mark.parametrize("scaled", [False, True])
@@ -738,16 +770,19 @@ def test_projectors_equal_the_full_products(m, n, r, scaled):
 @pytest.mark.parametrize("ints", [False, True])
 @pytest.mark.parametrize("negative", [False, True])
 def test_row_factor_of_a_real_input_is_over_the_absolute_det_w(negative, ints, monkeypatch):
+    updates = _force_kernel_form(monkeypatch, ints)
     seed = 780
     while True:  # a real input whose sweep ends on a pivot det W'' of the wanted sign
         a = _line_scaled(_deficient(seed, 7, 8, 4, False), seed)
         e = elimination.eliminate(a.pairs)
-        last = e.rows[e.rank - 1][e.pivots[-1]]
+        last = (e.sign * e.swept_det[0], e.swept_det[1])
         if (last[0] < 0) == negative:
             break
         seed += 1
-    _force_kernel_form(monkeypatch, ints)
+    assert elimination._holds_ints(e.rows) == ints
+    updates.clear()
     x, scale = elimination.row_factor_pairs(e)
+    assert bool(updates) == ints
     assert scale == abs(last[0]) and last[1] == 0
     pivot_rows = a.submatrix(e.order[: e.rank], range(a.cols))
     w = pivot_rows.submatrix(range(e.rank), e.pivots)
@@ -762,21 +797,30 @@ def _count_sweeps(monkeypatch) -> list:
 
 
 def _count_gram_sweeps(monkeypatch) -> list:
-    """The order of each ``eliminate_gram`` sweep, checked to run on a matrix the Hermitian product formed."""
+    """The order of each ``gram_solve_pairs`` solve, checked to run on a matrix the Hermitian product formed.
+
+    A Gram matrix that product formed must not reach ``eliminate``, so none
+    is kept as an Elimination or reaches ``adjoint_solve_pairs``.
+    """
     formed, orders = [], []
-    product, sweep = elimination.hermitian_matmul_pairs, elimination.eliminate_gram
+    product, solve, sweep = elimination.hermitian_matmul_pairs, elimination.gram_solve_pairs, elimination.eliminate
 
     def hermitian(a, b):
         formed.append(product(a, b))
         return formed[-1]
 
-    def gram_sweep(g):
+    def gram_solve(g, z=None):
         assert any(g is f for f in formed), "a Gram matrix the Hermitian product did not form"
         orders.append(len(g))
-        return sweep(g)
+        return solve(g, z)
+
+    def general_sweep(a):
+        assert not any(a is f for f in formed), "a Gram matrix swept by eliminate"
+        return sweep(a)
 
     monkeypatch.setattr(elimination, "hermitian_matmul_pairs", hermitian)
-    monkeypatch.setattr(elimination, "eliminate_gram", gram_sweep)
+    monkeypatch.setattr(elimination, "gram_solve_pairs", gram_solve)
+    monkeypatch.setattr(elimination, "eliminate", general_sweep)
     return orders
 
 
@@ -828,7 +872,7 @@ def test_rank_deficient_square_operations_keep_their_ledgers(complex_entries, mo
     monkeypatch.setattr(drazin, "_index_search", search)
     res = mp_inverse(a)
     assert (res.numerators, res.denominator) == expected_pinv
-    # A through eliminate, then the r x r Gram matrices C*C and RR* of its skeleton through eliminate_gram.
+    # A through eliminate, then the r x r Gram matrices C*C and RR* of its skeleton through gram_solve_pairs.
     assert calls == [6] and grams == [r, r]
     calls.clear()
     # A keeps its sweep, so the index search sweeps only the r_i x r_i cores M_1 and M_2.
@@ -856,10 +900,10 @@ def test_projectors_and_mp_inverse_share_the_pseudoinverse_a_keeps(complex_entri
     assert 0 < r < 5 and a._kept == {}
     calls, grams = _count_sweeps(monkeypatch), _count_gram_sweeps(monkeypatch)
     p, q = projector_p(a), projector_q(a)
-    # A through eliminate, then C*C and RR* of its skeleton through eliminate_gram, for both projectors.
+    # A through eliminate, then C*C and RR* of its skeleton through gram_solve_pairs, for both projectors.
     assert calls == [6] and grams == [r, r]
     with monkeypatch.context() as refused:
-        for kernel in ("eliminate", "eliminate_gram", "matmul_pairs", "hermitian_matmul_pairs",
+        for kernel in ("eliminate", "gram_solve_pairs", "matmul_pairs", "hermitian_matmul_pairs",
                        "adjoint_solve_pairs", "char_poly_pairs"):
             refused.setattr(elimination, kernel, _refuse(kernel))
         res = mp_inverse(a)
@@ -1121,7 +1165,7 @@ def test_gram_operations_skip_berkowitz_and_sweep_a_once(name, m, n, r, complex_
     grams = _count_gram_sweeps(monkeypatch)
     GRAM_OPERATIONS[name](a, y, yr)
     # A is swept once through eliminate; every other sweep is of an r x r Gram
-    # matrix, formed by the Hermitian product and swept by eliminate_gram.
+    # matrix, formed by the Hermitian product and solved by gram_solve_pairs.
     assert shapes == [(m, n)] and grams == [r] * len(grams)
     if r < min(m, n):
         assert len(grams) == SKELETON_SOLVES[name]
@@ -1636,10 +1680,10 @@ GUARDED = {
 def test_zero_kernel_denominator_raises(name, monkeypatch):
     GUARDED[name]()  # runs cleanly with the real kernel
     # Every ledger's denominator is the determinant an adjoint solve returns:
-    # the skeleton's, the classical inverse's, and det(M_k)^(k+1) from the
-    # Drazin chain's core solves.
-    monkeypatch.setattr(elimination, "adjoint_solve_pairs",
-                        _zero_denominator(elimination.adjoint_solve_pairs))
+    # the skeleton's Gram solves, the classical inverse's, and det(M_k)^(k+1)
+    # from the Drazin chain's core solves.
+    for kernel in ("adjoint_solve_pairs", "gram_solve_pairs"):
+        monkeypatch.setattr(elimination, kernel, _zero_denominator(getattr(elimination, kernel)))
     with pytest.raises(ArithmeticError, match="this is a bug"):
         GUARDED[name]()
 
@@ -1665,7 +1709,7 @@ FULL_RANK_PROJECTORS = {
 def test_full_rank_projectors_are_the_identity(name, monkeypatch):
     projector, a = FULL_RANK_PROJECTORS[name]
     size = a.cols if projector is projector_p else a.rows
-    for kernel in ("matmul_pairs", "adjoint_solve_pairs"):
+    for kernel in ("matmul_pairs", "adjoint_solve_pairs", "gram_solve_pairs"):
         monkeypatch.setattr(elimination, kernel, _refuse(kernel))
     a = Matrix.from_rows(a.row_lists())  # equal, with no sweep kept by earlier tests
     calls = _count_sweeps(monkeypatch)

@@ -373,6 +373,40 @@ def test_matrix_construction_errors():
         Matrix.from_rows([[None]])
 
 
+def test_matrix_validation_branches():
+    a, b = Matrix.from_rows([[1, 2], [3, 4]]), Matrix.from_rows([[1, 0, 2], [0, 1, 1]])
+    assert a @ b == multiply(a, b)
+    for method in (a.__matmul__, a.__add__, a.__sub__, a.__mul__, a.__eq__):
+        assert method("1") is NotImplemented
+    assert a != "1" and a.__mul__(0.5) is NotImplemented
+    with pytest.raises(TypeError):
+        a @ [[1, 0], [0, 1]]
+    with pytest.raises(ValueError, match="matrix dimensions must be at least 1x1"):
+        Matrix(0, 1, [])
+    with pytest.raises(ValueError, match="matrix needs at least one row and one column"):
+        Matrix.from_rows([])
+    for read, message in ((lambda: a.at(2, 0), r"entry \(2, 0\)"), (lambda: a.at(0, -1), r"entry \(0, -1\)"),
+                          (lambda: a.row(-1), "row -1"), (lambda: a.column(2), "column 2")):
+        with pytest.raises(IndexError, match=f"^{message} outside 2x2 matrix$"):
+            read()
+    for op, what in ((lambda: a + b, "add"), (lambda: a - b, "subtract")):
+        with pytest.raises(ValueError, match=f"cannot {what} 2x2 and 2x3 matrices"):
+            op()
+    with pytest.raises(ValueError, match="replacement column must be a vector, got a 2x2 matrix"):
+        replace_column(a, 1, a)
+    with pytest.raises(ValueError, match=r"row index 0 outside 1\.\.2"):
+        replace_row(a, 0, [1, 2])
+
+
+def test_submatrix_checks_its_indices():
+    a = Matrix.from_rows([[1, 2, 3], [4, 5, 6]])
+    assert a.submatrix([1, 0], [2, 2]) == Matrix.from_rows([[6, 6], [3, 3]])
+    for rows, cols, message in (([-1], [0], "row -1"), ([0, 2], [0], "row 2"),
+                                ([0], [-1], "column -1"), ([1], [0, 3], "column 3")):
+        with pytest.raises(IndexError, match=f"^{message} outside 2x3 matrix$"):
+            a.submatrix(rows, cols)
+
+
 def test_vectors_and_hstack():
     v = column_vector([1, 2, 3])
     assert v.shape == (3, 1)

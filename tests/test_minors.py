@@ -19,6 +19,7 @@ from adjinv import (
     replace_column,
     replace_row,
 )
+from adjinv.minors import char_adjugate
 from conftest import det_cofactor, random_matrix, rank_forced_matrix
 
 
@@ -43,6 +44,11 @@ def test_minor_validation(example2):
         minor(example2, (2, 1), (1, 2))
     with pytest.raises(ValueError):
         minor(example2, (), ())
+
+
+def test_char_adjugate_checks_the_rows_of_its_right_side(example2):
+    with pytest.raises(ValueError, match="replacement matrix has 3 rows, expected 4"):
+        char_adjugate(example2, 0, Matrix.zeros(3, 2))
 
 
 def test_minor_agrees_with_cofactor_expansion_up_to_order_4():

@@ -68,6 +68,12 @@ def test_check_penrose_dimensions(example1):
         check_penrose(example1, Matrix.zeros(3, 4))
 
 
+def test_check_drazin_dimensions(example2):
+    for a, x in ((example2, Matrix.zeros(3, 3)), (Matrix.zeros(2, 3), Matrix.zeros(2, 2))):
+        with pytest.raises(ValueError, match="need square matrices of equal size"):
+            check_drazin(a, x, 1)
+
+
 def test_check_drazin_golden(example2):
     report = check_drazin(example2, GOLDEN_DRAZIN, 2)
     assert report.all_passed

@@ -12,8 +12,10 @@ integers of up to ``BITS`` bits, real and complex, and times:
 - ``A y``: ``matmul_pairs`` of the matrix with one column;
 - ``factor``: ``row_factor_pairs`` from the sweep of a seeded n x n matrix
   of rank n/2, the product of random n x n/2 and n/2 x n factors;
-- ``gram``: the Gram matrix F F* of a seeded n/2 x n F of full row rank,
-  formed by ``hermitian_matmul_pairs`` and swept by ``eliminate_gram``.
+- ``gram``: the whole Gram solve adj(F F*) z of a seeded n/2 x n F of full
+  row rank and one seeded column z: F F* formed by ``hermitian_matmul_pairs``
+  and solved by ``gram_solve_pairs``, one sweep of [F F* | z] and its back
+  substitution.
 
 Real inputs are timed twice, with ``elimination._INT_MIN`` set so that
 every kernel runs on int rows ("real int") and so that every kernel runs on
@@ -74,6 +76,7 @@ def kernel_times(n: int, complex_entries: bool) -> dict[str, float]:
         elimination.matmul_pairs(_matrix(rng, n, half, complex_entries), _matrix(rng, half, n, complex_entries)))
     f = _full_rank(rng, half, n, complex_entries)
     f_star = elimination._conjugate_transpose(f)
+    z = _matrix(rng, half, 1, complex_entries)
     calls = {
         "eliminate": lambda: elimination.eliminate(a),
         "solve I": lambda: elimination.adjoint_solve_pairs(e),
@@ -81,7 +84,7 @@ def kernel_times(n: int, complex_entries: bool) -> dict[str, float]:
         "A A": lambda: elimination.matmul_pairs(a, a),
         "A y": lambda: elimination.matmul_pairs(a, y),
         "factor": lambda: elimination.row_factor_pairs(deficient),
-        "gram": lambda: elimination.eliminate_gram(elimination.hermitian_matmul_pairs(f, f_star)),
+        "gram": lambda: elimination.gram_solve_pairs(elimination.hermitian_matmul_pairs(f, f_star), z),
     }
     return {name: _median_ms(call) for name, call in calls.items()}
 
