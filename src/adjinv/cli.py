@@ -13,13 +13,17 @@ exact string entries.  Every value is read and printed through
 
 Exit codes: 0 success, 1 usage error, 2 input error (an unreadable or
 malformed input), 3 mathematical precondition violated, 4 internal
-verification failure.
+verification failure, 141 output cut short because the reader closed
+standard output (``adjinv pinv big.mat | head``); 141 is 128 + SIGPIPE,
+the status a shell reports for a process that SIGPIPE ended, and no
+traceback is printed.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Callable, NamedTuple
 
@@ -46,6 +50,7 @@ EXIT_USAGE = 1
 EXIT_INPUT = 2
 EXIT_PRECONDITION = 3
 EXIT_VERIFY = 4
+EXIT_PIPE = 141
 
 # The --decimal display cost grows quadratically in N; at this cap it stays
 # under a second for small matrices.
@@ -238,15 +243,26 @@ def main(argv=None) -> int:
             raise _UsageError("--threads needs a positive count")
         command = _COMMANDS[args.command]
         if command.report:
-            return command.run(args)
-        a = _read_matrix(args.matrix)
-        y = _load_rhs(args, a, command.rhs) if command.rhs else None
-        value, extra = command.run(args, a, y)
-        if args.json:
-            print(json.dumps({**_json_value(value), **extra}))
+            code = command.run(args)
         else:
-            print(format_output(value, OutputFormat(decimal_digits=args.decimal)))
-        return EXIT_OK
+            a = _read_matrix(args.matrix)
+            y = _load_rhs(args, a, command.rhs) if command.rhs else None
+            value, extra = command.run(args, a, y)
+            if args.json:
+                print(json.dumps({**_json_value(value), **extra}))
+            else:
+                print(format_output(value, OutputFormat(decimal_digits=args.decimal)))
+            code = EXIT_OK
+        sys.stdout.flush()  # a closed pipe shows here, and not at exit
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout.  As the Python docs advise for SIGPIPE,
+        # point stdout at os.devnull, so that the flush at exit writes what
+        # is left nowhere and raises nothing.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
     except _UsageError as exc:
         print(parser.format_usage(), end="", file=sys.stderr)
         print(f"usage error: {exc}", file=sys.stderr)

@@ -68,6 +68,23 @@ diagonal and mirrors the rest, and :func:`gram_solve_pairs` takes adj(F F*) z
 from one sweep of [F F* | z] on its upper triangle, with the leading
 principal minors as pivots, so no row exchange, no content division and no
 kept :class:`Elimination`: the update of z's columns is the replay.
+
+At full rank the factor left is all of A's columns or all of its rows, so
+:func:`full_rank_ledger_pairs` reads A alone and needs only the fact that
+rank A = min(m, n).  :func:`full_rank_mod_p` certifies that without an
+exact sweep, by the classical small-primes technique (von zur Gathen and
+Gerhard, *Modern Computer Algebra*, 3rd ed., 2013, ch. 5).  For a prime
+P = 1 (mod 4), -1 has a square root I modulo P, and (re, im) -> re + I im
+mod P is a ring map Z[i] -> Z/P; it sends every minor of A to the same
+minor of A's image.  So when the short side of the image, ints below 2^30,
+has full rank modulo P, a nonzero minor of the image is the image of a
+minor of A that is nonzero too, and rank A = min(m, n).  The certificate is
+one-sided: a nonzero minor of A can still vanish modulo P (it does when
+the prime ideal (P, i - I) divides it), so a failure proves nothing, and
+the caller sweeps A exactly.  P = 1073741789 is the largest prime = 1
+(mod 4) below 2^30, so a product of two residues stays below 2^60, and
+I = 2^((P-1)/4) mod P: 2 is not a square modulo P, so by Euler's criterion
+I^2 = 2^((P-1)/2) = -1.
 """
 
 from __future__ import annotations
@@ -88,6 +105,10 @@ _ONE: Pair = (1, 0)
 # int loop saves, or saves too little to show; a matrix-vector product never
 # pays.
 _INT_MIN = 10
+
+# The full-rank certificate's prime and its square root of -1 (see the module docstring).
+_P = 1073741789
+_I = 933053945
 
 
 def integerize(rows) -> tuple[tuple[tuple[Pair, ...], ...], int]:
@@ -197,8 +218,9 @@ def _column_scaled(rows: list[list[Pair]], factors: list[int]) -> list[list[Pair
     return [[(re * f, im * f) for (re, im), f in zip(row, factors)] for row in rows]
 
 
-def _update(row: list[Pair], top: list[Pair], pivot: Pair, lead: Pair, prev: Pair, start: int) -> None:
-    """row[j] <- (pivot row[j] - lead top[j]) / prev for every j >= start, in place.
+def _update(row: list[Pair], top: list[Pair], pivot: Pair, lead: Pair, prev: Pair, start: int,
+            stop: int | None = None) -> None:
+    """row[j] <- (pivot row[j] - lead top[j]) / prev for start <= j < stop (the row's end when None), in place.
 
     The pair form of the row update of the sweep, the replay and the back
     substitution, which :func:`_update_int` does on int rows for real
@@ -212,7 +234,7 @@ def _update(row: list[Pair], top: list[Pair], pivot: Pair, lead: Pair, prev: Pai
     dr, di = prev
     cross = pi or li
     norm = dr * dr + di * di
-    for j in range(start, len(row)):
+    for j in range(start, len(row) if stop is None else stop):
         xr, xi = row[j]
         tr, ti = top[j]
         re = pr * xr - lr * tr
@@ -235,14 +257,17 @@ def _update(row: list[Pair], top: list[Pair], pivot: Pair, lead: Pair, prev: Pai
         row[j] = (re, im)
 
 
-def _update_int(row: list[int], top: list[int], pivot: int, lead: int, prev: int, start: int) -> None:
+def _update_int(row: list[int], top: list[int], pivot: int, lead: int, prev: int, start: int,
+                stop: int | None = None) -> None:
     """:func:`_update` on int rows, the real parts of real entries: the same update, and the same
     remainder check on every division (prev 1 divides nothing, so it skips the division)."""
+    if stop is None:
+        stop = len(row)
     if prev == 1:
-        for j in range(start, len(row)):
+        for j in range(start, stop):
             row[j] = pivot * row[j] - lead * top[j]
         return
-    for j in range(start, len(row)):
+    for j in range(start, stop):
         q, rem = divmod(pivot * row[j] - lead * top[j], prev)
         if rem:
             raise ArithmeticError("inexact division in fraction-free elimination")
@@ -309,6 +334,35 @@ def eliminate(g: list[list[Pair]]) -> Elimination:
     return Elimination(a, order, pivots, sign, contents)
 
 
+def full_rank_mod_p(a: list[list[Pair]]) -> bool:
+    """True only if the m x n Gaussian-integer ``a`` has rank min(m, n), from its image modulo ``_P``.
+
+    Each pair (re, im) maps to (re + I im) mod P, the ring map Z[i] -> Z/P
+    that sends i to I, and the lines of the short side (the rows when
+    m <= n, else the columns) are eliminated modulo P.  True when every
+    line finds a pivot: some order-min(m, n) minor of the image is then
+    nonzero, and it is the image of the same minor of ``a``, which so is
+    nonzero too.  False proves nothing: a nonzero minor can vanish modulo P.
+    The update subtracts f top[t] and leaves the rows unreduced; each line
+    is reduced once, when its own step comes.
+    """
+    lines = a if len(a) <= len(a[0]) else zip(*a)
+    rows = [[(re + _I * im) % _P for re, im in line] for line in lines]
+    width = len(rows[0])
+    for k in range(len(rows)):
+        top = rows[k] = [x % _P for x in rows[k]]
+        j = next((j for j, x in enumerate(top) if x), None)
+        if j is None:
+            return False
+        inverse = pow(top[j], -1, _P)
+        for row in rows[k + 1 :]:
+            f = row[j] * inverse % _P
+            if f:
+                for t in range(j, width):
+                    row[t] -= f * top[t]
+    return True
+
+
 def det_pairs(a: list[list[Pair]], n: int) -> Pair:
     """Determinant of an n x n Gaussian-integer matrix."""
     e = eliminate(a)
@@ -330,6 +384,16 @@ def adjoint_solve_pairs(e: Elimination, b: list[list[Pair]] | None = None) -> tu
     on it as it is, and column j of adj(P) is scaled by prod(D) / D_j at
     the end.  The replay takes the sweep's form: on int rows a real b is
     read as ints, and a complex b replays on the sweep's rows as pairs.
+
+    The identity in the sweep's row order is I with its columns in that
+    order, and the replay and the back substitution act on rows alone, so
+    they run on I itself and the columns are put back once at the end.  The
+    replay keeps I lower triangular: before step k, row i > k is 0 past
+    column k - 1 but for its diagonal, where (pivot x_ii - lead 0) / prev
+    turns the last step's pivot into this one's.  So step k updates columns
+    0..k alone, about n^3 / 6 entry updates in place of n^3 / 2.  A row's
+    diagonal is first read at its own step, so row k + 1's is set after
+    step k to that step's pivot, the value it has by then.
     """
     u = e.rows
     n = len(u)
@@ -337,17 +401,26 @@ def adjoint_solve_pairs(e: Elimination, b: list[list[Pair]] | None = None) -> tu
         return None
     contents = e.contents
     big = lcm(*contents)
-    x = _identity(n) if b is None else _scaled(b, [big // c for c in contents])
-    x = [x[i] for i in e.order]
+    if b is None:
+        x = _identity(n)
+    else:
+        x = _scaled(b, [big // c for c in contents])
+        x = [x[i] for i in e.order]
     ints = _holds_ints(u) and not any(map(itemgetter(1), chain.from_iterable(x)))
     u, x = (u, _ints(x)) if ints else (_pairs(u), x)
     update, prev = (_update_int, 1) if ints else (_update, _ONE)
     for k in range(n):
         pivot, top = u[k][k], x[k]
+        stop = k + 1 if b is None else None
         for i in range(k + 1, n):
-            update(x[i], top, pivot, u[i][k], prev, 0)
+            update(x[i], top, pivot, u[i][k], prev, 0, stop)
+        if b is None and k + 1 < n:
+            x[k + 1][k + 1] = pivot
         prev = pivot
     x = _back_substitute(u, e.pivots, x, e.swept_det)
+    if b is None:
+        at = sorted(range(n), key=e.order.__getitem__)  # column c of x is column order[c] of adj(P)
+        x = [[row[c] for c in at] for row in x]
     if big == 1:
         return x, e.swept_det
     whole = prod(contents)
@@ -523,36 +596,21 @@ def skeleton_ledger_pairs(
     left of the factor is f.  ``adjoint`` runs on the skeleton
     (R''*, G^-1 W''*, C''*) of A* instead, read from the same ``e``, which
     scales the rows of W''* adj(R''R''*) R'' b by L / g_j.  Only r x r
-    systems are solved, by two Gram solves.  A square factor drops out:
-    at full row rank (C square) A = D R'' and A+ = R''+ D^-1, so the ledger
-    is R''* adj(R''R''*) L' D^-1 b over L' det(R''R''*), times
-    prod(D)^2 / L' for L' = lcm(D) ("eq7"); at full column rank (R square)
-    it is diag(L / g_j) adj(C''*C'') C''* b over L det(C''*C''), times
-    prod(g)^2 / L ("eq6").  ``adjoint`` takes the roles of (R'', D) and
-    (C''*, G) the other way round.
+    systems are solved, by two Gram solves.  At r = min(m, n) a factor is
+    square and drops out, and :func:`full_rank_ledger_pairs`, which reads
+    A alone, gives the ledger.
     """
     r = e.rank
-    # Increasing order, which the square branches need (A = D R'' row for
-    # row); what reads ``e.rows`` needs the sweep's order instead.
+    if r == min(len(a), len(a[0])):
+        return full_rank_ledger_pairs(a, b, adjoint)
     pivots, rows = e.pivots, sorted(e.order[:r])
     c_star = [[(re, -im) for re, im in (a_row[j] for a_row in a)] for j in pivots]
     col_contents = [_content(col) for col in c_star]
     c_star = [_divided(col, g) for col, g in zip(c_star, col_contents)]
-    row_contents = [e.contents[i] for i in rows]
-    r_rows = [_divided(a[i], c) for i, c in zip(rows, row_contents)]
-    sides = [(c_star, col_contents), (r_rows, row_contents)]
-    if adjoint:
-        sides.reverse()
-    (cf, ck), (rf, rk) = sides
-    if len(cf[0]) == r:  # C square: the Gram ledger of the primitive rows rf
-        big, scales, f = _lcm_scales(rk)
-        x, d = _gram_through(rf, _scaled(_identity(r) if b is None else b, scales))
-        return x, _mul((big, 0), d), f
+    r_rows = [_divided(a[i], e.contents[i]) for i in rows]
+    cf, rf = (r_rows, c_star) if adjoint else (c_star, r_rows)
     rhs = cf if b is None else matmul_pairs(cf, b)
     x, det_c = gram_solve_pairs(hermitian_matmul_pairs(cf, _conjugate_transpose(cf)), rhs)
-    if len(rf[0]) == r:  # R square: it drops out
-        big, scales, f = _lcm_scales(ck)
-        return _scaled(x, scales), _mul((big, 0), det_c), f
     w = [[row[j] for j in pivots] for row in r_rows]
     big, scales, f = _lcm_scales(col_contents)
     if adjoint:
@@ -569,6 +627,39 @@ def skeleton_ledger_pairs(
         for out in (*x, d):
             _update(out, out, _ONE, _ZERO, (norm // common, 0), 0)
     return x, d[0], f // common
+
+
+def full_rank_ledger_pairs(
+    a: list[list[Pair]], b: list[list[Pair]] | None = None, adjoint: bool = False,
+) -> tuple[list[list[Pair]], Pair, int]:
+    """:func:`skeleton_ledger_pairs` for an m x n Gaussian-integer A of rank min(m, n), read from A alone.
+
+    Returns (X, d, f), the ledger X f over d f, and takes no elimination:
+    at full rank the skeleton's pivot rows (or columns) are all of A's.
+    Let M be A, or A* when ``adjoint``.  When M has full row rank (it has
+    no more rows than columns), M = D F for F its primitive rows and D the
+    diagonal of their contents, so M+ = F* (F F*)^-1 D^-1 and the ledger
+    is F* adj(F F*) L D^-1 b over L det(F F*), times prod(D)^2 / L for
+    L = lcm(D): "eq7" for A.  Otherwise M has full column rank and
+    M = F* G for F the primitive rows of M* (the columns of M, conjugated,
+    each over its own content) and G the diagonal of those contents, so
+    M+ = G^-1 (F F*)^-1 F and the ledger is diag(L / g_j) adj(F F*) F b
+    over L det(F F*), times prod(G)^2 / L: "eq6" for A.  Either way one
+    Gram solve of order min(m, n).
+    """
+    m, n = len(a), len(a[0])
+    full_row = n <= m if adjoint else m <= n  # M has full row rank
+    lines = a if full_row != adjoint else _conjugate_transpose(a)
+    contents = [_content(line) for line in lines]
+    f_rows = [_divided(line, c) for line, c in zip(lines, contents)]
+    big, scales, f = _lcm_scales(contents)
+    if full_row:
+        x, d = _gram_through(f_rows, _scaled(_identity(len(f_rows)) if b is None else b, scales))
+    else:
+        rhs = f_rows if b is None else matmul_pairs(f_rows, b)
+        x, d = gram_solve_pairs(hermitian_matmul_pairs(f_rows, _conjugate_transpose(f_rows)), rhs)
+        x = _scaled(x, scales)
+    return x, _mul((big, 0), d), f
 
 
 def _lcm_scales(contents: list[int]) -> tuple[int, list[int], int]:

@@ -19,12 +19,16 @@ Matrices are immutable; vectors are matrices with a single column (or row).
 All operations are pure functions: they validate their inputs, never mutate
 them, and return canonical results, so re-running any operation reproduces
 its output bit for bit.  :func:`require_square` is the package's one check
-that an operation's input is square.  A matrix keeps its one Bareiss sweep
-(of its primitive rows, with their contents), its classical adjugate
-ledger and inverse, its Drazin index chain, its Drazin inverse and its Moore-Penrose
-inverse in one private slot (:func:`kept`), which equality, hashing and
+that an operation's input is square.  A matrix keeps what its operations
+compute in one private slot (:func:`kept`), which equality, hashing and
 printing ignore; :func:`held` reads what the slot holds without computing
-it.
+it.  The slot holds the one Bareiss sweep (of its primitive rows, with
+their contents, :func:`sweep`); the outcome of the full-rank certificate
+modulo a prime that a tall or wide matrix tries before it sweeps
+(:func:`full_rank`); the classical adjugate ledger and inverse; the Drazin
+index chain; the Drazin inverse; and the Moore-Penrose inverse.  At full
+rank the Gram ledgers read A alone, so a matrix the certificate passes
+keeps no sweep and never makes one.
 
 Index conventions: storage accessors (``at``, ``row``, ``column``,
 ``submatrix``) are 0-based like any Python container, while the replacement
@@ -317,6 +321,23 @@ def held(a: Matrix, key: str):
 def sweep(a: Matrix) -> elimination.Elimination:
     """The fraction-free elimination of a's primitive rows, kept on ``a``; its readers must not change it."""
     return kept(a, "sweep", lambda a: elimination.eliminate(a.pairs))
+
+
+def full_rank(a: Matrix) -> bool:
+    """True when rank a = min(m, n).
+
+    Read off the sweep ``a`` keeps, if it keeps one.  Otherwise a tall or
+    wide ``a`` whose least dimension reaches ``elimination._INT_MIN`` first
+    tries the certificate modulo a prime
+    (:func:`adjinv.elimination.full_rank_mod_p`), kept on ``a``: True is a
+    proof, and no sweep is made.  A square or smaller ``a``, or one the
+    certificate fails on, is swept (:func:`sweep`) and keeps the sweep.
+    """
+    least = min(a.rows, a.cols)
+    if (held(a, "sweep") is None and a.rows != a.cols and least >= elimination._INT_MIN
+            and kept(a, "certificate", lambda a: elimination.full_rank_mod_p(a.pairs))):
+        return True
+    return sweep(a).rank == least
 
 
 def _vector_pairs(v, length: int, what: str) -> tuple[list[Pair], int]:

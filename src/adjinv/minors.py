@@ -35,7 +35,10 @@ takes d_r(A*A) A+ b and d_r(A*A) from the skeleton A = C W^-1 R that A's
 one kept sweep gives (pivot columns C, pivot rows R and their intersection
 W), solving only r x r systems
 (:func:`adjinv.elimination.skeleton_ledger_pairs`), one at full column or
-row rank.  The kernel reads a content-free skeleton, the primitive pivot
+row rank.  There the skeleton is A itself and the ledger reads A alone
+(:func:`adjinv.elimination.full_rank_ledger_pairs`), so an A whose full
+rank :func:`adjinv.matrices.full_rank` certified modulo a prime keeps no
+sweep.  The kernel reads a content-free skeleton, the primitive pivot
 rows and the pivot columns each divided by its content, and returns the
 ledger as a pair of integer matrices times a positive integer factor,
 which the scale absorbs before :func:`adjinv.matrices.from_pairs` reduces.  It returns the
@@ -68,7 +71,7 @@ from typing import NamedTuple
 
 from . import elimination
 from .index_sets import enumerate_k_subsets
-from .matrices import Matrix, conjugate_transpose, from_pairs, held, kept, require_square, scalar_of, sweep
+from .matrices import Matrix, conjugate_transpose, from_pairs, full_rank, held, kept, require_square, scalar_of, sweep
 from .scalars import ONE, ZERO, Scalar
 
 
@@ -201,17 +204,23 @@ def skeleton_ledger(a: Matrix, b: Matrix | None = None, adjoint: bool = False) -
     Returns (d_r(A*A) A+ b, d_r(A*A)) at r = rank A, the ledger
     (N_r(A*A) A* b, d_r(A*A)), with b the identity when None;
     ``adjoint`` gives the same for A*: (A*)+ b.  Order 0 gives the zero
-    matrix over 1.  :func:`adjinv.elimination.skeleton_ledger_pairs` runs on
-    a = a' / s and b = b' / t and returns (X, d, f) with the ledger of a'
-    and b' equal to (X f, d f); the result is X f / (s^(2r-1) t), with the
-    gcd of f and that scale divided out first, over d f / s^(2r).
+    matrix over 1.  At full rank (:func:`adjinv.matrices.full_rank`) the
+    ledger reads A alone (:func:`adjinv.elimination.full_rank_ledger_pairs`),
+    so a certified A is never swept; below it
+    :func:`adjinv.elimination.skeleton_ledger_pairs` reads the kept sweep.
+    Both run on a = a' / s and b = b' / t and return (X, d, f) with the
+    ledger of a' and b' equal to (X f, d f); the result is
+    X f / (s^(2r-1) t), with the gcd of f and that scale divided out first,
+    over d f / s^(2r).
     """
-    e = sweep(a)
-    r = e.rank
+    full = full_rank(a)
+    r = min(a.rows, a.cols) if full else sweep(a).rank
     rows, cols = (a.rows, a.cols) if adjoint else (a.cols, a.rows)
     if r == 0:
         return Ledger(Matrix.zeros(rows, cols if b is None else b.cols), ONE)
-    x, (dr, di), f = elimination.skeleton_ledger_pairs(a.pairs, e, None if b is None else b.pairs, adjoint)
+    bp = None if b is None else b.pairs
+    x, (dr, di), f = (elimination.full_rank_ledger_pairs(a.pairs, bp, adjoint) if full
+                      else elimination.skeleton_ledger_pairs(a.pairs, sweep(a), bp, adjoint))
     scale = a.scale ** (2 * r - 1) * (1 if b is None else b.scale)
     common = gcd(f, scale)
     nums = from_pairs(elimination._scaled(x, repeat(f // common)), scale // common)

@@ -18,8 +18,11 @@ the slot A keeps its results in.
 ``mp_inverse`` routes a zero matrix to the skeleton's order-0 ledger
 (0, 1), tagged "zero", whatever the method; any other matrix goes to the
 literal form that ``method`` "eq1" or "eq2" names.  The zero test reads A's
-pairs alone.  Under "auto" it reads A's rank off the one sweep A keeps
-(:func:`sweep`), takes every ledger from one kernel call
+pairs alone.  Under "auto" it asks :func:`adjinv.matrices.full_rank`
+whether rank A = min(m, n), which a tall or wide A of least dimension
+from ``elimination._INT_MIN`` answers by a certificate modulo a prime and
+never sweeps; any other A reads its rank off the one sweep it keeps
+(:func:`sweep`).  It takes every ledger from one kernel call
 (:mod:`adjinv.minors`) and dispatches on rank only to pick the tag: a
 square nonsingular matrix gets adj(A) / det(A) ("classical_inverse"),
 solved from that sweep; A keeps that ledger and its quotient, and its
@@ -28,15 +31,17 @@ N_r(A*A) @ A* = A* @ N_r(AA*) = d_r(A*A) A+ from the skeleton
 A = C W^-1 R of the same sweep, as R* adj(RR*) W adj(C*C) C* / |det W|^2
 over d_r(A*A) = det(C*C) det(RR*) / |det W|^2.  At full column rank R = W
 drops out, leaving adj(A*A) A* ("eq6", the determinant form of
-(A*A)^-1 A*); at full row rank C = W does, leaving A* adj(AA*) ("eq7").  A
+(A*A)^-1 A*); at full row rank C = W does, leaving A* adj(AA*) ("eq7");
+both read A alone, so a certified A is never swept.  A
 matrix deficient both ways is tagged "eq1" or "eq2", whichever form's
 literal evaluation needs fewer minors by the budget's count.  A matrix
 keeps that result (:func:`adjinv.matrices.kept`), so repeated calls and the
 projectors share one kernel call; the literal forms are never kept.  A
 least squares solve on A multiplies the kept numerators by its right side,
 unless they are a classical inverse's (:mod:`adjinv.solvers`).  The
-projectors A+ A and A A+ are the identity at full column (row) rank, read
-off the sweep alone, and otherwise the pseudoinverse A keeps, times A:
+projectors A+ A and A A+ are the identity at full column (row) rank, which
+:func:`adjinv.matrices.full_rank` decides alone, and otherwise the
+pseudoinverse A keeps, times A:
 A+ A = L A / d_r(A*A) for the numerators L, the paper's projector ledger.
 That product is Hermitian, so it is formed on and above the diagonal and
 mirrored below (:func:`adjinv.elimination.hermitian_matmul_pairs`).
@@ -54,6 +59,7 @@ from .matrices import (
     Matrix,
     conjugate_transpose,
     from_pairs,
+    full_rank,
     kept,
     multiply,
     rank,
@@ -154,7 +160,8 @@ def mp_inverse(a: Matrix, method: str = "auto") -> PinvResult:
 
 def _auto(a: Matrix) -> PinvResult:
     """The "auto" result of :func:`mp_inverse`, from one kernel call."""
-    m, n, r = a.rows, a.cols, sweep(a).rank
+    m, n = a.rows, a.cols
+    r = min(m, n) if full_rank(a) else sweep(a).rank
     if r == n == m:
         ledger = minors.char_adjugate(a, n, None)
         return PinvResult(minors.classical_inverse(a), ledger.denominator, ledger.numerators, "classical_inverse")
@@ -172,7 +179,7 @@ def projector_p(a: Matrix) -> Matrix:
     The identity at full column rank; otherwise the pseudoinverse ``a``
     keeps, times ``a``, formed on and above the diagonal and mirrored below.
     """
-    full = sweep(a).rank == a.cols
+    full = a.cols <= a.rows and full_rank(a)
     return Matrix.identity(a.cols) if full else _hermitian(kept(a, "pinv", _auto).pseudo_inverse, a)
 
 
@@ -182,7 +189,7 @@ def projector_q(a: Matrix) -> Matrix:
     Dual of :func:`projector_p`: the identity at full row rank; otherwise
     ``a`` times the pseudoinverse it keeps, formed the same way.
     """
-    full = sweep(a).rank == a.rows
+    full = a.rows <= a.cols and full_rank(a)
     return Matrix.identity(a.rows) if full else _hermitian(a, kept(a, "pinv", _auto).pseudo_inverse)
 
 

@@ -14,7 +14,10 @@ Otherwise the skeleton of the sweep A keeps
 r x r systems for one column each.  With full column rank N_r is the
 classical adjugate and the components are the determinant ratios of
 Cramer's rule over A*A and f ("eq13"): the skeleton's square factor drops
-out, and one adjoint solve of A*A (of AA* for a square A) remains.
+out, and one adjoint solve of A*A (of AA* for a square A) remains, read
+from A alone; full rank is decided by :func:`adjinv.matrices.full_rank`,
+so a tall or wide A that its certificate modulo a prime passes is never
+swept.
 ``lsq_solve_row_system`` solves the row form x A = y the same way with AA*
 and g = y A*: g @ N_r(AA*) = ((A*)+ y*)* from the skeleton of A* (read
 from the same elimination), or y @ L from the kept pseudoinverse, since
@@ -53,7 +56,7 @@ from dataclasses import dataclass
 
 from . import minors
 from .drazin import _chain_ledger, _index_search
-from .matrices import Matrix, conjugate_transpose, held, kept, multiply, require_square, sweep
+from .matrices import Matrix, conjugate_transpose, full_rank, held, kept, multiply, require_square
 from .scalars import Scalar
 
 
@@ -88,7 +91,7 @@ def lsq_solve(a: Matrix, y: Matrix) -> SolveReport:
     res = _held_gram(a)
     ledger = (minors.Ledger(multiply(res.numerators, y), res.denominator) if res
               else minors.skeleton_ledger(a, y))
-    method = "eq13" if sweep(a).rank == a.cols else "eq14"
+    method = "eq13" if a.cols <= a.rows and full_rank(a) else "eq14"
     return SolveReport(ledger.quotient(), method, ledger.denominator, ledger.numerators.column(0), f)
 
 
@@ -102,7 +105,7 @@ def lsq_solve_row_system(y: Matrix, a: Matrix) -> SolveReport:
     # y A+ = ((A*)+ y*)*, from the skeleton of A* that the sweep of A gives.
     ledger = (minors.Ledger(multiply(y, res.numerators), res.denominator) if res
               else minors.skeleton_ledger(a, conjugate_transpose(y), adjoint=True).adjoint())
-    method = "row_eq_fullrank" if sweep(a).rank == a.rows else "row_eq_general"
+    method = "row_eq_fullrank" if a.rows <= a.cols and full_rank(a) else "row_eq_general"
     return SolveReport(ledger.quotient(), method, ledger.denominator, ledger.numerators.row(0), g)
 
 

@@ -1,7 +1,11 @@
+import errno
 import importlib
 import json
+import os
+import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
@@ -323,6 +327,53 @@ def test_verify_failure_exit_code(capsys, example1_path, monkeypatch):
     monkeypatch.setattr(cli._pinv, "mp_inverse", inexact)
     code, out, err = run_cli(capsys, "pinv", example1_path)
     assert (code, out) == (4, "") and err.startswith("internal verification failure:")
+
+
+class _ClosedPipe:
+    """A stdout whose reader has gone: every write raises BrokenPipeError."""
+
+    def __init__(self, fd: int):
+        self._fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+    def flush(self):
+        pass
+
+    def fileno(self) -> int:
+        return self._fd
+
+
+@pytest.mark.parametrize("argv", [["pinv"], ["verify"]])
+def test_closed_stdout_exits_quietly(capsys, tmp_path, monkeypatch, example1_path, argv):
+    with open(tmp_path / "stdout", "w") as target:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(target.fileno()))
+        code = cli.main(argv + [example1_path])
+        monkeypatch.undo()
+    assert (code, capsys.readouterr()) == (cli.EXIT_PIPE, ("", ""))
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_pipe_ends_the_process_quietly(example1_path, unbuffered):
+    import adjinv
+
+    # The read end is closed before the process starts, so its first write
+    # meets a closed pipe: in print when stdout is unbuffered, else when the
+    # buffer is flushed.
+    read, write = os.pipe()
+    os.close(read)
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(adjinv.__file__).parents[1]), *filter(None, [os.environ.get("PYTHONPATH")])])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    try:
+        done = subprocess.run([sys.executable, "-m", "adjinv", "pinv", example1_path],
+                              stdout=write, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (cli.EXIT_PIPE, b"")
 
 
 def test_paper_examples_exit_zero(capsys):

@@ -21,7 +21,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from itertools import permutations
-from math import gcd, prod
+from math import gcd, isqrt, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -65,7 +65,7 @@ from adjinv import (
 )
 from adjinv import drazin, elimination, matrices, minors, pinv
 from adjinv.verify import _inverse, _rref
-from conftest import horner_adjugate_pairs, horner_ledger, representation
+from conftest import block_diag, horner_adjugate_pairs, horner_ledger, representation
 
 LITERAL = settings(max_examples=25, deadline=None)
 ORACLE = settings(max_examples=20, deadline=None)
@@ -1171,6 +1171,89 @@ def test_gram_operations_skip_berkowitz_and_sweep_a_once(name, m, n, r, complex_
         assert len(grams) == SKELETON_SOLVES[name]
     else:
         assert len(grams) == FULL_RANK_SOLVES[name](m, n)
+
+
+# -- the full-rank certificate modulo a prime -------------------------------------------
+
+
+def test_certificate_prime_has_a_root_of_minus_one():
+    p, i = elimination._P, elimination._I
+    assert p < 2**30 and p % 4 == 1 and all(p % d for d in range(2, isqrt(p) + 1))
+    assert i * i % p == p - 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(deficient_matrices(12), line_scaled(deficient_matrices(8))))
+def test_certificate_never_passes_a_deficient_matrix(a):
+    assert rank(a) < min(a.shape) and not elimination.full_rank_mod_p(a.pairs)
+
+
+def _singular_mod_p(wide: bool, complex_entries: bool) -> Matrix:
+    """A 12 x 10 matrix (its transpose when ``wide``) of rank 10 whose image modulo the certificate's prime has rank 9.
+
+    Its leading block [[1, i], [I, -1]] has determinant -1 - iI, not 0, but
+    the image of that is -1 - I^2 = 0 mod P.
+    """
+    block = Matrix.from_rows([[1, Scalar(0, 1)], [elimination._I, -1]])
+    a = block_diag(block, _full_rank(1200 + complex_entries, 10, 8, complex_entries))
+    return Matrix.from_rows(list(zip(*a.row_lists()))) if wide else a
+
+
+@pytest.mark.parametrize("complex_entries", [False, True])
+@pytest.mark.parametrize("wide", [False, True])
+def test_a_full_rank_matrix_singular_mod_p_is_swept_and_keeps_its_ledgers(wide, complex_entries, monkeypatch):
+    a = _singular_mod_p(wide, complex_entries)
+    (m, n), astar = a.shape, conjugate_transpose(a)
+    assert rank(a) == 10 and not elimination.full_rank_mod_p(a.pairs)
+    nums, d = _exact(horner_ledger(multiply(astar, a), 10, astar))
+    x = nums * (ONE / d)
+    y, yr = column_vector(_rhs(1210, m)), row_vector(_rhs(1211, n))
+    expected = {
+        "mp_inverse": (nums, d, "eq7" if wide else "eq6"),
+        "projector_p": multiply(x, a),
+        "projector_q": multiply(a, x),
+        "lsq_solve": (multiply(nums, y).column(0), d),
+        "lsq_solve_row_system": (multiply(yr, nums).row(0), d),
+    }
+    shape = {
+        "mp_inverse": lambda res: (res.numerators, res.denominator, res.representation_used),
+        "lsq_solve": lambda res: (res.numerators, res.denominator),
+        "lsq_solve_row_system": lambda res: (res.numerators, res.denominator),
+    }
+    for name, run in GRAM_OPERATIONS.items():
+        fresh = _fresh(a)
+        with monkeypatch.context() as counting:
+            swept = _count_sweeps(counting)
+            got = run(fresh, y, yr)
+        assert shape.get(name, lambda res: res)(got) == expected[name], name
+        assert swept == [m] and "certificate" in fresh._kept, name
+
+
+@pytest.mark.parametrize("complex_entries", [False, True])
+@pytest.mark.parametrize("m, n, r", [(14, 10, 10), (10, 14, 10), (12, 14, 11), (14, 12, 11), (9, 13, 9),
+                                     (13, 9, 9), (10, 10, 10), (11, 11, 9)])
+@pytest.mark.parametrize("name", sorted(GRAM_OPERATIONS))
+def test_certified_operations_never_sweep_a(name, m, n, r, complex_entries, monkeypatch):
+    seed = 1300 + 10 * m + n
+    if r == min(m, n):
+        a = _full_rank(seed, m, n, complex_entries)
+    else:
+        while rank(a := _deficient(seed, m, n, r, complex_entries)) < r:
+            seed += 1000
+    y, yr = column_vector(_rhs(seed, m, complex_entries)), row_vector(_rhs(seed + 1, n, complex_entries))
+    swept = _fresh(a)
+    matrices.sweep(swept)  # the route of a matrix that keeps its sweep
+    expected = GRAM_OPERATIONS[name](swept, y, yr)
+    shapes, certificates = [], _counted(monkeypatch, elimination, "full_rank_mod_p")
+    real = elimination.eliminate
+    monkeypatch.setattr(elimination, "eliminate",
+                        lambda rows: shapes.append((len(rows), len(rows[0]))) or real(rows))
+    assert GRAM_OPERATIONS[name](a, y, yr) == expected
+    gated = m != n and min(m, n) >= elimination._INT_MIN
+    # A tall or wide A at the gate tries the certificate once; one that passes
+    # it is never swept, and any other A is swept once, as before.
+    assert len(certificates) == gated
+    assert shapes == ([] if gated and r == min(m, n) else [(m, n)])
 
 
 # -- the index search on integer pairs against power/rank and the oracle ------------

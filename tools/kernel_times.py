@@ -6,6 +6,9 @@ For each size n it builds one seeded nonsingular n x n matrix of random
 integers of up to ``BITS`` bits, real and complex, and times:
 
 - ``eliminate``: the fraction-free sweep of the matrix;
+- ``certify``: ``full_rank_mod_p``, the full-rank certificate modulo a
+  prime, on a seeded n x (n+4) matrix of full rank, where a tall or wide
+  operation would otherwise sweep that matrix exactly;
 - ``solve I`` and ``solve y``: ``adjoint_solve_pairs`` from that sweep, for
   the identity and for one column;
 - ``A A``: ``matmul_pairs`` of the matrix with itself;
@@ -38,7 +41,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), ".."
 
 from adjinv import elimination  # noqa: E402
 
-KERNELS = ("eliminate", "solve I", "solve y", "A A", "A y", "factor", "gram")
+KERNELS = ("eliminate", "certify", "solve I", "solve y", "A A", "A y", "factor", "gram")
 BITS = 8  # bit size of the random entries
 
 
@@ -77,8 +80,10 @@ def kernel_times(n: int, complex_entries: bool) -> dict[str, float]:
     f = _full_rank(rng, half, n, complex_entries)
     f_star = elimination._conjugate_transpose(f)
     z = _matrix(rng, half, 1, complex_entries)
+    wide = _full_rank(random.Random(f"kernel_times:certify:{n}:{BITS}:{complex_entries}"), n, n + 4, complex_entries)
     calls = {
         "eliminate": lambda: elimination.eliminate(a),
+        "certify": lambda: elimination.full_rank_mod_p(wide),
         "solve I": lambda: elimination.adjoint_solve_pairs(e),
         "solve y": lambda: elimination.adjoint_solve_pairs(e, y),
         "A A": lambda: elimination.matmul_pairs(a, a),
