@@ -56,22 +56,21 @@ coefficients without any division.
 
 No operation takes the characteristic adjugate of a Gram matrix A*A or AA*.
 The sweep of an m x n A of rank r also gives its skeleton A = C W^-1 R: the
-pivot columns C, the pivot rows R and their r x r intersection W.
-:func:`skeleton_ledger_pairs` takes the Gram ledger d_r(A*A) A+ b from two
-r x r Gram solves with the same numbers the Gram route gives
-(Cauchy-Binet), on a content-free skeleton: the primitive pivot rows, and
-the pivot columns each divided by its own content.  At full column or row
-rank one factor is W itself and drops out, which leaves one solve.  Each
-Gram matrix F F* there, of a factor F of full row rank, is Hermitian and
-positive definite: :func:`hermitian_matmul_pairs` forms it on and above the
+pivot columns C, the pivot rows R and their r x r intersection W.  C has
+full column rank and W^-1 R full row rank, so A+ = R+ W C+, and
+:func:`skeleton_ledger_pairs` takes the Gram ledger d_r(A*A) A+ b as two
+full-rank ledgers around W, with the numbers the Gram route gives
+(Cauchy-Binet).  A full-rank ledger (:func:`_factor_ledger`) is one Gram
+solve: F F*, for F the primitive lines of a factor, is Hermitian and
+positive definite, :func:`hermitian_matmul_pairs` forms it on and above the
 diagonal and mirrors the rest, and :func:`gram_solve_pairs` takes adj(F F*) z
 from one sweep of [F F* | z] on its upper triangle, with the leading
 principal minors as pivots, so no row exchange, no content division and no
 kept :class:`Elimination`: the update of z's columns is the replay.
 
-At full rank the factor left is all of A's columns or all of its rows, so
-:func:`full_rank_ledger_pairs` reads A alone and needs only the fact that
-rank A = min(m, n).  :func:`full_rank_mod_p` certifies that without an
+At full rank :func:`full_rank_ledger_pairs` takes that ledger of A alone
+and needs only the fact that rank A = min(m, n).  :func:`full_rank_mod_p`
+certifies that without an
 exact sweep, by the classical small-primes technique (von zur Gathen and
 Gerhard, *Modern Computer Algebra*, 3rd ed., 2013, ch. 5).  For a prime
 P = 1 (mod 4), -1 has a square root I modulo P, and (re, im) -> re + I im
@@ -166,7 +165,7 @@ class Elimination(NamedTuple):
     pattern, so rank, pivots, order and sign are those of the rows as given.
     """
 
-    rows: list[list[Pair]]
+    rows: list[list[int]] | list[list[Pair]]
     order: list[int]
     pivots: list[int]
     sign: int
@@ -429,8 +428,8 @@ def adjoint_solve_pairs(e: Elimination, b: list[list[Pair]] | None = None) -> tu
     return (x if whole == big else _scaled(x, [whole // big] * n)), e.det
 
 
-def gram_solve_pairs(g: list[list[Pair]], z: list[list[Pair]] | None = None) -> tuple[list[list[Pair]], Pair]:
-    """adj(g) z and det g for a positive definite Hermitian r x r ``g`` and an r x p ``z`` (the identity when None).
+def gram_solve_pairs(g: list[list[Pair]], z: list[list[Pair]]) -> tuple[list[list[Pair]], Pair]:
+    """adj(g) z and det g for a positive definite Hermitian r x r ``g`` and an r x p ``z``.
 
     ``g`` and ``z`` are left as they are.  One fraction-free sweep of
     [g | z] on g's upper triangle: every step of a Hermitian matrix's
@@ -444,7 +443,7 @@ def gram_solve_pairs(g: list[list[Pair]], z: list[list[Pair]] | None = None) -> 
     g meets, raises ArithmeticError.
     """
     r = len(g)
-    a = [[*row, *side] for row, side in zip(g, _identity(r) if z is None else z)]
+    a = [[*row, *side] for row, side in zip(g, z)]
     if ints := _int_rows(a):
         a = _ints(a)
     update, zero, prev = (_update_int, 0, 1) if ints else (_update, _ZERO, _ONE)
@@ -560,69 +559,37 @@ def _identity(r: int) -> list[list[Pair]]:
     return [[_ONE if i == j else _ZERO for j in range(r)] for i in range(r)]
 
 
-def _gram_through(f, z) -> tuple[list[list[Pair]], Pair]:
-    """F* adj(F F*) z and det(F F*), for an r x n F of full row rank and an r x p z."""
-    f_star = _conjugate_transpose(f)
-    x, d = gram_solve_pairs(hermitian_matmul_pairs(f, f_star), z)
-    return matmul_pairs(f_star, x), d
-
-
 def skeleton_ledger_pairs(
     a: list[list[Pair]], e: Elimination, b: list[list[Pair]] | None = None, adjoint: bool = False,
 ) -> tuple[list[list[Pair]], Pair, int]:
     """Gram ledgers of an m x n Gaussian-integer A of rank r >= 1 from its elimination ``e``.
 
-    Returns (X, d, f): the ledger is X f over d f, for a positive int f.
-    With P = ``e.pivots`` and Q the rows ``e.order[:r]`` in increasing
-    order, C = A[:, P], R = A[Q, :] and W = A[Q, P] give the skeleton
-    A = C W^-1 R (Goreinov, Tyrtyshnikov and Zamarashkin, LAA 261, 1997),
-    and by Cauchy-Binet d_r(A*A) = det(C*C) det(RR*) / |det W|^2, so the
-    Gram ledger is
-
-        d_r(A*A) A+ b = R* adj(RR*) W adj(C*C) C* b / |det W|^2
-
-    over d_r(A*A), with b the m x m identity when it is None.  The formula
-    holds on any such skeleton, and the one used is content-free: R'' the
-    primitive pivot rows (R = D R'', D the contents ``e`` keeps), W'' their
-    pivot columns, C'' = C G^-1 the pivot columns each divided by its own
-    content g_j, and A = C'' (W'' G^-1)^-1 R''.  The middle W'' G^-1 is
-    W'' diag(L / g_j) / L for L = lcm(g), so the ledger is
-
-        R''* adj(R''R''*) W'' diag(L / g_j) adj(C''*C'') C''* b
-
-    over L det(C''*C'') det(R''R''*), both times prod(g)^2 / (L |det W''|^2),
-    where |det W''| is the last pivot of ``e``.  The part of |det W''|^2
-    that prod(g)^2 / L does not cancel divides both exactly, and what is
-    left of the factor is f.  ``adjoint`` runs on the skeleton
-    (R''*, G^-1 W''*, C''*) of A* instead, read from the same ``e``, which
-    scales the rows of W''* adj(R''R''*) R'' b by L / g_j.  Only r x r
-    systems are solved, by two Gram solves.  At r = min(m, n) a factor is
-    square and drops out, and :func:`full_rank_ledger_pairs`, which reads
-    A alone, gives the ledger.
+    Returns (X, d, f): the ledger is X f over d f, for a positive int f,
+    and b is the m x m identity when None.  With P = ``e.pivots`` and Q the
+    rows ``e.order[:r]`` in increasing order, A = C W''^-1 R'' for
+    C = A[:, P], R'' the rows A[Q, :] with the contents ``e`` keeps divided
+    out, and W'' = R''[:, P] (Goreinov, Tyrtyshnikov and Zamarashkin, LAA
+    261, 1997).  C has full column rank and W''^-1 R'' full row rank, so
+    A+ = R''+ W'' C+: the full-rank ledger (:func:`_factor_ledger`) of C
+    on b, times W'', then that of R''.  By Cauchy-Binet the two ledgers'
+    d f multiply to d_r(A*A) |det W''|^2, where |det W''| is the last pivot
+    of ``e``; the part of |det W''|^2 that their f do not cancel divides X
+    and d exactly.  ``adjoint`` gives (A*)+ b from the
+    skeleton (R''*, W''*, C*) of A*, read from the same ``e``.
     """
-    r = e.rank
-    if r == min(len(a), len(a[0])):
-        return full_rank_ledger_pairs(a, b, adjoint)
-    pivots, rows = e.pivots, sorted(e.order[:r])
+    pivots = e.pivots
     c_star = [[(re, -im) for re, im in (a_row[j] for a_row in a)] for j in pivots]
-    col_contents = [_content(col) for col in c_star]
-    c_star = [_divided(col, g) for col, g in zip(c_star, col_contents)]
-    r_rows = [_divided(a[i], e.contents[i]) for i in rows]
-    cf, rf = (r_rows, c_star) if adjoint else (c_star, r_rows)
-    rhs = cf if b is None else matmul_pairs(cf, b)
-    x, det_c = gram_solve_pairs(hermitian_matmul_pairs(cf, _conjugate_transpose(cf)), rhs)
+    r_rows = [_divided(a[i], e.contents[i]) for i in sorted(e.order[: e.rank])]
     w = [[row[j] for j in pivots] for row in r_rows]
-    big, scales, f = _lcm_scales(col_contents)
-    if adjoint:
-        x = _scaled(matmul_pairs(_conjugate_transpose(w), x), scales)
-    else:
-        x = matmul_pairs(w, _scaled(x, scales))
-    x, det_r = _gram_through(rf, x)
+    first, middle, last = (r_rows, _conjugate_transpose(w), c_star) if adjoint else (c_star, w, r_rows)
+    x, d_first, f_first = _factor_ledger(first, False, b)
+    x, d_last, f_last = _factor_ledger(last, True, matmul_pairs(middle, x))
     # The part of |det W''|^2 that f does not cancel divides x and d exactly.
     pr, pi = e.swept_det
     norm = pr * pr + pi * pi
+    f = f_first * f_last
     common = gcd(norm, f)
-    d = [_mul((big, 0), _mul(det_c, det_r))]
+    d = [_mul(d_first, d_last)]
     if norm != common:
         for out in (*x, d):
             _update(out, out, _ONE, _ZERO, (norm // common, 0), 0)
@@ -635,37 +602,41 @@ def full_rank_ledger_pairs(
     """:func:`skeleton_ledger_pairs` for an m x n Gaussian-integer A of rank min(m, n), read from A alone.
 
     Returns (X, d, f), the ledger X f over d f, and takes no elimination:
-    at full rank the skeleton's pivot rows (or columns) are all of A's.
-    Let M be A, or A* when ``adjoint``.  When M has full row rank (it has
-    no more rows than columns), M = D F for F its primitive rows and D the
-    diagonal of their contents, so M+ = F* (F F*)^-1 D^-1 and the ledger
-    is F* adj(F F*) L D^-1 b over L det(F F*), times prod(D)^2 / L for
-    L = lcm(D): "eq7" for A.  Otherwise M has full column rank and
-    M = F* G for F the primitive rows of M* (the columns of M, conjugated,
-    each over its own content) and G the diagonal of those contents, so
-    M+ = G^-1 (F F*)^-1 F and the ledger is diag(L / g_j) adj(F F*) F b
-    over L det(F F*), times prod(G)^2 / L: "eq6" for A.  Either way one
-    Gram solve of order min(m, n).
+    it is the full-rank ledger (:func:`_factor_ledger`) of M = A, or A* when
+    ``adjoint``, on M's rows when it has full row rank (no more rows than
+    columns), else on its conjugated columns.  One Gram solve of order
+    min(m, n): "eq7" for A at full row rank, "eq6" at full column rank.
     """
     m, n = len(a), len(a[0])
     full_row = n <= m if adjoint else m <= n  # M has full row rank
-    lines = a if full_row != adjoint else _conjugate_transpose(a)
+    return _factor_ledger(a if full_row != adjoint else _conjugate_transpose(a), full_row, b)
+
+
+def _factor_ledger(
+    lines: list[list[Pair]], full_row: bool, b: list[list[Pair]] | None,
+) -> tuple[list[list[Pair]], Pair, int]:
+    """(X, d, f) with M+ b = X f / (d f) for M of full rank given by its ``lines``, b the identity when None.
+
+    The lines are M's rows when ``full_row``, else M*'s.  Each is divided by
+    its content: the lines are D F for F primitive and D the diagonal of the
+    contents, L = lcm(D), and f = prod(D)^2 / L.  At full row rank
+    M = D F and M+ = F* (F F*)^-1 D^-1, so X = F* adj(F F*) L D^-1 b; else
+    M = F* D and M+ = D^-1 (F F*)^-1 F, so X = L D^-1 adj(F F*) F b.  Either
+    way d = L det(F F*) and one Gram solve (:func:`gram_solve_pairs`) on
+    the Gram matrix :func:`hermitian_matmul_pairs` forms.
+    """
     contents = [_content(line) for line in lines]
     f_rows = [_divided(line, c) for line, c in zip(lines, contents)]
-    big, scales, f = _lcm_scales(contents)
-    if full_row:
-        x, d = _gram_through(f_rows, _scaled(_identity(len(f_rows)) if b is None else b, scales))
-    else:
-        rhs = f_rows if b is None else matmul_pairs(f_rows, b)
-        x, d = gram_solve_pairs(hermitian_matmul_pairs(f_rows, _conjugate_transpose(f_rows)), rhs)
-        x = _scaled(x, scales)
-    return x, _mul((big, 0), d), f
-
-
-def _lcm_scales(contents: list[int]) -> tuple[int, list[int], int]:
-    """L = lcm(contents), the scales L / c and prod(contents)^2 / L."""
     big = lcm(*contents)
-    return big, [big // c for c in contents], prod(contents) ** 2 // big
+    scales = [big // c for c in contents]
+    if full_row:
+        f_star = _conjugate_transpose(f_rows)
+        z = _scaled(_identity(len(f_rows)) if b is None else b, scales)
+    else:
+        z = f_rows if b is None else matmul_pairs(f_rows, b)
+    x, d = gram_solve_pairs(hermitian_matmul_pairs(f_rows, f_star if full_row else _conjugate_transpose(f_rows)), z)
+    x = matmul_pairs(f_star, x) if full_row else _scaled(x, scales)
+    return x, _mul((big, 0), d), prod(contents) ** 2 // big
 
 
 def char_poly_pairs(g: list[list[Pair]]) -> list[Pair]:

@@ -31,19 +31,18 @@ d_r(A^(k+1)) A^D = B_1 .. B_k adj(M_k)^(k+1) C_k .. C_1 takes k + 1 calls on
 the nonsingular core M_k of Cline's index chain (:mod:`adjinv.drazin`).
 
 Every Gram ledger, at every rank, comes from :func:`skeleton_ledger`: it
-takes d_r(A*A) A+ b and d_r(A*A) from the skeleton A = C W^-1 R that A's
-one kept sweep gives (pivot columns C, pivot rows R and their intersection
-W), solving only r x r systems
-(:func:`adjinv.elimination.skeleton_ledger_pairs`), one at full column or
-row rank.  There the skeleton is A itself and the ledger reads A alone
+takes d_r(A*A) A+ b and d_r(A*A) from full-rank ledgers, each one r x r
+Gram solve.  At full rank that is A's own
 (:func:`adjinv.elimination.full_rank_ledger_pairs`), so an A whose full
 rank :func:`adjinv.matrices.full_rank` certified modulo a prime keeps no
-sweep.  The kernel reads a content-free skeleton, the primitive pivot
-rows and the pivot columns each divided by its content, and returns the
+sweep.  Below it, A's one kept sweep gives the skeleton A = C W^-1 R
+(pivot columns C, pivot rows R and their intersection W), and
+A+ = R+ W C+ is two full-rank ledgers around W
+(:func:`adjinv.elimination.skeleton_ledger_pairs`).  The kernels return the
 ledger as a pair of integer matrices times a positive integer factor,
-which the scale absorbs before :func:`adjinv.matrices.from_pairs` reduces.  It returns the
-characteristic-adjugate ledger of A*A at the rank order,
-(N_r(A*A) A* b, d_r(A*A)), and owns order 0 the same way.  A caller makes
+which the scale absorbs before :func:`adjinv.matrices.from_pairs` reduces.
+It is the characteristic-adjugate ledger of A*A at the rank order,
+(N_r(A*A) A* b, d_r(A*A)), and order 0 is owned the same way.  A caller makes
 one kernel call, and :meth:`Ledger.quotient` is the one way a ledger
 becomes a result.
 The projectors A+ A and A A+ take no ledger of their own: they are the

@@ -27,12 +27,11 @@ never sweeps; any other A reads its rank off the one sweep it keeps
 square nonsingular matrix gets adj(A) / det(A) ("classical_inverse"),
 solved from that sweep; A keeps that ledger and its quotient, and its
 index-0 Drazin inverse reads the same two.  Every other rank takes the Gram ledger
-N_r(A*A) @ A* = A* @ N_r(AA*) = d_r(A*A) A+ from the skeleton
-A = C W^-1 R of the same sweep, as R* adj(RR*) W adj(C*C) C* / |det W|^2
-over d_r(A*A) = det(C*C) det(RR*) / |det W|^2.  At full column rank R = W
-drops out, leaving adj(A*A) A* ("eq6", the determinant form of
-(A*A)^-1 A*); at full row rank C = W does, leaving A* adj(AA*) ("eq7");
-both read A alone, so a certified A is never swept.  A
+N_r(A*A) @ A* = A* @ N_r(AA*) = d_r(A*A) A+ from full-rank ledgers.  At
+full column rank it is adj(A*A) A* ("eq6", the determinant form of
+(A*A)^-1 A*), at full row rank A* adj(AA*) ("eq7"); both read A alone, so
+a certified A is never swept.  Below full rank the skeleton A = C W^-1 R of
+the same sweep gives A+ = R+ W C+, two full-rank ledgers around W.  A
 matrix deficient both ways is tagged "eq1" or "eq2", whichever form's
 literal evaluation needs fewer minors by the budget's count.  A matrix
 keeps that result (:func:`adjinv.matrices.kept`), so repeated calls and the

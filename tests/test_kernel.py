@@ -611,7 +611,8 @@ def _kernel_results(g: list, b: list, c: list) -> tuple:
            elimination.matmul_pairs(g, c), elimination.hermitian_matmul_pairs(g, gt),
            elimination.hermitian_matmul_pairs(gt, g)]
     if e.rank == len(g):  # g g* is positive definite
-        out += [elimination.gram_solve_pairs(out[-2]), elimination.gram_solve_pairs(out[-2], b)]
+        out += [elimination.gram_solve_pairs(out[-2], elimination._identity(len(g))),
+                elimination.gram_solve_pairs(out[-2], b)]
     if e.rank == len(g) == len(g[0]):
         out += [elimination.adjoint_solve_pairs(e), elimination.adjoint_solve_pairs(e, b)]
     out += [elimination.row_factor_pairs(e), elimination.skeleton_ledger_pairs(g, e),
@@ -735,7 +736,7 @@ def test_gram_solve_equals_the_general_solve(r, n, complex_entries, ints, scaled
     saved = copy.deepcopy((g, sides))
     updates = _force_kernel_form(monkeypatch, ints)
     for z in sides:
-        x, d = elimination.gram_solve_pairs(g, z)
+        x, d = elimination.gram_solve_pairs(g, elimination._identity(r) if z is None else z)
         # det g is the last leading principal minor of a positive definite g.
         assert d[0] > 0 == d[1]
         assert (x, d) == elimination.adjoint_solve_pairs(elimination.eliminate(g), z)
@@ -750,7 +751,7 @@ def test_gram_solve_of_a_rank_deficient_factor_raises(r, n, complex_entries, int
     f = _deficient(760 + 20 * r + n, r, n, r - 1, complex_entries).pairs
     g = elimination.hermitian_matmul_pairs(f, elimination._conjugate_transpose(f))
     _force_kernel_form(monkeypatch, ints)
-    for z in (None, _gaussian_rows(random.Random(761), r, 2, complex_entries)):
+    for z in (elimination._identity(r), _gaussian_rows(random.Random(761), r, 2, complex_entries)):
         with pytest.raises(ArithmeticError, match="zero pivot"):
             elimination.gram_solve_pairs(g, z)
 
