@@ -151,6 +151,21 @@ def _cmd_verify(args) -> int:
             checks.append(("dsolve:A^(k+1)x=A^k y",
                            multiply(ak, multiply(a, dsol)) == multiply(ak, y)))
             checks.append(("dsolve:x in R(A^k)", _verify.range_membership(ak, dsol)))
+    return _print_checks(args, checks, lambda failed: f"verification failed: {', '.join(failed)}")
+
+
+def _cmd_paper_examples(args) -> int:
+    results = golden.run_all()
+    return _print_checks(args, results, lambda failed: f"{len(failed)} golden value(s) did not match",
+                         f"all {len(results)} golden values match")
+
+
+def _print_checks(args, checks: list[tuple[str, bool]], failure: Callable, summary: str = "") -> int:
+    """Print a report's (name, passed) checks, one "name: pass" line each or as JSON under --json.
+
+    A failed check prints ``failure(names)`` to stderr and returns
+    EXIT_VERIFY; otherwise the text report ends with ``summary``, if any.
+    """
     if args.json:
         print(json.dumps({"checks": [{"name": n, "passed": ok} for n, ok in checks]}))
     else:
@@ -158,20 +173,10 @@ def _cmd_verify(args) -> int:
             print(f"{name}: {'pass' if ok else 'FAIL'}")
     failed = [name for name, ok in checks if not ok]
     if failed:
-        print(f"verification failed: {', '.join(failed)}", file=sys.stderr)
+        print(failure(failed), file=sys.stderr)
         return EXIT_VERIFY
-    return EXIT_OK
-
-
-def _cmd_paper_examples(args) -> int:
-    results = golden.run_all()
-    for label, ok in results:
-        print(f"{label}: {'pass' if ok else 'FAIL'}")
-    failed = [label for label, ok in results if not ok]
-    if failed:
-        print(f"{len(failed)} golden value(s) did not match", file=sys.stderr)
-        return EXIT_VERIFY
-    print(f"all {len(results)} golden values match")
+    if summary and not args.json:
+        print(summary)
     return EXIT_OK
 
 

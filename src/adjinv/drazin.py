@@ -21,7 +21,7 @@ an M_i of rank 0 means A is nilpotent.  So
     A^D = B_1 .. B_k M_k^-(k+1) C_k .. C_1,   d_r(A^(k+1)) = det(M_k)^(k+1),
 
 and the eq11 numerators are B_1 .. B_k adj(M_k)^(k+1) C_k .. C_1: k + 1
-adjoint solves on the core's sweep (:func:`adjinv.minors.char_adjugate`)
+adjoint solves on the core's sweep (:func:`adjinv.minors.adjoint_ledger`)
 and products with the factors.  The ledger is unique, so these are the
 numbers the minor sums give.  Only A's own sweep is n x n; every later sweep
 is of an r_i x r_i M_i, kept in lowest terms.
@@ -39,9 +39,9 @@ chain is A's kept sweep alone, and one adjoint solve from it gives
 adj(A) / det(A), the classical inverse, so A is eliminated once; A keeps
 that ledger and its quotient, and :func:`adjinv.pinv.mp_inverse` reads the
 same two.  A
-nilpotent matrix has core rank 0, and the kernel's order-0 ledger (0, 1)
-gives the zero matrix, the unique solution of the defining equations in
-that case.
+nilpotent matrix has core rank 0, and the zero ledger (0, 1), read off the
+chain with no solve and no product, gives the zero matrix, the unique
+solution of the defining equations in that case.
 """
 
 from __future__ import annotations
@@ -84,10 +84,9 @@ def _index_search(a: Matrix) -> tuple:
     r_i x r_i, in lowest terms and kept with its sweep.  rank A^(i+1) =
     rank M_i, so k is the first i at which M_i is nonsingular, and the last
     M_i is the core M_k of size r.  An M_i of rank 0 makes A^(i+1) = 0: A is
-    nilpotent, k = i + 1, r = 0, and the last M_i is that zero matrix, whose
-    order-0 ledger (0, 1) is the zero matrix.  The last M_i is None when it
-    is A itself, so the chain A keeps (under "index chain") holds no
-    reference to A.  Only A's own sweep is n x n.
+    nilpotent, k = i + 1, r = 0, and the last M_i is that zero matrix.  The
+    last M_i is None when it is A itself, so the chain A keeps (under
+    "index chain") holds no reference to A.  Only A's own sweep is n x n.
     """
     m, factors = a, []
     while (e := sweep(m)).rank not in (0, m.rows):
@@ -105,14 +104,16 @@ def _chain_ledger(a: Matrix, y: Matrix | None = None) -> minors.Ledger:
     det(M_k)^(k+1) = d_r(A^(k+1)): k + 1 adjoint solves on the core's sweep.
     At index 0 that is adj(A) y over det A, solved from A's own sweep (with
     y None, the ledger A keeps, which its classical inverse reads too), and
-    at core rank 0 the order-0 ledger (0, 1).
+    at core rank 0 the zero ledger (0, 1), with no solve and no product.
     """
     k, r, factors, core = kept(a, "index chain", _index_search)
+    if r == 0:
+        return minors.Ledger(Matrix.zeros(a.rows, a.rows if y is None else y.cols), ONE)
     for _, c in factors:
         y = c if y is None else multiply(c, y)
     d = ONE
     for _ in range(k + 1):
-        y, step = minors.char_adjugate(core or a, r, y)
+        y, step = minors.adjoint_ledger(core or a, y)
         d = d * step
     for b, _ in reversed(factors):
         y = multiply(b, y)

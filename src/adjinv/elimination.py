@@ -631,11 +631,12 @@ def _factor_ledger(
     scales = [big // c for c in contents]
     if full_row:
         f_star = _conjugate_transpose(f_rows)
-        z = _scaled(_identity(len(f_rows)) if b is None else b, scales)
+        z = _identity(len(f_rows)) if b is None else b
+        z = z if big == 1 else _scaled(z, scales)
     else:
         z = f_rows if b is None else matmul_pairs(f_rows, b)
     x, d = gram_solve_pairs(hermitian_matmul_pairs(f_rows, f_star if full_row else _conjugate_transpose(f_rows)), z)
-    x = matmul_pairs(f_star, x) if full_row else _scaled(x, scales)
+    x = matmul_pairs(f_star, x) if full_row else x if big == 1 else _scaled(x, scales)
     return x, _mul((big, 0), d), prod(contents) ** 2 // big
 
 

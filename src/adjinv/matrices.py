@@ -25,10 +25,11 @@ printing ignore; :func:`held` reads what the slot holds without computing
 it.  The slot holds the one Bareiss sweep (of its primitive rows, with
 their contents, :func:`sweep`); the outcome of the full-rank certificate
 modulo a prime that a tall or wide matrix tries before it sweeps
-(:func:`full_rank`); the classical adjugate ledger and inverse; the Drazin
-index chain; the Drazin inverse; and the Moore-Penrose inverse.  At full
-rank the Gram ledgers read A alone, so a matrix the certificate passes
-keeps no sweep and never makes one.
+(:func:`known_rank`, the one rank rule the ledger operations read); the
+classical adjugate ledger and inverse; the Drazin index chain; the Drazin
+inverse; and the Moore-Penrose inverse.  At full rank the Gram ledgers
+read A alone, so a matrix the certificate passes keeps no sweep and never
+makes one.
 
 Index conventions: storage accessors (``at``, ``row``, ``column``,
 ``submatrix``) are 0-based like any Python container, while the replacement
@@ -323,21 +324,21 @@ def sweep(a: Matrix) -> elimination.Elimination:
     return kept(a, "sweep", lambda a: elimination.eliminate(a.pairs))
 
 
-def full_rank(a: Matrix) -> bool:
-    """True when rank a = min(m, n).
+def known_rank(a: Matrix) -> int:
+    """rank a, read off the sweep ``a`` keeps if it keeps one.
 
-    Read off the sweep ``a`` keeps, if it keeps one.  Otherwise a tall or
-    wide ``a`` whose least dimension reaches ``elimination._INT_MIN`` first
-    tries the certificate modulo a prime
-    (:func:`adjinv.elimination.full_rank_mod_p`), kept on ``a``: True is a
-    proof, and no sweep is made.  A square or smaller ``a``, or one the
-    certificate fails on, is swept (:func:`sweep`) and keeps the sweep.
+    Otherwise a tall or wide ``a`` whose least dimension reaches
+    ``elimination._INT_MIN`` first tries the certificate modulo a prime
+    (:func:`adjinv.elimination.full_rank_mod_p`), kept on ``a``: a pass
+    proves rank a = min(m, n), and no sweep is made.  A square or smaller
+    ``a``, or one the certificate fails on, is swept (:func:`sweep`) and
+    keeps the sweep.
     """
     least = min(a.rows, a.cols)
     if (held(a, "sweep") is None and a.rows != a.cols and least >= elimination._INT_MIN
             and kept(a, "certificate", lambda a: elimination.full_rank_mod_p(a.pairs))):
-        return True
-    return sweep(a).rank == least
+        return least
+    return sweep(a).rank
 
 
 def _vector_pairs(v, length: int, what: str) -> tuple[list[Pair], int]:

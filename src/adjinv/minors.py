@@ -12,39 +12,41 @@ and d_t is the sum of the order-t principal minors of g (d_0 = 1).  At r = n,
 N_n(g) is the classical adjugate and d_n(g) the determinant, so the
 full-rank forms (classical inverse and Cramer's rule, and their Gram
 versions) are the same ledger.  At r = 0 the minor sum is empty, so the
-ledger is (0, 1): a rank-0 input (a zero matrix, a nilpotent matrix)
-needs no case of its own.
+ledger is (0, 1), the zero ledger: a rank-0 Gram matrix (of a zero A) and
+the core of a nilpotent A take it where their rank is read, with no kernel
+call.
 
 No operation evaluates N_r at 0 < r < n: each such ledger factors through a
-nonsingular r x r matrix.  :func:`char_adjugate` returns the :class:`Ledger`
-(N_r(g) @ b, d_r(g)) at the two orders it serves.  Order 0 is (0, 1).  At
-order n, a nonsingular g = g' / s is solved from the Bareiss sweep of the
-primitive rows of g' that g keeps (:func:`adjinv.matrices.sweep`), the one
-its rank came from: :func:`adjinv.elimination.adjoint_solve_pairs` replays
-the elimination on b = b' / e, each row rescaled by the row contents, and
-back-substitutes, and the ledger rescales by adj(g) = adj(g') / s^(n-1) and
-det g = det g' / s^n.  With b the identity, g keeps the ledger (adj(g),
-det g) and, once formed, its quotient (:func:`classical_inverse`), so its
-classical inverse and its index-0 Drazin inverse share one solve and one
-quotient.  It serves the classical inverse and the Drazin forms, whose ledger
-d_r(A^(k+1)) A^D = B_1 .. B_k adj(M_k)^(k+1) C_k .. C_1 takes k + 1 calls on
-the nonsingular core M_k of Cline's index chain (:mod:`adjinv.drazin`).
+nonsingular r x r matrix, so the kernel serves two ledgers at their full
+order.  :func:`adjoint_ledger` returns the :class:`Ledger`
+(adj(g) b, det g) = (N_n(g) @ b, d_n(g)) of a nonsingular g = g' / s,
+solved from the Bareiss sweep of the primitive rows of g' that g keeps
+(:func:`adjinv.matrices.sweep`), the one its rank came from:
+:func:`adjinv.elimination.adjoint_solve_pairs` replays the elimination on
+b = b' / t, each row rescaled by the row contents, and back-substitutes.
+With b the identity, g keeps the ledger (adj(g), det g) and, once formed,
+its quotient (:func:`classical_inverse`), so its classical inverse and its
+index-0 Drazin inverse share one solve and one quotient.  It serves the
+classical inverse and the Drazin forms, whose ledger
+d_r(A^(k+1)) A^D = B_1 .. B_k adj(M_k)^(k+1) C_k .. C_1 takes k + 1 calls
+on the nonsingular core M_k of Cline's index chain (:mod:`adjinv.drazin`).
 
 Every Gram ledger, at every rank, comes from :func:`skeleton_ledger`: it
 takes d_r(A*A) A+ b and d_r(A*A) from full-rank ledgers, each one r x r
-Gram solve.  At full rank that is A's own
-(:func:`adjinv.elimination.full_rank_ledger_pairs`), so an A whose full
-rank :func:`adjinv.matrices.full_rank` certified modulo a prime keeps no
-sweep.  Below it, A's one kept sweep gives the skeleton A = C W^-1 R
-(pivot columns C, pivot rows R and their intersection W), and
-A+ = R+ W C+ is two full-rank ledgers around W
-(:func:`adjinv.elimination.skeleton_ledger_pairs`).  The kernels return the
-ledger as a pair of integer matrices times a positive integer factor,
-which the scale absorbs before :func:`adjinv.matrices.from_pairs` reduces.
+Gram solve, at the rank :func:`adjinv.matrices.known_rank` reads.  At full
+rank that is A's own (:func:`adjinv.elimination.full_rank_ledger_pairs`),
+so an A whose full rank was certified modulo a prime keeps no sweep.
+Below it, A's one kept sweep gives the skeleton A = C W^-1 R (pivot
+columns C, pivot rows R and their intersection W), and A+ = R+ W C+ is two
+full-rank ledgers around W (:func:`adjinv.elimination.skeleton_ledger_pairs`).
 It is the characteristic-adjugate ledger of A*A at the rank order,
-(N_r(A*A) A* b, d_r(A*A)), and order 0 is owned the same way.  A caller makes
-one kernel call, and :meth:`Ledger.quotient` is the one way a ledger
-becomes a result.
+(N_r(A*A) A* b, d_r(A*A)).  Both kernels return (X, d, f), the ledger of
+the integer pairs g' and b' as X f over d f for a positive int f, and one
+scale rule (:func:`_ledger`) makes it the ledger of g and b at its order o:
+X f / (s^(o-1) t) over d f / s^o, before :func:`adjinv.matrices.from_pairs`
+reduces.  The adjoint ledger is f = 1 at order n, the Gram ledger order 2r.
+A caller makes one kernel call, and :meth:`Ledger.quotient` is the one way
+a ledger becomes a result.
 The projectors A+ A and A A+ take no ledger of their own: they are the
 pseudoinverse A keeps, times A (:mod:`adjinv.pinv`).
 :func:`char_poly_coeffs` returns every d_k by Berkowitz, on the index
@@ -70,7 +72,7 @@ from typing import NamedTuple
 
 from . import elimination
 from .index_sets import enumerate_k_subsets
-from .matrices import Matrix, conjugate_transpose, from_pairs, full_rank, held, kept, require_square, scalar_of, sweep
+from .matrices import Matrix, conjugate_transpose, from_pairs, held, kept, known_rank, require_square, scalar_of, sweep
 from .scalars import ONE, ZERO, Scalar
 
 
@@ -162,39 +164,30 @@ class Ledger(NamedTuple):
         return Ledger(conjugate_transpose(self.numerators), self.denominator.conjugate())
 
 
-def char_adjugate(g: Matrix, r: int, b: Matrix | None) -> Ledger:
-    """The characteristic-adjugate ledger (N_r(g) @ b, d_r(g)) of the module docstring, at r = 0 or n.
+def adjoint_ledger(g: Matrix, b: Matrix | None = None) -> Ledger:
+    """(adj(g) b, det g) of a nonsingular n x n ``g``, the ledger (N_n(g) @ b, d_n(g)).
 
-    ``g`` is n x n and ``b`` is n x p, or the n x n identity when None.
-    Order 0 gives the zero n x p matrix over 1.  Order n gives (adj(g) b,
-    det g) for a nonsingular g, solved from its kept sweep
-    (:func:`adjinv.matrices.sweep`); any other order, or a singular g,
-    raises ValueError.  (adj(g), det g) is kept on g under "adjugate", so
-    the classical inverse and the index-0 Drazin inverse of one matrix
-    share one solve.
+    ``b`` is n x p, or the n x n identity when None.  It is solved from the
+    sweep g keeps (:func:`adjinv.matrices.sweep`); a singular g, or a b
+    whose rows are not n, raises ValueError.  (adj(g), det g) is kept on g
+    under "adjugate", so the classical inverse and the index-0 Drazin
+    inverse of one matrix share one solve.
     """
-    require_square(g, "characteristic adjugate")
+    require_square(g, "adjoint ledger")
     if b is not None and b.rows != g.rows:
         raise ValueError(f"replacement matrix has {b.rows} rows, expected {g.rows}")
-    if r == 0:
-        return Ledger(Matrix.zeros(g.rows, g.rows if b is None else b.cols), ONE)
-    if r != g.rows or sweep(g).rank < r:
-        raise ValueError(f"order {r} needs order 0, or order {g.rows} of a nonsingular matrix")
-    if b is None:
-        return kept(g, "adjugate", lambda g: _adjoint_ledger(g, None))
-    return _adjoint_ledger(g, b)
+    if sweep(g).rank < g.rows:
+        raise ValueError(f"adjoint ledger needs a nonsingular matrix, got rank {sweep(g).rank} of {g.rows}")
+
+    def solve(g: Matrix) -> Ledger:
+        return _ledger(g.rows, g, b, *elimination.adjoint_solve_pairs(sweep(g), None if b is None else b.pairs))
+
+    return kept(g, "adjugate", solve) if b is None else solve(g)
 
 
 def classical_inverse(g: Matrix) -> Matrix:
     """adj(g) / det g of a nonsingular g: the quotient of the ledger g keeps, kept on g under "inverse"."""
-    return kept(g, "inverse", lambda g: char_adjugate(g, g.rows, None).quotient())
-
-
-def _adjoint_ledger(g: Matrix, b: Matrix | None) -> Ledger:
-    """(adj(g) b, det g) of a nonsingular g = g' / s and b = b' / t: adj(g') b' / (s^(n-1) t) over det g' / s^n."""
-    n = g.rows
-    x, d = elimination.adjoint_solve_pairs(sweep(g), None if b is None else b.pairs)
-    return Ledger(from_pairs(x, g.scale ** (n - 1) * (1 if b is None else b.scale)), scalar_of(d, g.scale**n))
+    return kept(g, "inverse", lambda g: adjoint_ledger(g).quotient())
 
 
 def skeleton_ledger(a: Matrix, b: Matrix | None = None, adjoint: bool = False) -> Ledger:
@@ -202,28 +195,35 @@ def skeleton_ledger(a: Matrix, b: Matrix | None = None, adjoint: bool = False) -
 
     Returns (d_r(A*A) A+ b, d_r(A*A)) at r = rank A, the ledger
     (N_r(A*A) A* b, d_r(A*A)), with b the identity when None;
-    ``adjoint`` gives the same for A*: (A*)+ b.  Order 0 gives the zero
-    matrix over 1.  At full rank (:func:`adjinv.matrices.full_rank`) the
-    ledger reads A alone (:func:`adjinv.elimination.full_rank_ledger_pairs`),
-    so a certified A is never swept; below it
-    :func:`adjinv.elimination.skeleton_ledger_pairs` reads the kept sweep.
-    Both run on a = a' / s and b = b' / t and return (X, d, f) with the
-    ledger of a' and b' equal to (X f, d f); the result is
-    X f / (s^(2r-1) t), with the gcd of f and that scale divided out first,
-    over d f / s^(2r).
+    ``adjoint`` gives the same for A*: (A*)+ b.  r comes from
+    :func:`adjinv.matrices.known_rank`, and r = 0 gives the zero matrix
+    over 1.  At full rank the ledger reads A alone
+    (:func:`adjinv.elimination.full_rank_ledger_pairs`), so a certified A
+    is never swept; below it :func:`adjinv.elimination.skeleton_ledger_pairs`
+    reads the kept sweep.  Both return (X, d, f), which :func:`_ledger`
+    scales at order 2r.
     """
-    full = full_rank(a)
-    r = min(a.rows, a.cols) if full else sweep(a).rank
+    r = known_rank(a)
     rows, cols = (a.rows, a.cols) if adjoint else (a.cols, a.rows)
     if r == 0:
         return Ledger(Matrix.zeros(rows, cols if b is None else b.cols), ONE)
     bp = None if b is None else b.pairs
-    x, (dr, di), f = (elimination.full_rank_ledger_pairs(a.pairs, bp, adjoint) if full
-                      else elimination.skeleton_ledger_pairs(a.pairs, sweep(a), bp, adjoint))
-    scale = a.scale ** (2 * r - 1) * (1 if b is None else b.scale)
+    x, d, f = (elimination.full_rank_ledger_pairs(a.pairs, bp, adjoint) if r == min(a.rows, a.cols)
+               else elimination.skeleton_ledger_pairs(a.pairs, sweep(a), bp, adjoint))
+    return _ledger(2 * r, a, b, x, d, f)
+
+
+def _ledger(order: int, g: Matrix, b: Matrix | None, x, d, f: int = 1) -> Ledger:
+    """The Ledger at ``order`` of g = g' / s and b = b' / t from a kernel's (X, d, f), X f over d f for g' and b'.
+
+    It is X f / (s^(order-1) t) over d f / s^order, with the gcd of f and
+    that scale divided out first; X is not copied when f divides the scale.
+    """
+    scale = g.scale ** (order - 1) * (1 if b is None else b.scale)
     common = gcd(f, scale)
-    nums = from_pairs(elimination._scaled(x, repeat(f // common)), scale // common)
-    return Ledger(nums, scalar_of((dr * f, di * f), a.scale ** (2 * r)))
+    if f != common:
+        x = elimination._scaled(x, repeat(f // common))
+    return Ledger(from_pairs(x, scale // common), scalar_of((d[0] * f, d[1] * f), g.scale**order))
 
 
 def adjugate(a: Matrix) -> Matrix:

@@ -15,15 +15,16 @@ The body refuses a zero matrix, and a form of more than
 It takes A's rank from a fresh sweep of its own and never reads or fills
 the slot A keeps its results in.
 
-``mp_inverse`` routes a zero matrix to the skeleton's order-0 ledger
+``mp_inverse`` routes a zero matrix to the skeleton's zero ledger
 (0, 1), tagged "zero", whatever the method; any other matrix goes to the
 literal form that ``method`` "eq1" or "eq2" names.  The zero test reads A's
-pairs alone.  Under "auto" it asks :func:`adjinv.matrices.full_rank`
-whether rank A = min(m, n), which a tall or wide A of least dimension
-from ``elimination._INT_MIN`` answers by a certificate modulo a prime and
-never sweeps; any other A reads its rank off the one sweep it keeps
-(:func:`sweep`).  It takes every ledger from one kernel call
-(:mod:`adjinv.minors`) and dispatches on rank only to pick the tag: a
+pairs alone.  Under "auto" it reads r = rank A from
+:func:`adjinv.matrices.known_rank`, which a tall or wide A of full rank
+and least dimension from ``elimination._INT_MIN`` answers by a certificate
+modulo a prime and never sweeps; any other A reads its rank off the one
+sweep it keeps (:func:`adjinv.matrices.sweep`).  It takes every ledger
+from one kernel call (:mod:`adjinv.minors`) and dispatches on rank only to
+pick the tag: a
 square nonsingular matrix gets adj(A) / det(A) ("classical_inverse"),
 solved from that sweep; A keeps that ledger and its quotient, and its
 index-0 Drazin inverse reads the same two.  Every other rank takes the Gram ledger
@@ -38,9 +39,8 @@ keeps that result (:func:`adjinv.matrices.kept`), so repeated calls and the
 projectors share one kernel call; the literal forms are never kept.  A
 least squares solve on A multiplies the kept numerators by its right side,
 unless they are a classical inverse's (:mod:`adjinv.solvers`).  The
-projectors A+ A and A A+ are the identity at full column (row) rank, which
-:func:`adjinv.matrices.full_rank` decides alone, and otherwise the
-pseudoinverse A keeps, times A:
+projectors A+ A and A A+ are the identity when that rank is n (m), and
+otherwise the pseudoinverse A keeps, times A:
 A+ A = L A / d_r(A*A) for the numerators L, the paper's projector ledger.
 That product is Hermitian, so it is formed on and above the diagonal and
 mirrored below (:func:`adjinv.elimination.hermitian_matmul_pairs`).
@@ -58,13 +58,12 @@ from .matrices import (
     Matrix,
     conjugate_transpose,
     from_pairs,
-    full_rank,
     kept,
+    known_rank,
     multiply,
     rank,
     replace_column,
     replace_row,
-    sweep,
 )
 from .scalars import ZERO, Scalar
 
@@ -147,7 +146,7 @@ def mp_inverse(a: Matrix, method: str = "auto") -> PinvResult:
     the slot ``a`` keeps its results in; "auto" dispatches on rank as
     described in the module docstring, and ``a`` keeps its result.  A zero
     matrix, whatever the method, gets the zero inverse, the unique solution
-    of the defining equations, from the skeleton's order-0 ledger (0, 1),
+    of the defining equations, from the skeleton's zero ledger (0, 1),
     tagged "zero", and keeps it.
     """
     if method not in ("auto", "eq1", "eq2"):
@@ -160,9 +159,9 @@ def mp_inverse(a: Matrix, method: str = "auto") -> PinvResult:
 def _auto(a: Matrix) -> PinvResult:
     """The "auto" result of :func:`mp_inverse`, from one kernel call."""
     m, n = a.rows, a.cols
-    r = min(m, n) if full_rank(a) else sweep(a).rank
+    r = known_rank(a)
     if r == n == m:
-        ledger = minors.char_adjugate(a, n, None)
+        ledger = minors.adjoint_ledger(a)
         return PinvResult(minors.classical_inverse(a), ledger.denominator, ledger.numerators, "classical_inverse")
     ledger = minors.skeleton_ledger(a)
     # Deficient both ways, eq1 and eq2 carry the same ledger.  Tag the form
@@ -178,7 +177,7 @@ def projector_p(a: Matrix) -> Matrix:
     The identity at full column rank; otherwise the pseudoinverse ``a``
     keeps, times ``a``, formed on and above the diagonal and mirrored below.
     """
-    full = a.cols <= a.rows and full_rank(a)
+    full = known_rank(a) == a.cols
     return Matrix.identity(a.cols) if full else _hermitian(kept(a, "pinv", _auto).pseudo_inverse, a)
 
 
@@ -188,7 +187,7 @@ def projector_q(a: Matrix) -> Matrix:
     Dual of :func:`projector_p`: the identity at full row rank; otherwise
     ``a`` times the pseudoinverse it keeps, formed the same way.
     """
-    full = a.rows <= a.cols and full_rank(a)
+    full = known_rank(a) == a.rows
     return Matrix.identity(a.rows) if full else _hermitian(a, kept(a, "pinv", _auto).pseudo_inverse)
 
 

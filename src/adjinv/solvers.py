@@ -15,30 +15,33 @@ r x r systems for one column each.  With full column rank N_r is the
 classical adjugate and the components are the determinant ratios of
 Cramer's rule over A*A and f ("eq13"): the skeleton's square factor drops
 out, and one adjoint solve of A*A (of AA* for a square A) remains, read
-from A alone; full rank is decided by :func:`adjinv.matrices.full_rank`,
-so a tall or wide A that its certificate modulo a prime passes is never
-swept.
+from A alone.  The rank is read by :func:`adjinv.matrices.known_rank`, so
+a tall or wide A that its certificate modulo a prime passes is never
+swept, and the tag compares it with A's columns ("eq13" or "eq14").
 ``lsq_solve_row_system`` solves the row form x A = y the same way with AA*
 and g = y A*: g @ N_r(AA*) = ((A*)+ y*)* from the skeleton of A* (read
 from the same elimination), or y @ L from the kept pseudoinverse, since
 (A*)+ = (A+)* and d_r(AA*) = d_r(A*A) is real.  It is tagged
-"row_eq_fullrank" at full row rank and "row_eq_general" otherwise.  A zero
-matrix has rank 0, and the order-0 ledger (0, 1) is its zero solution.
+"row_eq_fullrank" when that rank is A's row count and "row_eq_general"
+otherwise.  A zero matrix has rank 0, and the zero ledger (0, 1) is its
+zero solution.
 
 ``drazin_solve`` returns the Drazin-inverse solution of a square system:
 the unique solution of the generalized normal equations A^(k+1) x = A^k y
 lying in the range of A^k.  Its numerators are N_r(A^(k+1)) @ g with
 g = A^k y ("eq16"); for a nonsingular matrix (index 0) that is adj(A) @ y,
 the classical Cramer rule ("classical_cramer"), and for a nilpotent matrix
-(core rank 0) the kernel's order-0 ledger, the zero vector over 1.  A
-matrix that keeps its eq11 result (:func:`adjinv.drazin.drazin_inverse`)
-hands over N = N_r(A^(k+1)) @ A^k and d_r(A^(k+1)), and the numerators are
-N @ y, one product; at index 0 N is adj(A) over det(A), the classical
-Cramer ledger exactly.  Otherwise the factors of the index chain A keeps
+(core rank 0) the zero ledger, the zero vector over 1, with g = A^k y = 0
+read off the chain and no product formed.  A matrix that keeps its eq11
+result (:func:`adjinv.drazin.drazin_inverse`) hands over
+N = N_r(A^(k+1)) @ A^k and d_r(A^(k+1)), and the numerators are N @ y, one
+product; at index 0 N is adj(A) over det(A), the classical Cramer ledger
+exactly.  Otherwise the factors of the index chain A keeps
 are applied to y, B_1 .. B_k adj(M_k)^(k+1) C_k .. C_1 y over
 det(M_k)^(k+1), with k + 1 one-column adjoint solves on the core
 (:mod:`adjinv.drazin`); at index 0 that is one solve from A's kept sweep,
-so A is eliminated once.  Either way g = A^k y is k matrix-vector products.
+so A is eliminated once.  Either way g = A^k y is k matrix-vector products
+when the core rank is positive.
 
 No solve fills the slot A keeps its results in: a lone solve makes its
 one-column ledger and forms neither the whole pseudoinverse nor the whole
@@ -56,7 +59,7 @@ from dataclasses import dataclass
 
 from . import minors
 from .drazin import _chain_ledger, _index_search
-from .matrices import Matrix, conjugate_transpose, full_rank, held, kept, multiply, require_square
+from .matrices import Matrix, conjugate_transpose, held, kept, known_rank, multiply, require_square
 from .scalars import Scalar
 
 
@@ -91,7 +94,7 @@ def lsq_solve(a: Matrix, y: Matrix) -> SolveReport:
     res = _held_gram(a)
     ledger = (minors.Ledger(multiply(res.numerators, y), res.denominator) if res
               else minors.skeleton_ledger(a, y))
-    method = "eq13" if a.cols <= a.rows and full_rank(a) else "eq14"
+    method = "eq13" if known_rank(a) == a.cols else "eq14"
     return SolveReport(ledger.quotient(), method, ledger.denominator, ledger.numerators.column(0), f)
 
 
@@ -105,7 +108,7 @@ def lsq_solve_row_system(y: Matrix, a: Matrix) -> SolveReport:
     # y A+ = ((A*)+ y*)*, from the skeleton of A* that the sweep of A gives.
     ledger = (minors.Ledger(multiply(y, res.numerators), res.denominator) if res
               else minors.skeleton_ledger(a, conjugate_transpose(y), adjoint=True).adjoint())
-    method = "row_eq_fullrank" if a.rows <= a.cols and full_rank(a) else "row_eq_general"
+    method = "row_eq_fullrank" if known_rank(a) == a.rows else "row_eq_general"
     return SolveReport(ledger.quotient(), method, ledger.denominator, ledger.numerators.row(0), g)
 
 
@@ -118,8 +121,9 @@ def drazin_solve(a: Matrix, y: Matrix) -> SolveReport:
     require_square(a, "Drazin solution")
     if not (y.cols == 1 and y.rows == a.rows):
         raise ValueError(f"right side must be {a.rows}x1, got {y.rows}x{y.cols}")
-    k, g = kept(a, "index chain", _index_search)[0], y
-    for _ in range(k):
+    k, r, _, _ = kept(a, "index chain", _index_search)
+    g = y if r else Matrix.zeros(a.rows, 1)  # A^k = 0 at core rank 0
+    for _ in range(k if r else 0):
         g = multiply(a, g)
     res = held(a, "eq11")
     ledger = minors.Ledger(multiply(res.numerators, y), res.denominator) if res else _chain_ledger(a, y)

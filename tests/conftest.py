@@ -89,7 +89,9 @@ def horner_adjugate_pairs(g: list[list], r: int, b: list[list]) -> tuple[list[li
     7(4), 1965).  Horner's rule: X = (-1)^(r-1) b, then
     X <- g X + (-1)^(r-1-t) d_t b for t = 1 .. r-1, with d_1 .. d_r from
     Berkowitz (``elimination.char_poly_pairs``).  At r = n, N_n(g) is the
-    classical adjugate and d_n(g) the determinant, a singular g's too.
+    classical adjugate and d_n(g) the determinant, a singular g's too.  The
+    library forms this only at r = n of a nonsingular g, by an adjoint solve
+    (``minors.adjoint_ledger``); every other order is a reference route.
     """
     neg, mul = elimination._neg, elimination._mul
     d = elimination.char_poly_pairs(g)
@@ -106,9 +108,10 @@ def horner_adjugate_pairs(g: list[list], r: int, b: list[list]) -> tuple[list[li
 def horner_ledger(g: Matrix, r: int, b: Matrix) -> Ledger:
     """The ledger (N_r(g) @ b, d_r(g)) at any order 0 <= r <= n, by Berkowitz and Horner.
 
-    The kernel's ``minors.char_adjugate`` serves orders 0 and n of a
-    nonsingular g only; this reference serves every order, on the pairs of
-    g = g' / s and b = b' / e, rescaled by s^(r-1) e and s^r.
+    The library's ``minors.adjoint_ledger`` serves order n of a nonsingular
+    g only, and order 0 is the zero ledger (0, 1); this reference serves
+    every order, on the pairs of g = g' / s and b = b' / e, rescaled by
+    s^(r-1) e and s^r.
     """
     if r == 0:
         return Ledger(Matrix.zeros(g.rows, b.cols), ONE)

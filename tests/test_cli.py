@@ -390,6 +390,18 @@ def test_paper_examples_detects_mismatch(capsys, monkeypatch):
     assert "FAIL" in out
 
 
+@pytest.mark.parametrize("mismatch", [False, True])
+def test_paper_examples_json_reports_the_checks_of_its_text(capsys, monkeypatch, mismatch):
+    if mismatch:
+        monkeypatch.setattr(golden, "EXAMPLE1_DENOMINATOR", Scalar(1))
+    code, out, err = run_cli(capsys, "paper-examples")
+    json_code, json_out, json_err = run_cli(capsys, "paper-examples", "--json")
+    text = [line.rsplit(": ", 1) for line in out.splitlines() if line.endswith((": pass", ": FAIL"))]
+    checks = [(item["name"], item["passed"]) for item in json.loads(json_out)["checks"]]
+    assert checks == [(name, result == "pass") for name, result in text] and len(checks) == 22
+    assert (json_code, json_err) == (code, err) and code == (4 if mismatch else 0)
+
+
 def test_paper_examples_read_the_shipped_files(capsys, monkeypatch, tmp_path):
     for name in ("example1.mat", "example2.mat"):
         (tmp_path / name).write_bytes(resources.files("adjinv").joinpath("data/" + name).read_bytes())

@@ -56,7 +56,7 @@ def test_drazin_inverse_golden(example2):
 
 
 def test_drazin_nilpotent_is_zero():
-    # Core rank 0: the kernel's order-0 ledger, zero numerators over 1.
+    # Core rank 0: the zero ledger, zero numerators over 1.
     res = drazin_inverse(Matrix.from_rows([[0, 1], [0, 0]]))
     assert res.drazin_inverse == Matrix.zeros(2, 2)
     assert res.rank_core == 0

@@ -1,6 +1,7 @@
-"""Differential tests of the characteristic-adjugate kernel.
+"""Differential tests of the characteristic-adjugate kernels.
 
-The kernel (``minors.char_adjugate``, on a Gram matrix or a power) must agree
+The kernels (``minors.adjoint_ledger`` on a nonsingular matrix or the Drazin
+core, ``minors.skeleton_ledger`` for every Gram ledger) must agree
 exactly with two independent routes: the literal replaced-minor sums of the
 paper (``mp_inverse_columns`` / ``mp_inverse_rows`` and the small helpers
 below), and the rank-factorization oracles of ``adjinv.verify``.  At full
@@ -63,7 +64,7 @@ from adjinv import (
     replace_row,
     row_vector,
 )
-from adjinv import drazin, elimination, matrices, minors, pinv
+from adjinv import drazin, elimination, matrices, minors, pinv, solvers
 from adjinv.verify import _inverse, _rref
 from conftest import block_diag, horner_adjugate_pairs, horner_ledger, representation
 
@@ -283,7 +284,7 @@ def _rhs(seed: int, length: int, complex_entries: bool = True) -> list[Scalar]:
 @LITERAL
 @given(st.integers(1, 6).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
        st.integers(1, 3), seeds, st.booleans())
-def test_char_adjugate_matches_literal_sums(nr, p, seed, complex_entries):
+def test_adjoint_ledger_matches_literal_sums(nr, p, seed, complex_entries):
     # The kernel serves order n of a nonsingular g; the Horner reference every order.
     n, r = nr
     rng = random.Random(seed)
@@ -293,21 +294,9 @@ def test_char_adjugate_matches_literal_sums(nr, p, seed, complex_entries):
     nums, d = literal_ledger(g, r, b)
     assert _exact(ledger) == (nums, d)
     if r == n and d:
-        assert _exact(minors.char_adjugate(g, r, b)) == (nums, d)
+        assert _exact(minors.adjoint_ledger(g, b)) == (nums, d)
     if d:  # the quotient against one Scalar division per entry
         assert ledger.quotient() == nums * (ONE / d)
-
-
-@pytest.mark.parametrize("complex_entries", [False, True])
-def test_char_adjugate_order_zero_is_the_empty_sum(complex_entries):
-    # d_0 = 1 and N_0 is the empty sum, so order 0 is (0, 1) for any g.
-    rng = random.Random(400 + complex_entries)
-    g = _matrix(rng, 4, 4, complex_entries)
-    b = _matrix(rng, 4, 3, complex_entries)
-    assert _exact(minors.char_adjugate(g, 0, b)) == (Matrix.zeros(4, 3), ONE)
-    for r in (-1, 5):
-        with pytest.raises(ValueError, match=f"order {r} needs order 0, or order 4 of a nonsingular matrix"):
-            minors.char_adjugate(g, r, b)
 
 
 @LITERAL
@@ -443,16 +432,15 @@ def test_adjoint_solve_matches_berkowitz_horner(n, p, seed, complex_entries):
 @LITERAL
 @given(st.integers(2, 8).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n - 1))),
        st.integers(1, 3), seeds, st.booleans())
-def test_char_adjugate_refuses_what_the_horner_reference_takes(nr, p, seed, complex_entries):
-    # A singular g at order n, and any order strictly between 0 and n.
+def test_adjoint_ledger_refuses_what_the_horner_reference_takes(nr, p, seed, complex_entries):
+    # A singular g, whose order-n Horner ledger is (adj(g) b, 0).
     n, r = nr
     g = _deficient(seed, n, n, r, complex_entries)
     b = _matrix(random.Random(seed + 1), n, p, complex_entries)
     assert elimination.adjoint_solve_pairs(elimination.eliminate(g.pairs), b.pairs) is None
     assert _exact(horner_ledger(g, n, b)) == (multiply(minors.adjugate(g), b), ZERO)
-    for order in (n, r):
-        with pytest.raises(ValueError, match=f"order {order} needs order 0, or order {n} of a nonsingular"):
-            minors.char_adjugate(g, order, b)
+    with pytest.raises(ValueError, match=f"adjoint ledger needs a nonsingular matrix, got rank {rank(g)} of {n}"):
+        minors.adjoint_ledger(g, b)
 
 
 # -- the elimination against Leibniz sums and Scalar Gauss-Jordan --------------------
@@ -924,7 +912,7 @@ LSQ_REUSE = {  # builder, and the tags mp_inverse may give
     "full row rank": (lambda c: _full_rank(644 + c, 4, 6, c), ("eq7",)),
 }
 # The kernels a solve on a matrix that keeps its ledger must not reach.
-SOLVE_KERNELS = ((minors, "skeleton_ledger"), (minors, "char_adjugate"), (elimination, "eliminate"),
+SOLVE_KERNELS = ((minors, "skeleton_ledger"), (minors, "adjoint_ledger"), (elimination, "eliminate"),
                  (elimination, "adjoint_solve_pairs"), (elimination, "skeleton_ledger_pairs"),
                  (elimination, "char_poly_pairs"), (elimination, "row_factor_pairs"))
 
@@ -988,16 +976,36 @@ def test_drazin_solve_reads_the_drazin_inverse_a_keeps(case, complex_entries, mo
     y = column_vector(_rhs(653, a.rows, complex_entries))
     fresh = _fresh(a)
     with monkeypatch.context() as counting:
-        ledgers = _counted(counting, minors, "char_adjugate")
+        ledgers = _counted(counting, minors, "adjoint_ledger")
         expected = drazin_solve(fresh, y)
     # A lone solve applies the chain to its one column: k + 1 adjoint solves on
-    # the core (order-0 ledgers for a nilpotent A), and keeps no inverse.
-    solves = max(nil_sizes, default=0) + 1
-    assert [b.cols for _, _, b in ledgers] == [1] * solves and matrices.held(fresh, "eq11") is None
+    # the core (none for a nilpotent A, whose ledger is the zero ledger), and
+    # keeps no inverse.
+    solves = max(nil_sizes, default=0) + 1 if core else 0
+    assert [b.cols for _, b in ledgers] == [1] * solves and matrices.held(fresh, "eq11") is None
     assert expected.method == ("eq16" if nil_sizes else "classical_cramer")
     assert drazin_inverse(a).index == max(nil_sizes, default=0)
     _refuse_solve_kernels(monkeypatch)
     assert drazin_solve(a, y) == expected
+
+
+@pytest.mark.parametrize("complex_entries", [False, True])
+@pytest.mark.parametrize("nil_sizes", [(1,), (2,), (3, 2), (2, 2, 1)])
+def test_a_nilpotent_matrix_takes_the_zero_ledger_with_no_solve_and_no_product(nil_sizes, complex_entries,
+                                                                               monkeypatch):
+    a = _indexed(660 + len(nil_sizes) + complex_entries, 0, nil_sizes, complex_entries)
+    y = column_vector(_rhs(661, a.rows, complex_entries))
+    lone, keeps = _fresh(a), _fresh(a)
+    for m in (lone, keeps):  # the chain search takes products of its own, so A keeps it first
+        assert index_of(m) == max(nil_sizes)
+    for module, name in ((minors, "adjoint_ledger"), (matrices, "multiply"), (drazin, "multiply"),
+                         (solvers, "multiply")):
+        monkeypatch.setattr(module, name, _refuse(name))
+    res, solved = drazin_inverse(keeps), drazin_solve(lone, y)
+    square, column = Matrix.zeros(a.rows, a.rows), Matrix.zeros(a.rows, 1)
+    assert (res.drazin_inverse, res.numerators, res.denominator, res.rank_core) == (square, square, ONE, 0)
+    assert (solved.solution, solved.transformed_rhs, solved.denominator, solved.method) == (column, column, ONE, "eq16")
+    assert solved.numerators == column.column(0)
 
 
 # -- kernel against the rank-factorization oracles (n <= 16, rank <= 10; n = 30) ---
@@ -1255,6 +1263,22 @@ def test_certified_operations_never_sweep_a(name, m, n, r, complex_entries, monk
     # it is never swept, and any other A is swept once, as before.
     assert len(certificates) == gated
     assert shapes == ([] if gated and r == min(m, n) else [(m, n)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(elimination._INT_MIN - 2, elimination._INT_MIN + 2), st.integers(1, 4),
+       st.sampled_from(("square", "tall", "wide")), st.integers(0, 2), seeds, st.booleans())
+def test_known_rank_is_the_rank(least, extra, shape, deficit, seed, complex_entries):
+    m, n = {"square": (least, least), "tall": (least + extra, least), "wide": (least, least + extra)}[shape]
+    a = (_full_rank(seed, m, n, complex_entries) if deficit == 0
+         else _deficient(seed, m, n, least - deficit, complex_entries))
+    fresh = _fresh(a)
+    assert matrices.known_rank(fresh) == rank(a)
+    # Only a tall or wide A at the gate tries the certificate; one it passes keeps no sweep.
+    certificate = matrices.held(fresh, "certificate")
+    assert (certificate is not None) == (m != n and least >= elimination._INT_MIN)
+    assert (matrices.held(fresh, "sweep") is None) == (certificate is True)
+    assert certificate is not True or rank(a) == least
 
 
 # -- the index search on integer pairs against power/rank and the oracle ------------
@@ -1815,8 +1839,8 @@ DRAZIN_FORMS = {
 @pytest.mark.parametrize("order", list(permutations(sorted(DRAZIN_FORMS))), ids="-".join)
 def test_drazin_forms_share_one_kernel_call(order, monkeypatch):
     widths = []
-    real = minors.char_adjugate
-    monkeypatch.setattr(minors, "char_adjugate", lambda g, r, b: widths.append(b.cols) or real(g, r, b))
+    real = minors.adjoint_ledger
+    monkeypatch.setattr(minors, "adjoint_ledger", lambda g, b=None: widths.append(b.cols) or real(g, b))
     a = _fresh(INDEX_ONE)
     got = {name: DRAZIN_FORMS[name](a) for name in order}
     x = drazin_inverse(_fresh(INDEX_ONE)).drazin_inverse

@@ -19,7 +19,7 @@ from adjinv import (
     replace_column,
     replace_row,
 )
-from adjinv.minors import char_adjugate
+from adjinv.minors import adjoint_ledger
 from conftest import det_cofactor, random_matrix, rank_forced_matrix
 
 
@@ -46,9 +46,9 @@ def test_minor_validation(example2):
         minor(example2, (), ())
 
 
-def test_char_adjugate_checks_the_rows_of_its_right_side(example2):
+def test_adjoint_ledger_checks_the_rows_of_its_right_side(example2):
     with pytest.raises(ValueError, match="replacement matrix has 3 rows, expected 4"):
-        char_adjugate(example2, 0, Matrix.zeros(3, 2))
+        adjoint_ledger(example2, Matrix.zeros(3, 2))
 
 
 def test_minor_agrees_with_cofactor_expansion_up_to_order_4():

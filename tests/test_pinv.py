@@ -229,7 +229,7 @@ def test_projectors_full_rank_and_zero():
     assert projector_p(tall) == Matrix.identity(2)  # rank = n
     wide = conjugate_transpose(tall)
     assert projector_q(wide) == Matrix.identity(2)  # rank = m
-    # Rank 0: the kernel's order-0 ledger (0, 1) gives the zero projectors.
+    # Rank 0: the zero ledger (0, 1) gives the zero projectors.
     for m, n in ((2, 3), (3, 1), (1, 1)):
         assert projector_p(Matrix.zeros(m, n)) == Matrix.zeros(n, n)
         assert projector_q(Matrix.zeros(m, n)) == Matrix.zeros(m, m)

@@ -65,7 +65,7 @@ def test_lsq_full_rank_square_equals_classical_cramer():
 
 
 def test_lsq_zero_matrix():
-    # Rank 0: the kernel's order-0 ledger, zero numerators over 1.
+    # Rank 0: the zero ledger, zero numerators over 1.
     rep = lsq_solve(Matrix.zeros(2, 3), column_vector([1, "2/3+1i"]))
     assert rep.solution == Matrix.zeros(3, 1)
     assert rep.denominator == ONE
