@@ -26,11 +26,13 @@ Turner and Williams, ACM SIGSAM Bulletin 31(3), 1997): below each pivot
 every row keeps its multiplier, the lead it had at that step, and the row
 order, pivot columns and row contents are recorded.  Rank and determinant
 come from it, and a right-hand side replays its steps without eliminating g
-again.  The
-sweep, the replay and the back substitution share one row update,
+again.  The sweep and the replay share one row update,
 (pivot x - lead t) / prev with its exactness check, in two forms: on pairs
 (:func:`_update`), and on int rows, the real parts alone
-(:func:`_update_int`).  :func:`eliminate`, :func:`gram_solve_pairs`,
+(:func:`_update_int`).  The back substitution (:func:`_back_substitute`)
+takes each entry of a system of order from ``_INT_MIN`` up as one dot
+product and one exact division (:func:`_solve_int`, :func:`_solve_pairs`),
+and smaller systems by the same row update.  :func:`eliminate`, :func:`gram_solve_pairs`,
 :func:`matmul_pairs` (whose int product is ``sum(map(mul, row, col))``) and
 :func:`hermitian_matmul_pairs` each choose once per call, from what they
 read (:func:`_int_rows`): int rows when every imaginary part is 0 and every
@@ -462,21 +464,82 @@ def _back_substitute(u, pivots, x, det: Pair) -> list[list[Pair]]:
     """det U^-1 x, as pairs, for the r x r upper triangle U[i][t] = u[i][pivots[t]] (t >= i) of a sweep's rows.
 
     ``x`` is r x p and is overwritten; ``u`` and ``x`` are both int rows or
-    both pairs.  Row i of X = det U^-1 x is
-    (det x_i - sum_{t>i} U[i][t] X_t) / U[i][i]: one row update per term,
-    with the division by the pivot at the last.  With ``det`` the sweep's
-    last pivot, up to sign, and x a right side the sweep's steps have been
-    run on, every division is exact (Bareiss, Math. Comp. 22(103), 1968).
+    both pairs.  Entry (i, j) of X = det U^-1 x is
+    (det x[i][j] - sum_{t>i} U[i][t] X[t][j]) / U[i][i].  From r = ``_INT_MIN``
+    up each entry is one dot product and one division: the solved entries
+    are kept by column, bottom row first, so the sum is
+    ``sum(map(mul, coefficients, column))`` on int rows and one loop on
+    pairs.  Below it the sum runs as one row update per term, with the
+    division by the pivot at the last, which costs less on short columns.
+    Both sum the same integers.  With ``det`` the sweep's last pivot, up to
+    sign, and x a right side the sweep's steps have been run on, every
+    division is exact (Bareiss, Math. Comp. 22(103), 1968), and each keeps
+    its remainder check.
     """
+    r = len(x)
     ints = _holds_ints(u)
-    update, zero, one, det = (_update_int, 0, 1, det[0]) if ints else (_update, _ZERO, _ONE, det)
-    for i in range(len(x) - 1, -1, -1):
-        row, scale, coefficients = x[i], det, u[i]
-        for t in range(i + 1, len(x)):
-            update(row, x[t], scale, coefficients[pivots[t]], one, 0)
-            scale = one
-        update(row, row, scale, zero, coefficients[pivots[i]], 0)
-    return _pairs(x)
+    if r < _INT_MIN:
+        update, zero, one, det = (_update_int, 0, 1, det[0]) if ints else (_update, _ZERO, _ONE, det)
+        for i in range(r - 1, -1, -1):
+            row, scale, coefficients = x[i], det, u[i]
+            for t in range(i + 1, r):
+                update(row, x[t], scale, coefficients[pivots[t]], one, 0)
+                scale = one
+            update(row, row, scale, zero, coefficients[pivots[i]], 0)
+        return _pairs(x)
+    columns = [[] for _ in x[0]]  # column j holds X[r-1][j], X[r-2][j], ... as they are solved
+    for i in range(r - 1, -1, -1):
+        row = u[i]
+        coefficients = [row[pivots[t]] for t in range(r - 1, i, -1)]
+        x[i] = (_solve_int(x[i], columns, coefficients, det[0], row[pivots[i]]) if ints
+                else _solve_pairs(x[i], columns, coefficients, det, row[pivots[i]]))
+    return x
+
+
+def _solve_int(row: list[int], columns: list[list[int]], coefficients: list[int], det: int,
+               pivot: int) -> list[Pair]:
+    """Row i of the dot form of :func:`_back_substitute` on int rows, as pairs; appends each entry to its column."""
+    out = []
+    for v, column in zip(row, columns):
+        q, rem = divmod(det * v - sum(map(mul, coefficients, column)), pivot)
+        if rem:
+            raise ArithmeticError("inexact division in fraction-free elimination")
+        column.append(q)
+        out.append((q, 0))
+    return out
+
+
+def _solve_pairs(row: list[Pair], columns: list[list[Pair]], coefficients: list[Pair], det: Pair,
+                 pivot: Pair) -> list[Pair]:
+    """Row i of the dot form of :func:`_back_substitute` on pairs; appends each entry to its column.
+
+    The imaginary cross terms of a product are added only when a factor is
+    non-real, and a non-real pivot divides through its conjugate and squared
+    modulus, as in :func:`_update`.
+    """
+    dr, di = det
+    pr, pi = pivot
+    norm = pr * pr + pi * pi
+    for j, ((xr, xi), column) in enumerate(zip(row, columns)):
+        re, im = dr * xr - di * xi, dr * xi + di * xr
+        for (a, b), (c, d) in zip(coefficients, column):
+            if b or d:
+                re -= a * c - b * d
+                im -= a * d + b * c
+            else:
+                re -= a * c
+        if pi:
+            re, im = re * pr + im * pi, im * pr - re * pi
+            re, rr = divmod(re, norm)
+            im, ri = divmod(im, norm)
+        else:
+            re, rr = divmod(re, pr)
+            im, ri = divmod(im, pr)
+        if rr or ri:
+            raise ArithmeticError("inexact division in fraction-free elimination")
+        row[j] = pair = (re, im)
+        column.append(pair)
+    return row
 
 
 def row_factor_pairs(e: Elimination) -> tuple[list[list[Pair]], int]:

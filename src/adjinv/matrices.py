@@ -40,7 +40,7 @@ match the index-sequence language used by the minor-sum formulas.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
 from math import gcd, lcm
 from typing import Callable, Iterable, Sequence
 
@@ -208,15 +208,15 @@ def _matrix(pairs: tuple[tuple[Pair, ...], ...], scale: int) -> Matrix:
 def from_pairs(rows, scale: int) -> Matrix:
     """rows / scale for rows of Gaussian-integer pairs and a positive int scale.
 
-    Divides out the gcd of the scale and every part, so the result is in
-    lowest terms; at scale 1 that gcd is 1 whatever the parts, and no part
-    is read.
+    Divides out the gcd of the scale and every part, taken in one ``gcd``
+    call over the flattened parts, so the result is in lowest terms; at
+    scale 1 that gcd is 1 whatever the parts, and no part is read.
     """
     if not rows or not rows[0]:
         raise ValueError("matrix dimensions must be at least 1x1")
     if scale == 1:
         return _matrix(tuple(map(tuple, rows)), 1)
-    g = gcd(scale, *(part for row in rows for pair in row for part in pair))
+    g = gcd(scale, *chain.from_iterable(chain.from_iterable(rows)))
     if g == 1:
         return _matrix(tuple(map(tuple, rows)), scale)
     return _matrix(tuple(tuple((re // g, im // g) for re, im in row) for row in rows), scale // g)

@@ -150,14 +150,30 @@ class Ledger(NamedTuple):
     denominator: Scalar
 
     def quotient(self) -> Matrix:
-        """numerators / denominator, the ledger's result: one scaling of the numerator pairs."""
-        if not self.denominator:
+        """numerators / denominator, the ledger's result: one scaling of the numerator pairs.
+
+        For numerators N' / s and d = (p + q i) / t in the pairs format
+        (:func:`adjinv.elimination.integerize`),
+        N / d = N' t (p - q i) / (s (p^2 + q^2)), which
+        :func:`adjinv.matrices.from_pairs` puts in lowest terms, with no
+        Scalar division.  A real d is N' t / (s p), one int multiply per
+        part, with the sign of p moved into t.
+        """
+        d = self.denominator
+        if not d:
             # Every caller's order makes d_r(g) nonzero: the determinant of a
             # nonsingular g, the sum of the squared moduli of the rank-order
             # minors for a Gram g, or the product of the nonzero eigenvalues
             # of A^(k+1) at the core rank.
             raise ArithmeticError("ledger denominator vanished; this is a bug")
-        return self.numerators * (ONE / self.denominator)
+        (((p, q),),), t = elimination.integerize([[d]])
+        pairs, s = self.numerators.pairs, self.numerators.scale
+        if not q:
+            t, p = (t, p) if p > 0 else (-t, -p)
+            return from_pairs([[(re * t, im * t) for re, im in row] for row in pairs], s * p)
+        a, b = t * p, t * q
+        return from_pairs([[(re * a + im * b, im * a - re * b) for re, im in row] for row in pairs],
+                          s * (p * p + q * q))
 
     def adjoint(self) -> "Ledger":
         """The conjugate-transposed ledger: numerators*, conj(d) and so quotient*."""

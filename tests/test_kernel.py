@@ -578,11 +578,17 @@ INT_PATH_SHAPES = [(24, 24, 24), (24, 24, 12), (9, 9, 9), (8, 8, 3), (20, 14, 14
 
 
 def _force_kernel_form(monkeypatch, ints: bool) -> list:
-    """Set the int-row gate so that every real kernel call takes int rows (or pairs); returns the int updates run."""
+    """Set the ``_INT_MIN`` gate to 0 (or past every size); returns the int-row steps run.
+
+    At 0 every real kernel call takes int rows and every back substitution
+    its dot form; past every size, pairs and row updates.  An int-row step
+    is a row update or a row of the dot form.
+    """
     monkeypatch.setattr(elimination, "_INT_MIN", 0 if ints else sys.maxsize)
     updates = []
-    real = elimination._update_int
-    monkeypatch.setattr(elimination, "_update_int", lambda *args: updates.append(1) or real(*args))
+    for name in ("_update_int", "_solve_int"):
+        real = getattr(elimination, name)
+        monkeypatch.setattr(elimination, name, lambda *args, real=real: updates.append(1) or real(*args))
     return updates
 
 
@@ -665,6 +671,61 @@ def test_a_sweep_keeps_the_form_it_swept_in(m, n, r, complex_entries, monkeypatc
         other = elimination.eliminate(g)
     assert elimination._holds_ints(other.rows) == (not ints and not complex_entries)
     assert results(natural) == results(other)
+
+
+def _count_dot_rows(monkeypatch) -> list:
+    """The rows the dot form of ``_back_substitute`` solves, on int rows and on pairs."""
+    rows = []
+    for name in ("_solve_int", "_solve_pairs"):
+        real = getattr(elimination, name)
+        monkeypatch.setattr(elimination, name, lambda *args, real=real: rows.append(1) or real(*args))
+    return rows
+
+
+@pytest.mark.parametrize("complex_entries", [False, True])
+@pytest.mark.parametrize("n", range(8, 15))
+def test_back_substitution_dot_form_equals_the_row_form(n, complex_entries, monkeypatch):
+    # Systems of order n, with row contents above 1: adjoint solves on I and
+    # on b, Gram solves on I and on z, and the row factor of a rank-n sweep.
+    seed = 800 + n
+    rng = random.Random(seed)
+    ks = [rng.choice((1, 2, 6, 65, 2**70)) for _ in range(n + 2)]
+
+    def with_contents(rows):
+        return [[(re * k, im * k) for re, im in row] for row, k in zip(rows, ks)]
+
+    g = with_contents(_full_rank(seed, n, n, complex_entries).pairs)
+    deficient = with_contents(_deficient(seed, n + 2, n + 3, n, complex_entries).pairs)
+    f = _full_rank(seed + 1, n, n + 3, complex_entries).pairs
+    gram = elimination.hermitian_matmul_pairs(f, elimination._conjugate_transpose(f))
+    b, z = _gaussian_rows(rng, n, 3, complex_entries), _gaussian_rows(rng, n, 2, True)
+    results = {}
+    for dot in (True, False):
+        with monkeypatch.context() as forced:
+            _force_kernel_form(forced, dot)
+            dot_rows = _count_dot_rows(forced)
+            e, factored = elimination.eliminate(g), elimination.eliminate(deficient)
+            assert e.rank == factored.rank == n
+            results[dot] = (elimination.adjoint_solve_pairs(e), elimination.adjoint_solve_pairs(e, b),
+                            elimination.gram_solve_pairs(gram, elimination._identity(n)),
+                            elimination.gram_solve_pairs(gram, z), elimination.row_factor_pairs(factored))
+            assert len(dot_rows) == (5 * n if dot else 0)
+    assert results[True] == results[False]
+
+
+@pytest.mark.parametrize("complex_entries", [False, True])
+@pytest.mark.parametrize("dot", [False, True])
+def test_back_substitution_with_a_wrong_det_raises(dot, complex_entries, monkeypatch):
+    _force_kernel_form(monkeypatch, dot)
+    e = elimination.eliminate(_deficient(830, 14, 15, 12, complex_entries).pairs)
+    u, pivots = e.rows[: e.rank], e.pivots
+    zero = 0 if elimination._holds_ints(u) else (0, 0)
+    # The row factor's right side: the swept rows with the leads below each pivot read as 0.
+    x = [[zero if j in pivots[:i] else v for j, v in enumerate(row)] for i, row in enumerate(u)]
+    dr, di = e.swept_det
+    assert elimination._back_substitute(u, pivots, [list(row) for row in x], (dr, di))  # exact at det
+    with pytest.raises(ArithmeticError, match="inexact division"):
+        elimination._back_substitute(u, pivots, x, (dr + 1, di))
 
 
 @pytest.mark.parametrize("ints", [False, True])

@@ -1,8 +1,12 @@
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adjinv import (
+    ONE,
     Matrix,
     Scalar,
     adjugate,
@@ -19,7 +23,7 @@ from adjinv import (
     replace_column,
     replace_row,
 )
-from adjinv.minors import adjoint_ledger
+from adjinv.minors import Ledger, adjoint_ledger
 from conftest import det_cofactor, random_matrix, rank_forced_matrix
 
 
@@ -192,3 +196,23 @@ def test_adjugate_identity():
         a = random_matrix(rng, size, size, complex_entries=True)
         product = multiply(adjugate(a), a)
         assert product == Matrix.identity(size) * det(a)
+
+
+_parts = st.fractions(min_value=-40, max_value=40, max_denominator=6)
+_nonzero = _parts.filter(bool)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 3), st.booleans(), st.sampled_from(["positive", "negative", "complex"]),
+       st.data())
+def test_quotient_is_the_numerators_times_the_inverse_denominator(m, n, integral, kind, data):
+    # Ledger.quotient scales the pairs directly; the reference divides as Scalars and multiplies the Matrix.
+    part = st.integers(-40, 40) if integral else _parts
+    entries = [Scalar(data.draw(part), data.draw(part)) for _ in range(m * n)]
+    if not integral:  # a part with 7 in its denominator: no other part's denominator has it
+        entries[0] += Fraction(1, 7)
+    numerators = Matrix(m, n, entries)
+    assert (numerators.scale == 1) == integral
+    re = abs(data.draw(_nonzero)) * (-1 if kind == "negative" else 1)
+    d = Scalar(re, data.draw(_nonzero) if kind == "complex" else 0)
+    assert Ledger(numerators, d).quotient() == numerators * (ONE / d)

@@ -21,10 +21,12 @@ integers of up to ``BITS`` bits, real and complex, and times:
   substitution.
 
 Real inputs are timed twice, with ``elimination._INT_MIN`` set so that
-every kernel runs on int rows ("real int") and so that every kernel runs on
-pairs ("real pairs"); the header names the size from which the library
-itself takes int rows.  Each figure is the median of several timed repeats,
-in milliseconds.  Uses only the standard library; a measuring aid, not a
+every kernel runs on int rows and every back substitution in its dot form
+("real int"), and so that every kernel runs on pairs with the back
+substitution's row updates ("real pairs").  Complex inputs run on pairs at
+the library's own gate, so their back substitutions take the dot form from
+n = ``_INT_MIN`` up and row updates below it; the header names that size.
+Each figure is the median of several timed repeats, in milliseconds.  Uses only the standard library; a measuring aid, not a
 test.
 """
 
@@ -99,7 +101,8 @@ def main(argv=None) -> int:
     parser.add_argument("--sizes", type=int, nargs="+", default=[8, 12, 20, 40])
     args = parser.parse_args(argv)
     gate = elimination._INT_MIN
-    print(f"milliseconds, median of repeats; {BITS}-bit entries; the library takes int rows from n = {gate}")
+    print(f"milliseconds, median of repeats; {BITS}-bit entries; the library takes int rows and the dot-form"
+          f" back substitution from n = {gate}")
     print(f"{'n':>4} {'entries':<11}" + "".join(f"{k:>11}" for k in KERNELS))
     rows = (("real int", False, 0), ("real pairs", False, sys.maxsize), ("complex", True, gate))
     try:
