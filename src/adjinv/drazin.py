@@ -36,9 +36,10 @@ it applies the chain's factors to y and keeps nothing.
 
 A nonsingular matrix has index 0, so A^k = I, A^(k+1) = A and r = n; the
 chain is A's kept sweep alone, and one adjoint solve from it gives
-adj(A) / det(A), the classical inverse, so A is eliminated once; A keeps
-that ledger and its quotient, and :func:`adjinv.pinv.mp_inverse` reads the
-same two.  A
+adj(A) / det(A), the classical inverse, so A is eliminated once.  That is
+A's index-0 Drazin result, kept once as its eq11 result:
+:func:`adjinv.pinv.mp_inverse` returns it as A's pseudoinverse, and
+:func:`adjinv.solvers.drazin_solve` multiplies its numerators by y.  A
 nilpotent matrix has core rank 0, and the zero ledger (0, 1), read off the
 chain with no solve and no product, gives the zero matrix, the unique
 solution of the defining equations in that case.
@@ -102,9 +103,9 @@ def _chain_ledger(a: Matrix, y: Matrix | None = None) -> minors.Ledger:
 
     d_r(A^(k+1)) A^D y = B_1 .. B_k adj(M_k)^(k+1) C_k .. C_1 y over
     det(M_k)^(k+1) = d_r(A^(k+1)): k + 1 adjoint solves on the core's sweep.
-    At index 0 that is adj(A) y over det A, solved from A's own sweep (with
-    y None, the ledger A keeps, which its classical inverse reads too), and
-    at core rank 0 the zero ledger (0, 1), with no solve and no product.
+    At index 0 that is adj(A) y over det A, one solve from A's own sweep
+    (with y None, the ledger of the classical inverse), and at core rank 0
+    the zero ledger (0, 1), with no solve and no product.
     """
     k, r, factors, core = kept(a, "index chain", _index_search)
     if r == 0:
@@ -121,10 +122,13 @@ def _chain_ledger(a: Matrix, y: Matrix | None = None) -> minors.Ledger:
 
 
 def _eq11(a: Matrix) -> DrazinResult:
-    """N_r(A^(k+1)) @ A^k over d_r(A^(k+1)) at r = rank A^k, through the index chain."""
+    """N_r(A^(k+1)) @ A^k over d_r(A^(k+1)) at r = rank A^k, through the index chain.
+
+    At index 0 it is adj(A) over det A, the classical inverse, which
+    :func:`adjinv.pinv.mp_inverse` reads from here rather than forming again.
+    """
     (k, r, _, _), ledger = kept(a, "index chain", _index_search), _chain_ledger(a)
-    inverse = minors.classical_inverse(a) if k == 0 else ledger.quotient()
-    return DrazinResult(inverse, k, r, ledger.denominator, ledger.numerators)
+    return DrazinResult(ledger.quotient(), k, r, ledger.denominator, ledger.numerators)
 
 
 def index_of(a: Matrix) -> int:

@@ -422,8 +422,6 @@ def adjoint_solve_pairs(e: Elimination, b: list[list[Pair]] | None = None) -> tu
     if b is None:
         at = sorted(range(n), key=e.order.__getitem__)  # column c of x is column order[c] of adj(P)
         x = [[row[c] for c in at] for row in x]
-    if big == 1:
-        return x, e.swept_det
     whole = prod(contents)
     if b is None:
         return _column_scaled(x, [whole // c for c in contents]), e.det
@@ -694,12 +692,11 @@ def _factor_ledger(
     scales = [big // c for c in contents]
     if full_row:
         f_star = _conjugate_transpose(f_rows)
-        z = _identity(len(f_rows)) if b is None else b
-        z = z if big == 1 else _scaled(z, scales)
+        z = _scaled(_identity(len(f_rows)) if b is None else b, scales)
     else:
         z = f_rows if b is None else matmul_pairs(f_rows, b)
     x, d = gram_solve_pairs(hermitian_matmul_pairs(f_rows, f_star if full_row else _conjugate_transpose(f_rows)), z)
-    x = matmul_pairs(f_star, x) if full_row else x if big == 1 else _scaled(x, scales)
+    x = matmul_pairs(f_star, x) if full_row else _scaled(x, scales)
     return x, _mul((big, 0), d), prod(contents) ** 2 // big
 
 

@@ -26,7 +26,7 @@ it.  The slot holds the one Bareiss sweep (of its primitive rows, with
 their contents, :func:`sweep`); the outcome of the full-rank certificate
 modulo a prime that a tall or wide matrix tries before it sweeps
 (:func:`known_rank`, the one rank rule the ledger operations read); the
-classical adjugate ledger and inverse; the Drazin index chain; the Drazin
+Drazin index chain; the Drazin inverse, which at index 0 is the classical
 inverse; and the Moore-Penrose inverse.  At full rank the Gram ledgers
 read A alone, so a matrix the certificate passes keeps no sweep and never
 makes one.

@@ -24,12 +24,12 @@ solved from the Bareiss sweep of the primitive rows of g' that g keeps
 (:func:`adjinv.matrices.sweep`), the one its rank came from:
 :func:`adjinv.elimination.adjoint_solve_pairs` replays the elimination on
 b = b' / t, each row rescaled by the row contents, and back-substitutes.
-With b the identity, g keeps the ledger (adj(g), det g) and, once formed,
-its quotient (:func:`classical_inverse`), so its classical inverse and its
-index-0 Drazin inverse share one solve and one quotient.  It serves the
-classical inverse and the Drazin forms, whose ledger
+Like :func:`skeleton_ledger`, it keeps nothing of its own.  It serves the
+Drazin forms, whose ledger
 d_r(A^(k+1)) A^D = B_1 .. B_k adj(M_k)^(k+1) C_k .. C_1 takes k + 1 calls
 on the nonsingular core M_k of Cline's index chain (:mod:`adjinv.drazin`).
+At index 0 the core is A and the ledger is (adj(A), det A): a nonsingular
+A's classical inverse is its index-0 Drazin result, kept once on A.
 
 Every Gram ledger, at every rank, comes from :func:`skeleton_ledger`: it
 takes d_r(A*A) A+ b and d_r(A*A) from full-rank ledgers, each one r x r
@@ -72,7 +72,7 @@ from typing import NamedTuple
 
 from . import elimination
 from .index_sets import enumerate_k_subsets
-from .matrices import Matrix, conjugate_transpose, from_pairs, held, kept, known_rank, require_square, scalar_of, sweep
+from .matrices import Matrix, conjugate_transpose, from_pairs, held, known_rank, require_square, scalar_of, sweep
 from .scalars import ONE, ZERO, Scalar
 
 
@@ -184,26 +184,15 @@ def adjoint_ledger(g: Matrix, b: Matrix | None = None) -> Ledger:
     """(adj(g) b, det g) of a nonsingular n x n ``g``, the ledger (N_n(g) @ b, d_n(g)).
 
     ``b`` is n x p, or the n x n identity when None.  It is solved from the
-    sweep g keeps (:func:`adjinv.matrices.sweep`); a singular g, or a b
-    whose rows are not n, raises ValueError.  (adj(g), det g) is kept on g
-    under "adjugate", so the classical inverse and the index-0 Drazin
-    inverse of one matrix share one solve.
+    sweep g keeps (:func:`adjinv.matrices.sweep`) and keeps nothing more; a
+    singular g, or a b whose rows are not n, raises ValueError.
     """
     require_square(g, "adjoint ledger")
     if b is not None and b.rows != g.rows:
         raise ValueError(f"replacement matrix has {b.rows} rows, expected {g.rows}")
     if sweep(g).rank < g.rows:
         raise ValueError(f"adjoint ledger needs a nonsingular matrix, got rank {sweep(g).rank} of {g.rows}")
-
-    def solve(g: Matrix) -> Ledger:
-        return _ledger(g.rows, g, b, *elimination.adjoint_solve_pairs(sweep(g), None if b is None else b.pairs))
-
-    return kept(g, "adjugate", solve) if b is None else solve(g)
-
-
-def classical_inverse(g: Matrix) -> Matrix:
-    """adj(g) / det g of a nonsingular g: the quotient of the ledger g keeps, kept on g under "inverse"."""
-    return kept(g, "inverse", lambda g: adjoint_ledger(g).quotient())
+    return _ledger(g.rows, g, b, *elimination.adjoint_solve_pairs(sweep(g), None if b is None else b.pairs))
 
 
 def skeleton_ledger(a: Matrix, b: Matrix | None = None, adjoint: bool = False) -> Ledger:

@@ -15,35 +15,35 @@ The body refuses a zero matrix, and a form of more than
 It takes A's rank from a fresh sweep of its own and never reads or fills
 the slot A keeps its results in.
 
-``mp_inverse`` routes a zero matrix to the skeleton's zero ledger
-(0, 1), tagged "zero", whatever the method; any other matrix goes to the
-literal form that ``method`` "eq1" or "eq2" names.  The zero test reads A's
-pairs alone.  Under "auto" it reads r = rank A from
+``mp_inverse`` routes a zero matrix to the skeleton's zero ledger (0, 1),
+tagged "zero", whatever the method; any other matrix goes to the literal
+form that ``method`` "eq1" or "eq2" names.  The zero test reads A's pairs
+alone.  Under "auto" it reads r = rank A from
 :func:`adjinv.matrices.known_rank`, which a tall or wide A of full rank
 and least dimension from ``elimination._INT_MIN`` answers by a certificate
 modulo a prime and never sweeps; any other A reads its rank off the one
-sweep it keeps (:func:`adjinv.matrices.sweep`).  It takes every ledger
-from one kernel call (:mod:`adjinv.minors`) and dispatches on rank only to
-pick the tag: a
-square nonsingular matrix gets adj(A) / det(A) ("classical_inverse"),
-solved from that sweep; A keeps that ledger and its quotient, and its
-index-0 Drazin inverse reads the same two.  Every other rank takes the Gram ledger
-N_r(A*A) @ A* = A* @ N_r(AA*) = d_r(A*A) A+ from full-rank ledgers.  At
-full column rank it is adj(A*A) A* ("eq6", the determinant form of
-(A*A)^-1 A*), at full row rank A* adj(AA*) ("eq7"); both read A alone, so
-a certified A is never swept.  Below full rank the skeleton A = C W^-1 R of
-the same sweep gives A+ = R+ W C+, two full-rank ledgers around W.  A
-matrix deficient both ways is tagged "eq1" or "eq2", whichever form's
+sweep it keeps (:func:`adjinv.matrices.sweep`).  It takes every ledger from
+one kernel call (:mod:`adjinv.minors`) and dispatches on rank only to pick
+the tag.  A square nonsingular matrix gets adj(A) / det(A)
+("classical_inverse"): its classical inverse is its index-0 Drazin result
+(:func:`adjinv.drazin.drazin_inverse`), solved from that sweep and kept
+once, which this reads rather than forming again.  Every other rank takes
+the Gram ledger N_r(A*A) @ A* = A* @ N_r(AA*) = d_r(A*A) A+ from full-rank
+ledgers.  At full column rank it is adj(A*A) A* ("eq6", the determinant
+form of (A*A)^-1 A*), at full row rank A* adj(AA*) ("eq7"); both read A
+alone, so a certified A is never swept.  Below full rank the skeleton
+A = C W^-1 R of the same sweep gives A+ = R+ W C+, two full-rank ledgers
+around W.  A matrix deficient both ways is tagged "eq1" or "eq2", whichever form's
 literal evaluation needs fewer minors by the budget's count.  A matrix
-keeps that result (:func:`adjinv.matrices.kept`), so repeated calls and the
-projectors share one kernel call; the literal forms are never kept.  A
+keeps that result (:func:`adjinv.matrices.kept`), so repeated calls and
+the projectors share one kernel call; the literal forms are never kept.  A
 least squares solve on A multiplies the kept numerators by its right side,
 unless they are a classical inverse's (:mod:`adjinv.solvers`).  The
 projectors A+ A and A A+ are the identity when that rank is n (m), and
-otherwise the pseudoinverse A keeps, times A:
-A+ A = L A / d_r(A*A) for the numerators L, the paper's projector ledger.
-That product is Hermitian, so it is formed on and above the diagonal and
-mirrored below (:func:`adjinv.elimination.hermitian_matmul_pairs`).
+otherwise the pseudoinverse A keeps, times A: A+ A = L A / d_r(A*A) for
+the numerators L, the paper's projector ledger.  That product is Hermitian,
+so it is formed on and above the diagonal and mirrored below
+(:func:`adjinv.elimination.hermitian_matmul_pairs`).
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from . import elimination, minors
+from . import drazin, elimination, minors
 from ._parallel import parallel_map
 from .index_sets import enumerate_containing
 from .matrices import (
@@ -161,8 +161,8 @@ def _auto(a: Matrix) -> PinvResult:
     m, n = a.rows, a.cols
     r = known_rank(a)
     if r == n == m:
-        ledger = minors.adjoint_ledger(a)
-        return PinvResult(minors.classical_inverse(a), ledger.denominator, ledger.numerators, "classical_inverse")
+        res = drazin.drazin_inverse(a)
+        return PinvResult(res.drazin_inverse, res.denominator, res.numerators, "classical_inverse")
     ledger = minors.skeleton_ledger(a)
     # Deficient both ways, eq1 and eq2 carry the same ledger.  Tag the form
     # whose literal evaluation needs fewer minors; ties go to the column form.

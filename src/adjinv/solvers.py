@@ -35,9 +35,12 @@ the classical Cramer rule ("classical_cramer"), and for a nilpotent matrix
 read off the chain and no product formed.  A matrix that keeps its eq11
 result (:func:`adjinv.drazin.drazin_inverse`) hands over
 N = N_r(A^(k+1)) @ A^k and d_r(A^(k+1)), and the numerators are N @ y, one
-product; at index 0 N is adj(A) over det(A), the classical Cramer ledger
-exactly.  Otherwise the factors of the index chain A keeps
-are applied to y, B_1 .. B_k adj(M_k)^(k+1) C_k .. C_1 y over
+product.  At index 0 N is adj(A) over det(A), the classical Cramer ledger
+exactly: a nonsingular A's classical inverse is its index-0 Drazin result,
+kept once, so after any of :func:`adjinv.pinv.mp_inverse`,
+:func:`adjinv.drazin.drazin_inverse` or :func:`adjinv.drazin.group_inverse`
+the solve takes no solve of its own.  Otherwise the factors of the index
+chain A keeps are applied to y, B_1 .. B_k adj(M_k)^(k+1) C_k .. C_1 y over
 det(M_k)^(k+1), with k + 1 one-column adjoint solves on the core
 (:mod:`adjinv.drazin`); at index 0 that is one solve from A's kept sweep,
 so A is eliminated once.  Either way g = A^k y is k matrix-vector products

@@ -1,9 +1,13 @@
-"""Every cross-reference in the package's docstrings and comments names something that exists.
+"""Every cross-reference in the package's docstrings and comments, and in README.md, names something that exists.
 
 A reference is ``:role:`target``` for the roles func, class, meth and mod.
 As in Sphinx, a target resolves relative to the module that names it
 first, then as an absolute dotted name: the longest prefix that imports
-is the module, and the rest is read off it by ``getattr``.
+is the module, and the rest is read off it by ``getattr``.  In README.md a
+reference is an inline code span that is a dotted name rooted at one of the
+package's modules, as ``module.name``, ``adjinv.module`` or
+``adjinv.module.name``, maybe followed by a call's arguments; it resolves
+as an absolute name under ``adjinv``.
 """
 
 import importlib
@@ -17,6 +21,9 @@ import adjinv
 
 REFERENCE = re.compile(r":(func|class|meth|mod):`([^`]+)`")
 SOURCES = sorted(Path(adjinv.__file__).parent.glob("*.py"))
+README = Path(__file__).resolve().parents[1] / "README.md"
+_MODULES = "|".join(path.stem for path in SOURCES if not path.stem.startswith("__"))
+README_REFERENCE = re.compile(rf"(?:adjinv\.(?:{_MODULES})|(?:{_MODULES})\.\w+)(?:\.\w+)*(?=\(|$)")
 
 
 def _resolve(name: str):
@@ -49,6 +56,13 @@ def _unresolved(path: Path) -> tuple[list[str], int]:
     return bad, len(references)
 
 
+def _readme_references(text: str) -> list[str]:
+    """The dotted names of the package that the inline code spans of ``text`` hold, fenced blocks left out."""
+    text = re.sub(r"^```.*?^```", "", text, flags=re.DOTALL | re.MULTILINE)
+    spans = (span.replace("\n", " ") for span in re.findall(r"`([^`]+)`", text))
+    return [match[0] for match in map(README_REFERENCE.match, spans) if match]
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_every_reference_resolves(path):
     bad, _ = _unresolved(path)
@@ -71,3 +85,15 @@ def test_references_are_found():
 ])
 def test_the_resolver_tells_names_apart(role, target, resolves):
     assert _resolves("adjinv.elimination", role, target) == resolves
+
+
+def test_every_readme_reference_resolves():
+    references = _readme_references(README.read_text(encoding="utf-8"))
+    bad = [name for name in references if _resolve(name if name.startswith("adjinv.") else f"adjinv.{name}") is None]
+    assert len(references) >= 40 and bad == [], f"README.md: unresolved {bad}"
+
+
+def test_readme_references_are_the_package_names_in_code_spans():
+    text = ("`minors.adjugate` and `adjinv.minors.adjoint_ledger(g, b=None)`, not `Ledger.quotient`,\n"
+            "`adjinv.cli`, `decimal.Decimal` or `pinv` alone, nor\n```\n`drazin.fenced`\n```\nbut `solvers.\nlsq_solve`")
+    assert _readme_references(text) == ["minors.adjugate", "adjinv.minors.adjoint_ledger", "adjinv.cli"]

@@ -1559,19 +1559,34 @@ def test_sweep_of_scaled_rows_keeps_the_contracts_of_the_rows_as_given(kind, n, 
         assert matrices.from_pairs(x, 1) == multiply(_inverse(gm), bm) * Scalar(*d)
 
 
+INDEX_ZERO_SHARERS = ("mp_inverse", "drazin_inverse", "group_inverse", "drazin_solve")
+
+
 @pytest.mark.parametrize("complex_entries", [False, True])
-@pytest.mark.parametrize("order", [("mp_inverse", "drazin_inverse"), ("drazin_inverse", "mp_inverse")])
+@pytest.mark.parametrize("order", list(permutations(INDEX_ZERO_SHARERS)))
 def test_classical_and_index_zero_drazin_inverses_share_one_solve(order, complex_entries, monkeypatch):
     a = _line_scaled(_full_rank(609 + complex_entries, 5, 5, complex_entries), 609)
+    y = column_vector(_rhs(5, 5, complex_entries))
+    fresh = {name: SQUARE_OPERATIONS[name](_fresh(a), y) for name in order}
     solves = _counted(monkeypatch, elimination, "adjoint_solve_pairs")
-    results = {name: SQUARE_OPERATIONS[name](a, None) for name in order}
-    # One n x n solve, of the identity (None) on the sweep of A's 5 rows.
-    assert [(len(e.rows), b) for e, b in solves] == [(5, None)]
+    results = {name: SQUARE_OPERATIONS[name](a, y) for name in order}
+    assert results == fresh
+    # One n x n solve, of the identity (None) on the sweep of A's 5 rows.  A
+    # lone Drazin solve keeps nothing, so only one made before every inverse
+    # adds a solve, of y alone.
+    lone = order[0] == "drazin_solve"
+    assert [(len(e.rows), b) for e, b in solves if b is None] == [(5, None)] and len(solves) == 1 + lone
+    assert sorted(a._kept) == ["eq11", "index chain", "pinv", "sweep"]
     res, dz = results["mp_inverse"], results["drazin_inverse"]
     assert (res.representation_used, dz.index, dz.rank_core) == ("classical_inverse", 0, 5)
     assert (dz.numerators, dz.denominator) == (res.numerators, res.denominator) == (minors.adjugate(a), det(a))
-    assert dz.drazin_inverse == res.pseudo_inverse
-    assert group_inverse(a) == dz and drazin_times_a(a) == Matrix.identity(5) and len(solves) == 1
+    assert dz.drazin_inverse is res.pseudo_inverse and results["group_inverse"] is dz
+    assert results["drazin_solve"].method == "classical_cramer"
+    assert drazin_times_a(a) == Matrix.identity(5) and len(solves) == 1 + lone
+    # The kernel itself keeps nothing but the sweep it reads.
+    g = _fresh(a)
+    minors.adjoint_ledger(g)
+    assert list(g._kept) == ["sweep"]
 
 
 @pytest.mark.parametrize("complex_entries", [False, True])
