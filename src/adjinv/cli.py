@@ -32,7 +32,7 @@ from . import pinv as _pinv
 from . import drazin as _drazin
 from . import solvers as _solvers
 from . import verify as _verify
-from .matrices import Matrix, column_vector, conjugate_transpose, multiply, power, rank, row_vector
+from .matrices import Matrix, conjugate_transpose, from_pairs, multiply, power, rank
 from .matrix_io import (
     MatrixFormatError,
     OutputFormat,
@@ -92,21 +92,16 @@ def _load_rhs(args, a: Matrix, orientation: str) -> Matrix:
     if not _has_rhs(args):
         raise _UsageError("this subcommand needs --rhs or --rhs-file")
     if args.rhs is not None:
-        values = parse_vector_text(args.rhs)
+        v = parse_vector_text(args.rhs)
     else:
-        loaded = _read_matrix(args.rhs_file)
-        if loaded.cols == 1:
-            values = list(loaded.column(0))
-        elif loaded.rows == 1:
-            values = list(loaded.row(0))
-        else:
-            raise MatrixFormatError(
-                f"right-side file must be a vector, got {loaded.rows} x {loaded.cols}", 1
-            )
+        v = _read_matrix(args.rhs_file)
+        if v.cols != 1 and v.rows != 1:
+            raise MatrixFormatError(f"right-side file must be a vector, got {v.rows} x {v.cols}", 1)
+    entries = v.pairs[0] if v.rows == 1 else [row[0] for row in v.pairs]
     length = a.cols if orientation == "row" else a.rows
-    if len(values) != length:
-        raise ValueError(f"right side has {len(values)} entries, expected {length}")
-    return row_vector(values) if orientation == "row" else column_vector(values)
+    if len(entries) != length:
+        raise ValueError(f"right side has {len(entries)} entries, expected {length}")
+    return from_pairs([entries] if orientation == "row" else [[p] for p in entries], v.scale)
 
 
 def _ledger(res) -> tuple:

@@ -5,9 +5,10 @@ rows of Gaussian integers, each a plain ``(re, im)`` pair of Python ints.
 The matrix's common scale stays with the caller, which rescales a kernel's
 result by the right power of it.  :func:`integerize` (run as
 :func:`_integerize` by the Matrix constructor) is the one way from Scalars
-into this format.  Bareiss cross-multiplication keeps all intermediate values
-integral and every division exact, which bounds entry growth without ever
-leaving exact arithmetic.  Pivots are the first nonzero
+into this format; :mod:`adjinv.matrix_io` reads matrix text into it
+without building Scalars.  Bareiss cross-multiplication keeps all
+intermediate values integral and every division exact, which bounds entry
+growth without ever leaving exact arithmetic.  Pivots are the first nonzero
 entry in column scan order; with exact arithmetic the pivot choice is
 correctness-neutral.  :func:`eliminate` is the one sweep, and it sweeps a
 copy: no kernel changes the rows it is given.
@@ -125,7 +126,8 @@ def integerize(rows) -> tuple[tuple[tuple[Pair, ...], ...], int]:
     replacement vector).  Building a Matrix from its entries calls
     :func:`_integerize`, the same code under a name the benchmark's tracer
     does not wrap, so ``elimination.integerize_calls`` counts the conversions
-    inside operations and reading inputs stays with ``matrix_io.parse_s``.
+    inside operations alone.  Reading matrix text calls neither: the reader
+    scales its tokens' parts itself, and its time is ``matrix_io.parse_s``.
     """
     return _integerize(rows)
 

@@ -14,6 +14,8 @@ kernels of :mod:`adjinv.elimination` take them as they are:
 Scalars appear only at the edges: the constructor takes entries as
 Scalars, ints, Fractions or token strings, and ``at``, ``row``, ``column``,
 ``row_lists`` and printing build Scalars when a caller reads entries.
+Reading matrix text builds none: :mod:`adjinv.matrix_io` hands its pairs
+and scale to :func:`from_pairs`.
 
 Matrices are immutable; vectors are matrices with a single column (or row).
 All operations are pure functions: they validate their inputs, never mutate

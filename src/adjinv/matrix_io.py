@@ -7,6 +7,13 @@ whether the text comes from a path, a stream or a string.  Decimal tokens
 are exact base-10 rationals.  Rational-mode output is itself a valid matrix
 file, so formatting and parsing round-trip exactly.
 
+The reader builds no Scalar: one row reader, shared by matrix files and
+right-side vectors, reads each token's numerators and denominators with the
+one token grammar (:func:`adjinv.scalars.token_parts`), and the text's
+entries are scaled once to the lcm of all their denominators and handed to
+:func:`adjinv.matrices.from_pairs`.  A bad token is reported at the line
+and column of its first offending character.
+
 Exact values of any length are read and printed in full: every integer goes
 to and from decimal text through :func:`adjinv.scalars.int_text` and
 :func:`adjinv.scalars.int_of`, which pass CPython's int<->str digit cap
@@ -20,9 +27,12 @@ import os
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
-from .matrices import Matrix
-from .scalars import Scalar, ScalarParseError, complex_text, int_of, int_text, parse_scalar
+from .matrices import Matrix, from_pairs
+from .scalars import Scalar, ScalarParseError, complex_text, int_of, int_text, token_parts
+
+Parts = tuple[int, int, int, int]  # a token's numerators and denominators, as token_parts gives them
 
 
 class MatrixFormatError(ValueError):
@@ -45,7 +55,7 @@ class OutputFormat:
     json_layout: bool = False
 
 
-_TOKEN = re.compile(r"\S+")
+_WORD = re.compile(r"\S+")
 
 
 def _data_lines(text: str):
@@ -70,43 +80,59 @@ def parse_matrix_text(text: str) -> Matrix:
     m, n = int_of(fields[0]), int_of(fields[1])
     if m < 1 or n < 1:
         raise MatrixFormatError(f"dimensions must be positive, got {int_text(m)} x {int_text(n)}", lineno)
-    entries: list[Scalar] = []
-    rows_seen = 0
+    rows: list[list[Parts]] = []
+    denominators = {1}
     last_line = lineno
     for lineno, body in lines:
         last_line = lineno
-        if rows_seen == m:
+        if len(rows) == m:
             raise MatrixFormatError(f"extra data beyond the declared {int_text(m)} rows", lineno)
-        tokens = list(_TOKEN.finditer(body))
+        tokens = body.split()
         if len(tokens) != n:
             raise MatrixFormatError(
                 f"expected {int_text(n)} entries in this row, got {len(tokens)}", lineno
             )
-        for match in tokens:
-            token = match.group()
-            try:
-                entries.append(parse_scalar(token))
-            except ScalarParseError as exc:
-                raise MatrixFormatError(
-                    f"bad scalar token {token!r}: {exc}", lineno, match.start() + 1 + exc.offset
-                ) from None
-        rows_seen += 1
-    if rows_seen != m:
-        raise MatrixFormatError(f"expected {int_text(m)} data rows, found {rows_seen}", last_line + 1)
-    return Matrix(m, n, entries)
+        rows.append(_read_row(tokens, body, lineno, "scalar", denominators))
+    if len(rows) != m:
+        raise MatrixFormatError(f"expected {int_text(m)} data rows, found {len(rows)}", last_line + 1)
+    return _from_parts(rows, denominators)
 
 
-def parse_vector_text(text: str) -> list[Scalar]:
-    """Whitespace-separated scalar tokens, such as a right-side vector, as Scalars."""
-    values = []
-    for token in text.split():
-        try:
-            values.append(parse_scalar(token))
-        except ScalarParseError as exc:
-            raise MatrixFormatError(f"bad right-side token {token!r}: {exc}", 1) from None
-    if not values:
+def parse_vector_text(text: str) -> Matrix:
+    """Whitespace-separated scalar tokens, such as a right-side vector, as a one-row Matrix."""
+    tokens = text.split()
+    if not tokens:
         raise MatrixFormatError("right-side vector is empty", 1)
-    return values
+    denominators = {1}
+    return _from_parts([_read_row(tokens, text, 1, "right-side", denominators)], denominators)
+
+
+def _read_row(tokens: list[str], body: str, lineno: int, what: str, denominators: set[int]) -> list[Parts]:
+    """The :func:`adjinv.scalars.token_parts` of one row's tokens; their denominators go into ``denominators``.
+
+    A bad token is a MatrixFormatError at ``lineno`` and the column in
+    ``body`` of its first offending character.
+    """
+    row = []
+    try:
+        for token in tokens:
+            parts = token_parts(token)
+            denominators.add(parts[1])
+            denominators.add(parts[3])
+            row.append(parts)
+    except ScalarParseError as exc:
+        match = list(_WORD.finditer(body))[len(row)]
+        raise MatrixFormatError(
+            f"bad {what} token {match.group()!r}: {exc}", lineno, match.start() + 1 + exc.offset
+        ) from None
+    return row
+
+
+def _from_parts(rows: list[list[Parts]], denominators: set[int]) -> Matrix:
+    """The Matrix of rows of token parts, over the one lcm of every denominator in them."""
+    scale = lcm(*denominators)
+    factor = {q: scale // q for q in denominators}
+    return from_pairs([[(a * factor[b], c * factor[d]) for a, b, c, d in row] for row in rows], scale)
 
 
 def parse_matrix_file(source) -> Matrix:

@@ -11,6 +11,11 @@ gets ``NotImplemented``, so Python defers to the other operand (a Scalar
 times a Matrix, say) or raises ``TypeError``.  Floats are rejected everywhere
 so binary rounding can never sneak in; decimal literals are parsed as exact
 base-10 rationals.
+One compiled grammar reads a token: :func:`token_parts` gives its
+numerators and denominators as written, which :func:`parse_scalar` makes a
+Scalar and :mod:`adjinv.matrix_io` scales straight into a matrix's pairs.
+A character scanner runs only on a token the grammar rejects, to name its
+first offending character.
 Integers of any length go to and from decimal text through :func:`int_text`
 and :func:`int_of`, which never change the interpreter's int<->str digit cap.
 :func:`complex_text` is the one spelling of a complex value from its parts,
@@ -19,6 +24,7 @@ shared by ``str(Scalar)`` and the decimal output of :mod:`adjinv.matrix_io`.
 
 from __future__ import annotations
 
+import re
 from decimal import Decimal
 from fractions import Fraction
 from functools import wraps
@@ -193,7 +199,7 @@ def int_text(n: int) -> str:
 
 
 def int_of(digits: str) -> int:
-    """The int that a run of ASCII digits ``0-9`` spells, however long."""
+    """The int that a run of ASCII digits ``0-9``, with an optional sign, spells, however long."""
     try:
         return int(digits)
     except ValueError:
@@ -209,61 +215,89 @@ ONE = Scalar(1)
 # rational := ['+'|'-'] digits ['/' digits] | ['+'|'-'] digits '.' digits
 # complex  := rational | rational ('+'|'-') rational 'i' | rational 'i'
 #
-# No whitespace inside a token; scientific notation is rejected.
+# Digits are ASCII 0-9, a denominator is never zero, there is no whitespace
+# inside a token, and scientific notation is rejected.  _TOKEN is this
+# grammar; the scanner (_scan) walks a token it rejects to name the first
+# offending character.  A rational's groups are its signed digits, its
+# denominator and its decimal digits; the imaginary part's sign is the
+# separator's times its own.
+
+_RATIONAL = r"([+-]?[0-9]+)(?:/(0*[1-9][0-9]*)|\.([0-9]+))?"
+_TOKEN = re.compile(rf"{_RATIONAL}(?:(?:([+-]){_RATIONAL})?(i))?")
+
+
+def token_parts(text: str) -> tuple[int, int, int, int]:
+    """One token as (real numerator, real denominator, imaginary numerator, imaginary denominator).
+
+    The parts are as written, not reduced, and each denominator is positive:
+    ``"2/4"`` gives (2, 4, 0, 1), and a decimal is its digits over a power of
+    ten, so ``"1.50"`` gives (150, 100, 0, 1).  Raises
+    :class:`ScalarParseError` with the offset of the first offending character.
+    """
+    match = _TOKEN.fullmatch(text)
+    if match is None:
+        _scan(text)  # raises: the scanner rejects exactly what _TOKEN does
+    digits, den, frac, sep, im_digits, im_den, im_frac, i = match.groups()
+    re_num, re_den = _rational_parts(digits, den, frac)
+    if i is None:
+        return re_num, re_den, 0, 1
+    if sep is None:
+        return 0, 1, re_num, re_den
+    im_num, im_den = _rational_parts(im_digits, im_den, im_frac)
+    return re_num, re_den, (-im_num if sep == "-" else im_num), im_den
+
+
+def _rational_parts(digits: str, den: str | None, frac: str | None) -> tuple[int, int]:
+    if frac is not None:
+        return int_of(digits + frac), 10 ** len(frac)
+    return int_of(digits), 1 if den is None else int_of(den)
 
 
 def parse_scalar(text: str) -> Scalar:
-    """Parse one scalar token exactly.
+    """Parse one scalar token exactly: the Scalar of its :func:`token_parts`.
 
     Decimal literals become base-10 rationals with no float intermediary,
     so ``"1.5"`` is exactly ``3/2``.  Raises :class:`ScalarParseError` with
     the byte offset of the first offending character.
     """
-    first, pos = _parse_rational(text, 0)
+    re_num, re_den, im_num, im_den = token_parts(text)
+    return Scalar(Fraction(re_num, re_den), Fraction(im_num, im_den))
+
+
+def _scan(text: str) -> None:
+    """Raise ScalarParseError at the first character of ``text`` that breaks the grammar; return if none does."""
+    pos = _scan_rational(text, 0)
     if pos == len(text):
-        return Scalar(first)
-    ch = text[pos]
-    if ch == "i":
-        if pos + 1 != len(text):
-            raise ScalarParseError("trailing characters after 'i'", pos + 1)
-        return Scalar(0, first)
-    if ch in "+-":
-        sep = 1 if ch == "+" else -1
-        second, pos = _parse_rational(text, pos + 1)
-        if pos >= len(text) or text[pos] != "i":
+        return
+    if text[pos] in "+-":
+        pos = _scan_rational(text, pos + 1)
+        if pos == len(text) or text[pos] != "i":
             raise ScalarParseError("expected 'i' after imaginary part", pos)
-        if pos + 1 != len(text):
-            raise ScalarParseError("trailing characters after 'i'", pos + 1)
-        return Scalar(first, sep * second)
-    raise ScalarParseError(f"unexpected character {ch!r}", pos)
+    elif text[pos] != "i":
+        raise ScalarParseError(f"unexpected character {text[pos]!r}", pos)
+    if pos + 1 != len(text):
+        raise ScalarParseError("trailing characters after 'i'", pos + 1)
 
 
-def _parse_digits(text: str, pos: int) -> tuple[str, int]:
+def _scan_digits(text: str, pos: int) -> int:
     start = pos
     # ASCII only: str.isdigit() also accepts superscripts and other scripts' digits.
     while pos < len(text) and "0" <= text[pos] <= "9":
         pos += 1
     if pos == start:
         raise ScalarParseError("expected a digit", start)
-    return text[start:pos], pos
+    return pos
 
 
-def _parse_rational(text: str, pos: int) -> tuple[Fraction, int]:
-    sign = 1
+def _scan_rational(text: str, pos: int) -> int:
     if pos < len(text) and text[pos] in "+-":
-        if text[pos] == "-":
-            sign = -1
         pos += 1
-    digits, pos = _parse_digits(text, pos)
+    pos = _scan_digits(text, pos)
     if pos < len(text) and text[pos] == "/":
         den_at = pos + 1
-        den_digits, pos = _parse_digits(text, den_at)
-        den = int_of(den_digits)
-        if den == 0:
+        pos = _scan_digits(text, den_at)
+        if not text[den_at:pos].strip("0"):
             raise ScalarParseError("zero denominator", den_at)
-        return Fraction(sign * int_of(digits), den), pos
-    if pos < len(text) and text[pos] == ".":
-        frac, pos = _parse_digits(text, pos + 1)
-        value = Fraction(int_of(digits + frac), 10 ** len(frac))
-        return sign * value, pos
-    return Fraction(sign * int_of(digits)), pos
+    elif pos < len(text) and text[pos] == ".":
+        pos = _scan_digits(text, pos + 1)
+    return pos

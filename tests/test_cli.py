@@ -188,6 +188,17 @@ def test_input_errors(capsys, tmp_path, example1_path):
     assert code == 3  # well-formed vector of the wrong length
 
 
+def test_bad_rhs_token_names_its_column(capsys, example1_path):
+    # The column is that of the offending character, as in a matrix file.
+    code, out, err = run_cli(capsys, "solve-lsq", example1_path, "--rhs", "1 2x")
+    assert (code, out) == (2, "")
+    assert err == (
+        "input error: line 1, column 4: bad right-side token '2x': unexpected character 'x' at offset 1\n"
+    )
+    code, _, err = run_cli(capsys, "solve-row", example1_path, "--rhs", "  1\t-1/0 3 1")
+    assert code == 2 and "line 1, column 8: bad right-side token '-1/0': zero denominator at offset 3" in err
+
+
 def test_rhs_file_orientations(capsys, example1_path, tmp_path):
     rhs_col = tmp_path / "rhs_col.mat"
     rhs_col.write_text("4 1\n1\n2\n3\n1\n")
@@ -514,7 +525,7 @@ def test_subcommand_help_and_options(capsys, sub):
 
 
 def test_long_exact_values(capsys, tmp_path):
-    from adjinv import char_poly_coeffs, column_vector, multiply, pinv
+    from adjinv import char_poly_coeffs, column_vector, multiply, pinv, row_vector
     from adjinv.matrix_io import parse_vector_text
 
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
@@ -537,10 +548,10 @@ def test_long_exact_values(capsys, tmp_path):
     assert code == 0
     if limit is not None:
         assert sys.get_int_max_str_digits() == limit
-    assert parse_vector_text(out_poly) == list(char_poly_coeffs(a))
+    assert parse_vector_text(out_poly) == row_vector(char_poly_coeffs(a))
     res = pinv.mp_inverse(a)
     assert parse_matrix_text(out_pinv) == res.pseudo_inverse
-    assert parse_vector_text(json.loads(out_json)["denominator"]) == [res.denominator]
+    assert parse_vector_text(json.loads(out_json)["denominator"]) == row_vector([res.denominator])
     assert parse_matrix_text(out_lsq) == multiply(res.pseudo_inverse, column_vector([10**5001 - 1, 0]))
 
 

@@ -1,12 +1,13 @@
 import io
 import json
+import random
 import sys
 import threading
 from fractions import Fraction
 from importlib import resources
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adjinv import (
@@ -24,6 +25,7 @@ from adjinv import (
     rank,
 )
 from adjinv.matrix_io import matrix_tokens, parse_vector_text
+from adjinv.scalars import int_text
 
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=16)
 scalars = st.builds(Scalar, rationals, rationals)
@@ -148,6 +150,127 @@ def test_parse_from_stream(example1):
 )
 def test_round_trip_rational_output(matrix):
     assert parse_matrix_text(format_matrix(matrix)) == matrix
+
+
+# Tokens written with their exact values, for the reader's property tests.
+# Whole parts run past 640 digits, so these also cross the lowest int/str
+# digit cap; int_text writes them under any cap.
+naturals = st.one_of(st.integers(0, 10**6), st.integers(10**640, 10**700))
+
+
+@st.composite
+def rational_tokens(draw):
+    """("[sign][zeros]digits[/q | .digits]", its Fraction)."""
+    sign = draw(st.sampled_from(["", "+", "-"]))
+    whole = draw(naturals)
+    text, value = "0" * draw(st.integers(0, 2)) + int_text(whole), Fraction(whole)
+    form = draw(st.sampled_from(["integer", "fraction", "decimal"]))
+    if form == "fraction":
+        # Small denominators share factors with each other and with the scale.
+        q = draw(st.sampled_from([1, 2, 3, 4, 6, 8, 12, 10**650 + 1]))
+        text, value = f"{text}/{'0' * draw(st.integers(0, 1))}{int_text(q)}", value / q
+    elif form == "decimal":
+        digits = draw(st.text("0123456789", min_size=1, max_size=4))  # trailing zeros too
+        text, value = f"{text}.{digits}", value + Fraction(int(digits), 10 ** len(digits))
+    return sign + text, -value if sign == "-" else value
+
+
+@st.composite
+def scalar_tokens(draw):
+    """A token of every complex form, "re", "imi" and "re(+|-)imi" (so "1+-2i", "1--2i"), and its Scalar."""
+    re_text, re_value = draw(rational_tokens())
+    form = draw(st.sampled_from(["real", "imaginary", "complex"]))
+    if form == "real":
+        return re_text, Scalar(re_value)
+    if form == "imaginary":
+        return re_text + "i", Scalar(0, re_value)
+    sep = draw(st.sampled_from("+-"))
+    im_text, im_value = draw(rational_tokens())
+    return f"{re_text}{sep}{im_text}i", Scalar(re_value, im_value if sep == "+" else -im_value)
+
+
+zero_tokens = st.sampled_from(["0", "-0", "+00", "0/4", "-0.000", "-0i", "0+0i", "0--0/3i"]).map(
+    lambda t: (t, Scalar(0)))
+
+
+@st.composite
+def token_matrices(draw):
+    """(m, n, [(token, Scalar)] * m * n); some are all zero."""
+    m, n = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    entry = zero_tokens if draw(st.booleans()) else st.one_of(scalar_tokens(), zero_tokens)
+    return m, n, draw(st.lists(entry, min_size=m * n, max_size=m * n))
+
+
+@settings(max_examples=150)
+@example((1, 2, [("2/4", Scalar(Fraction(1, 2))), ("6/4", Scalar(Fraction(3, 2)))]))
+@example((1, 3, [("1+-2i", Scalar(1, -2)), ("1--2i", Scalar(1, 2)), ("-0i", Scalar(0))]))
+@example((2, 1, [("1.500", Scalar(Fraction(3, 2))), ("-007", Scalar(-7))]))
+@given(token_matrices())
+def test_reader_gives_the_entrywise_pairs_and_scale(case):
+    m, n, entries = case
+    tokens = [t for t, _ in entries]
+    values = [v for _, v in entries]
+    assert [parse_scalar(t) for t in tokens] == values
+    text = f"{m} {n}\n" + "\n".join(" ".join(tokens[i * n:(i + 1) * n]) for i in range(m))
+    got = parse_matrix_text(text)
+    want = Matrix(m, n, [parse_scalar(t) for t in tokens])
+    assert (got.pairs, got.scale) == (want.pairs, want.scale)
+    assert want == Matrix(m, n, values)
+    assert parse_vector_text(" ".join(tokens)) == Matrix(1, m * n, values)  # equal pairs and scale
+
+
+# Malformed tokens: each with the scanner's message and the offset of its
+# first offending character.  Tokens with inner whitespace, or none, cannot
+# stand as one token in a row.
+BAD_TOKENS = [
+    ("i", "expected a digit", 0),
+    ("1e5", "unexpected character 'e'", 1),
+    ("1/", "expected a digit", 2),
+    ("1.", "expected a digit", 2),
+    (".5", "expected a digit", 0),
+    ("1/0", "zero denominator", 2),
+    ("2+3", "expected 'i' after imaginary part", 3),
+    ("2+3i4", "trailing characters after 'i'", 4),
+    ("--2", "expected a digit", 1),
+    ("2i3", "trailing characters after 'i'", 2),
+    ("\u00b2", "expected a digit", 0),
+    ("1/\u00b2", "expected a digit", 2),
+    ("\u0663", "expected a digit", 0),
+    ("1+2/0i", "zero denominator", 4),  # a zero denominator in the imaginary part
+    ("1-2/00i", "zero denominator", 4),
+]
+
+
+@pytest.mark.parametrize("token, message, offset", BAD_TOKENS)
+def test_bad_tokens_keep_their_message_line_and_column(token, message, offset):
+    with pytest.raises(MatrixFormatError) as err:
+        parse_matrix_text(f"# heading\n2 2\n1 2\n  3\t{token}  # note\n")
+    # The token starts at column 5 of line 4.
+    assert (err.value.line, err.value.column) == (4, 5 + offset)
+    assert str(err.value) == f"line 4, column {5 + offset}: bad scalar token {token!r}: {message} at offset {offset}"
+    with pytest.raises(MatrixFormatError) as err:
+        parse_vector_text(f" 1 {token} 2")
+    assert str(err.value) == f"line 1, column {4 + offset}: bad right-side token {token!r}: {message} at offset {offset}"
+
+
+def test_reading_builds_no_scalar_or_fraction(monkeypatch):
+    rng = random.Random(6)
+    text = "6 6\n" + "\n".join(
+        " ".join(f"{rng.randint(-9, 9)}/{rng.randint(1, 9)}{rng.choice('+-')}{rng.randint(0, 9)}/{rng.randint(1, 9)}i"
+                 for _ in range(6))
+        for _ in range(6))
+    want = Matrix(6, 6, text.split()[2:])
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("reading a matrix text built a Scalar or a Fraction")
+
+    monkeypatch.setattr(Scalar, "__init__", refuse)
+    monkeypatch.setattr(Fraction, "__new__", refuse)
+    got = parse_matrix_text(text)
+    row = parse_vector_text(text.split("\n", 1)[1])
+    monkeypatch.undo()
+    assert got == want
+    assert row == Matrix(1, 36, text.split()[2:])
 
 
 def test_decimal_formatting():
@@ -279,7 +402,7 @@ def _check_long_values():
     assert Matrix.from_rows([[nines]]) == Matrix(1, 1, [10**5001 - 1])
     assert repr(Matrix(1, 2, [big, 1])) == f"Matrix(1x2: {ten} 1)"
     assert str(Matrix(1, 1, [big])) == ten
-    assert parse_vector_text(f"{ten} 1/{nines}") == [big, Scalar(Fraction(1, 10**5001 - 1))]
+    assert parse_vector_text(f"{ten} 1/{nines}") == Matrix(1, 2, [big, Fraction(1, 10**5001 - 1)])
     with pytest.raises(MatrixFormatError, match=f"expected {nines} data rows"):
         parse_matrix_text(f"{nines} 1\n1\n")
     with pytest.raises(MatrixFormatError, match=f"got 0 x {nines}"):

@@ -2,10 +2,11 @@ import operator
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adjinv import Matrix, Scalar, ScalarParseError, parse_scalar
+from adjinv.scalars import _TOKEN, _scan, token_parts
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=12)
 scalars = st.builds(Scalar, rationals, rationals)
@@ -38,6 +39,7 @@ def test_parse_complex_forms():
         ("1.", 2),
         (".5", 0),
         ("1/0", 2),
+        ("1+2/0i", 4),  # zero denominator in the imaginary part
         ("2+3", 3),  # missing trailing i
         ("2+3i4", 4),
         ("--2", 1),
@@ -51,6 +53,33 @@ def test_parse_errors_carry_offsets(token, offset):
     with pytest.raises(ScalarParseError) as err:
         parse_scalar(token)
     assert err.value.offset == offset
+
+
+def _scanner_accepts(text: str) -> bool:
+    try:
+        _scan(text)
+    except ScalarParseError:
+        return False
+    return True
+
+
+@settings(max_examples=200)
+@example("1+-2i")
+@example("1--2i")
+@example("0/00")
+@example("1.5-0/010i")
+@given(st.one_of(st.text("0123456789+-/.i e\u00b2", max_size=9), st.from_regex(_TOKEN, fullmatch=True)))
+def test_grammar_accepts_what_the_scanner_accepts(text):
+    assert (_TOKEN.fullmatch(text) is not None) == _scanner_accepts(text)
+
+
+def test_token_parts_are_as_written():
+    assert token_parts("2/4") == (2, 4, 0, 1)
+    assert token_parts("-1.50") == (-150, 100, 0, 1)
+    assert token_parts("007/010i") == (0, 1, 7, 10)
+    assert token_parts("1+-2i") == (1, 1, -2, 1)
+    assert token_parts("1--2/3i") == (1, 1, 2, 3)
+    assert token_parts("-0i") == (0, 1, 0, 1)
 
 
 def test_floats_rejected():

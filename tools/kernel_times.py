@@ -1,4 +1,4 @@
-"""Time the integer kernels of ``adjinv.elimination`` on seeded inputs and print one table.
+"""Time the integer kernels of ``adjinv.elimination`` and the matrix reader on seeded inputs and print one table.
 
     python tools/kernel_times.py [--sizes 8 12 20 40]
 
@@ -18,7 +18,11 @@ integers of up to ``BITS`` bits, real and complex, and times:
 - ``gram``: the whole Gram solve adj(F F*) z of a seeded n/2 x n F of full
   row rank and one seeded column z: F F* formed by ``hermitian_matmul_pairs``
   and solved by ``gram_solve_pairs``, one sweep of [F F* | z] and its back
-  substitution.
+  substitution;
+- ``read``: ``adjinv.matrix_io.parse_matrix_text`` on the text of the
+  matrix divided by a seeded scale of up to ``BITS`` bits, so that its
+  tokens carry denominators.  The reader takes no kernel, so the two real
+  rows time the same work.
 
 Real inputs are timed twice, with ``elimination._INT_MIN`` set so that
 every kernel runs on int rows and every back substitution in its dot form
@@ -41,9 +45,10 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
-from adjinv import elimination  # noqa: E402
+from adjinv import elimination, matrix_io  # noqa: E402
+from adjinv.matrices import from_pairs  # noqa: E402
 
-KERNELS = ("eliminate", "certify", "solve I", "solve y", "A A", "A y", "factor", "gram")
+KERNELS = ("eliminate", "certify", "solve I", "solve y", "A A", "A y", "factor", "gram", "read")
 BITS = 8  # bit size of the random entries
 
 
@@ -82,6 +87,7 @@ def kernel_times(n: int, complex_entries: bool) -> dict[str, float]:
     f = _full_rank(rng, half, n, complex_entries)
     f_star = elimination._conjugate_transpose(f)
     z = _matrix(rng, half, 1, complex_entries)
+    text = matrix_io.format_matrix(from_pairs(a, rng.randint(2, 1 << BITS)))
     wide = _full_rank(random.Random(f"kernel_times:certify:{n}:{BITS}:{complex_entries}"), n, n + 4, complex_entries)
     calls = {
         "eliminate": lambda: elimination.eliminate(a),
@@ -92,6 +98,7 @@ def kernel_times(n: int, complex_entries: bool) -> dict[str, float]:
         "A y": lambda: elimination.matmul_pairs(a, y),
         "factor": lambda: elimination.row_factor_pairs(deficient),
         "gram": lambda: elimination.gram_solve_pairs(elimination.hermitian_matmul_pairs(f, f_star), z),
+        "read": lambda: matrix_io.parse_matrix_text(text),
     }
     return {name: _median_ms(call) for name, call in calls.items()}
 
