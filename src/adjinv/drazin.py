@@ -20,11 +20,14 @@ an M_i of rank 0 means A is nilpotent.  So
 
     A^D = B_1 .. B_k M_k^-(k+1) C_k .. C_1,   d_r(A^(k+1)) = det(M_k)^(k+1),
 
-and the eq11 numerators are B_1 .. B_k adj(M_k)^(k+1) C_k .. C_1: k + 1
-adjoint solves on the core's sweep (:func:`adjinv.minors.adjoint_ledger`)
-and products with the factors.  The ledger is unique, so these are the
-numbers the minor sums give.  Only A's own sweep is n x n; every later sweep
-is of an r_i x r_i M_i, kept in lowest terms.
+and the eq11 numerators are B_1 .. B_k adj(M_k)^(k+1) C_k .. C_1: the C
+factors' integer pairs times the right side, k + 1 adjoint solves on the
+core's kept sweep (:func:`adjinv.elimination.adjoint_solve_pairs`), then
+the B factors' pairs, while the factors' scales multiply, and one call to
+the scale rule (:func:`adjinv.minors._ledger`), which reduces once.  No
+Matrix or Scalar is built between the steps.  The ledger is unique, so
+these are the numbers the minor sums give.  Only A's own sweep is n x n;
+every later sweep is of an r_i x r_i M_i, kept in lowest terms.
 
 A matrix keeps its chain and its eq11 result (:func:`adjinv.matrices.kept`),
 so its operations share one search and :func:`drazin_inverse` and
@@ -102,23 +105,29 @@ def _chain_ledger(a: Matrix, y: Matrix | None = None) -> minors.Ledger:
     """(N_r(A^(k+1)) A^k y, d_r(A^(k+1))) from the chain, with y the identity when None.
 
     d_r(A^(k+1)) A^D y = B_1 .. B_k adj(M_k)^(k+1) C_k .. C_1 y over
-    det(M_k)^(k+1) = d_r(A^(k+1)): k + 1 adjoint solves on the core's sweep.
-    At index 0 that is adj(A) y over det A, one solve from A's own sweep
-    (with y None, the ledger of the classical inverse), and at core rank 0
-    the zero ledger (0, 1), with no solve and no product.
+    det(M_k)^(k+1) = d_r(A^(k+1)), all on integer pairs: the C factors' pairs
+    times y', k + 1 adjoint solves on the core's kept sweep, then the B
+    factors' pairs, while the scales of y and the factors multiply.  With
+    M_k = M' / s, adj(M_k) = adj(M') / s^(r-1) and det M_k = det M' / s^r,
+    so one call to :func:`adjinv.minors._ledger` makes the ledger.  At
+    index 0 that is adj(A) y over det A, one solve from A's own sweep (with
+    y None, the ledger of the classical inverse), and at core rank 0 the
+    zero ledger (0, 1), with no solve and no product.
     """
     k, r, factors, core = kept(a, "index chain", _index_search)
     if r == 0:
         return minors.Ledger(Matrix.zeros(a.rows, a.rows if y is None else y.cols), ONE)
+    x, scale = (None, 1) if y is None else (y.pairs, y.scale)
     for _, c in factors:
-        y = c if y is None else multiply(c, y)
-    d = ONE
+        x, scale = c.pairs if x is None else elimination.matmul_pairs(c.pairs, x), scale * c.scale
+    e, d = sweep(core or a), (1, 0)
     for _ in range(k + 1):
-        y, step = minors.adjoint_ledger(core or a, y)
-        d = d * step
+        x, step = elimination.adjoint_solve_pairs(e, x)
+        d = elimination._mul(d, step)
     for b, _ in reversed(factors):
-        y = multiply(b, y)
-    return minors.Ledger(y, d)
+        x, scale = elimination.matmul_pairs(b.pairs, x), scale * b.scale
+    s = (core or a).scale ** (k + 1)
+    return minors._ledger(x, d, 1, s ** (r - 1) * scale, s**r)
 
 
 def _eq11(a: Matrix) -> DrazinResult:

@@ -69,11 +69,13 @@ positive definite, :func:`hermitian_matmul_pairs` forms it on and above the
 diagonal and mirrors the rest, and :func:`gram_solve_pairs` takes adj(F F*) z
 from one sweep of [F F* | z] on its upper triangle, with the leading
 principal minors as pivots, so no row exchange, no content division and no
-kept :class:`Elimination`: the update of z's columns is the replay.
+kept :class:`Elimination`: the update of z's columns is the replay.  The
+kernel divides nothing out: it returns |det W''|^2, which the two ledgers'
+denominators carry, for the caller's scale rule (:func:`adjinv.minors._ledger`).
 
-At full rank :func:`full_rank_ledger_pairs` takes that ledger of A alone
-and needs only the fact that rank A = min(m, n).  :func:`full_rank_mod_p`
-certifies that without an
+Given no elimination, :func:`skeleton_ledger_pairs` takes the full-rank
+ledger of A alone and needs only the fact that rank A = min(m, n).
+:func:`full_rank_mod_p` certifies that without an
 exact sweep, by the classical small-primes technique (von zur Gathen and
 Gerhard, *Modern Computer Algebra*, 3rd ed., 2013, ch. 5).  For a prime
 P = 1 (mod 4), -1 has a square root I modulo P, and (re, im) -> re + I im
@@ -623,23 +625,31 @@ def _identity(r: int) -> list[list[Pair]]:
 
 
 def skeleton_ledger_pairs(
-    a: list[list[Pair]], e: Elimination, b: list[list[Pair]] | None = None, adjoint: bool = False,
-) -> tuple[list[list[Pair]], Pair, int]:
-    """Gram ledgers of an m x n Gaussian-integer A of rank r >= 1 from its elimination ``e``.
+    a: list[list[Pair]], e: Elimination | None, b: list[list[Pair]] | None = None, adjoint: bool = False,
+) -> tuple[list[list[Pair]], Pair, int, int]:
+    """Gram ledgers of an m x n Gaussian-integer A of rank r >= 1, from its elimination ``e`` or, at full rank, A alone.
 
-    Returns (X, d, f): the ledger is X f over d f, for a positive int f,
-    and b is the m x m identity when None.  With P = ``e.pivots`` and Q the
-    rows ``e.order[:r]`` in increasing order, A = C W''^-1 R'' for
-    C = A[:, P], R'' the rows A[Q, :] with the contents ``e`` keeps divided
-    out, and W'' = R''[:, P] (Goreinov, Tyrtyshnikov and Zamarashkin, LAA
-    261, 1997).  C has full column rank and W''^-1 R'' full row rank, so
-    A+ = R''+ W'' C+: the full-rank ledger (:func:`_factor_ledger`) of C
-    on b, times W'', then that of R''.  By Cauchy-Binet the two ledgers'
-    d f multiply to d_r(A*A) |det W''|^2, where |det W''| is the last pivot
-    of ``e``; the part of |det W''|^2 that their f do not cancel divides X
-    and d exactly.  ``adjoint`` gives (A*)+ b from the
-    skeleton (R''*, W''*, C*) of A*, read from the same ``e``.
+    Returns (X, d, f, q): the ledger is X f / q over d f / q, for positive
+    ints f and q, and b is the m x m identity when None.  ``e`` None means
+    rank A = min(m, n): the ledger is then the full-rank ledger
+    (:func:`_factor_ledger`) of M = A, or A* when ``adjoint``, on M's rows
+    when it has full row rank (no more rows than columns), else on its
+    conjugated columns, one Gram solve of order min(m, n) ("eq7" for A at
+    full row rank, "eq6" at full column rank), and q = 1.  Otherwise, with
+    P = ``e.pivots`` and Q the rows ``e.order[:r]`` in increasing order,
+    A = C W''^-1 R'' for C = A[:, P], R'' the rows A[Q, :] with the contents
+    ``e`` keeps divided out, and W'' = R''[:, P] (Goreinov, Tyrtyshnikov and
+    Zamarashkin, LAA 261, 1997).  C has full column rank and W''^-1 R'' full
+    row rank, so A+ = R''+ W'' C+: the full-rank ledger of C on b, times
+    W'', then that of R''.  By Cauchy-Binet the two ledgers' d f multiply to
+    d_r(A*A) |det W''|^2, where |det W''| is the last pivot of ``e``, so
+    q = |det W''|^2.  ``adjoint`` gives (A*)+ b from the skeleton
+    (R''*, W''*, C*) of A*, read from the same ``e``.
     """
+    if e is None:
+        m, n = len(a), len(a[0])
+        full_row = n <= m if adjoint else m <= n  # M has full row rank
+        return *_factor_ledger(a if full_row != adjoint else _conjugate_transpose(a), full_row, b), 1
     pivots = e.pivots
     c_star = [[(re, -im) for re, im in (a_row[j] for a_row in a)] for j in pivots]
     r_rows = [_divided(a[i], e.contents[i]) for i in sorted(e.order[: e.rank])]
@@ -647,32 +657,8 @@ def skeleton_ledger_pairs(
     first, middle, last = (r_rows, _conjugate_transpose(w), c_star) if adjoint else (c_star, w, r_rows)
     x, d_first, f_first = _factor_ledger(first, False, b)
     x, d_last, f_last = _factor_ledger(last, True, matmul_pairs(middle, x))
-    # The part of |det W''|^2 that f does not cancel divides x and d exactly.
     pr, pi = e.swept_det
-    norm = pr * pr + pi * pi
-    f = f_first * f_last
-    common = gcd(norm, f)
-    d = [_mul(d_first, d_last)]
-    if norm != common:
-        for out in (*x, d):
-            _update(out, out, _ONE, _ZERO, (norm // common, 0), 0)
-    return x, d[0], f // common
-
-
-def full_rank_ledger_pairs(
-    a: list[list[Pair]], b: list[list[Pair]] | None = None, adjoint: bool = False,
-) -> tuple[list[list[Pair]], Pair, int]:
-    """:func:`skeleton_ledger_pairs` for an m x n Gaussian-integer A of rank min(m, n), read from A alone.
-
-    Returns (X, d, f), the ledger X f over d f, and takes no elimination:
-    it is the full-rank ledger (:func:`_factor_ledger`) of M = A, or A* when
-    ``adjoint``, on M's rows when it has full row rank (no more rows than
-    columns), else on its conjugated columns.  One Gram solve of order
-    min(m, n): "eq7" for A at full row rank, "eq6" at full column rank.
-    """
-    m, n = len(a), len(a[0])
-    full_row = n <= m if adjoint else m <= n  # M has full row rank
-    return _factor_ledger(a if full_row != adjoint else _conjugate_transpose(a), full_row, b)
+    return x, _mul(d_first, d_last), f_first * f_last, pr * pr + pi * pi
 
 
 def _factor_ledger(

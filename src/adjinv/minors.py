@@ -1,4 +1,4 @@
-"""Minors, principal-minor sums, and the two ledger kernels.
+"""Minors, principal-minor sums, the Gram ledger and the one scale rule for every ledger.
 
 Every adjugate analogue in the package is a sum of replaced principal minors:
 entry (i, j) sums, over the order-r principal index sets containing i, the
@@ -16,35 +16,33 @@ ledger is (0, 1), the zero ledger: a rank-0 Gram matrix (of a zero A) and
 the core of a nilpotent A take it where their rank is read, with no kernel
 call.
 
-No operation evaluates N_r at 0 < r < n: each such ledger factors through a
-nonsingular r x r matrix, so the kernel serves two ledgers at their full
-order.  :func:`adjoint_ledger` returns the :class:`Ledger`
-(adj(g) b, det g) = (N_n(g) @ b, d_n(g)) of a nonsingular g = g' / s,
-solved from the Bareiss sweep of the primitive rows of g' that g keeps
-(:func:`adjinv.matrices.sweep`), the one its rank came from:
-:func:`adjinv.elimination.adjoint_solve_pairs` replays the elimination on
-b = b' / t, each row rescaled by the row contents, and back-substitutes.
-Like :func:`skeleton_ledger`, it keeps nothing of its own.  It serves the
-Drazin forms, whose ledger
-d_r(A^(k+1)) A^D = B_1 .. B_k adj(M_k)^(k+1) C_k .. C_1 takes k + 1 calls
-on the nonsingular core M_k of Cline's index chain (:mod:`adjinv.drazin`).
-At index 0 the core is A and the ledger is (adj(A), det A): a nonsingular
-A's classical inverse is its index-0 Drazin result, kept once on A.
+No operation evaluates N_r at 0 < r < n: each such ledger is F adj(K) H
+over det K for a nonsingular K, solved factor by factor, and one scale
+rule (:func:`_ledger`) turns every kernel's integer result into a
+:class:`Ledger`.  A kernel returns (X, d, f), the ledger X f over d f of
+the integer pairs it read, for a positive int f; the caller knows the
+scales of those pairs, x_scale of X and d_scale of d, and _ledger makes
+X f / x_scale over d f / d_scale, so :func:`adjinv.matrices.from_pairs`
+reduces the numerators once per ledger.
 
 Every Gram ledger, at every rank, comes from :func:`skeleton_ledger`: it
 takes d_r(A*A) A+ b and d_r(A*A) from full-rank ledgers, each one r x r
-Gram solve, at the rank :func:`adjinv.matrices.known_rank` reads.  At full
-rank that is A's own (:func:`adjinv.elimination.full_rank_ledger_pairs`),
-so an A whose full rank was certified modulo a prime keeps no sweep.
-Below it, A's one kept sweep gives the skeleton A = C W^-1 R (pivot
-columns C, pivot rows R and their intersection W), and A+ = R+ W C+ is two
-full-rank ledgers around W (:func:`adjinv.elimination.skeleton_ledger_pairs`).
-It is the characteristic-adjugate ledger of A*A at the rank order,
-(N_r(A*A) A* b, d_r(A*A)).  Both kernels return (X, d, f), the ledger of
-the integer pairs g' and b' as X f over d f for a positive int f, and one
-scale rule (:func:`_ledger`) makes it the ledger of g and b at its order o:
-X f / (s^(o-1) t) over d f / s^o, before :func:`adjinv.matrices.from_pairs`
-reduces.  The adjoint ledger is f = 1 at order n, the Gram ledger order 2r.
+Gram solve, at the rank :func:`adjinv.matrices.known_rank` reads, through
+:func:`adjinv.elimination.skeleton_ledger_pairs`.  At full rank that is
+A's own, read from A alone, so an A whose full rank was certified modulo
+a prime keeps no sweep.  Below it, A's one kept sweep gives the skeleton
+A = C W^-1 R (pivot columns C, pivot rows R and their intersection W),
+and A+ = R+ W C+ is two full-rank ledgers around W.  It is the
+characteristic-adjugate ledger of A*A at the rank order,
+(N_r(A*A) A* b, d_r(A*A)).  For A = A' / s and b = b' / t the kernel
+returns (X, d, f, q), the ledger X f / q over d f / q of A' and b', with
+q = |det W''|^2 of the skeleton's pivot block (1 at full rank), so the
+scales are s^(2r-1) t q and s^(2r) q.  The Drazin ledgers, the classical
+inverse among them, come from the index chain
+(:func:`adjinv.drazin._chain_ledger`): k + 1 adjoint solves on the
+nonsingular core M_k = M' / s (:func:`adjinv.elimination.adjoint_solve_pairs`)
+between the chain's factors, with f = 1 and the scales s^((r-1)(k+1))
+times those of the factors and of b, and s^(r(k+1)).
 A caller makes one kernel call, and :meth:`Ledger.quotient` is the one way
 a ledger becomes a result.
 The projectors A+ A and A A+ take no ledger of their own: they are the
@@ -180,21 +178,6 @@ class Ledger(NamedTuple):
         return Ledger(conjugate_transpose(self.numerators), self.denominator.conjugate())
 
 
-def adjoint_ledger(g: Matrix, b: Matrix | None = None) -> Ledger:
-    """(adj(g) b, det g) of a nonsingular n x n ``g``, the ledger (N_n(g) @ b, d_n(g)).
-
-    ``b`` is n x p, or the n x n identity when None.  It is solved from the
-    sweep g keeps (:func:`adjinv.matrices.sweep`) and keeps nothing more; a
-    singular g, or a b whose rows are not n, raises ValueError.
-    """
-    require_square(g, "adjoint ledger")
-    if b is not None and b.rows != g.rows:
-        raise ValueError(f"replacement matrix has {b.rows} rows, expected {g.rows}")
-    if sweep(g).rank < g.rows:
-        raise ValueError(f"adjoint ledger needs a nonsingular matrix, got rank {sweep(g).rank} of {g.rows}")
-    return _ledger(g.rows, g, b, *elimination.adjoint_solve_pairs(sweep(g), None if b is None else b.pairs))
-
-
 def skeleton_ledger(a: Matrix, b: Matrix | None = None, adjoint: bool = False) -> Ledger:
     """The Gram ledger of a from the skeleton of its kept sweep (:func:`adjinv.matrices.sweep`).
 
@@ -202,33 +185,32 @@ def skeleton_ledger(a: Matrix, b: Matrix | None = None, adjoint: bool = False) -
     (N_r(A*A) A* b, d_r(A*A)), with b the identity when None;
     ``adjoint`` gives the same for A*: (A*)+ b.  r comes from
     :func:`adjinv.matrices.known_rank`, and r = 0 gives the zero matrix
-    over 1.  At full rank the ledger reads A alone
-    (:func:`adjinv.elimination.full_rank_ledger_pairs`), so a certified A
-    is never swept; below it :func:`adjinv.elimination.skeleton_ledger_pairs`
-    reads the kept sweep.  Both return (X, d, f), which :func:`_ledger`
-    scales at order 2r.
+    over 1.  :func:`adjinv.elimination.skeleton_ledger_pairs` reads A alone
+    at full rank, so a certified A is never swept, and the kept sweep below
+    it.  Its (X, d, f, q) is the ledger of A' and b' at order 2r, X f / q
+    over d f / q, so q joins both scales of :func:`_ledger`.
     """
     r = known_rank(a)
-    rows, cols = (a.rows, a.cols) if adjoint else (a.cols, a.rows)
     if r == 0:
+        rows, cols = (a.rows, a.cols) if adjoint else (a.cols, a.rows)
         return Ledger(Matrix.zeros(rows, cols if b is None else b.cols), ONE)
-    bp = None if b is None else b.pairs
-    x, d, f = (elimination.full_rank_ledger_pairs(a.pairs, bp, adjoint) if r == min(a.rows, a.cols)
-               else elimination.skeleton_ledger_pairs(a.pairs, sweep(a), bp, adjoint))
-    return _ledger(2 * r, a, b, x, d, f)
+    e = None if r == min(a.rows, a.cols) else sweep(a)
+    x, d, f, q = elimination.skeleton_ledger_pairs(a.pairs, e, None if b is None else b.pairs, adjoint)
+    scale = a.scale ** (2 * r - 1) * q
+    return _ledger(x, d, f, scale * (1 if b is None else b.scale), scale * a.scale)
 
 
-def _ledger(order: int, g: Matrix, b: Matrix | None, x, d, f: int = 1) -> Ledger:
-    """The Ledger at ``order`` of g = g' / s and b = b' / t from a kernel's (X, d, f), X f over d f for g' and b'.
+def _ledger(x, d, f: int, x_scale: int, d_scale: int) -> Ledger:
+    """The Ledger X f / x_scale over d f / d_scale of a kernel's integer result (X, d, f).
 
-    It is X f / (s^(order-1) t) over d f / s^order, with the gcd of f and
-    that scale divided out first; X is not copied when f divides the scale.
+    The one way a kernel's result becomes a Ledger: the gcd of f and
+    ``x_scale`` is divided out first, so X is not copied when f divides it,
+    and :func:`adjinv.matrices.from_pairs` reduces the numerators once.
     """
-    scale = g.scale ** (order - 1) * (1 if b is None else b.scale)
-    common = gcd(f, scale)
+    common = gcd(f, x_scale)
     if f != common:
         x = elimination._scaled(x, repeat(f // common))
-    return Ledger(from_pairs(x, scale // common), scalar_of((d[0] * f, d[1] * f), g.scale**order))
+    return Ledger(from_pairs(x, x_scale // common), scalar_of((d[0] * f, d[1] * f), d_scale))
 
 
 def adjugate(a: Matrix) -> Matrix:

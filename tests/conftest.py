@@ -90,8 +90,9 @@ def horner_adjugate_pairs(g: list[list], r: int, b: list[list]) -> tuple[list[li
     X <- g X + (-1)^(r-1-t) d_t b for t = 1 .. r-1, with d_1 .. d_r from
     Berkowitz (``elimination.char_poly_pairs``).  At r = n, N_n(g) is the
     classical adjugate and d_n(g) the determinant, a singular g's too.  The
-    library forms this only at r = n of a nonsingular g, by an adjoint solve
-    (``minors.adjoint_ledger``); every other order is a reference route.
+    library forms this only at r = n of a nonsingular g, the core of the
+    Drazin index chain, by an adjoint solve (``elimination.adjoint_solve_pairs``
+    in ``drazin._chain_ledger``); every other order is a reference route.
     """
     neg, mul = elimination._neg, elimination._mul
     d = elimination.char_poly_pairs(g)
@@ -108,8 +109,8 @@ def horner_adjugate_pairs(g: list[list], r: int, b: list[list]) -> tuple[list[li
 def horner_ledger(g: Matrix, r: int, b: Matrix) -> Ledger:
     """The ledger (N_r(g) @ b, d_r(g)) at any order 0 <= r <= n, by Berkowitz and Horner.
 
-    The library's ``minors.adjoint_ledger`` serves order n of a nonsingular
-    g only, and order 0 is the zero ledger (0, 1); this reference serves
+    The library's ``drazin._chain_ledger`` serves order n of a nonsingular
+    g only (index 0), and order 0 is the zero ledger (0, 1); this reference serves
     every order, on the pairs of g = g' / s and b = b' / e, rescaled by
     s^(r-1) e and s^r.
     """

@@ -94,6 +94,6 @@ def test_every_readme_reference_resolves():
 
 
 def test_readme_references_are_the_package_names_in_code_spans():
-    text = ("`minors.adjugate` and `adjinv.minors.adjoint_ledger(g, b=None)`, not `Ledger.quotient`,\n"
+    text = ("`minors.adjugate` and `adjinv.minors.skeleton_ledger(a, b=None)`, not `Ledger.quotient`,\n"
             "`adjinv.cli`, `decimal.Decimal` or `pinv` alone, nor\n```\n`drazin.fenced`\n```\nbut `solvers.\nlsq_solve`")
-    assert _readme_references(text) == ["minors.adjugate", "adjinv.minors.adjoint_ledger", "adjinv.cli"]
+    assert _readme_references(text) == ["minors.adjugate", "adjinv.minors.skeleton_ledger", "adjinv.cli"]

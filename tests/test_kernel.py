@@ -1,7 +1,8 @@
 """Differential tests of the characteristic-adjugate kernels.
 
-The kernels (``minors.adjoint_ledger`` on a nonsingular matrix or the Drazin
-core, ``minors.skeleton_ledger`` for every Gram ledger) must agree
+The kernels (``drazin._chain_ledger``, whose adjoint solves run on a
+nonsingular matrix or the Drazin core, and ``minors.skeleton_ledger`` for
+every Gram ledger) must agree
 exactly with two independent routes: the literal replaced-minor sums of the
 paper (``mp_inverse_columns`` / ``mp_inverse_rows`` and the small helpers
 below), and the rank-factorization oracles of ``adjinv.verify``.  At full
@@ -293,8 +294,8 @@ def test_adjoint_ledger_matches_literal_sums(nr, p, seed, complex_entries):
     ledger = horner_ledger(g, r, b)
     nums, d = literal_ledger(g, r, b)
     assert _exact(ledger) == (nums, d)
-    if r == n and d:
-        assert _exact(minors.adjoint_ledger(g, b)) == (nums, d)
+    if r == n and d:  # a nonsingular g has index 0: its chain ledger is (adj(g) b, det g)
+        assert _exact(drazin._chain_ledger(g, b)) == (nums, d)
     if d:  # the quotient against one Scalar division per entry
         assert ledger.quotient() == nums * (ONE / d)
 
@@ -432,15 +433,16 @@ def test_adjoint_solve_matches_berkowitz_horner(n, p, seed, complex_entries):
 @LITERAL
 @given(st.integers(2, 8).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n - 1))),
        st.integers(1, 3), seeds, st.booleans())
-def test_adjoint_ledger_refuses_what_the_horner_reference_takes(nr, p, seed, complex_entries):
+def test_the_chain_solves_no_singular_matrix_the_horner_reference_takes(nr, p, seed, complex_entries):
     # A singular g, whose order-n Horner ledger is (adj(g) b, 0).
     n, r = nr
     g = _deficient(seed, n, n, r, complex_entries)
     b = _matrix(random.Random(seed + 1), n, p, complex_entries)
     assert elimination.adjoint_solve_pairs(elimination.eliminate(g.pairs), b.pairs) is None
     assert _exact(horner_ledger(g, n, b)) == (multiply(minors.adjugate(g), b), ZERO)
-    with pytest.raises(ValueError, match=f"adjoint ledger needs a nonsingular matrix, got rank {rank(g)} of {n}"):
-        minors.adjoint_ledger(g, b)
+    # g has index 1 or more, so the chain's adjoint solves run on its nonsingular core alone.
+    k, core_rank, _, core = drazin._index_search(g)
+    assert k >= 1 and (core_rank == 0 or matrices.sweep(core).rank == core.rows == core_rank)
 
 
 # -- the elimination against Leibniz sums and Scalar Gauss-Jordan --------------------
@@ -609,10 +611,12 @@ def _kernel_results(g: list, b: list, c: list) -> tuple:
                 elimination.gram_solve_pairs(out[-2], b)]
     if e.rank == len(g) == len(g[0]):
         out += [elimination.adjoint_solve_pairs(e), elimination.adjoint_solve_pairs(e, b)]
-    out += [elimination.row_factor_pairs(e), elimination.skeleton_ledger_pairs(g, e),
-            elimination.skeleton_ledger_pairs(g, e, b), elimination.skeleton_ledger_pairs(g, e, None, True),
-            elimination.skeleton_ledger_pairs(g, e, c, True)]
-    return tuple(out)
+    # At full rank the Gram ledgers also read g alone (e None).
+    for sweep in (e, None) if e.rank == min(len(g), len(g[0])) else (e,):
+        out += [elimination.skeleton_ledger_pairs(g, sweep), elimination.skeleton_ledger_pairs(g, sweep, b),
+                elimination.skeleton_ledger_pairs(g, sweep, None, True),
+                elimination.skeleton_ledger_pairs(g, sweep, c, True)]
+    return (*out, elimination.row_factor_pairs(e))
 
 
 @pytest.mark.parametrize("m, n, r", INT_PATH_SHAPES)
@@ -642,7 +646,12 @@ def test_complex_inputs_take_the_pair_path(shape, monkeypatch):
     y = _gaussian_rows(random.Random(718), m, 2, True)
     updates = _force_kernel_form(monkeypatch, True)
     e = elimination.eliminate(a.pairs)
-    elimination.skeleton_ledger_pairs(a.pairs, e, y)
+    # Both forms of the Gram ledger, A's skeleton and A alone, give one ledger: X f / q over d f / q.
+    x, d, f, q = elimination.skeleton_ledger_pairs(a.pairs, e, y)
+    x_alone, d_alone, f_alone, q_alone = elimination.skeleton_ledger_pairs(a.pairs, None, y)
+    assert q_alone == 1 and d[0] * f * q_alone == d_alone[0] * f_alone * q and not d[1]
+    assert [[(re * f, im * f) for re, im in row] for row in x] == [
+        [(re * f_alone * q, im * f_alone * q) for re, im in row] for row in x_alone]
     elimination.matmul_pairs(conjugate_transpose(a).pairs, a.pairs)
     assert updates == []
 
@@ -973,7 +982,7 @@ LSQ_REUSE = {  # builder, and the tags mp_inverse may give
     "full row rank": (lambda c: _full_rank(644 + c, 4, 6, c), ("eq7",)),
 }
 # The kernels a solve on a matrix that keeps its ledger must not reach.
-SOLVE_KERNELS = ((minors, "skeleton_ledger"), (minors, "adjoint_ledger"), (elimination, "eliminate"),
+SOLVE_KERNELS = ((minors, "skeleton_ledger"), (elimination, "eliminate"),
                  (elimination, "adjoint_solve_pairs"), (elimination, "skeleton_ledger_pairs"),
                  (elimination, "char_poly_pairs"), (elimination, "row_factor_pairs"))
 
@@ -1037,13 +1046,13 @@ def test_drazin_solve_reads_the_drazin_inverse_a_keeps(case, complex_entries, mo
     y = column_vector(_rhs(653, a.rows, complex_entries))
     fresh = _fresh(a)
     with monkeypatch.context() as counting:
-        ledgers = _counted(counting, minors, "adjoint_ledger")
+        solves = _counted(counting, elimination, "adjoint_solve_pairs")
         expected = drazin_solve(fresh, y)
     # A lone solve applies the chain to its one column: k + 1 adjoint solves on
     # the core (none for a nilpotent A, whose ledger is the zero ledger), and
     # keeps no inverse.
-    solves = max(nil_sizes, default=0) + 1 if core else 0
-    assert [b.cols for _, b in ledgers] == [1] * solves and matrices.held(fresh, "eq11") is None
+    count = max(nil_sizes, default=0) + 1 if core else 0
+    assert [len(b[0]) for _, b in solves] == [1] * count and matrices.held(fresh, "eq11") is None
     assert expected.method == ("eq16" if nil_sizes else "classical_cramer")
     assert drazin_inverse(a).index == max(nil_sizes, default=0)
     _refuse_solve_kernels(monkeypatch)
@@ -1059,8 +1068,8 @@ def test_a_nilpotent_matrix_takes_the_zero_ledger_with_no_solve_and_no_product(n
     lone, keeps = _fresh(a), _fresh(a)
     for m in (lone, keeps):  # the chain search takes products of its own, so A keeps it first
         assert index_of(m) == max(nil_sizes)
-    for module, name in ((minors, "adjoint_ledger"), (matrices, "multiply"), (drazin, "multiply"),
-                         (solvers, "multiply")):
+    for module, name in ((elimination, "adjoint_solve_pairs"), (elimination, "matmul_pairs"),
+                         (matrices, "multiply"), (drazin, "multiply"), (solvers, "multiply")):
         monkeypatch.setattr(module, name, _refuse(name))
     res, solved = drazin_inverse(keeps), drazin_solve(lone, y)
     square, column = Matrix.zeros(a.rows, a.rows), Matrix.zeros(a.rows, 1)
@@ -1141,13 +1150,21 @@ def test_skeleton_matches_berkowitz_horner(m, n, r, bits, seed, complex_entries)
     horner = horner_adjugate_pairs
 
     def skeleton(*args, **kw):
-        # The kernel returns (x, d, f): the ledger is x f over d f.
-        x, (dr, di), f = elimination.skeleton_ledger_pairs(*args, **kw)
-        return [[(re * f, im * f) for re, im in row] for row in x], (dr * f, di * f)
+        # The kernel returns (x, d, f, q): the ledger is x f / q over d f / q, here all integers.
+        x, d, f, q = elimination.skeleton_ledger_pairs(*args, **kw)
 
-    assert skeleton(a, e) == horner(gram_c, r, a_star)
-    assert skeleton(a, e, b) == horner(gram_c, r, elimination.matmul_pairs(a_star, b))
-    assert skeleton(a, e, c, adjoint=True) == horner(gram_r, r, elimination.matmul_pairs(a, c))
+        def exact(v):
+            (re, rr), (im, ri) = divmod(v[0] * f, q), divmod(v[1] * f, q)
+            assert rr == ri == 0
+            return re, im
+
+        return [[exact(v) for v in row] for row in x], exact(d)
+
+    # At full rank the ledger also reads A alone (no sweep), with q = 1.
+    for sweep in (e, None) if r == min(m, n) else (e,):
+        assert skeleton(a, sweep) == horner(gram_c, r, a_star)
+        assert skeleton(a, sweep, b) == horner(gram_c, r, elimination.matmul_pairs(a_star, b))
+        assert skeleton(a, sweep, c, adjoint=True) == horner(gram_r, r, elimination.matmul_pairs(a, c))
     # The paper's projector ledgers: N_r(G) G over d_r(G) is A+ A for G = A*A and A A+ for G = AA*.
     am = matrices.from_pairs(a, 1)
     assert projector_p(am) == _quotient(*horner(gram_c, r, gram_c))
@@ -1583,10 +1600,10 @@ def test_classical_and_index_zero_drazin_inverses_share_one_solve(order, complex
     assert dz.drazin_inverse is res.pseudo_inverse and results["group_inverse"] is dz
     assert results["drazin_solve"].method == "classical_cramer"
     assert drazin_times_a(a) == Matrix.identity(5) and len(solves) == 1 + lone
-    # The kernel itself keeps nothing but the sweep it reads.
+    # The ledger itself keeps nothing but the chain it reads, here A's sweep alone.
     g = _fresh(a)
-    minors.adjoint_ledger(g)
-    assert list(g._kept) == ["sweep"]
+    drazin._chain_ledger(g)
+    assert sorted(g._kept) == ["index chain", "sweep"]
 
 
 @pytest.mark.parametrize("complex_entries", [False, True])
@@ -1915,8 +1932,8 @@ DRAZIN_FORMS = {
 @pytest.mark.parametrize("order", list(permutations(sorted(DRAZIN_FORMS))), ids="-".join)
 def test_drazin_forms_share_one_kernel_call(order, monkeypatch):
     widths = []
-    real = minors.adjoint_ledger
-    monkeypatch.setattr(minors, "adjoint_ledger", lambda g, b=None: widths.append(b.cols) or real(g, b))
+    real = elimination.adjoint_solve_pairs
+    monkeypatch.setattr(elimination, "adjoint_solve_pairs", lambda e, b=None: widths.append(len(b[0])) or real(e, b))
     a = _fresh(INDEX_ONE)
     got = {name: DRAZIN_FORMS[name](a) for name in order}
     x = drazin_inverse(_fresh(INDEX_ONE)).drazin_inverse
@@ -1934,6 +1951,50 @@ def test_drazin_forms_share_one_kernel_call(order, monkeypatch):
     with pytest.raises(drazin.GroupInverseError):
         group_inverse(_fresh(INDEX_TWO))
     assert widths == [3, 3] * 2 + [1, 1]
+
+
+# -- one reduction per ledger ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("complex_entries", [False, True])
+def test_each_ledger_reduces_its_numerators_once(complex_entries, monkeypatch):
+    # Every kernel result becomes a Ledger through one from_pairs call: the Gram
+    # ledger at every rank (and A* with a right side), the classical inverse, the
+    # chain at index 1-3, and a lone Drazin solve.  A keeps its rank or chain first.
+    reductions = []
+    real = matrices.from_pairs
+    for module in (matrices, minors, drazin):
+        monkeypatch.setattr(module, "from_pairs", lambda rows, scale: reductions.append(1) or real(rows, scale))
+    y = column_vector(_rhs(662, 6, complex_entries))
+
+    def reduced(ledger, a, *args) -> int:
+        reductions.clear()
+        ledger(a, *args)
+        return len(reductions)
+
+    grams = [Matrix.zeros(6, 4)] + [_deficient(663 + r, 6, 4, r, complex_entries) for r in range(1, 5)]
+    assert [matrices.known_rank(a) for a in grams] == [0, 1, 2, 3, 4]
+    for a in grams:
+        for args in ((), (None, True), (y,)):
+            assert reduced(minors.skeleton_ledger, a, *args) == 1
+    chains = [_full_rank(664, 6, 6, complex_entries)] + [
+        _indexed(665 + k, 6 - k - 1, (k, 1), complex_entries) for k in (1, 2, 3)]
+    assert [index_of(a) for a in chains] == [0, 1, 2, 3]
+    counts = []
+
+    def chain_ledger(a, y):  # the ledger of a lone Drazin solve, after its products A^k y
+        reductions.clear()
+        ledger = drazin._chain_ledger(a, y)
+        counts.append(len(reductions))
+        return ledger
+
+    monkeypatch.setattr(solvers, "_chain_ledger", chain_ledger)
+    for a in chains:
+        assert reduced(drazin._chain_ledger, a) == reduced(drazin._chain_ledger, a, y) == 1
+        lone = _fresh(a)
+        index_of(lone)
+        drazin_solve(lone, y)
+    assert counts == [1] * len(chains)
 
 
 # -- scale: sizes the per-entry minor enumeration never finished -------------------

@@ -31,7 +31,6 @@ from adjinv import (
 )
 from adjinv.elimination import integerize
 from adjinv.matrices import from_pairs
-from adjinv.minors import adjoint_ledger
 from conftest import random_matrix
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=6)
@@ -293,7 +292,6 @@ SQUARE_ONLY = {
     "determinant": det,
     "characteristic polynomial": char_poly_coeffs,
     "adjugate": adjugate,
-    "adjoint ledger": lambda a: adjoint_ledger(a, column_vector([1, 2])),
     "Drazin oracle": oracle_drazin,
     "matrix power": lambda a: power(a, 2),
     "principal minor sum": lambda a: principal_minor_sum(a, 1),

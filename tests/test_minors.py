@@ -13,6 +13,7 @@ from adjinv import (
     char_poly_coeffs,
     conjugate_transpose,
     det,
+    drazin_solve,
     enumerate_containing,
     minor,
     mp_inverse_columns,
@@ -23,7 +24,7 @@ from adjinv import (
     replace_column,
     replace_row,
 )
-from adjinv.minors import Ledger, adjoint_ledger
+from adjinv.minors import Ledger
 from conftest import det_cofactor, random_matrix, rank_forced_matrix
 
 
@@ -50,9 +51,10 @@ def test_minor_validation(example2):
         minor(example2, (), ())
 
 
-def test_adjoint_ledger_checks_the_rows_of_its_right_side(example2):
-    with pytest.raises(ValueError, match="replacement matrix has 3 rows, expected 4"):
-        adjoint_ledger(example2, Matrix.zeros(3, 2))
+def test_drazin_solve_checks_the_rows_of_its_right_side(example2):
+    # The one operation that hands a right side to the adjoint solves refuses a wrong row count first.
+    with pytest.raises(ValueError, match="right side must be 4x1, got 3x1"):
+        drazin_solve(example2, Matrix.zeros(3, 1))
 
 
 def test_minor_agrees_with_cofactor_expansion_up_to_order_4():
