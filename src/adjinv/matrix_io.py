@@ -110,8 +110,9 @@ def parse_vector_text(text: str) -> Matrix:
 def _read_row(tokens: list[str], body: str, lineno: int, what: str, denominators: set[int]) -> list[Parts]:
     """The :func:`adjinv.scalars.token_parts` of one row's tokens; their denominators go into ``denominators``.
 
-    A bad token is a MatrixFormatError at ``lineno`` and the column in
-    ``body`` of its first offending character.
+    A bad token is a MatrixFormatError at the line and column of its first
+    offending character; ``body`` starts on line ``lineno`` and may span
+    lines (a ``--rhs`` text does).
     """
     row = []
     try:
@@ -122,9 +123,9 @@ def _read_row(tokens: list[str], body: str, lineno: int, what: str, denominators
             row.append(parts)
     except ScalarParseError as exc:
         match = list(_WORD.finditer(body))[len(row)]
-        raise MatrixFormatError(
-            f"bad {what} token {match.group()!r}: {exc}", lineno, match.start() + 1 + exc.offset
-        ) from None
+        at = match.start() + exc.offset
+        raise MatrixFormatError(f"bad {what} token {match.group()!r}: {exc}", lineno + body.count("\n", 0, at),
+                                at - body.rfind("\n", 0, at)) from None
     return row
 
 

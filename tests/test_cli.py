@@ -199,6 +199,17 @@ def test_bad_rhs_token_names_its_column(capsys, example1_path):
     assert code == 2 and "line 1, column 8: bad right-side token '-1/0': zero denominator at offset 3" in err
 
 
+def test_bad_rhs_token_on_a_later_line_names_its_line_and_column(capsys, example1_path):
+    # A --rhs may span lines; the place is the line and column within its text.
+    code, out, err = run_cli(capsys, "solve-lsq", example1_path, "--rhs", "1 2\n3 4x")
+    assert (code, out) == (2, "")
+    assert err == (
+        "input error: line 2, column 4: bad right-side token '4x': unexpected character 'x' at offset 1\n"
+    )
+    code, _, err = run_cli(capsys, "solve-lsq", example1_path, "--rhs", "1 2\n3 1")
+    assert code == 0 and err == ""
+
+
 def test_rhs_file_orientations(capsys, example1_path, tmp_path):
     rhs_col = tmp_path / "rhs_col.mat"
     rhs_col.write_text("4 1\n1\n2\n3\n1\n")
