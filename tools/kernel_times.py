@@ -19,6 +19,13 @@ integers of up to ``BITS`` bits, real and complex, and times:
   row rank and one seeded column z: F F* formed by ``hermitian_matmul_pairs``
   and solved by ``gram_solve_pairs``, one sweep of [F F* | z] and its back
   substitution;
+- ``skeleton``: ``skeleton_ledger_pairs``, the Gram ledger of the
+  pseudoinverse, from the sweep of the rank-n/2 matrix ``factor`` reads;
+- ``chain``: the ledger stage of ``drazin._chain_ledger``, the Drazin
+  ledger's products and adjoint solves, on a seeded matrix of index 2
+  whose chain is already kept: S B S^-1 for B an invertible n/2 x n/2 core,
+  a 2 x 2 nilpotent Jordan block and zeros, and S a unit lower times a unit
+  upper triangular matrix of entries -1..1;
 - ``read``: ``adjinv.matrix_io.parse_matrix_text`` on the text of the
   matrix divided by a seeded scale of up to ``BITS`` bits, so that its
   tokens carry denominators.  The reader takes no kernel, so the two real
@@ -45,10 +52,10 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
-from adjinv import elimination, matrix_io  # noqa: E402
-from adjinv.matrices import from_pairs  # noqa: E402
+from adjinv import drazin, elimination, matrix_io  # noqa: E402
+from adjinv.matrices import Matrix, from_pairs  # noqa: E402
 
-KERNELS = ("eliminate", "certify", "solve I", "solve y", "A A", "A y", "factor", "gram", "read")
+KERNELS = ("eliminate", "certify", "solve I", "solve y", "A A", "A y", "factor", "gram", "skeleton", "chain", "read")
 BITS = 8  # bit size of the random entries
 
 
@@ -63,6 +70,20 @@ def _full_rank(rng: random.Random, rows: int, cols: int, complex_entries: bool):
         a = _matrix(rng, rows, cols, complex_entries)
         if elimination.eliminate(a).rank == min(rows, cols):
             return a
+
+
+def _index_two(rng: random.Random, n: int, complex_entries: bool) -> Matrix:
+    """S B S^-1 of index 2 for n >= 3 (see the module docstring); det S = 1, so S^-1 = adj(S)."""
+    half = n // 2
+    b = [[(0, 0)] * n for _ in range(n)]
+    for i, row in enumerate(_full_rank(rng, half, half, complex_entries)):
+        b[i][:half] = row
+    b[half][half + 1] = (1, 0)
+    lower = [[(rng.randint(-1, 1) if j < i else int(i == j), 0) for j in range(n)] for i in range(n)]
+    upper = [[(rng.randint(-1, 1) if j > i else int(i == j), 0) for j in range(n)] for i in range(n)]
+    s = elimination.matmul_pairs(lower, upper)
+    s_inverse, _ = elimination.adjoint_solve_pairs(elimination.eliminate(s))
+    return from_pairs(elimination.matmul_pairs(elimination.matmul_pairs(s, b), s_inverse), 1)
 
 
 def _median_ms(call, budget_s: float = 0.2, least: int = 3) -> float:
@@ -82,13 +103,16 @@ def kernel_times(n: int, complex_entries: bool) -> dict[str, float]:
     y = _matrix(rng, n, 1, complex_entries)
     e = elimination.eliminate(a)
     half = max(n // 2, 1)
-    deficient = elimination.eliminate(
-        elimination.matmul_pairs(_matrix(rng, n, half, complex_entries), _matrix(rng, half, n, complex_entries)))
+    product = elimination.matmul_pairs(_matrix(rng, n, half, complex_entries), _matrix(rng, half, n, complex_entries))
+    deficient = elimination.eliminate(product)
     f = _full_rank(rng, half, n, complex_entries)
     f_star = elimination._conjugate_transpose(f)
     z = _matrix(rng, half, 1, complex_entries)
     text = matrix_io.format_matrix(from_pairs(a, rng.randint(2, 1 << BITS)))
     wide = _full_rank(random.Random(f"kernel_times:certify:{n}:{BITS}:{complex_entries}"), n, n + 4, complex_entries)
+    indexed = _index_two(rng, n, complex_entries)
+    if drazin.index_of(indexed) != 2:  # keeps the chain and its core's sweep
+        raise AssertionError("the chain input does not have index 2")
     calls = {
         "eliminate": lambda: elimination.eliminate(a),
         "certify": lambda: elimination.full_rank_mod_p(wide),
@@ -98,6 +122,8 @@ def kernel_times(n: int, complex_entries: bool) -> dict[str, float]:
         "A y": lambda: elimination.matmul_pairs(a, y),
         "factor": lambda: elimination.row_factor_pairs(deficient),
         "gram": lambda: elimination.gram_solve_pairs(elimination.hermitian_matmul_pairs(f, f_star), z),
+        "skeleton": lambda: elimination.skeleton_ledger_pairs(product, deficient),
+        "chain": lambda: drazin._chain_ledger(indexed),
         "read": lambda: matrix_io.parse_matrix_text(text),
     }
     return {name: _median_ms(call) for name, call in calls.items()}
