@@ -7,16 +7,17 @@ and integer pairs, and for a refusal the exception and its message.  The
 inputs are square, tall and wide, up to 14 on a side, at every rank from
 0, with real and complex entries; some carry row contents and entries with
 denominators of their own, and the square ones include Drazin index 0-3
-and nilpotent matrices.  Each operation runs alone on a fresh copy of its
-input and in two shared orders on one copy (the operations in order, and
-reversed), so kept results serve the later ones, and every run must give
-the recorded digest; the literal eq1 and eq2 forms, which keep nothing,
-run alone on the inputs up to 5 on a side.  The test runs with
-``elimination._INT_MIN`` at 0 (int rows and the dot-form back substitution
-at every size, the certificate on every tall or wide input), at 10 (the
-default) and at 10**9 (pairs everywhere, on the inputs that reach 10 on a
-side): the gate picks a form, never a value.  It names the first result
-that differs.
+and nilpotent matrices, and inputs of index 1-3 whose rows, and those of
+every matrix of their Drazin chain, carry contents.  Each operation runs
+alone on a fresh copy of its input and in two shared orders on one copy
+(the operations in order, and reversed), so kept results serve the later
+ones, and every run must give the recorded digest; the literal eq1 and eq2
+forms, which keep nothing, run alone on the inputs up to 5 on a side.  The
+test runs with ``elimination._INT_MIN`` at 0 (int rows and the dot-form
+back substitution at every size, the certificate on every tall or wide
+input), at 10 (the default) and at 10**9 (pairs everywhere, on the inputs
+that reach 10 on a side): the gate picks a form, never a value.  It names
+the first result that differs.
 
 To record the file again from the current code (only when an output is
 meant to change), run ``PYTHONPATH=src python tests/test_ledger_digests.py``
@@ -88,6 +89,35 @@ def inputs() -> tuple[tuple[str, Matrix, Matrix, Matrix], ...]:
         s = random_invertible(rng, n, cx)
         built.append((f"{n}x{n} nilpotent of index {ind} {_kind(cx)}",
                       multiply(multiply(s, nilpotent_block(n, ind)), exact_inverse(s))))
+    return _with_sides(rng, built) + _shared_content_cases()
+
+
+def _shared_content_cases() -> tuple[tuple[str, Matrix, Matrix, Matrix], ...]:
+    """Index 1-3 inputs whose rows carry contents into every matrix of their Drazin chain, with their sides.
+
+    k A scales every factor B_i, so every core M_i, by k; D A D^-1, for D an
+    integer diagonal, makes each M_i similar to A's by a diagonal, so its
+    rows carry contents of their own.  Both keep the index.  They draw from
+    a generator of their own, so the inputs above keep their right sides.
+    """
+    rng = random.Random(37)
+    cases = []
+    for n in (5, 12):
+        for ind in (1, 2, 3):
+            for cx in (False, True):
+                a = drazin_case(rng, n, ind, cx)[0]
+                while rank(multiply(a, multiply(a, a))) < 2:  # a core of order 2 or more, so rows to share
+                    a = drazin_case(rng, n, ind, cx)[0]
+                k = rng.choice((6, 10, 30, 42))
+                d = [rng.choice((1, 2, 3, 5, 6, 7)) for _ in range(n)]
+                similar = Matrix(n, n, [a.at(i, j) * Fraction(d[i], d[j]) for i in range(n) for j in range(n)])
+                for how, b in ((f"times {k}", a * k), ("diagonally similar", similar)):
+                    cases.append((f"{n}x{n} index {ind} {_kind(cx)} {how}", b))
+    return _with_sides(rng, cases)
+
+
+def _with_sides(rng: random.Random, built) -> tuple[tuple[str, Matrix, Matrix, Matrix], ...]:
+    """(name, A, y, z) for each (name, A), with y an m x 1 and z a 1 x n right side drawn from ``rng``."""
     return tuple((name, a, random_matrix(rng, a.rows, 1, "complex" in name),
                   random_matrix(rng, 1, a.cols, "complex" in name)) for name, a in built)
 
