@@ -23,8 +23,9 @@ an M_i of rank 0 means A is nilpotent.  So
 and the eq11 numerators are B_1 .. B_k adj(M_k)^(k+1) C_k .. C_1: the C
 factors' integer pairs times the right side, k + 1 adjoint solves on the
 core's kept sweep (:func:`adjinv.elimination.adjoint_solve_pairs`), then
-the B factors' pairs, while the factors' scales multiply, and one call to
-the scale rule (:func:`adjinv.minors._ledger`), which reduces once.  No
+the B factors' pairs, while the factors' scales and the solves' contents
+factors multiply, and one call to the scale rule
+(:func:`adjinv.minors._ledger`), which reduces once.  No
 Matrix or Scalar is built between the steps.  The ledger is unique, so
 these are the numbers the minor sums give.  Only A's own sweep is n x n;
 every later sweep is of an r_i x r_i M_i, kept in lowest terms.
@@ -107,7 +108,9 @@ def _chain_ledger(a: Matrix, y: Matrix | None = None) -> minors.Ledger:
     d_r(A^(k+1)) A^D y = B_1 .. B_k adj(M_k)^(k+1) C_k .. C_1 y over
     det(M_k)^(k+1) = d_r(A^(k+1)), all on integer pairs: the C factors' pairs
     times y', k + 1 adjoint solves on the core's kept sweep, then the B
-    factors' pairs, while the scales of y and the factors multiply.  With
+    factors' pairs, while the scales of y and the factors multiply.  Each
+    solve returns (X, d, f) with X f = adj(M') x and runs on the last X, so
+    the whole ledger's f is the product of the k + 1 solves' f.  With
     M_k = M' / s, adj(M_k) = adj(M') / s^(r-1) and det M_k = det M' / s^r,
     so one call to :func:`adjinv.minors._ledger` makes the ledger.  At
     index 0 that is adj(A) y over det A, one solve from A's own sweep (with
@@ -120,14 +123,14 @@ def _chain_ledger(a: Matrix, y: Matrix | None = None) -> minors.Ledger:
     x, scale = (None, 1) if y is None else (y.pairs, y.scale)
     for _, c in factors:
         x, scale = c.pairs if x is None else elimination.matmul_pairs(c.pairs, x), scale * c.scale
-    e, d = sweep(core or a), (1, 0)
+    e, d, f = sweep(core or a), (1, 0), 1
     for _ in range(k + 1):
-        x, step = elimination.adjoint_solve_pairs(e, x)
-        d = elimination._mul(d, step)
+        x, step, content = elimination.adjoint_solve_pairs(e, x)
+        d, f = elimination._mul(d, step), f * content
     for b, _ in reversed(factors):
         x, scale = elimination.matmul_pairs(b.pairs, x), scale * b.scale
     s = (core or a).scale ** (k + 1)
-    return minors._ledger(x, d, 1, s ** (r - 1) * scale, s**r)
+    return minors._ledger(x, d, f, s ** (r - 1) * scale, s**r)
 
 
 def _eq11(a: Matrix) -> DrazinResult:

@@ -48,7 +48,10 @@ into one), and complex entries always take the pair form.
 A nonsingular g's adjugate ledger adj(g) b and det g comes from its
 elimination (:func:`adjoint_solve_pairs`): the replay on b, rescaled by the
 contents, and a back substitution (:func:`_back_substitute`) cost
-O(n^2 p) operations for an n x p b, on top of the O(n^3) sweep.
+O(n^2 p) operations for an n x p b, on top of the O(n^3) sweep.  It
+returns the ledger as (X, d, f), X f over d f for the contents' factor f,
+as :func:`_factor_ledger` does, so nothing multiplies a whole result but
+the caller's scale rule.
 :func:`row_factor_pairs` reads a rank factorization g = B C off the same
 sweep, with B the pivot columns and C = W^-1 R, where W is the pivot block
 and R the pivot rows, both taken primitive: the sweep's first r rows are
@@ -374,21 +377,23 @@ def det_pairs(a: list[list[Pair]], n: int) -> Pair:
     return e.det if e.rank == n else _ZERO
 
 
-def adjoint_solve_pairs(e: Elimination, b: list[list[Pair]] | None = None) -> tuple[list[list[Pair]], Pair] | None:
-    """adj(g) b and det g from the elimination ``e`` of an n x n Gaussian-integer g, for an n x p b.
+def adjoint_solve_pairs(e: Elimination, b: list[list[Pair]] | None = None) -> tuple[list[list[Pair]], Pair, int]:
+    """(X, d, f) with X f = adj(g) b and d f = det g, from the elimination ``e`` of an n x n Gaussian-integer g.
 
-    b is the n x n identity when None.  Returns None when g is singular.
-    ``e`` swept the primitive rows P of g = D P, D = diag(contents), so
+    b is the n x p right side, the n x n identity when None, and f is a
+    positive int; a singular g raises ArithmeticError.  ``e`` swept the
+    primitive rows P of g = D P, D = diag(contents), so
     det g = prod(D) det P and adj(g) = adj(P) adj(D) = adj(P) prod(D) D^-1.
-    With L = lcm(contents), adj(g) b = (prod(D) / L) adj(P) (L D^-1 b), and
-    L D^-1 b is a Gaussian-integer matrix.  The replay runs the sweep's
-    steps on its rows, O(n^2 p) integer operations, exactly what the sweep
-    of [P | L D^-1 b] would do to them.  That leaves an upper-triangular
-    system U x = c, which :func:`_back_substitute` solves for
-    det(P) x = adj(P) L D^-1 b.  The identity needs no L: the replay runs
-    on it as it is, and column j of adj(P) is scaled by prod(D) / D_j at
-    the end.  The replay takes the sweep's form: on int rows a real b is
-    read as ints, and a complex b replays on the sweep's rows as pairs.
+    With L = lcm(contents) and f = prod(D) / L, adj(g) b = f adj(P) (L D^-1 b)
+    and det g = f L det P, and L D^-1 b is a Gaussian-integer matrix.  The
+    replay runs the sweep's steps on its rows, O(n^2 p) integer operations,
+    exactly what the sweep of [P | L D^-1 b] would do to them.  That leaves
+    an upper-triangular system U x = c, which :func:`_back_substitute`
+    solves for X = det(P) x = adj(P) L D^-1 b.  The identity needs no L:
+    the replay runs on it as it is, and column j of adj(P) is scaled by
+    L / D_j at the end.  The replay takes the sweep's form: on int rows a
+    real b is read as ints, and a complex b replays on the sweep's rows as
+    pairs.
 
     The identity in the sweep's row order is I with its columns in that
     order, and the replay and the back substitution act on rows alone, so
@@ -403,7 +408,7 @@ def adjoint_solve_pairs(e: Elimination, b: list[list[Pair]] | None = None) -> tu
     u = e.rows
     n = len(u)
     if e.rank < n:
-        return None
+        raise ArithmeticError(f"singular matrix: rank {e.rank} of {n}")
     contents = e.contents
     big = lcm(*contents)
     if b is None:
@@ -422,14 +427,12 @@ def adjoint_solve_pairs(e: Elimination, b: list[list[Pair]] | None = None) -> tu
         if b is None and k + 1 < n:
             x[k + 1][k + 1] = pivot
         prev = pivot
-    x = _back_substitute(u, e.pivots, x, e.swept_det)
+    det_p = e.swept_det
+    x = _back_substitute(u, e.pivots, x, det_p)
     if b is None:
         at = sorted(range(n), key=e.order.__getitem__)  # column c of x is column order[c] of adj(P)
-        x = [[row[c] for c in at] for row in x]
-    whole = prod(contents)
-    if b is None:
-        return _column_scaled(x, [whole // c for c in contents]), e.det
-    return (x if whole == big else _scaled(x, [whole // big] * n)), e.det
+        x = _column_scaled([[row[c] for c in at] for row in x], [big // c for c in contents])
+    return x, (det_p[0] * big, det_p[1] * big), prod(contents) // big
 
 
 def gram_solve_pairs(g: list[list[Pair]], z: list[list[Pair]]) -> tuple[list[list[Pair]], Pair]:
@@ -555,11 +558,11 @@ def row_factor_pairs(e: Elimination) -> tuple[list[list[Pair]], int]:
     system whose back substitution gives adj(W'') R'', once the leads that
     the sweep keeps below each pivot are read as 0 (C's pivot columns are
     W''^-1 W'' = I).  So no row is replayed, and the back substitution runs
-    in the sweep's form.  It takes det W'', the swept determinant, up to
-    sign: a real one gives |det W''| W''^-1 R'' (adj(W'') R'' with the sign
-    of det W'' in the rows) over |det W''|, and any other gives
-    adj(W'') R'' conj(det W'') over |det W''|^2.  The caller reduces
-    C' / c to lowest terms.
+    in the sweep's form, over the real scale c: |det W''| when det W'', the
+    sweep's last pivot, is real, else |det W''|^2.  Either is a multiple of
+    det W'', so every division of the back substitution over c is exact
+    (Bareiss, Math. Comp. 22(103), 1968), and it gives C' = c W''^-1 R''
+    with no second pass.  The caller reduces C' / c to lowest terms.
     """
     r, pivots = e.rank, e.pivots
     u = e.rows[:r]
@@ -569,10 +572,8 @@ def row_factor_pairs(e: Elimination) -> tuple[list[list[Pair]], int]:
         for j in pivots[:i]:
             row[j] = zero
     dr, di = e.swept_det
-    if not di:
-        return _back_substitute(u, pivots, x, (abs(dr), 0)), abs(dr)
-    x = _back_substitute(u, pivots, x, (dr, di))
-    return [[_mul((dr, -di), v) for v in row] for row in x], dr * dr + di * di
+    c = dr * dr + di * di if di else abs(dr)
+    return _back_substitute(u, pivots, x, (c, 0)), c
 
 
 def rank_pairs(a: list[list[Pair]]) -> int:
@@ -636,13 +637,14 @@ def skeleton_ledger_pairs(
     when it has full row rank (no more rows than columns), else on its
     conjugated columns, one Gram solve of order min(m, n) ("eq7" for A at
     full row rank, "eq6" at full column rank), and q = 1.  Otherwise, with
-    P = ``e.pivots`` and Q the rows ``e.order[:r]`` in increasing order,
-    A = C W''^-1 R'' for C = A[:, P], R'' the rows A[Q, :] with the contents
-    ``e`` keeps divided out, and W'' = R''[:, P] (Goreinov, Tyrtyshnikov and
-    Zamarashkin, LAA 261, 1997).  C has full column rank and W''^-1 R'' full
-    row rank, so A+ = R''+ W'' C+: the full-rank ledger of C on b, times
-    W'', then that of R''.  By Cauchy-Binet the two ledgers' d f multiply to
-    d_r(A*A) |det W''|^2, where |det W''| is the last pivot of ``e``, so
+    P = ``e.pivots`` and Q the rows ``e.order[:r]`` in the sweep's order,
+    the order :func:`row_factor_pairs` reads too, A = C W''^-1 R'' for
+    C = A[:, P], R'' the rows A[Q, :] with the contents ``e`` keeps divided
+    out, and W'' = R''[:, P] (Goreinov, Tyrtyshnikov and Zamarashkin, LAA
+    261, 1997).  C has full column rank and W''^-1 R'' full row rank, so
+    A+ = R''+ W'' C+: the full-rank ledger of C on b, times W'', then that
+    of R''.  By Cauchy-Binet the two ledgers' d f multiply to
+    d_r(A*A) |det W''|^2, where det W'' is the last pivot of ``e``, so
     q = |det W''|^2.  ``adjoint`` gives (A*)+ b from the skeleton
     (R''*, W''*, C*) of A*, read from the same ``e``.
     """
@@ -652,7 +654,7 @@ def skeleton_ledger_pairs(
         return *_factor_ledger(a if full_row != adjoint else _conjugate_transpose(a), full_row, b), 1
     pivots = e.pivots
     c_star = [[(re, -im) for re, im in (a_row[j] for a_row in a)] for j in pivots]
-    r_rows = [_divided(a[i], e.contents[i]) for i in sorted(e.order[: e.rank])]
+    r_rows = [_divided(a[i], e.contents[i]) for i in e.order[: e.rank]]
     w = [[row[j] for j in pivots] for row in r_rows]
     first, middle, last = (r_rows, _conjugate_transpose(w), c_star) if adjoint else (c_star, w, r_rows)
     x, d_first, f_first = _factor_ledger(first, False, b)

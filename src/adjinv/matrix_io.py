@@ -1,8 +1,10 @@
 """Matrix file parsing and exact or decimal output formatting.
 
 File format: the first data line holds ``m n``; the next m data lines hold n
-whitespace-separated scalar tokens.  ``#`` starts a comment to end of line
-and blank lines are ignored.  One leading UTF-8 byte-order mark is skipped,
+whitespace-separated scalar tokens.  A line ends at CR LF, CR or LF, in
+matrix text and in a right-side text alike; every other whitespace
+character separates tokens.  ``#`` starts a comment to end of line and
+blank lines are ignored.  One leading UTF-8 byte-order mark is skipped,
 whether the text comes from a path, a stream or a string.  Decimal tokens
 are exact base-10 rationals.  Rational-mode output is itself a valid matrix
 file, so formatting and parsing round-trip exactly.
@@ -56,10 +58,14 @@ class OutputFormat:
 
 
 _WORD = re.compile(r"\S+")
+# The one line rule (see the module docstring): the other characters that
+# str.splitlines breaks at, \v, \f, \x1c-\x1e, \x85, \u2028 and \u2029, only
+# separate tokens.
+_LINE_BREAK = re.compile(r"\r\n|\r|\n")
 
 
 def _data_lines(text: str):
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_LINE_BREAK.split(text), start=1):
         body = raw.split("#", 1)[0]
         if body.strip():
             yield lineno, body
@@ -124,8 +130,9 @@ def _read_row(tokens: list[str], body: str, lineno: int, what: str, denominators
     except ScalarParseError as exc:
         match = list(_WORD.finditer(body))[len(row)]
         at = match.start() + exc.offset
-        raise MatrixFormatError(f"bad {what} token {match.group()!r}: {exc}", lineno + body.count("\n", 0, at),
-                                at - body.rfind("\n", 0, at)) from None
+        breaks = [b.end() for b in _LINE_BREAK.finditer(body, 0, at)]
+        raise MatrixFormatError(f"bad {what} token {match.group()!r}: {exc}", lineno + len(breaks),
+                                at - (breaks[-1] if breaks else 0) + 1) from None
     return row
 
 

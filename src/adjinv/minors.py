@@ -41,8 +41,9 @@ scales are s^(2r-1) t q and s^(2r) q.  The Drazin ledgers, the classical
 inverse among them, come from the index chain
 (:func:`adjinv.drazin._chain_ledger`): k + 1 adjoint solves on the
 nonsingular core M_k = M' / s (:func:`adjinv.elimination.adjoint_solve_pairs`)
-between the chain's factors, with f = 1 and the scales s^((r-1)(k+1))
-times those of the factors and of b, and s^(r(k+1)).
+between the chain's factors, with f the product of the k + 1 solves'
+contents factors and the scales s^((r-1)(k+1)) times those of the factors
+and of b, and s^(r(k+1)).
 A caller makes one kernel call, and :meth:`Ledger.quotient` is the one way
 a ledger becomes a result.
 The projectors A+ A and A A+ take no ledger of their own: they are the

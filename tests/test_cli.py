@@ -210,6 +210,17 @@ def test_bad_rhs_token_on_a_later_line_names_its_line_and_column(capsys, example
     assert code == 0 and err == ""
 
 
+def test_rhs_lines_break_where_matrix_lines_do(capsys, example1_path):
+    # \r ends a line of --rhs text as it ends one of a matrix file; \x85 does not.
+    code, out, err = run_cli(capsys, "solve-lsq", example1_path, "--rhs", "1 2\r3 4x")
+    assert (code, out) == (2, "")
+    assert err == (
+        "input error: line 2, column 4: bad right-side token '4x': unexpected character 'x' at offset 1\n"
+    )
+    code, _, err = run_cli(capsys, "solve-lsq", example1_path, "--rhs", "1 2\x853 4x")
+    assert code == 2 and err.startswith("input error: line 1, column 8: ")
+
+
 def test_rhs_file_orientations(capsys, example1_path, tmp_path):
     rhs_col = tmp_path / "rhs_col.mat"
     rhs_col.write_text("4 1\n1\n2\n3\n1\n")

@@ -100,12 +100,8 @@ def test_bad_token_diagnostic_has_line_and_column():
     assert err.value.line == 2
 
 
-# Whitespace inside a row: every str.isspace() character that does not end a
-# line for str.splitlines().
-IN_ROW_SPACES = [
-    ch for ch in map(chr, range(sys.maxunicode + 1))
-    if ch.isspace() and len(f"a{ch}b".splitlines()) == 1
-]
+# Whitespace inside a row: every str.isspace() character but the line breaks \r and \n.
+IN_ROW_SPACES = [ch for ch in map(chr, range(sys.maxunicode + 1)) if ch.isspace() and ch not in "\r\n"]
 
 
 @pytest.mark.parametrize("ch", IN_ROW_SPACES, ids=lambda ch: f"U+{ord(ch):04X}")
@@ -118,6 +114,29 @@ def test_in_row_separators(ch):
 
 def test_in_row_separators_cover_tab_and_unicode_spaces():
     assert {"\t", "\x1f", " ", "\xa0"} | {chr(c) for c in range(0x2000, 0x200B)} <= set(IN_ROW_SPACES)
+    # Characters str.splitlines() also breaks at separate tokens within a line.
+    assert set("\v\f\x1c\x1d\x1e\x85\u2028\u2029") <= set(IN_ROW_SPACES)
+
+
+def test_lines_break_at_crlf_cr_and_lf_alone():
+    # Four entries on one line are one row, not two.
+    with pytest.raises(MatrixFormatError) as err:
+        parse_matrix_text("2 2\n1 2\f3 4\n")
+    assert str(err.value) == "line 2, column 1: expected 2 entries in this row, got 4"
+    with pytest.raises(MatrixFormatError) as err:
+        parse_matrix_text("2 2\n1 2\x85\n3 4x\n")
+    assert (err.value.line, err.value.column) == (3, 4)
+    with pytest.raises(MatrixFormatError) as err:
+        parse_matrix_text("2 2\r\n1 2\r3 4x\r\n")
+    assert (err.value.line, err.value.column) == (3, 4)
+    assert parse_matrix_text("2 2\r\n1 2\r3 4\n") == Matrix.from_rows([[1, 2], [3, 4]])
+    for text in ("1 2\r3 4x", "1 2\r\n3 4x", "1 2\n3 4x"):
+        with pytest.raises(MatrixFormatError) as err:
+            parse_vector_text(text)
+        assert (err.value.line, err.value.column) == (2, 4)
+    with pytest.raises(MatrixFormatError) as err:
+        parse_vector_text("1 2\u20283 4x")
+    assert (err.value.line, err.value.column) == (1, 8)
 
 
 def test_header_errors():

@@ -23,7 +23,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from itertools import permutations
-from math import gcd, isqrt, prod
+from math import gcd, isqrt, lcm, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -413,6 +413,12 @@ def _check_full_rank_forms_against_determinants(a: Matrix, seed: int) -> None:
             0, n, minors.adjugate(a), det(a))
 
 
+def _adjoint_solve(e: elimination.Elimination, b: list | None = None) -> tuple[list, tuple]:
+    """adj(g) b and det g from ``adjoint_solve_pairs``' (X, d, f): X f and d f."""
+    x, d, f = elimination.adjoint_solve_pairs(e, b)
+    return [[(re * f, im * f) for re, im in row] for row in x], (d[0] * f, d[1] * f)
+
+
 @LITERAL
 @given(st.integers(1, 8), st.integers(1, 3), seeds, st.booleans())
 def test_adjoint_solve_matches_berkowitz_horner(n, p, seed, complex_entries):
@@ -424,10 +430,13 @@ def test_adjoint_solve_matches_berkowitz_horner(n, p, seed, complex_entries):
     g = [[entry() for _ in range(n)] for _ in range(n)]
     b = [[entry() for _ in range(p)] for _ in range(n)]
     g_before, b_before = [row[:] for row in g], [row[:] for row in b]
-    solved = elimination.adjoint_solve_pairs(elimination.eliminate(g), b)
-    assert (g, b) == (g_before, b_before)  # the fallback reuses both
     x, d = horner_adjugate_pairs(g, n, b)
-    assert solved == (None if d == (0, 0) else (x, d))
+    if d == (0, 0):
+        with pytest.raises(ArithmeticError, match=f"singular matrix: rank [0-9]+ of {n}"):
+            elimination.adjoint_solve_pairs(elimination.eliminate(g), b)
+    else:
+        assert _adjoint_solve(elimination.eliminate(g), b) == (x, d)
+    assert (g, b) == (g_before, b_before)  # the fallback reuses both
 
 
 @LITERAL
@@ -438,7 +447,8 @@ def test_the_chain_solves_no_singular_matrix_the_horner_reference_takes(nr, p, s
     n, r = nr
     g = _deficient(seed, n, n, r, complex_entries)
     b = _matrix(random.Random(seed + 1), n, p, complex_entries)
-    assert elimination.adjoint_solve_pairs(elimination.eliminate(g.pairs), b.pairs) is None
+    with pytest.raises(ArithmeticError, match=f"singular matrix: rank {r} of {n}"):
+        elimination.adjoint_solve_pairs(elimination.eliminate(g.pairs), b.pairs)
     assert _exact(horner_ledger(g, n, b)) == (multiply(minors.adjugate(g), b), ZERO)
     # g has index 1 or more, so the chain's adjoint solves run on its nonsingular core alone.
     k, core_rank, _, core = drazin._index_search(g)
@@ -510,11 +520,11 @@ def test_adjoint_solve_matches_leibniz_and_gauss_jordan(kind, n, complex_entries
         assert (_leibniz(g) == ZERO) == singular
     for p in (1, n, n + 3):
         b = _gaussian_rows(random.Random(seed + p), n, p, complex_entries)
-        solved = elimination.adjoint_solve_pairs(elimination.eliminate(g), b)
         if singular:
-            assert solved is None
+            with pytest.raises(ArithmeticError, match=f"singular matrix: rank {rank_g} of {n}"):
+                elimination.adjoint_solve_pairs(elimination.eliminate(g), b)
             continue
-        x, d = solved
+        x, d = _adjoint_solve(elimination.eliminate(g), b)
         det_g = Scalar(*d)
         if n <= 5:
             assert det_g == _leibniz(g)
@@ -538,7 +548,11 @@ def test_kernels_leave_their_arguments_as_they_are(singular, complex_entries):
     swept = [row[:] for row in e.rows]
     assert (elimination.det_pairs(g, 5) == (0, 0)) == singular
     assert elimination.rank_pairs(g) == e.rank
-    assert (elimination.adjoint_solve_pairs(e, b) is None) == singular
+    if singular:
+        with pytest.raises(ArithmeticError, match=f"singular matrix: rank {e.rank} of 5"):
+            elimination.adjoint_solve_pairs(e, b)
+    else:
+        elimination.adjoint_solve_pairs(e, b)
     assert (g, b) == saved and e.rows == swept
 
 
@@ -797,7 +811,7 @@ def test_gram_solve_equals_the_general_solve(r, n, complex_entries, ints, scaled
         x, d = elimination.gram_solve_pairs(g, elimination._identity(r) if z is None else z)
         # det g is the last leading principal minor of a positive definite g.
         assert d[0] > 0 == d[1]
-        assert (x, d) == elimination.adjoint_solve_pairs(elimination.eliminate(g), z)
+        assert (x, d) == _adjoint_solve(elimination.eliminate(g), z)
     assert (g, sides) == saved
     assert bool(updates) == (ints and not any(im for row in g for _, im in row))  # a 1 x 1 g is real
 
@@ -1566,11 +1580,13 @@ def test_sweep_of_scaled_rows_keeps_the_contracts_of_the_rows_as_given(kind, n, 
         assert Scalar(*det_g) == _leibniz(scaled)
     gm = matrices.from_pairs(scaled, 1)
     for b in (None, _gaussian_rows(random.Random(seed + 1), n, 2, complex_entries)):
-        solved = elimination.adjoint_solve_pairs(es, b)
         if singular:
-            assert solved is None
+            with pytest.raises(ArithmeticError, match=f"singular matrix: rank {e.rank} of {n}"):
+                elimination.adjoint_solve_pairs(es, b)
             continue
-        x, d = solved
+        x, d = _adjoint_solve(es, b)
+        # The kernel's f is prod(contents) / lcm(contents), the factor the ledger's scale rule takes.
+        assert elimination.adjoint_solve_pairs(es, b)[2] == prod(es.contents) // lcm(*es.contents)
         bm = Matrix.identity(n) if b is None else matrices.from_pairs(b, 1)
         assert d == det_g
         assert matrices.from_pairs(x, 1) == multiply(_inverse(gm), bm) * Scalar(*d)
@@ -1837,7 +1853,8 @@ def test_rank_and_verify_never_read_what_a_matrix_keeps(monkeypatch):
 
 def _zero_denominator(real):
     def fake(*args):
-        return real(*args)[0], (0, 0)
+        x, _, *f = real(*args)
+        return x, (0, 0), *f
 
     return fake
 

@@ -73,7 +73,7 @@ def _full_rank(rng: random.Random, rows: int, cols: int, complex_entries: bool):
 
 
 def _index_two(rng: random.Random, n: int, complex_entries: bool) -> Matrix:
-    """S B S^-1 of index 2 for n >= 3 (see the module docstring); det S = 1, so S^-1 = adj(S)."""
+    """S B S^-1 of index 2 for n >= 3 (see the module docstring); det S = 1, so S^-1 = adj(S) = X f."""
     half = n // 2
     b = [[(0, 0)] * n for _ in range(n)]
     for i, row in enumerate(_full_rank(rng, half, half, complex_entries)):
@@ -82,8 +82,8 @@ def _index_two(rng: random.Random, n: int, complex_entries: bool) -> Matrix:
     lower = [[(rng.randint(-1, 1) if j < i else int(i == j), 0) for j in range(n)] for i in range(n)]
     upper = [[(rng.randint(-1, 1) if j > i else int(i == j), 0) for j in range(n)] for i in range(n)]
     s = elimination.matmul_pairs(lower, upper)
-    s_inverse, _ = elimination.adjoint_solve_pairs(elimination.eliminate(s))
-    return from_pairs(elimination.matmul_pairs(elimination.matmul_pairs(s, b), s_inverse), 1)
+    x, _, f = elimination.adjoint_solve_pairs(elimination.eliminate(s))
+    return from_pairs(elimination.matmul_pairs(elimination.matmul_pairs(s, b), x), 1) * f
 
 
 def _median_ms(call, budget_s: float = 0.2, least: int = 3) -> float:
