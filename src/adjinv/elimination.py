@@ -411,10 +411,11 @@ def adjoint_solve_pairs(e: Elimination, b: list[list[Pair]] | None = None) -> tu
         raise ArithmeticError(f"singular matrix: rank {e.rank} of {n}")
     contents = e.contents
     big = lcm(*contents)
+    scales = [big // c for c in contents]
     if b is None:
         x = _identity(n)
     else:
-        x = _scaled(b, [big // c for c in contents])
+        x = _scaled(b, scales)
         x = [x[i] for i in e.order]
     ints = _holds_ints(u) and not any(map(itemgetter(1), chain.from_iterable(x)))
     u, x = (u, _ints(x)) if ints else (_pairs(u), x)
@@ -431,7 +432,7 @@ def adjoint_solve_pairs(e: Elimination, b: list[list[Pair]] | None = None) -> tu
     x = _back_substitute(u, e.pivots, x, det_p)
     if b is None:
         at = sorted(range(n), key=e.order.__getitem__)  # column c of x is column order[c] of adj(P)
-        x = _column_scaled([[row[c] for c in at] for row in x], [big // c for c in contents])
+        x = _column_scaled([[row[c] for c in at] for row in x], scales)
     return x, (det_p[0] * big, det_p[1] * big), prod(contents) // big
 
 
