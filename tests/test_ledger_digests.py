@@ -6,7 +6,8 @@ denominator, quotient, tag, index and rank, for a matrix its shape, scale
 and integer pairs, and for a refusal the exception and its message.  The
 inputs are square, tall and wide, up to 14 on a side, at every rank from
 0, with real and complex entries; some carry row contents and entries with
-denominators of their own, and the square ones include Drazin index 0-3
+denominators of their own, some column contents that share factors, and
+the square ones include Drazin index 0-3
 and nilpotent matrices, and inputs of index 1-3 whose rows, and those of
 every matrix of their Drazin chain, carry contents.  Each operation runs
 alone on a fresh copy of its input and in two shared orders on one copy
@@ -89,7 +90,7 @@ def inputs() -> tuple[tuple[str, Matrix, Matrix, Matrix], ...]:
         s = random_invertible(rng, n, cx)
         built.append((f"{n}x{n} nilpotent of index {ind} {_kind(cx)}",
                       multiply(multiply(s, nilpotent_block(n, ind)), exact_inverse(s))))
-    return _with_sides(rng, built) + _shared_content_cases()
+    return _with_sides(rng, built) + _shared_content_cases() + _column_content_cases()
 
 
 def _shared_content_cases() -> tuple[tuple[str, Matrix, Matrix, Matrix], ...]:
@@ -113,6 +114,25 @@ def _shared_content_cases() -> tuple[tuple[str, Matrix, Matrix, Matrix], ...]:
                 similar = Matrix(n, n, [a.at(i, j) * Fraction(d[i], d[j]) for i in range(n) for j in range(n)])
                 for how, b in ((f"times {k}", a * k), ("diagonally similar", similar)):
                     cases.append((f"{n}x{n} index {ind} {_kind(cx)} {how}", b))
+    return _with_sides(rng, cases)
+
+
+def _column_content_cases() -> tuple[tuple[str, Matrix, Matrix, Matrix], ...]:
+    """Inputs A diag(g) whose columns carry contents g_j that share factors, with their sides.
+
+    A tall input of full column rank, a deficient wide one and a nonsingular
+    square, real and complex, each with column j times g_j from
+    {2, 3, 6, 10, 15}.  They draw from a generator of their own, so the
+    inputs above keep their right sides.
+    """
+    rng = random.Random(38)
+    cases = []
+    for m, n, r in ((14, 10, 10), (12, 14, 9), (10, 10, 10)):
+        for cx in (False, True):
+            a = rank_forced_matrix(rng, m, n, r, cx)
+            g = [rng.choice((2, 3, 6, 10, 15)) for _ in range(n)]
+            scaled = Matrix(m, n, [a.at(i, j) * g[j] for i in range(m) for j in range(n)])
+            cases.append((f"{m}x{n} rank {r} {_kind(cx)} with column contents", scaled))
     return _with_sides(rng, cases)
 
 
