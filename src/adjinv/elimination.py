@@ -220,9 +220,7 @@ def _scaled(rows, factors) -> list[list[Pair]]:
 
 
 def _column_scaled(rows: list[list[Pair]], factors: list[int]) -> list[list[Pair]]:
-    """Column j of ``rows`` times the int ``factors[j]``; ``rows`` itself when every factor is 1."""
-    if all(f == 1 for f in factors):
-        return rows
+    """Column j of ``rows`` times the int ``factors[j]``, as new lists."""
     return [[(re * f, im * f) for (re, im), f in zip(row, factors)] for row in rows]
 
 
@@ -324,8 +322,6 @@ def eliminate(g: list[list[Pair]]) -> Elimination:
     sign = 1
     for col in range(len(a[0])):
         r = len(pivots)
-        if r == m:
-            break
         pivot_row = next((i for i in range(r, m) if a[i][col] != zero), None)
         if pivot_row is None:
             continue
@@ -519,8 +515,9 @@ def _solve_pairs(row: list[Pair], columns: list[list[Pair]], coefficients: list[
                  pivot: Pair) -> list[Pair]:
     """Row i of the dot form of :func:`_back_substitute` on pairs; appends each entry to its column.
 
-    The imaginary cross terms of a product are added only when a factor is
-    non-real, and a non-real pivot divides through its conjugate and squared
+    Every product takes its imaginary cross terms, 0 when both factors are
+    real: a real system with a real right side takes :func:`_solve_int` at
+    these sizes.  A non-real pivot divides through its conjugate and squared
     modulus, as in :func:`_update`.
     """
     dr, di = det
@@ -529,11 +526,8 @@ def _solve_pairs(row: list[Pair], columns: list[list[Pair]], coefficients: list[
     for j, ((xr, xi), column) in enumerate(zip(row, columns)):
         re, im = dr * xr - di * xi, dr * xi + di * xr
         for (a, b), (c, d) in zip(coefficients, column):
-            if b or d:
-                re -= a * c - b * d
-                im -= a * d + b * c
-            else:
-                re -= a * c
+            re -= a * c - b * d
+            im -= a * d + b * c
         if pi:
             re, im = re * pr + im * pi, im * pr - re * pi
             re, rr = divmod(re, norm)

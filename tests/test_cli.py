@@ -2,6 +2,7 @@ import errno
 import importlib
 import json
 import os
+import random
 import subprocess
 import sys
 from importlib import resources
@@ -138,6 +139,65 @@ def test_literal_forms_refuse_over_budget(capsys, tmp_path, monkeypatch):
         code, out, err = run_cli(capsys, "pinv", str(path), "--method", method)
         assert code == 3 and out == ""
         assert "--method auto" in err and "budget" in err
+
+
+@pytest.fixture(scope="module")
+def gated_files(tmp_path_factory):
+    """Five seeded files of 12 x 12 and larger, at or above the gate ``elimination._INT_MIN`` = 10.
+
+    square12 is real and nonsingular, rank11 a real 12 x 14 of rank 11,
+    index1rank10 a real 12 x 12 of index 1 and rank 10, and tall16x12 and
+    wide12x16 complex of full column and full row rank, which pass the
+    full-rank certificate.
+    """
+    rng = random.Random(29)
+
+    def rand(m, n):
+        return [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
+
+    def crand(m, n):
+        return [[f"{rng.randint(-3, 3)}{rng.randint(-3, 3):+d}i" for _ in range(n)] for _ in range(m)]
+
+    def mul(a, b):
+        return [[sum(map(lambda x, y: x * y, row, col)) for col in zip(*b)] for row in a]
+
+    files = {"square12": rand(12, 12), "rank11": mul(rand(12, 11), rand(11, 14)),
+             "index1rank10": mul(rand(12, 10), rand(10, 12)), "tall16x12": crand(16, 12), "wide12x16": crand(12, 16)}
+    directory = tmp_path_factory.mktemp("gated")
+    for name, a in files.items():
+        (directory / f"{name}.mat").write_text(
+            f"{len(a)} {len(a[0])}\n" + "".join(" ".join(map(str, row)) + "\n" for row in a))
+    return directory
+
+
+# Each run's matrix reaches the gate on its short side, so the CLI takes int
+# rows, the dot-form back substitution and the full-rank certificate.  A
+# solve-drazin on square12 replays a complex right side on an int sweep; on
+# index1rank10 it reads the chain's factor off an int sweep.
+GATED_RUNS = [
+    ("verify", "square12", "--rhs", "1 -2 3 0 1/2 1 2 -1 0 1 1 2"),
+    ("solve-drazin", "square12", "--rhs", "1 -2+1i 3 0 1/2 1 2i -1 0 1 1 2"),
+    ("pinv", "rank11"),
+    ("verify", "rank11"),
+    ("solve-row", "rank11", "--rhs", "1 -2 3 0 1/2 1 2 -1 0 1 1 2 -3 4"),
+    ("drazin", "index1rank10"),
+    ("solve-drazin", "index1rank10", "--rhs", "1 2 3 4 5 6 7 8 9 10 11 12"),
+    ("pinv", "tall16x12", "--json"),
+    ("solve-lsq", "tall16x12", "--rhs", "1 -2+1i 3 0 1/2 1 2i -1 0 1 1 2 -3 1-1i 0 4"),
+    ("proj-p", "tall16x12"),
+    ("verify", "tall16x12", "--rhs", "1 -2+1i 3 0 1/2 1 2i -1 0 1 1 2 -3 1-1i 0 4"),
+    ("solve-row", "wide12x16", "--rhs", "2 0 -1 1/3 1i 4 -2 1 0 3-2i 1 1 0 -1 2 5"),
+    ("proj-q", "wide12x16"),
+]
+
+
+@pytest.mark.parametrize("argv", GATED_RUNS, ids=lambda argv: f"{argv[0]}-{argv[1]}")
+def test_cli_runs_at_gated_sizes(capsys, gated_files, argv):
+    sub, name, *rest = argv
+    code, out, err = run_cli(capsys, sub, str(gated_files / f"{name}.mat"), *rest)
+    assert code == 0, err
+    if sub == "verify":
+        assert out and all(line.endswith(": pass") for line in out.splitlines()), out
 
 
 def test_usage_errors(capsys, example1_path):

@@ -7,9 +7,9 @@ and integer pairs, and for a refusal the exception and its message.  The
 inputs are square, tall and wide, up to 14 on a side, at every rank from
 0, with real and complex entries; some carry row contents and entries with
 denominators of their own, some column contents that share factors, and
-the square ones include Drazin index 0-3
-and nilpotent matrices, and inputs of index 1-3 whose rows, and those of
-every matrix of their Drazin chain, carry contents.  Each operation runs
+the square ones include Drazin index 0-3 and nilpotent matrices, and
+inputs of index 1-3 whose rows, and those of every matrix of their Drazin
+chain, carry contents.  Each operation runs
 alone on a fresh copy of its input and in two shared orders on one copy
 (the operations in order, and reversed), so kept results serve the later
 ones, and every run must give the recorded digest; the literal eq1 and eq2

@@ -37,8 +37,15 @@ every kernel runs on int rows and every back substitution in its dot form
 substitution's row updates ("real pairs").  Complex inputs run on pairs at
 the library's own gate, so their back substitutions take the dot form from
 n = ``_INT_MIN`` up and row updates below it; the header names that size.
-Each figure is the median of several timed repeats, in milliseconds.  Uses only the standard library; a measuring aid, not a
-test.
+
+A row's kernels are timed in turn, one call each, for ``PASSES`` passes,
+and each figure is a kernel's least time over them, in milliseconds.
+Interleaving spreads a change in the host's speed over every kernel of the
+row, so the ratio of two rows (real int over real pairs, the comparison
+``_INT_MIN`` was fitted on) moves less between runs than the figures do.
+Absolute figures still move between runs: a claim that one version of a
+kernel is faster than another needs both versions timed in one process.
+Uses only the standard library; a measuring aid, not a test.
 """
 
 from __future__ import annotations
@@ -46,7 +53,6 @@ from __future__ import annotations
 import argparse
 import os
 import random
-import statistics
 import sys
 import time
 
@@ -57,6 +63,7 @@ from adjinv.matrices import Matrix, from_pairs  # noqa: E402
 
 KERNELS = ("eliminate", "certify", "solve I", "solve y", "A A", "A y", "factor", "gram", "skeleton", "chain", "read")
 BITS = 8  # bit size of the random entries
+PASSES = 30  # timed calls of each kernel, one per pass
 
 
 def _matrix(rng: random.Random, rows: int, cols: int, complex_entries: bool):
@@ -84,17 +91,6 @@ def _index_two(rng: random.Random, n: int, complex_entries: bool) -> Matrix:
     s = elimination.matmul_pairs(lower, upper)
     x, _, f = elimination.adjoint_solve_pairs(elimination.eliminate(s))
     return from_pairs(elimination.matmul_pairs(elimination.matmul_pairs(s, b), x), 1) * f
-
-
-def _median_ms(call, budget_s: float = 0.2, least: int = 3) -> float:
-    """The median time of ``call`` over repeats that fill about ``budget_s``, at least ``least`` of them."""
-    times = []
-    start = time.perf_counter()
-    while len(times) < least or time.perf_counter() - start < budget_s:
-        t = time.perf_counter()
-        call()
-        times.append(time.perf_counter() - t)
-    return statistics.median(times) * 1e3
 
 
 def kernel_times(n: int, complex_entries: bool) -> dict[str, float]:
@@ -126,7 +122,13 @@ def kernel_times(n: int, complex_entries: bool) -> dict[str, float]:
         "chain": lambda: drazin._chain_ledger(indexed),
         "read": lambda: matrix_io.parse_matrix_text(text),
     }
-    return {name: _median_ms(call) for name, call in calls.items()}
+    best = dict.fromkeys(calls, float("inf"))
+    for _ in range(PASSES):
+        for name, call in calls.items():
+            t = time.perf_counter()
+            call()
+            best[name] = min(best[name], time.perf_counter() - t)
+    return {name: t * 1e3 for name, t in best.items()}
 
 
 def main(argv=None) -> int:
@@ -134,8 +136,8 @@ def main(argv=None) -> int:
     parser.add_argument("--sizes", type=int, nargs="+", default=[8, 12, 20, 40])
     args = parser.parse_args(argv)
     gate = elimination._INT_MIN
-    print(f"milliseconds, median of repeats; {BITS}-bit entries; the library takes int rows and the dot-form"
-          f" back substitution from n = {gate}")
+    print(f"milliseconds, least of {PASSES} interleaved passes; {BITS}-bit entries; the library takes int rows"
+          f" and the dot-form back substitution from n = {gate}")
     print(f"{'n':>4} {'entries':<11}" + "".join(f"{k:>11}" for k in KERNELS))
     rows = (("real int", False, 0), ("real pairs", False, sys.maxsize), ("complex", True, gate))
     try:
