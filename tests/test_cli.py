@@ -159,7 +159,7 @@ def gated_files(tmp_path_factory):
         return [[f"{rng.randint(-3, 3)}{rng.randint(-3, 3):+d}i" for _ in range(n)] for _ in range(m)]
 
     def mul(a, b):
-        return [[sum(map(lambda x, y: x * y, row, col)) for col in zip(*b)] for row in a]
+        return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
     files = {"square12": rand(12, 12), "rank11": mul(rand(12, 11), rand(11, 14)),
              "index1rank10": mul(rand(12, 10), rand(10, 12)), "tall16x12": crand(16, 12), "wide12x16": crand(12, 16)}

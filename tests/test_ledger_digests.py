@@ -9,11 +9,11 @@ inputs are square, tall and wide, up to 14 on a side, at every rank from
 denominators of their own, some column contents that share factors, and
 the square ones include Drazin index 0-3 and nilpotent matrices, and
 inputs of index 1-3 whose rows, and those of every matrix of their Drazin
-chain, carry contents.  Each operation runs
-alone on a fresh copy of its input and in two shared orders on one copy
-(the operations in order, and reversed), so kept results serve the later
-ones, and every run must give the recorded digest; the literal eq1 and eq2
-forms, which keep nothing, run alone on the inputs up to 5 on a side.  The
+chain, carry contents.  Each operation runs alone on a fresh copy of its
+input and in two shared orders on one copy (the operations in order, and
+reversed), so kept results serve the later ones, and every run must give
+the recorded digest; the literal eq1 and eq2 forms, which keep nothing,
+run alone on the inputs up to 5 on a side.  The
 test runs with ``elimination._INT_MIN`` at 0 (int rows and the dot-form
 back substitution at every size, the certificate on every tall or wide
 input), at 10 (the default) and at 10**9 (pairs everywhere, on the inputs
