@@ -17,12 +17,17 @@ verification failure, 141 output cut short because the reader closed
 standard output (``adjinv pinv big.mat | head``); 141 is 128 + SIGPIPE,
 the status a shell reports for a process that SIGPIPE ended, and no
 traceback is printed.
+
+:func:`main` with ``argv`` None is the process entry point (``adjinv`` and
+``python -m adjinv``): it reads ``sys.argv`` and first calls
+:func:`gc.freeze`.  Given an argv list, as tests and in-process callers
+give it, :func:`main` never freezes.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
+import gc
 import os
 import sys
 from typing import Callable, NamedTuple
@@ -36,6 +41,7 @@ from .matrices import Matrix, conjugate_transpose, from_pairs, multiply, power, 
 from .matrix_io import (
     MatrixFormatError,
     OutputFormat,
+    _json_text,
     _json_value,
     format_output,
     format_scalar,
@@ -162,7 +168,7 @@ def _print_checks(args, checks: list[tuple[str, bool]], failure: Callable, summa
     EXIT_VERIFY; otherwise the text report ends with ``summary``, if any.
     """
     if args.json:
-        print(json.dumps({"checks": [{"name": n, "passed": ok} for n, ok in checks]}))
+        print(_json_text({"checks": [{"name": n, "passed": ok} for n, ok in checks]}))
     else:
         for name, ok in checks:
             print(f"{name}: {'pass' if ok else 'FAIL'}")
@@ -230,6 +236,17 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code.
+
+    ``argv`` None means the command line of this process (``sys.argv[1:]``),
+    and then the heap is frozen first (:func:`gc.freeze`).  An argv list
+    never freezes: a frozen heap could not collect the cyclic garbage the
+    caller holds at that moment.
+    """
+    if argv is None:
+        # Whatever the process has imported lives until it exits, so no
+        # garbage collection needs to walk it, including the one at exit.
+        gc.freeze()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -249,7 +266,7 @@ def main(argv=None) -> int:
             y = _load_rhs(args, a, command.rhs) if command.rhs else None
             value, extra = command.run(args, a, y)
             if args.json:
-                print(json.dumps({**_json_value(value), **extra}))
+                print(_json_text({**_json_value(value), **extra}))
             else:
                 print(format_output(value, OutputFormat(decimal_digits=args.decimal)))
             code = EXIT_OK

@@ -20,11 +20,13 @@ Exact values of any length are read and printed in full: every integer goes
 to and from decimal text through :func:`adjinv.scalars.int_text` and
 :func:`adjinv.scalars.int_of`, which pass CPython's int<->str digit cap
 without changing it.
+
+``json`` is imported on the first JSON output, not with this module, so a
+process that prints no JSON never loads it.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import re
 from dataclasses import dataclass
@@ -189,7 +191,7 @@ def matrix_tokens(a: Matrix, decimal_digits: int | None = None) -> list[list[str
 def format_output(value, fmt: OutputFormat = OutputFormat()) -> str:
     """Render a Matrix, Scalar, int, or sequence of Scalars under ``fmt``."""
     if fmt.json_layout:
-        return json.dumps(_json_value(value))
+        return _json_text(_json_value(value))
     if isinstance(value, Matrix):
         return format_matrix(value, fmt.decimal_digits)
     if isinstance(value, Scalar):
@@ -197,6 +199,13 @@ def format_output(value, fmt: OutputFormat = OutputFormat()) -> str:
     if isinstance(value, int):
         return int_text(value)
     return " ".join(format_scalar(s, fmt.decimal_digits) for s in value)
+
+
+def _json_text(value) -> str:
+    """``value`` as one line of JSON text."""
+    import json
+
+    return json.dumps(value)
 
 
 def _json_value(value):

@@ -1,4 +1,5 @@
 import errno
+import gc
 import importlib
 import json
 import os
@@ -447,18 +448,25 @@ def test_closed_stdout_exits_quietly(capsys, tmp_path, monkeypatch, example1_pat
     assert (code, capsys.readouterr()) == (cli.EXIT_PIPE, ("", ""))
 
 
-@pytest.mark.parametrize("unbuffered", [False, True])
-def test_closed_pipe_ends_the_process_quietly(example1_path, unbuffered):
+def _child_env() -> dict:
+    """The environment for a child Python that imports the same adjinv as this process."""
     import adjinv
 
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(adjinv.__file__).parents[1]), *filter(None, [os.environ.get("PYTHONPATH")])])
+    return env
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_pipe_ends_the_process_quietly(example1_path, unbuffered):
     # The read end is closed before the process starts, so its first write
     # meets a closed pipe: in print when stdout is unbuffered, else when the
     # buffer is flushed.
     read, write = os.pipe()
     os.close(read)
-    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(Path(adjinv.__file__).parents[1]), *filter(None, [os.environ.get("PYTHONPATH")])])
+    env = _child_env()
+    env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
     try:
@@ -467,6 +475,45 @@ def test_closed_pipe_ends_the_process_quietly(example1_path, unbuffered):
     finally:
         os.close(write)
     assert (done.returncode, done.stderr) == (cli.EXIT_PIPE, b"")
+
+
+def test_process_entry_point_freezes_the_heap_once_before_printing(capsys, monkeypatch, example1_path):
+    printed_before_freeze = []
+    monkeypatch.setattr(gc, "freeze", lambda: printed_before_freeze.append(capsys.readouterr().out))
+    monkeypatch.setattr(sys, "argv", ["adjinv", "pinv", example1_path])
+    assert cli.main() == 0
+    assert printed_before_freeze == [""]
+    assert capsys.readouterr().out.startswith("4 4\n")
+
+
+@pytest.mark.parametrize("argv, expected_code", [
+    (["pinv", "{example1}"], cli.EXIT_OK),
+    (["pinv", "{example1}", "--json"], cli.EXIT_OK),
+    (["pinv", "{example1}", "--json", "--decimal", "3"], cli.EXIT_USAGE),
+    (["rank", "{missing}"], cli.EXIT_INPUT),
+])
+def test_in_process_calls_never_freeze(capsys, tmp_path, example1_path, argv, expected_code):
+    # A frozen heap could never collect the cyclic garbage the caller holds.
+    frozen = gc.get_freeze_count()
+    argv = [arg.format(example1=example1_path, missing=tmp_path / "missing.mat") for arg in argv]
+    assert run_cli(capsys, *argv)[0] == expected_code
+    assert gc.get_freeze_count() == frozen
+
+
+def test_importing_the_package_and_cli_loads_no_json():
+    probe = ("import sys; before = set(sys.modules); import adjinv, adjinv.cli; "
+             "print(sorted(m for m in set(sys.modules) - before if m.split('.')[0] in ('json', '_json')))")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=_child_env(), timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
+def test_process_json_output_matches_the_in_process_run(capsys, example1_path):
+    code, out, err = run_cli(capsys, "pinv", example1_path, "--json")
+    done = subprocess.run([sys.executable, "-m", "adjinv", "pinv", example1_path, "--json"],
+                          capture_output=True, env=_child_env(), timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (code, out.encode(), err.encode())
+    assert code == 0 and json.loads(out)["method"] == "eq1"
 
 
 def test_paper_examples_exit_zero(capsys):
