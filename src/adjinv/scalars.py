@@ -14,8 +14,7 @@ base-10 rationals.
 One compiled grammar reads a token: :func:`token_parts` gives its
 numerators and denominators as written, which :func:`parse_scalar` makes a
 Scalar and :mod:`adjinv.matrix_io` scales straight into a matrix's pairs.
-A character scanner runs only on a token the grammar rejects, to name its
-first offending character.
+The same match names the first offending character of a bad token.
 Integers of any length go to and from decimal text through :func:`int_text`
 and :func:`int_of`, which never change the interpreter's int<->str digit cap.
 :func:`complex_text` is the one spelling of a complex value from its parts,
@@ -217,13 +216,15 @@ ONE = Scalar(1)
 #
 # Digits are ASCII 0-9, a denominator is never zero, there is no whitespace
 # inside a token, and scientific notation is rejected.  _TOKEN is this
-# grammar; the scanner (_scan) walks a token it rejects to name the first
-# offending character.  A rational's groups are its signed digits, its
-# denominator and its decimal digits; the imaginary part's sign is the
-# separator's times its own.
+# grammar with every digit run allowed to be empty, so it matches a prefix of
+# any text: token_parts reads a good token from its groups and finds where a
+# bad one breaks from the first empty run, zero denominator or unmatched
+# character.  A rational's groups are its signed digits, its denominator and
+# its decimal digits; the imaginary part's sign is the separator's times its
+# own.
 
-_RATIONAL = r"([+-]?[0-9]+)(?:/(0*[1-9][0-9]*)|\.([0-9]+))?"
-_TOKEN = re.compile(rf"{_RATIONAL}(?:(?:([+-]){_RATIONAL})?(i))?")
+_RATIONAL = r"([+-]?[0-9]*)(?:/([0-9]*)|\.([0-9]*))?"
+_TOKEN = re.compile(rf"{_RATIONAL}(?:([+-]){_RATIONAL})?(i?)")
 
 
 def token_parts(text: str) -> tuple[int, int, int, int]:
@@ -231,26 +232,40 @@ def token_parts(text: str) -> tuple[int, int, int, int]:
 
     The parts are as written, not reduced, and each denominator is positive:
     ``"2/4"`` gives (2, 4, 0, 1), and a decimal is its digits over a power of
-    ten, so ``"1.50"`` gives (150, 100, 0, 1).  Raises
-    :class:`ScalarParseError` with the offset of the first offending character.
+    ten, so ``"1.50"`` gives (150, 100, 0, 1).  The match that reads the
+    parts also finds a bad token's first offending character: raises
+    :class:`ScalarParseError` with its offset.
     """
-    match = _TOKEN.fullmatch(text)
-    if match is None:
-        _scan(text)  # raises: the scanner rejects exactly what _TOKEN does
+    match = _TOKEN.match(text)
     digits, den, frac, sep, im_digits, im_den, im_frac, i = match.groups()
-    re_num, re_den = _rational_parts(digits, den, frac)
-    if i is None:
+    re_num, re_den = _rational_parts(match, 1, digits, den, frac)
+    end = match.end()
+    if sep is not None:
+        im_num, im_den = _rational_parts(match, 5, im_digits, im_den, im_frac)
+        if not i:
+            raise ScalarParseError("expected 'i' after imaginary part", end)
+    if end != len(text):
+        raise ScalarParseError("trailing characters after 'i'" if i else f"unexpected character {text[end]!r}", end)
+    if not i:
         return re_num, re_den, 0, 1
     if sep is None:
         return 0, 1, re_num, re_den
-    im_num, im_den = _rational_parts(im_digits, im_den, im_frac)
     return re_num, re_den, (-im_num if sep == "-" else im_num), im_den
 
 
-def _rational_parts(digits: str, den: str | None, frac: str | None) -> tuple[int, int]:
+def _rational_parts(match: re.Match, g: int, digits: str, den: str | None, frac: str | None) -> tuple[int, int]:
+    """The rational in groups g, g+1 and g+2 of ``match``; raises at its first offending character."""
+    if not digits.lstrip("+-"):
+        raise ScalarParseError("expected a digit", match.end(g))
     if frac is not None:
+        if not frac:
+            raise ScalarParseError("expected a digit", match.start(g + 2))
         return int_of(digits + frac), 10 ** len(frac)
-    return int_of(digits), 1 if den is None else int_of(den)
+    if den is None:
+        return int_of(digits), 1
+    if not den.strip("0"):
+        raise ScalarParseError("zero denominator" if den else "expected a digit", match.start(g + 1))
+    return int_of(digits), int_of(den)
 
 
 def parse_scalar(text: str) -> Scalar:
@@ -262,42 +277,3 @@ def parse_scalar(text: str) -> Scalar:
     """
     re_num, re_den, im_num, im_den = token_parts(text)
     return Scalar(Fraction(re_num, re_den), Fraction(im_num, im_den))
-
-
-def _scan(text: str) -> None:
-    """Raise ScalarParseError at the first character of ``text`` that breaks the grammar; return if none does."""
-    pos = _scan_rational(text, 0)
-    if pos == len(text):
-        return
-    if text[pos] in "+-":
-        pos = _scan_rational(text, pos + 1)
-        if pos == len(text) or text[pos] != "i":
-            raise ScalarParseError("expected 'i' after imaginary part", pos)
-    elif text[pos] != "i":
-        raise ScalarParseError(f"unexpected character {text[pos]!r}", pos)
-    if pos + 1 != len(text):
-        raise ScalarParseError("trailing characters after 'i'", pos + 1)
-
-
-def _scan_digits(text: str, pos: int) -> int:
-    start = pos
-    # ASCII only: str.isdigit() also accepts superscripts and other scripts' digits.
-    while pos < len(text) and "0" <= text[pos] <= "9":
-        pos += 1
-    if pos == start:
-        raise ScalarParseError("expected a digit", start)
-    return pos
-
-
-def _scan_rational(text: str, pos: int) -> int:
-    if pos < len(text) and text[pos] in "+-":
-        pos += 1
-    pos = _scan_digits(text, pos)
-    if pos < len(text) and text[pos] == "/":
-        den_at = pos + 1
-        pos = _scan_digits(text, den_at)
-        if not text[den_at:pos].strip("0"):
-            raise ScalarParseError("zero denominator", den_at)
-    elif pos < len(text) and text[pos] == ".":
-        pos = _scan_digits(text, pos + 1)
-    return pos

@@ -238,7 +238,7 @@ def test_reader_gives_the_entrywise_pairs_and_scale(case):
     assert parse_vector_text(" ".join(tokens)) == Matrix(1, m * n, values)  # equal pairs and scale
 
 
-# Malformed tokens: each with the scanner's message and the offset of its
+# Malformed tokens: each with its message and the offset of its
 # first offending character.  Tokens with inner whitespace, or none, cannot
 # stand as one token in a row.
 BAD_TOKENS = [
@@ -257,6 +257,19 @@ BAD_TOKENS = [
     ("\u0663", "expected a digit", 0),
     ("1+2/0i", "zero denominator", 4),  # a zero denominator in the imaginary part
     ("1-2/00i", "zero denominator", 4),
+    ("+i", "expected a digit", 1),
+    ("1+", "expected a digit", 2),
+    ("1++-2i", "expected a digit", 3),
+    ("1+-i", "expected a digit", 3),
+    ("1+2.i", "expected a digit", 4),
+    ("1+2/i", "expected a digit", 4),
+    ("1/+2", "expected a digit", 2),
+    ("1/2/3", "unexpected character '/'", 3),
+    ("1.5.2", "unexpected character '.'", 3),
+    ("0/00", "zero denominator", 2),
+    ("1i+2", "trailing characters after 'i'", 2),
+    ("1+2i3", "trailing characters after 'i'", 4),
+    ("2+3x", "expected 'i' after imaginary part", 3),
 ]
 
 

@@ -1,4 +1,5 @@
 import operator
+import re
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from adjinv import Matrix, Scalar, ScalarParseError, parse_scalar
-from adjinv.scalars import _TOKEN, _scan, token_parts
+from adjinv.scalars import token_parts
+
+# The documented token grammar, written strictly: every digit run nonempty
+# and a denominator never zero.  token_parts must accept exactly its tokens.
+_RATIONAL = r"([+-]?[0-9]+)(?:/(0*[1-9][0-9]*)|\.([0-9]+))?"
+GRAMMAR = re.compile(rf"{_RATIONAL}(?:(?:([+-]){_RATIONAL})?(i))?")
+tokens = st.from_regex(GRAMMAR, fullmatch=True)
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=12)
 scalars = st.builds(Scalar, rationals, rationals)
@@ -47,6 +54,19 @@ def test_parse_complex_forms():
         ("\u00b2", 0),  # superscript two: str.isdigit() is true, int() fails
         ("1/\u00b2", 2),
         ("\u0663", 0),  # Arabic-Indic three: int() would read it as 3
+        ("+i", 1),  # a sign with no digits
+        ("1+", 2),
+        ("1++-2i", 3),
+        ("1+-i", 3),
+        ("1+2.i", 4),
+        ("1+2/i", 4),
+        ("1/+2", 2),
+        ("1/2/3", 3),
+        ("1.5.2", 3),
+        ("0/00", 2),
+        ("1i+2", 2),
+        ("1+2i3", 4),
+        ("2+3x", 3),
     ],
 )
 def test_parse_errors_carry_offsets(token, offset):
@@ -55,9 +75,9 @@ def test_parse_errors_carry_offsets(token, offset):
     assert err.value.offset == offset
 
 
-def _scanner_accepts(text: str) -> bool:
+def _accepts(text: str) -> bool:
     try:
-        _scan(text)
+        token_parts(text)
     except ScalarParseError:
         return False
     return True
@@ -68,9 +88,19 @@ def _scanner_accepts(text: str) -> bool:
 @example("1--2i")
 @example("0/00")
 @example("1.5-0/010i")
-@given(st.one_of(st.text("0123456789+-/.i e\u00b2", max_size=9), st.from_regex(_TOKEN, fullmatch=True)))
-def test_grammar_accepts_what_the_scanner_accepts(text):
-    assert (_TOKEN.fullmatch(text) is not None) == _scanner_accepts(text)
+@given(st.one_of(st.text("0123456789+-/.i e\u00b2", max_size=9), tokens))
+def test_token_parts_accepts_exactly_the_grammar(text):
+    assert (GRAMMAR.fullmatch(text) is not None) == _accepts(text)
+
+
+@settings(max_examples=200)
+@given(tokens, st.characters().filter(lambda c: c not in "0123456789+-/.i"))
+def test_first_character_outside_the_grammar_is_named(token, char):
+    with pytest.raises(ScalarParseError) as err:
+        token_parts(token + char)
+    message = "trailing characters after 'i'" if token.endswith("i") else f"unexpected character {char!r}"
+    assert str(err.value) == f"{message} at offset {len(token)}"
+    assert err.value.offset == len(token)
 
 
 def test_token_parts_are_as_written():
