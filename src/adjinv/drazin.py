@@ -11,6 +11,8 @@ adjugate analogue for this inverse, is N_r(A^(k+1)) @ A^k.
 Both the index and that ledger come from Cline's shrinking chain (R. E.
 Cline, SIAM J. Numer. Anal. 5(1), 1968; Ben-Israel and Greville,
 *Generalized Inverses*, 2nd ed., 2003, ch. 4), never from a power of A.
+The chain is built in :mod:`adjinv.matrices` and read only through
+:func:`adjinv.matrices.index_chain`.
 Factor M_0 = A as B_1 C_1 with B_1 the pivot columns of A's kept sweep and
 C_1 = W^-1 R, which a back substitution reads off the rows that same sweep
 keeps (:func:`adjinv.elimination.row_factor_pairs`); then
@@ -30,13 +32,15 @@ Matrix or Scalar is built between the steps.  The ledger is unique, so
 these are the numbers the minor sums give.  Only A's own sweep is n x n;
 every later sweep is of an r_i x r_i M_i, kept in lowest terms.
 
-A matrix keeps its chain and its eq11 result (:func:`adjinv.matrices.kept`),
-so its operations share one search and :func:`drazin_inverse` and
-:func:`group_inverse` share one ledger; the projector A^D A is the kept
-inverse times A.  :func:`group_inverse` refuses index 2 or more from the
-chain alone.  :func:`adjinv.solvers.drazin_solve` multiplies the eq11
-numerators A keeps by y, one product; on a matrix that keeps no eq11 result
-it applies the chain's factors to y and keeps nothing.
+A matrix keeps its chain (:func:`adjinv.matrices.index_chain`) and its eq11
+result (:func:`adjinv.matrices.kept`), so its operations and
+:func:`adjinv.minors.char_poly_coeffs` share one search, and
+:func:`drazin_inverse` and :func:`group_inverse` share one ledger; the
+projector A^D A is the kept inverse times A.  :func:`group_inverse`
+refuses index 2 or more from the chain alone.
+:func:`adjinv.solvers.drazin_solve` multiplies the eq11 numerators A keeps
+by y, one product; on a matrix that keeps no eq11 result it applies the
+chain's factors to y and keeps nothing.
 
 A nonsingular matrix has index 0, so A^k = I, A^(k+1) = A and r = n; the
 chain is A's kept sweep alone, and one adjoint solve from it gives
@@ -55,7 +59,7 @@ from dataclasses import dataclass
 
 from . import elimination, minors
 # ``rank`` stays bound here for the benchmark's tracer, which wraps adjinv.drazin.rank by name.
-from .matrices import Matrix, from_pairs, kept, multiply, rank, require_square, sweep  # noqa: F401
+from .matrices import Matrix, index_chain, kept, multiply, rank, require_square, sweep  # noqa: F401
 from .scalars import ONE, Scalar
 
 
@@ -79,29 +83,6 @@ class DrazinResult:
     numerators: Matrix
 
 
-def _index_search(a: Matrix) -> tuple:
-    """Cline's chain of A: the index k, the core rank r, the factors (B_i, C_i) and the last M_i.
-
-    M_0 = A, and each singular M_(i-1) of rank r_i >= 1 is factored as
-    B_i C_i, with B_i its pivot columns and C_i = W^-1 R read off its kept
-    sweep alone, by back substitution with no replay and no second sweep
-    (:func:`adjinv.elimination.row_factor_pairs`); then M_i = C_i B_i is
-    r_i x r_i, in lowest terms and kept with its sweep.  rank A^(i+1) =
-    rank M_i, so k is the first i at which M_i is nonsingular, and the last
-    M_i is the core M_k of size r.  An M_i of rank 0 makes A^(i+1) = 0: A is
-    nilpotent, k = i + 1, r = 0, and the last M_i is that zero matrix.  The
-    last M_i is None when it is A itself, so the chain A keeps (under
-    "index chain") holds no reference to A.  Only A's own sweep is n x n.
-    """
-    m, factors = a, []
-    while (e := sweep(m)).rank not in (0, m.rows):
-        b = m.submatrix(range(m.rows), e.pivots)
-        c = from_pairs(*elimination.row_factor_pairs(e))
-        factors.append((b, c))
-        m = multiply(c, b)
-    return len(factors) + (e.rank == 0), e.rank, tuple(factors), m if factors else None
-
-
 def _chain_ledger(a: Matrix, y: Matrix | None = None) -> minors.Ledger:
     """(N_r(A^(k+1)) A^k y, d_r(A^(k+1))) from the chain, with y the identity when None.
 
@@ -117,7 +98,7 @@ def _chain_ledger(a: Matrix, y: Matrix | None = None) -> minors.Ledger:
     y None, the ledger of the classical inverse), and at core rank 0 the
     zero ledger (0, 1), with no solve and no product.
     """
-    k, r, factors, core = kept(a, "index chain", _index_search)
+    k, r, factors, core = index_chain(a)
     if r == 0:
         return minors.Ledger(Matrix.zeros(a.rows, a.rows if y is None else y.cols), ONE)
     x, scale = (None, 1) if y is None else (y.pairs, y.scale)
@@ -134,19 +115,19 @@ def _chain_ledger(a: Matrix, y: Matrix | None = None) -> minors.Ledger:
 
 
 def _eq11(a: Matrix) -> DrazinResult:
-    """N_r(A^(k+1)) @ A^k over d_r(A^(k+1)) at r = rank A^k, through the index chain.
+    """N_r(A^(k+1)) @ A^k over d_r(A^(k+1)) at r = rank A^k, through the chain A keeps.
 
     At index 0 it is adj(A) over det A, the classical inverse, which
     :func:`adjinv.pinv.mp_inverse` reads from here rather than forming again.
     """
-    (k, r, _, _), ledger = kept(a, "index chain", _index_search), _chain_ledger(a)
+    (k, r, _, _), ledger = index_chain(a), _chain_ledger(a)
     return DrazinResult(ledger.quotient(), k, r, ledger.denominator, ledger.numerators)
 
 
 def index_of(a: Matrix) -> int:
     """Smallest k >= 0 with rank(a^(k+1)) = rank(a^k); at most n."""
     require_square(a, "matrix index")
-    return kept(a, "index chain", _index_search)[0]
+    return index_chain(a)[0]
 
 
 def drazin_inverse(a: Matrix) -> DrazinResult:
@@ -160,11 +141,11 @@ def group_inverse(a: Matrix) -> DrazinResult:
 
     Index 0 returns the classical inverse; index 1 the k = 1 representation;
     anything higher has no group inverse and raises
-    :class:`GroupInverseError`, read off the index chain before any ledger
+    :class:`GroupInverseError`, read off the chain A keeps before any ledger
     is formed.
     """
     require_square(a, "group inverse")
-    if kept(a, "index chain", _index_search)[0] >= 2:
+    if index_chain(a)[0] >= 2:
         raise GroupInverseError("group inverse does not exist: matrix index is 2 or larger")
     return kept(a, "eq11", _eq11)
 

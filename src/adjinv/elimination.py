@@ -55,8 +55,8 @@ the caller's scale rule.
 :func:`row_factor_pairs` reads a rank factorization g = B C off the same
 sweep, with B the pivot columns and C = W^-1 R, where W is the pivot block
 and R the pivot rows, both taken primitive: the sweep's first r rows are
-already R's replay, so C costs the back substitution alone.  The Drazin
-index chain is built from it.
+already R's replay, so C costs the back substitution alone.  Cline's
+chain (:func:`adjinv.matrices.index_chain`) is built from it.
 Berkowitz's algorithm (:func:`char_poly_pairs`) gives the characteristic
 coefficients without any division.
 

@@ -28,10 +28,11 @@ it.  The slot holds the one Bareiss sweep (of its primitive rows, with
 their contents, :func:`sweep`); the outcome of the full-rank certificate
 modulo a prime that a tall or wide matrix tries before it sweeps
 (:func:`known_rank`, the one rank rule the ledger operations read); the
-Drazin index chain; the Drazin inverse, which at index 0 is the classical
-inverse; and the Moore-Penrose inverse.  At full rank the Gram ledgers
-read A alone, so a matrix the certificate passes keeps no sweep and never
-makes one.
+Drazin index chain, Cline's factors of a square matrix down to its core
+(:func:`index_chain`, which every reader of the chain goes through); the
+Drazin inverse, which at index 0 is the classical inverse; and the
+Moore-Penrose inverse.  At full rank the Gram ledgers read A alone, so a
+matrix the certificate passes keeps no sweep and never makes one.
 
 Index conventions: storage accessors (``at``, ``row``, ``column``,
 ``submatrix``) are 0-based like any Python container, while the replacement
@@ -341,6 +342,34 @@ def known_rank(a: Matrix) -> int:
             and kept(a, "certificate", lambda a: elimination.full_rank_mod_p(a.pairs))):
         return least
     return sweep(a).rank
+
+
+def _index_search(a: Matrix) -> tuple:
+    """Cline's chain of A: the index k, the core rank r, the factors (B_i, C_i) and the last M_i.
+
+    M_0 = A, and each singular M_(i-1) of rank r_i >= 1 is factored as
+    B_i C_i, with B_i its pivot columns and C_i = W^-1 R read off its kept
+    sweep alone, by back substitution with no replay and no second sweep
+    (:func:`adjinv.elimination.row_factor_pairs`); then M_i = C_i B_i is
+    r_i x r_i, in lowest terms and kept with its sweep.  rank A^(i+1) =
+    rank M_i, so k is the first i at which M_i is nonsingular, and the last
+    M_i is the core M_k of size r.  An M_i of rank 0 makes A^(i+1) = 0: A is
+    nilpotent, k = i + 1, r = 0, and the last M_i is that zero matrix.  The
+    last M_i is None when it is A itself, so the chain A keeps holds no
+    reference to A.  Only A's own sweep is n x n.
+    """
+    m, factors = a, []
+    while (e := sweep(m)).rank not in (0, m.rows):
+        b = m.submatrix(range(m.rows), e.pivots)
+        c = from_pairs(*elimination.row_factor_pairs(e))
+        factors.append((b, c))
+        m = multiply(c, b)
+    return len(factors) + (e.rank == 0), e.rank, tuple(factors), m if factors else None
+
+
+def index_chain(a: Matrix) -> tuple:
+    """The index chain of a square ``a`` (:func:`_index_search`), kept on ``a``: (k, r, factors, last M_i)."""
+    return kept(a, "index chain", _index_search)
 
 
 def _vector_pairs(v, length: int, what: str) -> tuple[list[Pair], int]:

@@ -38,7 +38,7 @@ characteristic-adjugate ledger of A*A at the rank order,
 returns (X, d, f, q), the ledger X f / q over d f / q of A' and b', with
 q = |det W''|^2 of the skeleton's pivot block (1 at full rank), so the
 scales are s^(2r-1) t q and s^(2r) q.  The Drazin ledgers, the classical
-inverse among them, come from the index chain
+inverse among them, come from Cline's chain
 (:func:`adjinv.drazin._chain_ledger`): k + 1 adjoint solves on the
 nonsingular core M_k = M' / s (:func:`adjinv.elimination.adjoint_solve_pairs`)
 between the chain's factors, with f the product of the k + 1 solves'
@@ -48,8 +48,9 @@ A caller makes one kernel call, and :meth:`Ledger.quotient` is the one way
 a ledger becomes a result.
 The projectors A+ A and A A+ take no ledger of their own: they are the
 pseudoinverse A keeps, times A (:mod:`adjinv.pinv`).
-:func:`char_poly_coeffs` returns every d_k by Berkowitz, on the index
-chain's r x r core when A keeps one.
+:func:`char_poly_coeffs` returns every d_k by Berkowitz, always on the last
+matrix of the chain A keeps (:func:`adjinv.matrices.index_chain`): the
+r x r core at index k >= 1, and A itself only at index 0.
 
 The literal forms stay as the reference the kernel is tested against:
 :func:`minor` is the exact determinant of the entries selected by two
@@ -71,7 +72,7 @@ from typing import NamedTuple
 
 from . import elimination
 from .index_sets import enumerate_k_subsets
-from .matrices import Matrix, conjugate_transpose, from_pairs, held, known_rank, require_square, scalar_of, sweep
+from .matrices import Matrix, conjugate_transpose, from_pairs, index_chain, known_rank, require_square, scalar_of, sweep
 from .scalars import ONE, ZERO, Scalar
 
 
@@ -127,14 +128,15 @@ def char_poly_coeffs(a: Matrix) -> tuple[Scalar, ...]:
 
     d_k is the sum of all order-k principal minors, computed here by
     Berkowitz's algorithm on the integer pairs of g = g' / D:
-    d_k(g) = d_k(g') / D^k.  g is a itself, or the r x r core M_k of the
-    index chain a keeps at index k >= 1 (:mod:`adjinv.drazin`), or the zero
+    d_k(g) = d_k(g') / D^k.  g is the last M_i of the chain a keeps
+    (:func:`adjinv.matrices.index_chain`, searched here if a keeps none):
+    a itself at index 0, the r x r core M_k at index k >= 1, or the zero
     M_(k-1) of a nilpotent a.  Each step of the chain replaces B C by C B,
     and Sylvester's identity det(tI_n - BC) = t^(n-r) det(tI_r - CB) makes
     d_1 .. d_r those of the r x r core and the rest 0.
     """
     require_square(a, "characteristic polynomial")
-    g = (held(a, "index chain") or [a])[-1] or a  # the chain's last M_i, None when that is a
+    g = index_chain(a)[-1] or a  # the chain's last M_i, None when that is a
     coeffs = elimination.char_poly_pairs(g.pairs)
     return tuple(scalar_of(d, g.scale**k) for k, d in enumerate(coeffs) if k) + (ZERO,) * (a.rows - g.rows)
 

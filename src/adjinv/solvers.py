@@ -39,12 +39,13 @@ product.  At index 0 N is adj(A) over det(A), the classical Cramer ledger
 exactly: a nonsingular A's classical inverse is its index-0 Drazin result,
 kept once, so after any of :func:`adjinv.pinv.mp_inverse`,
 :func:`adjinv.drazin.drazin_inverse` or :func:`adjinv.drazin.group_inverse`
-the solve takes no solve of its own.  Otherwise the factors of the index
-chain A keeps are applied to y, B_1 .. B_k adj(M_k)^(k+1) C_k .. C_1 y over
-det(M_k)^(k+1), with k + 1 one-column adjoint solves on the core
-(:mod:`adjinv.drazin`); at index 0 that is one solve from A's kept sweep,
-so A is eliminated once.  Either way g = A^k y is k matrix-vector products
-when the core rank is positive.
+the solve takes no solve of its own.  Otherwise the factors of the chain
+A keeps (:func:`adjinv.matrices.index_chain`, which also gives k and r) are
+applied to y, B_1 .. B_k adj(M_k)^(k+1) C_k .. C_1 y over det(M_k)^(k+1),
+with k + 1 one-column adjoint solves on the core (:mod:`adjinv.drazin`); at
+index 0 that is one solve from A's kept sweep, so A is eliminated once.
+Either way g = A^k y is k matrix-vector products when the core rank is
+positive.
 
 No solve fills the slot A keeps its results in: a lone solve makes its
 one-column ledger and forms neither the whole pseudoinverse nor the whole
@@ -61,8 +62,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import minors
-from .drazin import _chain_ledger, _index_search
-from .matrices import Matrix, conjugate_transpose, held, kept, known_rank, multiply, require_square
+from .drazin import _chain_ledger
+from .matrices import Matrix, conjugate_transpose, held, index_chain, known_rank, multiply, require_square
 from .scalars import Scalar
 
 
@@ -124,7 +125,7 @@ def drazin_solve(a: Matrix, y: Matrix) -> SolveReport:
     require_square(a, "Drazin solution")
     if not (y.cols == 1 and y.rows == a.rows):
         raise ValueError(f"right side must be {a.rows}x1, got {y.rows}x{y.cols}")
-    k, r, _, _ = kept(a, "index chain", _index_search)
+    k, r, _, _ = index_chain(a)
     g = y if r else Matrix.zeros(a.rows, 1)  # A^k = 0 at core rank 0
     for _ in range(k if r else 0):
         g = multiply(a, g)

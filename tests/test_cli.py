@@ -348,18 +348,18 @@ def test_verify_subcommand(capsys, example1_path, example2_path):
 
 
 def test_verify_checks_the_drazin_solve_independently(capsys, example2_path, monkeypatch):
-    from adjinv import drazin
+    from adjinv import matrices
 
     # A faulty index search that hands over the core 2 M_k: the inverse and
     # the solution come out scaled by 2^-(k+1), and verify must not check
     # them against the same faulty chain.
-    real = drazin._index_search
+    real = matrices._index_search
 
     def faulty(a):
         k, r, factors, core = real(a)
         return k, r, factors, core * 2
 
-    monkeypatch.setattr(drazin, "_index_search", faulty)
+    monkeypatch.setattr(matrices, "_index_search", faulty)
     code, out, _ = run_cli(capsys, "verify", example2_path, "--rhs", "1 2 3 1")
     assert code == 4
     assert "dsolve:A^(k+1)x=A^k y: FAIL" in out.splitlines()
@@ -380,12 +380,12 @@ def test_verify_forms_a_to_the_index_once(capsys, example2_path, monkeypatch):
 
 @pytest.mark.parametrize("rhs, expected_code", [("1 x", 2), ("1 2", 3)])
 def test_verify_reads_the_right_side_first(capsys, tmp_path, monkeypatch, rhs, expected_code):
-    from adjinv import drazin, pinv
+    from adjinv import matrices, pinv
 
     path = tmp_path / "m.mat"
     path.write_text("3 3\n2 1 0\n1 3 1\n0 1 4\n")
     calls = []
-    for module, name in ((pinv, "mp_inverse"), (drazin, "_index_search")):
+    for module, name in ((pinv, "mp_inverse"), (matrices, "_index_search")):
         real = getattr(module, name)
         monkeypatch.setattr(module, name,
                             lambda *args, name=name, real=real, **kw: calls.append(name) or real(*args, **kw))

@@ -445,13 +445,14 @@ def test_adjoint_solve_matches_berkowitz_horner(n, p, seed, complex_entries):
 def test_the_chain_solves_no_singular_matrix_the_horner_reference_takes(nr, p, seed, complex_entries):
     # A singular g, whose order-n Horner ledger is (adj(g) b, 0).
     n, r = nr
-    g = _deficient(seed, n, n, r, complex_entries)
+    while rank(g := _deficient(seed, n, n, r, complex_entries)) < r:  # the builder gives rank at most r
+        seed += 1000
     b = _matrix(random.Random(seed + 1), n, p, complex_entries)
     with pytest.raises(ArithmeticError, match=f"singular matrix: rank {r} of {n}"):
         elimination.adjoint_solve_pairs(elimination.eliminate(g.pairs), b.pairs)
     assert _exact(horner_ledger(g, n, b)) == (multiply(minors.adjugate(g), b), ZERO)
     # g has index 1 or more, so the chain's adjoint solves run on its nonsingular core alone.
-    k, core_rank, _, core = drazin._index_search(g)
+    k, core_rank, _, core = matrices._index_search(g)
     assert k >= 1 and (core_rank == 0 or matrices.sweep(core).rank == core.rows == core_rank)
 
 
@@ -934,7 +935,7 @@ def test_rank_deficient_square_operations_keep_their_ledgers(complex_entries, mo
     cores = [r, rank(power(a, 2))]  # M_1 and M_2 of the index chain
     calls, grams = _count_sweeps(monkeypatch), _count_gram_sweeps(monkeypatch)
     searches = []
-    real_search = drazin._index_search
+    real_search = matrices._index_search
 
     def search(a):  # reads each factor off a kept sweep: no replay, so no adjoint solve
         searches.append(a)
@@ -942,7 +943,7 @@ def test_rank_deficient_square_operations_keep_their_ledgers(complex_entries, mo
             refused.setattr(elimination, "adjoint_solve_pairs", _refuse("adjoint_solve_pairs"))
             return real_search(a)
 
-    monkeypatch.setattr(drazin, "_index_search", search)
+    monkeypatch.setattr(matrices, "_index_search", search)
     res = mp_inverse(a)
     assert (res.numerators, res.denominator) == expected_pinv
     # A through eliminate, then the r x r Gram matrices C*C and RR* of its skeleton through gram_solve_pairs.
@@ -1399,7 +1400,7 @@ def test_index_search_matches_representation_and_oracle(case, seed):
     res = drazin_inverse(a)
     assert res == representation(a, index)  # index, core rank, ledger, denominator, inverse
     # Exactly r = core eigenvalues of A are nonzero, so d_r(A) is their product
-    # and d_r(A^(k+1)), the denominator, is its (k+1)-th power: Berkowitz on A.
+    # and d_r(A^(k+1)), the denominator, is its (k+1)-th power: Berkowitz on the core.
     d_core = ((ONE,) + char_poly_coeffs(_fresh(a)))[core]
     expected = ONE
     for _ in range(index + 1):
@@ -1434,8 +1435,7 @@ def test_index_search_divides_out_the_content(monkeypatch):
         steps.append((_content(rows, scale), _content(out.pairs, out.scale)))
         return out
 
-    for module in (matrices, drazin):
-        monkeypatch.setattr(module, "from_pairs", recorded)
+    monkeypatch.setattr(matrices, "from_pairs", recorded)
     k, r, _, core = _chain(a)
     assert (k, r) == (2, 1) and len(steps) == 6  # B_i, C_i and M_i for i = 1, 2
     assert max(before for before, _ in steps) > 1 and all(after == 1 for _, after in steps)
@@ -1445,7 +1445,7 @@ def test_index_search_divides_out_the_content(monkeypatch):
 
 def _chain(a: Matrix) -> tuple:
     """The index chain a keeps: k, r, the factors (B_i, C_i) and the last M_i."""
-    return matrices.kept(a, "index chain", drazin._index_search)
+    return matrices.index_chain(a)
 
 
 def _content(rows, scale: int) -> int:
@@ -1485,11 +1485,12 @@ def chain_inputs(draw, max_dim: int):
 def test_chain_matches_representation_oracle_and_literal_sums(case, seed):
     a, index, core = case
     a, fresh, n = _fresh(a), _fresh(a), a.rows
-    # Before A keeps a chain, Berkowitz runs on A itself.
+    # On a fresh A, char_poly_coeffs searches the chain A keeps and runs Berkowitz on its last M_i.
     berkowitz = char_poly_coeffs(a)
     assert berkowitz == tuple(principal_minor_sum(a, t) for t in range(1, n + 1))
-    assert index_of(a) == index and _chain(a)[:2] == (index, core)
-    assert char_poly_coeffs(a) == berkowitz  # now from the chain's core
+    chain = matrices.held(a, "index chain")
+    assert chain[:2] == (index, core) and _chain(a) is chain
+    assert index_of(a) == index and char_poly_coeffs(a) == berkowitz
 
     res = drazin_inverse(a)
     assert res == representation(a, index)  # the power route and Horner
@@ -1542,16 +1543,25 @@ def test_index_search_sweeps_only_a_at_full_size(case, complex_entries, monkeypa
 def test_char_poly_coeffs_run_berkowitz_on_the_core_a_keeps(case, monkeypatch):
     core, nil_sizes = DRAZIN_REUSE[case]
     a = _indexed(670 + core, core, nil_sizes, True)
-    orders = []
-    real = elimination.char_poly_pairs
-    monkeypatch.setattr(elimination, "char_poly_pairs", lambda g: orders.append(len(g)) or real(g))
-    before = char_poly_coeffs(a)
-    assert orders == [a.rows]  # A keeps no chain yet: Berkowitz on A
-    index = index_of(a)
-    assert char_poly_coeffs(a) == before
+    index, y = max(nil_sizes, default=0), column_vector(_rhs(671 + core, a.rows))
+    expected = drazin_inverse(_fresh(a)), drazin_solve(_fresh(a), y)
     # Berkowitz runs on the last M_i of the chain: A itself at index 0, the
     # r x r core M_k at k >= 1, and the zero M_(k-1) of a nilpotent A.
-    assert orders == [a.rows, rank(power(a, index - 1 if nil_sizes and not core else index))]
+    last = rank(power(a, index - 1 if nil_sizes and not core else index))
+    whole = elimination.char_poly_pairs(a.pairs)  # Berkowitz on all of A, the reference
+    orders, searches = [], []
+    real = elimination.char_poly_pairs
+    monkeypatch.setattr(elimination, "char_poly_pairs", lambda g: orders.append(len(g)) or real(g))
+    search = matrices._index_search
+    monkeypatch.setattr(matrices, "_index_search", lambda m: searches.append(m) or search(m))
+    before = char_poly_coeffs(a)
+    # On a fresh A the first call already searches the chain A then keeps,
+    # and runs Berkowitz once, on the chain's last M_i.
+    assert orders == [last] and searches == [a]
+    assert before == tuple(matrices.scalar_of(d, a.scale**t) for t, d in enumerate(whole) if t)
+    # The Drazin operations read the chain A keeps: no second search.
+    assert index_of(a) == index and (drazin_inverse(a), drazin_solve(a, y)) == expected
+    assert char_poly_coeffs(a) == before and orders == [last] * 2 and searches == [a]
 
 
 # -- row and column contents: the sweep of the primitive rows ----------------------
@@ -1802,7 +1812,7 @@ def test_threads_sharing_one_matrix_get_the_single_thread_results(name, monkeypa
     expected = {op: _outcome(_fresh(a), op) for op in names}
     # Slow sweeps and a slow index search: every thread asks for what A keeps
     # while another one is still computing it.
-    for module, attr in ((elimination, "eliminate"), (drazin, "_index_search")):
+    for module, attr in ((elimination, "eliminate"), (matrices, "_index_search")):
         real = getattr(module, attr)
         monkeypatch.setattr(module, attr, lambda x, real=real: time.sleep(0.002) or real(x))
     switch = sys.getswitchinterval()
@@ -1980,7 +1990,7 @@ def test_each_ledger_reduces_its_numerators_once(complex_entries, monkeypatch):
     # chain at index 1-3, and a lone Drazin solve.  A keeps its rank or chain first.
     reductions = []
     real = matrices.from_pairs
-    for module in (matrices, minors, drazin):
+    for module in (matrices, minors):
         monkeypatch.setattr(module, "from_pairs", lambda rows, scale: reductions.append(1) or real(rows, scale))
     y = column_vector(_rhs(662, 6, complex_entries))
 

@@ -26,6 +26,10 @@ integers of up to ``BITS`` bits, real and complex, and times:
   whose chain is already kept: S B S^-1 for B an invertible n/2 x n/2 core,
   a 2 x 2 nilpotent Jordan block and zeros, and S a unit lower times a unit
   upper triangular matrix of entries -1..1;
+- ``charpoly``: ``adjinv.minors.char_poly_coeffs`` on the rank-n/2 matrix
+  ``factor`` reads, rebuilt with ``from_pairs`` for each call, so each call
+  is a fresh matrix's: the sweep, Cline's chain down to its core
+  (``adjinv.matrices.index_chain``) and Berkowitz on that core;
 - ``read``: ``adjinv.matrix_io.parse_matrix_text`` on the text of the
   matrix divided by a seeded scale of up to ``BITS`` bits, so that its
   tokens carry denominators.  The reader takes no kernel, so the two real
@@ -58,10 +62,11 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src"))
 
-from adjinv import drazin, elimination, matrix_io  # noqa: E402
+from adjinv import drazin, elimination, matrix_io, minors  # noqa: E402
 from adjinv.matrices import Matrix, from_pairs  # noqa: E402
 
-KERNELS = ("eliminate", "certify", "solve I", "solve y", "A A", "A y", "factor", "gram", "skeleton", "chain", "read")
+KERNELS = ("eliminate", "certify", "solve I", "solve y", "A A", "A y", "factor", "gram", "skeleton", "chain",
+           "charpoly", "read")
 BITS = 8  # bit size of the random entries
 PASSES = 30  # timed calls of each kernel, one per pass
 
@@ -120,6 +125,7 @@ def kernel_times(n: int, complex_entries: bool) -> dict[str, float]:
         "gram": lambda: elimination.gram_solve_pairs(elimination.hermitian_matmul_pairs(f, f_star), z),
         "skeleton": lambda: elimination.skeleton_ledger_pairs(product, deficient),
         "chain": lambda: drazin._chain_ledger(indexed),
+        "charpoly": lambda: minors.char_poly_coeffs(from_pairs(product, 1)),
         "read": lambda: matrix_io.parse_matrix_text(text),
     }
     best = dict.fromkeys(calls, float("inf"))
