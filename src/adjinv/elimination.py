@@ -4,9 +4,11 @@ The kernels work on the exact-matrix format of :class:`adjinv.matrices.Matrix`:
 rows of Gaussian integers, each a plain ``(re, im)`` pair of Python ints.
 The matrix's common scale stays with the caller, which rescales a kernel's
 result by the right power of it.  :func:`integerize` (run as
-:func:`_integerize` by the Matrix constructor) is the one way from Scalars
-into this format; :mod:`adjinv.matrix_io` reads matrix text into it
-without building Scalars.  Bareiss cross-multiplication keeps all
+:func:`_integerize` by the Matrix constructor and the matrix-text reader) is
+the one way into this format: it scales rows of entry parts, each given by
+the one entry rule :func:`adjinv.scalars.entry_parts`, to the lcm of their
+denominators, and :func:`adjinv.matrices.from_pairs` reduces the result to
+lowest terms.  Bareiss cross-multiplication keeps all
 intermediate values integral and every division exact, which bounds entry
 growth without ever leaving exact arithmetic.  Pivots are the first nonzero
 entry in column scan order; with exact arithmetic the pivot choice is
@@ -118,36 +120,34 @@ _P = 1073741789
 _I = 933053945
 
 
-def integerize(rows) -> tuple[tuple[tuple[Pair, ...], ...], int]:
-    """Rows of Scalars as Gaussian-integer pairs over one common scale.
+def integerize(rows) -> tuple[list[list[Pair]], int]:
+    """Rows of entry parts as Gaussian-integer pairs over one common scale.
 
-    Returns the integer rows A' and the positive D with A = A' / D, where D is
-    the lcm of the entries' reduced denominators.  That is lowest terms: the
-    gcd of D and every part of A' is 1.  This is the format of
-    :class:`adjinv.matrices.Matrix`, and products and characteristic
-    coefficients of A' rescale to those of A by powers of D.
+    Each entry is (real numerator, real denominator, imaginary numerator,
+    imaginary denominator) with positive denominators, as
+    :func:`adjinv.scalars.entry_parts` gives it.  Returns the integer rows
+    A' and the positive D with A = A' / D, where D is the lcm of the
+    denominators as given.  So A' / D is in lowest terms only when they are
+    reduced, and every caller hands it to
+    :func:`adjinv.matrices.from_pairs`, which reduces it.  This is the
+    format of :class:`adjinv.matrices.Matrix`, and products and
+    characteristic coefficients of A' rescale to those of A by powers of D.
 
-    Operations call this on the Scalars they are handed (a scalar factor, a
-    replacement vector).  Building a Matrix from its entries calls
-    :func:`_integerize`, the same code under a name the benchmark's tracer
-    does not wrap, so ``elimination.integerize_calls`` counts the conversions
-    inside operations alone.  Reading matrix text calls neither: the reader
-    scales its tokens' parts itself, and its time is ``matrix_io.parse_s``.
+    Operations call this on the values they are handed (a scalar factor, a
+    replacement vector, a ledger's denominator).  Building a Matrix from its
+    entries and reading matrix or vector text call :func:`_integerize`, the
+    same code under a name the benchmark's tracer does not wrap, so
+    ``elimination.integerize_calls`` counts the conversions inside
+    operations alone.
     """
     return _integerize(rows)
 
 
-def _integerize(rows) -> tuple[tuple[tuple[Pair, ...], ...], int]:
-    scale = 1
-    for row in rows:
-        for s in row:
-            scale = lcm(scale, s.re.denominator, s.im.denominator)
-    # scale is a multiple of every denominator, so each product is an integer.
-    return tuple(
-        tuple((s.re.numerator * (scale // s.re.denominator), s.im.numerator * (scale // s.im.denominator))
-              for s in row)
-        for row in rows
-    ), scale
+def _integerize(rows) -> tuple[list[list[Pair]], int]:
+    entries = list(chain.from_iterable(rows))
+    scale = lcm(*{*map(itemgetter(1), entries), *map(itemgetter(3), entries)})
+    # scale is a multiple of every denominator, so each quotient is an integer.
+    return [[(a * (scale // b), c * (scale // d)) for a, b, c, d in row] for row in rows], scale
 
 
 def _mul(x: Pair, y: Pair) -> Pair:

@@ -11,11 +11,14 @@ keeps it in every part (its content), and the kernels divide it out where
 they sweep.  Every operation here works on the pairs, and the integer
 kernels of :mod:`adjinv.elimination` take them as they are:
 :func:`multiply` is ``matmul_pairs`` and :func:`rank` is ``rank_pairs``.
-Scalars appear only at the edges: the constructor takes entries as
-Scalars, ints, Fractions or token strings, and ``at``, ``row``, ``column``,
+Every value enters by one rule: :func:`adjinv.scalars.entry_parts` gives
+its numerators and denominators (of a Scalar, int, Fraction or token
+string), :func:`adjinv.elimination.integerize` scales rows of them to the
+lcm of their denominators, and :func:`from_pairs` reduces that.  The
+constructor, a scalar factor, a sequence vector (:func:`replace_column`,
+:func:`replace_row`) and the matrix-text reader of :mod:`adjinv.matrix_io`
+all take it, and build no Scalar; ``at``, ``row``, ``column``,
 ``row_lists`` and printing build Scalars when a caller reads entries.
-Reading matrix text builds none: :mod:`adjinv.matrix_io` hands its pairs
-and scale to :func:`from_pairs`.
 
 Matrices are immutable; vectors are matrices with a single column (or row).
 All operations are pure functions: they validate their inputs, never mutate
@@ -49,20 +52,7 @@ from typing import Callable, Iterable, Sequence
 
 from . import elimination
 from .elimination import Pair
-from .scalars import Scalar, parse_scalar
-
-
-def as_scalar(value) -> Scalar:
-    """A Scalar as it is, a token string parsed, anything else through ``Scalar(value)``.
-
-    So an int or a Fraction becomes a real Scalar, and ``Scalar`` raises the
-    TypeError for a float or any other non-exact value.
-    """
-    if isinstance(value, Scalar):
-        return value
-    if isinstance(value, str):
-        return parse_scalar(value)
-    return Scalar(value)
+from .scalars import Scalar, entry_parts
 
 
 class Matrix:
@@ -71,19 +61,15 @@ class Matrix:
     __slots__ = ("rows", "cols", "pairs", "scale", "_kept")
 
     def __init__(self, rows: int, cols: int, entries: Iterable):
-        data = [as_scalar(e) for e in entries]
+        data = [entry_parts(e) for e in entries]
         if rows < 1 or cols < 1:
             raise ValueError("matrix dimensions must be at least 1x1")
         if len(data) != rows * cols:
             raise ValueError(
                 f"expected {rows * cols} entries for a {rows}x{cols} matrix, got {len(data)}"
             )
-        self.rows = rows
-        self.cols = cols
-        self._kept = {}
-        self.pairs, self.scale = elimination._integerize(
-            [data[i * cols : (i + 1) * cols] for i in range(rows)]
-        )
+        m = from_pairs(*elimination._integerize([data[i * cols : (i + 1) * cols] for i in range(rows)]))
+        self.rows, self.cols, self.pairs, self.scale, self._kept = rows, cols, m.pairs, m.scale, {}
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "Matrix":
@@ -175,7 +161,7 @@ class Matrix:
     def __mul__(self, other):
         if not isinstance(other, (Scalar, int, Fraction)):
             return NotImplemented
-        (((cr, ci),),), cs = elimination.integerize([[as_scalar(other)]])
+        (((cr, ci),),), cs = elimination.integerize([[entry_parts(other)]])
         rows = [[(re * cr - im * ci, re * ci + im * cr) for re, im in row] for row in self.pairs]
         return from_pairs(rows, self.scale * cs)
 
@@ -383,7 +369,7 @@ def _vector_pairs(v, length: int, what: str) -> tuple[list[Pair], int]:
             raise ValueError(f"{what} must be a vector, got a {v.rows}x{v.cols} matrix")
         scale = v.scale
     else:
-        (entries,), scale = elimination.integerize([[as_scalar(e) for e in v]])
+        (entries,), scale = elimination.integerize([[entry_parts(e) for e in v]])
     if len(entries) != length:
         raise ValueError(f"{what} has length {len(entries)}, expected {length}")
     return entries, scale

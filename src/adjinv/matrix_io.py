@@ -10,11 +10,14 @@ are exact base-10 rationals.  Rational-mode output is itself a valid matrix
 file, so formatting and parsing round-trip exactly.
 
 The reader builds no Scalar: one row reader, shared by matrix files and
-right-side vectors, reads each token's numerators and denominators with the
-one token grammar (:func:`adjinv.scalars.token_parts`), and the text's
-entries are scaled once to the lcm of all their denominators and handed to
-:func:`adjinv.matrices.from_pairs`.  A bad token is reported at the line
-and column of its first offending character.
+right-side vectors, reads each token's numerators and denominators as
+written with the one token grammar (:func:`adjinv.scalars.token_parts`,
+what the one entry rule :func:`adjinv.scalars.entry_parts` gives a token),
+and the text's entries take the one scaling every entry takes:
+:func:`adjinv.elimination._integerize` to the lcm of all their
+denominators, then :func:`adjinv.matrices.from_pairs` to lowest terms.  A
+bad token is reported at the line and column of its first offending
+character.
 
 Exact values of any length are read and printed in full: every integer goes
 to and from decimal text through :func:`adjinv.scalars.int_text` and
@@ -31,8 +34,8 @@ import os
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
+from .elimination import _integerize
 from .matrices import Matrix, from_pairs
 from .scalars import Scalar, ScalarParseError, complex_text, int_of, int_text, token_parts
 
@@ -89,7 +92,6 @@ def parse_matrix_text(text: str) -> Matrix:
     if m < 1 or n < 1:
         raise MatrixFormatError(f"dimensions must be positive, got {int_text(m)} x {int_text(n)}", lineno)
     rows: list[list[Parts]] = []
-    denominators = {1}
     last_line = lineno
     for lineno, body in lines:
         last_line = lineno
@@ -100,10 +102,10 @@ def parse_matrix_text(text: str) -> Matrix:
             raise MatrixFormatError(
                 f"expected {int_text(n)} entries in this row, got {len(tokens)}", lineno
             )
-        rows.append(_read_row(tokens, body, lineno, "scalar", denominators))
+        rows.append(_read_row(tokens, body, lineno, "scalar"))
     if len(rows) != m:
         raise MatrixFormatError(f"expected {int_text(m)} data rows, found {len(rows)}", last_line + 1)
-    return _from_parts(rows, denominators)
+    return from_pairs(*_integerize(rows))
 
 
 def parse_vector_text(text: str) -> Matrix:
@@ -111,12 +113,11 @@ def parse_vector_text(text: str) -> Matrix:
     tokens = text.split()
     if not tokens:
         raise MatrixFormatError("right-side vector is empty", 1)
-    denominators = {1}
-    return _from_parts([_read_row(tokens, text, 1, "right-side", denominators)], denominators)
+    return from_pairs(*_integerize([_read_row(tokens, text, 1, "right-side")]))
 
 
-def _read_row(tokens: list[str], body: str, lineno: int, what: str, denominators: set[int]) -> list[Parts]:
-    """The :func:`adjinv.scalars.token_parts` of one row's tokens; their denominators go into ``denominators``.
+def _read_row(tokens: list[str], body: str, lineno: int, what: str) -> list[Parts]:
+    """The :func:`adjinv.scalars.token_parts` of one row's tokens, their parts as written.
 
     A bad token is a MatrixFormatError at the line and column of its first
     offending character; ``body`` starts on line ``lineno`` and may span
@@ -125,10 +126,7 @@ def _read_row(tokens: list[str], body: str, lineno: int, what: str, denominators
     row = []
     try:
         for token in tokens:
-            parts = token_parts(token)
-            denominators.add(parts[1])
-            denominators.add(parts[3])
-            row.append(parts)
+            row.append(token_parts(token))
     except ScalarParseError as exc:
         match = list(_WORD.finditer(body))[len(row)]
         at = match.start() + exc.offset
@@ -136,13 +134,6 @@ def _read_row(tokens: list[str], body: str, lineno: int, what: str, denominators
         raise MatrixFormatError(f"bad {what} token {match.group()!r}: {exc}", lineno + len(breaks),
                                 at - (breaks[-1] if breaks else 0) + 1) from None
     return row
-
-
-def _from_parts(rows: list[list[Parts]], denominators: set[int]) -> Matrix:
-    """The Matrix of rows of token parts, over the one lcm of every denominator in them."""
-    scale = lcm(*denominators)
-    factor = {q: scale // q for q in denominators}
-    return from_pairs([[(a * factor[b], c * factor[d]) for a, b, c, d in row] for row in rows], scale)
 
 
 def parse_matrix_file(source) -> Matrix:

@@ -73,7 +73,7 @@ from typing import NamedTuple
 from . import elimination
 from .index_sets import enumerate_k_subsets
 from .matrices import Matrix, conjugate_transpose, from_pairs, index_chain, known_rank, require_square, scalar_of, sweep
-from .scalars import ONE, ZERO, Scalar
+from .scalars import ONE, ZERO, Scalar, entry_parts
 
 
 def _check_index_seq(seq, limit: int, what: str) -> tuple[int, ...]:
@@ -167,7 +167,7 @@ class Ledger(NamedTuple):
             # minors for a Gram g, or the product of the nonzero eigenvalues
             # of A^(k+1) at the core rank.
             raise ArithmeticError("ledger denominator vanished; this is a bug")
-        (((p, q),),), t = elimination.integerize([[d]])
+        (((p, q),),), t = elimination.integerize([[entry_parts(d)]])
         pairs, s = self.numerators.pairs, self.numerators.scale
         if not q:
             t, p = (t, p) if p > 0 else (-t, -p)

@@ -13,8 +13,12 @@ so binary rounding can never sneak in; decimal literals are parsed as exact
 base-10 rationals.
 One compiled grammar reads a token: :func:`token_parts` gives its
 numerators and denominators as written, which :func:`parse_scalar` makes a
-Scalar and :mod:`adjinv.matrix_io` scales straight into a matrix's pairs.
-The same match names the first offending character of a bad token.
+Scalar.  The same match names the first offending character of a bad token.
+:func:`entry_parts` is the one rule by which a value enters a matrix: a
+token's parts as written, a Scalar's, or an int's or Fraction's, and the
+Scalar constructor's TypeError for anything else.
+:func:`adjinv.elimination.integerize` scales rows of those parts into a
+matrix's pairs.
 Integers of any length go to and from decimal text through :func:`int_text`
 and :func:`int_of`, which never change the interpreter's int<->str digit cap.
 :func:`complex_text` is the one spelling of a complex value from its parts,
@@ -277,3 +281,20 @@ def parse_scalar(text: str) -> Scalar:
     """
     re_num, re_den, im_num, im_den = token_parts(text)
     return Scalar(Fraction(re_num, re_den), Fraction(im_num, im_den))
+
+
+def entry_parts(value) -> tuple[int, int, int, int]:
+    """One matrix entry as (real numerator, real denominator, imaginary numerator, imaginary denominator).
+
+    The one entry rule: a token string gives its :func:`token_parts`, as
+    written; a Scalar its reduced parts; anything else is made a rational by
+    the Scalar constructor's own rule, so an int or a Fraction is a real
+    entry, and a float or any other type raises the constructor's TypeError.
+    """
+    if isinstance(value, str):
+        return token_parts(value)
+    if isinstance(value, Scalar):
+        re, im = value.re, value.im
+        return re.numerator, re.denominator, im.numerator, im.denominator
+    q = _to_fraction(value)
+    return q.numerator, q.denominator, 0, 1

@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings
@@ -28,9 +28,13 @@ from adjinv import (
     rank,
     replace_column,
     replace_row,
+    row_vector,
 )
 from adjinv.elimination import integerize
 from adjinv.matrices import from_pairs
+from adjinv.matrix_io import parse_matrix_text, parse_vector_text
+from adjinv.minors import Ledger
+from adjinv.scalars import entry_parts
 from conftest import random_matrix
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=6)
@@ -152,7 +156,7 @@ def test_multiply_matches_literal_sum(pair):
     assert multiply(a, b) == literal_product(a, b)
     # from_pairs is the way back from the integer layer multiply works on.
     for m in pair:
-        assert from_pairs(*integerize(m.row_lists())) == m
+        assert from_pairs(*integerize([[entry_parts(e) for e in row] for row in m.row_lists()])) == m
 
 
 def test_from_pairs_at_scale_one_reads_no_part(monkeypatch):
@@ -369,6 +373,86 @@ def test_matrix_construction_errors():
         Matrix.from_rows([[0.5]])
     with pytest.raises(TypeError, match="cannot build an exact rational from NoneType"):
         Matrix.from_rows([[None]])
+    float_text = "float values are not exact; use int, Fraction, or a token string"
+    for build, text in ((lambda: Matrix(1, 1, [0.5]), float_text),
+                        (lambda: Matrix(1, 1, [object()]), "cannot build an exact rational from object"),
+                        (lambda: Matrix(2, 2, [1.5]), float_text)):  # every entry is read before the count
+        with pytest.raises(TypeError) as err:
+            build()
+        assert str(err.value) == text
+
+
+# One value per row, each in every form an entry may take: int, Fraction,
+# Scalar and tokens, some of them unreduced.
+ENTRY_FORMS = [
+    (Scalar(Fraction(1, 2)), [Fraction(1, 2), Scalar(Fraction(1, 2)), "1/2", "2/4", "0.50", "1/2+0i", "+1/2-0/3i"]),
+    (Scalar(3), [3, Fraction(6, 2), Scalar(3), "3", "03", "6/2", "3.0", "3+0i"]),
+    (Scalar(Fraction(-1, 3), 2), [Scalar(Fraction(-1, 3), 2), "-1/3+2i", "-2/6+4/2i", "-1/3--2.00i"]),
+    (Scalar(0, Fraction(5, 4)), [Scalar(0, Fraction(5, 4)), "5/4i", "1.25i", "0+10/8i"]),
+    (Scalar(0), [0, Fraction(0), Scalar(0), "0", "-0/7", "0.00", "0-0i"]),
+    (Scalar(Fraction(-7, 6)), [Fraction(-7, 6), Scalar(Fraction(-7, 6)), "-7/6", "-14/12", "-7/6+0/5i"]),
+]
+
+
+def lowest_terms_of(values: list[Scalar]) -> tuple[tuple[tuple[tuple[int, int], ...], ...], int]:
+    """The pairs and scale of the column ``values``, worked out from the reduced Fractions."""
+    scale = lcm(*(q.denominator for v in values for q in (v.re, v.im)))
+    return tuple(((int(v.re * scale), int(v.im * scale)),) for v in values), scale
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_every_route_into_the_format_gives_the_same_matrix(seed):
+    rng = random.Random(seed)
+    cases = rng.sample(ENTRY_FORMS, rng.randint(1, len(ENTRY_FORMS)))
+    values = [v for v, _ in cases]
+    forms = [rng.choice(f) for _, f in cases]
+    tokens = [f if isinstance(f, str) else str(f) for f in forms]
+    n = len(values)
+    column = lowest_terms_of(values)
+    row = (tuple(pair for (pair,) in column[0]),), column[1]
+    routes = [
+        (Matrix(n, 1, forms), column),
+        (Matrix.from_rows([[f] for f in forms]), column),
+        (column_vector(forms), column),
+        (row_vector(forms), row),
+        (parse_matrix_text(f"{n} 1\n" + "\n".join(tokens)), column),
+        (parse_vector_text(" ".join(tokens)), row),
+        (replace_column(Matrix.zeros(n, 1), 1, forms), column),
+        (replace_row(Matrix.zeros(1, n), 1, forms), row),
+    ]
+    for got, (pairs, scale) in routes:
+        assert (got.pairs, got.scale) == (pairs, scale)
+    # A scalar factor in each of its forms; a token is no factor.
+    for value, entry_forms in cases:
+        want = lowest_terms_of([value])
+        for f in entry_forms:
+            if not isinstance(f, str):
+                for got in (Matrix.identity(1) * f, f * Matrix.identity(1)):
+                    assert (got.pairs, got.scale) == want
+
+
+def test_only_operations_call_the_traced_integerize(monkeypatch):
+    # The benchmark counts elimination.integerize calls as conversions inside
+    # operations; building a Matrix and reading text take _integerize.
+    a = Matrix.from_rows([[1, "1/2"], [Fraction(1, 3), Scalar(0, 1)]])
+    ledger = Ledger(a, Scalar(2, -1))
+
+    def refuse(rows):
+        raise AssertionError("elimination.integerize called")
+
+    monkeypatch.setattr(adjinv.elimination, "integerize", refuse)
+    built = [
+        Matrix(2, 2, [1, "1/2", Fraction(1, 3), Scalar(0, 1)]),
+        Matrix.from_rows([[1, "2/4"], ["1/3", "1i"]]),
+        parse_matrix_text("2 2\n1 0.5\n2/6 0+1i"),
+    ]
+    assert all(m == a for m in built)
+    assert parse_vector_text("1 2/4") == row_vector([1, Fraction(1, 2)]) == Matrix(1, 2, ["1", "1/2"])
+    assert replace_column(a, 1, column_vector([2, 3])) == Matrix.from_rows([[2, "1/2"], [3, "1i"]])
+    for operation in (lambda: a * Fraction(1, 2), lambda: Scalar(0, 1) * a, lambda: replace_column(a, 1, [2, 3]),
+                      lambda: replace_row(a, 2, ["1/2", 3]), ledger.quotient):
+        with pytest.raises(AssertionError, match="elimination.integerize called"):
+            operation()
 
 
 def test_matrix_validation_branches():

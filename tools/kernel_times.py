@@ -32,8 +32,11 @@ integers of up to ``BITS`` bits, real and complex, and times:
   (``adjinv.matrices.index_chain``) and Berkowitz on that core;
 - ``read``: ``adjinv.matrix_io.parse_matrix_text`` on the text of the
   matrix divided by a seeded scale of up to ``BITS`` bits, so that its
-  tokens carry denominators.  The reader takes no kernel, so the two real
-  rows time the same work.
+  tokens carry denominators;
+- ``build``: ``Matrix(n, n, entries)`` on the same entries given as
+  Fractions (complex ones as Scalars of Fractions), the other route into
+  the exact format.  Neither takes a kernel, so the two real rows of
+  ``read`` and of ``build`` time the same work.
 
 Real inputs are timed twice, with ``elimination._INT_MIN`` set so that
 every kernel runs on int rows and every back substitution in its dot form
@@ -66,7 +69,7 @@ from adjinv import drazin, elimination, matrix_io, minors  # noqa: E402
 from adjinv.matrices import Matrix, from_pairs  # noqa: E402
 
 KERNELS = ("eliminate", "certify", "solve I", "solve y", "A A", "A y", "factor", "gram", "skeleton", "chain",
-           "charpoly", "read")
+           "charpoly", "read", "build")
 BITS = 8  # bit size of the random entries
 PASSES = 30  # timed calls of each kernel, one per pass
 
@@ -109,7 +112,9 @@ def kernel_times(n: int, complex_entries: bool) -> dict[str, float]:
     f = _full_rank(rng, half, n, complex_entries)
     f_star = elimination._conjugate_transpose(f)
     z = _matrix(rng, half, 1, complex_entries)
-    text = matrix_io.format_matrix(from_pairs(a, rng.randint(2, 1 << BITS)))
+    scaled = from_pairs(a, rng.randint(2, 1 << BITS))
+    text = matrix_io.format_matrix(scaled)
+    entries = [e if e.im else e.re for row in scaled.row_lists() for e in row]
     wide = _full_rank(random.Random(f"kernel_times:certify:{n}:{BITS}:{complex_entries}"), n, n + 4, complex_entries)
     indexed = _index_two(rng, n, complex_entries)
     if drazin.index_of(indexed) != 2:  # keeps the chain and its core's sweep
@@ -127,6 +132,7 @@ def kernel_times(n: int, complex_entries: bool) -> dict[str, float]:
         "chain": lambda: drazin._chain_ledger(indexed),
         "charpoly": lambda: minors.char_poly_coeffs(from_pairs(product, 1)),
         "read": lambda: matrix_io.parse_matrix_text(text),
+        "build": lambda: Matrix(n, n, entries),
     }
     best = dict.fromkeys(calls, float("inf"))
     for _ in range(PASSES):
