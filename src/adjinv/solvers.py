@@ -44,8 +44,8 @@ A keeps (:func:`adjinv.matrices.index_chain`, which also gives k and r) are
 applied to y, B_1 .. B_k adj(M_k)^(k+1) C_k .. C_1 y over det(M_k)^(k+1),
 with k + 1 one-column adjoint solves on the core (:mod:`adjinv.drazin`); at
 index 0 that is one solve from A's kept sweep, so A is eliminated once.
-Either way g = A^k y is k matrix-vector products when the core rank is
-positive.
+The report's g = A^k y takes k matrix-vector products when the core
+rank is positive, formed on its first read (:class:`SolveReport`).
 
 No solve fills the slot A keeps its results in: a lone solve makes its
 one-column ledger and forms neither the whole pseudoinverse nor the whole
@@ -60,11 +60,46 @@ vector.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from . import minors
 from .drazin import _chain_ledger
-from .matrices import Matrix, conjugate_transpose, held, index_chain, known_rank, multiply, require_square
+from .matrices import (Matrix, conjugate_transpose, from_pairs, held, index_chain, known_rank, multiply,
+                       require_square)
 from .scalars import Scalar
+
+
+class _Deferred(partial):
+    """A field value not formed yet: ``formed()`` forms it once and keeps it; racing threads get the first value."""
+
+    def formed(self):
+        kept = self.__dict__
+        return kept["value"] if "value" in kept else kept.setdefault("value", self())
+
+
+class _FormedOnRead:
+    """A dataclass field that may be given a :class:`_Deferred`, formed on first read and then kept.
+
+    A descriptor-typed field stays in ``dataclasses.fields`` and in the
+    generated ``__init__``, ``__eq__``, ``__hash__`` and ``__repr__``, which
+    read it like any attribute.  The value sits in the attribute ``_<name>``,
+    where the formed value replaces the deferral.
+    """
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name, self.private = name, "_" + name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            raise AttributeError(self.name)  # no class default: the field stays required
+        value = getattr(obj, self.private)
+        if isinstance(value, _Deferred):
+            value = value.formed()
+            object.__setattr__(obj, self.private, value)
+        return value
+
+    def __set__(self, obj, value) -> None:
+        object.__setattr__(obj, self.private, value)
 
 
 @dataclass(frozen=True)
@@ -73,14 +108,32 @@ class SolveReport:
 
     ``solution[j] * denominator == numerators[j]`` componentwise and the
     denominator is never zero.  ``transformed_rhs`` is the right side the
-    formulas actually consume (A* y, y A*, or A^k y).
+    formulas consume (A* y, y A*, or A^k y).  The ledger never reads it, so
+    it is formed on its first read and then kept; until then the report
+    holds A's pairs and y, not A and what A keeps.  So an unread report
+    retains A's m x n entries, where an eager one held only the m- or
+    n-entry vector; reading the field once releases them.
     """
 
     solution: Matrix
     method: str  # eq13 | eq14 | row_eq_fullrank | row_eq_general | eq16 | classical_cramer
     denominator: Scalar
     numerators: tuple[Scalar, ...]
-    transformed_rhs: Matrix
+    transformed_rhs: Matrix = _FormedOnRead()
+
+
+def _adjoint_product(pairs, scale: int, y: Matrix, row: bool) -> Matrix:
+    """A* y, or y A* for a row system, of A = pairs / scale."""
+    astar = conjugate_transpose(from_pairs(pairs, scale))
+    return multiply(y, astar) if row else multiply(astar, y)
+
+
+def _power_product(pairs, scale: int, k: int, y: Matrix) -> Matrix:
+    """A^k y of A = pairs / scale, by k matrix-vector products."""
+    a = from_pairs(pairs, scale)
+    for _ in range(k):
+        y = multiply(a, y)
+    return y
 
 
 def _held_gram(a: Matrix):
@@ -93,8 +146,7 @@ def lsq_solve(a: Matrix, y: Matrix) -> SolveReport:
     """Minimal-norm least squares solution of A x = y (y is m x 1)."""
     if not (y.cols == 1 and y.rows == a.rows):
         raise ValueError(f"right side must be {a.rows}x1, got {y.rows}x{y.cols}")
-    astar = conjugate_transpose(a)
-    f = multiply(astar, y)
+    f = _Deferred(_adjoint_product, a.pairs, a.scale, y, False)
     res = _held_gram(a)
     ledger = (minors.Ledger(multiply(res.numerators, y), res.denominator) if res
               else minors.skeleton_ledger(a, y))
@@ -106,8 +158,7 @@ def lsq_solve_row_system(y: Matrix, a: Matrix) -> SolveReport:
     """Minimal-norm least squares solution of the row system x A = y (y is 1 x n)."""
     if not (y.rows == 1 and y.cols == a.cols):
         raise ValueError(f"right side must be 1x{a.cols}, got {y.rows}x{y.cols}")
-    astar = conjugate_transpose(a)
-    g = multiply(y, astar)
+    g = _Deferred(_adjoint_product, a.pairs, a.scale, y, True)
     res = _held_gram(a)
     # y A+ = ((A*)+ y*)*, from the skeleton of A* that the sweep of A gives.
     ledger = (minors.Ledger(multiply(y, res.numerators), res.denominator) if res
@@ -126,9 +177,8 @@ def drazin_solve(a: Matrix, y: Matrix) -> SolveReport:
     if not (y.cols == 1 and y.rows == a.rows):
         raise ValueError(f"right side must be {a.rows}x1, got {y.rows}x{y.cols}")
     k, r, _, _ = index_chain(a)
-    g = y if r else Matrix.zeros(a.rows, 1)  # A^k = 0 at core rank 0
-    for _ in range(k if r else 0):
-        g = multiply(a, g)
+    # A^k = 0 at core rank 0.
+    g = _Deferred(_power_product, a.pairs, a.scale, k, y) if r else Matrix.zeros(a.rows, 1)
     res = held(a, "eq11")
     ledger = minors.Ledger(multiply(res.numerators, y), res.denominator) if res else _chain_ledger(a, y)
     method = "classical_cramer" if k == 0 else "eq16"

@@ -1,4 +1,9 @@
+import gc
 import random
+import sys
+import threading
+import weakref
+from dataclasses import MISSING, FrozenInstanceError, fields, replace
 from fractions import Fraction
 
 import pytest
@@ -8,6 +13,7 @@ from adjinv import (
     ZERO,
     Matrix,
     Scalar,
+    SolveReport,
     column_vector,
     conjugate_transpose,
     drazin_inverse,
@@ -24,7 +30,10 @@ from adjinv import (
     rank,
     row_vector,
 )
-from conftest import rank_forced_matrix
+from adjinv import elimination, minors
+from adjinv.drazin import _chain_ledger
+from adjinv.matrices import from_pairs
+from conftest import drazin_case, rank_forced_matrix
 
 GOLDEN_SOLUTION = column_vector(
     [Fraction(12193, 17010), Fraction(-24960, 102060), Fraction(5, 9), Fraction(5693, 8505)]
@@ -203,3 +212,131 @@ def test_solution_ledger_invariant(example1, example2, rhs_1231):
         flat = rep.solution.column(0) if rep.solution.cols == 1 else rep.solution.row(0)
         for value, num in zip(flat, rep.numerators):
             assert value * rep.denominator == num
+
+
+# -- the transformed right side, formed on first read --------------------------------
+
+
+def _vector(rng: random.Random, rows: int, cols: int) -> Matrix:
+    return Matrix(rows, cols, [Scalar(rng.randint(-3, 3), rng.randint(-2, 2)) for _ in range(rows * cols)])
+
+
+def _transformed_cases():
+    """(id, solve, A, y, what keeps A's ledger, the lone solve's kernel, the transformed right side, its products)."""
+    rng = random.Random(71)
+    cases = []
+    for m, n, r in ((4, 3, 2), (5, 3, 3), (3, 5, 2)):
+        a = rank_forced_matrix(rng, m, n, r, complex_entries=True)
+        y, yr, astar = _vector(rng, m, 1), _vector(rng, 1, n), conjugate_transpose(a)
+        cases += [
+            (f"lsq {m}x{n} rank {r}", lsq_solve, a, y, mp_inverse, minors.skeleton_ledger, multiply(astar, y), 1),
+            (f"row {m}x{n} rank {r}", lambda a, y: lsq_solve_row_system(y, a), a, yr, mp_inverse,
+             lambda a, y: minors.skeleton_ledger(a, conjugate_transpose(y), adjoint=True), multiply(yr, astar), 1),
+        ]
+    for n, k, cx, nilpotent in ((5, 2, True, False), (6, 3, False, False), (3, 0, False, False),
+                                (4, 2, True, True), (3, 3, False, True)):
+        a = drazin_case(rng, n, k, cx)[0]
+        while power(a, k).is_zero != nilpotent:  # the size of the nilpotent part is drawn
+            a = drazin_case(rng, n, k, cx)[0]
+        y = _vector(rng, n, 1)
+        cases.append((f"drazin n={n} index {k}" + " nilpotent" * nilpotent, drazin_solve, a, y, drazin_inverse,
+                      _chain_ledger, multiply(power(a, k), y), 0 if nilpotent else k))
+    return cases
+
+
+TRANSFORMED_CASES = _transformed_cases()
+
+
+def _count_products(monkeypatch) -> list:
+    """A list that gains one item per ``elimination.matmul_pairs`` call from now on."""
+    calls, matmul = [], elimination.matmul_pairs
+    monkeypatch.setattr(elimination, "matmul_pairs", lambda a, b: calls.append(None) or matmul(a, b))
+    return calls
+
+
+@pytest.mark.parametrize("kept", [False, True], ids=["lone", "kept"])
+@pytest.mark.parametrize("case", TRANSFORMED_CASES, ids=[c[0] for c in TRANSFORMED_CASES])
+def test_transformed_rhs_formed_on_first_read(monkeypatch, case, kept):
+    _, solve, a, y, keep, kernel, want, products = case
+    a, other = from_pairs(a.pairs, a.scale), from_pairs(a.pairs, a.scale)
+    if kept:
+        keep(a)
+    calls = _count_products(monkeypatch)
+    # A kept ledger makes the numerators one product; a lone solve takes its kernel's.
+    alone = 1 if kept else (kernel(other, y), len(calls))[1]
+    calls.clear()
+    rep = solve(a, y)
+    assert len(calls) == alone
+    calls.clear()
+    assert rep.transformed_rhs == want
+    assert len(calls) == products
+    assert rep.transformed_rhs is rep.transformed_rhs
+    assert len(calls) == products
+
+
+def test_transformed_rhs_field_is_unchanged(example1, example2, rhs_1231):
+    assert [(f.name, f.type, f.default) for f in fields(SolveReport)] == [
+        ("solution", "Matrix", MISSING), ("method", "str", MISSING), ("denominator", "Scalar", MISSING),
+        ("numerators", "tuple[Scalar, ...]", MISSING), ("transformed_rhs", "Matrix", MISSING)]
+    for solve, want in ((lambda: lsq_solve(example1, rhs_1231), multiply(example1.H, rhs_1231)),
+                        (lambda: lsq_solve_row_system(rhs_1231.H, example1), multiply(rhs_1231.H, example1.H)),
+                        (lambda: drazin_solve(example2, rhs_1231), multiply(power(example2, 2), rhs_1231))):
+        rep = solve()
+        formed = SolveReport(rep.solution, rep.method, rep.denominator, rep.numerators, want)
+        # Each check starts from a report whose transformed right side is not read yet.
+        assert solve() == formed and formed == solve()
+        assert hash(solve()) == hash(formed)
+        assert repr(solve()) == repr(formed)
+        assert replace(solve(), method="x") == replace(formed, method="x")
+        assert replace(solve(), transformed_rhs=ONE).transformed_rhs == ONE
+        unread = solve()
+        with pytest.raises(FrozenInstanceError):
+            unread.transformed_rhs = want
+        with pytest.raises(FrozenInstanceError):
+            del unread.transformed_rhs
+        assert unread.transformed_rhs == want
+        with pytest.raises(FrozenInstanceError):
+            unread.transformed_rhs = want
+
+
+class _Tracked(Matrix):
+    """A Matrix that takes weak references (Matrix's slots have none)."""
+
+
+@pytest.mark.parametrize("kept", [False, True], ids=["lone", "kept"])
+@pytest.mark.parametrize("case", TRANSFORMED_CASES, ids=[c[0] for c in TRANSFORMED_CASES])
+def test_unread_report_does_not_keep_a_alive(case, kept):
+    _, solve, a, y, keep, _, want, _ = case
+    a = _Tracked.from_rows(a.row_lists())
+    if kept:
+        keep(a)
+    rep = solve(a, y)
+    ref = weakref.ref(a)
+    del a
+    gc.collect()
+    assert ref() is None
+    assert rep.transformed_rhs == want
+
+
+def test_racing_readers_get_the_first_transformed_rhs():
+    _, solve, a, y, _, _, want, _ = TRANSFORMED_CASES[-4]  # Drazin, index 3: three products per forming
+    rep = solve(from_pairs(a.pairs, a.scale), y)
+    start, got = threading.Barrier(8), []
+
+    def read():
+        start.wait(timeout=10)
+        got.append(rep.transformed_rhs)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(got) == 8 and all(g is got[0] for g in got) and got[0] == want
+    assert rep.transformed_rhs is got[0]
