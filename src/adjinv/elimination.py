@@ -109,7 +109,8 @@ _ZERO: Pair = (0, 0)
 _ONE: Pair = (1, 0)
 
 # The least dimension at which a real sweep, Gram solve or product runs on
-# int rows (tools/kernel_times.py measures both forms).  Converting in and out
+# int rows (to weigh a new value, set it in the working tree and run
+# tools/ab.py HEAD, which times both trees' kernels).  Converting in and out
 # reads every entry twice more, and below this size that costs more than the
 # int loop saves, or saves too little to show; a matrix-vector product never
 # pays.

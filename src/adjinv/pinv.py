@@ -38,7 +38,7 @@ literal evaluation needs fewer minors by the budget's count.  A matrix
 keeps that result (:func:`adjinv.matrices.kept`), so repeated calls and
 the projectors share one kernel call; the literal forms are never kept.  A
 least squares solve on A multiplies the kept numerators by its right side,
-unless they are a classical inverse's (:mod:`adjinv.solvers`).  The
+a classical inverse's scaled by conj(det A) (:mod:`adjinv.solvers`).  The
 projectors A+ A and A A+ are the identity when that rank is n (m), and
 otherwise the pseudoinverse A keeps, times A: A+ A = L A / d_r(A*A) for
 the numerators L, the paper's projector ledger.  That product is Hermitian,

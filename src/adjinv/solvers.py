@@ -8,11 +8,11 @@ numerators L = N_r(A*A) @ A* of the pseudoinverse, just as adj(A) @ b is
 Cramer's rule for every b.  A matrix that keeps its pseudoinverse
 (:func:`adjinv.pinv.mp_inverse`, read by :func:`adjinv.matrices.held`) hands
 over L and d_r(A*A), so the numerators are one product.  A kept classical
-inverse does not serve: it is over det A, not over d_n(A*A) = |det A|^2.
-Otherwise the skeleton of the sweep A keeps
-(:func:`adjinv.minors.skeleton_ledger`) applies its factors to y, solving
-r x r systems for one column each.  With full column rank N_r is the
-classical adjugate and the components are the determinant ratios of
+inverse adj(A) / det A serves too, scaled by conj(det A): adj(A*A) A* =
+conj(det A) adj(A) and d_n(A*A) = |det A|^2.  Otherwise the skeleton of the
+sweep A keeps (:func:`adjinv.minors.skeleton_ledger`) applies its factors to
+y, solving r x r systems for one column each.  With full column rank N_r is
+the classical adjugate and the components are the determinant ratios of
 Cramer's rule over A*A and f ("eq13"): the skeleton's square factor drops
 out, and one adjoint solve of A*A (of AA* for a square A) remains, read
 from A alone.  The rank is read by :func:`adjinv.matrices.known_rank`, so
@@ -136,10 +136,20 @@ def _power_product(pairs, scale: int, k: int, y: Matrix) -> Matrix:
     return y
 
 
-def _held_gram(a: Matrix):
-    """The pseudoinverse ``a`` keeps, over d_r(A*A), or None (a classical inverse is over det A)."""
+def _held_gram(a: Matrix, product) -> minors.Ledger | None:
+    """(product(L), d_r(A*A)) for L = d_r(A*A) A+ from what ``a`` keeps, or None if it keeps neither.
+
+    A kept pseudoinverse is (L, d_r(A*A)).  A kept classical inverse is A's
+    index-0 eq11 result (N, d) = (adj A, det A), and L = conj(d) N.
+    """
     res = held(a, "pinv")
-    return None if res is None or res.representation_used == "classical_inverse" else res
+    if res is not None and res.representation_used != "classical_inverse":
+        return minors.Ledger(product(res.numerators), res.denominator)
+    res = held(a, "eq11")
+    if res is None or res.index:
+        return None
+    conj = res.denominator.conjugate()
+    return minors.Ledger(product(res.numerators) * conj, res.denominator * conj)
 
 
 def lsq_solve(a: Matrix, y: Matrix) -> SolveReport:
@@ -147,9 +157,7 @@ def lsq_solve(a: Matrix, y: Matrix) -> SolveReport:
     if not (y.cols == 1 and y.rows == a.rows):
         raise ValueError(f"right side must be {a.rows}x1, got {y.rows}x{y.cols}")
     f = _Deferred(_adjoint_product, a.pairs, a.scale, y, False)
-    res = _held_gram(a)
-    ledger = (minors.Ledger(multiply(res.numerators, y), res.denominator) if res
-              else minors.skeleton_ledger(a, y))
+    ledger = _held_gram(a, lambda numerators: multiply(numerators, y)) or minors.skeleton_ledger(a, y)
     method = "eq13" if known_rank(a) == a.cols else "eq14"
     return SolveReport(ledger.quotient(), method, ledger.denominator, ledger.numerators.column(0), f)
 
@@ -159,10 +167,9 @@ def lsq_solve_row_system(y: Matrix, a: Matrix) -> SolveReport:
     if not (y.rows == 1 and y.cols == a.cols):
         raise ValueError(f"right side must be 1x{a.cols}, got {y.rows}x{y.cols}")
     g = _Deferred(_adjoint_product, a.pairs, a.scale, y, True)
-    res = _held_gram(a)
     # y A+ = ((A*)+ y*)*, from the skeleton of A* that the sweep of A gives.
-    ledger = (minors.Ledger(multiply(y, res.numerators), res.denominator) if res
-              else minors.skeleton_ledger(a, conjugate_transpose(y), adjoint=True).adjoint())
+    ledger = (_held_gram(a, partial(multiply, y))
+              or minors.skeleton_ledger(a, conjugate_transpose(y), adjoint=True).adjoint())
     method = "row_eq_fullrank" if known_rank(a) == a.rows else "row_eq_general"
     return SolveReport(ledger.quotient(), method, ledger.denominator, ledger.numerators.row(0), g)
 

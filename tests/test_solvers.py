@@ -18,6 +18,7 @@ from adjinv import (
     conjugate_transpose,
     drazin_inverse,
     drazin_solve,
+    group_inverse,
     lsq_solve,
     lsq_solve_row_system,
     minor,
@@ -33,7 +34,7 @@ from adjinv import (
 from adjinv import elimination, minors
 from adjinv.drazin import _chain_ledger
 from adjinv.matrices import from_pairs
-from conftest import drazin_case, rank_forced_matrix
+from conftest import drazin_case, random_invertible, rank_forced_matrix
 
 GOLDEN_SOLUTION = column_vector(
     [Fraction(12193, 17010), Fraction(-24960, 102060), Fraction(5, 9), Fraction(5693, 8505)]
@@ -212,6 +213,31 @@ def test_solution_ledger_invariant(example1, example2, rhs_1231):
         flat = rep.solution.column(0) if rep.solution.cols == 1 else rep.solution.row(0)
         for value, num in zip(flat, rep.numerators):
             assert value * rep.denominator == num
+
+
+# -- a kept classical inverse serves the least squares solves -----------------------
+
+_NONSINGULAR = [(n, cx, random_invertible(random.Random(n + 100 * cx), n, cx))
+                for n in (4, elimination._INT_MIN + 2) for cx in (False, True)]
+
+
+@pytest.mark.parametrize("keep", [mp_inverse, drazin_inverse, group_inverse])
+@pytest.mark.parametrize("case", _NONSINGULAR, ids=[f"n={n}{' complex' * cx}" for n, cx, _ in _NONSINGULAR])
+def test_lsq_solves_read_a_kept_classical_inverse(monkeypatch, case, keep):
+    # adj(A*A) A* = conj(det A) adj(A) and d_n(A*A) = |det A|^2: one product and no Gram solve.
+    n, _, a = case
+    rng = random.Random(n)
+    solves = ((lsq_solve, _vector(rng, n, 1)), (lambda a, y: lsq_solve_row_system(y, a), _vector(rng, 1, n)))
+    alone = [solve(from_pairs(a.pairs, a.scale), y) for solve, y in solves]
+    a = from_pairs(a.pairs, a.scale)
+    keep(a)
+    calls, grams, gram_solve = _count_products(monkeypatch), [], elimination.gram_solve_pairs
+    monkeypatch.setattr(elimination, "gram_solve_pairs", lambda *args: grams.append(None) or gram_solve(*args))
+    for (solve, y), want in zip(solves, alone):
+        calls.clear()
+        rep = solve(a, y)
+        assert (len(calls), grams) == (1, [])
+        assert rep == want
 
 
 # -- the transformed right side, formed on first read --------------------------------

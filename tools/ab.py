@@ -1,37 +1,76 @@
-"""Time the library's operations on two trees in one process, call by call, and print one table.
+"""Time the library on two trees in one process, call by call, and print one table.
 
-    python tools/ab.py REV [--pairs 10] [--json PATH]
+    python tools/ab.py REV [--pairs 10] [--sizes 8 12 20 40] [--json PATH]
 
 ``git archive`` extracts REV's ``src/adjinv`` into a temporary directory,
 and it is imported as the package ``adjinv_parent`` beside the working
 tree's ``adjinv`` (both use relative imports only, so each tree runs its own
-modules).  The inputs are rounds 0-3 of seed 1 of the three library
-workloads (``pinv-deficient``, ``drazin-index`` and ``fullrank-dense``),
-each round built by the benchmark's own builder in
-``perfbench/workloads.py``.  Each case keeps its matrix text, its right
-sides as text, and its ops in the benchmark's order: the op's name from
-its id, and which texts its arguments are, read off the benchmark's call.
-Each op is called as the same name on each tree's package.
+modules, each at its own ``elimination._INT_MIN`` gate).  There are two kinds
+of input.
 
-A pair runs every input once on each tree.  For each input, each tree reads
-the same matrix text with its own ``parse_matrix_text`` (timed as an op of
-its own) and its right sides with the same reader, untimed, so both start
-from fresh matrices that keep nothing; then it runs the workload's op
-sequence on them in the benchmark's order, so a later op reads what an
-earlier one kept, and each call is timed.  The tree that goes first
-alternates from input to input and from pair to pair.  After both trees
-ran an input, the results are compared in a form neither tree's classes
-enter (a Matrix as its entries, a Scalar as its parts, a result class as
-its fields, a raised error as its type and message); any difference stops
-the run with exit status 1.
+Workload inputs are rounds 0-3 of seed 1 of the three library workloads
+(``pinv-deficient``, ``drazin-index`` and ``fullrank-dense``), each round
+built by the benchmark's own builder in ``perfbench/workloads.py``.  Each
+case keeps its matrix text, its right sides as text, and its ops in the
+benchmark's order: the op's name from its id, and which texts its arguments
+are, read off the benchmark's call.  Each tree reads the matrix text with its
+own ``parse_matrix_text`` (timed as an op of its own) and its right sides
+with the same reader, untimed, so both start from fresh matrices that keep
+nothing; then it calls each op by name on its package, in the benchmark's
+order, so a later op reads what an earlier one kept.
 
-Per op (``workload/op``), a pair's time on each tree is the sum over the
-op's calls in the pair, and the pair's ratio is change/parent, the working
-tree over REV.  The table gives each tree's median time per pair in
-milliseconds, the median ratio, its quartiles, and the pairs in which the
-change was faster (ties count for neither).  ``--json PATH`` writes the
-same report.  Uses only the standard library and the benchmark's
-workload modules; a measuring aid, not a test.
+Kernel inputs are built at each n of ``--sizes``, real and complex, from
+seeded matrices of ``BITS``-bit integers: a nonsingular n x n A, a column
+y, a full-rank n x (n+4) matrix, a rank-n/2 product of random n x n/2 and
+n/2 x n factors, a full-row-rank n/2 x n F and a column z, and a matrix of
+index 2 (S B S^-1 for B an invertible n/2 x n/2 core, a 2 x 2 nilpotent
+Jordan block and zeros, S a unit lower times a unit upper triangular
+matrix of entries -1..1).  Each cell forms its arguments on the tree's own
+modules, untimed, and times one call.  Timed only, on private kernels whose
+return conventions change between revisions: ``eliminate`` (the sweep of
+A), ``certify`` (``full_rank_mod_p`` of the n x (n+4) matrix), ``solve I``
+and ``solve y`` (``adjoint_solve_pairs`` from A's sweep), ``A A`` and
+``A y`` (``matmul_pairs``), ``factor`` (``row_factor_pairs`` from the
+product's sweep), ``gram`` (F F* by ``hermitian_matmul_pairs`` and its
+``gram_solve_pairs`` on z), ``skeleton`` (``skeleton_ledger_pairs`` of the
+product and its sweep) and ``chain`` (``drazin._chain_ledger`` of the
+index-2 matrix, its chain kept).  A cell either tree cannot form or call
+prints as absent, with the error, and the other cells still run.  Compared
+like the workload ops, on public names: ``build`` (``Matrix(n, n,
+entries)`` on the entries of A over a seeded scale, as Fractions, complex
+ones as the tree's Scalars), and, as an op sequence of its own,
+``parse_matrix_text`` of the text of A over that scale (so its tokens carry
+denominators), then ``char_poly_coeffs``, ``mp_inverse`` and
+``drazin_inverse``, each on a fresh product read untimed.  Up to n =
+``PRIME_MAX``, ``n=N prime`` reads the nonsingular prime family and runs
+``mp_inverse`` on it: entry (i, j) = k/p_ij, k in +-1..5 and p_ij distinct
+among the first n^2 primes, shuffled by ``random.Random(1)``; its common
+scale grows with those primes.  The cells' cost grows fast with n: at
+n = 100 one real call of ``drazin_inverse`` took 190 s and one of ``chain``
+109 s on a shared 2-vCPU x86 host under Python 3.11, so a pair there takes
+over ten minutes.
+
+A pair runs every input once on each tree, with ``gc.collect()`` before
+each tree runs each input, so neither tree collects the other's garbage.
+The tree that goes first alternates from input to input and from pair to
+pair.  After both trees ran an input, its compared results are compared in a
+form neither tree's classes enter (a Matrix as its entries, a Scalar as its
+parts, a result class as its fields, a raised error as its type and
+message); any difference stops the run with exit status 1.
+
+Per row (``workload/op``, ``n=12 real/cell`` or ``n=12 real/op``), a
+pair's time on each tree is the sum over the row's calls in the pair, and
+the pair's ratio is change/parent, the working tree over REV.  The table
+gives each tree's median time per pair in milliseconds, the spread of the
+parent's times (the distance between their quartiles), the median ratio and
+its quartiles, the pairs the change won (ties count for neither), and a
+verdict: "faster" or "slower" when, over at least 10 pairs, the change wins,
+or loses, at least 9 in 10 and the medians differ by more than that
+spread; "unresolved" otherwise, and always below 10 pairs.
+``--json PATH`` writes the same report.  To weigh a change of ``_INT_MIN``,
+move the gate in the working tree and run against HEAD.  Uses only the
+standard library and the benchmark's workload modules; a measuring aid, not
+a test.
 """
 
 from __future__ import annotations
@@ -48,24 +87,59 @@ import subprocess
 import sys
 import tempfile
 import time
+import types
+from fractions import Fraction
+from functools import partial
+from itertools import count, islice
+from math import isqrt
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 import adjinv  # noqa: E402
+from adjinv import elimination  # noqa: E402
+from adjinv.matrices import from_pairs  # noqa: E402
 from perfbench import corpus, workloads  # noqa: E402
 
 PARENT = "adjinv_parent"
 WORKLOADS = ("pinv-deficient", "drazin-index", "fullrank-dense")
 ROUNDS, SEED = 4, 1  # rounds 0-3 of seed 1 in each pair
+BITS = 8  # bit size of the kernel inputs' random entries
+PRIME_MAX = 20  # largest n of the prime cell
+
+
+def _timed(times: dict, key: str, setup):
+    """Form the call (function, *arguments) = setup(), untimed, and call it; return its result, or the exception
+    either step raised, with the call's seconds added to ``times[key]``."""
+    try:
+        call, *args = setup()
+    except Exception as exc:  # a name this tree lacks, or calls otherwise
+        return exc
+    t = time.perf_counter()
+    try:
+        value = call(*args)
+    except Exception as exc:  # an expected refusal (GroupInverseError) is a result like any other
+        value = exc
+    times[key] = times.get(key, 0.0) + time.perf_counter() - t
+    return value
 
 
 @dataclasses.dataclass(frozen=True)
 class Input:
-    workload: str
+    label: str  # the workload, or "n=12 real" or "n=12 prime" for a kernel input
     texts: tuple[str, ...]  # matrix-file texts of A and of its right sides
     ops: tuple[tuple[str, tuple[int, ...]], ...]  # (op, indices into texts of its arguments), in order
+
+    def run(self, tree, times: dict) -> list:
+        """(key, result, compared) of each call of the op sequence on one tree; each call's seconds go to ``times``."""
+        read, key = tree.parse_matrix_text, f"{self.label}/parse_matrix_text"
+        a = _timed(times, key, lambda: (read, self.texts[0]))
+        values, results = [a] + [read(t) for t in self.texts[1:]], [(key, a, True)]
+        for op, args in self.ops:
+            key = f"{self.label}/{op}"
+            results.append((key, _timed(times, key, lambda: (getattr(tree, op), *(values[i] for i in args))), True))
+        return results
 
 
 def _input(workload: str, case, ops) -> Input:
@@ -84,8 +158,102 @@ def _input(workload: str, case, ops) -> Input:
     return Input(workload, tuple(texts), tuple(calls))
 
 
-def build_inputs() -> list[Input]:
-    """Rounds 0 .. ROUNDS-1 of SEED of the library workloads, built by the benchmark's own round builders."""
+def _read_chain(tree, text: str):
+    """A fresh matrix of ``tree`` read from ``text``, keeping its index chain."""
+    m = tree.parse_matrix_text(text)
+    tree.index_of(m)
+    return m
+
+
+# Cell name -> setup(tree, inputs): the call and its arguments, formed untimed on the tree's own modules.
+CELLS = {
+    "eliminate": lambda t, c: (t.elimination.eliminate, c.a),
+    "certify": lambda t, c: (t.elimination.full_rank_mod_p, c.wide),
+    "solve I": lambda t, c: (t.elimination.adjoint_solve_pairs, t.elimination.eliminate(c.a)),
+    "solve y": lambda t, c: (t.elimination.adjoint_solve_pairs, t.elimination.eliminate(c.a), c.y),
+    "A A": lambda t, c: (t.elimination.matmul_pairs, c.a, c.a),
+    "A y": lambda t, c: (t.elimination.matmul_pairs, c.a, c.y),
+    "factor": lambda t, c: (t.elimination.row_factor_pairs, t.elimination.eliminate(c.product)),
+    "gram": lambda t, c: (lambda e: e.gram_solve_pairs(e.hermitian_matmul_pairs(c.f, c.f_star), c.z), t.elimination),
+    "skeleton": lambda t, c: (t.elimination.skeleton_ledger_pairs, c.product, t.elimination.eliminate(c.product)),
+    "chain": lambda t, c: (t.drazin._chain_ledger, _read_chain(t, c.indexed)),
+    "build": lambda t, c: (t.Matrix, c.n, c.n,
+                           [e if e.im else e.re for row in t.parse_matrix_text(c.texts[0]).row_lists() for e in row]),
+}
+
+
+class Cells(types.SimpleNamespace):
+    """The kernel inputs of one size and kind, as integer pairs and matrix texts, which no tree's classes enter."""
+
+    def run(self, tree, times: dict) -> list:
+        """(key, result, compared) of each cell on one tree, only ``build`` compared; each call's seconds go to
+        ``times``."""
+        results = []
+        for name, setup in CELLS.items():
+            key = f"{self.label}/{name}"
+            results.append((key, _timed(times, key, partial(setup, tree, self)), name == "build"))
+        return results
+
+
+def _matrix(rng: random.Random, rows: int, cols: int, complex_entries: bool):
+    top = (1 << BITS) - 1
+    return [[(rng.randint(-top, top), rng.randint(-top, top) if complex_entries else 0)
+             for _ in range(cols)] for _ in range(rows)]
+
+
+def _full_rank(rng: random.Random, rows: int, cols: int, complex_entries: bool):
+    while True:
+        a = _matrix(rng, rows, cols, complex_entries)
+        if elimination.eliminate(a).rank == min(rows, cols):
+            return a
+
+
+def _index_two(rng: random.Random, n: int, complex_entries: bool):
+    """S B S^-1 of index 2 (see the module docstring); det S = 1, so S^-1 = adj(S) = X f."""
+    half = n // 2
+    b = [row + [(0, 0)] * (n - half) for row in _full_rank(rng, half, half, complex_entries)]
+    b += [[(0, 0)] * n for _ in range(n - half)]
+    b[half][half + 1] = (1, 0)
+    lower = [[(rng.randint(-1, 1) if j < i else int(i == j), 0) for j in range(n)] for i in range(n)]
+    upper = [[(rng.randint(-1, 1) if j > i else int(i == j), 0) for j in range(n)] for i in range(n)]
+    s = elimination.matmul_pairs(lower, upper)
+    x, _, f = elimination.adjoint_solve_pairs(elimination.eliminate(s))
+    return from_pairs(elimination.matmul_pairs(elimination.matmul_pairs(s, b), x), 1) * f
+
+
+def _prime_input(n: int) -> Input:
+    """``mp_inverse`` of the nonsingular prime-family matrix of size n (see the module docstring)."""
+    rng = random.Random(1)
+    primes = list(islice((p for p in count(2) if all(p % d for d in range(2, isqrt(p) + 1))), n * n))
+    rng.shuffle(primes)
+    ks = (rng.choice((-5, -4, -3, -2, -1, 1, 2, 3, 4, 5)) for _ in primes)
+    text = adjinv.format_matrix(adjinv.Matrix(n, n, map(Fraction, ks, primes)))
+    return Input(f"n={n} prime", (text,), (("mp_inverse", (0,)),))
+
+
+def build_cells(n: int, complex_entries: bool) -> list:
+    """The kernel inputs of size n, built by the working tree from seeds that fix them across runs and trees:
+    the cells, and the reads and public operations compared like the workload ops."""
+    # The seeds of the kernel timing tool these cells replace, so its inputs stay the same.
+    rng = random.Random(f"kernel_times:{n}:{BITS}:{complex_entries}")
+    c = Cells(label=f"n={n} {'complex' if complex_entries else 'real'}", n=n, a=_full_rank(rng, n, n, complex_entries))
+    c.y, half = _matrix(rng, n, 1, complex_entries), max(n // 2, 1)
+    c.product = elimination.matmul_pairs(_matrix(rng, n, half, complex_entries), _matrix(rng, half, n, complex_entries))
+    c.f = _full_rank(rng, half, n, complex_entries)
+    c.f_star, c.z = elimination._conjugate_transpose(c.f), _matrix(rng, half, 1, complex_entries)
+    c.texts = (adjinv.format_matrix(from_pairs(c.a, rng.randint(2, 1 << BITS))),)  # A over a seeded scale
+    c.wide = _full_rank(random.Random(f"kernel_times:certify:{n}:{BITS}:{complex_entries}"), n, n + 4, complex_entries)
+    indexed = _index_two(rng, n, complex_entries)
+    if adjinv.index_of(indexed) != 2:
+        raise AssertionError("the chain input does not have index 2")
+    c.indexed = adjinv.format_matrix(indexed)
+    ops = (("char_poly_coeffs", (1,)), ("mp_inverse", (2,)), ("drazin_inverse", (3,)))  # each on a fresh product
+    return [c, Input(c.label, c.texts + (adjinv.format_matrix(from_pairs(c.product, 1)),) * 3, ops)]
+
+
+def build_inputs(sizes: list[int]) -> list:
+    """Rounds 0 .. ROUNDS-1 of SEED of the library workloads, built by the benchmark's own round builders,
+    then the kernel inputs of each size, real and complex, and the prime family's up to ``PRIME_MAX``."""
     inputs = []
     for i in range(ROUNDS):
         for w in WORKLOADS:
@@ -93,21 +261,17 @@ def build_inputs() -> list[Input]:
             for case in rnd.cases:
                 ops = [op for op in rnd.ops if op.op_id.startswith(case.key + ".")]
                 inputs.append(_input(w, case, ops))
-    return inputs
+    inputs += [item for n in sizes for cx in (False, True) for item in build_cells(n, cx)]
+    return inputs + [_prime_input(n) for n in sizes if n <= PRIME_MAX]
 
 
 def import_revision(rev: str, where: Path):
-    """Extract REV's src/adjinv under ``where``, import it as the package ``adjinv_parent`` and return it."""
-    archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev, "src/adjinv"],
-                             check=True, capture_output=True).stdout
+    """Extract REV's src/adjinv as ``where``/adjinv_parent, import it as the package ``adjinv_parent`` and return it."""
+    archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", f"--prefix={PARENT}/",
+                              f"{rev}:src/adjinv"], check=True, capture_output=True).stdout
     subprocess.run(["tar", "-x", "-C", str(where)], input=archive, check=True)
-    package = where / "src" / "adjinv"
-    spec = importlib.util.spec_from_file_location(PARENT, package / "__init__.py",
-                                                  submodule_search_locations=[str(package)])
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[PARENT] = module
-    spec.loader.exec_module(module)
-    return module
+    sys.path.insert(0, str(where))
+    return importlib.import_module(PARENT)
 
 
 def canonical(value):
@@ -126,56 +290,44 @@ def canonical(value):
     return value
 
 
-def _timed(times: dict, key: str, call, *args):
-    """call(*args), or the exception it raised, with its seconds added to ``times[key]``."""
-    t = time.perf_counter()
-    try:
-        value = call(*args)
-    except Exception as exc:  # an expected refusal (GroupInverseError) is a result like any other
-        value = exc
-    times[key] = times.get(key, 0.0) + time.perf_counter() - t
-    return value
-
-
-def run_input(package, item: Input, times: dict) -> list:
-    """Run one input's op sequence on one tree's package; add each call's seconds to ``times``; return the results."""
-    read = package.parse_matrix_text
-    a = _timed(times, f"{item.workload}/parse_matrix_text", read, item.texts[0])
-    values = [a] + [read(t) for t in item.texts[1:]]
-    results = [("parse_matrix_text", a)]
-    for op, args in item.ops:
-        results.append((op, _timed(times, f"{item.workload}/{op}", getattr(package, op), *(values[i] for i in args))))
-    return results
-
-
-def run_pairs(trees: dict, inputs: list[Input], pairs: int) -> dict[str, list[tuple[float, float]]]:
-    """Per op, (parent seconds, change seconds) of each pair; raises SystemExit(1) if results differ."""
-    per_op: dict[str, list[tuple[float, float]]] = {}
+def run_pairs(trees: dict, inputs: list, pairs: int) -> tuple[dict[str, list[tuple[float, float]]], dict[str, str]]:
+    """Per row, (parent seconds, change seconds) of each pair, and per timed-only cell a tree could not run, the
+    error; raises SystemExit(1) if compared results differ."""
+    per_op, absent = {}, {}
     for p in range(pairs):
-        gc.collect()
         times = {name: {} for name in trees}
         for i, item in enumerate(inputs):
-            order = ("change", "parent") if (p + i) % 2 == 0 else ("parent", "change")
-            results = {name: run_input(trees[name], item, times[name]) for name in order}
-            for (op, got), (_, want) in zip(results["change"], results["parent"]):
-                if canonical(got) != canonical(want):
-                    raise SystemExit(f"pair {p + 1}: {item.workload}/{op} differs between the trees on\n{item.texts[0]}")
+            results = {}
+            for name in ("change", "parent") if (p + i) % 2 == 0 else ("parent", "change"):
+                gc.collect()
+                results[name] = item.run(trees[name], times[name])
+            for (key, got, compared), (_, want, _) in zip(results["change"], results["parent"]):
+                if compared and canonical(got) != canonical(want):
+                    where = "".join(f"\n{t}" for t in dict.fromkeys(item.texts))
+                    raise SystemExit(f"pair {p + 1}: {key} differs between the trees on{where}")
+                for name, value in (("parent", want), ("change", got)):
+                    if not compared and isinstance(value, Exception):
+                        absent.setdefault(key, f"{name}: {type(value).__name__}: {value}")
         for key, t in times["parent"].items():
-            per_op.setdefault(key, []).append((t, times["change"][key]))
-    return per_op
+            if key not in absent:
+                per_op.setdefault(key, []).append((t, times["change"][key]))
+    return per_op, absent
 
 
 def summarize(per_op: dict[str, list[tuple[float, float]]]) -> dict[str, dict]:
+    """Per row, each tree's median ms, the spread of the parent's ms, the ratios, the wins and the verdict."""
     report = {}
     for key, runs in per_op.items():
-        ratios = [c / p for p, c in runs]
-        q1, _, q3 = statistics.quantiles(ratios, n=4, method="inclusive")
-        report[key] = {
-            "parent_ms": statistics.median(p for p, _ in runs) * 1e3,
-            "change_ms": statistics.median(c for _, c in runs) * 1e3,
-            "ratio_median": statistics.median(ratios), "ratio_q1": q1, "ratio_q3": q3,
-            "wins": sum(c < p for p, c in runs), "pairs": len(runs),
-        }
+        parent, change, ratios = [p for p, _ in runs], [c for _, c in runs], [c / p for p, c in runs]
+        (q1, _, q3), (p1, _, p3) = (statistics.quantiles(x, n=4, method="inclusive") for x in (ratios, parent))
+        gain, spread = statistics.median(parent) - statistics.median(change), p3 - p1
+        wins, losses = sum(c < p for p, c in runs), sum(c > p for p, c in runs)
+        need = 9 * len(runs) / 10 if len(runs) >= 10 else len(runs) + 1  # 9 in 10 of at least 10 pairs
+        verdict = ("faster" if wins >= need and gain > spread
+                   else "slower" if losses >= need and -gain > spread else "unresolved")
+        report[key] = {"parent_ms": statistics.median(parent) * 1e3, "change_ms": statistics.median(change) * 1e3,
+                       "spread_ms": spread * 1e3, "ratio_median": statistics.median(ratios), "ratio_q1": q1,
+                       "ratio_q3": q3, "wins": wins, "pairs": len(runs), "verdict": verdict}
     return report
 
 
@@ -183,26 +335,35 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("rev", help="the git revision whose src/adjinv is the parent tree")
     parser.add_argument("--pairs", type=int, default=10, help="pairs of runs (at least 2)")
+    parser.add_argument("--sizes", type=int, nargs="+", default=[8, 12, 20, 40], help="sizes n of the kernel cells")
     parser.add_argument("--json", type=Path, help="also write the report here")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
+    if min(args.sizes) < 3:
+        parser.error("--sizes must be at least 3 (the chain cell's input has index 2)")
     commit = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--verify", f"{args.rev}^{{commit}}"],
                             check=True, capture_output=True, text=True).stdout.strip()
-    inputs = build_inputs()
+    inputs = build_inputs(args.sizes)
     with tempfile.TemporaryDirectory(prefix="adjinv-ab-") as where:
         trees = {"change": adjinv, "parent": import_revision(commit, Path(where))}
-        per_op = run_pairs(trees, inputs, args.pairs)
+        per_op, absent = run_pairs(trees, inputs, args.pairs)
     report = summarize(per_op)
     print(f"change = working tree, parent = {args.rev} ({commit[:12]}); {args.pairs} pairs of {len(inputs)} inputs"
-          f" (seed {SEED}, rounds 0-{ROUNDS - 1}); results equal in every pair")
-    print(f"{'op':<44}{'parent ms':>11}{'change ms':>11}{'ratio':>8}{'q1':>8}{'q3':>8}{'wins':>8}")
+          f" (seed {SEED}, rounds 0-{ROUNDS - 1}; kernel cells at n = {' '.join(map(str, args.sizes))});"
+          f" _INT_MIN {elimination._INT_MIN} / {trees['parent'].elimination._INT_MIN};"
+          " compared results equal in every pair")
+    print(f"{'row':<36}{'parent ms':>11}{'change ms':>11}{'spread':>9}{'ratio':>8}{'q1':>7}{'q3':>7}{'wins':>7}"
+          "  verdict")
     for key, r in report.items():
-        print(f"{key:<44}{r['parent_ms']:>11.3f}{r['change_ms']:>11.3f}{r['ratio_median']:>8.3f}"
-              f"{r['ratio_q1']:>8.3f}{r['ratio_q3']:>8.3f}{r['wins']:>5}/{r['pairs']}")
+        print(f"{key:<36}{r['parent_ms']:>11.3f}{r['change_ms']:>11.3f}{r['spread_ms']:>9.3f}{r['ratio_median']:>8.3f}"
+              f"{r['ratio_q1']:>7.3f}{r['ratio_q3']:>7.3f}{r['wins']:>4}/{r['pairs']:<2}  {r['verdict']}")
+    for key, why in absent.items():
+        print(f"{key:<36}absent ({why})")
     if args.json:
         args.json.write_text(json.dumps({"rev": args.rev, "commit": commit, "seed": SEED, "rounds": ROUNDS,
-                                         "pairs": args.pairs, "equal": True, "ops": report}, indent=2) + "\n")
+                                         "sizes": args.sizes, "pairs": args.pairs, "equal": True,
+                                         "ops": report, "absent": absent}, indent=2) + "\n")
     return 0
 
 
