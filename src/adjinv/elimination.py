@@ -146,9 +146,11 @@ def integerize(rows) -> tuple[list[list[Pair]], int]:
 
 def _integerize(rows) -> tuple[list[list[Pair]], int]:
     entries = list(chain.from_iterable(rows))
-    scale = lcm(*{*map(itemgetter(1), entries), *map(itemgetter(3), entries)})
-    # scale is a multiple of every denominator, so each quotient is an integer.
-    return [[(a * (scale // b), c * (scale // d)) for a, b, c, d in row] for row in rows], scale
+    denominators = {*map(itemgetter(1), entries), *map(itemgetter(3), entries)}
+    scale = lcm(*denominators)
+    # scale is a multiple of every denominator, so each quotient is an integer; one division per denominator.
+    factor = {q: scale // q for q in denominators}
+    return [[(a * factor[b], c * factor[d]) for a, b, c, d in row] for row in rows], scale
 
 
 def _mul(x: Pair, y: Pair) -> Pair:

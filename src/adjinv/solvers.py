@@ -139,17 +139,15 @@ def _power_product(pairs, scale: int, k: int, y: Matrix) -> Matrix:
 def _held_gram(a: Matrix, product) -> minors.Ledger | None:
     """(product(L), d_r(A*A)) for L = d_r(A*A) A+ from what ``a`` keeps, or None if it keeps neither.
 
-    A kept pseudoinverse is (L, d_r(A*A)).  A kept classical inverse is A's
-    index-0 eq11 result (N, d) = (adj A, det A), and L = conj(d) N.
+    A kept classical inverse is A's index-0 eq11 result (N, d) = (adj A, det A),
+    and L = conj(d) N.  Otherwise a kept pseudoinverse is (L, d_r(A*A)).
     """
-    res = held(a, "pinv")
-    if res is not None and res.representation_used != "classical_inverse":
-        return minors.Ledger(product(res.numerators), res.denominator)
     res = held(a, "eq11")
-    if res is None or res.index:
-        return None
-    conj = res.denominator.conjugate()
-    return minors.Ledger(product(res.numerators) * conj, res.denominator * conj)
+    if res is not None and not res.index:
+        conj = res.denominator.conjugate()
+        return minors.Ledger(product(res.numerators) * conj, res.denominator * conj)
+    res = held(a, "pinv")
+    return None if res is None else minors.Ledger(product(res.numerators), res.denominator)
 
 
 def lsq_solve(a: Matrix, y: Matrix) -> SolveReport:

@@ -34,7 +34,7 @@ from adjinv.elimination import integerize
 from adjinv.matrices import from_pairs
 from adjinv.matrix_io import parse_matrix_text, parse_vector_text
 from adjinv.minors import Ledger
-from adjinv.scalars import entry_parts
+from adjinv.scalars import entry_parts, token_parts
 from conftest import random_matrix
 
 rationals = st.fractions(min_value=-3, max_value=3, max_denominator=6)
@@ -429,6 +429,17 @@ def test_every_route_into_the_format_gives_the_same_matrix(seed):
             if not isinstance(f, str):
                 for got in (Matrix.identity(1) * f, f * Matrix.identity(1)):
                     assert (got.pairs, got.scale) == want
+
+
+def test_integerize_scales_each_part_by_the_lcm_over_its_denominator():
+    # Parts as written: unreduced, repeated and mixed denominators; an all-integer block stays at scale 1.
+    written = [[token_parts(t) for t in row] for row in (["2/4", "1/6+1/4i"], ["-3", "5/6"], ["1/4i", "2/4"])]
+    scale = lcm(*(q for row in written for _, b, _, d in row for q in (b, d)))
+    want = [[(a * (scale // b), c * (scale // d)) for a, b, c, d in row] for row in written]
+    integers = [[token_parts(t) for t in row] for row in (["-3", "4+2i"], ["0", "-7i"])]
+    for convert in (integerize, adjinv.elimination._integerize):
+        assert convert(written) == (want, 12)
+        assert convert(integers) == ([[(-3, 0), (4, 2)], [(0, 0), (0, -7)]], 1)
 
 
 def test_only_operations_call_the_traced_integerize(monkeypatch):

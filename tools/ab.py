@@ -19,36 +19,42 @@ with the same reader, untimed, so both start from fresh matrices that keep
 nothing; then it calls each op by name on its package, in the benchmark's
 order, so a later op reads what an earlier one kept.
 
-Kernel inputs are built at each n of ``--sizes``, real and complex, from
-seeded matrices of ``BITS``-bit integers: a nonsingular n x n A, a column
-y, a full-rank n x (n+4) matrix, a rank-n/2 product of random n x n/2 and
-n/2 x n factors, a full-row-rank n/2 x n F and a column z, and a matrix of
-index 2 (S B S^-1 for B an invertible n/2 x n/2 core, a 2 x 2 nilpotent
-Jordan block and zeros, S a unit lower times a unit upper triangular
-matrix of entries -1..1).  Each cell forms its arguments on the tree's own
-modules, untimed, and times one call.  Timed only, on private kernels whose
-return conventions change between revisions: ``eliminate`` (the sweep of
-A), ``certify`` (``full_rank_mod_p`` of the n x (n+4) matrix), ``solve I``
-and ``solve y`` (``adjoint_solve_pairs`` from A's sweep), ``A A`` and
-``A y`` (``matmul_pairs``), ``factor`` (``row_factor_pairs`` from the
-product's sweep), ``gram`` (F F* by ``hermitian_matmul_pairs`` and its
-``gram_solve_pairs`` on z), ``skeleton`` (``skeleton_ledger_pairs`` of the
-product and its sweep) and ``chain`` (``drazin._chain_ledger`` of the
-index-2 matrix, its chain kept).  A cell either tree cannot form or call
-prints as absent, with the error, and the other cells still run.  Compared
-like the workload ops, on public names: ``build`` (``Matrix(n, n,
-entries)`` on the entries of A over a seeded scale, as Fractions, complex
-ones as the tree's Scalars), and, as an op sequence of its own,
-``parse_matrix_text`` of the text of A over that scale (so its tokens carry
-denominators), then ``char_poly_coeffs``, ``mp_inverse`` and
-``drazin_inverse``, each on a fresh product read untimed.  Up to n =
-``PRIME_MAX``, ``n=N prime`` reads the nonsingular prime family and runs
-``mp_inverse`` on it: entry (i, j) = k/p_ij, k in +-1..5 and p_ij distinct
-among the first n^2 primes, shuffled by ``random.Random(1)``; its common
-scale grows with those primes.  The cells' cost grows fast with n: at
-n = 100 one real call of ``drazin_inverse`` took 190 s and one of ``chain``
-109 s on a shared 2-vCPU x86 host under Python 3.11, so a pair there takes
-over ten minutes.
+Kernel inputs are built at each n of ``--sizes``, real and complex, by the
+benchmark's corpus (``perfbench/corpus.py``), each by construction, from a
+seed that fixes them across runs and trees, so none is picked or checked by
+the library under test: a nonsingular n x n A (``rank_r_matrix`` of rank
+n), a column y (``vector``), a full-rank n x (n+4) matrix, a rank-n/2
+n x n product, a full-row-rank n/2 x n F and a column z, the text of A with
+each row scaled by a rational (``scaled_rows``, so its tokens carry
+denominators), and a ``drazin_matrix`` of index 2 with a nilpotent part of
+size n - n//2.  Integer corpus rows are handed to the kernels as int pairs.
+Each cell forms its arguments on the tree's own modules, untimed.  Timed
+only, on private kernels whose return conventions change between revisions:
+``eliminate`` (the sweep of A), ``certify`` (``full_rank_mod_p`` of the
+n x (n+4) matrix), ``solve I`` and ``solve y`` (``adjoint_solve_pairs``
+from A's sweep), ``A A`` and ``A y`` (``matmul_pairs``), ``factor``
+(``row_factor_pairs`` from the product's sweep), ``gram`` (F F* by
+``hermitian_matmul_pairs`` and its ``gram_solve_pairs`` on z),
+``skeleton`` (``skeleton_ledger_pairs`` of the product and its sweep) and
+``chain`` (``drazin._chain_ledger`` of the index-2 matrix, its chain kept).
+These kernels keep nothing, so each timed-only cell calls its kernel again
+on the same arguments until ``FLOOR`` seconds have passed (once when one
+call takes longer) and its time is the seconds per call.  Each cell is an
+input of its own, so the two trees run it one right after the other.  A
+cell either tree cannot form or call prints as absent, with the error, and
+the other cells still run.  Compared like the workload ops, one call each
+on fresh inputs, on public names: ``build`` (``Matrix(n, n, entries)`` on
+the entries of the scaled A, as Fractions, complex ones as the tree's
+Scalars), and, as an op sequence of its own, ``parse_matrix_text`` of the
+text of the scaled A, then ``char_poly_coeffs``, ``mp_inverse`` and
+``drazin_inverse``, each on a fresh rank-n/2 product read untimed.  Up to
+n = ``PRIME_MAX``, ``n=N prime`` reads the nonsingular prime family and
+runs ``mp_inverse`` on it: entry (i, j) = k/p_ij, k in +-1..5 and p_ij
+distinct among the first n^2 primes, shuffled by ``random.Random(1)``; its
+common scale grows with those primes.  The cells' cost grows fast with n:
+at n = 100 one call of ``drazin_inverse`` on the rank-50 product takes
+about 16 s real and 5 min complex on a shared 2-vCPU x86 host under
+Python 3.11, so a pair there takes about 12 minutes.
 
 A pair runs every input once on each tree, with ``gc.collect()`` before
 each tree runs each input, so neither tree collects the other's garbage.
@@ -59,14 +65,15 @@ parts, a result class as its fields, a raised error as its type and
 message); any difference stops the run with exit status 1.
 
 Per row (``workload/op``, ``n=12 real/cell`` or ``n=12 real/op``), a
-pair's time on each tree is the sum over the row's calls in the pair, and
-the pair's ratio is change/parent, the working tree over REV.  The table
-gives each tree's median time per pair in milliseconds, the spread of the
-parent's times (the distance between their quartiles), the median ratio and
-its quartiles, the pairs the change won (ties count for neither), and a
-verdict: "faster" or "slower" when, over at least 10 pairs, the change wins,
-or loses, at least 9 in 10 and the medians differ by more than that
-spread; "unresolved" otherwise, and always below 10 pairs.
+pair's time on each tree is the sum over the row's calls in the pair (for
+a timed-only cell, its seconds per call), and the pair's ratio is
+change/parent, the working tree over REV.  The table gives each tree's
+median time per pair in milliseconds, the spread of the parent's times (the
+distance between their quartiles), the median ratio and its quartiles, the
+pairs the change won (ties count for neither), and a verdict: "faster" or
+"slower" when, over at least 10 pairs, the change wins, or loses, at least
+9 in 10 and the medians differ by more than that spread; "unresolved"
+otherwise, and always below 10 pairs.
 ``--json PATH`` writes the same report.  To weigh a change of ``_INT_MIN``,
 move the gate in the working tree and run against HEAD.  Uses only the
 standard library and the benchmark's workload modules; a measuring aid, not
@@ -99,29 +106,33 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 import adjinv  # noqa: E402
 from adjinv import elimination  # noqa: E402
-from adjinv.matrices import from_pairs  # noqa: E402
 from perfbench import corpus, workloads  # noqa: E402
 
 PARENT = "adjinv_parent"
 WORKLOADS = ("pinv-deficient", "drazin-index", "fullrank-dense")
 ROUNDS, SEED = 4, 1  # rounds 0-3 of seed 1 in each pair
-BITS = 8  # bit size of the kernel inputs' random entries
+FLOOR = 0.02  # seconds a timed-only cell repeats its call for, on each tree in each pair
 PRIME_MAX = 20  # largest n of the prime cell
 
 
-def _timed(times: dict, key: str, setup):
-    """Form the call (function, *arguments) = setup(), untimed, and call it; return its result, or the exception
-    either step raised, with the call's seconds added to ``times[key]``."""
+def _timed(times: dict, key: str, setup, floor: float = 0.0):
+    """Form the call (function, *arguments) = setup(), untimed, and call it, again on the same arguments until
+    ``floor`` seconds have passed; return its last result, or the exception either step raised, with the
+    seconds per call added to ``times[key]``."""
     try:
         call, *args = setup()
     except Exception as exc:  # a name this tree lacks, or calls otherwise
         return exc
-    t = time.perf_counter()
-    try:
-        value = call(*args)
-    except Exception as exc:  # an expected refusal (GroupInverseError) is a result like any other
-        value = exc
-    times[key] = times.get(key, 0.0) + time.perf_counter() - t
+    calls, t = 0, time.perf_counter()
+    while True:
+        try:
+            value = call(*args)
+        except Exception as exc:  # an expected refusal (GroupInverseError) is a result like any other
+            value = exc
+        calls, elapsed = calls + 1, time.perf_counter() - t
+        if elapsed >= floor:
+            break
+    times[key] = times.get(key, 0.0) + elapsed / calls
     return value
 
 
@@ -182,43 +193,14 @@ CELLS = {
 }
 
 
-class Cells(types.SimpleNamespace):
-    """The kernel inputs of one size and kind, as integer pairs and matrix texts, which no tree's classes enter."""
+class Cell(types.SimpleNamespace):
+    """One cell on the kernel inputs of one size and kind, integer pairs and matrix texts that no tree's classes
+    enter."""
 
     def run(self, tree, times: dict) -> list:
-        """(key, result, compared) of each cell on one tree, only ``build`` compared; each call's seconds go to
-        ``times``."""
-        results = []
-        for name, setup in CELLS.items():
-            key = f"{self.label}/{name}"
-            results.append((key, _timed(times, key, partial(setup, tree, self)), name == "build"))
-        return results
-
-
-def _matrix(rng: random.Random, rows: int, cols: int, complex_entries: bool):
-    top = (1 << BITS) - 1
-    return [[(rng.randint(-top, top), rng.randint(-top, top) if complex_entries else 0)
-             for _ in range(cols)] for _ in range(rows)]
-
-
-def _full_rank(rng: random.Random, rows: int, cols: int, complex_entries: bool):
-    while True:
-        a = _matrix(rng, rows, cols, complex_entries)
-        if elimination.eliminate(a).rank == min(rows, cols):
-            return a
-
-
-def _index_two(rng: random.Random, n: int, complex_entries: bool):
-    """S B S^-1 of index 2 (see the module docstring); det S = 1, so S^-1 = adj(S) = X f."""
-    half = n // 2
-    b = [row + [(0, 0)] * (n - half) for row in _full_rank(rng, half, half, complex_entries)]
-    b += [[(0, 0)] * n for _ in range(n - half)]
-    b[half][half + 1] = (1, 0)
-    lower = [[(rng.randint(-1, 1) if j < i else int(i == j), 0) for j in range(n)] for i in range(n)]
-    upper = [[(rng.randint(-1, 1) if j > i else int(i == j), 0) for j in range(n)] for i in range(n)]
-    s = elimination.matmul_pairs(lower, upper)
-    x, _, f = elimination.adjoint_solve_pairs(elimination.eliminate(s))
-    return from_pairs(elimination.matmul_pairs(elimination.matmul_pairs(s, b), x), 1) * f
+        """(key, result, compared) of the cell on one tree, only ``build`` compared; its seconds go to ``times``."""
+        key, compared = f"{self.label}/{self.name}", self.name == "build"
+        return [(key, _timed(times, key, partial(CELLS[self.name], tree, self), 0.0 if compared else FLOOR), compared)]
 
 
 def _prime_input(n: int) -> Input:
@@ -231,24 +213,28 @@ def _prime_input(n: int) -> Input:
     return Input(f"n={n} prime", (text,), (("mp_inverse", (0,)),))
 
 
+def _pairs(rows) -> list:
+    """Integer corpus rows, of (re, im) Fraction entries, as rows of int pairs."""
+    return [[(int(re), int(im)) for re, im in row] for row in rows]
+
+
 def build_cells(n: int, complex_entries: bool) -> list:
-    """The kernel inputs of size n, built by the working tree from seeds that fix them across runs and trees:
-    the cells, and the reads and public operations compared like the workload ops."""
-    # The seeds of the kernel timing tool these cells replace, so its inputs stay the same.
-    rng = random.Random(f"kernel_times:{n}:{BITS}:{complex_entries}")
-    c = Cells(label=f"n={n} {'complex' if complex_entries else 'real'}", n=n, a=_full_rank(rng, n, n, complex_entries))
-    c.y, half = _matrix(rng, n, 1, complex_entries), max(n // 2, 1)
-    c.product = elimination.matmul_pairs(_matrix(rng, n, half, complex_entries), _matrix(rng, half, n, complex_entries))
-    c.f = _full_rank(rng, half, n, complex_entries)
-    c.f_star, c.z = elimination._conjugate_transpose(c.f), _matrix(rng, half, 1, complex_entries)
-    c.texts = (adjinv.format_matrix(from_pairs(c.a, rng.randint(2, 1 << BITS))),)  # A over a seeded scale
-    c.wide = _full_rank(random.Random(f"kernel_times:certify:{n}:{BITS}:{complex_entries}"), n, n + 4, complex_entries)
-    indexed = _index_two(rng, n, complex_entries)
-    if adjinv.index_of(indexed) != 2:
-        raise AssertionError("the chain input does not have index 2")
-    c.indexed = adjinv.format_matrix(indexed)
+    """The kernel inputs of size n, built by the benchmark's corpus from a seed that fixes them across runs and
+    trees: the cells, and the reads and public operations compared like the workload ops."""
+    rng, half, cx = random.Random(f"ab:{n}:{complex_entries}"), n // 2, complex_entries
+    label = f"n={n} {'complex' if cx else 'real'}"
+    a, product = corpus.rank_r_matrix(rng, n, n, n, cx), corpus.rank_r_matrix(rng, n, n, half, cx)
+    f, texts = _pairs(corpus.rank_r_matrix(rng, half, n, half, cx)), (corpus.matrix_text(corpus.scaled_rows(rng, a)),)
+    inputs = dict(label=label, n=n, a=_pairs(a), product=_pairs(product), f=f,
+                  f_star=elimination._conjugate_transpose(f),
+                  wide=_pairs(corpus.rank_r_matrix(rng, n, n + 4, n, cx)),
+                  y=_pairs([e] for e in corpus.vector(rng, n, cx)),
+                  z=_pairs([e] for e in corpus.vector(rng, half, cx)),
+                  texts=texts,  # the text of A, its tokens carrying denominators
+                  indexed=corpus.matrix_text(corpus.drazin_matrix(rng, n, 2, n - n // 2, cx)[0]))  # index 2
     ops = (("char_poly_coeffs", (1,)), ("mp_inverse", (2,)), ("drazin_inverse", (3,)))  # each on a fresh product
-    return [c, Input(c.label, c.texts + (adjinv.format_matrix(from_pairs(c.product, 1)),) * 3, ops)]
+    fresh = Input(label, texts + (corpus.matrix_text(product),) * 3, ops)
+    return [Cell(name=name, **inputs) for name in CELLS] + [fresh]
 
 
 def build_inputs(sizes: list[int]) -> list:
@@ -353,10 +339,10 @@ def main(argv=None) -> int:
           f" (seed {SEED}, rounds 0-{ROUNDS - 1}; kernel cells at n = {' '.join(map(str, args.sizes))});"
           f" _INT_MIN {elimination._INT_MIN} / {trees['parent'].elimination._INT_MIN};"
           " compared results equal in every pair")
-    print(f"{'row':<36}{'parent ms':>11}{'change ms':>11}{'spread':>9}{'ratio':>8}{'q1':>7}{'q3':>7}{'wins':>7}"
+    print(f"{'row':<36}{'parent ms':>11}{'change ms':>11}{'spread':>10}{'ratio':>8}{'q1':>7}{'q3':>7}{'wins':>7}"
           "  verdict")
     for key, r in report.items():
-        print(f"{key:<36}{r['parent_ms']:>11.3f}{r['change_ms']:>11.3f}{r['spread_ms']:>9.3f}{r['ratio_median']:>8.3f}"
+        print(f"{key:<36}{r['parent_ms']:>11.3f}{r['change_ms']:>11.3f}{r['spread_ms']:>10.3f}{r['ratio_median']:>8.3f}"
               f"{r['ratio_q1']:>7.3f}{r['ratio_q3']:>7.3f}{r['wins']:>4}/{r['pairs']:<2}  {r['verdict']}")
     for key, why in absent.items():
         print(f"{key:<36}absent ({why})")
