@@ -63,15 +63,19 @@ Berkowitz's algorithm (:func:`char_poly_pairs`) gives the characteristic
 coefficients without any division.
 
 No operation takes the characteristic adjugate of a Gram matrix A*A or AA*.
-The sweep of an m x n A of rank r also gives its skeleton A = C W^-1 R: the
-pivot columns C, the pivot rows R and their r x r intersection W.  C has
-full column rank and W^-1 R full row rank, so A+ = R+ W C+, and
+The sweep of an m x n A of rank r also gives its skeleton, and
+:func:`skeleton` is the one place that forms it: A's primitive pivot columns
+C'' (as C''*) with their contents g, its primitive pivot rows R'' and their
+r x r intersection W'', so A = C W''^-1 R'' for C = C'' diag(g).  C has full
+column rank and W''^-1 R'' full row rank, so A+ = R''+ W'' C+, and
 :func:`skeleton_ledger_pairs` takes the Gram ledger d_r(A*A) A+ b as two
-full-rank ledgers around W, with the numbers the Gram route gives
+full-rank ledgers around W'', with the numbers the Gram route gives
 (Cauchy-Binet).  A full-rank ledger (:func:`_factor_ledger`) is one Gram
-solve: F F*, for F the primitive lines of a factor, is Hermitian and
-positive definite, :func:`hermitian_matmul_pairs` forms it on and above the
-diagonal and mirrors the rest, and :func:`gram_solve_pairs` takes adj(F F*) z
+solve on the primitive lines F of a factor, whose contents the caller
+hands in (the skeleton's g, 1 for R'', or :func:`_primitive`'s for A
+alone): F F* is Hermitian and positive definite,
+:func:`hermitian_matmul_pairs` forms it on and above the diagonal and
+mirrors the rest, and :func:`gram_solve_pairs` takes adj(F F*) z
 from one sweep of [F F* | z] on its upper triangle, with the leading
 principal minors as pivots, so no row exchange, no content division and no
 kept :class:`Elimination`: the update of z's columns is the replay.  The
@@ -548,11 +552,11 @@ def _solve_pairs(row: list[Pair], columns: list[list[Pair]], coefficients: list[
 def row_factor_pairs(e: Elimination) -> tuple[list[list[Pair]], int]:
     """C' and a positive int c with C' / c = W^-1 R, from the elimination ``e`` of an m x n g of rank r >= 1.
 
-    R holds g's pivot rows ``e.order[:r]`` in sweep order and W = R[:, P]
-    their pivot columns P = ``e.pivots``, so g = g[:, P] W^-1 R is a rank
-    factorization.  W^-1 R = W''^-1 R'' for the primitive rows R'' of R and
-    W'' = R''[:, P].  The kept sweep is a fraction-free LU of R'' with no
-    exchange: its first r rows U = ``e.rows[:r]`` are the upper-triangular
+    R and W are g's pivot rows and their pivot block, and W^-1 R = W''^-1 R''
+    for R'' and W'' of g's skeleton (:func:`skeleton`), so g = g[:, P] W^-1 R
+    is a rank factorization, with P = ``e.pivots``.  It calls no
+    :func:`skeleton`, since Cline's chain reads P alone, and it forms neither
+    factor: the kept sweep is a fraction-free LU of R'' with no exchange: its first r rows U = ``e.rows[:r]`` are the upper-triangular
     system whose back substitution gives adj(W'') R'', once the leads that
     the sweep keeps below each pivot are read as 0 (C's pivot columns are
     W''^-1 W'' = I).  So no row is replayed, and the back substitution runs
@@ -634,48 +638,65 @@ def skeleton_ledger_pairs(
     (:func:`_factor_ledger`) of M = A, or A* when ``adjoint``, on M's rows
     when it has full row rank (no more rows than columns), else on its
     conjugated columns, one Gram solve of order min(m, n) ("eq7" for A at
-    full row rank, "eq6" at full column rank), and q = 1.  Otherwise, with
-    P = ``e.pivots`` and Q the rows ``e.order[:r]`` in the sweep's order,
-    the order :func:`row_factor_pairs` reads too, A = C W''^-1 R'' for
-    C = A[:, P], R'' the rows A[Q, :] with the contents ``e`` keeps divided
-    out, and W'' = R''[:, P] (Goreinov, Tyrtyshnikov and Zamarashkin, LAA
-    261, 1997).  C has full column rank and W''^-1 R'' full row rank, so
-    A+ = R''+ W'' C+: the full-rank ledger of C on b, times W'', then that
-    of R''.  By Cauchy-Binet the two ledgers' d f multiply to
-    d_r(A*A) |det W''|^2, where det W'' is the last pivot of ``e``, so
-    q = |det W''|^2.  ``adjoint`` gives (A*)+ b from the skeleton
-    (R''*, W''*, C*) of A*, read from the same ``e``.
+    full row rank, "eq6" at full column rank), and q = 1.  Otherwise it reads
+    A's skeleton (C''*, g, R'', W'') from :func:`skeleton`: A = C W''^-1 R''
+    for C = C'' diag(g), which has full column rank, and W''^-1 R'' full row
+    rank, so A+ = R''+ W'' C+: the full-rank ledger of C on b (the lines C''*
+    with contents g), times W'', then that of R'' (contents 1).  By
+    Cauchy-Binet the two ledgers' d f multiply to d_r(A*A) |det W''|^2, where
+    det W'' is the last pivot of ``e``, so q = |det W''|^2.  ``adjoint``
+    gives (A*)+ b from the skeleton (R''*, W''*, C*) of A*, read from the
+    same home.
     """
     if e is None:
         m, n = len(a), len(a[0])
         full_row = n <= m if adjoint else m <= n  # M has full row rank
-        return *_factor_ledger(a if full_row != adjoint else _conjugate_transpose(a), full_row, b), 1
-    pivots = e.pivots
-    c_star = [[(re, -im) for re, im in (a_row[j] for a_row in a)] for j in pivots]
-    r_rows = [_divided(a[i], e.contents[i]) for i in e.order[: e.rank]]
-    w = [[row[j] for j in pivots] for row in r_rows]
-    first, middle, last = (r_rows, _conjugate_transpose(w), c_star) if adjoint else (c_star, w, r_rows)
-    x, d_first, f_first = _factor_ledger(first, False, b)
-    x, d_last, f_last = _factor_ledger(last, True, matmul_pairs(middle, x))
+        return *_factor_ledger(*_primitive(a if full_row != adjoint else _conjugate_transpose(a)), full_row, b), 1
+    c_star, g, r_rows, w = skeleton(a, e)
+    c_side, r_side = (c_star, g), (r_rows, [1] * e.rank)  # R'' is primitive: each row's content is 1
+    first, middle, last = (r_side, _conjugate_transpose(w), c_side) if adjoint else (c_side, w, r_side)
+    x, d_first, f_first = _factor_ledger(*first, False, b)
+    x, d_last, f_last = _factor_ledger(*last, True, matmul_pairs(middle, x))
     pr, pi = e.swept_det
     return x, _mul(d_first, d_last), f_first * f_last, pr * pr + pi * pi
 
 
-def _factor_ledger(
-    lines: list[list[Pair]], full_row: bool, b: list[list[Pair]] | None,
-) -> tuple[list[list[Pair]], Pair, int]:
-    """(X, d, f) with M+ b = X f / (d f) for M of full rank given by its ``lines``, b the identity when None.
+def skeleton(a, e: Elimination) -> tuple[list[list[Pair]], list[int], list[list[Pair]], list[list[Pair]]]:
+    """(C''*, g, R'', W''): the skeleton of an m x n Gaussian-integer A of rank r >= 1 from its elimination ``e``.
 
-    The lines are M's rows when ``full_row``, else M*'s.  Each is divided by
-    its content: the lines are D F for F primitive and D the diagonal of the
-    contents, L = lcm(D), and f = prod(D)^2 / L.  At full row rank
+    With P = ``e.pivots`` and Q the rows ``e.order[:r]`` in the sweep's
+    order: C''* is A's conjugated pivot columns A[:, P]*, each divided by its
+    content, and g holds those contents; R'' is the rows A[Q, :], each
+    divided by the content ``e`` keeps, and W'' = R''[:, P].  Then
+    A = C'' diag(g) W''^-1 R'' (Goreinov, Tyrtyshnikov and Zamarashkin, LAA
+    261, 1997), with C'' of full column rank, W''^-1 R'' of full row rank
+    and det W'' the last pivot of ``e``, up to sign.  Formed on each call
+    and kept nowhere.
+    """
+    c_star, g = _primitive([[(re, -im) for re, im in (a_row[j] for a_row in a)] for j in e.pivots])
+    r_rows = [_divided(a[i], e.contents[i]) for i in e.order[: e.rank]]
+    return c_star, g, r_rows, [[row[j] for j in e.pivots] for row in r_rows]
+
+
+def _primitive(lines: list[list[Pair]]) -> tuple[list[list[Pair]], list[int]]:
+    """Each line divided by its content (:func:`_divided`), and the contents."""
+    contents = [_content(line) for line in lines]
+    return [_divided(line, c) for line, c in zip(lines, contents)], contents
+
+
+def _factor_ledger(
+    f_rows: list[list[Pair]], contents: list[int], full_row: bool, b: list[list[Pair]] | None,
+) -> tuple[list[list[Pair]], Pair, int]:
+    """(X, d, f) with M+ b = X f / (d f) for M of full rank given by its primitive lines F and their ``contents``.
+
+    b is the identity when None.  The lines D F, for D the diagonal of the
+    contents, are M's rows when ``full_row``, else M*'s; L = lcm(D), and
+    f = prod(D)^2 / L.  At full row rank
     M = D F and M+ = F* (F F*)^-1 D^-1, so X = F* adj(F F*) L D^-1 b; else
     M = F* D and M+ = D^-1 (F F*)^-1 F, so X = L D^-1 adj(F F*) F b.  Either
     way d = L det(F F*) and one Gram solve (:func:`gram_solve_pairs`) on
     the Gram matrix :func:`hermitian_matmul_pairs` forms.
     """
-    contents = [_content(line) for line in lines]
-    f_rows = [_divided(line, c) for line, c in zip(lines, contents)]
     big = lcm(*contents)
     scales = [big // c for c in contents]
     if full_row:

@@ -31,8 +31,9 @@ Gram solve, at the rank :func:`adjinv.matrices.known_rank` reads, through
 :func:`adjinv.elimination.skeleton_ledger_pairs`.  At full rank that is
 A's own, read from A alone, so an A whose full rank was certified modulo
 a prime keeps no sweep.  Below it, A's one kept sweep gives the skeleton
-A = C W^-1 R (pivot columns C, pivot rows R and their intersection W),
-and A+ = R+ W C+ is two full-rank ledgers around W.  It is the
+A = C W''^-1 R'' (pivot columns C, primitive pivot rows R'' and their
+intersection W'', formed by :func:`adjinv.elimination.skeleton`), and
+A+ = R''+ W'' C+ is two full-rank ledgers around W''.  It is the
 characteristic-adjugate ledger of A*A at the rank order,
 (N_r(A*A) A* b, d_r(A*A)).  For A = A' / s and b = b' / t the kernel
 returns (X, d, f, q), the ledger X f / q over d f / q of A' and b', with

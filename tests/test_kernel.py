@@ -631,7 +631,7 @@ def _kernel_results(g: list, b: list, c: list) -> tuple:
         out += [elimination.skeleton_ledger_pairs(g, sweep), elimination.skeleton_ledger_pairs(g, sweep, b),
                 elimination.skeleton_ledger_pairs(g, sweep, None, True),
                 elimination.skeleton_ledger_pairs(g, sweep, c, True)]
-    return (*out, elimination.row_factor_pairs(e))
+    return (*out, elimination.skeleton(g, e), elimination.row_factor_pairs(e))
 
 
 @pytest.mark.parametrize("m, n, r", INT_PATH_SHAPES)
@@ -1663,6 +1663,36 @@ def test_line_scaled_full_rank_forms_match_determinant_forms(a, seed):
 def test_line_scaled_drazin_forms_match_literal_sums(a, seed):
     _check_drazin_forms_against_literal_sums(a, seed)
     assert char_poly_coeffs(a) == tuple(principal_minor_sum(a, k) for k in range(1, a.rows + 1))
+
+
+@pytest.mark.parametrize("complex_entries", [False, True])
+@pytest.mark.parametrize("m, n, r", [(7, 7, 4), (8, 5, 3), (5, 9, 2)])
+def test_skeleton_rebuilds_the_matrix(m, n, r, complex_entries):
+    """conj(C''*)^T diag(g) W''^-1 R'' = A' exactly, for the skeleton of A' read from its sweep."""
+    seed = 1300 + 10 * m + n
+    a = _line_scaled(_deficient(seed, m, n, r, complex_entries), seed)  # row and column contents above 1
+    e = elimination.eliminate(a.pairs)
+    c_star, g, r_rows, w = elimination.skeleton(a.pairs, e)
+    k = e.rank
+    assert k == r and min(g) > 1 and max(e.contents) > 1
+    assert all(elimination._content(line) == 1 for line in (*c_star, *r_rows))
+    assert w == [[row[j] for j in e.pivots] for row in r_rows]
+    g_diag = Matrix(k, k, [g[i] if i == j else 0 for i in range(k) for j in range(k)])
+    c, r_primitive, w_primitive = (matrices.from_pairs(rows, 1) for rows in (c_star, r_rows, w))
+    rebuilt = multiply(multiply(conjugate_transpose(c), g_diag), multiply(_inverse(w_primitive), r_primitive))
+    assert rebuilt == matrices.from_pairs(a.pairs, 1)
+
+
+@pytest.mark.parametrize("complex_entries", [False, True])
+@pytest.mark.parametrize("m, n, r", [(7, 7, 4), (12, 11, 6), (8, 5, 3), (5, 9, 2)])
+def test_deficient_mp_inverse_takes_each_content_once(m, n, r, complex_entries, monkeypatch):
+    """m contents for the sweep's rows and r for the skeleton's columns; the rows of R'' are already primitive."""
+    a = _deficient(1320 + 10 * m + n, m, n, r, complex_entries)
+    expected, fresh = oracle_pinv(a), _fresh(a)
+    assert rank(a) == r
+    contents = _counted(monkeypatch, elimination, "_content")
+    assert mp_inverse(fresh).pseudo_inverse == expected
+    assert len(contents) == m + r
 
 
 def _check_row_factor_against_inverse(a: Matrix) -> None:

@@ -28,6 +28,9 @@ n x n product, a full-row-rank n/2 x n F and a column z, the text of A with
 each row scaled by a rational (``scaled_rows``, so its tokens carry
 denominators), and a ``drazin_matrix`` of index 2 with a nilpotent part of
 size n - n//2.  Integer corpus rows are handed to the kernels as int pairs.
+The public cells' inputs are matrix texts drawn after those: ``drazin_matrix``
+of index 1 and of index 3, each with a nilpotent part of size n//2 (so n is
+at least 6), and ``rank_r_matrix`` n x 2n and 2n x n of rank n/2.
 Each cell forms its arguments on the tree's own modules, untimed.  Timed
 only, on private kernels whose return conventions change between revisions:
 ``eliminate`` (the sweep of A), ``certify`` (``full_rank_mod_p`` of the
@@ -51,7 +54,11 @@ text of the scaled A, then ``char_poly_coeffs``, ``mp_inverse`` and
 n = ``PRIME_MAX``, ``n=N prime`` reads the nonsingular prime family and
 runs ``mp_inverse`` on it: entry (i, j) = k/p_ij, k in +-1..5 and p_ij
 distinct among the first n^2 primes, shuffled by ``random.Random(1)``; its
-common scale grows with those primes.  The cells' cost grows fast with n:
+common scale grows with those primes.  The public cells are compared too,
+each one call on a matrix read untimed from its text: ``drazin_inverse`` and
+``check_drazin`` on the index-1 and index-3 inputs, and ``mp_inverse`` and
+``check_penrose`` on the n x 2n and 2n x n inputs; a check's inverse is
+formed untimed.  The cells' cost grows fast with n:
 at n = 100 one call of ``drazin_inverse`` on the rank-50 product takes
 about 16 s real and 5 min complex on a shared 2-vCPU x86 host under
 Python 3.11, so a pair there takes about 12 minutes.
@@ -74,7 +81,9 @@ pairs the change won (ties count for neither), and a verdict: "faster" or
 "slower" when, over at least 10 pairs, the change wins, or loses, at least
 9 in 10 and the medians differ by more than that spread; "unresolved"
 otherwise, and always below 10 pairs.
-``--json PATH`` writes the same report.  To weigh a change of ``_INT_MIN``,
+``--json PATH`` writes the same report, and beside it ``slopes``: per cell
+and kind (``real/eliminate``), the slope of log(change ms) against log n
+between neighbouring sizes.  To weigh a change of ``_INT_MIN``,
 move the gate in the working tree and run against HEAD.  Uses only the
 standard library and the benchmark's workload modules; a measuring aid, not
 a test.
@@ -88,6 +97,7 @@ import gc
 import importlib.util
 import inspect
 import json
+import math
 import random
 import statistics
 import subprocess
@@ -176,7 +186,8 @@ def _read_chain(tree, text: str):
     return m
 
 
-# Cell name -> setup(tree, inputs): the call and its arguments, formed untimed on the tree's own modules.
+# Timed-only cells, on private kernels: name -> setup(tree, inputs), the call and its arguments, formed untimed on
+# the tree's own modules.
 CELLS = {
     "eliminate": lambda t, c: (t.elimination.eliminate, c.a),
     "certify": lambda t, c: (t.elimination.full_rank_mod_p, c.wide),
@@ -188,8 +199,32 @@ CELLS = {
     "gram": lambda t, c: (lambda e: e.gram_solve_pairs(e.hermitian_matmul_pairs(c.f, c.f_star), c.z), t.elimination),
     "skeleton": lambda t, c: (t.elimination.skeleton_ledger_pairs, c.product, t.elimination.eliminate(c.product)),
     "chain": lambda t, c: (t.drazin._chain_ledger, _read_chain(t, c.indexed)),
+}
+
+
+# The public cells: (inverse, the input it reads, the rows' suffix); each inverse's row comes with its check's.
+PUBLIC = (("drazin_inverse", "index_one", "index 1"), ("drazin_inverse", "index_three", "index 3"),
+          ("mp_inverse", "n_by_2n", "n x 2n"), ("mp_inverse", "two_n_by_n", "2n x n"))
+# Each inverse's check, and the arguments after A that the check takes from the inverse's result.
+CHECKS = {"drazin_inverse": ("check_drazin", lambda result: (result.drazin_inverse, result.index)),
+          "mp_inverse": ("check_penrose", lambda result: (result.pseudo_inverse,))}
+
+
+def _public(op: str, inverse: str, text: str, tree, c):
+    """The call of ``op``, ``inverse`` or its check, on a fresh A read from the input ``text``; a check's inverse is
+    formed here, untimed."""
+    a = tree.parse_matrix_text(getattr(c, text))
+    if op == inverse:
+        return getattr(tree, op), a
+    return getattr(tree, op), a, *CHECKS[inverse][1](getattr(tree, inverse)(a))
+
+
+# Compared cells, on public names: setup(tree, inputs) as in CELLS, one call each on fresh inputs.
+COMPARED = {
     "build": lambda t, c: (t.Matrix, c.n, c.n,
                            [e if e.im else e.re for row in t.parse_matrix_text(c.texts[0]).row_lists() for e in row]),
+    **{f"{op} {shape}": partial(_public, op, inverse, text)
+       for inverse, text, shape in PUBLIC for op in (inverse, CHECKS[inverse][0])},
 }
 
 
@@ -198,9 +233,11 @@ class Cell(types.SimpleNamespace):
     enter."""
 
     def run(self, tree, times: dict) -> list:
-        """(key, result, compared) of the cell on one tree, only ``build`` compared; its seconds go to ``times``."""
-        key, compared = f"{self.label}/{self.name}", self.name == "build"
-        return [(key, _timed(times, key, partial(CELLS[self.name], tree, self), 0.0 if compared else FLOOR), compared)]
+        """(key, result, compared) of the cell on one tree, compared when it is in COMPARED; its seconds go to
+        ``times``."""
+        key, compared = f"{self.label}/{self.name}", self.name in COMPARED
+        setup = partial((COMPARED if compared else CELLS)[self.name], tree, self)
+        return [(key, _timed(times, key, setup, 0.0 if compared else FLOOR), compared)]
 
 
 def _prime_input(n: int) -> Input:
@@ -231,10 +268,15 @@ def build_cells(n: int, complex_entries: bool) -> list:
                   y=_pairs([e] for e in corpus.vector(rng, n, cx)),
                   z=_pairs([e] for e in corpus.vector(rng, half, cx)),
                   texts=texts,  # the text of A, its tokens carrying denominators
-                  indexed=corpus.matrix_text(corpus.drazin_matrix(rng, n, 2, n - n // 2, cx)[0]))  # index 2
+                  indexed=corpus.matrix_text(corpus.drazin_matrix(rng, n, 2, n - n // 2, cx)[0]),  # index 2
+                  # the public cells' inputs, drawn after the rest so those stay as they were
+                  index_one=corpus.matrix_text(corpus.drazin_matrix(rng, n, 1, half, cx)[0]),
+                  index_three=corpus.matrix_text(corpus.drazin_matrix(rng, n, 3, half, cx)[0]),
+                  n_by_2n=corpus.matrix_text(corpus.rank_r_matrix(rng, n, 2 * n, half, cx)),
+                  two_n_by_n=corpus.matrix_text(corpus.rank_r_matrix(rng, 2 * n, n, half, cx)))
     ops = (("char_poly_coeffs", (1,)), ("mp_inverse", (2,)), ("drazin_inverse", (3,)))  # each on a fresh product
     fresh = Input(label, texts + (corpus.matrix_text(product),) * 3, ops)
-    return [Cell(name=name, **inputs) for name in CELLS] + [fresh]
+    return [Cell(name=name, **inputs) for name in (*CELLS, *COMPARED)] + [fresh]
 
 
 def build_inputs(sizes: list[int]) -> list:
@@ -317,6 +359,21 @@ def summarize(per_op: dict[str, list[tuple[float, float]]]) -> dict[str, dict]:
     return report
 
 
+def slopes(report: dict[str, dict]) -> dict[str, list[float]]:
+    """Per kernel cell and kind ("real/eliminate"), the slope of log(change ms) against log n between neighbouring
+    sizes, smallest n first."""
+    points = {}
+    for key, r in report.items():
+        label, cell = key.split("/", 1)
+        if label.startswith("n="):
+            n, kind = label[2:].split(" ", 1)
+            points.setdefault(f"{kind}/{cell}", []).append((int(n), r["change_ms"]))
+    for p in points.values():
+        p.sort()
+    return {key: [round(math.log(t1 / t0) / math.log(n1 / n0), 3) for (n0, t0), (n1, t1) in zip(p, p[1:])]
+            for key, p in points.items() if len(p) > 1}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("rev", help="the git revision whose src/adjinv is the parent tree")
@@ -326,8 +383,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2")
-    if min(args.sizes) < 3:
-        parser.error("--sizes must be at least 3 (the chain cell's input has index 2)")
+    if min(args.sizes) < 6:
+        parser.error("--sizes must be at least 6 (the index-3 input's nilpotent part, n//2, holds a block of 3)")
     commit = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--verify", f"{args.rev}^{{commit}}"],
                             check=True, capture_output=True, text=True).stdout.strip()
     inputs = build_inputs(args.sizes)
@@ -349,7 +406,8 @@ def main(argv=None) -> int:
     if args.json:
         args.json.write_text(json.dumps({"rev": args.rev, "commit": commit, "seed": SEED, "rounds": ROUNDS,
                                          "sizes": args.sizes, "pairs": args.pairs, "equal": True,
-                                         "ops": report, "absent": absent}, indent=2) + "\n")
+                                         "ops": report, "absent": absent, "slopes": slopes(report)}, indent=2)
+                             + "\n")
     return 0
 
 
