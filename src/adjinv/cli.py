@@ -5,11 +5,14 @@ rank and index queries, characteristic coefficients, the three Cramer-style
 solvers, a self-verifying mode, and the bundled worked-example check.  One
 table, ``_COMMANDS``, lists them: each entry names the handler and the
 options of one subcommand, and the parser, the dispatch and the output all
-come from it.  Output defaults to exact rationals in matrix-file format (so
-it reparses losslessly); ``--decimal N`` switches the display to fixed
-decimals (at most 10000) and ``--json`` emits a machine-readable layout with
-exact string entries.  Every value is read and printed through
-:mod:`adjinv.matrix_io`, so exact values of any length come through in full.
+come from it.  A command runs only the library modules it reads: the
+modules imported here whole are the package's stubs (see :mod:`adjinv`),
+and each runs when a command first reads it.  Output defaults to exact
+rationals in matrix-file format (so it reparses losslessly); ``--decimal N``
+switches the display to fixed decimals (at most 10000) and ``--json`` emits
+a machine-readable layout with exact string entries.  Every value is read
+and printed through :mod:`adjinv.matrix_io`, so exact values of any length
+come through in full.
 
 Exit codes: 0 success, 1 usage error, 2 input error (an unreadable or
 malformed input), 3 mathematical precondition violated, 4 internal
@@ -111,10 +114,14 @@ def _load_rhs(args, a: Matrix, orientation: str) -> Matrix:
 
 
 def _ledger(res) -> tuple:
-    """A pinv, Drazin or solver result as (value, JSON extras)."""
-    if isinstance(res, _pinv.PinvResult):
+    """A pinv, Drazin or solver result as (value, JSON extras).
+
+    The kinds are told apart by their fields, not by their classes, so that
+    no other command's module runs to answer.
+    """
+    if hasattr(res, "pseudo_inverse"):
         value, method = res.pseudo_inverse, res.representation_used
-    elif isinstance(res, _solvers.SolveReport):
+    elif hasattr(res, "solution"):
         value, method = res.solution, res.method
     else:
         value = res.drazin_inverse

@@ -28,7 +28,6 @@ shared by ``str(Scalar)`` and the decimal output of :mod:`adjinv.matrix_io`.
 from __future__ import annotations
 
 import re
-from decimal import Decimal
 from fractions import Fraction
 from functools import wraps
 from typing import Callable
@@ -190,7 +189,7 @@ def _fraction_token(q: Fraction) -> str:
 
 # CPython 3.11 and 3.10.7+ refuse int<->str conversions past a process-wide
 # digit cap (4300 by default).  When they do, these go through Decimal, which
-# converts exactly and has no such cap.
+# converts exactly and has no such cap; it is imported there, on that path only.
 
 
 def int_text(n: int) -> str:
@@ -198,6 +197,7 @@ def int_text(n: int) -> str:
     try:
         return str(n)
     except ValueError:
+        from decimal import Decimal
         return str(Decimal(n))
 
 
@@ -206,6 +206,7 @@ def int_of(digits: str) -> int:
     try:
         return int(digits)
     except ValueError:
+        from decimal import Decimal
         return int(Decimal(digits))
 
 

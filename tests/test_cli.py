@@ -508,6 +508,19 @@ def test_importing_the_package_and_cli_loads_no_json():
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
 
+def test_decimal_is_imported_on_the_digit_cap_path_only():
+    # fractions imports decimal too (Python 3.10-3.13), in every process that
+    # runs scalars, so the bare package import is the one that shows it.
+    from adjinv import scalars
+
+    assert "Decimal" not in vars(scalars)
+    probe = ("import sys; before = set(sys.modules); import adjinv; "
+             "print(sorted(m for m in set(sys.modules) - before if 'decimal' in m))")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=_child_env(), timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
 def test_process_json_output_matches_the_in_process_run(capsys, example1_path):
     code, out, err = run_cli(capsys, "pinv", example1_path, "--json")
     done = subprocess.run([sys.executable, "-m", "adjinv", "pinv", example1_path, "--json"],

@@ -1,4 +1,4 @@
-"""Time the library on two trees in one process, call by call, and print one table.
+"""Time the library on two trees, call by call and process by process, and print one table.
 
     python tools/ab.py REV [--pairs 10] [--sizes 8 12 20 40] [--json PATH]
 
@@ -71,10 +71,19 @@ form neither tree's classes enter (a Matrix as its entries, a Scalar as its
 parts, a result class as its fields, a raised error as its type and
 message); any difference stops the run with exit status 1.
 
-Per row (``workload/op``, ``n=12 real/cell`` or ``n=12 real/op``), a
-pair's time on each tree is the sum over the row's calls in the pair (for
-a timed-only cell, its seconds per call), and the pair's ratio is
-change/parent, the working tree over REV.  The table gives each tree's
+Process rows time whole ``python -m adjinv`` processes: the ops of round
+0 of seed 1 of ``cli-batch`` whose subcommand is one of ``COMMANDS``, with
+the benchmark's own files and arguments.  Each tree runs each op as a child
+process, REV's from a second copy of its ``src/adjinv`` extracted as
+``adjinv`` on its own ``PYTHONPATH``, and the working tree's from ``src``;
+the exit status, stdout and stderr are compared.  Before anything is timed,
+every public name of each tree is read, so the modules a package runs on
+first read run then, and in no library row.
+
+Per row (``workload/op``, ``n=12 real/cell``, ``n=12 real/op`` or
+``cli-batch/rank``), a pair's time on each tree is the sum over the row's
+calls in the pair (for a timed-only cell, its seconds per call), and the
+pair's ratio is change/parent, the working tree over REV.  The table gives each tree's
 median time per pair in milliseconds, the spread of the parent's times (the
 distance between their quartiles), the median ratio and its quartiles, the
 pairs the change won (ties count for neither), and a verdict: "faster" or
@@ -98,7 +107,9 @@ import importlib.util
 import inspect
 import json
 import math
+import os
 import random
+import shutil
 import statistics
 import subprocess
 import sys
@@ -123,6 +134,7 @@ WORKLOADS = ("pinv-deficient", "drazin-index", "fullrank-dense")
 ROUNDS, SEED = 4, 1  # rounds 0-3 of seed 1 in each pair
 FLOOR = 0.02  # seconds a timed-only cell repeats its call for, on each tree in each pair
 PRIME_MAX = 20  # largest n of the prime cell
+COMMANDS = ("rank", "pinv", "drazin", "solve-lsq", "verify")  # the subcommands of the process rows
 
 
 def _timed(times: dict, key: str, setup, floor: float = 0.0):
@@ -250,6 +262,35 @@ def _prime_input(n: int) -> Input:
     return Input(f"n={n} prime", (text,), (("mp_inverse", (0,)),))
 
 
+def _command(argv: list[str], env: dict) -> tuple[int, bytes, bytes]:
+    """The exit status, stdout and stderr of one ``python -m adjinv`` process."""
+    done = subprocess.run([sys.executable, "-m", "adjinv", *argv], capture_output=True, env=env, timeout=120)
+    return done.returncode, done.stdout, done.stderr
+
+
+@dataclasses.dataclass(frozen=True)
+class Process:
+    argv: tuple[str, ...]  # the subcommand and its arguments
+    paths: dict[str, str]  # per tree, by its package name, the PYTHONPATH its processes import adjinv from
+
+    @property
+    def texts(self) -> tuple[str, ...]:
+        return (" ".join(self.argv),)
+
+    def run(self, tree, times: dict) -> list:
+        """(key, result, compared) of one process of ``tree``; its seconds go to ``times``."""
+        key, env = f"cli-batch/{self.argv[0]}", dict(os.environ, PYTHONPATH=self.paths[tree.__name__])
+        return [(key, _timed(times, key, lambda: (_command, self.argv, env)), True)]
+
+
+def build_processes(work: Path, paths: dict[str, str]) -> list:
+    """The ops of round 0 of SEED of cli-batch whose subcommand is in COMMANDS, built by the benchmark's own round
+    builder, which writes their files to ``work``."""
+    rnd = workloads.BUILDERS["cli-batch"](random.Random(f"cli-batch:{SEED}:0"), False,
+                                          workloads.Workspace(work, runner=lambda argv: argv))
+    return [Process(tuple(argv), paths) for argv in (op.call() for op in rnd.ops) if argv[0] in COMMANDS]
+
+
 def _pairs(rows) -> list:
     """Integer corpus rows, of (re, im) Fraction entries, as rows of int pairs."""
     return [[(int(re), int(im)) for re, im in row] for row in rows]
@@ -294,10 +335,12 @@ def build_inputs(sizes: list[int]) -> list:
 
 
 def import_revision(rev: str, where: Path):
-    """Extract REV's src/adjinv as ``where``/adjinv_parent, import it as the package ``adjinv_parent`` and return it."""
+    """Extract REV's src/adjinv as ``where``/adjinv_parent, import it as the package ``adjinv_parent`` and return it;
+    a copy as ``where``/process/adjinv serves its processes."""
     archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", f"--prefix={PARENT}/",
                               f"{rev}:src/adjinv"], check=True, capture_output=True).stdout
     subprocess.run(["tar", "-x", "-C", str(where)], input=archive, check=True)
+    shutil.copytree(where / PARENT, where / "process" / "adjinv")
     sys.path.insert(0, str(where))
     return importlib.import_module(PARENT)
 
@@ -387,9 +430,14 @@ def main(argv=None) -> int:
         parser.error("--sizes must be at least 6 (the index-3 input's nilpotent part, n//2, holds a block of 3)")
     commit = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--verify", f"{args.rev}^{{commit}}"],
                             check=True, capture_output=True, text=True).stdout.strip()
-    inputs = build_inputs(args.sizes)
     with tempfile.TemporaryDirectory(prefix="adjinv-ab-") as where:
-        trees = {"change": adjinv, "parent": import_revision(commit, Path(where))}
+        where = Path(where)
+        trees = {"change": adjinv, "parent": import_revision(commit, where)}
+        for tree in trees.values():  # each tree runs the modules its names live in now, untimed
+            for name in tree.__all__:
+                getattr(tree, name)
+        paths = {adjinv.__name__: str(ROOT / "src"), PARENT: str(where / "process")}
+        inputs = build_inputs(args.sizes) + build_processes(where, paths)
         per_op, absent = run_pairs(trees, inputs, args.pairs)
     report = summarize(per_op)
     print(f"change = working tree, parent = {args.rev} ({commit[:12]}); {args.pairs} pairs of {len(inputs)} inputs"
