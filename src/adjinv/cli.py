@@ -22,9 +22,10 @@ the status a shell reports for a process that SIGPIPE ended, and no
 traceback is printed.
 
 :func:`main` with ``argv`` None is the process entry point (``adjinv`` and
-``python -m adjinv``): it reads ``sys.argv`` and first calls
-:func:`gc.freeze`.  Given an argv list, as tests and in-process callers
-give it, :func:`main` never freezes.
+``python -m adjinv``): it reads ``sys.argv``, parses it and reads the input,
+runs :mod:`adjinv.elimination` and then the module the command reads, and
+only then calls :func:`gc.freeze`, before the command runs.  Given an argv
+list, as tests and in-process callers give it, :func:`main` never freezes.
 """
 
 from __future__ import annotations
@@ -33,9 +34,10 @@ import argparse
 import gc
 import os
 import sys
+from types import ModuleType
 from typing import Callable, NamedTuple
 
-from . import golden
+from . import elimination, golden, minors
 from . import pinv as _pinv
 from . import drazin as _drazin
 from . import solvers as _solvers
@@ -192,6 +194,7 @@ class _Command(NamedTuple):
     # run(args, a, y) returns (value, JSON extras) for main to print; a report's
     # run(args) prints its own output and returns the exit code.
     run: Callable
+    module: ModuleType  # the library module run reads; the process entry point runs it before freezing
     rhs: str | None = None  # right-side orientation: None, "column" or "row"
     method: bool = False  # takes --method eq1|eq2|auto
     matrix: bool = True  # takes the matrix-file argument
@@ -201,24 +204,24 @@ class _Command(NamedTuple):
 # Library functions are looked up through module attributes at call time, so
 # that a patched or traced function is the one that runs.
 _COMMANDS = {
-    "pinv": _Command(lambda args, a, y: _ledger(_pinv.mp_inverse(a, method=args.method)),
+    "pinv": _Command(lambda args, a, y: _ledger(_pinv.mp_inverse(a, method=args.method)), _pinv,
                      method=True),
-    "drazin": _Command(lambda args, a, y: _ledger(_drazin.drazin_inverse(a))),
-    "group-inverse": _Command(lambda args, a, y: _ledger(_drazin.group_inverse(a))),
-    "proj-p": _Command(lambda args, a, y: (_pinv.projector_p(a), {})),
-    "proj-q": _Command(lambda args, a, y: (_pinv.projector_q(a), {})),
-    "drazin-a": _Command(lambda args, a, y: (_drazin.drazin_times_a(a), {})),
-    "rank": _Command(lambda args, a, y: (rank(a), {})),
-    "index": _Command(lambda args, a, y: (_drazin.index_of(a), {})),
-    "charpoly": _Command(lambda args, a, y: (char_poly_coeffs(a), {})),
-    "solve-lsq": _Command(lambda args, a, y: _ledger(_solvers.lsq_solve(a, y)),
+    "drazin": _Command(lambda args, a, y: _ledger(_drazin.drazin_inverse(a)), _drazin),
+    "group-inverse": _Command(lambda args, a, y: _ledger(_drazin.group_inverse(a)), _drazin),
+    "proj-p": _Command(lambda args, a, y: (_pinv.projector_p(a), {}), _pinv),
+    "proj-q": _Command(lambda args, a, y: (_pinv.projector_q(a), {}), _pinv),
+    "drazin-a": _Command(lambda args, a, y: (_drazin.drazin_times_a(a), {}), _drazin),
+    "rank": _Command(lambda args, a, y: (rank(a), {}), elimination),
+    "index": _Command(lambda args, a, y: (_drazin.index_of(a), {}), _drazin),
+    "charpoly": _Command(lambda args, a, y: (char_poly_coeffs(a), {}), minors),
+    "solve-lsq": _Command(lambda args, a, y: _ledger(_solvers.lsq_solve(a, y)), _solvers,
                           rhs="column"),
-    "solve-row": _Command(lambda args, a, y: _ledger(_solvers.lsq_solve_row_system(y, a)),
+    "solve-row": _Command(lambda args, a, y: _ledger(_solvers.lsq_solve_row_system(y, a)), _solvers,
                           rhs="row"),
-    "solve-drazin": _Command(lambda args, a, y: _ledger(_solvers.drazin_solve(a, y)),
+    "solve-drazin": _Command(lambda args, a, y: _ledger(_solvers.drazin_solve(a, y)), _solvers,
                              rhs="column"),
-    "verify": _Command(_cmd_verify, rhs="column", report=True),
-    "paper-examples": _Command(_cmd_paper_examples, matrix=False, report=True),
+    "verify": _Command(_cmd_verify, _verify, rhs="column", report=True),
+    "paper-examples": _Command(_cmd_paper_examples, golden, matrix=False, report=True),
 }
 
 
@@ -246,14 +249,11 @@ def main(argv=None) -> int:
     """Run one command and return its exit code.
 
     ``argv`` None means the command line of this process (``sys.argv[1:]``),
-    and then the heap is frozen first (:func:`gc.freeze`).  An argv list
-    never freezes: a frozen heap could not collect the cyclic garbage the
-    caller holds at that moment.
+    and then the heap is frozen (:func:`gc.freeze`) once the input is read
+    and the command's modules have run, before the command itself runs.  An
+    argv list never freezes: a frozen heap could not collect the cyclic
+    garbage the caller holds at that moment.
     """
-    if argv is None:
-        # Whatever the process has imported lives until it exits, so no
-        # garbage collection needs to walk it, including the one at exit.
-        gc.freeze()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -266,11 +266,22 @@ def main(argv=None) -> int:
         if args.threads < 1:
             raise _UsageError("--threads needs a positive count")
         command = _COMMANDS[args.command]
+        if not command.report:  # a report reads its own input
+            a = _read_matrix(args.matrix)
+            y = _load_rhs(args, a, command.rhs) if command.rhs else None
+        if argv is None:
+            # Whatever the process has imported lives until it exits, so no
+            # garbage collection needs to walk it, including the one at exit.
+            # The kernel runs before the command's module (vars() runs a
+            # stub): compiled after dataclasses and inspect have loaded, the
+            # memory its compilation takes and frees again raises the
+            # process's peak RSS by about 1 MB.
+            vars(elimination)
+            vars(command.module)
+            gc.freeze()
         if command.report:
             code = command.run(args)
         else:
-            a = _read_matrix(args.matrix)
-            y = _load_rhs(args, a, command.rhs) if command.rhs else None
             value, extra = command.run(args, a, y)
             if args.json:
                 print(_json_text({**_json_value(value), **extra}))

@@ -3,14 +3,15 @@
 The kernels work on the exact-matrix format of :class:`adjinv.matrices.Matrix`:
 rows of Gaussian integers, each a plain ``(re, im)`` pair of Python ints.
 The matrix's common scale stays with the caller, which rescales a kernel's
-result by the right power of it.  :func:`integerize` (run as
-:func:`_integerize` by the Matrix constructor and the matrix-text reader) is
-the one way into this format: it scales rows of entry parts, each given by
-the one entry rule :func:`adjinv.scalars.entry_parts`, to the lcm of their
-denominators, and :func:`adjinv.matrices.from_pairs` reduces the result to
-lowest terms.  Bareiss cross-multiplication keeps all
-intermediate values integral and every division exact, which bounds entry
-growth without ever leaving exact arithmetic.  Pivots are the first nonzero
+result by the right power of it.  :func:`integerize` (the scaling step
+:func:`adjinv.scalars._integerize`, which the Matrix constructor and the
+matrix-text reader run directly) is the one way into this format: it
+scales rows of entry parts, each given by the one entry rule
+:func:`adjinv.scalars.entry_parts`, to the lcm of their denominators, and
+:func:`adjinv.matrices.from_pairs` reduces the result to lowest terms.
+Bareiss cross-multiplication keeps all intermediate values integral and
+every division exact, which bounds entry growth without ever leaving exact
+arithmetic.  Pivots are the first nonzero
 entry in column scan order; with exact arithmetic the pivot choice is
 correctness-neutral.  :func:`eliminate` is the one sweep, and it sweeps a
 copy: no kernel changes the rows it is given.
@@ -107,6 +108,8 @@ from math import gcd, lcm, prod
 from operator import itemgetter, mul
 from typing import NamedTuple
 
+from .scalars import _integerize
+
 Pair = tuple[int, int]
 
 _ZERO: Pair = (0, 0)
@@ -140,21 +143,13 @@ def integerize(rows) -> tuple[list[list[Pair]], int]:
 
     Operations call this on the values they are handed (a scalar factor, a
     replacement vector, a ledger's denominator).  Building a Matrix from its
-    entries and reading matrix or vector text call :func:`_integerize`, the
-    same code under a name the benchmark's tracer does not wrap, so
-    ``elimination.integerize_calls`` counts the conversions inside
-    operations alone.
+    entries and reading matrix or vector text call
+    :func:`adjinv.scalars._integerize`, the step this runs, under a name the
+    benchmark's tracer does not wrap, so ``elimination.integerize_calls``
+    counts the conversions inside operations alone; it lives in
+    :mod:`adjinv.scalars`, so that reading a matrix runs no kernel module.
     """
     return _integerize(rows)
-
-
-def _integerize(rows) -> tuple[list[list[Pair]], int]:
-    entries = list(chain.from_iterable(rows))
-    denominators = {*map(itemgetter(1), entries), *map(itemgetter(3), entries)}
-    scale = lcm(*denominators)
-    # scale is a multiple of every denominator, so each quotient is an integer; one division per denominator.
-    factor = {q: scale // q for q in denominators}
-    return [[(a * factor[b], c * factor[d]) for a, b, c, d in row] for row in rows], scale
 
 
 def _mul(x: Pair, y: Pair) -> Pair:

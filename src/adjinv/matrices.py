@@ -13,12 +13,15 @@ kernels of :mod:`adjinv.elimination` take them as they are:
 :func:`multiply` is ``matmul_pairs`` and :func:`rank` is ``rank_pairs``.
 Every value enters by one rule: :func:`adjinv.scalars.entry_parts` gives
 its numerators and denominators (of a Scalar, int, Fraction or token
-string), :func:`adjinv.elimination.integerize` scales rows of them to the
-lcm of their denominators, and :func:`from_pairs` reduces that.  The
+string), :func:`adjinv.scalars._integerize` scales rows of them to the lcm
+of their denominators, and :func:`from_pairs` reduces that.  The
 constructor, a scalar factor, a sequence vector (:func:`replace_column`,
 :func:`replace_row`) and the matrix-text reader of :mod:`adjinv.matrix_io`
 all take it, and build no Scalar; ``at``, ``row``, ``column``,
 ``row_lists`` and printing build Scalars when a caller reads entries.
+Operations scale through :func:`adjinv.elimination.integerize`, the same
+step under the name the benchmark traces; building a matrix and reading
+text take it from :mod:`adjinv.scalars`, so they run no kernel module.
 
 Matrices are immutable; vectors are matrices with a single column (or row).
 All operations are pure functions: they validate their inputs, never mutate
@@ -51,8 +54,9 @@ from math import gcd, lcm
 from typing import Callable, Iterable, Sequence
 
 from . import elimination
-from .elimination import Pair
-from .scalars import Scalar, entry_parts
+from .scalars import Scalar, _integerize, entry_parts
+
+Pair = tuple[int, int]
 
 
 class Matrix:
@@ -68,7 +72,7 @@ class Matrix:
             raise ValueError(
                 f"expected {rows * cols} entries for a {rows}x{cols} matrix, got {len(data)}"
             )
-        m = from_pairs(*elimination._integerize([data[i * cols : (i + 1) * cols] for i in range(rows)]))
+        m = from_pairs(*_integerize([data[i * cols : (i + 1) * cols] for i in range(rows)]))
         self.rows, self.cols, self.pairs, self.scale, self._kept = rows, cols, m.pairs, m.scale, {}
 
     @classmethod

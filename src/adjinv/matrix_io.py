@@ -14,10 +14,10 @@ right-side vectors, reads each token's numerators and denominators as
 written with the one token grammar (:func:`adjinv.scalars.token_parts`,
 what the one entry rule :func:`adjinv.scalars.entry_parts` gives a token),
 and the text's entries take the one scaling every entry takes:
-:func:`adjinv.elimination._integerize` to the lcm of all their
-denominators, then :func:`adjinv.matrices.from_pairs` to lowest terms.  A
-bad token is reported at the line and column of its first offending
-character.
+:func:`adjinv.scalars._integerize` to the lcm of all their denominators,
+then :func:`adjinv.matrices.from_pairs` to lowest terms, so reading a
+matrix runs no kernel module.  A bad token is reported at the line and
+column of its first offending character.
 
 Exact values of any length are read and printed in full: every integer goes
 to and from decimal text through :func:`adjinv.scalars.int_text` and
@@ -32,12 +32,11 @@ from __future__ import annotations
 
 import os
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
-from .elimination import _integerize
 from .matrices import Matrix, from_pairs
-from .scalars import Scalar, ScalarParseError, complex_text, int_of, int_text, token_parts
+from .scalars import Scalar, ScalarParseError, _integerize, complex_text, int_of, int_text, token_parts
 
 Parts = tuple[int, int, int, int]  # a token's numerators and denominators, as token_parts gives them
 
@@ -51,8 +50,7 @@ class MatrixFormatError(ValueError):
         self.column = column
 
 
-@dataclass(frozen=True)
-class OutputFormat:
+class OutputFormat(NamedTuple):
     """Display settings: exact rationals by default, decimal opt-in.
 
     Decimal mode is display-only; values remain exact internally.

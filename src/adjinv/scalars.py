@@ -17,8 +17,11 @@ Scalar.  The same match names the first offending character of a bad token.
 :func:`entry_parts` is the one rule by which a value enters a matrix: a
 token's parts as written, a Scalar's, or an int's or Fraction's, and the
 Scalar constructor's TypeError for anything else.
-:func:`adjinv.elimination.integerize` scales rows of those parts into a
-matrix's pairs.
+:func:`_integerize`, beside it, is the one scaling step: it scales rows of
+those parts to the lcm of their denominators, a matrix's pairs over one
+scale.  It lives here, not in :mod:`adjinv.elimination`, so that reading a
+matrix runs no kernel module; operations run it as
+:func:`adjinv.elimination.integerize`, the name the benchmark traces.
 Integers of any length go to and from decimal text through :func:`int_text`
 and :func:`int_of`, which never change the interpreter's int<->str digit cap.
 :func:`complex_text` is the one spelling of a complex value from its parts,
@@ -30,6 +33,9 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import wraps
+from itertools import chain
+from math import lcm
+from operator import itemgetter
 from typing import Callable
 
 
@@ -299,3 +305,12 @@ def entry_parts(value) -> tuple[int, int, int, int]:
         return re.numerator, re.denominator, im.numerator, im.denominator
     q = _to_fraction(value)
     return q.numerator, q.denominator, 0, 1
+
+
+def _integerize(rows) -> tuple[list[list[tuple[int, int]]], int]:
+    entries = list(chain.from_iterable(rows))
+    denominators = {*map(itemgetter(1), entries), *map(itemgetter(3), entries)}
+    scale = lcm(*denominators)
+    # scale is a multiple of every denominator, so each quotient is an integer; one division per denominator.
+    factor = {q: scale // q for q in denominators}
+    return [[(a * factor[b], c * factor[d]) for a, b, c, d in row] for row in rows], scale

@@ -62,8 +62,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 
-from . import minors
-from .drazin import _chain_ledger
+from . import drazin, minors
 from .matrices import (Matrix, conjugate_transpose, from_pairs, held, index_chain, known_rank, multiply,
                        require_square)
 from .scalars import Scalar
@@ -185,6 +184,6 @@ def drazin_solve(a: Matrix, y: Matrix) -> SolveReport:
     # A^k = 0 at core rank 0.
     g = _Deferred(_power_product, a.pairs, a.scale, k, y) if r else Matrix.zeros(a.rows, 1)
     res = held(a, "eq11")
-    ledger = minors.Ledger(multiply(res.numerators, y), res.denominator) if res else _chain_ledger(a, y)
+    ledger = minors.Ledger(multiply(res.numerators, y), res.denominator) if res else drazin._chain_ledger(a, y)
     method = "classical_cramer" if k == 0 else "eq16"
     return SolveReport(ledger.quotient(), method, ledger.denominator, ledger.numerators.column(0), g)

@@ -347,6 +347,19 @@ def test_decimal_digits_must_be_a_nonnegative_int():
     assert format_output(Matrix.identity(2), OutputFormat(decimal_digits=0)) == "2 2\n1 0\n0 1"
 
 
+def test_output_format_is_an_immutable_record_with_exact_defaults():
+    default = OutputFormat()
+    assert (default.decimal_digits, default.json_layout) == (None, False)
+    assert OutputFormat(json_layout=True, decimal_digits=3) == OutputFormat(3, True)
+    assert repr(default) == "OutputFormat(decimal_digits=None, json_layout=False)"
+    assert repr(OutputFormat(decimal_digits=12)) == "OutputFormat(decimal_digits=12, json_layout=False)"
+    with pytest.raises(AttributeError):
+        default.decimal_digits = 3
+    with pytest.raises(TypeError):
+        OutputFormat(digits=3)
+    assert hash(OutputFormat(decimal_digits=3)) == hash(OutputFormat(decimal_digits=3))
+
+
 def test_decimal_rounds_half_to_even():
     assert format_scalar(Scalar(Fraction(1, 8)), 2) == "0.12"  # 0.125 -> even
     assert format_scalar(Scalar(Fraction(3, 8)), 2) == "0.38"  # 0.375 -> even

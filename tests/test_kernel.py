@@ -2037,21 +2037,21 @@ def test_each_ledger_reduces_its_numerators_once(complex_entries, monkeypatch):
     chains = [_full_rank(664, 6, 6, complex_entries)] + [
         _indexed(665 + k, 6 - k - 1, (k, 1), complex_entries) for k in (1, 2, 3)]
     assert [index_of(a) for a in chains] == [0, 1, 2, 3]
-    counts = []
+    counts, chain_ledger = [], drazin._chain_ledger
 
-    def chain_ledger(a, y):  # the ledger of a lone Drazin solve, after its products A^k y
+    def counted(a, y=None):  # every chain ledger, a lone Drazin solve's after its products A^k y
         reductions.clear()
-        ledger = drazin._chain_ledger(a, y)
+        ledger = chain_ledger(a, y)
         counts.append(len(reductions))
         return ledger
 
-    monkeypatch.setattr(solvers, "_chain_ledger", chain_ledger)
+    monkeypatch.setattr(drazin, "_chain_ledger", counted)
     for a in chains:
         assert reduced(drazin._chain_ledger, a) == reduced(drazin._chain_ledger, a, y) == 1
         lone = _fresh(a)
         index_of(lone)
         drazin_solve(lone, y)
-    assert counts == [1] * len(chains)
+    assert counts == [1] * 3 * len(chains)
 
 
 # -- scale: sizes the per-entry minor enumeration never finished -------------------

@@ -1,7 +1,9 @@
 """The package runs each module on first read: its stubs, its public names and what each process runs.
 
 Each child process below tells a module that has run from a stub by
-``type(module)``, which reads no attribute of it and so runs nothing.
+``type(module)``, which reads no attribute of it and so runs nothing.  It
+also reports which of the standard modules in ``HEAVY`` it has loaded:
+``dataclasses`` brings ``inspect``, ``ast``, ``dis`` and ``tokenize`` with it.
 """
 
 import ast
@@ -20,9 +22,12 @@ import adjinv
 PACKAGE = Path(adjinv.__file__).parent
 EXAMPLE1, EXAMPLE2 = (str(PACKAGE / "data" / f"example{k}.mat") for k in (1, 2))
 
-# Prints, as the last line, the package's modules that have run, as a JSON list.
+HEAVY = ("dataclasses", "inspect")
+# Prints, as the last line, the package's modules that have run, and those of HEAVY the process has loaded, as one
+# JSON list.
 REPORT = ("import json, sys, types; print(json.dumps(sorted(n[7:] for n, m in list(sys.modules.items())"
-          " if n.startswith('adjinv.') and type(m) is types.ModuleType)))")
+          " if n.startswith('adjinv.') and type(m) is types.ModuleType)"
+          f" + [n for n in {HEAVY!r} if n in sys.modules]))")
 
 
 def _child(code: str, *args: str, path: Path = PACKAGE.parent) -> subprocess.CompletedProcess:
@@ -50,19 +55,42 @@ def test_importing_the_package_runs_no_module():
 
 
 def test_the_benchmark_setup_runs_only_the_reader():
-    # perfbench's setup: import the package, then parse matrix texts.
+    # perfbench's setup: import the package, then parse matrix texts.  The
+    # reader runs no kernel module and loads neither dataclasses nor inspect.
     code = "import adjinv; adjinv.parse_matrix_text(open(sys.argv[1]).read())"
-    assert _modules_run(f"import sys; {code}", EXAMPLE1) == {"scalars", "elimination", "matrices", "matrix_io"}
+    assert _modules_run(f"import sys; {code}", EXAMPLE1) == {"scalars", "matrices", "matrix_io"}
 
 
 @pytest.mark.parametrize("argv, unread", [
-    (["rank", EXAMPLE1], {"pinv", "drazin", "solvers", "verify", "golden"}),
+    (["rank", EXAMPLE1], {"pinv", "drazin", "solvers", "verify", "golden", "dataclasses"}),
     (["drazin", EXAMPLE2], {"pinv", "solvers", "verify", "golden"}),
     (["pinv", EXAMPLE1], {"solvers", "verify", "golden"}),
+    (["charpoly", EXAMPLE2], {"pinv", "drazin", "solvers", "verify", "golden", "dataclasses"}),
+    (["solve-lsq", EXAMPLE1, "--rhs", "1 2 3 1"], {"pinv", "drazin", "verify", "golden"}),
 ])
 def test_a_command_runs_none_of_the_modules_it_does_not_read(argv, unread):
     ran = _command_runs(*argv)
     assert "cli" in ran and not ran & unread
+
+
+# The process entry point, with gc.freeze replaced by a report of the package's modules that have run.
+FREEZE = ("import gc, sys, types\nimport adjinv.cli\n"
+          "gc.freeze = lambda: print(sorted(n[7:] for n, m in list(sys.modules.items())"
+          " if n.startswith('adjinv.') and type(m) is types.ModuleType))\n"
+          "sys.argv[0] = 'adjinv'\nsys.exit(adjinv.cli.main())")
+
+
+@pytest.mark.parametrize("argv, module", [
+    (["rank", EXAMPLE1], "elimination"),
+    (["pinv", EXAMPLE1], "pinv"),
+    (["verify", EXAMPLE1], "verify"),
+])
+def test_the_entry_point_freezes_once_the_kernel_and_the_command_module_have_run(argv, module):
+    done = _child(FREEZE, *argv)
+    assert (done.returncode, done.stderr) == (0, "")
+    frozen, *printed = done.stdout.splitlines()  # frozen first, once, then the command's output
+    assert {"elimination", module} <= set(ast.literal_eval(frozen))
+    assert printed and not any(line.startswith("[") for line in printed)
 
 
 def test_every_public_name_resolves_to_its_module():

@@ -71,20 +71,26 @@ form neither tree's classes enter (a Matrix as its entries, a Scalar as its
 parts, a result class as its fields, a raised error as its type and
 message); any difference stops the run with exit status 1.
 
-Process rows time whole ``python -m adjinv`` processes: the ops of round
-0 of seed 1 of ``cli-batch`` whose subcommand is one of ``COMMANDS``, with
-the benchmark's own files and arguments.  Each tree runs each op as a child
-process, REV's from a second copy of its ``src/adjinv`` extracted as
-``adjinv`` on its own ``PYTHONPATH``, and the working tree's from ``src``;
-the exit status, stdout and stderr are compared.  Before anything is timed,
-every public name of each tree is read, so the modules a package runs on
-first read run then, and in no library row.
+Process rows time whole interpreter processes.  ``setup/<workload>`` runs
+the benchmark's setup command (``perfbench.bench.SETUP_CODE``: ``import
+adjinv``, then ``parse_matrix_text`` on each text) on the matrix texts of
+round 0 of seed 1 of each of the four workloads, as the benchmark's
+``setup_s`` does.  ``cli-batch/<subcommand>`` runs ``python -m adjinv`` on
+the ops of round 0 of seed 1 of ``cli-batch`` whose subcommand is one of
+``COMMANDS``, with the benchmark's own files and arguments.  Each tree runs
+each process as a child, REV's from a second copy of its ``src/adjinv``
+extracted as ``adjinv`` on its own ``PYTHONPATH`` (and, for the setup, as
+the code's ``sys.argv[1]``), and the working tree's from ``src``; the exit
+status, stdout and stderr are compared.  Before anything is timed, every
+public name of each tree is read, so the modules a package runs on first
+read run then, and in no library row.
 
-Per row (``workload/op``, ``n=12 real/cell``, ``n=12 real/op`` or
-``cli-batch/rank``), a pair's time on each tree is the sum over the row's
-calls in the pair (for a timed-only cell, its seconds per call), and the
-pair's ratio is change/parent, the working tree over REV.  The table gives each tree's
-median time per pair in milliseconds, the spread of the parent's times (the
+Per row (``workload/op``, ``n=12 real/cell``, ``n=12 real/op``,
+``setup/cli-batch`` or ``cli-batch/rank``), a pair's time on each tree is
+the sum over the row's calls in the pair (for a timed-only cell, its
+seconds per call), and the pair's ratio is change/parent, the working tree
+over REV.  The table gives each tree's median time per pair in
+milliseconds, the spread of the parent's times (the
 distance between their quartiles), the median ratio and its quartiles, the
 pairs the change won (ties count for neither), and a verdict: "faster" or
 "slower" when, over at least 10 pairs, the change wins, or loses, at least
@@ -128,13 +134,15 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 import adjinv  # noqa: E402
 from adjinv import elimination  # noqa: E402
 from perfbench import corpus, workloads  # noqa: E402
+from perfbench.bench import SETUP_CODE  # noqa: E402
 
 PARENT = "adjinv_parent"
 WORKLOADS = ("pinv-deficient", "drazin-index", "fullrank-dense")
 ROUNDS, SEED = 4, 1  # rounds 0-3 of seed 1 in each pair
 FLOOR = 0.02  # seconds a timed-only cell repeats its call for, on each tree in each pair
 PRIME_MAX = 20  # largest n of the prime cell
-COMMANDS = ("rank", "pinv", "drazin", "solve-lsq", "verify")  # the subcommands of the process rows
+COMMANDS = ("rank", "charpoly", "pinv", "drazin", "solve-lsq", "verify")  # the subcommands of the process rows
+TREE = "<tree>"  # in a process's arguments, the path its tree's package is imported from
 
 
 def _timed(times: dict, key: str, setup, floor: float = 0.0):
@@ -262,33 +270,40 @@ def _prime_input(n: int) -> Input:
     return Input(f"n={n} prime", (text,), (("mp_inverse", (0,)),))
 
 
-def _command(argv: list[str], env: dict) -> tuple[int, bytes, bytes]:
-    """The exit status, stdout and stderr of one ``python -m adjinv`` process."""
-    done = subprocess.run([sys.executable, "-m", "adjinv", *argv], capture_output=True, env=env, timeout=120)
+def _command(args: list[str], env: dict) -> tuple[int, bytes, bytes]:
+    """The exit status, stdout and stderr of one interpreter process with these arguments."""
+    done = subprocess.run([sys.executable, *args], capture_output=True, env=env, timeout=120)
     return done.returncode, done.stdout, done.stderr
 
 
 @dataclasses.dataclass(frozen=True)
 class Process:
-    argv: tuple[str, ...]  # the subcommand and its arguments
+    key: str  # the row: "setup/<workload>" or "cli-batch/<subcommand>"
+    args: tuple[str, ...]  # the interpreter's arguments, TREE standing for the tree's PYTHONPATH
     paths: dict[str, str]  # per tree, by its package name, the PYTHONPATH its processes import adjinv from
 
     @property
     def texts(self) -> tuple[str, ...]:
-        return (" ".join(self.argv),)
+        return (" ".join(self.args),)
 
     def run(self, tree, times: dict) -> list:
         """(key, result, compared) of one process of ``tree``; its seconds go to ``times``."""
-        key, env = f"cli-batch/{self.argv[0]}", dict(os.environ, PYTHONPATH=self.paths[tree.__name__])
-        return [(key, _timed(times, key, lambda: (_command, self.argv, env)), True)]
+        path = self.paths[tree.__name__]
+        args, env = [path if a == TREE else a for a in self.args], dict(os.environ, PYTHONPATH=path)
+        return [(self.key, _timed(times, self.key, lambda: (_command, args, env)), True)]
 
 
 def build_processes(work: Path, paths: dict[str, str]) -> list:
-    """The ops of round 0 of SEED of cli-batch whose subcommand is in COMMANDS, built by the benchmark's own round
-    builder, which writes their files to ``work``."""
-    rnd = workloads.BUILDERS["cli-batch"](random.Random(f"cli-batch:{SEED}:0"), False,
-                                          workloads.Workspace(work, runner=lambda argv: argv))
-    return [Process(tuple(argv), paths) for argv in (op.call() for op in rnd.ops) if argv[0] in COMMANDS]
+    """The setup of round 0 of SEED of every workload, and the ops of that round of cli-batch whose subcommand is
+    in COMMANDS; each round is built by the benchmark's own round builder, and the files go to ``work``."""
+    space, processes = workloads.Workspace(work, runner=lambda argv: argv), []
+    rounds = {w: workloads.BUILDERS[w](random.Random(f"{w}:{SEED}:0"), False, space) for w in (*WORKLOADS, "cli-batch")}
+    for w, rnd in rounds.items():
+        texts = work / f"setup-{w}.json"
+        texts.write_text(json.dumps([case.text for case in rnd.cases]), encoding="utf-8")
+        processes.append(Process(f"setup/{w}", ("-c", SETUP_CODE, TREE, str(texts)), paths))
+    return processes + [Process(f"cli-batch/{argv[0]}", ("-m", "adjinv", *argv), paths)
+                        for argv in (op.call() for op in rounds["cli-batch"].ops) if argv[0] in COMMANDS]
 
 
 def _pairs(rows) -> list:
