@@ -5,20 +5,29 @@ least squares / singular-system solutions, all computed over exact Gaussian
 rationals through adjugate-analogue minor sums, with independent oracles and
 defining-equation checkers to validate every result.
 
-Importing the package runs none of its modules.  Each submodule is put in
-``sys.modules`` and bound on the package as a stub, and the first read of
-any attribute of the stub (``__dict__`` and ``__spec__`` included) runs the
-module in it; from then on it is a plain :class:`types.ModuleType`, so
-later reads cost nothing extra.  A public name such as ``adjinv.mp_inverse``
-is read off its module when it is asked for (PEP 562), so a process runs
-only the modules it reads: ``python -m adjinv rank`` never runs ``pinv``,
-``solvers``, ``verify`` or ``golden``.  The stubs sit in ``sys.modules``
-from the start because callers look modules up there without importing
-them (``sys.modules["adjinv.pinv"]``, or a walk over every module), and a
-stub answers them as the module would.  The stubs are registered in the
-order of ``_MODULES``, each module before those it copies names from, so a
-walk over ``sys.modules`` that patches each module in turn has run every
-module before it patches what that module copies.
+Importing the package runs none of its modules.  Each submodule a process
+may leave unread is put in ``sys.modules`` and bound on the package as a
+stub, and the first read of any attribute of the stub (``__dict__`` and
+``__spec__`` included) runs the module in it; from then on it is a plain
+:class:`types.ModuleType`, so later reads cost nothing extra.  A public
+name such as ``adjinv.mp_inverse`` is read off its module when it is asked
+for (PEP 562), so a process runs only the modules it reads:
+``python -m adjinv rank`` never runs ``pinv``, ``solvers``, ``verify`` or
+``golden``.  The stubs sit in ``sys.modules`` from the start because
+callers look modules up there without importing them
+(``sys.modules["adjinv.pinv"]``, or a walk over every module), and a stub
+answers them as the module would.  The stubs are registered in the order
+of ``_MODULES``, each module before those it copies names from, so a walk
+over ``sys.modules`` that patches each module in turn has run every module
+before it patches what that module copies.
+
+The command line, :mod:`adjinv.cli`, is not a stub: every process that
+imports it (the ``adjinv`` script, ``python -m adjinv`` and
+``python -m adjinv.cli``) runs it at once, so a stub would defer nothing.
+It loads as a plain submodule when it is imported, which is also what lets
+``python -m adjinv.cli`` run it as ``__main__`` once: runpy warns about a
+module it finds in ``sys.modules`` before it runs it, and runs it a second
+time.
 
 The first read is safe from any number of threads: it holds the module's
 lock while the module runs, so a racing thread waits and then reads the
@@ -54,9 +63,9 @@ _PUBLIC = {
 _HOME = {name: module for module, names in _PUBLIC.items() for name in names}
 __all__ = list(_HOME)
 
-# Every submodule, each before the modules it copies names from with
+# Every submodule but cli, each before the modules it copies names from with
 # ``from .module import name`` (tests/test_package.py checks the order).
-_MODULES = ("golden", "cli", "verify", "solvers", "pinv", "drazin", "minors", "matrix_io", "matrices",
+_MODULES = ("golden", "verify", "solvers", "pinv", "drazin", "minors", "matrix_io", "matrices",
             "index_sets", "_parallel", "elimination", "scalars")
 
 

@@ -7,12 +7,14 @@ table, ``_COMMANDS``, lists them: each entry names the handler and the
 options of one subcommand, and the parser, the dispatch and the output all
 come from it.  A command runs only the library modules it reads: the
 modules imported here whole are the package's stubs (see :mod:`adjinv`),
-and each runs when a command first reads it.  Output defaults to exact
-rationals in matrix-file format (so it reparses losslessly); ``--decimal N``
-switches the display to fixed decimals (at most 10000) and ``--json`` emits
-a machine-readable layout with exact string entries.  Every value is read
-and printed through :mod:`adjinv.matrix_io`, so exact values of any length
-come through in full.
+and each runs when a command first reads it.  This module is not a stub,
+since every process that imports it runs it at once; it loads as a plain
+submodule.  Output defaults to exact rationals in matrix-file format (so it
+reparses losslessly); ``--decimal N`` switches the display to fixed
+decimals (at most 10000) and ``--json`` emits a machine-readable layout
+with exact string entries.  Every value is read and printed through
+:mod:`adjinv.matrix_io`, so exact values of any length come through in
+full.
 
 Exit codes: 0 success, 1 usage error, 2 input error (an unreadable or
 malformed input), 3 mathematical precondition violated, 4 internal
@@ -21,10 +23,11 @@ standard output (``adjinv pinv big.mat | head``); 141 is 128 + SIGPIPE,
 the status a shell reports for a process that SIGPIPE ended, and no
 traceback is printed.
 
-:func:`main` with ``argv`` None is the process entry point (``adjinv`` and
-``python -m adjinv``): it reads ``sys.argv``, parses it and reads the input,
-runs :mod:`adjinv.elimination` and then the module the command reads, and
-only then calls :func:`gc.freeze`, before the command runs.  Given an argv
+:func:`main` with ``argv`` None is the process entry point of the
+``adjinv`` script, ``python -m adjinv`` and ``python -m adjinv.cli``, which
+behave alike: it reads ``sys.argv``, parses it and reads the input, runs
+:mod:`adjinv.elimination` and then the module the command reads, and only
+then calls :func:`gc.freeze`, before the command runs.  Given an argv
 list, as tests and in-process callers give it, :func:`main` never freezes.
 """
 

@@ -593,24 +593,25 @@ def _dot(x, y) -> Pair:
     return (re, im)
 
 
-def matmul_pairs(a: list[list[Pair]], b: list[list[Pair]]) -> list[list[Pair]]:
-    """Product of two Gaussian-integer matrices given as lists of rows."""
+def _products(a: list[list[Pair]], b: list[list[Pair]], upper: bool) -> list[list[Pair]]:
+    """The rows of a b; with ``upper``, row i holds its entries from column i on."""
     cols = list(zip(*b))
     if _int_rows(a, b):
         cols = _ints(cols)
-        return [[(sum(map(mul, row, col)), 0) for col in cols] for row in _ints(a)]
-    return [[_dot(row, col) for col in cols] for row in a]
+        return [[(sum(map(mul, row, col)), 0) for col in (cols[i:] if upper else cols)]
+                for i, row in enumerate(_ints(a))]
+    return [[_dot(row, col) for col in (cols[i:] if upper else cols)] for i, row in enumerate(a)]
+
+
+def matmul_pairs(a: list[list[Pair]], b: list[list[Pair]]) -> list[list[Pair]]:
+    """Product of two Gaussian-integer matrices given as lists of rows."""
+    return _products(a, b, False)
 
 
 def hermitian_matmul_pairs(a: list[list[Pair]], b: list[list[Pair]]) -> list[list[Pair]]:
     """:func:`matmul_pairs` for a product known to be Hermitian: it forms the entries on and above
     the diagonal, and each entry below is the conjugate of its mirror."""
-    cols = list(zip(*b))
-    if _int_rows(a, b):
-        cols = _ints(cols)
-        upper = [[(sum(map(mul, row, col)), 0) for col in cols[i:]] for i, row in enumerate(_ints(a))]
-    else:
-        upper = [[_dot(row, col) for col in cols[i:]] for i, row in enumerate(a)]
+    upper = _products(a, b, True)
     return [[(re, -im) for re, im in (upper[j][i - j] for j in range(i))] + upper[i] for i in range(len(a))]
 
 

@@ -30,10 +30,15 @@ REPORT = ("import json, sys, types; print(json.dumps(sorted(n[7:] for n, m in li
           f" + [n for n in {HEAVY!r} if n in sys.modules]))")
 
 
+def _python(*args: str, path: Path = PACKAGE.parent) -> subprocess.CompletedProcess:
+    """A fresh interpreter run with the command-line arguments ``args``, importing adjinv from ``path``."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(path), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120)
+
+
 def _child(code: str, *args: str, path: Path = PACKAGE.parent) -> subprocess.CompletedProcess:
     """A fresh interpreter running ``code`` with ``args`` as its argv, importing adjinv from ``path``."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(path), *filter(None, [os.environ.get("PYTHONPATH")])]))
-    return subprocess.run([sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, timeout=120)
+    return _python("-c", code, *args, path=path)
 
 
 def _modules_run(code: str, *args: str) -> set[str]:
@@ -52,6 +57,18 @@ def _command_runs(*argv: str) -> set[str]:
 
 def test_importing_the_package_runs_no_module():
     assert _modules_run("import adjinv") == set()
+
+
+def test_importing_the_package_leaves_the_command_line_unimported():
+    done = _child("import sys, adjinv; print('adjinv.cli' in sys.modules, hasattr(adjinv, 'cli'))")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "False False\n", "")
+
+
+def test_python_m_adjinv_cli_runs_the_command_line_once():
+    # runpy warns on stderr, and runs the module a second time, when the
+    # module it is asked to run as __main__ is already in sys.modules.
+    done = _python("-m", "adjinv.cli", "rank", EXAMPLE1)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "3\n", "")
 
 
 def test_the_benchmark_setup_runs_only_the_reader():
@@ -121,7 +138,7 @@ def test_each_module_comes_before_the_modules_it_copies_names_from():
     # what it copies.
     done = _child("import json, sys, adjinv; print(json.dumps(list(sys.modules)))")
     order = {name[7:]: k for k, name in enumerate(n for n in json.loads(done.stdout) if n.startswith("adjinv."))}
-    assert set(order) == {p.stem for p in PACKAGE.glob("*.py")} - {"__init__", "__main__"}
+    assert set(order) == {p.stem for p in PACKAGE.glob("*.py")} - {"__init__", "__main__", "cli"}
     for name, k in order.items():
         tree = ast.parse((PACKAGE / f"{name}.py").read_text(encoding="utf-8"))
         sources = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level == 1}

@@ -95,7 +95,10 @@ distance between their quartiles), the median ratio and its quartiles, the
 pairs the change won (ties count for neither), and a verdict: "faster" or
 "slower" when, over at least 10 pairs, the change wins, or loses, at least
 9 in 10 and the medians differ by more than that spread; "unresolved"
-otherwise, and always below 10 pairs.
+otherwise, and always below 10 pairs.  A compared row is one call per tree
+per pair, and under about 1 ms such a row can read "slower" between two
+identical trees, so a verdict on a compared row whose parent median is under
+1 ms needs a second run; the table says so under its header.
 ``--json PATH`` writes the same report, and beside it ``slopes``: per cell
 and kind (``real/eliminate``), the slope of log(change ms) against log n
 between neighbouring sizes.  To weigh a change of ``_INT_MIN``,
@@ -461,6 +464,7 @@ def main(argv=None) -> int:
           " compared results equal in every pair")
     print(f"{'row':<36}{'parent ms':>11}{'change ms':>11}{'spread':>10}{'ratio':>8}{'q1':>7}{'q3':>7}{'wins':>7}"
           "  verdict")
+    print("(a verdict on a compared row whose parent median is under 1 ms needs a second run)")
     for key, r in report.items():
         print(f"{key:<36}{r['parent_ms']:>11.3f}{r['change_ms']:>11.3f}{r['spread_ms']:>10.3f}{r['ratio_median']:>8.3f}"
               f"{r['ratio_q1']:>7.3f}{r['ratio_q3']:>7.3f}{r['wins']:>4}/{r['pairs']:<2}  {r['verdict']}")
