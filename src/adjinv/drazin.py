@@ -22,15 +22,11 @@ an M_i of rank 0 means A is nilpotent.  So
 
     A^D = B_1 .. B_k M_k^-(k+1) C_k .. C_1,   d_r(A^(k+1)) = det(M_k)^(k+1),
 
-and the eq11 numerators are B_1 .. B_k adj(M_k)^(k+1) C_k .. C_1: the C
-factors' integer pairs times the right side, k + 1 adjoint solves on the
-core's kept sweep (:func:`adjinv.elimination.adjoint_solve_pairs`), then
-the B factors' pairs, while the factors' scales and the solves' contents
-factors multiply, and one call to the scale rule
-(:func:`adjinv.minors._ledger`), which reduces once.  No
-Matrix or Scalar is built between the steps.  The ledger is unique, so
-these are the numbers the minor sums give.  Only A's own sweep is n x n;
-every later sweep is of an r_i x r_i M_i, kept in lowest terms.
+and the eq11 numerators are B_1 .. B_k adj(M_k)^(k+1) C_k .. C_1, which
+:func:`adjinv.minors.chain_ledger` forms on integer pairs (its docstring
+gives the scale rule).  The ledger is unique, so these are the numbers the
+minor sums give.  Only A's own sweep is n x n; every later sweep is of an
+r_i x r_i M_i, kept in lowest terms.
 
 A matrix keeps its chain (:func:`adjinv.matrices.index_chain`) and its eq11
 result (:func:`adjinv.matrices.kept`), so its operations and
@@ -57,10 +53,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from . import elimination, minors
+from . import minors
 # ``rank`` stays bound here for the benchmark's tracer, which wraps adjinv.drazin.rank by name.
-from .matrices import Matrix, index_chain, kept, multiply, rank, require_square, sweep  # noqa: F401
-from .scalars import ONE, Scalar
+from .matrices import Matrix, index_chain, kept, multiply, rank, require_square  # noqa: F401
+from .scalars import Scalar
 
 
 class GroupInverseError(ValueError):
@@ -83,44 +79,13 @@ class DrazinResult:
     numerators: Matrix
 
 
-def _chain_ledger(a: Matrix, y: Matrix | None = None) -> minors.Ledger:
-    """(N_r(A^(k+1)) A^k y, d_r(A^(k+1))) from the chain, with y the identity when None.
-
-    d_r(A^(k+1)) A^D y = B_1 .. B_k adj(M_k)^(k+1) C_k .. C_1 y over
-    det(M_k)^(k+1) = d_r(A^(k+1)), all on integer pairs: the C factors' pairs
-    times y', k + 1 adjoint solves on the core's kept sweep, then the B
-    factors' pairs, while the scales of y and the factors multiply.  Each
-    solve returns (X, d, f) with X f = adj(M') x and runs on the last X, so
-    the whole ledger's f is the product of the k + 1 solves' f.  With
-    M_k = M' / s, adj(M_k) = adj(M') / s^(r-1) and det M_k = det M' / s^r,
-    so one call to :func:`adjinv.minors._ledger` makes the ledger.  At
-    index 0 that is adj(A) y over det A, one solve from A's own sweep (with
-    y None, the ledger of the classical inverse), and at core rank 0 the
-    zero ledger (0, 1), with no solve and no product.
-    """
-    k, r, factors, core = index_chain(a)
-    if r == 0:
-        return minors.Ledger(Matrix.zeros(a.rows, a.rows if y is None else y.cols), ONE)
-    x, scale = (None, 1) if y is None else (y.pairs, y.scale)
-    for _, c in factors:
-        x, scale = c.pairs if x is None else elimination.matmul_pairs(c.pairs, x), scale * c.scale
-    e, d, f = sweep(core or a), (1, 0), 1
-    for _ in range(k + 1):
-        x, step, content = elimination.adjoint_solve_pairs(e, x)
-        d, f = elimination._mul(d, step), f * content
-    for b, _ in reversed(factors):
-        x, scale = elimination.matmul_pairs(b.pairs, x), scale * b.scale
-    s = (core or a).scale ** (k + 1)
-    return minors._ledger(x, d, f, s ** (r - 1) * scale, s**r)
-
-
 def _eq11(a: Matrix) -> DrazinResult:
     """N_r(A^(k+1)) @ A^k over d_r(A^(k+1)) at r = rank A^k, through the chain A keeps.
 
     At index 0 it is adj(A) over det A, the classical inverse, which
     :func:`adjinv.pinv.mp_inverse` reads from here rather than forming again.
     """
-    (k, r, _, _), ledger = index_chain(a), _chain_ledger(a)
+    (k, r, _, _), ledger = index_chain(a), minors.chain_ledger(a)
     return DrazinResult(ledger.quotient(), k, r, ledger.denominator, ledger.numerators)
 
 

@@ -1,4 +1,4 @@
-"""Minors, principal-minor sums, the Gram ledger and the one scale rule for every ledger.
+"""Minors, principal-minor sums, the Gram and Drazin ledgers and the one scale rule for every ledger.
 
 Every adjugate analogue in the package is a sum of replaced principal minors:
 entry (i, j) sums, over the order-r principal index sets containing i, the
@@ -38,13 +38,8 @@ characteristic-adjugate ledger of A*A at the rank order,
 (N_r(A*A) A* b, d_r(A*A)).  For A = A' / s and b = b' / t the kernel
 returns (X, d, f, q), the ledger X f / q over d f / q of A' and b', with
 q = |det W''|^2 of the skeleton's pivot block (1 at full rank), so the
-scales are s^(2r-1) t q and s^(2r) q.  The Drazin ledgers, the classical
-inverse among them, come from Cline's chain
-(:func:`adjinv.drazin._chain_ledger`): k + 1 adjoint solves on the
-nonsingular core M_k = M' / s (:func:`adjinv.elimination.adjoint_solve_pairs`)
-between the chain's factors, with f the product of the k + 1 solves'
-contents factors and the scales s^((r-1)(k+1)) times those of the factors
-and of b, and s^(r(k+1)).
+scales are s^(2r-1) t q and s^(2r) q.  Every Drazin ledger, the classical
+inverse's among them, comes from Cline's chain through :func:`chain_ledger`.
 A caller makes one kernel call, and :meth:`Ledger.quotient` is the one way
 a ledger becomes a result.
 The projectors A+ A and A A+ take no ledger of their own: they are the
@@ -202,6 +197,39 @@ def skeleton_ledger(a: Matrix, b: Matrix | None = None, adjoint: bool = False) -
     x, d, f, q = elimination.skeleton_ledger_pairs(a.pairs, e, None if b is None else b.pairs, adjoint)
     scale = a.scale ** (2 * r - 1) * q
     return _ledger(x, d, f, scale * (1 if b is None else b.scale), scale * a.scale)
+
+
+def chain_ledger(a: Matrix, b: Matrix | None = None) -> Ledger:
+    """(N_r(A^(k+1)) A^k b, d_r(A^(k+1))) from the chain a keeps, with b the identity when None.
+
+    With the chain's factors B_i, C_i and core M_k
+    (:func:`adjinv.matrices.index_chain`), d_r(A^(k+1)) A^D b =
+    B_1 .. B_k adj(M_k)^(k+1) C_k .. C_1 b over det(M_k)^(k+1) = d_r(A^(k+1)),
+    all on integer pairs: the C factors' pairs times b', k + 1 adjoint solves
+    on the core's kept sweep (:func:`adjinv.elimination.adjoint_solve_pairs`),
+    then the B factors' pairs, while the scales of b and the factors multiply.  Each solve
+    returns (X, d, f) with X f = adj(M') x and runs on the last X, so the
+    whole ledger's f is the product of the k + 1 solves' f.  With
+    M_k = M' / s, adj(M_k) = adj(M') / s^(r-1) and det M_k = det M' / s^r,
+    so one call to :func:`_ledger` makes the ledger.  At index 0 that is
+    adj(A) b over det A, one solve from A's own sweep (with b None, the
+    ledger of the classical inverse), and at core rank 0 the zero ledger
+    (0, 1), with no solve and no product.
+    """
+    k, r, factors, core = index_chain(a)
+    if r == 0:
+        return Ledger(Matrix.zeros(a.rows, a.rows if b is None else b.cols), ONE)
+    x, scale = (None, 1) if b is None else (b.pairs, b.scale)
+    for _, c in factors:
+        x, scale = c.pairs if x is None else elimination.matmul_pairs(c.pairs, x), scale * c.scale
+    e, d, f = sweep(core or a), (1, 0), 1
+    for _ in range(k + 1):
+        x, step, content = elimination.adjoint_solve_pairs(e, x)
+        d, f = elimination._mul(d, step), f * content
+    for bi, _ in reversed(factors):
+        x, scale = elimination.matmul_pairs(bi.pairs, x), scale * bi.scale
+    s = (core or a).scale ** (k + 1)
+    return _ledger(x, d, f, s ** (r - 1) * scale, s**r)
 
 
 def _ledger(x, d, f: int, x_scale: int, d_scale: int) -> Ledger:

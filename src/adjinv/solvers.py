@@ -42,8 +42,9 @@ kept once, so after any of :func:`adjinv.pinv.mp_inverse`,
 the solve takes no solve of its own.  Otherwise the factors of the chain
 A keeps (:func:`adjinv.matrices.index_chain`, which also gives k and r) are
 applied to y, B_1 .. B_k adj(M_k)^(k+1) C_k .. C_1 y over det(M_k)^(k+1),
-with k + 1 one-column adjoint solves on the core (:mod:`adjinv.drazin`); at
-index 0 that is one solve from A's kept sweep, so A is eliminated once.
+with k + 1 one-column adjoint solves on the core
+(:func:`adjinv.minors.chain_ledger`); at index 0 that is one solve from
+A's kept sweep, so A is eliminated once.
 The report's g = A^k y takes k matrix-vector products when the core
 rank is positive, formed on its first read (:class:`SolveReport`).
 
@@ -62,27 +63,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 
-from . import drazin, minors
+from . import minors
 from .matrices import (Matrix, conjugate_transpose, from_pairs, held, index_chain, known_rank, multiply,
                        require_square)
 from .scalars import Scalar
 
 
-class _Deferred(partial):
-    """A field value not formed yet: ``formed()`` forms it once and keeps it; racing threads get the first value."""
-
-    def formed(self):
-        kept = self.__dict__
-        return kept["value"] if "value" in kept else kept.setdefault("value", self())
-
-
 class _FormedOnRead:
-    """A dataclass field that may be given a :class:`_Deferred`, formed on first read and then kept.
+    """A dataclass field that may be given a ``functools.partial``, formed on first read and then kept.
 
     A descriptor-typed field stays in ``dataclasses.fields`` and in the
     generated ``__init__``, ``__eq__``, ``__hash__`` and ``__repr__``, which
     read it like any attribute.  The value sits in the attribute ``_<name>``,
-    where the formed value replaces the deferral.
+    where the formed value replaces the partial.  The partial keeps the first
+    value formed, so racing first readers get one object.
     """
 
     def __set_name__(self, owner, name: str) -> None:
@@ -92,8 +86,9 @@ class _FormedOnRead:
         if obj is None:
             raise AttributeError(self.name)  # no class default: the field stays required
         value = getattr(obj, self.private)
-        if isinstance(value, _Deferred):
-            value = value.formed()
+        if isinstance(value, partial):
+            kept = value.__dict__
+            value = kept["value"] if "value" in kept else kept.setdefault("value", value())
             object.__setattr__(obj, self.private, value)
         return value
 
@@ -153,7 +148,7 @@ def lsq_solve(a: Matrix, y: Matrix) -> SolveReport:
     """Minimal-norm least squares solution of A x = y (y is m x 1)."""
     if not (y.cols == 1 and y.rows == a.rows):
         raise ValueError(f"right side must be {a.rows}x1, got {y.rows}x{y.cols}")
-    f = _Deferred(_adjoint_product, a.pairs, a.scale, y, False)
+    f = partial(_adjoint_product, a.pairs, a.scale, y, False)
     ledger = _held_gram(a, lambda numerators: multiply(numerators, y)) or minors.skeleton_ledger(a, y)
     method = "eq13" if known_rank(a) == a.cols else "eq14"
     return SolveReport(ledger.quotient(), method, ledger.denominator, ledger.numerators.column(0), f)
@@ -163,7 +158,7 @@ def lsq_solve_row_system(y: Matrix, a: Matrix) -> SolveReport:
     """Minimal-norm least squares solution of the row system x A = y (y is 1 x n)."""
     if not (y.rows == 1 and y.cols == a.cols):
         raise ValueError(f"right side must be 1x{a.cols}, got {y.rows}x{y.cols}")
-    g = _Deferred(_adjoint_product, a.pairs, a.scale, y, True)
+    g = partial(_adjoint_product, a.pairs, a.scale, y, True)
     # y A+ = ((A*)+ y*)*, from the skeleton of A* that the sweep of A gives.
     ledger = (_held_gram(a, partial(multiply, y))
               or minors.skeleton_ledger(a, conjugate_transpose(y), adjoint=True).adjoint())
@@ -182,8 +177,8 @@ def drazin_solve(a: Matrix, y: Matrix) -> SolveReport:
         raise ValueError(f"right side must be {a.rows}x1, got {y.rows}x{y.cols}")
     k, r, _, _ = index_chain(a)
     # A^k = 0 at core rank 0.
-    g = _Deferred(_power_product, a.pairs, a.scale, k, y) if r else Matrix.zeros(a.rows, 1)
+    g = partial(_power_product, a.pairs, a.scale, k, y) if r else Matrix.zeros(a.rows, 1)
     res = held(a, "eq11")
-    ledger = minors.Ledger(multiply(res.numerators, y), res.denominator) if res else drazin._chain_ledger(a, y)
+    ledger = minors.Ledger(multiply(res.numerators, y), res.denominator) if res else minors.chain_ledger(a, y)
     method = "classical_cramer" if k == 0 else "eq16"
     return SolveReport(ledger.quotient(), method, ledger.denominator, ledger.numerators.column(0), g)

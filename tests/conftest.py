@@ -92,7 +92,7 @@ def horner_adjugate_pairs(g: list[list], r: int, b: list[list]) -> tuple[list[li
     classical adjugate and d_n(g) the determinant, a singular g's too.  The
     library forms this only at r = n of a nonsingular g, the core of the
     Drazin index chain, by an adjoint solve (``elimination.adjoint_solve_pairs``
-    in ``drazin._chain_ledger``); every other order is a reference route.
+    in ``minors.chain_ledger``); every other order is a reference route.
     """
     neg, mul = elimination._neg, elimination._mul
     d = elimination.char_poly_pairs(g)
@@ -109,7 +109,7 @@ def horner_adjugate_pairs(g: list[list], r: int, b: list[list]) -> tuple[list[li
 def horner_ledger(g: Matrix, r: int, b: Matrix) -> Ledger:
     """The ledger (N_r(g) @ b, d_r(g)) at any order 0 <= r <= n, by Berkowitz and Horner.
 
-    The library's ``drazin._chain_ledger`` serves order n of a nonsingular
+    The library's ``minors.chain_ledger`` serves order n of a nonsingular
     g only (index 0), and order 0 is the zero ledger (0, 1); this reference serves
     every order, on the pairs of g = g' / s and b = b' / e, rescaled by
     s^(r-1) e and s^r.

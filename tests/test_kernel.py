@@ -1,6 +1,6 @@
 """Differential tests of the characteristic-adjugate kernels.
 
-The kernels (``drazin._chain_ledger``, whose adjoint solves run on a
+The kernels (``minors.chain_ledger``, whose adjoint solves run on a
 nonsingular matrix or the Drazin core, and ``minors.skeleton_ledger`` for
 every Gram ledger) must agree
 exactly with two independent routes: the literal replaced-minor sums of the
@@ -295,7 +295,7 @@ def test_adjoint_ledger_matches_literal_sums(nr, p, seed, complex_entries):
     nums, d = literal_ledger(g, r, b)
     assert _exact(ledger) == (nums, d)
     if r == n and d:  # a nonsingular g has index 0: its chain ledger is (adj(g) b, det g)
-        assert _exact(drazin._chain_ledger(g, b)) == (nums, d)
+        assert _exact(minors.chain_ledger(g, b)) == (nums, d)
     if d:  # the quotient against one Scalar division per entry
         assert ledger.quotient() == nums * (ONE / d)
 
@@ -1628,7 +1628,7 @@ def test_classical_and_index_zero_drazin_inverses_share_one_solve(order, complex
     assert drazin_times_a(a) == Matrix.identity(5) and len(solves) == 1 + lone
     # The ledger itself keeps nothing but the chain it reads, here A's sweep alone.
     g = _fresh(a)
-    drazin._chain_ledger(g)
+    minors.chain_ledger(g)
     assert sorted(g._kept) == ["index chain", "sweep"]
 
 
@@ -2037,7 +2037,7 @@ def test_each_ledger_reduces_its_numerators_once(complex_entries, monkeypatch):
     chains = [_full_rank(664, 6, 6, complex_entries)] + [
         _indexed(665 + k, 6 - k - 1, (k, 1), complex_entries) for k in (1, 2, 3)]
     assert [index_of(a) for a in chains] == [0, 1, 2, 3]
-    counts, chain_ledger = [], drazin._chain_ledger
+    counts, chain_ledger = [], minors.chain_ledger
 
     def counted(a, y=None):  # every chain ledger, a lone Drazin solve's after its products A^k y
         reductions.clear()
@@ -2045,9 +2045,9 @@ def test_each_ledger_reduces_its_numerators_once(complex_entries, monkeypatch):
         counts.append(len(reductions))
         return ledger
 
-    monkeypatch.setattr(drazin, "_chain_ledger", counted)
+    monkeypatch.setattr(minors, "chain_ledger", counted)
     for a in chains:
-        assert reduced(drazin._chain_ledger, a) == reduced(drazin._chain_ledger, a, y) == 1
+        assert reduced(minors.chain_ledger, a) == reduced(minors.chain_ledger, a, y) == 1
         lone = _fresh(a)
         index_of(lone)
         drazin_solve(lone, y)

@@ -84,6 +84,7 @@ def test_the_benchmark_setup_runs_only_the_reader():
     (["pinv", EXAMPLE1], {"solvers", "verify", "golden"}),
     (["charpoly", EXAMPLE2], {"pinv", "drazin", "solvers", "verify", "golden", "dataclasses"}),
     (["solve-lsq", EXAMPLE1, "--rhs", "1 2 3 1"], {"pinv", "drazin", "verify", "golden"}),
+    (["solve-drazin", EXAMPLE2, "--rhs", "1 2 3 1"], {"pinv", "drazin", "verify", "golden"}),
 ])
 def test_a_command_runs_none_of_the_modules_it_does_not_read(argv, unread):
     ran = _command_runs(*argv)

@@ -32,7 +32,6 @@ from adjinv import (
     row_vector,
 )
 from adjinv import elimination, minors
-from adjinv.drazin import _chain_ledger
 from adjinv.matrices import from_pairs
 from conftest import drazin_case, random_invertible, rank_forced_matrix
 
@@ -266,7 +265,7 @@ def _transformed_cases():
             a = drazin_case(rng, n, k, cx)[0]
         y = _vector(rng, n, 1)
         cases.append((f"drazin n={n} index {k}" + " nilpotent" * nilpotent, drazin_solve, a, y, drazin_inverse,
-                      _chain_ledger, multiply(power(a, k), y), 0 if nilpotent else k))
+                      minors.chain_ledger, multiply(power(a, k), y), 0 if nilpotent else k))
     return cases
 
 

@@ -39,7 +39,7 @@ from A's sweep), ``A A`` and ``A y`` (``matmul_pairs``), ``factor``
 (``row_factor_pairs`` from the product's sweep), ``gram`` (F F* by
 ``hermitian_matmul_pairs`` and its ``gram_solve_pairs`` on z),
 ``skeleton`` (``skeleton_ledger_pairs`` of the product and its sweep) and
-``chain`` (``drazin._chain_ledger`` of the index-2 matrix, its chain kept).
+``chain`` (``minors.chain_ledger`` of the index-2 matrix, its chain kept).
 These kernels keep nothing, so each timed-only cell calls its kernel again
 on the same arguments until ``FLOOR`` seconds have passed (once when one
 call takes longer) and its time is the seconds per call.  Each cell is an
@@ -221,7 +221,7 @@ CELLS = {
     "factor": lambda t, c: (t.elimination.row_factor_pairs, t.elimination.eliminate(c.product)),
     "gram": lambda t, c: (lambda e: e.gram_solve_pairs(e.hermitian_matmul_pairs(c.f, c.f_star), c.z), t.elimination),
     "skeleton": lambda t, c: (t.elimination.skeleton_ledger_pairs, c.product, t.elimination.eliminate(c.product)),
-    "chain": lambda t, c: (t.drazin._chain_ledger, _read_chain(t, c.indexed)),
+    "chain": lambda t, c: (t.minors.chain_ledger, _read_chain(t, c.indexed)),
 }
 
 

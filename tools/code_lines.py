@@ -9,7 +9,9 @@ three lines counts three.
     python tools/code_lines.py [PATH ...]      # default: src/adjinv
 
 Each argument is a ``.py`` file or a directory searched for them.  Prints one
-count per file, then the total.  A measuring aid only; nothing checks it.
+count per file, then the total.  A measuring aid only; nothing checks it.  A
+reader that closes the pipe early (``| head -2``) ends it quietly, with exit
+status 141, as it ends the ``adjinv`` command.
 """
 
 from __future__ import annotations
@@ -72,11 +74,19 @@ def python_files(paths: list[str]) -> list[str]:
 def main(argv: list[str]) -> int:
     default = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src", "adjinv")
     total = 0
-    for path in python_files(argv or [os.path.relpath(default)]):
-        count = code_lines(path)
-        total += count
-        print(f"{count:6d}  {path}")
-    print(f"{total:6d}  total")
+    try:
+        for path in python_files(argv or [os.path.relpath(default)]):
+            count = code_lines(path)
+            total += count
+            print(f"{count:6d}  {path}")
+        print(f"{total:6d}  total")
+        sys.stdout.flush()  # a closed pipe shows here, and not at exit
+    except BrokenPipeError:
+        # Point stdout at os.devnull, so that the flush at exit raises nothing.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     return 0
 
 
