@@ -229,8 +229,13 @@ _COMMANDS = {
 
 
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="adjinv", description=__doc__, add_help=True)
-    sub = parser.add_subparsers(dest="command", metavar="subcommand")
+    parser = _Parser(prog="adjinv", add_help=True, description=(
+        "Exact generalized inverses of a matrix file: Moore-Penrose, Drazin and group inverses, their "
+        "projectors, rank, index, characteristic coefficients, Cramer-style solutions, a self-verifying "
+        "mode and the paper's worked examples. 'adjinv SUBCOMMAND --help' lists a subcommand's options. "
+        "Exit codes: 0 success, 1 usage error, 2 input error, 3 mathematical precondition violated, "
+        "4 internal verification failure, 141 output cut short because the reader closed standard output."))
+    sub = parser.add_subparsers(dest="command")
     sub.required = True
     for name, command in _COMMANDS.items():
         p = sub.add_parser(name)

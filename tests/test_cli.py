@@ -596,10 +596,20 @@ def test_bundled_data_files_work_via_cli(capsys):
     assert out.splitlines()[1] == "12193/17010"
 
 
-def test_help_exits_zero():
+def test_help_exits_zero(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--help"])
     assert exc.value.code == 0
+    out = capsys.readouterr().out
+    # The subcommands are listed by name, the exit codes are given, and the
+    # developer docstring of the module stays out.
+    assert "{" + ",".join(SUBCOMMANDS) + "}" in out
+    words = " ".join(out.split())
+    for code in ("0 success", "1 usage error", "2 input error", "3 mathematical precondition violated",
+                 "4 internal verification failure", "141 output cut short"):
+        assert code in words
+    for developer in ("_COMMANDS", ":mod:", "gc.freeze"):
+        assert developer not in out
 
 
 MATRICES = {

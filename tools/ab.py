@@ -1,4 +1,4 @@
-"""Time the library on two trees, call by call and process by process, and print one table.
+"""Time the library on two trees, call by call, and print one table.
 
     python tools/ab.py REV [--pairs 10] [--sizes 8 12 20 40] [--json PATH]
 
@@ -71,26 +71,17 @@ form neither tree's classes enter (a Matrix as its entries, a Scalar as its
 parts, a result class as its fields, a raised error as its type and
 message); any difference stops the run with exit status 1.
 
-Process rows time whole interpreter processes.  ``setup/<workload>`` runs
-the benchmark's setup command (``perfbench.bench.SETUP_CODE``: ``import
-adjinv``, then ``parse_matrix_text`` on each text) on the matrix texts of
-round 0 of seed 1 of each of the four workloads, as the benchmark's
-``setup_s`` does.  ``cli-batch/<subcommand>`` runs ``python -m adjinv`` on
-the ops of round 0 of seed 1 of ``cli-batch`` whose subcommand is one of
-``COMMANDS``, with the benchmark's own files and arguments.  Each tree runs
-each process as a child, REV's from a second copy of its ``src/adjinv``
-extracted as ``adjinv`` on its own ``PYTHONPATH`` (and, for the setup, as
-the code's ``sys.argv[1]``), and the working tree's from ``src``; the exit
-status, stdout and stderr are compared.  Before anything is timed, every
-public name of each tree is read, so the modules a package runs on first
-read run then, and in no library row.
+Before anything is timed, every public name of each tree is read, so the
+modules a package runs on first read run then, and in no row.  This tool
+times library calls only.  Process-level numbers (``setup_s``, and the
+``cli-batch`` workload's one process per op) come from paired
+``perfbench/run.py`` runs on two checkouts, alternating which runs first.
 
-Per row (``workload/op``, ``n=12 real/cell``, ``n=12 real/op``,
-``setup/cli-batch`` or ``cli-batch/rank``), a pair's time on each tree is
-the sum over the row's calls in the pair (for a timed-only cell, its
-seconds per call), and the pair's ratio is change/parent, the working tree
-over REV.  The table gives each tree's median time per pair in
-milliseconds, the spread of the parent's times (the
+Per row (``workload/op``, ``n=12 real/cell`` or ``n=12 real/op``), a pair's
+time on each tree is the sum over the row's calls in the pair (for a
+timed-only cell, its seconds per call), and the pair's ratio is
+change/parent, the working tree over REV.  The table gives each tree's
+median time per pair in milliseconds, the spread of the parent's times (the
 distance between their quartiles), the median ratio and its quartiles, the
 pairs the change won (ties count for neither), and a verdict: "faster" or
 "slower" when, over at least 10 pairs, the change wins, or loses, at least
@@ -116,9 +107,7 @@ import importlib.util
 import inspect
 import json
 import math
-import os
 import random
-import shutil
 import statistics
 import subprocess
 import sys
@@ -137,15 +126,12 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 import adjinv  # noqa: E402
 from adjinv import elimination  # noqa: E402
 from perfbench import corpus, workloads  # noqa: E402
-from perfbench.bench import SETUP_CODE  # noqa: E402
 
 PARENT = "adjinv_parent"
 WORKLOADS = ("pinv-deficient", "drazin-index", "fullrank-dense")
 ROUNDS, SEED = 4, 1  # rounds 0-3 of seed 1 in each pair
 FLOOR = 0.02  # seconds a timed-only cell repeats its call for, on each tree in each pair
 PRIME_MAX = 20  # largest n of the prime cell
-COMMANDS = ("rank", "charpoly", "pinv", "drazin", "solve-lsq", "verify")  # the subcommands of the process rows
-TREE = "<tree>"  # in a process's arguments, the path its tree's package is imported from
 
 
 def _timed(times: dict, key: str, setup, floor: float = 0.0):
@@ -273,42 +259,6 @@ def _prime_input(n: int) -> Input:
     return Input(f"n={n} prime", (text,), (("mp_inverse", (0,)),))
 
 
-def _command(args: list[str], env: dict) -> tuple[int, bytes, bytes]:
-    """The exit status, stdout and stderr of one interpreter process with these arguments."""
-    done = subprocess.run([sys.executable, *args], capture_output=True, env=env, timeout=120)
-    return done.returncode, done.stdout, done.stderr
-
-
-@dataclasses.dataclass(frozen=True)
-class Process:
-    key: str  # the row: "setup/<workload>" or "cli-batch/<subcommand>"
-    args: tuple[str, ...]  # the interpreter's arguments, TREE standing for the tree's PYTHONPATH
-    paths: dict[str, str]  # per tree, by its package name, the PYTHONPATH its processes import adjinv from
-
-    @property
-    def texts(self) -> tuple[str, ...]:
-        return (" ".join(self.args),)
-
-    def run(self, tree, times: dict) -> list:
-        """(key, result, compared) of one process of ``tree``; its seconds go to ``times``."""
-        path = self.paths[tree.__name__]
-        args, env = [path if a == TREE else a for a in self.args], dict(os.environ, PYTHONPATH=path)
-        return [(self.key, _timed(times, self.key, lambda: (_command, args, env)), True)]
-
-
-def build_processes(work: Path, paths: dict[str, str]) -> list:
-    """The setup of round 0 of SEED of every workload, and the ops of that round of cli-batch whose subcommand is
-    in COMMANDS; each round is built by the benchmark's own round builder, and the files go to ``work``."""
-    space, processes = workloads.Workspace(work, runner=lambda argv: argv), []
-    rounds = {w: workloads.BUILDERS[w](random.Random(f"{w}:{SEED}:0"), False, space) for w in (*WORKLOADS, "cli-batch")}
-    for w, rnd in rounds.items():
-        texts = work / f"setup-{w}.json"
-        texts.write_text(json.dumps([case.text for case in rnd.cases]), encoding="utf-8")
-        processes.append(Process(f"setup/{w}", ("-c", SETUP_CODE, TREE, str(texts)), paths))
-    return processes + [Process(f"cli-batch/{argv[0]}", ("-m", "adjinv", *argv), paths)
-                        for argv in (op.call() for op in rounds["cli-batch"].ops) if argv[0] in COMMANDS]
-
-
 def _pairs(rows) -> list:
     """Integer corpus rows, of (re, im) Fraction entries, as rows of int pairs."""
     return [[(int(re), int(im)) for re, im in row] for row in rows]
@@ -353,12 +303,10 @@ def build_inputs(sizes: list[int]) -> list:
 
 
 def import_revision(rev: str, where: Path):
-    """Extract REV's src/adjinv as ``where``/adjinv_parent, import it as the package ``adjinv_parent`` and return it;
-    a copy as ``where``/process/adjinv serves its processes."""
+    """Extract REV's src/adjinv as ``where``/adjinv_parent, then import and return it as the package."""
     archive = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", f"--prefix={PARENT}/",
                               f"{rev}:src/adjinv"], check=True, capture_output=True).stdout
     subprocess.run(["tar", "-x", "-C", str(where)], input=archive, check=True)
-    shutil.copytree(where / PARENT, where / "process" / "adjinv")
     sys.path.insert(0, str(where))
     return importlib.import_module(PARENT)
 
@@ -446,16 +394,16 @@ def main(argv=None) -> int:
         parser.error("--pairs must be at least 2")
     if min(args.sizes) < 6:
         parser.error("--sizes must be at least 6 (the index-3 input's nilpotent part, n//2, holds a block of 3)")
+    if len(set(args.sizes)) < len(args.sizes):
+        parser.error("--sizes must not repeat a size (a repeated size's cells would add into one row)")
     commit = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--verify", f"{args.rev}^{{commit}}"],
                             check=True, capture_output=True, text=True).stdout.strip()
     with tempfile.TemporaryDirectory(prefix="adjinv-ab-") as where:
-        where = Path(where)
-        trees = {"change": adjinv, "parent": import_revision(commit, where)}
+        trees = {"change": adjinv, "parent": import_revision(commit, Path(where))}
         for tree in trees.values():  # each tree runs the modules its names live in now, untimed
             for name in tree.__all__:
                 getattr(tree, name)
-        paths = {adjinv.__name__: str(ROOT / "src"), PARENT: str(where / "process")}
-        inputs = build_inputs(args.sizes) + build_processes(where, paths)
+        inputs = build_inputs(args.sizes)
         per_op, absent = run_pairs(trees, inputs, args.pairs)
     report = summarize(per_op)
     print(f"change = working tree, parent = {args.rev} ({commit[:12]}); {args.pairs} pairs of {len(inputs)} inputs"
