@@ -536,17 +536,52 @@ def test_paper_examples_exit_zero(capsys):
     assert "FAIL" not in out
 
 
-def test_paper_examples_detects_mismatch(capsys, monkeypatch):
-    monkeypatch.setattr(golden, "EXAMPLE1_DENOMINATOR", Scalar(1))
+def _shipped_data(tmp_path) -> Path:
+    """A copy in ``tmp_path`` of the files the paper examples read from the package's data directory."""
+    for name in ("example1.mat", "example2.mat", "paper_examples.txt"):
+        (tmp_path / name).write_bytes(resources.files("adjinv").joinpath("data/" + name).read_bytes())
+    return tmp_path / "paper_examples.txt"
+
+
+def _tamper(monkeypatch, tmp_path, old: str, new: str) -> None:
+    """Point the paper examples at a copy of the shipped data whose one occurrence of ``old`` reads ``new``."""
+    data = _shipped_data(tmp_path)
+    text = data.read_text(encoding="utf-8")
+    assert text.count(old) == 1
+    data.write_text(text.replace(old, new), encoding="utf-8")
+    monkeypatch.setattr(golden, "_DATA", str(tmp_path))
+
+
+# The expected denominator of example 1, 102060, changed to 1: three rows read it.
+DENOMINATOR = ("\n102060\n", "\n1\n")
+
+
+def test_paper_examples_detects_mismatch(capsys, monkeypatch, tmp_path):
+    _tamper(monkeypatch, tmp_path, *DENOMINATOR)
     code, out, err = run_cli(capsys, "paper-examples")
     assert code == 4
     assert "FAIL" in out
+    assert [line for line in out.splitlines() if line.endswith(": FAIL")] == [
+        "example1: order-3 principal-minor sum of A*A = 102060: FAIL",
+        "example1: denominator = 102060: FAIL",
+        "example1: pseudoinverse matrix: FAIL",
+    ]
+    assert err == "3 golden value(s) did not match\n"
+
+
+def test_paper_examples_fail_exactly_the_row_of_a_changed_value(capsys, monkeypatch, tmp_path):
+    _tamper(monkeypatch, tmp_path, "\n25779\n", "\n25778\n")  # numerator l11 only
+    code, out, err = run_cli(capsys, "paper-examples")
+    assert code == 4
+    assert [line for line in out.splitlines() if not line.endswith(": pass")] == [
+        "example1: numerator l11 = 25779: FAIL"]
+    assert err == "1 golden value(s) did not match\n"
 
 
 @pytest.mark.parametrize("mismatch", [False, True])
-def test_paper_examples_json_reports_the_checks_of_its_text(capsys, monkeypatch, mismatch):
+def test_paper_examples_json_reports_the_checks_of_its_text(capsys, monkeypatch, tmp_path, mismatch):
     if mismatch:
-        monkeypatch.setattr(golden, "EXAMPLE1_DENOMINATOR", Scalar(1))
+        _tamper(monkeypatch, tmp_path, *DENOMINATOR)
     code, out, err = run_cli(capsys, "paper-examples")
     json_code, json_out, json_err = run_cli(capsys, "paper-examples", "--json")
     text = [line.rsplit(": ", 1) for line in out.splitlines() if line.endswith((": pass", ": FAIL"))]
@@ -556,8 +591,7 @@ def test_paper_examples_json_reports_the_checks_of_its_text(capsys, monkeypatch,
 
 
 def test_paper_examples_read_the_shipped_files(capsys, monkeypatch, tmp_path):
-    for name in ("example1.mat", "example2.mat"):
-        (tmp_path / name).write_bytes(resources.files("adjinv").joinpath("data/" + name).read_bytes())
+    _shipped_data(tmp_path)
     monkeypatch.setattr(golden, "_DATA", str(tmp_path))
     code, out, _ = run_cli(capsys, "paper-examples")
     assert code == 0 and out.endswith("all 22 golden values match\n")
@@ -580,11 +614,73 @@ def test_importing_golden_reads_no_file():
     try:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(matrix_io, "parse_matrix_file", refuse)
+            patch.setattr(matrix_io, "parse_matrix_text", refuse)
             importlib.reload(golden)
-            assert golden.parse_matrix_file is refuse
+            assert golden.parse_matrix_file is golden.parse_matrix_text is refuse
     finally:
         importlib.reload(golden)
     assert golden.parse_matrix_file is matrix_io.parse_matrix_file
+    assert golden.parse_matrix_text is matrix_io.parse_matrix_text
+
+
+def _unmatched_blocks(monkeypatch, tmp_path) -> tuple[set, set]:
+    """On the data in ``tmp_path``: (the names the paper examples' rows read that its data file lacks, the blocks of
+    the file that no row reads).  The rows stop at the first name the file lacks."""
+    monkeypatch.setattr(golden, "_DATA", str(tmp_path))
+    blocks, reads = golden._expected(), set()
+
+    class Reads(dict):
+        def __getitem__(self, name):
+            reads.add(name)
+            return super().__getitem__(name)
+
+    monkeypatch.setattr(golden, "_expected", lambda: Reads(blocks))
+    try:
+        golden.run_all()
+    except KeyError:
+        pass
+    return reads - set(blocks), set(blocks) - reads
+
+
+def test_every_block_of_the_paper_examples_data_is_read_and_every_block_read_exists(monkeypatch, tmp_path):
+    _shipped_data(tmp_path)
+    assert _unmatched_blocks(monkeypatch, tmp_path) == (set(), set())
+
+
+def test_the_block_check_fails_on_a_renamed_block(monkeypatch, tmp_path):
+    _tamper(monkeypatch, tmp_path, "[example1.gram]", "[example1.gram_matrix]")
+    missing, unread = _unmatched_blocks(monkeypatch, tmp_path)
+    assert missing == {"example1.gram"} and "example1.gram_matrix" in unread
+
+
+def test_the_block_check_fails_on_a_block_no_row_reads(monkeypatch, tmp_path):
+    _tamper(monkeypatch, tmp_path, "[example1.l11]", "[example1.l12]\n1 1\n0\n\n[example1.l11]")
+    assert _unmatched_blocks(monkeypatch, tmp_path) == (set(), {"example1.l12"})
+
+
+def test_a_repeated_block_name_is_refused_at_its_line(capsys, monkeypatch, tmp_path):
+    _tamper(monkeypatch, tmp_path, "[example2.index]", "[example2.d11]")
+    lines = (tmp_path / "paper_examples.txt").read_text(encoding="utf-8").splitlines()
+    _, line = [k + 1 for k, text in enumerate(lines) if text == "[example2.d11]"]  # the second is refused
+    code, out, err = run_cli(capsys, "paper-examples")
+    assert (code, out) == (2, "")
+    assert err == f"input error: line {line}, column 1: block [example2.d11] is repeated\n"
+
+
+def test_a_malformed_block_is_reported_at_its_line_in_the_data_file(capsys, monkeypatch, tmp_path):
+    _tamper(monkeypatch, tmp_path, "\n3 2 2\n", "\n3 2 two\n")  # the ranks of example 2
+    line = (tmp_path / "paper_examples.txt").read_text(encoding="utf-8").splitlines().index("3 2 two") + 1
+    code, out, err = run_cli(capsys, "paper-examples")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"input error: line {line}, column 5: bad scalar token 'two'")
+
+
+def test_bundled_paper_examples_data_works_via_cli(capsys, monkeypatch):
+    with resources.as_file(resources.files("adjinv").joinpath("data")) as path:
+        assert (path / "paper_examples.txt").is_file()
+        monkeypatch.setattr(golden, "_DATA", str(path))
+        code, out, _ = run_cli(capsys, "paper-examples")
+    assert code == 0 and out.endswith("all 22 golden values match\n")
 
 
 def test_bundled_data_files_work_via_cli(capsys):

@@ -70,3 +70,11 @@ def test_ab_refuses_a_repeated_size_before_reading_any_revision():
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 2
     assert "--sizes must not repeat a size" in done.stderr
+
+
+def test_ab_refuses_an_unknown_revision_by_name_before_extracting_it():
+    done = subprocess.run([sys.executable, str(TOOLS / "ab.py"), "no-such-revision", "--sizes", "8"],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2
+    assert "no commit named 'no-such-revision'" in done.stderr
+    assert "Traceback" not in done.stderr

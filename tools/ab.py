@@ -69,7 +69,8 @@ The tree that goes first alternates from input to input and from pair to
 pair.  After both trees ran an input, its compared results are compared in a
 form neither tree's classes enter (a Matrix as its entries, a Scalar as its
 parts, a result class as its fields, a raised error as its type and
-message); any difference stops the run with exit status 1.
+message); any difference stops the run with exit status 1.  A REV that names
+no commit is a usage error, exit status 2, before anything is extracted.
 
 Before anything is timed, every public name of each tree is read, so the
 modules a package runs on first read run then, and in no row.  This tool
@@ -396,8 +397,11 @@ def main(argv=None) -> int:
         parser.error("--sizes must be at least 6 (the index-3 input's nilpotent part, n//2, holds a block of 3)")
     if len(set(args.sizes)) < len(args.sizes):
         parser.error("--sizes must not repeat a size (a repeated size's cells would add into one row)")
-    commit = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--verify", f"{args.rev}^{{commit}}"],
-                            check=True, capture_output=True, text=True).stdout.strip()
+    found = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--verify", "--quiet", f"{args.rev}^{{commit}}"],
+                           capture_output=True, text=True)
+    if found.returncode:
+        parser.error(f"no commit named {args.rev!r} in {ROOT}")
+    commit = found.stdout.strip()
     with tempfile.TemporaryDirectory(prefix="adjinv-ab-") as where:
         trees = {"change": adjinv, "parent": import_revision(commit, Path(where))}
         for tree in trees.values():  # each tree runs the modules its names live in now, untimed
